@@ -16,8 +16,11 @@ from fractions import Fraction
 from . import convcat
 from .comodule import ComoduleAlgebraData, InternalInvariant
 from .galois import canonical_map, translation_map
-from .hopf import StructureConstantAlgebra, comul_iterated
-from .linalg import (Matrix, NotInvertible, basis_vec, kron_vec,
+from .hopf import (CoalgebraData, OneSidedInverse, StructureConstantAlgebra,
+                   comul_iterated, convolution_inverse, convolution_unit,
+                   convolve)
+from .linalg import (Matrix, NotInvertible, basis_vec, gather_legs,
+                     intertwiners, kron_vec, lin_comb, scatter_legs,
                      tensor_entries, vec_add, vec_scale)
 
 EXHAUSTIVE_CAP = 10 ** 6
@@ -62,14 +65,6 @@ class CleftingDatum:
 # -- clefting search ---------------------------------------------------------
 
 
-def _lin_comb(field, mats, coeffs):
-    out = Matrix.zeros(field, mats[0].rows, mats[0].cols)
-    for m, c in zip(mats, coeffs):
-        if c != field.zero:
-            out = out + m.scale(c)
-    return out
-
-
 def _normalize(ca, t_mat, u_mat):
     """t' = u(1) t with inverse u t(1); verified before returning."""
     one_h = ca.hopf.algebra.unit
@@ -91,7 +86,7 @@ def _normalize(ca, t_mat, u_mat):
 
 def _attempt(ca, mats, coeffs):
     field = ca.field
-    t_mat = _lin_comb(field, mats, coeffs)
+    t_mat = lin_comb(mats, coeffs)
     if t_mat.is_zero():
         return None
     try:
@@ -178,64 +173,12 @@ def _sigma_apply(field, sigma, h_vec, k_vec):
     return sigma.apply(kron_vec(field, h_vec, k_vec))
 
 
-def _conv2(base, hopf, s1, s2):
-    """Convolution on Hom(H (x) H, B): s1(h1 (x) k1) s2(h2 (x) k2)."""
-    f = base.field
+def _hh_coalgebra(hopf):
+    """H (x) H with comultiplication (Delta (x) Delta) on legs (0, 2, 1, 3)."""
+    co = hopf.coalgebra
     dh = hopf.dim
-    cols = []
-    for h in range(dh):
-        dlh = list(tensor_entries(f, hopf.coalgebra.comul.apply(
-            basis_vec(f, dh, h)), (dh, dh)))
-        for k in range(dh):
-            dlk = list(tensor_entries(f, hopf.coalgebra.comul.apply(
-                basis_vec(f, dh, k)), (dh, dh)))
-            acc = [f.zero] * base.dim
-            for (h1, h2), c1 in dlh:
-                for (k1, k2), c2 in dlk:
-                    v = base.product(
-                        _sigma_apply(f, s1, basis_vec(f, dh, h1),
-                                     basis_vec(f, dh, k1)),
-                        _sigma_apply(f, s2, basis_vec(f, dh, h2),
-                                     basis_vec(f, dh, k2)))
-                    acc = vec_add(f, acc, vec_scale(f, f.mul(c1, c2), v))
-            cols.append(acc)
-    return Matrix.from_cols(f, cols, nrows=base.dim)
-
-
-def _eps2_unit(base, hopf):
-    """(h (x) k) -> eps(h) eps(k) 1_B, the convolution unit on H (x) H."""
-    f = base.field
-    dh = hopf.dim
-    eps = hopf.coalgebra.counit
-    cols = []
-    for h in range(dh):
-        eh = eps.apply(basis_vec(f, dh, h))[0]
-        for k in range(dh):
-            ek = eps.apply(basis_vec(f, dh, k))[0]
-            cols.append(vec_scale(f, f.mul(eh, ek), base.unit))
-    return Matrix.from_cols(f, cols, nrows=base.dim)
-
-
-def _sigma_conv_inverse(base, hopf, sigma):
-    """Solve sigma * x = eps eps 1 linearly, then verify two-sidedness."""
-    f = base.field
-    db, dh = base.dim, hopf.dim
-    unit_mat = _eps2_unit(base, hopf)
-    nunk = db * dh * dh
-    cols = []
-    for flat in range(nunk):
-        probe = Matrix(f, db, dh * dh,
-                       [f.one if i == flat else f.zero for i in range(nunk)])
-        cols.append(_conv2(base, hopf, sigma, probe).data)
-    op = Matrix.from_cols(f, cols, nrows=nunk)
-    try:
-        sol = op.solve(unit_mat.data)
-    except Exception as exc:
-        raise InvalidCrossedData("sigma not convolution invertible") from exc
-    sbar = Matrix(f, db, dh * dh, sol)
-    if _conv2(base, hopf, sbar, sigma) != unit_mat:
-        raise InvalidCrossedData("sigma inverse is one-sided only")
-    return sbar
+    comul = scatter_legs(co.comul.kron(co.comul), (dh,) * 4, (0, 2, 1, 3))
+    return CoalgebraData(hopf.field, dh * dh, comul, co.counit.kron(co.counit))
 
 
 def _prop51_violations(base, hopf, omega, sigma, sigma_bar):
@@ -354,12 +297,18 @@ def build_crossed_product(base, hopf, omega, sigma, sigma_bar=None):
     """
     f = base.field
     db, dh = base.dim, hopf.dim
+    hh = _hh_coalgebra(hopf)
     if sigma_bar is None:
-        sigma_bar = _sigma_conv_inverse(base, hopf, sigma)
+        try:
+            sigma_bar = convolution_inverse(base, hh, sigma)
+        except OneSidedInverse as exc:
+            raise InvalidCrossedData("sigma inverse is one-sided only") from exc
+        except NotInvertible as exc:
+            raise InvalidCrossedData("sigma not convolution invertible") from exc
     else:
-        unit_mat = _eps2_unit(base, hopf)
-        if (_conv2(base, hopf, sigma, sigma_bar) != unit_mat
-                or _conv2(base, hopf, sigma_bar, sigma) != unit_mat):
+        unit_mat = convolution_unit(base, hh)
+        if (convolve(base, hh, sigma, sigma_bar) != unit_mat
+                or convolve(base, hh, sigma_bar, sigma) != unit_mat):
             raise InvalidCrossedData("sigma_bar is not the convolution inverse")
     violations = _prop51_violations(base, hopf, omega, sigma, sigma_bar)
     if violations:
@@ -411,6 +360,17 @@ def build_crossed_product(base, hopf, omega, sigma, sigma_bar=None):
     return CrossedProductData(base, hopf, omega, sigma, sigma_bar, ca)
 
 
+def omega_t(ca, t_mat, u_mat):
+    """omega_t(h (x) b_i) = t(h1) b_i u(h2) in A, column h * dim B + i."""
+    f = ca.field
+    b = ca.coinvariants()
+    convs = [convolve(ca.algebra, ca.hopf.coalgebra,
+                      ca.algebra.rmul(b.to_ambient(basis_vec(f, b.dim, i)))
+                      @ t_mat, u_mat) for i in range(b.dim)]
+    return Matrix.from_cols(f, [conv.col(h) for h in range(ca.hopf.dim)
+                                for conv in convs], nrows=ca.algebra.dim)
+
+
 def extract_crossed_data(datum, ca):
     """omega_t, sigma, sigmabar from a normalized clefting datum (Thm 5.2)."""
     if not datum.normalized:
@@ -421,56 +381,27 @@ def extract_crossed_data(datum, ca):
     b = ca.coinvariants()
     db, dh = b.dim, hopf.dim
     t_mat, u_mat = datum.t.matrix, datum.u.matrix
-    eh = [basis_vec(f, dh, i) for i in range(dh)]
-    dl = [list(tensor_entries(f, hopf.coalgebra.comul.apply(eh[i]), (dh, dh)))
-          for i in range(dh)]
+    hh = _hh_coalgebra(hopf)
+    hmul = hopf.algebra.mul
 
-    def in_b(vec, what, witness):
-        try:
-            return b.from_ambient(vec)
-        except InternalInvariant as exc:
-            raise InvariantFailure(
-                f"{what} at {witness} is not coinvariant") from exc
+    def in_b(amb, what, width):
+        cols = []
+        for j in range(amb.cols):
+            try:
+                cols.append(b.from_ambient(amb.col(j)))
+            except InternalInvariant as exc:
+                raise InvariantFailure(f"{what} at {divmod(j, width)} "
+                                       "is not coinvariant") from exc
+        return Matrix.from_cols(f, cols, nrows=db)
 
-    # omega_t(h (x) b) = t(h1) b u(h2)
-    cols = []
-    for h in range(dh):
-        for i in range(db):
-            amb = b.to_ambient(basis_vec(f, db, i))
-            acc = [f.zero] * alg.dim
-            for (h1, h2), c in dl[h]:
-                v = alg.product(t_mat.apply(eh[h1]),
-                                alg.product(amb, u_mat.apply(eh[h2])))
-                acc = vec_add(f, acc, vec_scale(f, c, v))
-            cols.append(in_b(acc, "omega_t value", (h, i)))
-    omega = Matrix.from_cols(f, cols, nrows=db)
+    omega = in_b(omega_t(ca, t_mat, u_mat), "omega_t value", db)
     # sigma(h (x) k) = t(h1) t(k1) u(h2 k2)
-    cols = []
-    for h in range(dh):
-        for k in range(dh):
-            acc = [f.zero] * alg.dim
-            for (h1, h2), c1 in dl[h]:
-                for (k1, k2), c2 in dl[k]:
-                    v = alg.product(
-                        t_mat.apply(eh[h1]),
-                        alg.product(t_mat.apply(eh[k1]), u_mat.apply(
-                            hopf.algebra.product(eh[h2], eh[k2]))))
-                    acc = vec_add(f, acc, vec_scale(f, f.mul(c1, c2), v))
-            cols.append(in_b(acc, "sigma value", (h, k)))
-    sigma = Matrix.from_cols(f, cols, nrows=db)
+    sigma = in_b(convolve(alg, hh, alg.mul @ t_mat.kron(t_mat), u_mat @ hmul),
+                 "sigma value", dh)
     # sigmabar(h (x) k) = t(h1 k1) u(k2) u(h2)
-    cols = []
-    for h in range(dh):
-        for k in range(dh):
-            acc = [f.zero] * alg.dim
-            for (h1, h2), c1 in dl[h]:
-                for (k1, k2), c2 in dl[k]:
-                    v = alg.product(
-                        t_mat.apply(hopf.algebra.product(eh[h1], eh[k1])),
-                        alg.product(u_mat.apply(eh[k2]), u_mat.apply(eh[h2])))
-                    acc = vec_add(f, acc, vec_scale(f, f.mul(c1, c2), v))
-            cols.append(in_b(acc, "sigmabar value", (h, k)))
-    sigma_bar = Matrix.from_cols(f, cols, nrows=db)
+    u_flip = gather_legs(alg.mul @ u_mat.kron(u_mat), (dh, dh), (1, 0))
+    sigma_bar = in_b(convolve(alg, hh, t_mat @ hmul, u_flip),
+                     "sigmabar value", dh)
     try:
         return build_crossed_product(b.algebra, hopf, omega, sigma, sigma_bar)
     except InvalidCrossedData as exc:
@@ -669,18 +600,7 @@ def _find_bh_iso(ca, b, seed, tries):
     x_acts = [b.algebra.lmul(basis_vec(f, db, i)).kron(idh) for i in range(db)]
     a_acts = [ca.algebra.lmul(b.to_ambient(basis_vec(f, db, i)))
               for i in range(db)]
-    nunk = da * da
-    cols = []
-    for flat in range(nunk):
-        probe = Matrix(f, da, da,
-                       [f.one if t == flat else f.zero for t in range(nunk)])
-        defect = []
-        for xa, aa in zip(x_acts, a_acts):
-            defect.extend((probe @ xa - aa @ probe).data)
-        defect.extend((ca.coaction @ probe - probe.kron(idh) @ x_co).data)
-        cols.append(defect)
-    op = Matrix.from_cols(f, cols, nrows=len(cols[0]))
-    mats = [Matrix(f, da, da, v) for v in op.kernel()]
+    mats = intertwiners(f, da, da, x_acts, a_acts, (x_co, ca.coaction))
     if not mats:
         return None
     d = len(mats)
@@ -701,7 +621,7 @@ def _find_bh_iso(ca, b, seed, tries):
                     for _ in range(d)))
         candidates = list(candidates) + extra
     for coeffs in candidates:
-        psi = _lin_comb(f, mats, coeffs)
+        psi = lin_comb(mats, coeffs)
         if psi.rows == psi.cols and psi.is_invertible():
             return psi
     return None
@@ -823,13 +743,13 @@ def _algebra_map_search(ca, mats, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
         if f.p ** d > enumerate_cap:
             rng = random.Random(seed)
             for _ in range(enumerate_cap // max(1, d)):
-                t_mat = _lin_comb(f, mats, tuple(
+                t_mat = lin_comb(mats, tuple(
                     rng.randrange(f.p) for _ in range(d)))
                 if is_algebra_map(t_mat):
                     return t_mat, "found"
             return None, "inconclusive"
         for coeffs in itertools.product(range(f.p), repeat=d):
-            t_mat = _lin_comb(f, mats, coeffs)
+            t_mat = lin_comb(mats, coeffs)
             if is_algebra_map(t_mat):
                 return t_mat, "found"
         return None, "none"
@@ -910,7 +830,7 @@ def _algebra_map_search(ca, mats, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
                 vals.append(Fraction(int(num), int(den)))
             if not rational:
                 continue
-            t_mat = _lin_comb(f, mats, tuple(vals))
+            t_mat = lin_comb(mats, tuple(vals))
             if is_algebra_map(t_mat):
                 return t_mat, "found"
     if saw_free:
@@ -946,7 +866,8 @@ def smash_check(ca, seed=0, tries=500, enumerate_cap=EXHAUSTIVE_CAP):
         convcat.HomSpaceElement(t_mat, (2, 1), "C"),
         convcat.HomSpaceElement(u_mat, (1, 2), "C"), normalized=True)
     cp = extract_crossed_data(datum, ca)
-    report.sigma_trivial = cp.sigma == _eps2_unit(cp.base, ca.hopf)
+    report.sigma_trivial = cp.sigma == convolution_unit(
+        cp.base, _hh_coalgebra(ca.hopf))
     b = ca.coinvariants()
     psi = _psi_matrix(ca, b, t_mat)
     leg = LegReport("smash-iso")

@@ -383,7 +383,7 @@ def run(argv):
     try:
         report = args.fn(args)
     except (io_json.ParseError, io_json.ValidationError, InputError,
-            cohomology.HypothesisViolated) as exc:
+            cohomology.HypothesisViolated, galois.NotGalois) as exc:
         return exc, 2
     report.output_mode = args.output
     return report, report.exit_code

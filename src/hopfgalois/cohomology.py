@@ -12,9 +12,10 @@ from fractions import Fraction
 
 from . import cleft, convcat
 from .comodule import InternalInvariant
-from .hopf import ValidationReport, is_cocommutative
-from .linalg import (Matrix, basis_vec, kron_vec, tensor_entries, vec_add,
-                     vec_scale)
+from .hopf import (ValidationReport, convolution_inverse, convolution_unit,
+                   convolve, is_cocommutative)
+from .linalg import (Matrix, NotInvertible, basis_vec, kron_vec, lin_comb,
+                     tensor_entries, vec_add, vec_scale)
 
 EXHAUSTIVE_CAP = 10 ** 6
 QQ_COEFF_BOUND = 3
@@ -110,26 +111,11 @@ def trivial_action(hopf, base):
 
 def action_from_cleft(ca, datum):
     """omega_t on B = A^{co H}, per Eq. (omega) of Thm 5.2's proof."""
-    f = ca.field
     b = ca.coinvariants()
-    hopf = ca.hopf
-    db, dh = b.dim, hopf.dim
-    t_mat, u_mat = datum.t.matrix, datum.u.matrix
-    eh = [basis_vec(f, dh, i) for i in range(dh)]
-    dl = [list(tensor_entries(f, hopf.coalgebra.comul.apply(eh[i]), (dh, dh)))
-          for i in range(dh)]
-    cols = []
-    for h in range(dh):
-        for i in range(db):
-            amb = b.to_ambient(basis_vec(f, db, i))
-            acc = [f.zero] * ca.algebra.dim
-            for (h1, h2), c in dl[h]:
-                v = ca.algebra.product(t_mat.apply(eh[h1]),
-                                       ca.algebra.product(amb, u_mat.apply(eh[h2])))
-                acc = vec_add(f, acc, vec_scale(f, c, v))
-            cols.append(b.from_ambient(acc))
-    return HModuleAlgebraAction(hopf, b.algebra,
-                                Matrix.from_cols(f, cols, nrows=db))
+    amb = cleft.omega_t(ca, datum.t.matrix, datum.u.matrix)
+    cols = [b.from_ambient(amb.col(j)) for j in range(amb.cols)]
+    return HModuleAlgebraAction(ca.hopf, b.algebra,
+                                Matrix.from_cols(ca.field, cols, nrows=b.dim))
 
 
 def _gate(hopf, base):
@@ -137,40 +123,6 @@ def _gate(hopf, base):
         raise HypothesisViolated("H is not cocommutative")
     if not base.is_commutative():
         raise HypothesisViolated("B is not commutative")
-
-
-# -- convolution on Hom(H, B) ------------------------------------------------
-
-
-def conv_b(hopf, base, f_mat, g_mat):
-    return base.mul @ f_mat.kron(g_mat) @ hopf.coalgebra.comul
-
-
-def conv_unit_b(hopf, base):
-    return (Matrix.from_cols(base.field, [base.unit])
-            @ hopf.coalgebra.counit)
-
-
-def conv_inverse_b(hopf, base, f_mat):
-    """Two-sided convolution inverse in Hom(H, B), or None."""
-    f = base.field
-    db, dh = base.dim, hopf.dim
-    unit_mat = conv_unit_b(hopf, base)
-    nunk = db * dh
-    cols = []
-    for flat in range(nunk):
-        probe = Matrix(f, db, dh,
-                       [f.one if i == flat else f.zero for i in range(nunk)])
-        cols.append(conv_b(hopf, base, f_mat, probe).data)
-    op = Matrix.from_cols(f, cols, nrows=nunk)
-    try:
-        sol = op.solve(unit_mat.data)
-    except Exception:
-        return None
-    g_mat = Matrix(f, db, dh, sol)
-    if conv_b(hopf, base, g_mat, f_mat) != unit_mat:
-        return None
-    return g_mat
 
 
 # -- Lemma 5.5 ---------------------------------------------------------------
@@ -201,7 +153,9 @@ def z1_membership(act, v_mat):
     db, dh = base.dim, hopf.dim
     if v_mat.apply(hopf.algebra.unit) != base.unit:
         return False
-    if conv_inverse_b(hopf, base, v_mat) is None:
+    try:
+        convolution_inverse(base, hopf.coalgebra, v_mat)
+    except NotInvertible:
         return False
     eh = [basis_vec(f, dh, i) for i in range(dh)]
     dl = [list(tensor_entries(f, hopf.coalgebra.comul.apply(eh[i]), (dh, dh)))
@@ -272,10 +226,11 @@ def cohomologous(act, v_mat, v1_mat, seed=0):
     f = act.field
     base, hopf = act.base, act.hopf
     db, dh = base.dim, hopf.dim
-    v1_inv = conv_inverse_b(hopf, base, v1_mat)
-    if v1_inv is None:
-        raise ValueError("v1 is not convolution invertible")
-    w = conv_b(hopf, base, v_mat, v1_inv)
+    try:
+        v1_inv = convolution_inverse(base, hopf.coalgebra, v1_mat)
+    except NotInvertible as exc:
+        raise ValueError("v1 is not convolution invertible") from exc
+    w = convolve(base, hopf.coalgebra, v_mat, v1_inv)
     blocks = []
     for h in range(dh):
         # lmul_B(w(h)) b = (h . b): both sides linear in b
@@ -288,7 +243,7 @@ def cohomologous(act, v_mat, v1_mat, seed=0):
     b = _invertible_in_span(base, kernel, seed=seed)
     if b is None:
         return False
-    return v_mat == conv_b(hopf, base, b1_element(act, b), v1_mat)
+    return v_mat == convolve(base, hopf.coalgebra, b1_element(act, b), v1_mat)
 
 
 def h1_classes(act, candidates, seed=0):
@@ -471,7 +426,7 @@ def omega_enumerate(ca, act=None, base_point=None, seed=0,
     if f.kind == "Fp" and f.p ** d <= enumerate_cap:
         out = []
         for coeffs in itertools.product(range(f.p), repeat=d):
-            t = cleft._lin_comb(f, mats, coeffs)
+            t = lin_comb(mats, coeffs)
             if omega_membership(ca, t):
                 out.append(t)
         return out
@@ -559,18 +514,23 @@ def groupoid_xa_check(ca, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
         return omega_membership(ca, m @ hopf.antipode_inv)
 
     # Z^1 group structure
-    unit_b = conv_unit_b(hopf, act.base)
+    unit_b = convolution_unit(act.base, hopf.coalgebra)
     if z1 and not z1_membership(act, unit_b):
         report.fail("Z1-unit")
     for i, v in enumerate(z1):
-        inv = conv_inverse_b(hopf, act.base, v)
-        if inv is None or not z1_membership(act, inv):
+        try:
+            ok = z1_membership(
+                act, convolution_inverse(act.base, hopf.coalgebra, v))
+        except NotInvertible:
+            ok = False
+        if not ok:
             report.fail("Z1-inverse", (i,))
             break
     for i, v in enumerate(z1):
         bad = False
         for j, v2 in enumerate(z1):
-            if not z1_membership(act, conv_b(hopf, act.base, v, v2)):
+            if not z1_membership(act, convolve(act.base, hopf.coalgebra,
+                                               v, v2)):
                 report.fail("Z1-closure", (i, j))
                 bad = True
                 break

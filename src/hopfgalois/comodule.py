@@ -7,7 +7,8 @@ classes is equality of projected coordinates, never of representatives.
 """
 
 from .hopf import DimensionMismatch, StructureConstantAlgebra, ValidationReport
-from .linalg import (Matrix, NoSolution, basis_vec, kron_vec, vec_is_zero)
+from .linalg import (Matrix, NoSolution, basis_vec, gather_legs, kron_vec,
+                     lin_comb, vec_is_zero)
 
 
 class InternalInvariant(RuntimeError):
@@ -48,13 +49,15 @@ class ComoduleAlgebraData:
         report.check("comodule.coassociativity", lhs, rhs, (da,))
         report.check("comodule.counit", ida.kron(self.hopf.coalgebra.counit) @ rho,
                      ida, (da,))
-        # rho is an algebra map
+        # rho is an algebra map, for the componentwise product on A (x) H
+        mul2 = gather_legs(self.algebra.mul.kron(self.hopf.algebra.mul),
+                           (da, dh, da, dh), (0, 2, 1, 3))
         for i in range(da):
             for j in range(da):
                 prod = self.algebra.product(basis_vec(f, da, i), basis_vec(f, da, j))
                 lhs_v = rho.apply(prod)
-                rhs_v = _tensor_product(self, rho.apply(basis_vec(f, da, i)),
-                                        rho.apply(basis_vec(f, da, j)))
+                rhs_v = mul2.apply(kron_vec(f, rho.apply(basis_vec(f, da, i)),
+                                            rho.apply(basis_vec(f, da, j))))
                 if lhs_v != rhs_v:
                     report.fail("comodule.multiplicative", (i, j))
                     break
@@ -70,16 +73,6 @@ class ComoduleAlgebraData:
         if self._coinv is None:
             self._coinv = _coinvariant_subalgebra(self)
         return self._coinv
-
-
-def _tensor_product(ca, x, y):
-    """Componentwise product on A (x) H of two coordinate vectors."""
-    f = ca.field
-    da, dh = ca.algebra.dim, ca.hopf.dim
-    from .linalg import swap_matrix
-    mul2 = ca.algebra.mul.kron(ca.hopf.algebra.mul) @ \
-        Matrix.identity(f, da).kron(swap_matrix(f, dh, da)).kron(Matrix.identity(f, dh))
-    return mul2.apply(kron_vec(f, x, y))
 
 
 def comodule_coinvariant_basis(field, dim, coaction, hopf_unit):
@@ -169,18 +162,12 @@ class BModule:
         f = self.field
         balg = self.base.algebra
         idm = Matrix.identity(f, self.dim)
-        unit_act = Matrix.zeros(f, self.dim, self.dim)
-        for i, c in enumerate(balg.unit):
-            if c != f.zero:
-                unit_act = unit_act + self.actions[i].scale(c)
-        report.check("bmodule.unit", unit_act, idm, (self.dim,))
+        report.check("bmodule.unit", lin_comb(self.actions, balg.unit), idm,
+                     (self.dim,))
         for i in range(balg.dim):
             for j in range(balg.dim):
                 prod = balg.product(basis_vec(f, balg.dim, i), basis_vec(f, balg.dim, j))
-                lhs = Matrix.zeros(f, self.dim, self.dim)
-                for k, c in enumerate(prod):
-                    if c != f.zero:
-                        lhs = lhs + self.actions[k].scale(c)
+                lhs = lin_comb(self.actions, prod)
                 rhs = self.actions[j] @ self.actions[i]  # m.(bi bj) = (m.bi).bj
                 if lhs != rhs:
                     report.fail("bmodule.associativity", (i, j))
@@ -227,19 +214,12 @@ class RelativeHopfModuleData:
         da, dh, dm = ca.algebra.dim, ca.hopf.dim, self.dim
         report = ValidationReport()
         idm = Matrix.identity(f, dm)
-        unit_act = Matrix.zeros(f, dm, dm)
-        for i, c in enumerate(ca.algebra.unit):
-            if c != f.zero:
-                unit_act = unit_act + self.actions[i].scale(c)
-        report.check("hopfmodule.action-unit", unit_act, idm, (dm,))
+        report.check("hopfmodule.action-unit",
+                     lin_comb(self.actions, ca.algebra.unit), idm, (dm,))
         for i in range(da):
             for j in range(da):
                 prod = ca.algebra.product(basis_vec(f, da, i), basis_vec(f, da, j))
-                lhs = Matrix.zeros(f, dm, dm)
-                for k, c in enumerate(prod):
-                    if c != f.zero:
-                        lhs = lhs + self.actions[k].scale(c)
-                if lhs != self.actions[j] @ self.actions[i]:
+                if lin_comb(self.actions, prod) != self.actions[j] @ self.actions[i]:
                     report.fail("hopfmodule.action-associativity", (i, j))
         rho = self.coaction
         report.check("hopfmodule.coassociativity",
@@ -385,10 +365,7 @@ def adjunction_counit(n, ca):
     c = coinv.cols
     actions = []
     for k in range(b.dim):
-        ambient_act = Matrix.zeros(f, n.dim, n.dim)
-        for i, cf in enumerate(b.inclusion.col(k)):
-            if cf != f.zero:
-                ambient_act = ambient_act + n.actions[i].scale(cf)
+        ambient_act = lin_comb(n.actions, b.inclusion.col(k))
         try:
             actions.append(coinv.solve_matrix(ambient_act @ coinv))
         except NoSolution as exc:

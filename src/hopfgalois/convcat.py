@@ -8,7 +8,9 @@ alpha_kj(g) o alpha_ji(f) = alpha_ki(g * f) of the main theorem; in C'_A
 the cop-convolution (g ? f)(h) = g(h_(2)) f(h_(1)) is used instead.
 """
 
-from .linalg import Matrix, NotInvertible, basis_vec, perm_legs
+from . import hopf
+from .hopf import CoalgebraData
+from .linalg import Matrix, kron_terms, linear_operator, scatter_legs
 
 CLASSES = ((1, 1), (2, 1), (1, 2), (2, 2))
 
@@ -52,46 +54,42 @@ class HomSpaceBasis:
                                 nrows=da * dh)
 
 
-def _tensor_embed(ca):
-    """E1: A -> A (x) H, a -> a (x) 1."""
-    f = ca.field
-    da = ca.algebra.dim
-    from .linalg import kron_vec
-    return Matrix.from_cols(
-        f, [kron_vec(f, basis_vec(f, da, j), ca.hopf.algebra.unit)
-            for j in range(da)], nrows=da * ca.hopf.dim)
-
-
-def constraint_rhs(ca, f_mat, cls, variant):
-    """The required value of rho o f for the given constraint class."""
+def _constraint(ca, cls, variant):
+    """(G, D) such that class (cls, variant) requires rho o f = (f (x) G) D."""
     field = ca.field
     dh = ca.hopf.dim
     comul = ca.hopf.coalgebra.comul
     idh = Matrix.identity(field, dh)
     s, sbar = ca.hopf.antipode, ca.hopf.antipode_inv
     hmul = ca.hopf.algebra.mul
-    sw = perm_legs(field, (dh, dh), (1, 0))
     if cls == (1, 1):
-        return _tensor_embed(ca) @ f_mat
+        # f(h) (x) 1
+        return Matrix.from_cols(field, [ca.hopf.algebra.unit]), idh
     if (cls, variant) in (((2, 1), "C"), ((1, 2), "Cprime")):
         # t(h_(1)) (x) h_(2)
-        return f_mat.kron(idh) @ comul
+        return idh, comul
     if (cls, variant) == ((1, 2), "C"):
         # u(h_(2)) (x) S(h_(1))
-        return f_mat.kron(s) @ sw @ comul
+        return s, scatter_legs(comul, (dh, dh), (1, 0))
     if (cls, variant) == ((2, 1), "Cprime"):
         # u'(h_(2)) (x) Sbar(h_(1))
-        return f_mat.kron(sbar) @ sw @ comul
+        return sbar, scatter_legs(comul, (dh, dh), (1, 0))
     comul3 = idh.kron(comul) @ comul      # h_(1) (x) h_(2) (x) h_(3)
     if (cls, variant) == ((2, 2), "C"):
         # w(h_(2)) (x) S(h_(1)) h_(3)
-        move = perm_legs(field, (dh, dh, dh), (1, 0, 2))
-        return f_mat.kron(hmul @ s.kron(idh)) @ move @ comul3
+        return (hmul @ s.kron(idh),
+                scatter_legs(comul3, (dh, dh, dh), (1, 0, 2)))
     if (cls, variant) == ((2, 2), "Cprime"):
         # w'(h_(2)) (x) h_(3) Sbar(h_(1))
-        move = perm_legs(field, (dh, dh, dh), (1, 2, 0))
-        return f_mat.kron(hmul @ idh.kron(sbar)) @ move @ comul3
+        return (hmul @ idh.kron(sbar),
+                scatter_legs(comul3, (dh, dh, dh), (1, 2, 0)))
     raise ValueError(f"unknown constraint {cls}/{variant}")
+
+
+def constraint_rhs(ca, f_mat, cls, variant):
+    """The required value of rho o f for the given constraint class."""
+    g, d = _constraint(ca, cls, variant)
+    return f_mat.kron(g) @ d
 
 
 def constraint_defect(ca, f_mat, cls, variant):
@@ -102,36 +100,44 @@ def membership(ca, f_mat, cls, variant):
     return constraint_defect(ca, f_mat, cls, variant).is_zero()
 
 
+def constraint_operator(ca, cls, variant):
+    """Matrix of f -> constraint_defect(ca, f, cls, variant) on vec(f)."""
+    g, d = _constraint(ca, cls, variant)
+    idh = Matrix.identity(ca.field, ca.hopf.dim)
+    return linear_operator([(ca.coaction, idh)]
+                           + [(a, -b) for a, b in
+                              kron_terms(ca.algebra.dim, g, d)])
+
+
 def hom_space(ca, cls, variant):
     """Nullspace basis of the colinearity constraint (deterministic order)."""
     field = ca.field
     da, dh = ca.algebra.dim, ca.hopf.dim
-    nunk = da * dh
-    cols = []
-    for flat in range(nunk):
-        probe = Matrix(field, da, dh,
-                       [field.one if i == flat else field.zero
-                        for i in range(nunk)])
-        cols.append(constraint_defect(ca, probe, cls, variant).data)
-    op = Matrix.from_cols(field, cols, nrows=da * dh * dh)
     elems = [HomSpaceElement(Matrix(field, da, dh, v), cls, variant)
-             for v in op.kernel()]
+             for v in constraint_operator(ca, cls, variant).kernel()]
     return HomSpaceBasis(cls, variant, elems)
+
+
+def variant_coalgebra(ca, variant="C"):
+    """H for C_A; H^cop for C'_A, whose convolution is g(h_(2)) f(h_(1))."""
+    co = ca.hopf.coalgebra
+    if variant == "Cprime":
+        co = CoalgebraData(ca.field, co.dim,
+                           scatter_legs(co.comul, (co.dim, co.dim), (1, 0)),
+                           co.counit)
+    return co
 
 
 def unit_element(ca, cls=(1, 1), variant="C"):
     """eta_A o eps_H, the convolution unit (identity morphism)."""
-    mat = Matrix.from_cols(ca.field, [ca.algebra.unit]) @ ca.hopf.coalgebra.counit
+    mat = hopf.convolution_unit(ca.algebra, ca.hopf.coalgebra)
     return HomSpaceElement(mat, cls, variant)
 
 
 def convolve_matrices(ca, g_mat, f_mat, variant="C"):
     """(g * f)(h) = g(h_(1)) f(h_(2)); cop order for variant C'."""
-    comul = ca.hopf.coalgebra.comul
-    if variant == "Cprime":
-        dh = ca.hopf.dim
-        comul = perm_legs(ca.field, (dh, dh), (1, 0)) @ comul
-    return ca.algebra.mul @ g_mat.kron(f_mat) @ comul
+    return hopf.convolve(ca.algebra, variant_coalgebra(ca, variant),
+                         g_mat, f_mat)
 
 
 def convolve(ca, g, f):
@@ -173,31 +179,9 @@ def gamma_bar(ca, f):
 
 
 def convolution_inverse_matrix(ca, f_mat, variant="C"):
-    """Two-sided convolution inverse of f, or raise NotInvertible.
-
-    Solves f * g = eta eps linearly, then verifies g * f = eta eps (a
-    one-sided inverse in a finite-dimensional algebra is two-sided, but we
-    check rather than assume).
-    """
-    field = ca.field
-    da, dh = ca.algebra.dim, ca.hopf.dim
-    unit_mat = unit_element(ca).matrix
-    nunk = da * dh
-    cols = []
-    for flat in range(nunk):
-        probe = Matrix(field, da, dh,
-                       [field.one if i == flat else field.zero
-                        for i in range(nunk)])
-        cols.append(convolve_matrices(ca, f_mat, probe, variant).data)
-    op = Matrix.from_cols(field, cols, nrows=nunk)
-    try:
-        sol = op.solve(unit_mat.data)
-    except Exception as exc:
-        raise NotInvertible("no right convolution inverse") from exc
-    g_mat = Matrix(field, da, dh, sol)
-    if convolve_matrices(ca, g_mat, f_mat, variant) != unit_mat:
-        raise NotInvertible("right inverse is not two-sided")
-    return g_mat
+    """Two-sided convolution inverse of f, or raise NotInvertible."""
+    return hopf.convolution_inverse(ca.algebra, variant_coalgebra(ca, variant),
+                                    f_mat)
 
 
 def convolution_inverse(ca, f):

@@ -8,33 +8,17 @@ assuming it.
 
 from .comodule import ComoduleAlgebraData, InternalInvariant, adjunction_unit
 from .hopf import StructureConstantAlgebra
-from .linalg import Matrix, NoSolution, basis_vec
+from .linalg import Matrix, NoSolution, basis_vec, intertwiners, lin_comb
 
 
 class NotRational(RuntimeError):
     pass
 
 
-def hom_A(field, p_actions, q_actions, p_dim, q_dim):
-    """Basis of right-A-linear maps P -> Q as q_dim x p_dim matrices."""
-    blocks = []
-    idp = Matrix.identity(field, p_dim)
-    idq = Matrix.identity(field, q_dim)
-    for pa, qa in zip(p_actions, q_actions):
-        # vec(f @ pa - qa @ f) with row-major vec: f@pa -> (I (x) pa^T) vec f
-        blocks.append(idq.kron(pa.transpose()) - qa.kron(idp))
-    if not blocks:
-        op = Matrix.zeros(field, 0, q_dim * p_dim)
-    else:
-        from .linalg import vstack
-        op = vstack(blocks)
-    return [Matrix(field, q_dim, p_dim, v) for v in op.kernel()]
-
-
 def end_A(ca, module):
     """Basis of A-linear endomorphisms of a relative Hopf module."""
-    return hom_A(ca.field, module.actions, module.actions, module.dim,
-                 module.dim)
+    return intertwiners(ca.field, module.dim, module.dim, module.actions,
+                        module.actions)
 
 
 def rational_coaction_matrix(ca, module, f_mat):
@@ -88,13 +72,7 @@ class EndComoduleAlgebra:
 
     def to_matrix(self, coords):
         """Endomorphism matrix of an element given in E-coordinates."""
-        f = self.base.field
-        n = self.induced.quotient.dim
-        out = Matrix.zeros(f, n, n)
-        for k, c in enumerate(coords):
-            if c != f.zero:
-                out = out + self.basis[k].scale(c)
-        return out
+        return lin_comb(self.basis, coords)
 
     def to_coords(self, mat):
         try:
@@ -172,7 +150,7 @@ def build_F(ca, m, e):
     if not bij:
         raise InternalInvariant("eta_M not bijective; extension not Galois")
     b = ca.coinvariants()
-    endb_basis = hom_A(field, m.actions, m.actions, m.dim, m.dim)
+    endb_basis = intertwiners(field, m.dim, m.dim, m.actions, m.actions)
     endb_op = Matrix.from_cols(field, [g.data for g in endb_basis],
                                nrows=m.dim ** 2)
 

@@ -13,14 +13,34 @@ class FieldError(ValueError):
     """Bad scalar syntax, a composite modulus, or a field mismatch."""
 
 
+# Miller-Rabin with the first 13 primes as bases is deterministic below this
+# bound (Sorenson and Webster, Math. Comp. 86, 2017); PrimeField rejects larger
+# moduli instead of guessing.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic for n < PRIMALITY_BOUND."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -81,6 +101,9 @@ class PrimeField:
     kind = "Fp"
 
     def __init__(self, p):
+        if p >= PRIMALITY_BOUND:
+            raise FieldError(f"modulus {p} is not below the primality-test "
+                             f"bound {PRIMALITY_BOUND}")
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
@@ -148,9 +171,10 @@ def field_from_name(name):
     if name.startswith("F"):
         body = name[1:].lstrip("_")
         try:
-            return PrimeField(int(body))
+            p = int(body)
         except ValueError as exc:
             raise FieldError(f"bad field name {name!r}") from exc
+        return PrimeField(p)
     raise FieldError(f"bad field name {name!r}")
 
 

@@ -7,7 +7,7 @@ coordinates, never on representatives.
 """
 
 from .comodule import algebra_as_bmodule, tensor_over_B
-from .linalg import (Matrix, NotInvertible, basis_vec, kron_vec, perm_legs,
+from .linalg import (Matrix, basis_vec, gather_legs, kron_vec, scatter_legs,
                      tensor_entries, vec_add, vec_scale)
 
 
@@ -40,8 +40,9 @@ def _can_prime_ambient(ca):
     da, dh = ca.algebra.dim, ca.hopf.dim
     idh = Matrix.identity(f, dh)
     ida = Matrix.identity(f, da)
-    move = perm_legs(f, (da, dh, da), (0, 2, 1))   # a_[0] (x) a_[1] (x) a' -> a_[0] (x) a' (x) a_[1]
-    return ca.algebra.mul.kron(idh) @ move @ ca.coaction.kron(ida)
+    # a_[0] (x) a_[1] (x) a' -> a_[0] (x) a' (x) a_[1]
+    moved = scatter_legs(ca.coaction.kron(ida), (da, dh, da), (0, 2, 1))
+    return ca.algebra.mul.kron(idh) @ moved
 
 
 def canonical_map(ca, induced=None):
@@ -73,9 +74,9 @@ def phi_comparison(ca):
     da, dh = ca.algebra.dim, ca.hopf.dim
     ida = Matrix.identity(f, da)
     hmul = ca.hopf.algebra.mul
-    sw = perm_legs(f, (dh, dh), (1, 0))
     phi = ida.kron(hmul) @ ca.coaction.kron(ca.hopf.antipode)
-    phi_inv = ida.kron(hmul @ sw) @ ca.coaction.kron(ca.hopf.antipode_inv)
+    phi_inv = (ida.kron(gather_legs(hmul, (dh, dh), (1, 0)))
+               @ ca.coaction.kron(ca.hopf.antipode_inv))
     return phi, phi_inv
 
 
@@ -164,10 +165,10 @@ def verify_translation_identities(ca, tmap=None):
         report.fail("1.2.3", _first_col_diff(lhs, rhs))
 
     # (1.2.4)  gamma(h_(2)) (x) S(h_(1)) = Sum l_i_[0] (x)_B r_i (x) l_i_[1]
-    sw = perm_legs(f, (dh, dh), (1, 0))
-    lhs = gamma.kron(hopf.antipode) @ sw @ hopf.coalgebra.comul
-    move = perm_legs(f, (da, dh, da), (0, 2, 1))
-    rhs = pi.kron(idh) @ move @ ca.coaction.kron(ida) @ rep
+    lhs = gamma.kron(hopf.antipode) @ scatter_legs(hopf.coalgebra.comul,
+                                                   (dh, dh), (1, 0))
+    rhs = pi.kron(idh) @ scatter_legs(ca.coaction.kron(ida) @ rep,
+                                      (da, dh, da), (0, 2, 1))
     if lhs != rhs:
         report.fail("1.2.4", _first_col_diff(lhs, rhs))
 
@@ -202,8 +203,7 @@ def verify_translation_identities(ca, tmap=None):
             break
 
     # (1.2.7)  gamma(h h') = Sum l_i(h') l_j(h) (x)_B r_j(h) r_i(h')
-    swap_mix = perm_legs(f, (da, da, da, da), (0, 2, 3, 1))
-    combine = pi @ alg.mul.kron(alg.mul) @ swap_mix
+    combine = pi @ gather_legs(alg.mul.kron(alg.mul), (da,) * 4, (0, 2, 3, 1))
     for hi in range(dh):
         x = rep.apply(basis_vec(f, dh, hi))          # legs (l_j(h), r_j(h))
         for hj in range(dh):

@@ -7,8 +7,8 @@ Conventions (inherited by every other module):
   * tensor factors are flattened lexicographically with the LEFT leg major.
 """
 
-from .linalg import (Matrix, NotInvertible, basis_vec, kron_vec, swap_matrix,
-                     tensor_entries, vec_is_zero)
+from .linalg import (Matrix, NoSolution, NotInvertible, basis_vec,
+                     gather_legs, kron_vec, linear_operator, scatter_legs)
 
 
 class DimensionMismatch(ValueError):
@@ -107,8 +107,7 @@ class StructureConstantAlgebra:
         return w
 
     def is_commutative(self):
-        sw = swap_matrix(self.field, self.dim, self.dim)
-        return (self.mul @ sw) == self.mul
+        return gather_legs(self.mul, (self.dim, self.dim), (1, 0)) == self.mul
 
     def validate(self, report=None):
         report = report if report is not None else ValidationReport()
@@ -193,10 +192,9 @@ def validate_hopf(h):
     idn = Matrix.identity(f, n)
     mul, comul = h.algebra.mul, h.coalgebra.comul
     counit, unit = h.coalgebra.counit, h.algebra.unit
-    sw = swap_matrix(f, n, n)
 
     # Delta is an algebra map: Delta(ab) = Delta(a)Delta(b)
-    mul2 = mul.kron(mul) @ idn.kron(sw).kron(idn)    # product on H (x) H
+    mul2 = gather_legs(mul.kron(mul), (n,) * 4, (0, 2, 1, 3))  # on H (x) H
     report.check("bialgebra.comul-multiplicative",
                  comul @ mul, mul2 @ comul.kron(comul), (n, n))
     if comul.apply(unit) != kron_vec(f, unit, unit):
@@ -230,8 +228,55 @@ def comul_iterated(h, x, arity):
 
 
 def is_cocommutative(h):
-    sw = swap_matrix(h.field, h.dim, h.dim)
-    return (sw @ h.coalgebra.comul) == h.coalgebra.comul
+    comul = h.coalgebra.comul
+    return scatter_legs(comul, (h.dim, h.dim), (1, 0)) == comul
+
+
+# -- the convolution algebra Hom(C, A) -------------------------------------
+
+
+class OneSidedInverse(NotInvertible):
+    """A right convolution inverse exists but is not a left inverse."""
+
+
+def convolve(algebra, coalgebra, g_mat, f_mat):
+    """(g * f)(c) = g(c_(1)) f(c_(2)), maps C -> A as dim A x dim C matrices."""
+    return algebra.mul @ g_mat.kron(f_mat) @ coalgebra.comul
+
+
+def convolution_unit(algebra, coalgebra):
+    """eta_A o eps_C, the unit of Hom(C, A)."""
+    return Matrix.from_cols(algebra.field, [algebra.unit]) @ coalgebra.counit
+
+
+def convolution_operator(algebra, coalgebra, f_mat):
+    """Matrix of X -> f * X: Sum_c lmul(f(c)) X Delta_c, where
+    Delta_c[c2, k] = Delta[(c, c2), k]."""
+    dc = coalgebra.dim
+    comul = coalgebra.comul.data
+    return linear_operator([
+        (algebra.lmul(f_mat.col(c)),
+         Matrix(algebra.field, dc, dc, comul[c * dc * dc:(c + 1) * dc * dc]))
+        for c in range(dc)])
+
+
+def convolution_inverse(algebra, coalgebra, f_mat):
+    """Two-sided convolution inverse of f.
+
+    Solves f * g = eta eps linearly, then verifies g * f = eta eps (a
+    one-sided inverse in a finite-dimensional algebra is two-sided, but we
+    check rather than assume).  Raises NotInvertible, or its subclass
+    OneSidedInverse when only the right inverse exists.
+    """
+    unit = convolution_unit(algebra, coalgebra)
+    try:
+        sol = convolution_operator(algebra, coalgebra, f_mat).solve(unit.data)
+    except NoSolution as exc:
+        raise NotInvertible("no right convolution inverse") from exc
+    g_mat = Matrix(algebra.field, algebra.dim, coalgebra.dim, sol)
+    if convolve(algebra, coalgebra, g_mat, f_mat) != unit:
+        raise OneSidedInverse("right inverse is not two-sided")
+    return g_mat
 
 
 # -- generators ------------------------------------------------------------

@@ -11,9 +11,9 @@ import itertools
 import random
 
 from . import cleft, cohomology, convcat, maintheorem
-from .endomorphism import hom_A
 from .hopf import is_cocommutative
-from .linalg import Matrix, basis_vec, kron_vec, tensor_entries, vec_add, vec_scale
+from .linalg import (Matrix, basis_vec, intertwiners, kron_vec, lin_comb,
+                     tensor_entries, vec_add, vec_scale)
 
 EXHAUSTIVE_CAP = 10 ** 6
 QQ_COEFF_BOUND = 3
@@ -230,7 +230,7 @@ def _invertible_in_matrix_span(field, mats, seed=0, tries=200,
         return None, True
     if field.kind == "Fp" and field.p ** d <= enumerate_cap:
         for coeffs in itertools.product(range(field.p), repeat=d):
-            m = cleft._lin_comb(field, mats, coeffs)
+            m = lin_comb(mats, coeffs)
             if m.is_invertible():
                 return m, True
         return None, True
@@ -246,7 +246,7 @@ def _invertible_in_matrix_span(field, mats, seed=0, tries=200,
                 field.from_int(rng.randint(-QQ_COEFF_BOUND, QQ_COEFF_BOUND))
                 for _ in range(d)))
     for coeffs in candidates:
-        m = cleft._lin_comb(field, mats, coeffs)
+        m = lin_comb(mats, coeffs)
         if m.is_invertible():
             return m, True
     # nonzero span sampled without success: not a proof of absence
@@ -313,20 +313,8 @@ def stability_check(ca, m, seed=0, tries=200, enumerate_cap=EXHAUSTIVE_CAP):
 
 def _b_linear_space(ctx):
     """Basis of all B-linear maps M (x)_B A -> M."""
-    f = ctx.field
-    dm, dq = ctx.m.dim, ctx.quot.dim
-    nunk = dm * dq
-    cols = []
-    for flat in range(nunk):
-        probe = Matrix(f, dm, dq,
-                       [f.one if t == flat else f.zero for t in range(nunk)])
-        defect = []
-        for k in range(ctx.b.dim):
-            defect.extend((probe @ ctx.x2_actions[k]
-                           - ctx.m.actions[k] @ probe).data)
-        cols.append(defect)
-    op = Matrix.from_cols(f, cols, nrows=len(cols[0]))
-    return [Matrix(f, dm, dq, v) for v in op.kernel()]
+    return intertwiners(ctx.field, ctx.quot.dim, ctx.m.dim, ctx.x2_actions,
+                        ctx.m.actions)
 
 
 def _is_action(ctx, phi):
@@ -363,7 +351,7 @@ def lambda_enumerate(ctx, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
     if f.kind == "Fp" and f.p ** d <= enumerate_cap:
         out = []
         for coeffs in itertools.product(range(f.p), repeat=d):
-            phi = cleft._lin_comb(f, space, coeffs) if d else None
+            phi = lin_comb(space, coeffs) if d else None
             if phi is not None and _is_action(ctx, phi):
                 out.append(phi)
         return out
@@ -384,7 +372,7 @@ def _endb_conjugation_kernel(ctx, t1, t2):
     """Solutions f in End_B(M) of (6.5.1): t1(h)(f (x) A) = (f (x) A)t2(h)."""
     f = ctx.field
     dh = ctx.ca.hopf.dim
-    endb = hom_A(f, ctx.m.actions, ctx.m.actions, ctx.m.dim, ctx.m.dim)
+    endb = intertwiners(f, ctx.m.dim, ctx.m.dim, ctx.m.actions, ctx.m.actions)
     if not endb:
         return [], endb
     gq = [ctx.quot.projection
@@ -399,14 +387,7 @@ def _endb_conjugation_kernel(ctx, t1, t2):
             defect.extend((t1h @ g - g @ t2h).data)
         cols.append(defect)
     op = Matrix.from_cols(f, cols, nrows=len(cols[0]))
-    sols = []
-    for v in op.kernel():
-        g = Matrix.zeros(f, ctx.m.dim, ctx.m.dim)
-        for k, c in enumerate(v):
-            if c != f.zero:
-                g = g + endb[k].scale(c)
-        sols.append(g)
-    return sols, endb
+    return [lin_comb(endb, v) for v in op.kernel()], endb
 
 
 def phi_equivalence(ctx, phi1, phi2, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
@@ -426,19 +407,10 @@ def phi_equivalence(ctx, phi1, phi2, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
     da = ctx.ca.algebra.dim
     c1 = ActionCandidate(ctx, phi1)
     c2 = ActionCandidate(ctx, phi2)
-    nunk = ctx.m.dim ** 2
-    cols = []
-    for flat in range(nunk):
-        probe = Matrix(f, ctx.m.dim, ctx.m.dim,
-                       [f.one if t == flat else f.zero for t in range(nunk)])
-        defect = []
-        for i in range(da):
-            a = basis_vec(f, da, i)
-            defect.extend((probe @ c2.act_matrix(a)
-                           - c1.act_matrix(a) @ probe).data)
-        cols.append(defect)
-    op = Matrix.from_cols(f, cols, nrows=len(cols[0]))
-    direct_sols = [Matrix(f, ctx.m.dim, ctx.m.dim, v) for v in op.kernel()]
+    basis = [basis_vec(f, da, i) for i in range(da)]
+    direct_sols = intertwiners(f, ctx.m.dim, ctx.m.dim,
+                               [c2.act_matrix(a) for a in basis],
+                               [c1.act_matrix(a) for a in basis])
     g2, _ = _invertible_in_matrix_span(f, direct_sols, seed=seed,
                                        enumerate_cap=enumerate_cap)
     direct = g2 is not None

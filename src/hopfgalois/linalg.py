@@ -5,10 +5,26 @@ Matrices are flat row-major lists of scalars tagged with a field object
 matrices and never mutate their inputs, so values are safe to share.
 
 Over F_p the two hot kernels (rref, matmul) dispatch to the compiled
-extension _modp_fast when it is importable, else to the pure-Python twin
-_modp_py; both implement the same deterministic pivot policy (leftmost
-nonzero pivot, rows scanned top-down).  Over Q the Fraction path below is
-always used.
+extension _modp_fast when it is importable and p < 2^31, else to the
+pure-Python twin _modp_py (the compiled kernels work in C long long, which
+p^2 overflows beyond that); both implement the same deterministic pivot
+policy (leftmost nonzero pivot, rows scanned top-down).  Over Q the
+Fraction path below is always used.
+
+Tensor legs.  A vector of V_0 (x) ... (x) V_{k-1} is flattened
+lexicographically with leg 0 major.  A leg permutation `perm` (output leg j
+carries source leg perm[j]) is never built as a matrix: leg_index gives
+where each flat index goes, gather_legs(X, ...) computes X @ P by gathering
+columns and scatter_legs(Y, ...) computes P @ Y by scattering rows.
+
+Operators.  A linear constraint on an unknown matrix X is written as terms
+(A_k, B_k) of X -> Sum_k A_k X B_k; linear_operator returns its matrix on
+the row-major vec(X), Sum_k A_k (x) B_k^T, from the identity
+vec(A X B) = (A (x) B^T) vec(X).  kron_terms rewrites (X (x) G) D in that
+form, and intertwiner_operator stacks the commutation and colinearity
+constraints of module and comodule maps.  Column c*n + j of an operator is
+the image of the matrix unit E_cj, so kernels (from the canonical RREF) are
+the same as those of an operator probed column by column.
 """
 
 from . import _modp_py
@@ -20,6 +36,11 @@ try:  # compiled kernels are optional
 except ImportError:  # pragma: no cover - depends on build env
     _modp = _modp_py
     BACKEND = "pure"
+
+
+def _kernels(field):
+    """The mod-p kernels that are exact for field.p (see the module doc)."""
+    return _modp if field.p < 2 ** 31 else _modp_py
 
 
 class NoSolution(Exception):
@@ -147,8 +168,9 @@ class Matrix:
             raise ValueError(f"cannot compose {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         f = self.field
         if f.kind == "Fp":
-            data = _modp.matmul_modp(self.data, self.rows, self.cols,
-                                     other.data, other.rows, other.cols, f.p)
+            data = _kernels(f).matmul_modp(self.data, self.rows, self.cols,
+                                           other.data, other.rows, other.cols,
+                                           f.p)
             return Matrix(f, self.rows, other.cols, data)
         ar, ac, bc = self.rows, self.cols, other.cols
         a, b = self.data, other.data
@@ -209,7 +231,8 @@ class Matrix:
         """Reduced row echelon form.  Returns (Matrix, pivot column list)."""
         f = self.field
         if f.kind == "Fp":
-            data, pivots = _modp.rref_modp(self.data, self.rows, self.cols, f.p)
+            data, pivots = _kernels(f).rref_modp(self.data, self.rows,
+                                                 self.cols, f.p)
             return Matrix(f, self.rows, self.cols, data), pivots
         m = self.row_list()
         pivots = []
@@ -272,10 +295,6 @@ class Matrix:
             x[pc] = red.get(r, self.cols)
         return x
 
-    def solve_with_kernel(self, b):
-        """Particular solution plus a kernel basis (the full solution set)."""
-        return self.solve(b), self.kernel()
-
     def solve_matrix(self, rhs):
         """Solve self @ X = rhs column by column (X need not be unique)."""
         cols = [self.solve(rhs.col(j)) for j in range(rhs.cols)]
@@ -317,15 +336,6 @@ class Matrix:
 # -- stacking and tensor-leg utilities ------------------------------------
 
 
-def hstack(mats):
-    rows = mats[0].rows
-    data = []
-    for i in range(rows):
-        for m in mats:
-            data.extend(m.row(i))
-    return Matrix(mats[0].field, rows, sum(m.cols for m in mats), data)
-
-
 def vstack(mats):
     cols = mats[0].cols
     data = []
@@ -334,6 +344,18 @@ def vstack(mats):
             raise ValueError("column mismatch")
         data.extend(m.data)
     return Matrix(mats[0].field, sum(m.rows for m in mats), cols, data)
+
+
+def lin_comb(mats, coeffs):
+    """Sum_k coeffs[k] mats[k], for a non-empty list of equal-shape matrices."""
+    f = mats[0].field
+    out = [f.zero] * len(mats[0].data)
+    for m, c in zip(mats, coeffs):
+        if c != f.zero:
+            out = [o + c * x for o, x in zip(out, m.data)]
+    if f.kind == "Fp":
+        out = [v % f.p for v in out]
+    return Matrix(f, mats[0].rows, mats[0].cols, out)
 
 
 def basis_vec(field, n, i):
@@ -356,45 +378,11 @@ def kron_vec(field, v, w):
 def vec_add(field, v, w):
     return [field.add(a, b) for a, b in zip(v, w)]
 
-def vec_sub(field, v, w):
-    return [field.sub(a, b) for a, b in zip(v, w)]
-
 def vec_scale(field, c, v):
     return [field.mul(c, a) for a in v]
 
 def vec_is_zero(field, v):
     return all(a == field.zero for a in v)
-
-
-def perm_legs(field, dims, perm):
-    """Permutation matrix reordering tensor legs.
-
-    Source basis index is the lexicographic flattening of (i_0, ..., i_{k-1})
-    with leg 0 major; output leg j carries source leg perm[j].
-    """
-    k = len(dims)
-    out_dims = [dims[perm[j]] for j in range(k)]
-    size = 1
-    for d in dims:
-        size *= d
-    mat = Matrix.zeros(field, size, size)
-    idx = [0] * k
-    for flat in range(size):
-        # decode source multi-index
-        rem = flat
-        for leg in reversed(range(k)):
-            idx[leg] = rem % dims[leg]
-            rem //= dims[leg]
-        tflat = 0
-        for j in range(k):
-            tflat = tflat * out_dims[j] + idx[perm[j]]
-        mat.data[tflat * size + flat] = field.one
-    return mat
-
-
-def swap_matrix(field, m, n):
-    """The flip X (x) Y -> Y (x) X on an m-dim and an n-dim factor."""
-    return perm_legs(field, (m, n), (1, 0))
 
 
 def tensor_entries(field, vec, dims):
@@ -411,3 +399,115 @@ def tensor_entries(field, vec, dims):
                 idx[leg] = rem % dims[leg]
                 rem //= dims[leg]
             yield tuple(idx), c
+
+
+# -- leg permutations and linear operators ----------------------------------
+
+
+def leg_index(dims, perm):
+    """to[s] = flat index that source flat index s takes when the legs of a
+    tensor with leg dimensions dims are reordered so that output leg j
+    carries source leg perm[j]."""
+    stride = [0] * len(dims)
+    size = 1
+    for j in reversed(range(len(perm))):
+        stride[perm[j]] = size
+        size *= dims[perm[j]]
+    to = [0]
+    for leg, d in enumerate(dims):
+        to = [t + i * stride[leg] for t in to for i in range(d)]
+    return to
+
+
+def gather_legs(mat, dims, perm):
+    """mat @ P for the leg permutation P: column s is column to[s] of mat."""
+    to = leg_index(dims, perm)
+    if len(to) != mat.cols:
+        raise ValueError("leg dimensions do not match the columns")
+    data = mat.data
+    out = [data[base + t] for base in range(0, len(data), mat.cols) for t in to]
+    return Matrix(mat.field, mat.rows, mat.cols, out)
+
+
+def scatter_legs(mat, dims, perm):
+    """P @ mat for the leg permutation P: row s of mat becomes row to[s]."""
+    to = leg_index(dims, perm)
+    if len(to) != mat.rows:
+        raise ValueError("leg dimensions do not match the rows")
+    src = [0] * len(to)
+    for s, t in enumerate(to):
+        src[t] = s
+    out = []
+    for s in src:
+        out.extend(mat.row(s))
+    return Matrix(mat.field, mat.rows, mat.cols, out)
+
+
+def linear_operator(terms):
+    """Matrix of X -> Sum_k A_k X B_k on the row-major vec(X).
+
+    terms is a non-empty list of pairs (A_k, B_k) of equal shapes; the
+    result is Sum_k A_k (x) B_k^T, whose column c*n + j is the image of the
+    matrix unit E_cj.
+    """
+    a0, b0 = terms[0]
+    f = a0.field
+    p, m, n, q = a0.rows, a0.cols, b0.rows, b0.cols
+    zero = f.zero
+    ncols = m * n
+    out = [zero] * (p * q * ncols)
+    for a, b in terms:
+        if (a.rows, a.cols, b.rows, b.cols) != (p, m, n, q):
+            raise ValueError("operator terms of different shapes")
+        bnz = [(j, l, y) for j in range(n) for l in range(q)
+               if (y := b.data[j * q + l]) != zero]
+        for i in range(p):
+            for k in range(m):
+                x = a.data[i * m + k]
+                if x != zero:
+                    for j, l, y in bnz:
+                        t = (i * q + l) * ncols + k * n + j
+                        out[t] = out[t] + x * y
+    if f.kind == "Fp":
+        out = [v % f.p for v in out]
+    return Matrix(f, p * q, ncols, out)
+
+
+def kron_terms(rows, g, d):
+    """Terms of X -> (X (x) g) @ d for X with `rows` rows, one per row h of g:
+    A_h = I (x) e_h puts row x of X at row (x, h), and
+    B_h[c, k] = Sum_c2 g[h, c2] d[(c, c2), k]."""
+    f = g.field
+    xcols = d.rows // g.cols
+    terms = []
+    for h in range(g.rows):
+        a = Matrix.zeros(f, rows * g.rows, rows)
+        for x in range(rows):
+            a.data[(x * g.rows + h) * rows + x] = f.one
+        g_h = Matrix(f, 1, g.cols, g.row(h))
+        terms.append((a, Matrix.identity(f, xcols).kron(g_h) @ d))
+    return terms
+
+
+def intertwiner_operator(field, dx, dy, x_maps, y_maps, coactions=None):
+    """Matrix on vec(X), X a dy x dx matrix, of the stacked defects
+    X x_k - y_k X for each pair (x_k, y_k), followed, when
+    coactions = (x_co, y_co), by y_co X - (X (x) I_H) x_co."""
+    idx, idy = Matrix.identity(field, dx), Matrix.identity(field, dy)
+    blocks = [linear_operator([(idy, xa), (-ya, idx)])
+              for xa, ya in zip(x_maps, y_maps)]
+    if coactions is not None:
+        x_co, y_co = coactions
+        dh = y_co.rows // dy
+        blocks.append(linear_operator(
+            [(y_co, idx)] + [(a, -b) for a, b in
+                             kron_terms(dy, Matrix.identity(field, dh), x_co)]))
+    if not blocks:
+        return Matrix.zeros(field, 0, dy * dx)
+    return vstack(blocks)
+
+
+def intertwiners(field, dx, dy, x_maps, y_maps, coactions=None):
+    """Kernel basis of intertwiner_operator, as dy x dx matrices."""
+    op = intertwiner_operator(field, dx, dy, x_maps, y_maps, coactions)
+    return [Matrix(field, dy, dx, v) for v in op.kernel()]

@@ -14,7 +14,8 @@ from . import convcat
 from .comodule import adjunction_unit, tensor_over_B
 from .endomorphism import build_E
 from .galois import canonical_map, translation_map
-from .linalg import Matrix, NoSolution, basis_vec, kron_vec, tensor_entries
+from .linalg import (Matrix, NoSolution, basis_vec, intertwiners, kron_vec,
+                     lin_comb, tensor_entries)
 
 
 class MembershipViolation(RuntimeError):
@@ -53,13 +54,8 @@ class TheoremContext:
         self.x1_coaction = idm.kron(ca.hopf.coalgebra.comul)
         # object 2: M (x)_B A in quotient coordinates
         self.x2_dim = self.quot.dim
-        self.x2_actions = []
-        for k in range(self.b.dim):
-            act = Matrix.zeros(f, self.quot.dim, self.quot.dim)
-            for a_idx, c in enumerate(self.b.inclusion.col(k)):
-                if c != f.zero:
-                    act = act + self.induced.module.actions[a_idx].scale(c)
-            self.x2_actions.append(act)
+        self.x2_actions = [self.induced_action(self.b.inclusion.col(k))
+                           for k in range(self.b.dim)]
         self.x2_coaction = self.induced.module.coaction
         self._dm_cache = {}
 
@@ -79,12 +75,7 @@ class TheoremContext:
 
     def induced_action(self, a_vec):
         """Right action of an element of A on M (x)_B A."""
-        f = self.field
-        act = Matrix.zeros(f, self.quot.dim, self.quot.dim)
-        for a_idx, c in enumerate(a_vec):
-            if c != f.zero:
-                act = act + self.induced.module.actions[a_idx].scale(c)
-        return act
+        return lin_comb(self.induced.module.actions, a_vec)
 
     # -- D_M hom spaces ----------------------------------------------------
 
@@ -92,21 +83,10 @@ class TheoremContext:
         """Basis of Hom_B^H(alpha(i), alpha(j)), by direct linear solve."""
         if (i, j) in self._dm_cache:
             return self._dm_cache[(i, j)]
-        f = self.field
         dx, x_actions, x_co = self.object_data(i)
         dy, y_actions, y_co = self.object_data(j)
-        nunk = dy * dx
-        cols = []
-        for flat in range(nunk):
-            probe = Matrix(f, dy, dx,
-                           [f.one if t == flat else f.zero for t in range(nunk)])
-            defect = []
-            for xa, ya in zip(x_actions, y_actions):
-                defect.extend((probe @ xa - ya @ probe).data)
-            defect.extend((y_co @ probe - probe.kron(self.idh) @ x_co).data)
-            cols.append(defect)
-        op = Matrix.from_cols(f, cols, nrows=len(cols[0]) if cols else 0)
-        basis = [Matrix(f, dy, dx, v) for v in op.kernel()]
+        basis = intertwiners(self.field, dx, dy, x_actions, y_actions,
+                             (x_co, y_co))
         self._dm_cache[(i, j)] = basis
         return basis
 

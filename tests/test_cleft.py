@@ -3,7 +3,7 @@ import pytest
 from hopfgalois import cleft, convcat
 from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import cyclic_cayley, group_algebra
-from hopfgalois.hopf import comul_iterated
+from hopfgalois.hopf import OneSidedInverse, comul_iterated
 from hopfgalois.linalg import Matrix, basis_vec
 
 F3 = PrimeField(3)
@@ -78,6 +78,25 @@ def test_build_crossed_product_rejects_bad_measuring():
     with pytest.raises(cleft.InvalidCrossedData) as exc:
         cleft.build_crossed_product(base, h, omega, sigma)
     assert "measuring" in exc.value.condition
+
+
+def test_build_crossed_product_sigma_inverse_conditions(monkeypatch):
+    h = group_algebra(QQ, cyclic_cayley(2))
+    base = group_algebra(QQ, cyclic_cayley(1)).algebra
+    omega = Matrix(QQ, 1, 2, [QQ.one, QQ.one])
+    with pytest.raises(cleft.InvalidCrossedData) as exc:
+        cleft.build_crossed_product(base, h, omega, Matrix.zeros(QQ, 1, 4))
+    assert exc.value.condition == "sigma not convolution invertible"
+
+    def one_sided(*args):
+        raise OneSidedInverse("right inverse is not two-sided")
+
+    # cannot happen in finite dimension, so the condition is forced
+    monkeypatch.setattr(cleft, "convolution_inverse", one_sided)
+    with pytest.raises(cleft.InvalidCrossedData) as exc:
+        cleft.build_crossed_product(base, h, omega,
+                                    Matrix(QQ, 1, 4, [QQ.one] * 4))
+    assert exc.value.condition == "sigma inverse is one-sided only"
 
 
 def test_structure_theorem_m2_f3(m2_f3):

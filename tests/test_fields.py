@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from hopfgalois.fields import (QQ, FieldError, PrimeField, field_from_name,
-                               field_name)
+from hopfgalois.fields import (PRIMALITY_BOUND, QQ, FieldError, PrimeField,
+                               field_from_name, field_name)
 
 
 def test_rational_roundtrip():
@@ -50,3 +50,38 @@ def test_field_names():
     assert field_from_name("Q") is QQ
     with pytest.raises(FieldError):
         field_from_name("R")
+
+
+def test_large_prime_field_loads_fast(tmp_path):
+    import json
+    import pathlib
+    import time
+
+    from hopfgalois import io_json
+    fixtures = pathlib.Path(io_json.__file__).parent / "fixtures"
+    bundle = json.load(open(fixtures / "kc2.json"))
+    bundle["field"] = "F_2305843009213693951"        # 2^61 - 1
+    path = tmp_path / "kc2_big.json"
+    json.dump(bundle, open(path, "w"))
+    start = time.perf_counter()
+    loaded = io_json.load_bundle(path)
+    assert time.perf_counter() - start < 1.0
+    assert loaded.field.p == 2 ** 61 - 1
+
+
+def test_prime_field_rejects_pseudoprimes():
+    for n in (561, 2 ** 61 + 1, 318665857834031151167461):
+        with pytest.raises(FieldError):
+            PrimeField(n)
+
+
+def test_modulus_beyond_primality_bound(tmp_path):
+    from hopfgalois import cli
+    n = 10 ** 29 + 7                                  # 30 digits
+    with pytest.raises(FieldError) as exc:
+        field_from_name(f"F_{n}")
+    assert str(PRIMALITY_BOUND) in str(exc.value)
+    path = tmp_path / "big.json"
+    path.write_text('{"field": "F_%d"}' % n)
+    err, code = cli.run(["validate", str(path)])
+    assert code == 2 and str(PRIMALITY_BOUND) in str(err)

@@ -113,3 +113,24 @@ def test_cli_text_and_json_agree_on_outcomes():
     text = r.to_text()
     for name, outcome, _ in r.checks:
         assert name in text and outcome.upper() in text
+
+
+@pytest.mark.parametrize("command", ["cat-iso-check", "lift", "classify"])
+def test_cli_not_galois_is_an_input_error(command, capsys):
+    argv = [command, str(FIXTURES / "trivial_kxk_f3.json"),
+            "--module", "regular"]
+    err, code = _run(*argv)
+    assert code == 2
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: canonical map not invertible\n"
+
+
+def test_cli_crossed_product_prints_sigma_condition(tmp_path):
+    d = json.load(open(FIXTURES / "cp_minus1_crossed.json"))
+    d["crossed_products"]["cp_minus1_data"]["sigma"] = []     # sigma = 0
+    p = tmp_path / "cp_zero.json"
+    json.dump(d, open(p, "w"))
+    report, code = _run("crossed-product", str(p), "--crossed",
+                        "cp_minus1_data")
+    assert code == 1
+    assert "sigma not convolution invertible" in report.to_text()

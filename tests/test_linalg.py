@@ -3,7 +3,7 @@ import pytest
 from hopfgalois import _modp_py
 from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.linalg import (Matrix, NoSolution, basis_vec, kron_vec,
-                               perm_legs)
+                               scatter_legs)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -48,9 +48,8 @@ def test_kron_and_apply():
 
 
 def test_perm_legs_swap():
-    sw = perm_legs(QQ, (2, 3), (1, 0))
     v = [QQ.from_int(i) for i in range(6)]
-    out = sw.apply(v)
+    out = scatter_legs(Matrix(QQ, 6, 1, v), (2, 3), (1, 0)).data
     # entry (j, i) of the swapped tensor equals entry (i, j) of the original
     for i in range(2):
         for j in range(3):
@@ -83,3 +82,19 @@ def test_left_inverse():
 
 def test_basis_vec():
     assert basis_vec(QQ, 3, 1) == [QQ.zero, QQ.one, QQ.zero]
+
+
+def test_large_prime_uses_pure_kernels(monkeypatch):
+    """The compiled kernels overflow C long long once p^2 does; for
+    p >= 2^31 rref and matmul must stay on the pure kernels."""
+    from hopfgalois import linalg
+
+    class Stub:
+        def __getattr__(self, name):
+            raise AssertionError(f"compiled kernel {name} called")
+
+    monkeypatch.setattr(linalg, "_modp", Stub())
+    f = PrimeField(4294967311)
+    a = Matrix(f, 3, 3, [f.from_int(x) for x in
+                         [2, -1, 7, 4294967310, 5, 3, 11, 0, 4294967000]])
+    assert a @ a.invert() == Matrix.identity(f, 3)
