@@ -158,9 +158,6 @@ class CrossedProductData:
     def act(self, h_vec, b_vec):
         return self.omega.apply(kron_vec(self.base.field, h_vec, b_vec))
 
-    def coc(self, h_vec, k_vec):
-        return self.sigma.apply(kron_vec(self.base.field, h_vec, k_vec))
-
     def coc_bar(self, h_vec, k_vec):
         return self.sigma_bar.apply(kron_vec(self.base.field, h_vec, k_vec))
 

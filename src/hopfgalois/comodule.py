@@ -114,16 +114,12 @@ def _coinvariant_subalgebra(ca):
     incl = comodule_coinvariant_basis(f, da, ca.coaction, ca.hopf.algebra.unit)
     db = incl.cols
     unit_b = incl.solve(ca.algebra.unit)  # 1_A is always coinvariant
-    mul = Matrix.zeros(f, db, db * db)
-    for i in range(db):
-        for j in range(db):
-            prod = ca.algebra.product(incl.col(i), incl.col(j))
-            try:
-                coords = incl.solve(prod)
-            except NoSolution as exc:
-                raise InternalInvariant("coinvariants not closed under product") from exc
-            for k in range(db):
-                mul.data[k * db * db + i * db + j] = coords[k]
+    prods = [ca.algebra.product(incl.col(i), incl.col(j))
+             for i in range(db) for j in range(db)]
+    try:
+        mul = incl.solve_matrix(Matrix.from_cols(f, prods, nrows=da))
+    except NoSolution as exc:
+        raise InternalInvariant("coinvariants not closed under product") from exc
     b_alg = StructureConstantAlgebra(f, db, mul, unit_b,
                                      [f"b{i}" for i in range(db)])
     return SubalgebraEmbedding(ca.algebra, incl, b_alg)
@@ -279,9 +275,6 @@ class QuotientSpace:
 
     def project(self, v):
         return self.projection.apply(v)
-
-    def represent(self, q):
-        return self.section.apply(q)
 
     def check_welldefined(self, ambient_map):
         """True iff projection . ambient_map kills every relation."""

@@ -8,7 +8,8 @@ assuming it.
 
 from .comodule import ComoduleAlgebraData, InternalInvariant, adjunction_unit
 from .hopf import StructureConstantAlgebra
-from .linalg import Matrix, NoSolution, basis_vec, intertwiners, lin_comb
+from .linalg import (Factorization, Matrix, NoSolution, basis_vec,
+                     intertwiners, lin_comb)
 
 
 class NotRational(RuntimeError):
@@ -32,39 +33,36 @@ def rational_coaction_matrix(ca, module, f_mat):
             @ f_mat.kron(Matrix.identity(field, dh)) @ rho)
 
 
-def rational_coaction(ca, module, basis, f_mat):
-    """Coordinates of rho(f) in basis (x) H; raises NotRational if absent.
+def rational_coaction(ca, module, basis):
+    """The coaction of span(basis) as a dim(E)*dim(H) x dim(E) matrix.
 
-    Returns a len(basis) x dim(H) coefficient matrix c with
-    rho(f) = Sum_{k,h} c[k][h] basis_k (x) e_h.
+    Column i holds the coefficients c of rho(basis_i) = Sum_{k,h}
+    c[k*dim(H) + h] basis_k (x) e_h; raises NotRational if one is absent.
     """
     field = ca.field
     dh = ca.hopf.dim
-    target = rational_coaction_matrix(ca, module, f_mat)
-    cols = []
-    for k, bk in enumerate(basis):
-        for j in range(dh):
-            e_col = Matrix(field, dh, 1, basis_vec(field, dh, j))
-            cols.append(bk.kron(e_col).data)
-    op = Matrix.from_cols(field, cols, nrows=module.dim * dh * module.dim)
+    rows = module.dim * dh * module.dim
+    e_cols = [Matrix(field, dh, 1, basis_vec(field, dh, j)) for j in range(dh)]
+    op = Matrix.from_cols(field, [b.kron(e).data for b in basis
+                                  for e in e_cols], nrows=rows)
+    targets = Matrix.from_cols(
+        field, [rational_coaction_matrix(ca, module, b).data for b in basis],
+        nrows=rows)
     try:
-        sol = op.solve(target.data)
+        return op.solve_matrix(targets)
     except NoSolution as exc:
         raise NotRational("rho(f) is not in End_A (x) H") from exc
-    return Matrix(field, len(basis), dh, sol)
 
 
 class EndComoduleAlgebra:
     """E = END_A(M (x)_B A) realized on a concrete endomorphism basis."""
 
-    def __init__(self, ca, induced, basis, comodule_algebra):
+    def __init__(self, ca, induced, basis, comodule_algebra, coords):
         self.base = ca                  # the underlying comodule algebra A
         self.induced = induced          # the module M (x)_B A
         self.basis = basis              # endomorphism matrices
         self.ca = comodule_algebra      # E as a ComoduleAlgebraData over H
-        self._coord_op = Matrix.from_cols(
-            ca.field, [b.data for b in basis],
-            nrows=induced.quotient.dim ** 2)
+        self._coords = coords           # Factorization of the basis
 
     @property
     def dim(self):
@@ -76,7 +74,7 @@ class EndComoduleAlgebra:
 
     def to_coords(self, mat):
         try:
-            return self._coord_op.solve(mat.data)
+            return self._coords.solve(mat.data)
         except NoSolution as exc:
             raise InternalInvariant("matrix not A-linear") from exc
 
@@ -85,28 +83,20 @@ def build_E(ca, induced):
     """Assemble E with multiplication = composition and the Eq. (14) coaction."""
     field = ca.field
     module = induced.module
+    dq = module.dim
     basis = end_A(ca, module)
     n = len(basis)
-    coord_op = Matrix.from_cols(field, [b.data for b in basis],
-                                nrows=module.dim ** 2)
-    mul = Matrix.zeros(field, n, n * n)
-    for i in range(n):
-        for j in range(n):
-            coords = coord_op.solve((basis[i] @ basis[j]).data)
-            for k in range(n):
-                mul.data[k * n * n + i * n + j] = coords[k]
-    unit = coord_op.solve(Matrix.identity(field, module.dim).data)
+    coords = Factorization(Matrix.from_cols(field, [b.data for b in basis],
+                                            nrows=dq * dq))
+    mul = coords.solve_matrix(Matrix.from_cols(
+        field, [(bi @ bj).data for bi in basis for bj in basis],
+        nrows=dq * dq))
+    unit = coords.solve(Matrix.identity(field, dq).data)
     alg = StructureConstantAlgebra(field, n, mul, unit,
                                    [f"f{i}" for i in range(n)])
-    dh = ca.hopf.dim
-    coaction = Matrix.zeros(field, n * dh, n)
-    for i in range(n):
-        c = rational_coaction(ca, module, basis, basis[i])
-        for k in range(n):
-            for j in range(dh):
-                coaction.data[(k * dh + j) * n + i] = c.get(k, j)
+    coaction = rational_coaction(ca, module, basis)
     e_ca = ComoduleAlgebraData(ca.hopf, alg, coaction)
-    return EndComoduleAlgebra(ca, induced, basis, e_ca)
+    return EndComoduleAlgebra(ca, induced, basis, e_ca, coords)
 
 
 def verify_eq14(e):
@@ -149,14 +139,12 @@ def build_F(ca, m, e):
     eta, _, bij = adjunction_unit(m, ca, e.induced)
     if not bij:
         raise InternalInvariant("eta_M not bijective; extension not Galois")
-    b = ca.coinvariants()
     endb_basis = intertwiners(field, m.dim, m.dim, m.actions, m.actions)
-    endb_op = Matrix.from_cols(field, [g.data for g in endb_basis],
-                               nrows=m.dim ** 2)
+    eta_fac = Factorization(eta)
 
     def restrict(coords_f):
         phi = e.to_matrix(emb.inclusion.apply(coords_f))
-        return eta.solve_matrix(phi @ eta)       # g with eta g = phi eta
+        return eta_fac.solve_matrix(phi @ eta)   # g with eta g = phi eta
 
     def extend(g_mat):
         amb = g_mat.kron(Matrix.identity(field, ca.algebra.dim))

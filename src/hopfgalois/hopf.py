@@ -140,9 +140,6 @@ class CoalgebraData:
         self.comul = comul
         self.counit = counit
 
-    def counit_of(self, v):
-        return self.counit.apply(v)[0]
-
     def validate(self, report=None):
         report = report if report is not None else ValidationReport()
         f, n = self.field, self.dim
@@ -241,7 +238,7 @@ class OneSidedInverse(NotInvertible):
 
 def convolve(algebra, coalgebra, g_mat, f_mat):
     """(g * f)(c) = g(c_(1)) f(c_(2)), maps C -> A as dim A x dim C matrices."""
-    return algebra.mul @ g_mat.kron(f_mat) @ coalgebra.comul
+    return algebra.mul @ (g_mat.kron(f_mat) @ coalgebra.comul)
 
 
 def convolution_unit(algebra, coalgebra):

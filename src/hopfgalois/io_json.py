@@ -325,17 +325,6 @@ def emit_module(field, module, ca_name):
     }
 
 
-def emit_crossed(field, cp, hopf_name):
-    db, dh = cp.base.dim, cp.hopf.dim
-    return {
-        "hopf": hopf_name,
-        "base": emit_algebra(field, cp.base),
-        "omega": _emit_tensor3(field, cp.omega, db, dh, db, "mul"),
-        "sigma": _emit_tensor3(field, cp.sigma, db, dh, dh, "mul"),
-        "sigma_bar": _emit_tensor3(field, cp.sigma_bar, db, dh, dh, "mul"),
-    }
-
-
 def emit_bundle(bundle):
     """Serialize a WorkspaceBundle back to the schema dict."""
     out = {"field": field_name(bundle.field)}

@@ -378,12 +378,14 @@ def _endb_conjugation_kernel(ctx, t1, t2):
     gq = [ctx.quot.projection
           @ g.kron(Matrix.identity(f, ctx.ca.algebra.dim))
           @ ctx.quot.section for g in endb]
+    t12 = []
+    for h in range(dh):
+        e = basis_vec(f, dh, h)
+        t12.append((ctx.ev(t1, e), ctx.ev(t2, e)))
     cols = []
-    for k, g in enumerate(gq):
+    for g in gq:
         defect = []
-        for h in range(dh):
-            t1h = ctx.ev(t1, basis_vec(f, dh, h))
-            t2h = ctx.ev(t2, basis_vec(f, dh, h))
+        for t1h, t2h in t12:
             defect.extend((t1h @ g - g @ t2h).data)
         cols.append(defect)
     op = Matrix.from_cols(f, cols, nrows=len(cols[0]))

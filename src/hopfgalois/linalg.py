@@ -25,6 +25,19 @@ form, and intertwiner_operator stacks the commutation and colinearity
 constraints of module and comodule maps.  Column c*n + j of an operator is
 the image of the matrix unit E_cj, so kernels (from the canonical RREF) are
 the same as those of an operator probed column by column.
+
+Factor once.  A matrix A solved against many right-hand sides is factored
+once.  Factorization(A) picks r = rank(A) independent rows of A and reduces
+[A_rows | I_r]; that gives the pivot columns of A and a transform t.  The
+solution of A X = B is X[pivot_k] = (t B_rows)[k], zero elsewhere, and it
+exists iff that X solves A X = B.  The RREF solution is the one solution
+supported on the pivot columns, so this is exactly what Matrix.solve
+returns column by column, and Matrix.solve stays the oracle.  Picking rows
+first keeps the reduction at r rows for the tall stacked-constraint
+operators the package solves against.  A factorization is held by the
+object that solves against A (a context, an algebra, a hom-space), never
+cached on Matrix: matrices are built in place through .data, so a cache
+on a Matrix could go stale.
 """
 
 from . import _modp_py
@@ -296,22 +309,27 @@ class Matrix:
         return x
 
     def solve_matrix(self, rhs):
-        """Solve self @ X = rhs column by column (X need not be unique)."""
-        cols = [self.solve(rhs.col(j)) for j in range(rhs.cols)]
-        return Matrix.from_cols(self.field, cols, nrows=self.cols)
+        """Solve self @ X = rhs; column j of X is self.solve(rhs.col(j))."""
+        return Factorization(self).solve_matrix(rhs)
+
+    def _reduce_with_identity(self):
+        """RREF of [self | I] and its pivots; the right block is the
+        transform."""
+        n = self.rows
+        eye = Matrix.identity(self.field, n)
+        aug = Matrix(self.field, n, self.cols + n,
+                     [x for i in range(n) for x in self.row(i) + eye.row(i)])
+        return aug.rref()
 
     def invert(self):
         if self.rows != self.cols:
             raise NotInvertible("not square")
         n = self.rows
-        f = self.field
-        aug = Matrix(f, n, 2 * n,
-                     [x for i in range(n) for x in self.row(i) + Matrix.identity(f, n).row(i)])
-        red, pivots = aug.rref()
+        red, pivots = self._reduce_with_identity()
         if pivots != list(range(n)):
             raise NotInvertible()
         data = [red.get(i, n + j) for i in range(n) for j in range(n)]
-        return Matrix(f, n, n, data)
+        return Matrix(self.field, n, n, data)
 
     def is_invertible(self):
         try:
@@ -322,15 +340,52 @@ class Matrix:
 
     def left_inverse(self):
         """L with L @ self = I; requires full column rank."""
-        f = self.field
         n = self.rows
-        aug = Matrix(f, n, self.cols + n,
-                     [x for i in range(n) for x in self.row(i) + Matrix.identity(f, n).row(i)])
-        red, pivots = aug.rref()
+        red, pivots = self._reduce_with_identity()
         if [p for p in pivots if p < self.cols] != list(range(self.cols)):
             raise NotInvertible("not full column rank")
         data = [red.get(i, self.cols + j) for i in range(self.cols) for j in range(n)]
-        return Matrix(f, self.cols, n, data)
+        return Matrix(self.field, self.cols, n, data)
+
+
+class Factorization:
+    """A factored once, then A X = B for any number of B (see the module doc).
+
+    rows: rank(A) independent rows of A; pivots: the pivot columns of A;
+    t: the inverse of A on those rows and columns.  A is copied.
+    """
+
+    __slots__ = ("a", "rows", "pivots", "t")
+
+    def __init__(self, a):
+        f, m = a.field, a.cols
+        self.a = Matrix(f, a.rows, m, a.data)
+        self.rows = a.transpose().rref()[1]
+        r = len(self.rows)
+        top = Matrix(f, r, m, [x for i in self.rows for x in a.row(i)])
+        red, self.pivots = top._reduce_with_identity()
+        self.t = Matrix(f, r, r, [x for i in range(r) for x in red.row(i)[m:]])
+
+    def solve_matrix(self, rhs):
+        """X with A X = rhs, zero off the pivot columns; raises NoSolution."""
+        a = self.a
+        if rhs.rows != a.rows:
+            raise ValueError("rhs rows mismatch")
+        k = rhs.cols
+        picked = Matrix(a.field, len(self.rows), k,
+                        [x for i in self.rows for x in rhs.row(i)])
+        y = (self.t @ picked).data
+        data = [a.field.zero] * (a.cols * k)
+        for r, pc in enumerate(self.pivots):
+            data[pc * k:(pc + 1) * k] = y[r * k:(r + 1) * k]
+        x = Matrix(a.field, a.cols, k, data)
+        if not (a @ x - rhs).is_zero():
+            raise NoSolution()
+        return x
+
+    def solve(self, b):
+        """The solution of A x = b that A.solve(b) returns."""
+        return self.solve_matrix(Matrix(self.a.field, len(b), 1, b)).data
 
 
 # -- stacking and tensor-leg utilities ------------------------------------

@@ -14,8 +14,8 @@ from . import convcat
 from .comodule import adjunction_unit, tensor_over_B
 from .endomorphism import build_E
 from .galois import canonical_map, translation_map
-from .linalg import (Matrix, NoSolution, basis_vec, intertwiners, kron_vec,
-                     lin_comb, tensor_entries)
+from .linalg import (Factorization, Matrix, NoSolution, basis_vec,
+                     intertwiners, kron_vec, lin_comb, tensor_entries)
 
 
 class MembershipViolation(RuntimeError):
@@ -37,6 +37,7 @@ class TheoremContext:
         if not eta_bij:
             from .galois import NotGalois
             raise NotGalois("eta_M is not bijective")
+        self._eta = Factorization(self.eta)
         can = canonical_map(ca)
         if not can.galois:
             from .galois import NotGalois
@@ -58,6 +59,7 @@ class TheoremContext:
                            for k in range(self.b.dim)]
         self.x2_coaction = self.induced.module.coaction
         self._dm_cache = {}
+        self._dm_coords = {}        # (i, j) -> Factorization of the basis
 
     # -- evaluation helpers ------------------------------------------------
 
@@ -66,7 +68,7 @@ class TheoremContext:
         return self.e.to_matrix(hom_mat.apply(h_vec))
 
     def eta_inv(self, vec):
-        return self.eta.solve(vec)
+        return self._eta.solve(vec)
 
     def object_data(self, i):
         if i == 1:
@@ -99,10 +101,11 @@ class TheoremContext:
         return (y_co @ mat - mat.kron(self.idh) @ x_co).is_zero()
 
     def dm_coords(self, mat, i, j):
-        basis = self.dm_hom_space(i, j)
-        op = Matrix.from_cols(self.field, [b.data for b in basis],
-                              nrows=mat.rows * mat.cols)
-        return op.solve(mat.data)
+        if (i, j) not in self._dm_coords:
+            self._dm_coords[(i, j)] = Factorization(Matrix.from_cols(
+                self.field, [b.data for b in self.dm_hom_space(i, j)],
+                nrows=mat.rows * mat.cols))
+        return self._dm_coords[(i, j)].solve(mat.data)
 
 
 # -- Lemma 3.2 -------------------------------------------------------------
@@ -126,11 +129,6 @@ def delta2(ctx, theta_small):
 def delta2_bar(ctx, theta):
     idm = Matrix.identity(ctx.field, ctx.m.dim)
     return idm.kron(ctx.ca.hopf.coalgebra.counit) @ theta
-
-
-def hom_b_product(ctx, t1, t2):
-    """(3.2.1): the transported product Theta . Theta' = Theta o delta_2(Theta')."""
-    return t1 @ delta2(ctx, t2)
 
 
 # -- Lemma 3.3 / Corollary 3.4 ---------------------------------------------
@@ -328,6 +326,44 @@ def alpha_inverse(ctx, cls, dm_mat):
     raise ValueError(cls)
 
 
+class LinearAlpha:
+    """alpha_ji kept on the C_E(i, j) basis and extended by linearity.
+
+    A class enters through keep() once alpha of every basis element is
+    known; any other class (a failed membership, as under corrupt_gamma)
+    is evaluated directly.
+    """
+
+    def __init__(self, ctx, c_spaces):
+        self.ctx = ctx
+        self.c_spaces = c_spaces
+        self.images = {}
+        self._coords = {}
+
+    def keep(self, cls, images):
+        e_ca = self.ctx.e.ca
+        self.images[cls] = images
+        self._coords[cls] = Factorization(self.c_spaces[cls].coordinate_matrix(
+            self.ctx.field, e_ca.algebra.dim, e_ca.hopf.dim))
+
+    def at(self, cls, n):
+        """alpha of the n-th C(cls) basis element."""
+        if cls in self.images:
+            return self.images[cls][n]
+        return alpha(self.ctx, cls, self.c_spaces[cls].elements[n].matrix)
+
+    def __call__(self, cls, mat):
+        """alpha(ctx, cls, mat) = Sum_k c_k alpha(b_k) for mat = Sum_k c_k b_k;
+        raises MembershipViolation when mat is not in C(cls)."""
+        if not self.images.get(cls):
+            return alpha(self.ctx, cls, mat)
+        try:
+            coords = self._coords[cls].solve(mat.data)
+        except NoSolution as exc:
+            raise MembershipViolation(f"not in C{cls}") from exc
+        return lin_comb(self.images[cls], coords)
+
+
 # -- full verification ------------------------------------------------------
 
 
@@ -361,43 +397,38 @@ def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
         if c_spaces[cls].dim != len(d_spaces[cls]):
             report.fail("dimension-equality", cls)
 
-    # bijectivity of alpha_ji and membership of images
-    alpha_coords = {}
+    # bijectivity of alpha_ji and membership of images; alpha is evaluated
+    # once per basis element and kept for the checks below
+    lin = LinearAlpha(ctx, c_spaces)
     for cls in convcat.CLASSES:
         i, j = cls
-        cols = []
-        ok = True
+        imgs, cols = [], []
         for el in c_spaces[cls].elements:
             try:
                 img = alpha(ctx, cls, el.matrix)
+                member = ctx.dm_membership(img, i, j)
+                if member:
+                    cols.append(ctx.dm_coords(img, i, j))
             except NoSolution:
+                member = False
+            if not member:
                 report.fail("alpha-membership", cls)
-                ok = False
                 break
-            if not ctx.dm_membership(img, i, j):
-                report.fail("alpha-membership", cls)
-                ok = False
-                break
-            try:
-                cols.append(ctx.dm_coords(img, i, j))
-            except NoSolution:
-                report.fail("alpha-membership", cls)
-                ok = False
-                break
-        if not ok:
-            continue
-        mat = Matrix.from_cols(ctx.field, cols, nrows=len(d_spaces[cls]))
-        alpha_coords[cls] = mat
-        if not (mat.rows == mat.cols and mat.is_invertible()):
-            report.fail("alpha-bijective", cls)
+            imgs.append(img)
+        else:
+            lin.keep(cls, imgs)
+            mat = Matrix.from_cols(ctx.field, cols, nrows=len(d_spaces[cls]))
+            if not (mat.rows == mat.cols and mat.is_invertible()):
+                report.fail("alpha-bijective", cls)
 
     # alpha o gamma = beta on every C' basis element
     for cls in convcat.CLASSES:
         for el in cp_spaces[cls].elements:
             try:
                 g = convcat.gamma_functor(e_ca, el)
-                equal = alpha(ctx, cls, g.matrix) == beta(ctx, cls, el.matrix)
-            except (NoSolution, convcat.MembershipViolation):
+                equal = lin(cls, g.matrix) == beta(ctx, cls, el.matrix)
+            except (NoSolution, MembershipViolation,
+                    convcat.MembershipViolation):
                 equal = False
             if not equal:
                 report.fail("alpha-gamma-beta", cls)
@@ -405,9 +436,9 @@ def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
 
     # round trips alpha_inverse o alpha = id on hom bases
     for cls in convcat.CLASSES:
-        for el in c_spaces[cls].elements:
+        for n, el in enumerate(c_spaces[cls].elements):
             try:
-                back = alpha_inverse(ctx, cls, alpha(ctx, cls, el.matrix))
+                back = alpha_inverse(ctx, cls, lin.at(cls, n))
                 equal = back == el.matrix
             except NoSolution:
                 equal = False
@@ -432,9 +463,8 @@ def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
                     try:
                         comp = convcat.convolve_matrices(e_ca, g_el.matrix,
                                                          f_el.matrix, "C")
-                        lhs = alpha(ctx, (i, k), comp)
-                        rhs = alpha(ctx, (j, k), g_el.matrix) \
-                            @ alpha(ctx, (i, j), f_el.matrix)
+                        lhs = lin((i, k), comp)
+                        rhs = lin.at((j, k), gi) @ lin.at((i, j), fi)
                         equal = lhs == rhs
                     except (NoSolution, MembershipViolation,
                             convcat.MembershipViolation):

@@ -1,12 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfgalois import _modp_py
 from hopfgalois.fields import QQ, PrimeField
-from hopfgalois.linalg import (Matrix, NoSolution, basis_vec, kron_vec,
-                               scatter_legs)
+from hopfgalois.linalg import (Factorization, Matrix, NoSolution, basis_vec,
+                               kron_vec, scatter_legs)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def test_kernel_f2_oracle():
@@ -35,6 +38,63 @@ def test_solve_and_no_solution():
     assert m.solve([QQ.parse("3"), QQ.parse("6")])[0] is not None
     with pytest.raises(NoSolution):
         m.solve([QQ.one, QQ.zero])
+
+
+def _solution_or_none(solve, b):
+    try:
+        return solve(b)
+    except NoSolution:
+        return None
+
+
+@st.composite
+def _systems(draw):
+    """A of rank <= r (tall, wide or square, 0 rows or columns allowed),
+    with right-hand sides in its column space and arbitrary ones."""
+    field = draw(st.sampled_from([QQ, F7]))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rank = draw(st.integers(0, min(rows, cols)))
+
+    def mat(r, c):
+        return Matrix(field, r, c, [field.from_int(draw(st.integers(-3, 3)))
+                                    for _ in range(r * c)])
+
+    a = mat(rows, rank) @ mat(rank, cols)
+    k = draw(st.integers(0, 3))
+    rhs = [(a @ mat(cols, k)), mat(rows, k)]
+    return a, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_factorization_matches_solve(system):
+    a, rhs = system
+    fac = Factorization(a)
+    assert len(fac.pivots) == a.rank()
+    for b in rhs:
+        cols = [_solution_or_none(a.solve, b.col(j)) for j in range(b.cols)]
+        for j, want in enumerate(cols):
+            assert _solution_or_none(fac.solve, b.col(j)) == want
+        if None in cols:
+            with pytest.raises(NoSolution):
+                fac.solve_matrix(b)
+        else:
+            assert fac.solve_matrix(b) == Matrix.from_cols(a.field, cols,
+                                                            nrows=a.cols)
+            assert a.solve_matrix(b) == fac.solve_matrix(b)
+
+
+def test_factorization_inconsistent_and_empty():
+    a = Matrix(F7, 3, 1, [1, 2, 3])
+    fac = Factorization(a)
+    assert fac.solve([2, 4, 6]) == a.solve([2, 4, 6]) == [2]
+    with pytest.raises(NoSolution):
+        fac.solve([1, 0, 0])
+    # a 0-column operator: only b = 0 is solvable, by the empty vector
+    empty = Factorization(Matrix.zeros(QQ, 2, 0))
+    assert empty.solve([QQ.zero, QQ.zero]) == []
+    with pytest.raises(NoSolution):
+        empty.solve([QQ.one, QQ.zero])
 
 
 def test_kron_and_apply():
