@@ -9,22 +9,16 @@ flattening.  The assembled B#_sigma H lives on B (x) H with flat index
 b*dh + h and coaction id_B (x) Delta.
 """
 
-import itertools
-import random
-from fractions import Fraction
-
-from . import convcat
+from . import convcat, search
 from .comodule import ComoduleAlgebraData, InternalInvariant
 from .galois import canonical_map, translation_map
 from .hopf import (CoalgebraData, OneSidedInverse, StructureConstantAlgebra,
-                   comul_iterated, convolution_inverse, convolution_unit,
-                   convolve)
+                   ValidationReport, comul_iterated, convolution_inverse,
+                   convolution_unit, convolve)
 from .linalg import (Matrix, NotInvertible, basis_vec, gather_legs,
                      intertwiners, kron_vec, lin_comb, scatter_legs,
                      tensor_entries, vec_add, vec_scale)
-
-EXHAUSTIVE_CAP = 10 ** 6
-QQ_COEFF_BOUND = 3
+from .search import EXHAUSTIVE_CAP, NotFound
 
 
 class InvariantFailure(RuntimeError):
@@ -37,20 +31,6 @@ class InvalidCrossedData(ValueError):
                          + (f" at {witness}" if witness is not None else ""))
         self.condition = condition
         self.witness = witness
-
-
-class NotFound:
-    """Search certificate: exhaustive means the failure is a proof."""
-
-    def __init__(self, exhaustive, searched, dim, detail=""):
-        self.exhaustive = exhaustive
-        self.searched = searched
-        self.dim = dim
-        self.detail = detail
-
-    def __repr__(self):
-        kind = "exhaustive" if self.exhaustive else "sampled"
-        return f"NotFound({kind}, searched={self.searched}, dim={self.dim})"
 
 
 class CleftingDatum:
@@ -85,7 +65,6 @@ def _normalize(ca, t_mat, u_mat):
 
 
 def _attempt(ca, mats, coeffs):
-    field = ca.field
     t_mat = lin_comb(mats, coeffs)
     if t_mat.is_zero():
         return None
@@ -103,42 +82,13 @@ def find_cleft(ca, seed=0, tries=500, enumerate_cap=EXHAUSTIVE_CAP):
     p^dim(Hom^H(H,A)) <= enumerate_cap; otherwise, and over Q, it samples
     `tries` seeded small-coefficient combinations.
     """
-    field = ca.field
     hs = convcat.hom_space(ca, (2, 1), "C")
     mats = [el.matrix for el in hs.elements]
-    d = len(mats)
-    if d == 0:
+    if not mats:
         return NotFound(True, 0, 0, "Hom^H(H,A) = 0")
-    if field.kind == "Fp" and field.p ** d <= enumerate_cap:
-        searched = 0
-        for coeffs in itertools.product(range(field.p), repeat=d):
-            searched += 1
-            datum = _attempt(ca, mats, coeffs)
-            if datum is not None:
-                return datum
-        return NotFound(True, searched, d,
-                        "no convolution invertible element (full enumeration)")
-    # deterministic warm start: basis elements and the all-ones combination
-    warm = [tuple(field.one if i == j else field.zero for i in range(d))
-            for j in range(d)]
-    warm.append((field.one,) * d)
-    for coeffs in warm:
-        datum = _attempt(ca, mats, coeffs)
-        if datum is not None:
-            return datum
-    rng = random.Random(seed)
-    for _ in range(tries):
-        if field.kind == "Fp":
-            coeffs = tuple(rng.randrange(field.p) for _ in range(d))
-        else:
-            coeffs = tuple(field.from_int(
-                rng.randint(-QQ_COEFF_BOUND, QQ_COEFF_BOUND))
-                for _ in range(d))
-        datum = _attempt(ca, mats, coeffs)
-        if datum is not None:
-            return datum
-    return NotFound(False, tries + len(warm), d,
-                    f"not found in {tries} seeded samples")
+    return search.first(ca.field, len(mats),
+                        lambda coeffs: _attempt(ca, mats, coeffs),
+                        seed, tries, enumerate_cap)
 
 
 # -- crossed-product data ----------------------------------------------------
@@ -178,6 +128,31 @@ def _hh_coalgebra(hopf):
     return CoalgebraData(hopf.field, dh * dh, comul, co.counit.kron(co.counit))
 
 
+def measuring_witnesses(hopf, base, act):
+    """First witness, or None, of h.1 = eps(h)1 and of h.(bc) = (h1.b)(h2.c)
+    for act(h_vec, b_vec) in B."""
+    f = base.field
+    db, dh = base.dim, hopf.dim
+    eps = hopf.coalgebra.counit
+    eb = [basis_vec(f, db, i) for i in range(db)]
+    eh = [basis_vec(f, dh, i) for i in range(dh)]
+    dl = [list(tensor_entries(f, hopf.coalgebra.comul.apply(eh[i]), (dh, dh)))
+          for i in range(dh)]
+
+    def multiplicative(h, i, j):
+        rhs = [f.zero] * db
+        for (h1, h2), c in dl[h]:
+            v = base.product(act(eh[h1], eb[i]), act(eh[h2], eb[j]))
+            rhs = vec_add(f, rhs, vec_scale(f, c, v))
+        return act(eh[h], base.product(eb[i], eb[j])) == rhs
+
+    unit = next(((h,) for h in range(dh) if act(eh[h], base.unit)
+                 != vec_scale(f, eps.apply(eh[h])[0], base.unit)), None)
+    mult = next(((h, i, j) for h in range(dh) for i in range(db)
+                 for j in range(db) if not multiplicative(h, i, j)), None)
+    return unit, mult
+
+
 def _prop51_violations(base, hopf, omega, sigma, sigma_bar):
     """All Prop 5.1 conditions; returns [(condition, witness), ...]."""
     f = base.field
@@ -200,28 +175,11 @@ def _prop51_violations(base, hopf, omega, sigma, sigma_bar):
     def sgb(hv, kv):
         return _sigma_apply(f, sigma_bar, hv, kv)
 
-    # measuring: h.1 = eps(h)1 and h.(bc) = (h1.b)(h2.c)
-    for h in range(dh):
-        if om(eh[h], base.unit) != vec_scale(f, eps.apply(eh[h])[0], base.unit):
-            out.append(("measuring h.1=eps(h)1", (h,)))
-            break
-    for h in range(dh):
-        bad = False
-        for i in range(db):
-            for j in range(db):
-                lhs = om(eh[h], base.product(eb[i], eb[j]))
-                rhs = [f.zero] * db
-                for (h1, h2), c in dl[h]:
-                    v = base.product(om(eh[h1], eb[i]), om(eh[h2], eb[j]))
-                    rhs = vec_add(f, rhs, vec_scale(f, c, v))
-                if lhs != rhs:
-                    out.append(("measuring h.(bc)=(h1.b)(h2.c)", (h, i, j)))
-                    bad = True
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    for name, witness in zip(("measuring h.1=eps(h)1",
+                              "measuring h.(bc)=(h1.b)(h2.c)"),
+                             measuring_witnesses(hopf, base, om)):
+        if witness is not None:
+            out.append((name, witness))
     # twisted module: 1.b = b and (5.1.2)
     for i in range(db):
         if om(hopf.algebra.unit, eb[i]) != eb[i]:
@@ -408,15 +366,11 @@ def extract_crossed_data(datum, ca):
 # -- Remark 5.3 / closed-form canonical inverse ------------------------------
 
 
-class CrossedInverseResult:
-    def __init__(self, can_data, tmap, failures):
+class CrossedInverseResult(ValidationReport):
+    def __init__(self, can_data, tmap=None):
+        super().__init__()
         self.can = can_data
         self.tmap = tmap
-        self.failures = failures
-
-    @property
-    def passed(self):
-        return not self.failures
 
 
 def _one_sharp(cp, h_vec):
@@ -439,10 +393,11 @@ def crossed_canonical_inverse(cp):
     s = hopf.antipode
     eh = [basis_vec(f, dh, i) for i in range(dh)]
     eb = [basis_vec(f, db, i) for i in range(db)]
-    failures = []
     can = canonical_map(ca)
+    result = CrossedInverseResult(can)
     if not can.galois:
-        return CrossedInverseResult(can, None, [("can-not-bijective", None)])
+        result.fail("can-not-bijective")
+        return result
     quot = can.induced.quotient
     dl = [list(tensor_entries(f, hopf.coalgebra.comul.apply(eh[i]), (dh, dh)))
           for i in range(dh)]
@@ -467,8 +422,8 @@ def crossed_canonical_inverse(cp):
                             quot.project(kron_vec(f, left, right))))
                 flat = (bi * dh + hi) * dh + ki
                 if acc != can.inverse.col(flat):
-                    failures.append(("closed-form-inverse", (bi, hi, ki)))
-    tmap = translation_map(ca, can)
+                    result.fail("closed-form-inverse", (bi, hi, ki))
+    tmap = result.tmap = translation_map(ca, can)
     # Remark 5.3: Sum l_i(h) (x) r_i(h)
     #   = (sigmabar(S(h2) (x) h3) 1_B # S(h1)) (x)_B (1_B # h4)
     for hi in range(dh):
@@ -480,7 +435,7 @@ def crossed_canonical_inverse(cp):
             acc = vec_add(f, acc, vec_scale(
                 f, c, quot.project(kron_vec(f, left, right))))
         if acc != tmap.value(eh[hi]):
-            failures.append(("remark-5.3-gamma", (hi,)))
+            result.fail("remark-5.3-gamma", (hi,))
     # Remark 5.3: t(h) = 1 # h, u(h) = sigmabar(S(h2) (x) h3) # S(h1)
     t_mat = Matrix.from_cols(f, [_one_sharp(cp, eh[h]) for h in range(dh)],
                              nrows=db * dh)
@@ -496,26 +451,14 @@ def crossed_canonical_inverse(cp):
     u_mat = Matrix.from_cols(f, u_cols, nrows=db * dh)
     unit_mat = convcat.unit_element(ca).matrix
     if not convcat.membership(ca, t_mat, (2, 1), "C"):
-        failures.append(("remark-5.3-t-colinear", None))
+        result.fail("remark-5.3-t-colinear")
     if (convcat.convolve_matrices(ca, t_mat, u_mat) != unit_mat
             or convcat.convolve_matrices(ca, u_mat, t_mat) != unit_mat):
-        failures.append(("remark-5.3-u-inverse", None))
-    return CrossedInverseResult(can, tmap, failures)
+        result.fail("remark-5.3-u-inverse")
+    return result
 
 
 # -- Theorem 5.2 round trip --------------------------------------------------
-
-
-class LegReport:
-    def __init__(self, name):
-        self.name = name
-        self.ok = True
-        self.failures = []
-        self.detail = ""
-
-    def fail(self, what, witness=None):
-        self.ok = False
-        self.failures.append((what, witness))
 
 
 class StructureTheoremReport:
@@ -526,11 +469,11 @@ class StructureTheoremReport:
 
     @property
     def passed(self):
-        return all(leg.ok for leg in self.legs.values())
+        return all(leg.passed for leg in self.legs.values())
 
     @property
     def all_failed(self):
-        return all(not leg.ok for leg in self.legs.values())
+        return all(not leg.passed for leg in self.legs.values())
 
 
 def _psi_matrix(ca, b, t_mat):
@@ -587,11 +530,11 @@ def _check_bh_iso(ca, b, psi, leg):
 
 
 def _find_bh_iso(ca, b, seed, tries):
-    """Search an invertible element of the B-linear colinear maps B(x)H -> A."""
+    """An invertible B-linear colinear map B (x) H -> A, or NotFound."""
     f = ca.field
     da, db, dh = ca.algebra.dim, b.dim, ca.hopf.dim
     if da != db * dh:
-        return None
+        return NotFound(True, 0, 0, "dim A != dim B * dim H")
     idh = Matrix.identity(f, dh)
     x_co = Matrix.identity(f, db).kron(ca.hopf.coalgebra.comul)
     x_acts = [b.algebra.lmul(basis_vec(f, db, i)).kron(idh) for i in range(db)]
@@ -599,29 +542,13 @@ def _find_bh_iso(ca, b, seed, tries):
               for i in range(db)]
     mats = intertwiners(f, da, da, x_acts, a_acts, (x_co, ca.coaction))
     if not mats:
-        return None
-    d = len(mats)
-    candidates = [tuple(f.one if i == j else f.zero for i in range(d))
-                  for j in range(d)]
-    candidates.append((f.one,) * d)
-    if f.kind == "Fp" and f.p ** d <= EXHAUSTIVE_CAP:
-        candidates = itertools.product(range(f.p), repeat=d)
-    else:
-        rng = random.Random(seed)
-        extra = []
-        for _ in range(tries):
-            if f.kind == "Fp":
-                extra.append(tuple(rng.randrange(f.p) for _ in range(d)))
-            else:
-                extra.append(tuple(f.from_int(
-                    rng.randint(-QQ_COEFF_BOUND, QQ_COEFF_BOUND))
-                    for _ in range(d)))
-        candidates = list(candidates) + extra
-    for coeffs in candidates:
+        return NotFound(True, 0, 0, "no B-linear colinear map")
+
+    def invertible_at(coeffs):
         psi = lin_comb(mats, coeffs)
-        if psi.rows == psi.cols and psi.is_invertible():
-            return psi
-    return None
+        return psi if psi.is_invertible() else None
+
+    return search.first(f, len(mats), invertible_at, seed, tries)
 
 
 def structure_theorem_check(ca, seed=0, tries=500):
@@ -631,7 +558,7 @@ def structure_theorem_check(ca, seed=0, tries=500):
     db, dh = b.dim, ca.hopf.dim
     report = StructureTheoremReport()
 
-    leg1 = LegReport("1->2")
+    leg1 = ValidationReport()
     report.legs["1->2"] = leg1
     datum = find_cleft(ca, seed=seed, tries=tries)
     if isinstance(datum, NotFound):
@@ -668,7 +595,7 @@ def structure_theorem_check(ca, seed=0, tries=500):
                 if bad:
                     break
 
-    leg2 = LegReport("2->3")
+    leg2 = ValidationReport()
     report.legs["2->3"] = leg2
     if report.crossed is None:
         leg2.fail("no-crossed-product", "leg (1) produced no B#H")
@@ -680,11 +607,11 @@ def structure_theorem_check(ca, seed=0, tries=500):
         if smash_ca.algebra.dim != db * dh:
             leg2.fail("shape", "dim B#H != dim B * dim H")
 
-    leg3 = LegReport("3->1")
+    leg3 = ValidationReport()
     report.legs["3->1"] = leg3
     psi3 = _find_bh_iso(ca, b, seed, tries)
-    if psi3 is None:
-        leg3.fail("no-BH-isomorphism")
+    if isinstance(psi3, NotFound):
+        leg3.fail("no-BH-isomorphism", repr(psi3))
     else:
         t_cols = [psi3.apply(kron_vec(f, b.algebra.unit, basis_vec(f, dh, h)))
                   for h in range(dh)]
@@ -714,123 +641,46 @@ class SmashReport:
         return self.status == "found" and self.sigma_trivial and self.iso_ok
 
 
-def _algebra_map_search(ca, mats, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
+def _algebra_map_search(ca, mats, seed=0, tries=500,
+                        enumerate_cap=EXHAUSTIVE_CAP):
     """Find an algebra map in span(mats); returns (t_mat or None, status)."""
     f = ca.field
-    d = len(mats)
-    dh = ca.hopf.dim
-    if d == 0:
+    if not mats:
         return None, "none"
+    h_alg, alg = ca.hopf.algebra, ca.algebra
+    eh = [basis_vec(f, h_alg.dim, i) for i in range(h_alg.dim)]
 
-    def is_algebra_map(t_mat):
-        if t_mat.apply(ca.hopf.algebra.unit) != ca.algebra.unit:
-            return False
-        for i in range(dh):
-            for j in range(dh):
-                prod = ca.hopf.algebra.product(basis_vec(f, dh, i),
-                                               basis_vec(f, dh, j))
-                lhs = t_mat.apply(prod)
-                rhs = ca.algebra.product(t_mat.apply(basis_vec(f, dh, i)),
-                                         t_mat.apply(basis_vec(f, dh, j)))
-                if lhs != rhs:
-                    return False
-        return True
+    def algebra_map_at(coeffs):
+        t_mat = lin_comb(mats, coeffs)
+        if t_mat.apply(h_alg.unit) != alg.unit:
+            return None
+        for x in eh:
+            for y in eh:
+                if t_mat.apply(h_alg.product(x, y)) != alg.product(
+                        t_mat.apply(x), t_mat.apply(y)):
+                    return None
+        return t_mat
 
     if f.kind == "Fp":
-        if f.p ** d > enumerate_cap:
-            rng = random.Random(seed)
-            for _ in range(enumerate_cap // max(1, d)):
-                t_mat = lin_comb(mats, tuple(
-                    rng.randrange(f.p) for _ in range(d)))
-                if is_algebra_map(t_mat):
-                    return t_mat, "found"
-            return None, "inconclusive"
-        for coeffs in itertools.product(range(f.p), repeat=d):
-            t_mat = lin_comb(mats, coeffs)
-            if is_algebra_map(t_mat):
-                return t_mat, "found"
-        return None, "none"
+        got = search.first(f, len(mats), algebra_map_at, seed, tries,
+                           enumerate_cap)
+        if isinstance(got, NotFound):
+            return None, "none" if got.exhaustive else "inconclusive"
+        return got, "found"
+
     # over Q: the conditions are quadratic in the coefficients; solve exactly
-    import sympy
-    cs = sympy.symbols(f"c0:{d}")
-    da = ca.algebra.dim
+    def equations(t, prod):
+        yield from (v - u for v, u in zip(t(h_alg.unit), alg.unit))
+        for x in eh:
+            for y in eh:
+                yield from (l - r for l, r in zip(t(h_alg.product(x, y)),
+                                                  prod(t(x), t(y))))
 
-    def sym_t(col):
-        return [sum(sympy.Rational(m.get(r, col)) * cs[i]
-                    for i, m in enumerate(mats)) for r in range(da)]
-
-    def sym_apply_t(h_vec):
-        out = [sympy.Integer(0)] * da
-        for j, c in enumerate(h_vec):
-            if c != f.zero:
-                tc = sym_t(j)
-                out = [o + sympy.Rational(c) * v for o, v in zip(out, tc)]
-        return out
-
-    def sym_prod(x, y):
-        out = [sympy.Integer(0)] * da
-        for r in range(da):
-            acc = sympy.Integer(0)
-            for a in range(da):
-                if x[a] == 0:
-                    continue
-                for bb in range(da):
-                    coeff = ca.algebra.mul.get(r, a * da + bb)
-                    if coeff != f.zero:
-                        acc += sympy.Rational(coeff) * x[a] * y[bb]
-            out[r] = acc
-        return out
-
-    eqs = []
-    tv = sym_apply_t(ca.hopf.algebra.unit)
-    for r in range(da):
-        eqs.append(sympy.expand(tv[r] - sympy.Rational(ca.algebra.unit[r])))
-    for i in range(dh):
-        ti = sym_t(i)
-        for j in range(dh):
-            tj = sym_t(j)
-            prod = ca.hopf.algebra.product(basis_vec(f, dh, i),
-                                           basis_vec(f, dh, j))
-            lhs = sym_apply_t(prod)
-            rhs = sym_prod(ti, tj)
-            for r in range(da):
-                eqs.append(sympy.expand(lhs[r] - rhs[r]))
-    sols = sympy.solve([e for e in eqs if e != 0], list(cs), dict=True)
-    if not sols:
-        return None, "none"
-    saw_free = False
-    samples = [sympy.Integer(0), sympy.Integer(1), sympy.Integer(-1),
-               sympy.Integer(2)]
-    for sol in sols:
-        free = set(c for c in cs if c not in sol)
-        for v in sol.values():
-            free |= v.free_symbols
-        free = sorted(free, key=lambda sym: sym.name)
-        assignments = [dict(sol)]
-        if free:
-            saw_free = True
-            assignments = []
-            for combo in itertools.product(samples, repeat=len(free)):
-                subs = dict(zip(free, combo))
-                assignments.append(
-                    {c: (sol[c].subs(subs) if c in sol else subs.get(c, 0))
-                     for c in cs})
-        for assign in assignments:
-            vals = []
-            rational = True
-            for c in cs:
-                v = sympy.nsimplify(assign.get(c, sympy.Integer(0)))
-                if not v.is_rational:
-                    rational = False
-                    break
-                num, den = sympy.fraction(v)
-                vals.append(Fraction(int(num), int(den)))
-            if not rational:
-                continue
-            t_mat = lin_comb(mats, tuple(vals))
-            if is_algebra_map(t_mat):
-                return t_mat, "found"
-    if saw_free:
+    try:
+        for t_mat in search.rational_points(alg, mats, equations,
+                                            algebra_map_at):
+            return t_mat, "found"
+    except search.SearchInconclusive:
         return None, "inconclusive"
     return None, "none"
 
@@ -842,7 +692,7 @@ def smash_check(ca, seed=0, tries=500, enumerate_cap=EXHAUSTIVE_CAP):
     report = SmashReport()
     hs = convcat.hom_space(ca, (2, 1), "C")
     mats = [el.matrix for el in hs.elements]
-    t_mat, status = _algebra_map_search(ca, mats, seed=seed,
+    t_mat, status = _algebra_map_search(ca, mats, seed=seed, tries=tries,
                                         enumerate_cap=enumerate_cap)
     report.status = status
     if t_mat is None:
@@ -867,11 +717,11 @@ def smash_check(ca, seed=0, tries=500, enumerate_cap=EXHAUSTIVE_CAP):
         cp.base, _hh_coalgebra(ca.hopf))
     b = ca.coinvariants()
     psi = _psi_matrix(ca, b, t_mat)
-    leg = LegReport("smash-iso")
+    leg = ValidationReport()
     _check_bh_iso(ca, b, psi, leg)
     # transported multiplication must agree with the assembled B#H
     n = b.dim * ca.hopf.dim
-    if leg.ok:
+    if leg.passed:
         inv = psi.invert()
         for x in range(n):
             ok = True
@@ -886,7 +736,7 @@ def smash_check(ca, seed=0, tries=500, enumerate_cap=EXHAUSTIVE_CAP):
                     break
             if not ok:
                 break
-    report.iso_ok = leg.ok
-    if not leg.ok:
+    report.iso_ok = leg.passed
+    if not leg.passed:
         report.detail = str(leg.failures[0])
     return report

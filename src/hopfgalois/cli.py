@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from . import cleft, cohomology, galois, io_json, lifting, maintheorem
+from . import cleft, cohomology, galois, io_json, lifting, maintheorem, search
 from .comodule import regular_bmodule
 from .fields import field_name
 from .linalg import Matrix
@@ -272,14 +272,18 @@ def cmd_cohomology(args):
         act = cohomology.action_from_cleft(ca, datum)
     try:
         z1 = cohomology.z1_enumerate(act, enumerate_cap=args.enumerate_cap)
-    except cohomology.SearchInconclusive as exc:
+    except search.SearchInconclusive as exc:
         report.add("z1-enumeration", "inconclusive", str(exc))
         return report
-    classes = cohomology.h1_classes(act, z1, seed=args.seed)
     report.add("z1-enumeration", "pass")
     report.details["z1_size"] = len(z1)
-    report.details["h1_size"] = len(classes)
     report.details["cocycles"] = z1
+    try:
+        classes = cohomology.h1_classes(act, z1, seed=args.seed)
+    except search.SearchInconclusive as exc:
+        report.add("h1-classes", "inconclusive", str(exc))
+        return report
+    report.details["h1_size"] = len(classes)
     return report
 
 
@@ -291,7 +295,7 @@ def cmd_lift(args):
     try:
         st = lifting.stability_check(ca, m, seed=args.seed, tries=args.tries,
                                      enumerate_cap=args.enumerate_cap)
-    except (lifting.SearchInconclusive, cohomology.SearchInconclusive) as exc:
+    except search.SearchInconclusive as exc:
         report.add("stable", "inconclusive", str(exc))
         return report
     if st.degenerate:
@@ -311,7 +315,7 @@ def cmd_classify(args):
     try:
         cls = lifting.classify_actions(ca, m, seed=args.seed,
                                        enumerate_cap=args.enumerate_cap)
-    except (lifting.SearchInconclusive, cohomology.SearchInconclusive) as exc:
+    except search.SearchInconclusive as exc:
         report.add("enumeration", "inconclusive", str(exc))
         return report
     report.merge_failures(cls.failures,
@@ -335,7 +339,8 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0, metavar="u64")
     common.add_argument("--tries", type=int, default=500, metavar="n")
     common.add_argument("--output", choices=["text", "json"], default="text")
-    common.add_argument("--enumerate-cap", type=int, default=10**6,
+    common.add_argument("--enumerate-cap", type=int,
+                        default=search.EXHAUSTIVE_CAP,
                         metavar="n", dest="enumerate_cap")
 
     ca_flag = argparse.ArgumentParser(add_help=False)

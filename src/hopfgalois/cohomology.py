@@ -6,26 +6,16 @@ Cocycles v: H -> B are db x dh matrices; the module-algebra action is a
 db x (dh*db) matrix with left-leg-major flattening, as in module cleft.
 """
 
-import itertools
-import random
-from fractions import Fraction
-
-from . import cleft, convcat
+from . import cleft, convcat, search
 from .comodule import InternalInvariant
 from .hopf import (ValidationReport, convolution_inverse, convolution_unit,
                    convolve, is_cocommutative)
 from .linalg import (Matrix, NotInvertible, basis_vec, kron_vec, lin_comb,
                      tensor_entries, vec_add, vec_scale)
-
-EXHAUSTIVE_CAP = 10 ** 6
-QQ_COEFF_BOUND = 3
+from .search import EXHAUSTIVE_CAP, NotFound, SearchInconclusive
 
 
 class HypothesisViolated(RuntimeError):
-    pass
-
-
-class SearchInconclusive(RuntimeError):
     pass
 
 
@@ -47,39 +37,18 @@ class HModuleAlgebraAction:
     def validate(self):
         f = self.field
         db, dh = self.base.dim, self.hopf.dim
-        eps = self.hopf.coalgebra.counit
         eb = [basis_vec(f, db, i) for i in range(db)]
         eh = [basis_vec(f, dh, i) for i in range(dh)]
-        dl = [list(tensor_entries(f, self.hopf.coalgebra.comul.apply(eh[i]),
-                                  (dh, dh))) for i in range(dh)]
         report = ValidationReport()
         for i in range(db):
             if self.act(self.hopf.algebra.unit, eb[i]) != eb[i]:
                 report.fail("1.b=b", (i,))
                 break
-        for h in range(dh):
-            e = vec_scale(f, eps.apply(eh[h])[0], self.base.unit)
-            if self.act(eh[h], self.base.unit) != e:
-                report.fail("h.1=eps(h)1", (h,))
-                break
-        done = False
-        for h in range(dh):
-            for i in range(db):
-                for j in range(db):
-                    lhs = self.act(eh[h], self.base.product(eb[i], eb[j]))
-                    rhs = [f.zero] * db
-                    for (h1, h2), c in dl[h]:
-                        v = self.base.product(self.act(eh[h1], eb[i]),
-                                              self.act(eh[h2], eb[j]))
-                        rhs = vec_add(f, rhs, vec_scale(f, c, v))
-                    if lhs != rhs:
-                        report.fail("h.(bc)=(h1.b)(h2.c)", (h, i, j))
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
+        for name, witness in zip(("h.1=eps(h)1", "h.(bc)=(h1.b)(h2.c)"),
+                                 cleft.measuring_witnesses(
+                                     self.hopf, self.base, self.act)):
+            if witness is not None:
+                report.fail(name, witness)
         for h in range(dh):
             bad = False
             for k in range(dh):
@@ -186,38 +155,18 @@ def b1_element(act, b_vec):
 
 
 def _invertible_in_span(base, kernel_vecs, seed=0, tries=200):
-    """Search an invertible element of B inside span(kernel_vecs)."""
+    """An invertible element of B inside span(kernel_vecs), or NotFound."""
     f = base.field
-    d = len(kernel_vecs)
-    if d == 0:
-        return None
-    def comb(coeffs):
-        out = [f.zero] * base.dim
+    if not kernel_vecs:
+        return NotFound(True, 0, 0)
+
+    def invertible_at(coeffs):
+        b = [f.zero] * base.dim
         for v, c in zip(kernel_vecs, coeffs):
-            out = vec_add(f, out, vec_scale(f, c, v))
-        return out
-    if f.kind == "Fp" and f.p ** d <= EXHAUSTIVE_CAP:
-        for coeffs in itertools.product(range(f.p), repeat=d):
-            b = comb(coeffs)
-            if base.element_inverse(b) is not None:
-                return b
-        return None
-    candidates = [tuple(f.one if i == j else f.zero for i in range(d))
-                  for j in range(d)]
-    candidates.append((f.one,) * d)
-    rng = random.Random(seed)
-    for _ in range(tries):
-        if f.kind == "Fp":
-            candidates.append(tuple(rng.randrange(f.p) for _ in range(d)))
-        else:
-            candidates.append(tuple(
-                f.from_int(rng.randint(-QQ_COEFF_BOUND, QQ_COEFF_BOUND))
-                for _ in range(d)))
-    for coeffs in candidates:
-        b = comb(coeffs)
-        if base.element_inverse(b) is not None:
-            return b
-    return None
+            b = vec_add(f, b, vec_scale(f, c, v))
+        return b if base.element_inverse(b) is not None else None
+
+    return search.first(f, len(kernel_vecs), invertible_at, seed, tries)
 
 
 def cohomologous(act, v_mat, v1_mat, seed=0):
@@ -241,7 +190,7 @@ def cohomologous(act, v_mat, v1_mat, seed=0):
     op = Matrix(f, dh * db, db, [x for blk in blocks for x in blk])
     kernel = op.kernel()
     b = _invertible_in_span(base, kernel, seed=seed)
-    if b is None:
+    if not search.found(b, "invertible b with v = f_b * v1"):
         return False
     return v_mat == convolve(base, hopf.coalgebra, b1_element(act, b), v1_mat)
 
@@ -267,88 +216,41 @@ def z1_enumerate(act, enumerate_cap=EXHAUSTIVE_CAP):
     base, hopf = act.base, act.hopf
     db, dh = base.dim, hopf.dim
     n = db * dh
+
+    def cocycle_at(entries):
+        v = Matrix(f, db, dh, list(entries))
+        return v if z1_membership(act, v) else None
+
     if f.kind == "Fp":
-        if f.p ** n > enumerate_cap:
-            raise SearchInconclusive(
-                f"|F_{f.p}|^{n} exceeds the enumeration cap")
-        out = []
-        for entries in itertools.product(range(f.p), repeat=n):
-            v = Matrix(f, db, dh, list(entries))
-            if z1_membership(act, v):
-                out.append(v)
-        return out
+        return search.every(f, n, cocycle_at, enumerate_cap)
     # over Q: v(1) = 1 is linear, the cocycle law quadratic; solve exactly
-    import sympy
-    xs = sympy.symbols(f"x0:{n}")
-
-    def sym_col(j):
-        return [xs[r * dh + j] for r in range(db)]
-
-    def sym_apply(h_vec):
-        out = [sympy.Integer(0)] * db
-        for j, c in enumerate(h_vec):
-            if c != f.zero:
-                col = sym_col(j)
-                out = [o + sympy.Rational(c) * v for o, v in zip(out, col)]
-        return out
-
-    def sym_prod_b(x, y):
-        out = []
-        for r in range(db):
-            acc = sympy.Integer(0)
-            for a in range(db):
-                for bb in range(db):
-                    coeff = base.mul.get(r, a * db + bb)
-                    if coeff != f.zero:
-                        acc += sympy.Rational(coeff) * x[a] * y[bb]
-            out.append(acc)
-        return out
-
     eh = [basis_vec(f, dh, i) for i in range(dh)]
+    eb = [basis_vec(f, db, i) for i in range(db)]
     dl = [list(tensor_entries(f, hopf.coalgebra.comul.apply(eh[i]), (dh, dh)))
           for i in range(dh)]
-    eqs = []
-    lhs1 = sym_apply(hopf.algebra.unit)
-    for r in range(db):
-        eqs.append(sympy.expand(lhs1[r] - sympy.Rational(base.unit[r])))
-    for h in range(dh):
-        for k in range(dh):
-            lhs = sym_apply(hopf.algebra.product(eh[h], eh[k]))
-            rhs = [sympy.Integer(0)] * db
-            for (h1, h2), c in dl[h]:
-                # (h1 . v(k)) is linear in the unknowns
-                acted = [sympy.Integer(0)] * db
-                vk = sym_col(k)
-                for i in range(db):
-                    col = act.act(eh[h1], basis_vec(f, db, i))
-                    acted = [a + sympy.Rational(cc) * vk[i]
-                             for a, cc in zip(acted, col)]
-                term = sym_prod_b(acted, sym_apply(eh[h2]))
-                rhs = [r0 + sympy.Rational(c) * t for r0, t in zip(rhs, term)]
-            for r in range(db):
-                eqs.append(sympy.expand(lhs[r] - rhs[r]))
-    sols = sympy.solve([e for e in eqs if e != 0], list(xs), dict=True)
+
+    def equations(v, prod):
+        yield from (x - u for x, u in zip(v(hopf.algebra.unit), base.unit))
+        for h in range(dh):
+            for k in range(dh):
+                rhs = [0] * db
+                for (h1, h2), c in dl[h]:
+                    # (h1 . v(k)) is linear in the unknowns
+                    cols = [act.act(eh[h1], e) for e in eb]
+                    acted = [sum(col[r] * x for col, x in zip(cols, v(eh[k])))
+                             for r in range(db)]
+                    term = prod(acted, v(eh[h2]))
+                    rhs = [r0 + c * t for r0, t in zip(rhs, term)]
+                yield from (l - r for l, r in
+                            zip(v(hopf.algebra.product(eh[h], eh[k])), rhs))
+
+    elementary = [Matrix(f, db, dh, basis_vec(f, n, i)) for i in range(n)]
     out = []
-    for sol in sols:
-        free = set(c for c in xs if c not in sol)
-        for v in sol.values():
-            free |= v.free_symbols
-        if free:
-            raise SearchInconclusive("Z^1 has a positive-dimensional family")
-        vals = []
-        ok = True
-        for x in xs:
-            v = sympy.nsimplify(sol.get(x, sympy.Integer(0)))
-            if not v.is_rational:
-                ok = False
-                break
-            num, den = sympy.fraction(v)
-            vals.append(Fraction(int(num), int(den)))
-        if not ok:
-            continue
-        v_mat = Matrix(f, db, dh, vals)
-        if z1_membership(act, v_mat) and v_mat not in out:
-            out.append(v_mat)
+    for v in search.rational_points(
+            base, elementary, equations, cocycle_at,
+            refuse="Z^1 has a positive-dimensional family"):
+        if v not in out:
+            out.append(v)
     return out
 
 
@@ -392,8 +294,8 @@ def omega_equivalence(ca, t1_mat, t2_mat, seed=0):
         blocks.append(Matrix.from_cols(f, rows, nrows=ca.algebra.dim).data)
     op = Matrix(f, dh * ca.algebra.dim, db,
                 [x for blk in blocks for x in blk])
-    kernel = op.kernel()
-    return _invertible_in_span(b.algebra, kernel, seed=seed) is not None
+    return search.found(_invertible_in_span(b.algebra, op.kernel(), seed=seed),
+                        "invertible b with b t1(h) = t2(h) b")
 
 
 def omega_classes(ca, candidates, seed=0):
@@ -423,13 +325,11 @@ def omega_enumerate(ca, act=None, base_point=None, seed=0,
     hs = convcat.hom_space(ca, (2, 1), "C")
     mats = [el.matrix for el in hs.elements]
     d = len(mats)
-    if f.kind == "Fp" and f.p ** d <= enumerate_cap:
-        out = []
-        for coeffs in itertools.product(range(f.p), repeat=d):
+    if search.enumerable(f, d, enumerate_cap):
+        def omega_at(coeffs):
             t = lin_comb(mats, coeffs)
-            if omega_membership(ca, t):
-                out.append(t)
-        return out
+            return t if omega_membership(ca, t) else None
+        return search.every(f, d, omega_at, enumerate_cap)
     if base_point is None:
         base_point, status = cleft._algebra_map_search(
             ca, mats, seed=seed, enumerate_cap=enumerate_cap)
@@ -456,18 +356,11 @@ def omega_enumerate(ca, act=None, base_point=None, seed=0,
 # -- Theorem 5.6: the groupoid X_A -------------------------------------------
 
 
-class GroupoidReport:
+class GroupoidReport(ValidationReport):
     def __init__(self):
-        self.failures = []
+        super().__init__()
         self.vacuous = False
         self.sizes = {}
-
-    def fail(self, what, witness=None):
-        self.failures.append((what, witness))
-
-    @property
-    def passed(self):
-        return not self.failures
 
 
 def groupoid_xa_check(ca, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
@@ -619,18 +512,11 @@ def groupoid_xa_check(ca, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
 # -- Proposition 5.7 ---------------------------------------------------------
 
 
-class Prop57Report:
+class Prop57Report(ValidationReport):
     def __init__(self):
-        self.failures = []
+        super().__init__()
         self.h1_count = None
         self.omega_bar_count = None
-
-    def fail(self, what, witness=None):
-        self.failures.append((what, witness))
-
-    @property
-    def passed(self):
-        return not self.failures
 
 
 def prop57_check(ca, t0=None, seed=0, enumerate_cap=EXHAUSTIVE_CAP):

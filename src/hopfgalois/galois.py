@@ -7,6 +7,7 @@ coordinates, never on representatives.
 """
 
 from .comodule import algebra_as_bmodule, tensor_over_B
+from .hopf import ValidationReport
 from .linalg import (Matrix, basis_vec, gather_legs, kron_vec, scatter_legs,
                      tensor_entries, vec_add, vec_scale)
 
@@ -112,20 +113,6 @@ def translation_map(ca, can_data=None):
     return TranslationMap(ca, can_data)
 
 
-class IdentityReport:
-    """Per-identity outcomes for (1.2.1)-(1.2.7)."""
-
-    def __init__(self):
-        self.failures = []
-
-    def fail(self, identity, witness=None):
-        self.failures.append((identity, witness))
-
-    @property
-    def passed(self):
-        return not self.failures
-
-
 def verify_translation_identities(ca, tmap=None):
     """Exact check of (1.2.1)-(1.2.7) over all basis tuples."""
     tmap = tmap if tmap is not None else translation_map(ca)
@@ -138,7 +125,7 @@ def verify_translation_identities(ca, tmap=None):
     idh = Matrix.identity(f, dh)
     rep = tmap.representative          # H -> A (x) A
     gamma = tmap.gamma
-    report = IdentityReport()
+    report = ValidationReport()
 
     # (1.2.1)  Sum l_i(h) r_i(h)_[0] (x) r_i(h)_[1] = 1 (x) h
     lhs = _can_ambient(ca) @ rep

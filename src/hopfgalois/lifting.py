@@ -7,20 +7,11 @@ phi is a dm x dim(M (x)_B A) matrix in quotient coordinates; t lives in
 E-coordinates as in module maintheorem.
 """
 
-import itertools
-import random
-
-from . import cleft, cohomology, convcat, maintheorem
-from .hopf import is_cocommutative
+from . import cleft, cohomology, convcat, maintheorem, search
+from .hopf import ValidationReport, is_cocommutative
 from .linalg import (Matrix, basis_vec, intertwiners, kron_vec, lin_comb,
                      tensor_entries, vec_add, vec_scale)
-
-EXHAUSTIVE_CAP = 10 ** 6
-QQ_COEFF_BOUND = 3
-
-
-class SearchInconclusive(RuntimeError):
-    pass
+from .search import EXHAUSTIVE_CAP, NotFound, SearchInconclusive
 
 
 class NotLinear(ValueError):
@@ -225,32 +216,16 @@ class StabilityReport:
 
 def _invertible_in_matrix_span(field, mats, seed=0, tries=200,
                                enumerate_cap=EXHAUSTIVE_CAP):
+    """An invertible element of span(mats), or NotFound."""
     d = len(mats)
     if d == 0 or mats[0].rows != mats[0].cols:
-        return None, True
-    if field.kind == "Fp" and field.p ** d <= enumerate_cap:
-        for coeffs in itertools.product(range(field.p), repeat=d):
-            m = lin_comb(mats, coeffs)
-            if m.is_invertible():
-                return m, True
-        return None, True
-    candidates = [tuple(field.one if i == j else field.zero for i in range(d))
-                  for j in range(d)]
-    candidates.append((field.one,) * d)
-    rng = random.Random(seed)
-    for _ in range(tries):
-        if field.kind == "Fp":
-            candidates.append(tuple(rng.randrange(field.p) for _ in range(d)))
-        else:
-            candidates.append(tuple(
-                field.from_int(rng.randint(-QQ_COEFF_BOUND, QQ_COEFF_BOUND))
-                for _ in range(d)))
-    for coeffs in candidates:
+        return NotFound(True, 0, d)
+
+    def invertible_at(coeffs):
         m = lin_comb(mats, coeffs)
-        if m.is_invertible():
-            return m, True
-    # nonzero span sampled without success: not a proof of absence
-    return None, False
+        return m if m.is_invertible() else None
+
+    return search.first(field, d, invertible_at, seed, tries, enumerate_cap)
 
 
 def stability_check(ca, m, seed=0, tries=200, enumerate_cap=EXHAUSTIVE_CAP):
@@ -261,16 +236,12 @@ def stability_check(ca, m, seed=0, tries=200, enumerate_cap=EXHAUSTIVE_CAP):
         report.detail = "M = 0: every statement of §6 is vacuous"
         return report
     ctx = maintheorem.TheoremContext(ca, m)
-    f = ctx.field
     # side A: invertible element of Hom_B^H(M (x) H, M (x)_B A)
-    basis = ctx.dm_hom_space(1, 2)
-    iso = None
-    conclusive_a = True
-    if ctx.x1_dim != ctx.x2_dim:
-        conclusive_a = True
-    else:
-        iso, conclusive_a = _invertible_in_matrix_span(
-            f, basis, seed=seed, tries=tries, enumerate_cap=enumerate_cap)
+    got = _invertible_in_matrix_span(ctx.field, ctx.dm_hom_space(1, 2),
+                                     seed=seed, tries=tries,
+                                     enumerate_cap=enumerate_cap)
+    iso = None if isinstance(got, NotFound) else got
+    conclusive_a = iso is not None or got.exhaustive
     report.side_iso = iso
     # side B: find_cleft on E
     datum = cleft.find_cleft(ctx.e.ca, seed=seed, tries=tries,
@@ -348,13 +319,11 @@ def lambda_enumerate(ctx, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
         return [phi for phi in candidates if _is_action(ctx, phi)]
     space = _b_linear_space(ctx)
     d = len(space)
-    if f.kind == "Fp" and f.p ** d <= enumerate_cap:
-        out = []
-        for coeffs in itertools.product(range(f.p), repeat=d):
-            phi = lin_comb(space, coeffs) if d else None
-            if phi is not None and _is_action(ctx, phi):
-                out.append(phi)
-        return out
+    if search.enumerable(f, d, enumerate_cap):
+        def action_at(coeffs):
+            phi = lin_comb(space, coeffs)
+            return phi if _is_action(ctx, phi) else None
+        return search.every(f, d, action_at, enumerate_cap) if d else []
     omega = cohomology.omega_enumerate(ctx.e.ca, seed=seed,
                                        enumerate_cap=enumerate_cap)
     out = []
@@ -402,9 +371,10 @@ def phi_equivalence(ctx, phi1, phi2, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
     t1 = maintheorem.alpha12_hat(ctx, phi1)
     t2 = maintheorem.alpha12_hat(ctx, phi2)
     sols, _ = _endb_conjugation_kernel(ctx, t1, t2)
-    g, _ = _invertible_in_matrix_span(f, sols, seed=seed,
-                                      enumerate_cap=enumerate_cap)
-    via_651 = g is not None
+    via_651 = search.found(
+        _invertible_in_matrix_span(f, sols, seed=seed,
+                                   enumerate_cap=enumerate_cap),
+        "invertible f in End_B(M) solving (6.5.1)")
     # independent check: f A-linear between the two induced module structures
     da = ctx.ca.algebra.dim
     c1 = ActionCandidate(ctx, phi1)
@@ -413,30 +383,24 @@ def phi_equivalence(ctx, phi1, phi2, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
     direct_sols = intertwiners(f, ctx.m.dim, ctx.m.dim,
                                [c2.act_matrix(a) for a in basis],
                                [c1.act_matrix(a) for a in basis])
-    g2, _ = _invertible_in_matrix_span(f, direct_sols, seed=seed,
-                                       enumerate_cap=enumerate_cap)
-    direct = g2 is not None
+    direct = search.found(
+        _invertible_in_matrix_span(f, direct_sols, seed=seed,
+                                   enumerate_cap=enumerate_cap),
+        "invertible A-linear f between the two actions")
     if via_651 != direct:
         raise maintheorem.MembershipViolation(
             "(6.5.1) verdict disagrees with direct module isomorphism")
     return via_651
 
 
-class ClassificationReport:
+class ClassificationReport(ValidationReport):
     def __init__(self):
+        super().__init__()
         self.lambda_count = None
         self.lambda_classes = None
         self.omega_count = None
         self.omega_classes = None
         self.h1_count = None
-        self.failures = []
-
-    def fail(self, what, witness=None):
-        self.failures.append((what, witness))
-
-    @property
-    def passed(self):
-        return not self.failures
 
 
 def classify_actions(ca, m, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
@@ -502,7 +466,7 @@ def classify_actions(ca, m, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
         act = cohomology.action_from_cleft(ctx.e.ca, datum)
         try:
             z1 = cohomology.z1_enumerate(act, enumerate_cap=enumerate_cap)
-        except cohomology.SearchInconclusive:
+        except SearchInconclusive:
             z1 = None       # |H^1| not computable; leave h1_count unset
         if z1 is not None:
             report.h1_count = len(cohomology.h1_classes(act, z1, seed=seed))

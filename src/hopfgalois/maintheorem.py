@@ -14,6 +14,7 @@ from . import convcat
 from .comodule import adjunction_unit, tensor_over_B
 from .endomorphism import build_E
 from .galois import canonical_map, translation_map
+from .hopf import ValidationReport
 from .linalg import (Factorization, Matrix, NoSolution, basis_vec,
                      intertwiners, kron_vec, lin_comb, tensor_entries)
 
@@ -367,17 +368,10 @@ class LinearAlpha:
 # -- full verification ------------------------------------------------------
 
 
-class TheoremReport:
+class TheoremReport(ValidationReport):
     def __init__(self):
-        self.failures = []
+        super().__init__()
         self.details = {}
-
-    def fail(self, check, witness=None):
-        self.failures.append((check, witness))
-
-    @property
-    def passed(self):
-        return not self.failures
 
 
 def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,

@@ -1,0 +1,167 @@
+"""The one search policy for every span search (Thm 5.2/5.4, Prop 5.7, 6.5).
+
+A candidate is a coefficient tuple c in k^d, and `test(c)` returns a witness
+or None.  Over F_p with p^d <= cap every tuple is tried in itertools.product
+order, so a miss is a proof.  Otherwise the d basis tuples and the all-ones
+tuple are tried, then `tries` draws from random.Random(seed); such a miss is
+NotFound(exhaustive=False) and may only ever be reported as inconclusive.
+Over Q the quadratic systems are solved exactly by `rational_points`.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+from .fields import field_name
+
+EXHAUSTIVE_CAP = 10 ** 6
+QQ_COEFF_BOUND = 3
+FREE_SAMPLES = (0, 1, -1, 2)
+
+
+class SearchInconclusive(RuntimeError):
+    pass
+
+
+class NotFound:
+    """Search certificate: exhaustive means the failure is a proof."""
+
+    def __init__(self, exhaustive, searched, dim, detail=""):
+        self.exhaustive = exhaustive
+        self.searched = searched
+        self.dim = dim
+        self.detail = detail
+
+    def __repr__(self):
+        kind = "exhaustive" if self.exhaustive else "sampled"
+        return f"NotFound({kind}, searched={self.searched}, dim={self.dim})"
+
+
+def enumerable(field, d, cap=EXHAUSTIVE_CAP):
+    """Whether every tuple of k^d is tried, so that a miss is a proof."""
+    return field.kind == "Fp" and field.p ** d <= cap
+
+
+def _sampled(field, d, seed, tries):
+    """Warm start (basis tuples, then all ones), then `tries` seeded draws."""
+    for j in range(d):
+        yield tuple(field.one if i == j else field.zero for i in range(d))
+    yield (field.one,) * d
+    rng = random.Random(seed)
+    for _ in range(tries):
+        if field.kind == "Fp":
+            yield tuple(rng.randrange(field.p) for _ in range(d))
+        else:
+            yield tuple(field.from_int(
+                rng.randint(-QQ_COEFF_BOUND, QQ_COEFF_BOUND))
+                for _ in range(d))
+
+
+def first(field, d, test, seed=0, tries=500, cap=EXHAUSTIVE_CAP):
+    """The first witness test(c) that is not None, or NotFound."""
+    if enumerable(field, d, cap):
+        for coeffs in itertools.product(range(field.p), repeat=d):
+            hit = test(coeffs)
+            if hit is not None:
+                return hit
+        return NotFound(True, field.p ** d, d, "full enumeration")
+    for coeffs in _sampled(field, d, seed, tries):
+        hit = test(coeffs)
+        if hit is not None:
+            return hit
+    return NotFound(False, tries + d + 1, d,
+                    f"not found in {tries} seeded samples")
+
+
+def every(field, d, test, cap=EXHAUSTIVE_CAP):
+    """All witnesses over k^d in enumeration order; raises SearchInconclusive
+    when k^d cannot be enumerated under the cap."""
+    if not enumerable(field, d, cap):
+        raise SearchInconclusive(
+            f"|{field_name(field)}|^{d} exceeds the enumeration cap")
+    hits = map(test, itertools.product(range(field.p), repeat=d))
+    return [hit for hit in hits if hit is not None]
+
+
+def found(result, what):
+    """True for a witness, False for an exhaustive miss; a sampled miss is
+    no answer and raises SearchInconclusive."""
+    if not isinstance(result, NotFound):
+        return True
+    if result.exhaustive:
+        return False
+    raise SearchInconclusive(f"{what} not found: {result!r}")
+
+
+def rational_points(algebra, mats, equations, test, refuse=None):
+    """Witnesses among the rational solutions of a quadratic system over Q.
+
+    The unknown is t = sum_i c_i mats[i], a linear map into `algebra`.
+    `equations(t, prod)` yields expressions that vanish exactly on the wanted
+    t; t(vec) applies t to a coordinate vector and prod multiplies two
+    symbolic vectors of `algebra`.  The system is solved with sympy and each
+    rational point c (a tuple of Fractions) is yielded as test(c) when that is
+    not None.  A positive-dimensional family raises SearchInconclusive(refuse),
+    or, when refuse is None, is sampled at every assignment of FREE_SAMPLES to
+    its free unknowns; exhausting the points after such a sample raises
+    SearchInconclusive, since the family was not searched in full.
+    """
+    import sympy
+    f = algebra.field
+    n, rows, cols = len(mats), algebra.dim, mats[0].cols
+    cs = sympy.symbols(f"c0:{n}")
+    t_cols = [[sum(sympy.Rational(m.get(r, j)) * c for c, m in zip(cs, mats))
+               for r in range(rows)] for j in range(cols)]
+
+    def t(vec):
+        out = [sympy.Integer(0)] * rows
+        for x, col in zip(vec, t_cols):
+            if x != f.zero:
+                out = [o + sympy.Rational(x) * v for o, v in zip(out, col)]
+        return out
+
+    def prod(x, y):
+        out = []
+        for r in range(rows):
+            acc = sympy.Integer(0)
+            for a in range(rows):
+                if x[a] == 0:
+                    continue
+                for b in range(rows):
+                    coeff = algebra.mul.get(r, a * rows + b)
+                    if coeff != f.zero:
+                        acc += sympy.Rational(coeff) * x[a] * y[b]
+            out.append(acc)
+        return out
+
+    eqs = [sympy.expand(e) for e in equations(t, prod)]
+    sols = sympy.solve([e for e in eqs if e != 0], list(cs), dict=True)
+    sampled = False
+    for sol in sols:
+        free = set(c for c in cs if c not in sol)
+        for v in sol.values():
+            free |= v.free_symbols
+        free = sorted(free, key=lambda sym: sym.name)
+        assignments = [sol]
+        if free:
+            if refuse is not None:
+                raise SearchInconclusive(refuse)
+            sampled = True
+            assignments = []
+            for combo in itertools.product(map(sympy.Integer, FREE_SAMPLES),
+                                           repeat=len(free)):
+                subs = dict(zip(free, combo))
+                assignments.append({c: (sol[c].subs(subs) if c in sol
+                                        else subs[c]) for c in cs})
+        for assign in assignments:
+            vals = [sympy.nsimplify(assign.get(c, sympy.Integer(0)))
+                    for c in cs]
+            if not all(v.is_rational for v in vals):
+                continue
+            hit = test(tuple(Fraction(int(num), int(den))
+                             for num, den in map(sympy.fraction, vals)))
+            if hit is not None:
+                yield hit
+    if sampled:
+        raise SearchInconclusive("a positive-dimensional family was sampled "
+                                 "without a witness")
