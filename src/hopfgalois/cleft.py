@@ -462,14 +462,28 @@ def crossed_canonical_inverse(cp):
 
 
 class StructureTheoremReport:
+    """One ValidationReport per leg; a leg left undecided by a sampled search
+    is recorded in inconclusive (leg -> NotFound) instead, and then the
+    report has not passed."""
+
     def __init__(self):
         self.legs = {}
+        self.inconclusive = {}
         self.datum = None
         self.crossed = None
 
+    def miss(self, leg, failure, result):
+        """A search miss on leg: an exhaustive one fails it, a sampled one
+        leaves it inconclusive."""
+        if result.exhaustive:
+            self.legs[leg].fail(failure, repr(result))
+        else:
+            self.inconclusive[leg] = result
+
     @property
     def passed(self):
-        return all(leg.passed for leg in self.legs.values())
+        return not self.inconclusive and all(
+            leg.passed for leg in self.legs.values())
 
     @property
     def all_failed(self):
@@ -562,7 +576,7 @@ def structure_theorem_check(ca, seed=0, tries=500):
     report.legs["1->2"] = leg1
     datum = find_cleft(ca, seed=seed, tries=tries)
     if isinstance(datum, NotFound):
-        leg1.fail("not-cleft", repr(datum))
+        report.miss("1->2", "not-cleft", datum)
     else:
         report.datum = datum
         try:
@@ -597,7 +611,10 @@ def structure_theorem_check(ca, seed=0, tries=500):
 
     leg2 = ValidationReport()
     report.legs["2->3"] = leg2
-    if report.crossed is None:
+    if "1->2" in report.inconclusive:
+        # nothing to check until leg (1) is decided
+        report.inconclusive["2->3"] = report.inconclusive["1->2"]
+    elif report.crossed is None:
         leg2.fail("no-crossed-product", "leg (1) produced no B#H")
     else:
         res = crossed_canonical_inverse(report.crossed)
@@ -611,7 +628,7 @@ def structure_theorem_check(ca, seed=0, tries=500):
     report.legs["3->1"] = leg3
     psi3 = _find_bh_iso(ca, b, seed, tries)
     if isinstance(psi3, NotFound):
-        leg3.fail("no-BH-isomorphism", repr(psi3))
+        report.miss("3->1", "no-BH-isomorphism", psi3)
     else:
         t_cols = [psi3.apply(kron_vec(f, b.algebra.unit, basis_vec(f, dh, h)))
                   for h in range(dh)]

@@ -6,6 +6,8 @@ Cocycles v: H -> B are db x dh matrices; the module-algebra action is a
 db x (dh*db) matrix with left-leg-major flattening, as in module cleft.
 """
 
+from functools import cached_property
+
 from . import cleft, convcat, search
 from .comodule import InternalInvariant
 from .hopf import (ValidationReport, convolution_inverse, convolution_unit,
@@ -33,6 +35,18 @@ class HModuleAlgebraAction:
 
     def act(self, h_vec, b_vec):
         return self.action.apply(kron_vec(self.field, h_vec, b_vec))
+
+    @cached_property
+    def h_tables(self):
+        """(eh, hk, dl) of H, built once for every cocycle test: the basis
+        eh, the products hk[h][k] = e_h e_k and the nonzero entries
+        ((h1, h2), c) of each Delta(e_h)."""
+        f, hopf, dh = self.field, self.hopf, self.hopf.dim
+        eh = [basis_vec(f, dh, i) for i in range(dh)]
+        hk = [[hopf.algebra.product(x, y) for y in eh] for x in eh]
+        dl = [list(tensor_entries(f, hopf.coalgebra.comul.apply(x), (dh, dh)))
+              for x in eh]
+        return eh, hk, dl
 
     def validate(self):
         f = self.field
@@ -126,12 +140,10 @@ def z1_membership(act, v_mat):
         convolution_inverse(base, hopf.coalgebra, v_mat)
     except NotInvertible:
         return False
-    eh = [basis_vec(f, dh, i) for i in range(dh)]
-    dl = [list(tensor_entries(f, hopf.coalgebra.comul.apply(eh[i]), (dh, dh)))
-          for i in range(dh)]
+    eh, hk, dl = act.h_tables
     for h in range(dh):
         for k in range(dh):
-            lhs = v_mat.apply(hopf.algebra.product(eh[h], eh[k]))
+            lhs = v_mat.apply(hk[h][k])
             rhs = [f.zero] * db
             for (h1, h2), c in dl[h]:
                 v = base.product(act.act(eh[h1], v_mat.col(k)),

@@ -7,8 +7,8 @@ classes is equality of projected coordinates, never of representatives.
 """
 
 from .hopf import DimensionMismatch, StructureConstantAlgebra, ValidationReport
-from .linalg import (Matrix, NoSolution, basis_vec, gather_legs, kron_vec,
-                     lin_comb, vec_is_zero)
+from .linalg import (Factorization, Matrix, NoSolution, basis_vec,
+                     gather_legs, kron_vec, lin_comb, vec_is_zero)
 
 
 class InternalInvariant(RuntimeError):
@@ -155,19 +155,24 @@ class BModule:
 
     def validate(self):
         report = ValidationReport()
-        f = self.field
-        balg = self.base.algebra
-        idm = Matrix.identity(f, self.dim)
-        report.check("bmodule.unit", lin_comb(self.actions, balg.unit), idm,
-                     (self.dim,))
-        for i in range(balg.dim):
-            for j in range(balg.dim):
-                prod = balg.product(basis_vec(f, balg.dim, i), basis_vec(f, balg.dim, j))
-                lhs = lin_comb(self.actions, prod)
-                rhs = self.actions[j] @ self.actions[i]  # m.(bi bj) = (m.bi).bj
-                if lhs != rhs:
-                    report.fail("bmodule.associativity", (i, j))
+        check_right_action(report, self.base.algebra, self.actions, self.dim,
+                           "bmodule.unit", "bmodule.associativity")
         return report
+
+
+def check_right_action(report, alg, actions, dim, unit_name, assoc_name):
+    """Record in report where actions (one dim x dim matrix per basis
+    element of alg) fail to be a right module: Sum_i u_i actions[i] = I
+    under unit_name, and m.(a_i a_j) = (m.a_i).a_j under assoc_name with
+    witness (i, j)."""
+    f, n = alg.field, alg.dim
+    report.check(unit_name, lin_comb(actions, alg.unit),
+                 Matrix.identity(f, dim), (dim,))
+    for i in range(n):
+        for j in range(n):
+            prod = alg.product(basis_vec(f, n, i), basis_vec(f, n, j))
+            if lin_comb(actions, prod) != actions[j] @ actions[i]:
+                report.fail(assoc_name, (i, j))
 
 
 def regular_bmodule(ca):
@@ -210,13 +215,9 @@ class RelativeHopfModuleData:
         da, dh, dm = ca.algebra.dim, ca.hopf.dim, self.dim
         report = ValidationReport()
         idm = Matrix.identity(f, dm)
-        report.check("hopfmodule.action-unit",
-                     lin_comb(self.actions, ca.algebra.unit), idm, (dm,))
-        for i in range(da):
-            for j in range(da):
-                prod = ca.algebra.product(basis_vec(f, da, i), basis_vec(f, da, j))
-                if lin_comb(self.actions, prod) != self.actions[j] @ self.actions[i]:
-                    report.fail("hopfmodule.action-associativity", (i, j))
+        check_right_action(report, ca.algebra, self.actions, dm,
+                           "hopfmodule.action-unit",
+                           "hopfmodule.action-associativity")
         rho = self.coaction
         report.check("hopfmodule.coassociativity",
                      rho.kron(Matrix.identity(f, dh)) @ rho,
@@ -356,11 +357,12 @@ def adjunction_counit(n, ca):
     b = ca.coinvariants()
     coinv = n.coinvariant_basis(ca)
     c = coinv.cols
+    coinv_fac = Factorization(coinv)
     actions = []
     for k in range(b.dim):
         ambient_act = lin_comb(n.actions, b.inclusion.col(k))
         try:
-            actions.append(coinv.solve_matrix(ambient_act @ coinv))
+            actions.append(coinv_fac.solve_matrix(ambient_act @ coinv))
         except NoSolution as exc:
             raise InternalInvariant("coinvariants of N not B-stable") from exc
     m = BModule(b, c, actions)

@@ -73,8 +73,14 @@ class EndComoduleAlgebra:
         return lin_comb(self.basis, coords)
 
     def to_coords(self, mat):
+        return self.coords_matrix([mat]).data
+
+    def coords_matrix(self, mats):
+        """E-coordinates of the endomorphisms mats, one column each."""
+        n = self._coords.a.rows
         try:
-            return self._coords.solve(mat.data)
+            return self._coords.solve_matrix(Matrix.from_cols(
+                self.base.field, [m.data for m in mats], nrows=n))
         except NoSolution as exc:
             raise InternalInvariant("matrix not A-linear") from exc
 

@@ -237,8 +237,20 @@ class OneSidedInverse(NotInvertible):
 
 
 def convolve(algebra, coalgebra, g_mat, f_mat):
-    """(g * f)(c) = g(c_(1)) f(c_(2)), maps C -> A as dim A x dim C matrices."""
-    return algebra.mul @ (g_mat.kron(f_mat) @ coalgebra.comul)
+    """(g * f)(c) = g(c_(1)) f(c_(2)), maps C -> A as dim A x dim C matrices.
+
+    This is mul @ ((g (x) f) @ Delta) without forming g (x) f: that product
+    has the row-major data of g @ F, where row c of F is vec(f @ Delta_c)
+    and Delta_c[c2, k] = Delta[(c, c2), k].
+    """
+    field, da, dc = algebra.field, algebra.dim, coalgebra.dim
+    comul, block = coalgebra.comul.data, dc * dc
+    rows = []
+    for c in range(dc):
+        rows.extend((f_mat @ Matrix(field, dc, dc,
+                                    comul[c * block:(c + 1) * block])).data)
+    gf = g_mat @ Matrix(field, dc, da * dc, rows)
+    return algebra.mul @ Matrix(field, da * da, dc, gf.data)
 
 
 def convolution_unit(algebra, coalgebra):

@@ -32,7 +32,9 @@ once.  Factorization(A) picks r = rank(A) independent rows of A and reduces
 solution of A X = B is X[pivot_k] = (t B_rows)[k], zero elsewhere, and it
 exists iff that X solves A X = B.  The RREF solution is the one solution
 supported on the pivot columns, so this is exactly what Matrix.solve
-returns column by column, and Matrix.solve stays the oracle.  Picking rows
+returns column by column, and Matrix.solve stays the oracle.  Right-hand
+sides are best passed as one block B: solve_columns solves all columns
+with two products and says which of them are consistent.  Picking rows
 first keeps the reduction at r rows for the tall stacked-constraint
 operators the package solves against.  A factorization is held by the
 object that solves against A (a context, an algebra, a hom-space), never
@@ -366,20 +368,30 @@ class Factorization:
         red, self.pivots = top._reduce_with_identity()
         self.t = Matrix(f, r, r, [x for i in range(r) for x in red.row(i)[m:]])
 
-    def solve_matrix(self, rhs):
-        """X with A X = rhs, zero off the pivot columns; raises NoSolution."""
+    def solve_columns(self, rhs):
+        """(X, ok): column j of X solves A x = rhs[:, j] when ok[j] is True;
+        X is zero off the pivot columns."""
         a = self.a
         if rhs.rows != a.rows:
             raise ValueError("rhs rows mismatch")
-        k = rhs.cols
-        picked = Matrix(a.field, len(self.rows), k,
+        f, k = a.field, rhs.cols
+        picked = Matrix(f, len(self.rows), k,
                         [x for i in self.rows for x in rhs.row(i)])
         y = (self.t @ picked).data
-        data = [a.field.zero] * (a.cols * k)
+        data = [f.zero] * (a.cols * k)
         for r, pc in enumerate(self.pivots):
             data[pc * k:(pc + 1) * k] = y[r * k:(r + 1) * k]
-        x = Matrix(a.field, a.cols, k, data)
-        if not (a @ x - rhs).is_zero():
+        x = Matrix(f, a.cols, k, data)
+        defect = (a @ x - rhs).data
+        zero = f.zero
+        ok = [all(defect[i] == zero for i in range(j, len(defect), k))
+              for j in range(k)]
+        return x, ok
+
+    def solve_matrix(self, rhs):
+        """X with A X = rhs, zero off the pivot columns; raises NoSolution."""
+        x, ok = self.solve_columns(rhs)
+        if not all(ok):
             raise NoSolution()
         return x
 

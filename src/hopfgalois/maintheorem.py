@@ -60,7 +60,6 @@ class TheoremContext:
                            for k in range(self.b.dim)]
         self.x2_coaction = self.induced.module.coaction
         self._dm_cache = {}
-        self._dm_coords = {}        # (i, j) -> Factorization of the basis
 
     # -- evaluation helpers ------------------------------------------------
 
@@ -68,8 +67,9 @@ class TheoremContext:
         """Endomorphism matrix of (element of Hom(H,E)) evaluated at h."""
         return self.e.to_matrix(hom_mat.apply(h_vec))
 
-    def eta_inv(self, vec):
-        return self._eta.solve(vec)
+    def eta_inv(self, mat):
+        """X with eta X = mat, for all columns of mat at once."""
+        return self._eta.solve_matrix(mat)
 
     def object_data(self, i):
         if i == 1:
@@ -101,12 +101,14 @@ class TheoremContext:
                 return False
         return (y_co @ mat - mat.kron(self.idh) @ x_co).is_zero()
 
-    def dm_coords(self, mat, i, j):
-        if (i, j) not in self._dm_coords:
-            self._dm_coords[(i, j)] = Factorization(Matrix.from_cols(
-                self.field, [b.data for b in self.dm_hom_space(i, j)],
-                nrows=mat.rows * mat.cols))
-        return self._dm_coords[(i, j)].solve(mat.data)
+    def dm_coords(self, mats, i, j):
+        """Coordinates of the arrows mats in dm_hom_space(i, j), one column
+        each, from one solve; raises NoSolution."""
+        f, n = self.field, self.object_data(i)[0] * self.object_data(j)[0]
+        basis = Matrix.from_cols(f, [b.data for b in self.dm_hom_space(i, j)],
+                                 nrows=n)
+        return basis.solve_matrix(
+            Matrix.from_cols(f, [m.data for m in mats], nrows=n))
 
 
 # -- Lemma 3.2 -------------------------------------------------------------
@@ -137,28 +139,24 @@ def delta2_bar(ctx, theta):
 
 def beta11_tilde(ctx, v_prime_mat):
     f, dm, dh = ctx.field, ctx.m.dim, ctx.ca.hopf.dim
-    cols = []
-    for mi in range(dm):
-        em = ctx.eta.col(mi)                        # class of m (x) 1
-        for hj in range(dh):
-            w = ctx.ev(v_prime_mat, basis_vec(f, dh, hj)).apply(em)
-            cols.append(ctx.eta_inv(w))
-    return Matrix.from_cols(f, cols, nrows=dm)
+    evs = [ctx.ev(v_prime_mat, basis_vec(f, dh, hj)) for hj in range(dh)]
+    cols = [ev.apply(ctx.eta.col(mi))               # class of m (x) 1
+            for mi in range(dm) for ev in evs]
+    return ctx.eta_inv(Matrix.from_cols(f, cols, nrows=ctx.quot.dim))
 
 
 def beta11_hat(ctx, theta_small):
     """Inverse direction: Hom_B(M (x) H, M) -> Hom(H, F) (coords in E)."""
     f, dm, dh, da = ctx.field, ctx.m.dim, ctx.ca.hopf.dim, ctx.ca.algebra.dim
     ida = Matrix.identity(f, da)
-    cols = []
+    endos = []
     for hj in range(dh):
         th_h = Matrix.from_cols(
             f, [theta_small.apply(kron_vec(f, basis_vec(f, dm, mi),
                                            basis_vec(f, dh, hj)))
                 for mi in range(dm)], nrows=dm)
-        endo = ctx.quot.projection @ th_h.kron(ida) @ ctx.quot.section
-        cols.append(ctx.e.to_coords(endo))
-    return Matrix.from_cols(f, cols, nrows=ctx.e.dim)
+        endos.append(ctx.quot.projection @ th_h.kron(ida) @ ctx.quot.section)
+    return ctx.e.coords_matrix(endos)
 
 
 def beta11(ctx, v_prime_mat):
@@ -170,17 +168,14 @@ def beta11(ctx, v_prime_mat):
 
 def beta21(ctx, t_prime_mat):
     f, dm, dh = ctx.field, ctx.m.dim, ctx.ca.hopf.dim
-    cols = []
-    for mi in range(dm):
-        em = ctx.eta.col(mi)
-        for hj in range(dh):
-            cols.append(ctx.ev(t_prime_mat, basis_vec(f, dh, hj)).apply(em))
+    evs = [ctx.ev(t_prime_mat, basis_vec(f, dh, hj)) for hj in range(dh)]
+    cols = [ev.apply(ctx.eta.col(mi)) for mi in range(dm) for ev in evs]
     return Matrix.from_cols(f, cols, nrows=ctx.quot.dim)
 
 
 def beta21_bar(ctx, psi):
     f, dm, dh, da = ctx.field, ctx.m.dim, ctx.ca.hopf.dim, ctx.ca.algebra.dim
-    cols = []
+    endos = []
     for hj in range(dh):
         amb_cols = []
         for mi in range(dm):
@@ -189,8 +184,8 @@ def beta21_bar(ctx, psi):
             for aj in range(da):
                 amb_cols.append(ctx.induced.module.actions[aj].apply(base))
         amb = Matrix.from_cols(f, amb_cols, nrows=ctx.quot.dim)
-        cols.append(ctx.e.to_coords(amb @ ctx.quot.section))
-    return Matrix.from_cols(f, cols, nrows=ctx.e.dim)
+        endos.append(amb @ ctx.quot.section)
+    return ctx.e.coords_matrix(endos)
 
 
 # -- Lemma 3.6 / Corollary 3.7 ---------------------------------------------
@@ -198,6 +193,7 @@ def beta21_bar(ctx, psi):
 
 def beta12_tilde(ctx, u_prime_mat):
     f, dm, dh, da = ctx.field, ctx.m.dim, ctx.ca.hopf.dim, ctx.ca.algebra.dim
+    evs = [ctx.ev(u_prime_mat, basis_vec(f, dh, h)) for h in range(dh)]
     amb_cols = []
     for mi in range(dm):
         for aj in range(da):
@@ -206,17 +202,18 @@ def beta12_tilde(ctx, u_prime_mat):
             for (a0, h), c in tensor_entries(f, rho_a, (da, dh)):
                 p = ctx.quot.project(kron_vec(f, basis_vec(f, dm, mi),
                                               basis_vec(f, da, a0)))
-                w = ctx.ev(u_prime_mat, basis_vec(f, dh, h)).apply(p)
+                w = evs[h].apply(p)
                 acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, w)]
-            # only the full sum is coinvariant; invert eta after summing
-            amb_cols.append(ctx.eta_inv(acc))
-    return Matrix.from_cols(f, amb_cols, nrows=dm) @ ctx.quot.section
+            amb_cols.append(acc)
+    # only the full sums are coinvariant; invert eta after summing
+    amb = Matrix.from_cols(f, amb_cols, nrows=ctx.quot.dim)
+    return ctx.eta_inv(amb) @ ctx.quot.section
 
 
 def alpha12_hat(ctx, phi):
     """Eq. (AA): (alpha^_12(phi)(h))(m (x) a) = Sum phi(m (x) l_i(h)) (x) r_i(h) a."""
     f, dm, dh, da = ctx.field, ctx.m.dim, ctx.ca.hopf.dim, ctx.ca.algebra.dim
-    cols = []
+    endos = []
     for hj in range(dh):
         rep = ctx.tmap.rep(basis_vec(f, dh, hj))
         amb_cols = []
@@ -232,8 +229,8 @@ def alpha12_hat(ctx, phi):
                     acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, term)]
                 amb_cols.append(acc)
         amb = Matrix.from_cols(f, amb_cols, nrows=ctx.quot.dim)
-        cols.append(ctx.e.to_coords(amb @ ctx.quot.section))
-    return Matrix.from_cols(f, cols, nrows=ctx.e.dim)
+        endos.append(amb @ ctx.quot.section)
+    return ctx.e.coords_matrix(endos)
 
 
 def beta12(ctx, u_prime_mat):
@@ -259,7 +256,7 @@ def beta22(ctx, w_prime_mat):
 
 def alpha22_bar(ctx, kappa):
     f, dm, dh, da = ctx.field, ctx.m.dim, ctx.ca.hopf.dim, ctx.ca.algebra.dim
-    cols = []
+    endos = []
     for hj in range(dh):
         rep = ctx.tmap.rep(basis_vec(f, dh, hj))
         amb_cols = []
@@ -275,8 +272,8 @@ def alpha22_bar(ctx, kappa):
                     acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, term)]
                 amb_cols.append(acc)
         amb = Matrix.from_cols(f, amb_cols, nrows=ctx.quot.dim)
-        cols.append(ctx.e.to_coords(amb @ ctx.quot.section))
-    return Matrix.from_cols(f, cols, nrows=ctx.e.dim)
+        endos.append(amb @ ctx.quot.section)
+    return ctx.e.coords_matrix(endos)
 
 
 # -- the alpha functor ------------------------------------------------------
@@ -340,12 +337,14 @@ class LinearAlpha:
         self.c_spaces = c_spaces
         self.images = {}
         self._coords = {}
+        self._rows = {}             # cls -> one row vec(alpha(b_k)) per k
 
     def keep(self, cls, images):
-        e_ca = self.ctx.e.ca
+        f, e_ca = self.ctx.field, self.ctx.e.ca
         self.images[cls] = images
         self._coords[cls] = Factorization(self.c_spaces[cls].coordinate_matrix(
-            self.ctx.field, e_ca.algebra.dim, e_ca.hopf.dim))
+            f, e_ca.algebra.dim, e_ca.hopf.dim))
+        self._rows[cls] = Matrix.from_rows(f, [img.data for img in images])
 
     def at(self, cls, n):
         """alpha of the n-th C(cls) basis element."""
@@ -353,16 +352,28 @@ class LinearAlpha:
             return self.images[cls][n]
         return alpha(self.ctx, cls, self.c_spaces[cls].elements[n].matrix)
 
-    def __call__(self, cls, mat):
-        """alpha(ctx, cls, mat) = Sum_k c_k alpha(b_k) for mat = Sum_k c_k b_k;
-        raises MembershipViolation when mat is not in C(cls)."""
+    def many(self, cls, mats):
+        """[alpha(ctx, cls, mat) for mat in mats], None for each mat not in
+        C(cls), from one coordinate solve: for mat = Sum_k c_k b_k,
+        alpha(mat) = Sum_k c_k alpha(b_k).  None when cls is not kept."""
         if not self.images.get(cls):
+            return None
+        f, first = self.ctx.field, self.images[cls][0]
+        coords, ok = self._coords[cls].solve_columns(Matrix.from_cols(
+            f, [m.data for m in mats], nrows=self._coords[cls].a.rows))
+        out = coords.transpose() @ self._rows[cls]
+        return [Matrix(f, first.rows, first.cols, out.row(n)) if ok[n]
+                else None for n in range(len(mats))]
+
+    def __call__(self, cls, mat):
+        """alpha(ctx, cls, mat); raises MembershipViolation when mat is not
+        in a kept C(cls)."""
+        imgs = self.many(cls, [mat])
+        if imgs is None:
             return alpha(self.ctx, cls, mat)
-        try:
-            coords = self._coords[cls].solve(mat.data)
-        except NoSolution as exc:
-            raise MembershipViolation(f"not in C{cls}") from exc
-        return lin_comb(self.images[cls], coords)
+        if imgs[0] is None:
+            raise MembershipViolation(f"not in C{cls}")
+        return imgs[0]
 
 
 # -- full verification ------------------------------------------------------
@@ -395,14 +406,11 @@ def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
     # once per basis element and kept for the checks below
     lin = LinearAlpha(ctx, c_spaces)
     for cls in convcat.CLASSES:
-        i, j = cls
-        imgs, cols = [], []
+        imgs = []
         for el in c_spaces[cls].elements:
             try:
                 img = alpha(ctx, cls, el.matrix)
-                member = ctx.dm_membership(img, i, j)
-                if member:
-                    cols.append(ctx.dm_coords(img, i, j))
+                member = ctx.dm_membership(img, *cls)
             except NoSolution:
                 member = False
             if not member:
@@ -410,8 +418,12 @@ def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
                 break
             imgs.append(img)
         else:
+            try:
+                mat = ctx.dm_coords(imgs, *cls)
+            except NoSolution:
+                report.fail("alpha-membership", cls)
+                continue
             lin.keep(cls, imgs)
-            mat = Matrix.from_cols(ctx.field, cols, nrows=len(d_spaces[cls]))
             if not (mat.rows == mat.cols and mat.is_invertible()):
                 report.fail("alpha-bijective", cls)
 
@@ -452,14 +464,18 @@ def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
                          for gi in range(len(gs))]
                 if max(len(fs), len(gs)) > pair_cap and len(pairs) > sample:
                     pairs = rng.sample(pairs, sample)
-                for fi, gi in pairs:
-                    f_el, g_el = fs[fi], gs[gi]
+                # alpha(g * f) of all pairs from one solve when C(i, k) is
+                # kept; None marks a g * f outside C(i, k)
+                comps = [convcat.convolve_matrices(e_ca, gs[gi].matrix,
+                                                   fs[fi].matrix, "C")
+                         for fi, gi in pairs]
+                lhs_all = lin.many((i, k), comps)
+                for n, (fi, gi) in enumerate(pairs):
                     try:
-                        comp = convcat.convolve_matrices(e_ca, g_el.matrix,
-                                                         f_el.matrix, "C")
-                        lhs = lin((i, k), comp)
-                        rhs = lin.at((j, k), gi) @ lin.at((i, j), fi)
-                        equal = lhs == rhs
+                        lhs = (lin((i, k), comps[n]) if lhs_all is None
+                               else lhs_all[n])
+                        equal = lhs is not None and lhs == (
+                            lin.at((j, k), gi) @ lin.at((i, j), fi))
                     except (NoSolution, MembershipViolation,
                             convcat.MembershipViolation):
                         equal = False

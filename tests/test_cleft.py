@@ -113,6 +113,26 @@ def test_structure_theorem_all_legs_fail_on_non_cleft(kxk_f3):
     assert report.all_failed
 
 
+def test_structure_theorem_sampled_miss_is_inconclusive(kxk_q):
+    # over Q find_cleft only samples, so its miss proves nothing
+    report = cleft.structure_theorem_check(kxk_q)
+    miss = report.inconclusive["1->2"]
+    assert isinstance(miss, cleft.NotFound) and not miss.exhaustive
+    assert repr(miss).startswith("NotFound(sampled, ")
+    assert report.legs["1->2"].passed
+    assert not report.passed
+
+
+def test_structure_theorem_inconclusive_leg_blocks_pass(m2_f3, monkeypatch):
+    # legs (1) and (2) undecided, leg (3) proven: not passed, nothing failed
+    miss = cleft.NotFound(False, 503, 2)
+    monkeypatch.setattr(cleft, "find_cleft", lambda *args, **kw: miss)
+    report = cleft.structure_theorem_check(m2_f3)
+    assert report.inconclusive == {"1->2": miss, "2->3": miss}
+    assert all(leg.passed for leg in report.legs.values())
+    assert not report.passed
+
+
 def test_remark_53_closed_formulas(cp_minus1, cp2, cp4):
     # t(h) = 1#h entrywise and u given by the sigma-bar formula, certified by
     # t*u = u*t = eta o eps

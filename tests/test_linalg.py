@@ -84,6 +84,26 @@ def test_factorization_matches_solve(system):
             assert a.solve_matrix(b) == fac.solve_matrix(b)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_systems(), st.lists(st.booleans(), min_size=3, max_size=3))
+def test_solve_columns_flags_each_column(system, pick):
+    """Mixed consistent and arbitrary columns in one block: each consistent
+    column is Matrix.solve's solution, each inconsistent one is flagged."""
+    a, (good, anything) = system
+    b = Matrix.from_cols(a.field, [good.col(j) if pick[j] else
+                                   anything.col(j) for j in range(good.cols)],
+                         nrows=a.rows)
+    x, ok = Factorization(a).solve_columns(b)
+    assert (x.rows, x.cols, len(ok)) == (a.cols, b.cols, b.cols)
+    for j in range(b.cols):
+        want = _solution_or_none(a.solve, b.col(j))
+        assert ok[j] == (want is not None)
+        if ok[j]:
+            assert x.col(j) == want
+        if pick[j]:
+            assert ok[j]
+
+
 def test_factorization_inconsistent_and_empty():
     a = Matrix(F7, 3, 1, [1, 2, 3])
     fac = Factorization(a)

@@ -1,6 +1,10 @@
+import itertools
+import random
+
 import pytest
 
 from hopfgalois import convcat, maintheorem
+from hopfgalois.linalg import Factorization, Matrix, NoSolution, lin_comb
 
 from conftest import module_b, module_k
 
@@ -91,6 +95,9 @@ class _DirectAlpha(maintheorem.LinearAlpha):
     def __call__(self, cls, mat):
         return maintheorem.alpha(self.ctx, cls, mat)
 
+    def many(self, cls, mats):
+        return None
+
 
 @pytest.mark.parametrize("name", ["h4_q", "h4_f5"])
 def test_corrupt_gamma_failures_match_direct(name, request, monkeypatch):
@@ -102,3 +109,137 @@ def test_corrupt_gamma_failures_match_direct(name, request, monkeypatch):
                                           corrupt_gamma=True)
     assert linear.failures == direct.failures
     assert dict(linear.failures)["12b"] is not None
+
+
+# -- the blocked pattern loop against the per-pair loop -----------------------
+
+
+def per_pair_patterns(lin, pair_cap=8, sample=64, seed=0):
+    """The eight composition patterns checked one pair at a time, with
+    alpha(g * f) from its own coordinate solve: the loop verify_theorem31
+    ran before its right-hand sides were solved in blocks."""
+    ctx, spaces = lin.ctx, lin.c_spaces
+    e_ca = ctx.e.ca
+
+    def lhs_of(cls, mat):
+        if not lin.images.get(cls):
+            return maintheorem.alpha(ctx, cls, mat)
+        coords = Factorization(spaces[cls].coordinate_matrix(
+            ctx.field, e_ca.algebra.dim, e_ca.hopf.dim)).solve(mat.data)
+        return lin_comb(lin.images[cls], coords)
+
+    failures = []
+    rng = random.Random(seed)
+    for i, j in itertools.product((1, 2), repeat=2):
+        for k in (1, 2):
+            fs, gs = spaces[(i, j)].elements, spaces[(j, k)].elements
+            pairs = [(fi, gi) for fi in range(len(fs))
+                     for gi in range(len(gs))]
+            if max(len(fs), len(gs)) > pair_cap and len(pairs) > sample:
+                pairs = rng.sample(pairs, sample)
+            for fi, gi in pairs:
+                try:
+                    comp = convcat.convolve_matrices(e_ca, gs[gi].matrix,
+                                                     fs[fi].matrix, "C")
+                    lhs = lhs_of((i, k), comp)
+                    equal = lhs == lin.at((j, k), gi) @ lin.at((i, j), fi)
+                except NoSolution:
+                    equal = False
+                if not equal:
+                    failures.append((maintheorem.PATTERN_LABELS[(i, j, k)],
+                                     (i, j, k, fi, gi)))
+                    break
+            else:
+                continue
+            break           # a failure also skips the (i, j, 2) pattern
+    return failures
+
+
+def run_recorded(ca, m, monkeypatch, base=maintheorem.LinearAlpha, **kw):
+    """verify_theorem31 with the LinearAlpha it built, made from base."""
+    made = []
+
+    class Recorded(base):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(maintheorem, "LinearAlpha", Recorded)
+    report = maintheorem.verify_theorem31(ca, m, **kw)
+    return report, made[0]
+
+
+def pattern_failures(report):
+    labels = set(maintheorem.PATTERN_LABELS.values())
+    return [fail for fail in report.failures if fail[0] in labels]
+
+
+@pytest.mark.parametrize("name", ["kc2_q", "kc2_f3", "m2_q", "m2_f3",
+                                  "h4_q", "h4_f5"])
+@pytest.mark.parametrize("module", [module_b, module_k])
+def test_blocked_patterns_match_per_pair(name, module, request, monkeypatch):
+    ca = request.getfixturevalue(name)
+    report, lin = run_recorded(ca, module(ca), monkeypatch)
+    assert report.passed, report.failures
+    assert per_pair_patterns(lin) == []
+
+
+@pytest.mark.parametrize("name", ["m2_f3", "h4_q"])
+def test_many_marks_non_members(name, request, monkeypatch):
+    # one block of basis elements and maps outside C(cls): the former get
+    # their kept images, the latter None, as lin(cls, mat) raises for them
+    ca = request.getfixturevalue(name)
+    _, lin = run_recorded(ca, module_b(ca), monkeypatch)
+    field, e_ca = ca.field, lin.ctx.e.ca
+    rng = random.Random(4)
+    outside = 0
+    for cls, space in lin.c_spaces.items():
+        others = [Matrix(field, e_ca.algebra.dim, e_ca.hopf.dim,
+                         [field.from_int(rng.randint(-2, 2))
+                          for _ in range(e_ca.algebra.dim * e_ca.hopf.dim)])
+                  for _ in range(3)]
+        mats = [el.matrix for el in space.elements] + others
+        got = lin.many(cls, mats)
+        assert got[:space.dim] == lin.images[cls]
+        for mat, img in zip(others, got[space.dim:]):
+            if convcat.membership(e_ca, mat, cls, "C"):
+                assert img == maintheorem.alpha(lin.ctx, cls, mat)
+            else:
+                assert img is None
+                outside += 1
+                with pytest.raises(maintheorem.MembershipViolation):
+                    lin(cls, mat)
+    assert outside > 0
+
+
+@pytest.mark.parametrize("name", ["h4_q", "h4_f5"])
+def test_blocked_patterns_corrupt_gamma(name, request, monkeypatch):
+    ca = request.getfixturevalue(name)
+    report, lin = run_recorded(ca, module_b(ca), monkeypatch,
+                               corrupt_gamma=True)
+    found = pattern_failures(report)
+    assert found == per_pair_patterns(lin)
+    assert dict(found)["12b"] is not None
+
+
+class _CorruptOneImage(maintheorem.LinearAlpha):
+    """Keeps a wrong alpha for the last C(1, 2) basis element."""
+
+    def keep(self, cls, images):
+        if cls == (1, 2):
+            bad = images[-1]
+            data = list(bad.data)
+            data[0] = self.ctx.field.add(data[0], self.ctx.field.one)
+            images = images[:-1] + [type(bad)(bad.field, bad.rows, bad.cols,
+                                              data)]
+        super().keep(cls, images)
+
+
+@pytest.mark.parametrize("name", ["m2_q", "m2_f3", "h4_q", "h4_f5"])
+def test_blocked_patterns_corrupt_image(name, request, monkeypatch):
+    ca = request.getfixturevalue(name)
+    report, lin = run_recorded(ca, module_b(ca), monkeypatch,
+                               base=_CorruptOneImage)
+    found = pattern_failures(report)
+    assert found, report.failures
+    assert found == per_pair_patterns(lin)

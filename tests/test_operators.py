@@ -14,8 +14,9 @@ import pytest
 from hopfgalois import cleft, convcat, maintheorem
 from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
-                                 graded_m2, regular_comodule, sweedler_h4)
-from hopfgalois.hopf import convolution_operator
+                                 graded_m2, group_algebra, regular_comodule,
+                                 sweedler_h4)
+from hopfgalois.hopf import convolution_operator, convolve
 from hopfgalois.lifting import ActionCandidate, _b_linear_space
 from hopfgalois.linalg import (Matrix, basis_vec, gather_legs,
                                intertwiner_operator, kron_vec, scatter_legs,
@@ -221,6 +222,34 @@ def test_convolution_operator(name):
         ca.field, b.dim, dh,
         lambda x: (b.algebra.mul @ v.kron(x) @ ca.hopf.coalgebra.comul).data)
     assert convolution_operator(b.algebra, ca.hopf.coalgebra, v) == oracle
+
+
+def convolution_cases(field):
+    """(A, C) pairs: H over itself, over H^cop and over H (x) H, for kC_3,
+    H4 and (kC_3)^*, and the graded M_2 over kC_2 (dim A != dim C)."""
+    for h in (group_algebra(field, cyclic_cayley(3)), sweedler_h4(field),
+              dual_group_algebra(field, cyclic_cayley(3))):
+        yield h.algebra, h.coalgebra
+        yield h.algebra, convcat.variant_coalgebra(regular_comodule(h),
+                                                   "Cprime")
+        yield h.algebra, cleft._hh_coalgebra(h)
+    m2 = graded_m2(field)
+    yield m2.algebra, m2.hopf.coalgebra
+
+
+@pytest.mark.parametrize("field", [QQ, F7])
+def test_convolve_matches_dense_kron(field):
+    """hopf.convolve against mul @ ((g (x) f) @ Delta) with g (x) f dense."""
+    rng = random.Random(3)
+    cases = 0
+    for alg, co in convolution_cases(field):
+        for _ in range(3):
+            g = random_matrix(field, alg.dim, co.dim, rng)
+            f = random_matrix(field, alg.dim, co.dim, rng)
+            assert convolve(alg, co, g, f) == alg.mul @ (g.kron(f)
+                                                         @ co.comul)
+            cases += 1
+    assert cases == 30
 
 
 @pytest.mark.parametrize("field", [QQ, F7])
