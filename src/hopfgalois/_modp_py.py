@@ -41,16 +41,17 @@ def rref_modp(data, rows, cols, p):
 
 
 def matmul_modp(a, ar, ac, b, br, bc, p):
-    """Flat row-major product of an ar x ac and an ac x bc matrix mod p."""
+    """Flat row-major ar x ac times ac x bc product mod p, reduced once."""
     out = [0] * (ar * bc)
+    cols = range(bc)
     for i in range(ar):
-        arow = a[i * ac:(i + 1) * ac]
-        orow = out
-        base = i * bc
-        for k in range(ac):
-            aik = arow[k]
+        base, boff, touched = i * bc, -bc, False
+        for aik in a[i * ac:(i + 1) * ac]:
+            boff += bc
             if aik:
-                boff = k * bc
-                for j in range(bc):
-                    orow[base + j] = (orow[base + j] + aik * b[boff + j]) % p
+                touched = True
+                for j in cols:
+                    out[base + j] += aik * b[boff + j]
+        if touched:  # one row of unreduced entries at a time
+            out[base:base + bc] = [x % p for x in out[base:base + bc]]
     return out

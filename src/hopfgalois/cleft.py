@@ -14,10 +14,10 @@ from .comodule import ComoduleAlgebraData, InternalInvariant
 from .galois import canonical_map, translation_map
 from .hopf import (CoalgebraData, OneSidedInverse, StructureConstantAlgebra,
                    ValidationReport, comul_iterated, convolution_inverse,
-                   convolution_unit, convolve)
-from .linalg import (Matrix, NotInvertible, basis_vec, gather_legs,
-                     intertwiners, kron_vec, lin_comb, scatter_legs,
-                     tensor_entries, vec_add, vec_scale)
+                   convolution_operator, convolution_unit, convolve)
+from .linalg import (Matrix, NotInvertible, OperatorSpan, basis_vec,
+                     gather_legs, intertwiners, kron_vec, lin_comb,
+                     scatter_legs, tensor_entries, vec_add, vec_scale)
 from .search import EXHAUSTIVE_CAP, NotFound
 
 
@@ -64,14 +64,11 @@ def _normalize(ca, t_mat, u_mat):
     return CleftingDatum(t_el, u_el, normalized=True)
 
 
-def _attempt(ca, mats, coeffs):
+def _attempt(ca, span, mats, coeffs):
+    if span.full_rank_at(coeffs) is None:
+        return None
     t_mat = lin_comb(mats, coeffs)
-    if t_mat.is_zero():
-        return None
-    try:
-        u_mat = convcat.convolution_inverse_matrix(ca, t_mat, "C")
-    except NotInvertible:
-        return None
+    u_mat = convcat.convolution_inverse_matrix(ca, t_mat, "C")
     return _normalize(ca, t_mat, u_mat)
 
 
@@ -86,8 +83,10 @@ def find_cleft(ca, seed=0, tries=500, enumerate_cap=EXHAUSTIVE_CAP):
     mats = [el.matrix for el in hs.elements]
     if not mats:
         return NotFound(True, 0, 0, "Hom^H(H,A) = 0")
+    span = OperatorSpan([convolution_operator(ca.algebra, ca.hopf.coalgebra,
+                                              m) for m in mats])
     return search.first(ca.field, len(mats),
-                        lambda coeffs: _attempt(ca, mats, coeffs),
+                        lambda coeffs: _attempt(ca, span, mats, coeffs),
                         seed, tries, enumerate_cap)
 
 
@@ -529,7 +528,7 @@ def _check_bh_iso(ca, b, psi, leg):
     f = ca.field
     db, dh = b.dim, ca.hopf.dim
     idh = Matrix.identity(f, dh)
-    if not (psi.rows == psi.cols and psi.is_invertible()):
+    if not psi.is_invertible():
         leg.fail("psi-not-bijective")
         return
     for i in range(db):
@@ -557,12 +556,8 @@ def _find_bh_iso(ca, b, seed, tries):
     mats = intertwiners(f, da, da, x_acts, a_acts, (x_co, ca.coaction))
     if not mats:
         return NotFound(True, 0, 0, "no B-linear colinear map")
-
-    def invertible_at(coeffs):
-        psi = lin_comb(mats, coeffs)
-        return psi if psi.is_invertible() else None
-
-    return search.first(f, len(mats), invertible_at, seed, tries)
+    return search.first(f, len(mats), OperatorSpan(mats).full_rank_at, seed,
+                        tries)
 
 
 def structure_theorem_check(ca, seed=0, tries=500):

@@ -10,10 +10,11 @@ from functools import cached_property
 
 from . import cleft, convcat, search
 from .comodule import InternalInvariant
-from .hopf import (ValidationReport, convolution_inverse, convolution_unit,
-                   convolve, is_cocommutative)
-from .linalg import (Matrix, NotInvertible, basis_vec, kron_vec, lin_comb,
-                     tensor_entries, vec_add, vec_scale)
+from .hopf import (ValidationReport, convolution_inverse,
+                   convolution_operator, convolution_unit, convolve,
+                   is_cocommutative)
+from .linalg import (Matrix, NotInvertible, OperatorSpan, basis_vec,
+                     kron_vec, lin_comb, tensor_entries, vec_add, vec_scale)
 from .search import EXHAUSTIVE_CAP, NotFound, SearchInconclusive
 
 
@@ -47,6 +48,16 @@ class HModuleAlgebraAction:
         dl = [list(tensor_entries(f, hopf.coalgebra.comul.apply(x), (dh, dh)))
               for x in eh]
         return eh, hk, dl
+
+    @cached_property
+    def conv_span(self):
+        """OperatorSpan of L(E_i), E_i the row-major matrix units of
+        Hom(H, B): convolution by v is its combination at v.data."""
+        f, db, dh = self.field, self.base.dim, self.hopf.dim
+        return OperatorSpan([convolution_operator(
+            self.base, self.hopf.coalgebra,
+            Matrix(f, db, dh, basis_vec(f, db * dh, i)))
+            for i in range(db * dh)])
 
     def validate(self):
         f = self.field
@@ -130,15 +141,14 @@ def lemma55_check(ca, datum1, datum2):
 
 
 def z1_membership(act, v_mat):
-    """Normalized cocycle: v(1)=1, v(hk)=(h1.v(k))v(h2), conv invertible."""
+    """Normalized cocycle: v(1)=1, v(hk)=(h1.v(k))v(h2), conv invertible,
+    the last by rank of act.conv_span at v.data (no inverse is formed)."""
     f = act.field
     base, hopf = act.base, act.hopf
     db, dh = base.dim, hopf.dim
     if v_mat.apply(hopf.algebra.unit) != base.unit:
         return False
-    try:
-        convolution_inverse(base, hopf.coalgebra, v_mat)
-    except NotInvertible:
+    if act.conv_span.full_rank_at(v_mat.data) is None:
         return False
     eh, hk, dl = act.h_tables
     for h in range(dh):
@@ -171,12 +181,14 @@ def _invertible_in_span(base, kernel_vecs, seed=0, tries=200):
     f = base.field
     if not kernel_vecs:
         return NotFound(True, 0, 0)
+    span = OperatorSpan([base.lmul(v) for v in kernel_vecs])
 
     def invertible_at(coeffs):
-        b = [f.zero] * base.dim
-        for v, c in zip(kernel_vecs, coeffs):
-            b = vec_add(f, b, vec_scale(f, c, v))
-        return b if base.element_inverse(b) is not None else None
+        op = span.full_rank_at(coeffs)
+        b = None if op is None else op.apply(base.unit)
+        if b is not None and base.element_inverse(b) is None:
+            raise InternalInvariant("lmul(b) has full rank but b has no inverse")
+        return b
 
     return search.first(f, len(kernel_vecs), invertible_at, seed, tries)
 
@@ -236,10 +248,8 @@ def z1_enumerate(act, enumerate_cap=EXHAUSTIVE_CAP):
     if f.kind == "Fp":
         return search.every(f, n, cocycle_at, enumerate_cap)
     # over Q: v(1) = 1 is linear, the cocycle law quadratic; solve exactly
-    eh = [basis_vec(f, dh, i) for i in range(dh)]
+    eh, hk, dl = act.h_tables
     eb = [basis_vec(f, db, i) for i in range(db)]
-    dl = [list(tensor_entries(f, hopf.coalgebra.comul.apply(eh[i]), (dh, dh)))
-          for i in range(dh)]
 
     def equations(v, prod):
         yield from (x - u for x, u in zip(v(hopf.algebra.unit), base.unit))
@@ -253,8 +263,7 @@ def z1_enumerate(act, enumerate_cap=EXHAUSTIVE_CAP):
                              for r in range(db)]
                     term = prod(acted, v(eh[h2]))
                     rhs = [r0 + c * t for r0, t in zip(rhs, term)]
-                yield from (l - r for l, r in
-                            zip(v(hopf.algebra.product(eh[h], eh[k])), rhs))
+                yield from (l - r for l, r in zip(v(hk[h][k]), rhs))
 
     elementary = [Matrix(f, db, dh, basis_vec(f, n, i)) for i in range(n)]
     out = []

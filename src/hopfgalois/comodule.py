@@ -88,10 +88,11 @@ def comodule_coinvariant_basis(field, dim, coaction, hopf_unit):
 class SubalgebraEmbedding:
     """B -> A: inclusion matrix plus the induced algebra structure on B."""
 
-    def __init__(self, ambient, inclusion, algebra):
+    def __init__(self, ambient, inclusion, algebra, factored):
         self.ambient = ambient
         self.inclusion = inclusion
         self.algebra = algebra
+        self.factored = factored        # Factorization(inclusion)
 
     @property
     def dim(self):
@@ -103,7 +104,7 @@ class SubalgebraEmbedding:
     def from_ambient(self, v):
         """Coordinates in B of an ambient vector known to lie in B."""
         try:
-            return self.inclusion.solve(v)
+            return self.factored.solve(v)
         except NoSolution as exc:
             raise InternalInvariant("vector not in the subalgebra") from exc
 
@@ -112,17 +113,17 @@ def _coinvariant_subalgebra(ca):
     f = ca.field
     da = ca.algebra.dim
     incl = comodule_coinvariant_basis(f, da, ca.coaction, ca.hopf.algebra.unit)
-    db = incl.cols
-    unit_b = incl.solve(ca.algebra.unit)  # 1_A is always coinvariant
+    db, factored = incl.cols, Factorization(incl)
+    unit_b = factored.solve(ca.algebra.unit)  # 1_A is always coinvariant
     prods = [ca.algebra.product(incl.col(i), incl.col(j))
              for i in range(db) for j in range(db)]
     try:
-        mul = incl.solve_matrix(Matrix.from_cols(f, prods, nrows=da))
+        mul = factored.solve_matrix(Matrix.from_cols(f, prods, nrows=da))
     except NoSolution as exc:
         raise InternalInvariant("coinvariants not closed under product") from exc
     b_alg = StructureConstantAlgebra(f, db, mul, unit_b,
                                      [f"b{i}" for i in range(db)])
-    return SubalgebraEmbedding(ca.algebra, incl, b_alg)
+    return SubalgebraEmbedding(ca.algebra, incl, b_alg, factored)
 
 
 def coinvariants(ca):
@@ -347,7 +348,7 @@ def adjunction_unit(m, ca, induced=None):
         coords = coinv.solve_matrix(eta)
     except NoSolution as exc:
         raise InternalInvariant("eta does not land in the coinvariants") from exc
-    bijective = coords.rows == coords.cols and coords.is_invertible()
+    bijective = coords.is_invertible()
     return eta, coords, bijective
 
 
@@ -374,5 +375,5 @@ def adjunction_counit(n, ca):
             cols.append(n.actions[j].apply(coinv.col(i)))
     eps_amb = Matrix.from_cols(f, cols, nrows=n.dim)
     eps = eps_amb @ ind.quotient.section
-    bijective = eps.rows == eps.cols and eps.is_invertible()
+    bijective = eps.is_invertible()
     return eps, ind, bijective

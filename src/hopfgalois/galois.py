@@ -50,7 +50,7 @@ def canonical_map(ca, induced=None):
     """can(a (x)_B a') = a a'_[0] (x) a'_[1], in quotient coordinates."""
     ind = induced if induced is not None else _a_tensor_a(ca)
     mat = _can_ambient(ca) @ ind.quotient.section
-    galois = mat.rows == mat.cols and mat.is_invertible()
+    galois = mat.is_invertible()
     inverse = mat.invert() if galois else None
     return CanonicalMapData(mat, inverse, galois, ind)
 
@@ -59,7 +59,7 @@ def canonical_map_prime(ca, induced=None):
     """can'(a (x)_B a') = a_[0] a' (x) a_[1]."""
     ind = induced if induced is not None else _a_tensor_a(ca)
     mat = _can_prime_ambient(ca) @ ind.quotient.section
-    galois = mat.rows == mat.cols and mat.is_invertible()
+    galois = mat.is_invertible()
     inverse = mat.invert() if galois else None
     return CanonicalMapData(mat, inverse, galois, ind)
 

@@ -9,8 +9,8 @@ E-coordinates as in module maintheorem.
 
 from . import cleft, cohomology, convcat, maintheorem, search
 from .hopf import ValidationReport, is_cocommutative
-from .linalg import (Matrix, basis_vec, intertwiners, kron_vec, lin_comb,
-                     tensor_entries, vec_add, vec_scale)
+from .linalg import (Matrix, OperatorSpan, basis_vec, intertwiners,
+                     kron_vec, lin_comb, tensor_entries, vec_add, vec_scale)
 from .search import EXHAUSTIVE_CAP, NotFound, SearchInconclusive
 
 
@@ -220,12 +220,8 @@ def _invertible_in_matrix_span(field, mats, seed=0, tries=200,
     d = len(mats)
     if d == 0 or mats[0].rows != mats[0].cols:
         return NotFound(True, 0, d)
-
-    def invertible_at(coeffs):
-        m = lin_comb(mats, coeffs)
-        return m if m.is_invertible() else None
-
-    return search.first(field, d, invertible_at, seed, tries, enumerate_cap)
+    return search.first(field, d, OperatorSpan(mats).full_rank_at, seed,
+                        tries, enumerate_cap)
 
 
 def stability_check(ca, m, seed=0, tries=200, enumerate_cap=EXHAUSTIVE_CAP):
@@ -268,7 +264,7 @@ def stability_check(ca, m, seed=0, tries=200, enumerate_cap=EXHAUSTIVE_CAP):
         if not ctx.dm_membership(w, 1, 2):
             report.detail = "transported witness left Hom_B^H"
             report.stable = None
-        elif not (w.rows == w.cols and w.is_invertible()):
+        elif not w.is_invertible():
             report.detail = "transported witness is not invertible"
         else:
             report.witness = w

@@ -334,11 +334,7 @@ class Matrix:
         return Matrix(self.field, n, n, data)
 
     def is_invertible(self):
-        try:
-            self.invert()
-            return True
-        except NotInvertible:
-            return False
+        return self.rows == self.cols and self.rank() == self.rows
 
     def left_inverse(self):
         """L with L @ self = I; requires full column rank."""
@@ -423,6 +419,26 @@ def lin_comb(mats, coeffs):
     if f.kind == "Fp":
         out = [v % f.p for v in out]
     return Matrix(f, mats[0].rows, mats[0].cols, out)
+
+
+class OperatorSpan:
+    """Equal-shape operators kept as their nonzero entries, built once."""
+
+    def __init__(self, ops):
+        self.template, zero = ops[0], ops[0].field.zero
+        self.terms = [[(i, x) for i, x in enumerate(op.data) if x != zero]
+                      for op in ops]
+
+    def full_rank_at(self, coeffs):
+        """Sum_k coeffs[k] ops[k] (a sparse sum) if invertible, else None."""
+        f, like = self.template.field, self.template
+        out = [f.zero] * len(like.data)
+        for terms, c in zip(self.terms, coeffs):
+            for i, x in terms:
+                out[i] += c * x
+        op = Matrix(f, like.rows, like.cols,
+                    [v % f.p for v in out] if f.kind == "Fp" else out)
+        return op if op.is_invertible() else None
 
 
 def basis_vec(field, n, i):

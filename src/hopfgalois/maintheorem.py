@@ -424,7 +424,7 @@ def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
                 report.fail("alpha-membership", cls)
                 continue
             lin.keep(cls, imgs)
-            if not (mat.rows == mat.cols and mat.is_invertible()):
+            if not mat.is_invertible():
                 report.fail("alpha-bijective", cls)
 
     # alpha o gamma = beta on every C' basis element

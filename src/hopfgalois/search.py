@@ -6,6 +6,13 @@ order, so a miss is a proof.  Otherwise the d basis tuples and the all-ones
 tuple are tried, then `tries` draws from random.Random(seed); such a miss is
 NotFound(exhaustive=False) and may only ever be reported as inconclusive.
 Over Q the quadratic systems are solved exactly by `rational_points`.
+
+Linear once.  An invertibility search builds the operators L(m_k) of its
+basis once (convolution by m_k, lmul, or m_k) in a linalg.OperatorSpan, so c
+costs one sparse sum and one rank.  The rank test is a proof: L(f * g) =
+L(f) L(g), so f has a right inverse iff L(f) has full rank, and in finite
+dimension a right inverse is two-sided.  Hits are handled as before (cleft
+still inverts and normalizes one), so every witness is unchanged.
 """
 
 import itertools

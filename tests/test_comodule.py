@@ -1,8 +1,10 @@
-from hopfgalois.comodule import (adjunction_counit, adjunction_unit,
-                                 algebra_as_bmodule, regular_bmodule,
-                                 tensor_over_B)
+import pytest
+
+from hopfgalois.comodule import (InternalInvariant, adjunction_counit,
+                                 adjunction_unit, algebra_as_bmodule,
+                                 regular_bmodule, tensor_over_B)
 from hopfgalois.fields import QQ
-from hopfgalois.linalg import basis_vec
+from hopfgalois.linalg import NoSolution, basis_vec
 
 from conftest import module_b, module_k
 
@@ -60,3 +62,26 @@ def test_adjunction_unit_bijective_on_galois(m2_q):
     assert bij
     # M (x)_B A has dim 4 for M = B over graded M2
     assert eta.rows == 4 and eta.cols == 2
+
+
+def test_from_ambient_uses_one_factorization(m2_q, h4_q, kxk_q, m2_f3):
+    outside = 0
+    for ca in (m2_q, h4_q, kxk_q, m2_f3):
+        b, f = ca.coinvariants(), ca.field
+        da = ca.algebra.dim
+        for coords in ([f.from_int(i - 1) for i in range(b.dim)],
+                       [f.from_int(3)] + [f.zero] * (b.dim - 1)):
+            v = b.to_ambient(coords)
+            assert b.from_ambient(v) == b.inclusion.solve(v) == coords
+        # an ambient vector outside B still raises
+        for i in range(da):
+            e = basis_vec(f, da, i)
+            try:
+                want = b.inclusion.solve(e)
+            except NoSolution:
+                outside += 1
+                with pytest.raises(InternalInvariant):
+                    b.from_ambient(e)
+            else:
+                assert b.from_ambient(e) == want
+    assert outside > 0

@@ -178,3 +178,33 @@ def test_large_prime_uses_pure_kernels(monkeypatch):
     a = Matrix(f, 3, 3, [f.from_int(x) for x in
                          [2, -1, 7, 4294967310, 5, 3, 11, 0, 4294967000]])
     assert a @ a.invert() == Matrix.identity(f, 3)
+
+
+def old_matmul_modp(a, ar, ac, b, br, bc, p):
+    """The former kernel, reducing after every multiply-add."""
+    out = [0] * (ar * bc)
+    for i in range(ar):
+        arow = a[i * ac:(i + 1) * ac]
+        base = i * bc
+        for k in range(ac):
+            aik = arow[k]
+            if aik:
+                boff = k * bc
+                for j in range(bc):
+                    out[base + j] = (out[base + j] + aik * b[boff + j]) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [7, 2 ** 31 - 1, 2 ** 31 + 11, 4294967311])
+def test_matmul_modp_reduces_once_like_the_old_kernel(p):
+    import random
+    rng = random.Random(p)
+    for _ in range(150):
+        ar, ac, bc = (rng.randrange(6) for _ in range(3))
+        density = rng.random()
+        a = [rng.randrange(p) if rng.random() < density else 0
+             for _ in range(ar * ac)]
+        b = [rng.randrange(p) for _ in range(ac * bc)]
+        got = _modp_py.matmul_modp(a, ar, ac, b, ac, bc, p)
+        assert got == old_matmul_modp(a, ar, ac, b, ac, bc, p)
+        assert all(0 <= x < p for x in got)

@@ -3,12 +3,16 @@ import random
 
 import pytest
 
-from hopfgalois import cleft, cohomology, galois, lifting, maintheorem, search
+from hopfgalois import (cleft, cohomology, convcat, galois, lifting,
+                        maintheorem, search)
 from hopfgalois.fields import QQ, PrimeField
-from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
-                                 group_algebra, trivial_kxk)
-from hopfgalois.hopf import StructureConstantAlgebra, ValidationReport
-from hopfgalois.linalg import (Matrix, basis_vec, tensor_entries, vec_add,
+from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra, graded_m2,
+                                 group_algebra, regular_comodule, sweedler_h4,
+                                 trivial_coaction, trivial_kxk)
+from hopfgalois.hopf import (StructureConstantAlgebra, ValidationReport,
+                             convolution_inverse, convolution_operator)
+from hopfgalois.linalg import (Matrix, NotInvertible, OperatorSpan,
+                               basis_vec, lin_comb, tensor_entries, vec_add,
                                vec_scale)
 
 F3 = PrimeField(3)
@@ -201,3 +205,277 @@ def test_smash_check_honours_tries(h4_f5, kxk_f3):
     # a sampled miss is never "none"; the full enumeration proves it
     assert cleft.smash_check(kxk_f3, enumerate_cap=1).status == "inconclusive"
     assert cleft.smash_check(kxk_f3).status == "none"
+
+
+# -- linear once: the rank test against the per-candidate inverse ------------
+
+F5 = PrimeField(5)
+trivial_action = cohomology.trivial_action
+
+
+def conv_invertible(algebra, coalgebra, f_mat):
+    """The oracle: hopf.convolution_inverse succeeds."""
+    try:
+        convolution_inverse(algebra, coalgebra, f_mat)
+    except NotInvertible:
+        return False
+    return True
+
+
+def old_is_invertible(m):
+    """The former Matrix.is_invertible, through invert()."""
+    try:
+        m.invert()
+        return True
+    except NotInvertible:
+        return False
+
+
+def k4_trivial(field):
+    """k^4 with the trivial kC_2-coaction: Hom^H(H, A) is 4-dimensional
+    (t(g) = 0) and holds no convolution-invertible map."""
+    h = group_algebra(field, cyclic_cayley(2))
+    return trivial_coaction(h, dual_group_algebra(field, cyclic_cayley(4))
+                            .algebra)
+
+
+HOM_CASES = {
+    "kC2": lambda f: regular_comodule(group_algebra(f, cyclic_cayley(2))),
+    "kC3": lambda f: regular_comodule(group_algebra(f, cyclic_cayley(3))),
+    "H4": lambda f: regular_comodule(sweedler_h4(f)),
+    "M2": graded_m2,
+    "k4": k4_trivial,
+}
+
+
+def candidates(field, d, seed, count=60):
+    """Every tuple of F_p^d, or seeded small tuples over Q."""
+    if field.kind == "Fp":
+        return list(itertools.product(range(field.p), repeat=d))
+    rng = random.Random(seed)
+    return [tuple(QQ.from_int(rng.choice((-2, -1, 0, 1, 2)))
+                  for _ in range(d)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name,field", [
+    ("kC2", F7), ("kC3", F7), ("H4", F5), ("M2", F5), ("k4", F7),
+    ("kC2", QQ), ("kC3", QQ), ("H4", QQ), ("M2", QQ)])
+def test_rank_test_is_convolution_invertibility_on_hom_h(name, field):
+    ca = HOM_CASES[name](field)
+    alg, co = ca.algebra, ca.hopf.coalgebra
+    mats = [el.matrix for el in convcat.hom_space(ca, (2, 1), "C").elements]
+    span = OperatorSpan([convolution_operator(alg, co, m) for m in mats])
+    seen = set()
+    for c in candidates(field, len(mats), seed=len(mats)):
+        t = lin_comb(mats, c)
+        got = span.full_rank_at(c)
+        want = conv_invertible(alg, co, t)
+        assert (got is not None) == want, c
+        if got is not None:
+            assert got == convolution_operator(alg, co, t)
+        seen.add(want)
+    assert seen == ({False} if name == "k4" else {False, True})
+
+
+Z1_CASES = {
+    # trivial actions on B = k, k x k, k^4 and the from-cleft action of
+    # kC_2 on the diagonal of graded M_2 (which swaps the idempotents); over
+    # a group algebra invertibility is "all entries nonzero", which every
+    # relabelling of the matrix units keeps, so H4 on k is here as well
+    "H4 on k": lambda f: trivial_action(
+        sweedler_h4(f), group_algebra(f, cyclic_cayley(1)).algebra),
+    "kC3 on k": lambda f: trivial_action(
+        group_algebra(f, cyclic_cayley(3)),
+        group_algebra(f, cyclic_cayley(1)).algebra),
+    "kC2 on kxk": lambda f: trivial_action(
+        group_algebra(f, cyclic_cayley(2)), trivial_kxk(f).algebra),
+    "kC2 on k4": lambda f: trivial_action(
+        group_algebra(f, cyclic_cayley(2)), k4_trivial(f).algebra),
+    "M2 from cleft": lambda f: cohomology.action_from_cleft(
+        graded_m2(f), cleft.find_cleft(graded_m2(f))),
+}
+
+
+@pytest.mark.parametrize("name,field", [
+    ("kC3 on k", F7), ("kC2 on kxk", F5), ("kC2 on k4", F3),
+    ("M2 from cleft", F5), ("H4 on k", F5), ("kC3 on k", QQ),
+    ("kC2 on kxk", QQ), ("kC2 on k4", QQ), ("M2 from cleft", QQ),
+    ("H4 on k", QQ)])
+def test_rank_test_is_convolution_invertibility_on_z1_family(name, field):
+    act = Z1_CASES[name](field)
+    base, co = act.base, act.hopf.coalgebra
+    db, dh = base.dim, act.hopf.dim
+    seen = set()
+    for c in candidates(field, db * dh, seed=db):
+        want = conv_invertible(base, co, Matrix(field, db, dh, list(c)))
+        assert (act.conv_span.full_rank_at(c) is not None) == want, c
+        seen.add(want)
+    assert seen == {False, True}
+
+
+def old_z1_membership(act, v_mat):
+    """The former z1_membership, with its per-candidate convolution inverse."""
+    f = act.field
+    base, hopf = act.base, act.hopf
+    db, dh = base.dim, hopf.dim
+    if v_mat.apply(hopf.algebra.unit) != base.unit:
+        return False
+    if not conv_invertible(base, hopf.coalgebra, v_mat):
+        return False
+    eh = [basis_vec(f, dh, i) for i in range(dh)]
+    for h in range(dh):
+        for k in range(dh):
+            lhs = v_mat.apply(hopf.algebra.product(eh[h], eh[k]))
+            rhs = [f.zero] * db
+            for (h1, h2), c in tensor_entries(
+                    f, hopf.coalgebra.comul.apply(eh[h]), (dh, dh)):
+                v = base.product(act.act(eh[h1], v_mat.col(k)),
+                                 v_mat.apply(eh[h2]))
+                rhs = vec_add(f, rhs, vec_scale(f, c, v))
+            if lhs != rhs:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name,field", [
+    ("kC3 on k", F7), ("kC2 on kxk", F5), ("kC2 on k4", F3),
+    ("M2 from cleft", F5), ("H4 on k", F5), ("kC3 on k", QQ),
+    ("kC2 on kxk", QQ)])
+def test_z1_enumerate_matches_per_candidate_inverse(name, field):
+    act = Z1_CASES[name](field)
+    db, dh = act.base.dim, act.hopf.dim
+    got = cohomology.z1_enumerate(act)
+    assert got
+    if field.kind == "Fp":
+        assert got == search.every(field, db * dh, lambda e: (
+            v if old_z1_membership(act, v := Matrix(field, db, dh, list(e)))
+            else None))
+        return
+    assert all(old_z1_membership(act, v) for v in got)
+    for c in candidates(field, db * dh, seed=3, count=200):
+        v = Matrix(field, db, dh, list(c))
+        assert cohomology.z1_membership(act, v) == old_z1_membership(act, v)
+
+
+def old_attempt(ca, mats, coeffs):
+    """The former clefting test: an inverse solve per candidate."""
+    t_mat = lin_comb(mats, coeffs)
+    if t_mat.is_zero():
+        return None
+    try:
+        u_mat = convcat.convolution_inverse_matrix(ca, t_mat, "C")
+    except NotInvertible:
+        return None
+    return cleft._normalize(ca, t_mat, u_mat)
+
+
+def old_find_cleft(ca, seed=0, tries=500, enumerate_cap=search.EXHAUSTIVE_CAP):
+    mats = [el.matrix for el in convcat.hom_space(ca, (2, 1), "C").elements]
+    if not mats:
+        return search.NotFound(True, 0, 0, "Hom^H(H,A) = 0")
+    return search.first(ca.field, len(mats),
+                        lambda c: old_attempt(ca, mats, c), seed, tries,
+                        enumerate_cap)
+
+
+def same_result(got, want):
+    """Equal witnesses, or equal NotFound certificates."""
+    if isinstance(want, search.NotFound):
+        return (isinstance(got, search.NotFound)
+                and (got.exhaustive, got.searched, got.dim, got.detail)
+                == (want.exhaustive, want.searched, want.dim, want.detail))
+    if isinstance(want, cleft.CleftingDatum):
+        return (got.t == want.t and got.u == want.u
+                and got.normalized == want.normalized)
+    return got == want
+
+
+@pytest.mark.parametrize("name,field,cap", [
+    ("kC2", F7, None), ("kC3", F7, None), ("H4", F5, None), ("M2", F5, None),
+    ("k4", F7, None), ("kC3", F7, 20), ("H4", F5, 20), ("k4", F7, 20),
+    ("kC2", QQ, None), ("H4", QQ, None), ("M2", QQ, None)])
+def test_find_cleft_matches_per_candidate_inverse(name, field, cap):
+    ca = HOM_CASES[name](field)
+    cap = search.EXHAUSTIVE_CAP if cap is None else cap
+    for seed in (0, 1):
+        got = cleft.find_cleft(ca, seed=seed, tries=40, enumerate_cap=cap)
+        want = old_find_cleft(ca, seed=seed, tries=40, enumerate_cap=cap)
+        assert same_result(got, want), (got, want)
+
+
+def old_invertible_in_span(base, kernel_vecs, seed=0, tries=200):
+    f = base.field
+    if not kernel_vecs:
+        return search.NotFound(True, 0, 0)
+
+    def invertible_at(coeffs):
+        b = [f.zero] * base.dim
+        for v, c in zip(kernel_vecs, coeffs):
+            b = vec_add(f, b, vec_scale(f, c, v))
+        return b if base.element_inverse(b) is not None else None
+
+    return search.first(f, len(kernel_vecs), invertible_at, seed, tries)
+
+
+def old_invertible_in_matrix_span(field, mats, seed=0, tries=200,
+                                  enumerate_cap=search.EXHAUSTIVE_CAP):
+    d = len(mats)
+    if d == 0 or mats[0].rows != mats[0].cols:
+        return search.NotFound(True, 0, d)
+
+    def invertible_at(coeffs):
+        m = lin_comb(mats, coeffs)
+        return m if old_is_invertible(m) else None
+
+    return search.first(field, d, invertible_at, seed, tries, enumerate_cap)
+
+
+def random_vec(rng, field, n, zero_from=None):
+    vals = [rng.randrange(field.p) if field.kind == "Fp"
+            else QQ.from_int(rng.randint(-2, 2)) for _ in range(n)]
+    return [field.zero if zero_from is not None and i >= zero_from else x
+            for i, x in enumerate(vals)]
+
+
+@pytest.mark.parametrize("field", [F3, F7, QQ])
+def test_span_searches_match_per_candidate_code(field):
+    rng = random.Random(field.p if field.kind == "Fp" else 0)
+    algebras = [k4_trivial(field).algebra, graded_m2(field).algebra]
+    if field is not F3:
+        algebras.append(sweedler_h4(field).algebra)
+    for base in algebras:
+        n = base.dim
+        spans = [[basis_vec(field, n, i) for i in range(n)],
+                 [basis_vec(field, n, i) for i in range(n - 1)], []]
+        for _ in range(6):
+            zero_from = rng.choice((None, n - 1))
+            spans.append([random_vec(rng, field, n, zero_from)
+                          for _ in range(rng.randrange(1, 4))])
+        for vecs in spans:
+            for seed in (0, 1):
+                got = cohomology._invertible_in_span(base, vecs, seed, 30)
+                want = old_invertible_in_span(base, vecs, seed, 30)
+                assert same_result(got, want), (vecs, got, want)
+            mats = [base.lmul(v) for v in vecs]
+            for cap in (search.EXHAUSTIVE_CAP, 5):
+                got = lifting._invertible_in_matrix_span(
+                    field, mats, tries=30, enumerate_cap=cap)
+                want = old_invertible_in_matrix_span(
+                    field, mats, tries=30, enumerate_cap=cap)
+                assert same_result(got, want), (vecs, got, want)
+    # rectangular spans are refused as before
+    rect = [Matrix(field, 2, 3, [field.one] * 6)]
+    assert same_result(lifting._invertible_in_matrix_span(field, rect),
+                       old_invertible_in_matrix_span(field, rect))
+
+
+@pytest.mark.parametrize("field", [F3, F7, QQ])
+def test_is_invertible_is_the_old_invert_test(field):
+    rng = random.Random(7)
+    for _ in range(200):
+        rows, cols = rng.randrange(4), rng.randrange(4)
+        if rng.random() < 0.7:
+            cols = rows
+        m = Matrix(field, rows, cols, random_vec(
+            rng, field, rows * cols, rng.choice((None, rows * cols - 1))))
+        assert m.is_invertible() == old_is_invertible(m)
