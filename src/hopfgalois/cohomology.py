@@ -6,6 +6,7 @@ Cocycles v: H -> B are db x dh matrices; the module-algebra action is a
 db x (dh*db) matrix with left-leg-major flattening, as in module cleft.
 """
 
+import itertools
 from functools import cached_property
 
 from . import cleft, convcat, search
@@ -38,16 +39,33 @@ class HModuleAlgebraAction:
         return self.action.apply(kron_vec(self.field, h_vec, b_vec))
 
     @cached_property
-    def h_tables(self):
-        """(eh, hk, dl) of H, built once for every cocycle test: the basis
-        eh, the products hk[h][k] = e_h e_k and the nonzero entries
-        ((h1, h2), c) of each Delta(e_h)."""
-        f, hopf, dh = self.field, self.hopf, self.hopf.dim
+    def cocycle_law(self):
+        """v(e_h e_k) = sum c (e_h1 . v(e_k)) v(e_h2) over Delta(e_h), compiled
+        once as one (linear, quadratic) pair per (h, k, r) in that order: the
+        terms (i, a) of v(e_h e_k)_r and the aggregated terms (i, j, c) of
+        the right side's r-th coordinate, i and j indexing v.data."""
+        f, base, hopf = self.field, self.base, self.hopf
+        db, dh = base.dim, hopf.dim
         eh = [basis_vec(f, dh, i) for i in range(dh)]
-        hk = [[hopf.algebra.product(x, y) for y in eh] for x in eh]
-        dl = [list(tensor_entries(f, hopf.coalgebra.comul.apply(x), (dh, dh)))
-              for x in eh]
-        return eh, hk, dl
+        eb = [basis_vec(f, db, i) for i in range(db)]
+        # (e_h1 . e_s) e_t, with v(e_k) = sum_s v[s][k] e_s
+        prods = [[[base.product(self.act(x, y), z) for z in eb] for y in eb]
+                 for x in eh]
+        law = []
+        for h, k in itertools.product(range(dh), repeat=2):
+            quad = [{} for _ in range(db)]
+            for (h1, h2), c in tensor_entries(
+                    f, hopf.coalgebra.comul.apply(eh[h]), (dh, dh)):
+                for s, t in itertools.product(range(db), repeat=2):
+                    key = (s * dh + k, t * dh + h2)
+                    for r, x in enumerate(prods[h1][s][t]):
+                        quad[r][key] = f.add(quad[r].get(key, f.zero),
+                                             f.mul(c, x))
+            hk = hopf.algebra.product(eh[h], eh[k])
+            law += [([(r * dh + j, x) for j, x in enumerate(hk) if x],
+                     [(i, j, c) for (i, j), c in quad[r].items() if c])
+                    for r in range(db)]
+        return law
 
     @cached_property
     def conv_span(self):
@@ -141,27 +159,22 @@ def lemma55_check(ca, datum1, datum2):
 
 
 def z1_membership(act, v_mat):
-    """Normalized cocycle: v(1)=1, v(hk)=(h1.v(k))v(h2), conv invertible,
-    the last by rank of act.conv_span at v.data (no inverse is formed)."""
-    f = act.field
-    base, hopf = act.base, act.hopf
-    db, dh = base.dim, hopf.dim
-    if v_mat.apply(hopf.algebra.unit) != base.unit:
+    """Normalized cocycle (Sweedler 1968), first failure wins: v(1) = 1; then
+    v(hk) = (h1.v(k))v(h2) as the equations act.cocycle_law, cheap and
+    rejecting early; then convolution invertibility by the rank of
+    act.conv_span at v.data (no inverse is formed)."""
+    f, v = act.field, v_mat.data
+    if v_mat.apply(act.hopf.algebra.unit) != act.base.unit:
         return False
-    if act.conv_span.full_rank_at(v_mat.data) is None:
-        return False
-    eh, hk, dl = act.h_tables
-    for h in range(dh):
-        for k in range(dh):
-            lhs = v_mat.apply(hk[h][k])
-            rhs = [f.zero] * db
-            for (h1, h2), c in dl[h]:
-                v = base.product(act.act(eh[h1], v_mat.col(k)),
-                                 v_mat.apply(eh[h2]))
-                rhs = vec_add(f, rhs, vec_scale(f, c, v))
-            if lhs != rhs:
-                return False
-    return True
+    for lin, quad in act.cocycle_law:
+        x = 0
+        for i, a in lin:
+            x += a * v[i]
+        for i, j, c in quad:
+            x -= c * v[i] * v[j]
+        if x and (f.p is None or x % f.p):
+            return False
+    return act.conv_span.full_rank_at(v) is not None
 
 
 def b1_element(act, b_vec):
@@ -235,35 +248,29 @@ def h1_classes(act, candidates, seed=0):
 
 
 def z1_enumerate(act, enumerate_cap=EXHAUSTIVE_CAP):
-    """All of Z^1(H, B): exhaustive over F_p, exact quadratic solve over Q."""
+    """All of Z^1(H, B) from the unit rows v(1) = 1 and act.cocycle_law:
+    exhaustive on their unital slice over F_p, an exact solve over Q."""
     f = act.field
     base, hopf = act.base, act.hopf
     db, dh = base.dim, hopf.dim
     n = db * dh
+    unit = ([vec_scale(f, hopf.algebra.unit[i % dh], basis_vec(f, db, i // dh))
+             for i in range(n)], base.unit)
 
     def cocycle_at(entries):
         v = Matrix(f, db, dh, list(entries))
         return v if z1_membership(act, v) else None
 
     if f.kind == "Fp":
-        return search.every(f, n, cocycle_at, enumerate_cap)
-    # over Q: v(1) = 1 is linear, the cocycle law quadratic; solve exactly
-    eh, hk, dl = act.h_tables
-    eb = [basis_vec(f, db, i) for i in range(db)]
+        return search.every(f, n, cocycle_at, enumerate_cap, unit)
 
     def equations(v, prod):
-        yield from (x - u for x, u in zip(v(hopf.algebra.unit), base.unit))
-        for h in range(dh):
-            for k in range(dh):
-                rhs = [0] * db
-                for (h1, h2), c in dl[h]:
-                    # (h1 . v(k)) is linear in the unknowns
-                    cols = [act.act(eh[h1], e) for e in eb]
-                    acted = [sum(col[r] * x for col, x in zip(cols, v(eh[k])))
-                             for r in range(db)]
-                    term = prod(acted, v(eh[h2]))
-                    rhs = [r0 + c * t for r0, t in zip(rhs, term)]
-                yield from (l - r for l, r in zip(v(hk[h][k]), rhs))
+        x = [v(basis_vec(f, dh, i % dh))[i // dh] for i in range(n)]
+        yield from (sum(img[r] * xi for img, xi in zip(unit[0], x)) - b
+                    for r, b in enumerate(base.unit))
+        for lin, quad in act.cocycle_law:
+            yield (sum(a * x[i] for i, a in lin)
+                   - sum(c * x[i] * x[j] for i, j, c in quad))
 
     elementary = [Matrix(f, db, dh, basis_vec(f, n, i)) for i in range(n)]
     out = []
@@ -346,11 +353,12 @@ def omega_enumerate(ca, act=None, base_point=None, seed=0,
     hs = convcat.hom_space(ca, (2, 1), "C")
     mats = [el.matrix for el in hs.elements]
     d = len(mats)
-    if search.enumerable(f, d, enumerate_cap):
+    unit = ([m.apply(ca.hopf.algebra.unit) for m in mats], ca.algebra.unit)
+    if search.enumerable(f, d, enumerate_cap, unit):
         def omega_at(coeffs):
             t = lin_comb(mats, coeffs)
             return t if omega_membership(ca, t) else None
-        return search.every(f, d, omega_at, enumerate_cap)
+        return search.every(f, d, omega_at, enumerate_cap, unit)
     if base_point is None:
         base_point, status = cleft._algebra_map_search(
             ca, mats, seed=seed, enumerate_cap=enumerate_cap)

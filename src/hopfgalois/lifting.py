@@ -315,11 +315,13 @@ def lambda_enumerate(ctx, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
         return [phi for phi in candidates if _is_action(ctx, phi)]
     space = _b_linear_space(ctx)
     d = len(space)
-    if search.enumerable(f, d, enumerate_cap):
+    unit = ([(phi @ ctx.eta).data for phi in space],
+            Matrix.identity(f, ctx.m.dim).data)
+    if search.enumerable(f, d, enumerate_cap, unit):
         def action_at(coeffs):
             phi = lin_comb(space, coeffs)
             return phi if _is_action(ctx, phi) else None
-        return search.every(f, d, action_at, enumerate_cap) if d else []
+        return search.every(f, d, action_at, enumerate_cap, unit) if d else []
     omega = cohomology.omega_enumerate(ctx.e.ca, seed=seed,
                                        enumerate_cap=enumerate_cap)
     out = []

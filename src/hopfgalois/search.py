@@ -13,6 +13,15 @@ costs one sparse sum and one rank.  The rank test is a proof: L(f * g) =
 L(f) L(g), so f has a right inverse iff L(f) has full rank, and in finite
 dimension a right inverse is two-sided.  Hits are handled as before (cleft
 still inverts and normalizes one), so every witness is unchanged.
+
+Unital slice.  Z^1, Omega_A and Lambda_M are enumerated on the affine slice
+{c : A c = b} of their linear unit condition (v(1) = 1, t(1) = 1, phi eta =
+id), and the cap counts its p^free tuples.  The system is row-reduced with
+its columns reversed, so each pivot coordinate is the last of its row and
+depends only on earlier free coordinates.  Two slice points then first differ
+at a free coordinate, so the free tuples in itertools.product order give the
+slice in lexicographic order: the order in which the box k^d meets it, and
+every list and witness is unchanged.  An inconsistent system has no points.
 """
 
 import itertools
@@ -20,6 +29,7 @@ import random
 from fractions import Fraction
 
 from .fields import field_name
+from .linalg import Matrix
 
 EXHAUSTIVE_CAP = 10 ** 6
 QQ_COEFF_BOUND = 3
@@ -44,9 +54,10 @@ class NotFound:
         return f"NotFound({kind}, searched={self.searched}, dim={self.dim})"
 
 
-def enumerable(field, d, cap=EXHAUSTIVE_CAP):
-    """Whether every tuple of k^d is tried, so that a miss is a proof."""
-    return field.kind == "Fp" and field.p ** d <= cap
+def enumerable(field, d, cap=EXHAUSTIVE_CAP, unit=None):
+    """Whether all of the unital slice of k^d is tried: a miss is a proof."""
+    return field.kind == "Fp" and field.p ** (
+        unital_slice(field, d, unit)[0] if unit else d) <= cap
 
 
 def _sampled(field, d, seed, tries):
@@ -80,14 +91,43 @@ def first(field, d, test, seed=0, tries=500, cap=EXHAUSTIVE_CAP):
                     f"not found in {tries} seeded samples")
 
 
-def every(field, d, test, cap=EXHAUSTIVE_CAP):
-    """All witnesses over k^d in enumeration order; raises SearchInconclusive
-    when k^d cannot be enumerated under the cap."""
-    if not enumerable(field, d, cap):
+def unital_slice(field, d, unit=None):
+    """(free, points) of the slice of c in k^d where unit = (images, target)
+    states sum_i c_i images[i] = target: the number of free coordinates, and
+    the p^free points in lexicographic order (see the module doc), none if
+    the system is inconsistent.  No unit is the whole box."""
+    images, target = unit or ((), ())
+    red, pivots = Matrix(field, len(target), d + 1, [
+        x for r, b in enumerate(target)
+        for x in [img[r] for img in images[::-1]] + [b]]).rref()
+    if d in pivots:
+        return 0, iter(())
+    fixed = {d - 1 - q: red.row(r) for r, q in enumerate(pivots)}
+    free = [i for i in range(d) if i not in fixed]
+    # c_i = b - sum_k a_k c_free[k]; the RREF leaves only free[k] < i in a row
+    rules = [(i, row[d], [(k, row[d - 1 - j]) for k, j in enumerate(free)
+                          if row[d - 1 - j] != field.zero])
+             for i, row in sorted(fixed.items())]
+
+    def points():
+        for values in itertools.product(range(field.p), repeat=len(free)):
+            c = list(values)
+            for i, b, terms in rules:
+                c.insert(i, (b - sum(a * values[k] for k, a in terms))
+                         % field.p)
+            yield tuple(c)
+
+    return len(free), points()
+
+
+def every(field, d, test, cap=EXHAUSTIVE_CAP, unit=None):
+    """All witnesses on the unital slice of k^d in lexicographic order;
+    raises SearchInconclusive when its p^free tuples exceed the cap."""
+    free, points = unital_slice(field, d, unit)
+    if not enumerable(field, free, cap):
         raise SearchInconclusive(
-            f"|{field_name(field)}|^{d} exceeds the enumeration cap")
-    hits = map(test, itertools.product(range(field.p), repeat=d))
-    return [hit for hit in hits if hit is not None]
+            f"|{field_name(field)}|^{free} exceeds the enumeration cap")
+    return [hit for hit in map(test, points) if hit is not None]
 
 
 def found(result, what):

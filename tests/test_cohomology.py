@@ -1,7 +1,10 @@
+from math import gcd
+
 import pytest
 
 from hopfgalois import cleft, cohomology
 from hopfgalois.fields import QQ, PrimeField
+from hopfgalois.fixtures import cyclic_cayley, group_algebra
 
 F3 = PrimeField(3)
 
@@ -93,3 +96,20 @@ def test_prop57(m2_f3, kc2_q):
     r = cohomology.prop57_check(kc2_q)
     assert r.passed, r.failures
     assert r.h1_count == r.omega_bar_count == 2
+
+
+def test_h1_of_cyclic_groups_is_gcd():
+    # Z^1(kC_n, F_p) under the trivial action is Hom(C_n, F_p^x), of order
+    # gcd(n, p - 1), and it has no coboundaries; the unital slice has
+    # p^(n - 1) points
+    k = lambda f: group_algebra(f, cyclic_cayley(1)).algebra
+    for n in range(1, 7):
+        for p in (2, 3, 5, 7, 11, 13):
+            if p ** (n - 1) > 2 * 10 ** 4:
+                continue
+            f = PrimeField(p)
+            act = cohomology.trivial_action(
+                group_algebra(f, cyclic_cayley(n)), k(f))
+            z1 = cohomology.z1_enumerate(act)
+            assert len(cohomology.h1_classes(act, z1)) == gcd(n, p - 1), \
+                (n, p)
