@@ -9,6 +9,8 @@ flattening.  The assembled B#_sigma H lives on B (x) H with flat index
 b*dh + h and coaction id_B (x) Delta.
 """
 
+from functools import partial
+
 from . import convcat, search
 from .comodule import ComoduleAlgebraData, InternalInvariant
 from .galois import canonical_map, translation_map
@@ -111,12 +113,9 @@ class CrossedProductData:
         return self.sigma_bar.apply(kron_vec(self.base.field, h_vec, k_vec))
 
 
-def _omega_apply(field, omega, h_vec, b_vec):
-    return omega.apply(kron_vec(field, h_vec, b_vec))
-
-
-def _sigma_apply(field, sigma, h_vec, k_vec):
-    return sigma.apply(kron_vec(field, h_vec, k_vec))
+def _bilinear(field, mat, x_vec, y_vec):
+    """omega, sigma or sigmabar applied to x (x) y."""
+    return mat.apply(kron_vec(field, x_vec, y_vec))
 
 
 def _hh_coalgebra(hopf):
@@ -135,12 +134,10 @@ def measuring_witnesses(hopf, base, act):
     eps = hopf.coalgebra.counit
     eb = [basis_vec(f, db, i) for i in range(db)]
     eh = [basis_vec(f, dh, i) for i in range(dh)]
-    dl = [list(tensor_entries(f, hopf.coalgebra.comul.apply(eh[i]), (dh, dh)))
-          for i in range(dh)]
 
     def multiplicative(h, i, j):
         rhs = [f.zero] * db
-        for (h1, h2), c in dl[h]:
+        for h1, h2, c in hopf.coalgebra.comul_table[h]:
             v = base.product(act(eh[h1], eb[i]), act(eh[h2], eb[j]))
             rhs = vec_add(f, rhs, vec_scale(f, c, v))
         return act(eh[h], base.product(eb[i], eb[j])) == rhs
@@ -159,21 +156,11 @@ def _prop51_violations(base, hopf, omega, sigma, sigma_bar):
     eps = hopf.coalgebra.counit
     eb = [basis_vec(f, db, i) for i in range(db)]
     eh = [basis_vec(f, dh, i) for i in range(dh)]
-    dl = [list(tensor_entries(f, hopf.coalgebra.comul.apply(eh[i]), (dh, dh)))
-          for i in range(dh)]
+    dl = hopf.coalgebra.comul_table
     dl3 = [list(tensor_entries(f, comul_iterated(hopf, eh[i], 3),
                                (dh, dh, dh))) for i in range(dh)]
     out = []
-
-    def om(hv, bv):
-        return _omega_apply(f, omega, hv, bv)
-
-    def sg(hv, kv):
-        return _sigma_apply(f, sigma, hv, kv)
-
-    def sgb(hv, kv):
-        return _sigma_apply(f, sigma_bar, hv, kv)
-
+    om, sg, sgb = (partial(_bilinear, f, m) for m in (omega, sigma, sigma_bar))
     for name, witness in zip(("measuring h.1=eps(h)1",
                               "measuring h.(bc)=(h1.b)(h2.c)"),
                              measuring_witnesses(hopf, base, om)):
@@ -216,17 +203,17 @@ def _prop51_violations(base, hopf, omega, sigma, sigma_bar):
         for k in range(dh):
             for l in range(dh):
                 lhs = [f.zero] * db
-                for (h1, h2), c1 in dl[h]:
-                    for (k1, k2), c2 in dl[k]:
-                        for (l1, l2), c3 in dl[l]:
+                for h1, h2, c1 in dl[h]:
+                    for k1, k2, c2 in dl[k]:
+                        for l1, l2, c3 in dl[l]:
                             v = base.product(
                                 om(eh[h1], sg(eh[k1], eh[l1])),
                                 sg(eh[h2], hopf.algebra.product(eh[k2], eh[l2])))
                             rhs_c = f.mul(f.mul(c1, c2), c3)
                             lhs = vec_add(f, lhs, vec_scale(f, rhs_c, v))
                 rhs = [f.zero] * db
-                for (h1, h2), c1 in dl[h]:
-                    for (k1, k2), c2 in dl[k]:
+                for h1, h2, c1 in dl[h]:
+                    for k1, k2, c2 in dl[k]:
                         v = base.product(
                             sg(eh[h1], eh[k1]),
                             sg(hopf.algebra.product(eh[h2], eh[k2]), eh[l]))
@@ -272,8 +259,6 @@ def build_crossed_product(base, hopf, omega, sigma, sigma_bar=None):
     eh = [basis_vec(f, dh, i) for i in range(dh)]
     dl3 = [list(tensor_entries(f, comul_iterated(hopf, eh[i], 3),
                                (dh, dh, dh))) for i in range(dh)]
-    dl = [list(tensor_entries(f, hopf.coalgebra.comul.apply(eh[i]), (dh, dh)))
-          for i in range(dh)]
     mul = Matrix.zeros(f, n, n * n)
     for bi in range(db):
         for hi in range(dh):
@@ -283,12 +268,12 @@ def build_crossed_product(base, hopf, omega, sigma, sigma_bar=None):
                     y = cj * dh + kj
                     acc = [f.zero] * n
                     for (h1, h2, h3), c1 in dl3[hi]:
-                        for (k1, k2), c2 in dl[kj]:
+                        for k1, k2, c2 in hopf.coalgebra.comul_table[kj]:
                             bpart = base.product(
                                 eb[bi],
                                 base.product(
-                                    _omega_apply(f, omega, eh[h1], eb[cj]),
-                                    _sigma_apply(f, sigma, eh[h2], eh[k1])))
+                                    _bilinear(f, omega, eh[h1], eb[cj]),
+                                    _bilinear(f, sigma, eh[h2], eh[k1])))
                             hpart = hopf.algebra.product(eh[h3], eh[k2])
                             acc = vec_add(f, acc, vec_scale(
                                 f, f.mul(c1, c2), kron_vec(f, bpart, hpart)))
@@ -398,8 +383,6 @@ def crossed_canonical_inverse(cp):
         result.fail("can-not-bijective")
         return result
     quot = can.induced.quotient
-    dl = [list(tensor_entries(f, hopf.coalgebra.comul.apply(eh[i]), (dh, dh)))
-          for i in range(dh)]
     dl4 = [list(tensor_entries(f, comul_iterated(hopf, eh[i], 4), (dh,) * 4))
            for i in range(dh)]
     # closed-form inverse, compared column by column against can.inverse
@@ -407,7 +390,7 @@ def crossed_canonical_inverse(cp):
         for hi in range(dh):
             for ki in range(dh):
                 acc = [f.zero] * quot.dim
-                for (h1, h2), c1 in dl[hi]:
+                for h1, h2, c1 in hopf.coalgebra.comul_table[hi]:
                     for (k1, k2, k3, k4), c2 in dl4[ki]:
                         barg = hopf.algebra.product(eh[h1], s.apply(eh[k2]))
                         bpart = cp.base.product(

@@ -15,7 +15,7 @@ from .hopf import (ValidationReport, convolution_inverse,
                    convolution_operator, convolution_unit, convolve,
                    is_cocommutative)
 from .linalg import (Matrix, NotInvertible, OperatorSpan, basis_vec,
-                     kron_vec, lin_comb, tensor_entries, vec_add, vec_scale)
+                     kron_vec, lin_comb, vec_add, vec_scale)
 from .search import EXHAUSTIVE_CAP, NotFound, SearchInconclusive
 
 
@@ -54,8 +54,7 @@ class HModuleAlgebraAction:
         law = []
         for h, k in itertools.product(range(dh), repeat=2):
             quad = [{} for _ in range(db)]
-            for (h1, h2), c in tensor_entries(
-                    f, hopf.coalgebra.comul.apply(eh[h]), (dh, dh)):
+            for h1, h2, c in hopf.coalgebra.comul_table[h]:
                 for s, t in itertools.product(range(db), repeat=2):
                     key = (s * dh + k, t * dh + h2)
                     for r, x in enumerate(prods[h1][s][t]):
@@ -66,6 +65,18 @@ class HModuleAlgebraAction:
                      [(i, j, c) for (i, j), c in quad[r].items() if c])
                     for r in range(db)]
         return law
+
+    @cached_property
+    def unit_rows_last(self):
+        """cocycle_law, the rows of e_h = 1_H last if 1_H is a basis vector:
+        they hold once v(1) = 1 under a unital action, so other rows reject
+        sooner; none is dropped, so a non-unital action still fails."""
+        f, law, one = self.field, self.cocycle_law, self.hopf.algebra.unit
+        if one.count(f.zero) != len(one) - 1 or f.one not in one:
+            return law
+        block = len(law) // len(one)
+        lo = one.index(f.one) * block
+        return law[:lo] + law[lo + block:] + law[lo:lo + block]
 
     @cached_property
     def conv_span(self):
@@ -161,12 +172,13 @@ def lemma55_check(ca, datum1, datum2):
 def z1_membership(act, v_mat):
     """Normalized cocycle (Sweedler 1968), first failure wins: v(1) = 1; then
     v(hk) = (h1.v(k))v(h2) as the equations act.cocycle_law, cheap and
-    rejecting early; then convolution invertibility by the rank of
-    act.conv_span at v.data (no inverse is formed)."""
+    rejecting early, in the order act.unit_rows_last; then convolution
+    invertibility by the rank of act.conv_span at v.data (no inverse is
+    formed)."""
     f, v = act.field, v_mat.data
     if v_mat.apply(act.hopf.algebra.unit) != act.base.unit:
         return False
-    for lin, quad in act.cocycle_law:
+    for lin, quad in act.unit_rows_last:
         x = 0
         for i, a in lin:
             x += a * v[i]

@@ -4,11 +4,17 @@ constants, with exact axiom validation and a few built-in generators.
 Conventions (inherited by every other module):
   * the multiplication is a matrix  m : A (x) A -> A,
   * the comultiplication a matrix  Delta : H -> H (x) H,
-  * tensor factors are flattened lexicographically with the LEFT leg major.
+  * tensor factors are flattened lexicographically with the LEFT leg major,
+  * the constructors also hold sparse tables, which product, lmul, rmul and
+    convolve use: mul_table[i*dim + j] lists (r, c) with e_i e_j = Sum c e_r
+    and comul_table[c] lists (c1, c2, x) with Delta(e_c) = Sum x e_c1 (x) e_c2,
+    both ascending.  mul.data and comul.data are only written before the
+    constructor is called, so the tables cannot go stale.
 """
 
 from .linalg import (Matrix, NoSolution, NotInvertible, basis_vec,
-                     gather_legs, kron_vec, linear_operator, scatter_legs)
+                     gather_legs, kron_vec, linear_operator, reduced,
+                     scatter_legs)
 
 
 class DimensionMismatch(ValueError):
@@ -59,6 +65,13 @@ class ValidationReport:
         return f"ValidationReport({status})"
 
 
+def _columns(mat):
+    """The nonzero entries (row, x) of each column of mat, rows ascending."""
+    zero, m = mat.field.zero, mat.cols
+    return [[(r, x) for r, x in enumerate(mat.data[j::m]) if x != zero]
+            for j in range(m)]
+
+
 def _unflatten(flat, dims):
     idx = [0] * len(dims)
     for leg in reversed(range(len(dims))):
@@ -81,20 +94,37 @@ class StructureConstantAlgebra:
         self.mul = mul
         self.unit = list(unit)
         self.labels = list(labels) if labels else [f"e{i}" for i in range(dim)]
+        self.mul_table = _columns(mul)
 
     def product(self, v, w):
-        return self.mul.apply(kron_vec(self.field, v, w))
+        f, n, table = self.field, self.dim, self.mul_table
+        out = [f.zero] * n
+        for i, a in enumerate(v):
+            if a != f.zero:
+                for j, b in enumerate(w):
+                    if b != f.zero:
+                        ab = a * b
+                        for r, c in table[i * n + j]:
+                            out[r] += c * ab
+        return reduced(f, out)
 
     def lmul(self, v):
         """Matrix of left multiplication by the element v."""
-        cols = [self.product(v, basis_vec(self.field, self.dim, j))
-                for j in range(self.dim)]
-        return Matrix.from_cols(self.field, cols, nrows=self.dim)
+        return self._mul_by(v, True)
 
     def rmul(self, v):
-        cols = [self.product(basis_vec(self.field, self.dim, j), v)
-                for j in range(self.dim)]
-        return Matrix.from_cols(self.field, cols, nrows=self.dim)
+        return self._mul_by(v, False)
+
+    def _mul_by(self, v, left):
+        """Column j is v e_j (left) or e_j v, from the mul table."""
+        f, n, table = self.field, self.dim, self.mul_table
+        out = [f.zero] * (n * n)
+        for i, a in enumerate(v):
+            if a != f.zero:
+                for j in range(n):
+                    for r, c in table[i * n + j if left else j * n + i]:
+                        out[r * n + j] += c * a
+        return Matrix(f, n, n, reduced(f, out))
 
     def element_inverse(self, v):
         """Two-sided inverse of v, or None."""
@@ -116,16 +146,11 @@ class StructureConstantAlgebra:
         lhs = self.mul @ self.mul.kron(idn)          # (ab)c
         rhs = self.mul @ idn.kron(self.mul)          # a(bc)
         report.check("algebra.associativity", lhs, rhs, (n, n, n))
-        for i in range(n):
-            e = basis_vec(f, n, i)
-            if self.product(self.unit, e) != e:
-                report.fail("algebra.left-unit", (i,))
-                break
-        for i in range(n):
-            e = basis_vec(f, n, i)
-            if self.product(e, self.unit) != e:
-                report.fail("algebra.right-unit", (i,))
-                break
+        for name, op in (("algebra.left-unit", self.lmul(self.unit)),
+                         ("algebra.right-unit", self.rmul(self.unit))):
+            bad = next((i for i in range(n) if op.col(i) != idn.col(i)), None)
+            if bad is not None:
+                report.fail(name, (bad,))
         return report
 
 
@@ -139,6 +164,8 @@ class CoalgebraData:
         self.dim = dim
         self.comul = comul
         self.counit = counit
+        self.comul_table = [[(*divmod(k, dim), x) for k, x in col]
+                            for col in _columns(comul)]
 
     def validate(self, report=None):
         report = report if report is not None else ValidationReport()
@@ -237,20 +264,20 @@ class OneSidedInverse(NotInvertible):
 
 
 def convolve(algebra, coalgebra, g_mat, f_mat):
-    """(g * f)(c) = g(c_(1)) f(c_(2)), maps C -> A as dim A x dim C matrices.
-
-    This is mul @ ((g (x) f) @ Delta) without forming g (x) f: that product
-    has the row-major data of g @ F, where row c of F is vec(f @ Delta_c)
-    and Delta_c[c2, k] = Delta[(c, c2), k].
-    """
-    field, da, dc = algebra.field, algebra.dim, coalgebra.dim
-    comul, block = coalgebra.comul.data, dc * dc
-    rows = []
-    for c in range(dc):
-        rows.extend((f_mat @ Matrix(field, dc, dc,
-                                    comul[c * block:(c + 1) * block])).data)
-    gf = g_mat @ Matrix(field, dc, da * dc, rows)
-    return algebra.mul @ Matrix(field, da * da, dc, gf.data)
+    """(g * f)(c) = Sum x g(c1) f(c2) over the Delta table of c, each product
+    from the mul table; maps C -> A as dim A x dim C matrices."""
+    da, dc, table = algebra.dim, coalgebra.dim, algebra.mul_table
+    gs, fs = _columns(g_mat), _columns(f_mat)
+    out = [algebra.field.zero] * (da * dc)
+    for c, terms in enumerate(coalgebra.comul_table):
+        for c1, c2, x in terms:
+            for i, a in gs[c1]:
+                xa = x * a
+                for j, b in fs[c2]:
+                    xab = xa * b
+                    for r, m in table[i * da + j]:
+                        out[r * dc + c] += m * xab
+    return Matrix(algebra.field, da, dc, reduced(algebra.field, out))
 
 
 def convolution_unit(algebra, coalgebra):

@@ -399,6 +399,11 @@ class Factorization:
 # -- stacking and tensor-leg utilities ------------------------------------
 
 
+def reduced(field, values):
+    """values with each entry taken mod p over F_p; unchanged over Q."""
+    return [v % field.p for v in values] if field.kind == "Fp" else values
+
+
 def vstack(mats):
     cols = mats[0].cols
     data = []
@@ -416,9 +421,7 @@ def lin_comb(mats, coeffs):
     for m, c in zip(mats, coeffs):
         if c != f.zero:
             out = [o + c * x for o, x in zip(out, m.data)]
-    if f.kind == "Fp":
-        out = [v % f.p for v in out]
-    return Matrix(f, mats[0].rows, mats[0].cols, out)
+    return Matrix(f, mats[0].rows, mats[0].cols, reduced(f, out))
 
 
 class OperatorSpan:
@@ -436,8 +439,7 @@ class OperatorSpan:
         for terms, c in zip(self.terms, coeffs):
             for i, x in terms:
                 out[i] += c * x
-        op = Matrix(f, like.rows, like.cols,
-                    [v % f.p for v in out] if f.kind == "Fp" else out)
+        op = Matrix(f, like.rows, like.cols, reduced(f, out))
         return op if op.is_invertible() else None
 
 
@@ -551,9 +553,7 @@ def linear_operator(terms):
                     for j, l, y in bnz:
                         t = (i * q + l) * ncols + k * n + j
                         out[t] = out[t] + x * y
-    if f.kind == "Fp":
-        out = [v % f.p for v in out]
-    return Matrix(f, p * q, ncols, out)
+    return Matrix(f, p * q, ncols, reduced(f, out))
 
 
 def kron_terms(rows, g, d):

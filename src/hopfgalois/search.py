@@ -168,17 +168,12 @@ def rational_points(algebra, mats, equations, test, refuse=None):
         return out
 
     def prod(x, y):
-        out = []
-        for r in range(rows):
-            acc = sympy.Integer(0)
-            for a in range(rows):
-                if x[a] == 0:
-                    continue
+        out = [sympy.Integer(0)] * rows
+        for a in range(rows):
+            if x[a] != 0:
                 for b in range(rows):
-                    coeff = algebra.mul.get(r, a * rows + b)
-                    if coeff != f.zero:
-                        acc += sympy.Rational(coeff) * x[a] * y[b]
-            out.append(acc)
+                    for r, coeff in algebra.mul_table[a * rows + b]:
+                        out[r] += sympy.Rational(coeff) * x[a] * y[b]
         return out
 
     eqs = [sympy.expand(e) for e in equations(t, prod)]
