@@ -1,8 +1,9 @@
-"""Pure-Python mod-p kernels; same API as the compiled _modp_fast module.
+"""The mod-p kernels behind linalg's rref and matmul over F_p.
 
-Pivot policy (shared with the compiled version, and with the Fraction path
-in linalg): leftmost nonzero pivot, rows scanned top-down, first nonzero row
-wins.  This keeps echelon forms, kernels and solutions deterministic.
+Exact for every prime p: entries are Python ints.  Pivot policy (shared
+with the Fraction path in linalg): leftmost nonzero pivot, rows scanned
+top-down, first nonzero row wins.  This keeps echelon forms, kernels and
+solutions deterministic.
 """
 
 

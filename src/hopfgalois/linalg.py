@@ -4,12 +4,10 @@ Matrices are flat row-major lists of scalars tagged with a field object
 (see fields).  Everything is immutable by convention: operations return new
 matrices and never mutate their inputs, so values are safe to share.
 
-Over F_p the two hot kernels (rref, matmul) dispatch to the compiled
-extension _modp_fast when it is importable and p < 2^31, else to the
-pure-Python twin _modp_py (the compiled kernels work in C long long, which
-p^2 overflows beyond that); both implement the same deterministic pivot
-policy (leftmost nonzero pivot, rows scanned top-down).  Over Q the
-Fraction path below is always used.
+Over F_p the two hot kernels (rref, matmul) are the pure-Python ones of
+_modp_py, exact for every p since Python ints do not overflow.  Over Q the
+Fraction path below is used.  Both follow one deterministic pivot policy
+(leftmost nonzero pivot, rows scanned top-down).
 
 Tensor legs.  A vector of V_0 (x) ... (x) V_{k-1} is flattened
 lexicographically with leg 0 major.  A leg permutation `perm` (output leg j
@@ -30,32 +28,21 @@ Factor once.  A matrix A solved against many right-hand sides is factored
 once.  Factorization(A) picks r = rank(A) independent rows of A and reduces
 [A_rows | I_r]; that gives the pivot columns of A and a transform t.  The
 solution of A X = B is X[pivot_k] = (t B_rows)[k], zero elsewhere, and it
-exists iff that X solves A X = B.  The RREF solution is the one solution
-supported on the pivot columns, so this is exactly what Matrix.solve
-returns column by column, and Matrix.solve stays the oracle.  Right-hand
-sides are best passed as one block B: solve_columns solves all columns
-with two products and says which of them are consistent.  Picking rows
-first keeps the reduction at r rows for the tall stacked-constraint
-operators the package solves against.  A factorization is held by the
-object that solves against A (a context, an algebra, a hom-space), never
-cached on Matrix: matrices are built in place through .data, so a cache
-on a Matrix could go stale.
+exists iff that X solves A X = B.  It is the one solution supported on
+the pivot columns, the one the RREF of [A | b] gives column by column;
+Matrix.solve and Matrix.solve_matrix are this solve.  Right-hand sides are
+best passed as one block B: solve_columns solves all columns with two
+products and says which of them are consistent.  Picking rows first keeps
+the reduction at r rows for the tall stacked-constraint operators the
+package solves against.  A factorization is held by the object that solves
+against A (a context, an algebra, a hom-space), never cached on Matrix:
+matrices are built in place through .data, so a cache on a Matrix could go
+stale.
 """
 
-from . import _modp_py
+from . import _modp_py as _modp
 
-try:  # compiled kernels are optional
-    from . import _modp_fast as _modp
-
-    BACKEND = "compiled"
-except ImportError:  # pragma: no cover - depends on build env
-    _modp = _modp_py
-    BACKEND = "pure"
-
-
-def _kernels(field):
-    """The mod-p kernels that are exact for field.p (see the module doc)."""
-    return _modp if field.p < 2 ** 31 else _modp_py
+BACKEND = "pure"  # the one kernel backend, kept for callers that report it
 
 
 class NoSolution(Exception):
@@ -183,9 +170,8 @@ class Matrix:
             raise ValueError(f"cannot compose {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         f = self.field
         if f.kind == "Fp":
-            data = _kernels(f).matmul_modp(self.data, self.rows, self.cols,
-                                           other.data, other.rows, other.cols,
-                                           f.p)
+            data = _modp.matmul_modp(self.data, self.rows, self.cols,
+                                     other.data, other.rows, other.cols, f.p)
             return Matrix(f, self.rows, other.cols, data)
         ar, ac, bc = self.rows, self.cols, other.cols
         a, b = self.data, other.data
@@ -246,8 +232,8 @@ class Matrix:
         """Reduced row echelon form.  Returns (Matrix, pivot column list)."""
         f = self.field
         if f.kind == "Fp":
-            data, pivots = _kernels(f).rref_modp(self.data, self.rows,
-                                                 self.cols, f.p)
+            data, pivots = _modp.rref_modp(self.data, self.rows, self.cols,
+                                           f.p)
             return Matrix(f, self.rows, self.cols, data), pivots
         m = self.row_list()
         pivots = []
@@ -297,18 +283,7 @@ class Matrix:
 
     def solve(self, b):
         """A particular solution x of self @ x = b.  Raises NoSolution."""
-        if len(b) != self.rows:
-            raise ValueError("rhs length mismatch")
-        f = self.field
-        aug = Matrix(f, self.rows, self.cols + 1,
-                     [x for i in range(self.rows) for x in self.row(i) + [b[i]]])
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            raise NoSolution()
-        x = [f.zero] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.get(r, self.cols)
-        return x
+        return Factorization(self).solve(b)
 
     def solve_matrix(self, rhs):
         """Solve self @ X = rhs; column j of X is self.solve(rhs.col(j))."""
@@ -335,15 +310,6 @@ class Matrix:
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
-
-    def left_inverse(self):
-        """L with L @ self = I; requires full column rank."""
-        n = self.rows
-        red, pivots = self._reduce_with_identity()
-        if [p for p in pivots if p < self.cols] != list(range(self.cols)):
-            raise NotInvertible("not full column rank")
-        data = [red.get(i, self.cols + j) for i in range(self.cols) for j in range(n)]
-        return Matrix(self.field, self.cols, n, data)
 
 
 class Factorization:
@@ -378,10 +344,8 @@ class Factorization:
         for r, pc in enumerate(self.pivots):
             data[pc * k:(pc + 1) * k] = y[r * k:(r + 1) * k]
         x = Matrix(f, a.cols, k, data)
-        defect = (a @ x - rhs).data
-        zero = f.zero
-        ok = [all(defect[i] == zero for i in range(j, len(defect), k))
-              for j in range(k)]
+        got, want = (a @ x).data, reduced(f, rhs.data)
+        ok = [got[j::k] == want[j::k] for j in range(k)]
         return x, ok
 
     def solve_matrix(self, rhs):
@@ -392,7 +356,8 @@ class Factorization:
         return x
 
     def solve(self, b):
-        """The solution of A x = b that A.solve(b) returns."""
+        """The solution of A x = b, zero off the pivot columns; raises
+        NoSolution."""
         return self.solve_matrix(Matrix(self.a.field, len(b), 1, b)).data
 
 

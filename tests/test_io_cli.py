@@ -125,6 +125,20 @@ def test_cli_not_galois_is_an_input_error(command, capsys):
     assert capsys.readouterr().err == "error: canonical map not invertible\n"
 
 
+def test_cli_memory_error_is_an_input_error(monkeypatch, capsys):
+    """An input too large to hold ends in exit 2, never in a verdict."""
+    def too_large(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_validate", too_large)
+    argv = ["validate", str(FIXTURES / "kc2.json")]
+    assert _run(*argv) == ("input too large", 2)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: input too large\n"
+    assert captured.out == ""
+
+
 def test_cli_crossed_product_prints_sigma_condition(tmp_path):
     d = json.load(open(FIXTURES / "cp_minus1_crossed.json"))
     d["crossed_products"]["cp_minus1_data"]["sigma"] = []     # sigma = 0
