@@ -16,7 +16,9 @@ from .comodule import ComoduleAlgebraData, InternalInvariant
 from .galois import canonical_map, translation_map
 from .hopf import (CoalgebraData, OneSidedInverse, StructureConstantAlgebra,
                    ValidationReport, comul_iterated, convolution_inverse,
-                   convolution_operator, convolution_unit, convolve)
+                   convolution_operator, convolution_unit, convolve,
+                   first_failure, is_convolution_inverse,
+                   multiplicative_witness)
 from .linalg import (Matrix, NotInvertible, OperatorSpan, basis_vec,
                      gather_legs, intertwiners, kron_vec, lin_comb,
                      scatter_legs, tensor_entries, vec_add, vec_scale)
@@ -53,11 +55,9 @@ def _normalize(ca, t_mat, u_mat):
     alg = ca.algebra
     tp = alg.lmul(u_mat.apply(one_h)) @ t_mat
     up = alg.rmul(t_mat.apply(one_h)) @ u_mat
-    unit_mat = convcat.unit_element(ca).matrix
     if tp.apply(one_h) != alg.unit:
         raise InternalInvariant("normalization failed: t(1) != 1")
-    if (convcat.convolve_matrices(ca, tp, up) != unit_mat
-            or convcat.convolve_matrices(ca, up, tp) != unit_mat):
+    if not is_convolution_inverse(alg, ca.hopf.coalgebra, tp, up):
         raise InternalInvariant("normalization broke the convolution inverse")
     if not convcat.membership(ca, tp, (2, 1), "C"):
         raise InternalInvariant("normalized t lost colinearity")
@@ -142,11 +142,9 @@ def measuring_witnesses(hopf, base, act):
             rhs = vec_add(f, rhs, vec_scale(f, c, v))
         return act(eh[h], base.product(eb[i], eb[j])) == rhs
 
-    unit = next(((h,) for h in range(dh) if act(eh[h], base.unit)
-                 != vec_scale(f, eps.apply(eh[h])[0], base.unit)), None)
-    mult = next(((h, i, j) for h in range(dh) for i in range(db)
-                 for j in range(db) if not multiplicative(h, i, j)), None)
-    return unit, mult
+    unit = first_failure(lambda h: act(eh[h], base.unit) == vec_scale(
+        f, eps.apply(eh[h])[0], base.unit), dh)
+    return unit, first_failure(multiplicative, dh, db, db)
 
 
 def _prop51_violations(base, hopf, omega, sigma, sigma_bar):
@@ -159,74 +157,57 @@ def _prop51_violations(base, hopf, omega, sigma, sigma_bar):
     dl = hopf.coalgebra.comul_table
     dl3 = [list(tensor_entries(f, comul_iterated(hopf, eh[i], 3),
                                (dh, dh, dh))) for i in range(dh)]
-    out = []
+    one_h = hopf.algebra.unit
+    report = ValidationReport()
     om, sg, sgb = (partial(_bilinear, f, m) for m in (omega, sigma, sigma_bar))
     for name, witness in zip(("measuring h.1=eps(h)1",
                               "measuring h.(bc)=(h1.b)(h2.c)"),
                              measuring_witnesses(hopf, base, om)):
-        if witness is not None:
-            out.append((name, witness))
-    # twisted module: 1.b = b and (5.1.2)
-    for i in range(db):
-        if om(hopf.algebra.unit, eb[i]) != eb[i]:
-            out.append(("twisted-module 1.b=b", (i,)))
-            break
-    done = False
-    for h in range(dh):
-        for k in range(dh):
-            for i in range(db):
-                lhs = om(eh[h], om(eh[k], eb[i]))
-                rhs = [f.zero] * db
-                for (h1, h2, h3), c1 in dl3[h]:
-                    for (k1, k2, k3), c2 in dl3[k]:
-                        mid = om(hopf.algebra.product(eh[h2], eh[k2]), eb[i])
-                        v = base.product(sg(eh[h1], eh[k1]),
-                                         base.product(mid, sgb(eh[h3], eh[k3])))
-                        rhs = vec_add(f, rhs, vec_scale(f, f.mul(c1, c2), v))
-                if lhs != rhs:
-                    out.append(("(5.1.2)", (h, k, i)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
+        report.fail_at(name, witness)
+
+    # twisted module (5.1.2): h.(k.b) = sigma(h1,k1) (h2k2.b) sigmabar(h3,k3)
+    def twisted(h, k, i):
+        rhs = [f.zero] * db
+        for (h1, h2, h3), c1 in dl3[h]:
+            for (k1, k2, k3), c2 in dl3[k]:
+                mid = om(hopf.algebra.product(eh[h2], eh[k2]), eb[i])
+                v = base.product(sg(eh[h1], eh[k1]),
+                                 base.product(mid, sgb(eh[h3], eh[k3])))
+                rhs = vec_add(f, rhs, vec_scale(f, f.mul(c1, c2), v))
+        return om(eh[h], om(eh[k], eb[i])) == rhs
+
     # normalized cocycle: sigma(h (x) 1) = sigma(1 (x) h) = eps(h) 1
-    for h in range(dh):
+    def normalized(h):
         e = vec_scale(f, eps.apply(eh[h])[0], base.unit)
-        if sg(eh[h], hopf.algebra.unit) != e or sg(hopf.algebra.unit, eh[h]) != e:
-            out.append(("normalization sigma(h,1)=sigma(1,h)=eps(h)1", (h,)))
-            break
+        return sg(eh[h], one_h) == e and sg(one_h, eh[h]) == e
+
     # cocycle condition (5.1.3)
-    done = False
-    for h in range(dh):
-        for k in range(dh):
-            for l in range(dh):
-                lhs = [f.zero] * db
-                for h1, h2, c1 in dl[h]:
-                    for k1, k2, c2 in dl[k]:
-                        for l1, l2, c3 in dl[l]:
-                            v = base.product(
-                                om(eh[h1], sg(eh[k1], eh[l1])),
-                                sg(eh[h2], hopf.algebra.product(eh[k2], eh[l2])))
-                            rhs_c = f.mul(f.mul(c1, c2), c3)
-                            lhs = vec_add(f, lhs, vec_scale(f, rhs_c, v))
-                rhs = [f.zero] * db
-                for h1, h2, c1 in dl[h]:
-                    for k1, k2, c2 in dl[k]:
-                        v = base.product(
-                            sg(eh[h1], eh[k1]),
-                            sg(hopf.algebra.product(eh[h2], eh[k2]), eh[l]))
-                        rhs = vec_add(f, rhs, vec_scale(f, f.mul(c1, c2), v))
-                if lhs != rhs:
-                    out.append(("(5.1.3)", (h, k, l)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    return out
+    def cocycle(h, k, l):
+        lhs = [f.zero] * db
+        for h1, h2, c1 in dl[h]:
+            for k1, k2, c2 in dl[k]:
+                for l1, l2, c3 in dl[l]:
+                    v = base.product(
+                        om(eh[h1], sg(eh[k1], eh[l1])),
+                        sg(eh[h2], hopf.algebra.product(eh[k2], eh[l2])))
+                    rhs_c = f.mul(f.mul(c1, c2), c3)
+                    lhs = vec_add(f, lhs, vec_scale(f, rhs_c, v))
+        rhs = [f.zero] * db
+        for h1, h2, c1 in dl[h]:
+            for k1, k2, c2 in dl[k]:
+                v = base.product(
+                    sg(eh[h1], eh[k1]),
+                    sg(hopf.algebra.product(eh[h2], eh[k2]), eh[l]))
+                rhs = vec_add(f, rhs, vec_scale(f, f.mul(c1, c2), v))
+        return lhs == rhs
+
+    report.fail_at("twisted-module 1.b=b",
+                   first_failure(lambda i: om(one_h, eb[i]) == eb[i], db))
+    report.fail_at("(5.1.2)", first_failure(twisted, dh, dh, db))
+    report.fail_at("normalization sigma(h,1)=sigma(1,h)=eps(h)1",
+                   first_failure(normalized, dh))
+    report.fail_at("(5.1.3)", first_failure(cocycle, dh, dh, dh))
+    return report.failures
 
 
 def build_crossed_product(base, hopf, omega, sigma, sigma_bar=None):
@@ -246,11 +227,8 @@ def build_crossed_product(base, hopf, omega, sigma, sigma_bar=None):
             raise InvalidCrossedData("sigma inverse is one-sided only") from exc
         except NotInvertible as exc:
             raise InvalidCrossedData("sigma not convolution invertible") from exc
-    else:
-        unit_mat = convolution_unit(base, hh)
-        if (convolve(base, hh, sigma, sigma_bar) != unit_mat
-                or convolve(base, hh, sigma_bar, sigma) != unit_mat):
-            raise InvalidCrossedData("sigma_bar is not the convolution inverse")
+    elif not is_convolution_inverse(base, hh, sigma, sigma_bar):
+        raise InvalidCrossedData("sigma_bar is not the convolution inverse")
     violations = _prop51_violations(base, hopf, omega, sigma, sigma_bar)
     if violations:
         raise InvalidCrossedData(*violations[0])
@@ -350,13 +328,6 @@ def extract_crossed_data(datum, ca):
 # -- Remark 5.3 / closed-form canonical inverse ------------------------------
 
 
-class CrossedInverseResult(ValidationReport):
-    def __init__(self, can_data, tmap=None):
-        super().__init__()
-        self.can = can_data
-        self.tmap = tmap
-
-
 def _one_sharp(cp, h_vec):
     """1_B # h as a vector of B#H."""
     return kron_vec(cp.base.field, cp.base.unit, h_vec)
@@ -378,7 +349,7 @@ def crossed_canonical_inverse(cp):
     eh = [basis_vec(f, dh, i) for i in range(dh)]
     eb = [basis_vec(f, db, i) for i in range(db)]
     can = canonical_map(ca)
-    result = CrossedInverseResult(can)
+    result = ValidationReport()
     if not can.galois:
         result.fail("can-not-bijective")
         return result
@@ -405,7 +376,7 @@ def crossed_canonical_inverse(cp):
                 flat = (bi * dh + hi) * dh + ki
                 if acc != can.inverse.col(flat):
                     result.fail("closed-form-inverse", (bi, hi, ki))
-    tmap = result.tmap = translation_map(ca, can)
+    tmap = translation_map(ca, can)
     # Remark 5.3: Sum l_i(h) (x) r_i(h)
     #   = (sigmabar(S(h2) (x) h3) 1_B # S(h1)) (x)_B (1_B # h4)
     for hi in range(dh):
@@ -431,11 +402,9 @@ def crossed_canonical_inverse(cp):
                 f, c, kron_vec(f, bpart, s.apply(eh[h1]))))
         u_cols.append(acc)
     u_mat = Matrix.from_cols(f, u_cols, nrows=db * dh)
-    unit_mat = convcat.unit_element(ca).matrix
     if not convcat.membership(ca, t_mat, (2, 1), "C"):
         result.fail("remark-5.3-t-colinear")
-    if (convcat.convolve_matrices(ca, t_mat, u_mat) != unit_mat
-            or convcat.convolve_matrices(ca, u_mat, t_mat) != unit_mat):
+    if not is_convolution_inverse(ca.algebra, hopf.coalgebra, t_mat, u_mat):
         result.fail("remark-5.3-u-inverse")
     return result
 
@@ -514,12 +483,13 @@ def _check_bh_iso(ca, b, psi, leg):
     if not psi.is_invertible():
         leg.fail("psi-not-bijective")
         return
-    for i in range(db):
-        lhs = psi @ b.algebra.lmul(basis_vec(f, db, i)).kron(idh)
-        rhs = ca.algebra.lmul(b.to_ambient(basis_vec(f, db, i))) @ psi
-        if lhs != rhs:
-            leg.fail("psi-not-B-linear", (i,))
-            break
+
+    def b_linear(i):
+        e = basis_vec(f, db, i)
+        return (psi @ b.algebra.lmul(e).kron(idh)
+                == ca.algebra.lmul(b.to_ambient(e)) @ psi)
+
+    leg.fail_at("psi-not-B-linear", first_failure(b_linear, db))
     x_co = Matrix.identity(f, db).kron(ca.hopf.coalgebra.comul)
     if ca.coaction @ psi != psi.kron(idh) @ x_co:
         leg.fail("psi-not-colinear")
@@ -541,6 +511,17 @@ def _find_bh_iso(ca, b, seed, tries):
         return NotFound(True, 0, 0, "no B-linear colinear map")
     return search.first(f, len(mats), OperatorSpan(mats).full_rank_at, seed,
                         tries)
+
+
+def _transport_witness(ca, psi, back, cp):
+    """First (x, y) with back(psi(e_x) psi(e_y)) != e_x e_y in B#_sigma H
+    (5.1.1), or None: psi carries the product of A to that of cp."""
+    alg = cp.algebra.algebra
+    n = alg.dim
+    images = [psi.col(x) for x in range(n)]
+    return first_failure(
+        lambda x, y: back.apply(ca.algebra.product(images[x], images[y]))
+        == alg.mul.col(x * n + y), n, n)
 
 
 def structure_theorem_check(ca, seed=0, tries=500):
@@ -571,21 +552,8 @@ def structure_theorem_check(ca, seed=0, tries=500):
             if varphi @ psi != Matrix.identity(f, db * dh):
                 leg1.fail("varphi-psi-not-id")
             _check_bh_iso(ca, b, psi, leg1)
-            # transported multiplication equals (5.1.1)
-            n = db * dh
-            for x in range(n):
-                bad = False
-                for y in range(n):
-                    transported = varphi.apply(ca.algebra.product(
-                        psi.col(x), psi.col(y)))
-                    direct = cp.algebra.algebra.product(
-                        basis_vec(f, n, x), basis_vec(f, n, y))
-                    if transported != direct:
-                        leg1.fail("transported-mult-vs-5.1.1", (x, y))
-                        bad = True
-                        break
-                if bad:
-                    break
+            leg1.fail_at("transported-mult-vs-5.1.1",
+                         _transport_witness(ca, psi, varphi, cp))
 
     leg2 = ValidationReport()
     report.legs["2->3"] = leg2
@@ -636,6 +604,19 @@ class SmashReport:
         return self.status == "found" and self.sigma_trivial and self.iso_ok
 
 
+def is_algebra_map(ca, t_mat):
+    """t: H -> A has t(1) = 1 and t(hk) = t(h) t(k)."""
+    return (t_mat.apply(ca.hopf.algebra.unit) == ca.algebra.unit
+            and multiplicative_witness(ca.hopf.algebra, ca.algebra,
+                                       t_mat) is None)
+
+
+def _algebra_map_at(ca, mats, coeffs):
+    """t = Sum coeffs[k] mats[k] if it is an algebra map, else None."""
+    t_mat = lin_comb(mats, coeffs)
+    return t_mat if is_algebra_map(ca, t_mat) else None
+
+
 def _algebra_map_search(ca, mats, seed=0, tries=500,
                         enumerate_cap=EXHAUSTIVE_CAP):
     """Find an algebra map in span(mats); returns (t_mat or None, status)."""
@@ -644,18 +625,7 @@ def _algebra_map_search(ca, mats, seed=0, tries=500,
         return None, "none"
     h_alg, alg = ca.hopf.algebra, ca.algebra
     eh = [basis_vec(f, h_alg.dim, i) for i in range(h_alg.dim)]
-
-    def algebra_map_at(coeffs):
-        t_mat = lin_comb(mats, coeffs)
-        if t_mat.apply(h_alg.unit) != alg.unit:
-            return None
-        for x in eh:
-            for y in eh:
-                if t_mat.apply(h_alg.product(x, y)) != alg.product(
-                        t_mat.apply(x), t_mat.apply(y)):
-                    return None
-        return t_mat
-
+    algebra_map_at = partial(_algebra_map_at, ca, mats)
     if f.kind == "Fp":
         got = search.first(f, len(mats), algebra_map_at, seed, tries,
                            enumerate_cap)
@@ -683,7 +653,6 @@ def _algebra_map_search(ca, mats, seed=0, tries=500,
 def smash_check(ca, seed=0, tries=500, enumerate_cap=EXHAUSTIVE_CAP):
     """Thm 5.4: search for a colinear algebra map t; on success verify the
     extracted sigma is trivial and A is isomorphic to the smash product B#H."""
-    f = ca.field
     report = SmashReport()
     hs = convcat.hom_space(ca, (2, 1), "C")
     mats = [el.matrix for el in hs.elements]
@@ -697,9 +666,7 @@ def smash_check(ca, seed=0, tries=500, enumerate_cap=EXHAUSTIVE_CAP):
     report.t = t_mat
     # t is invertible with inverse t o S (verified, not assumed)
     u_mat = t_mat @ ca.hopf.antipode
-    unit_mat = convcat.unit_element(ca).matrix
-    if (convcat.convolve_matrices(ca, t_mat, u_mat) != unit_mat
-            or convcat.convolve_matrices(ca, u_mat, t_mat) != unit_mat):
+    if not is_convolution_inverse(ca.algebra, ca.hopf.coalgebra, t_mat, u_mat):
         report.status = "found"
         report.sigma_trivial = False
         report.detail = "t o S is not the convolution inverse"
@@ -714,23 +681,9 @@ def smash_check(ca, seed=0, tries=500, enumerate_cap=EXHAUSTIVE_CAP):
     psi = _psi_matrix(ca, b, t_mat)
     leg = ValidationReport()
     _check_bh_iso(ca, b, psi, leg)
-    # transported multiplication must agree with the assembled B#H
-    n = b.dim * ca.hopf.dim
     if leg.passed:
-        inv = psi.invert()
-        for x in range(n):
-            ok = True
-            for y in range(n):
-                transported = inv.apply(ca.algebra.product(psi.col(x),
-                                                           psi.col(y)))
-                direct = cp.algebra.algebra.product(
-                    basis_vec(f, n, x), basis_vec(f, n, y))
-                if transported != direct:
-                    leg.fail("smash-mult", (x, y))
-                    ok = False
-                    break
-            if not ok:
-                break
+        leg.fail_at("smash-mult",
+                    _transport_witness(ca, psi, psi.invert(), cp))
     report.iso_ok = leg.passed
     if not leg.passed:
         report.detail = str(leg.failures[0])

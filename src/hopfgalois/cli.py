@@ -321,11 +321,7 @@ def cmd_classify(args):
     report.merge_failures(cls.failures,
                           ["lifting-theorem", "round-trip-phi", "round-trip-t",
                            "lambda-omega-count", "class-count", "h1-count"])
-    report.details["lambda_count"] = cls.lambda_count
-    report.details["lambda_classes"] = cls.lambda_classes
-    report.details["omega_count"] = cls.omega_count
-    report.details["omega_classes"] = cls.omega_classes
-    report.details["h1_count"] = cls.h1_count
+    report.details.update(cls.details)
     return report
 
 

@@ -7,15 +7,15 @@ db x (dh*db) matrix with left-leg-major flattening, as in module cleft.
 """
 
 import itertools
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import cleft, convcat, search
 from .comodule import InternalInvariant
 from .hopf import (ValidationReport, convolution_inverse,
                    convolution_operator, convolution_unit, convolve,
-                   is_cocommutative)
+                   first_failure, is_cocommutative)
 from .linalg import (Matrix, NotInvertible, OperatorSpan, basis_vec,
-                     kron_vec, lin_comb, vec_add, vec_scale)
+                     kron_vec, vec_add, vec_scale)
 from .search import EXHAUSTIVE_CAP, NotFound, SearchInconclusive
 
 
@@ -89,33 +89,21 @@ class HModuleAlgebraAction:
             for i in range(db * dh)])
 
     def validate(self):
-        f = self.field
+        f, act, h_alg = self.field, self.act, self.hopf.algebra
         db, dh = self.base.dim, self.hopf.dim
         eb = [basis_vec(f, db, i) for i in range(db)]
         eh = [basis_vec(f, dh, i) for i in range(dh)]
         report = ValidationReport()
-        for i in range(db):
-            if self.act(self.hopf.algebra.unit, eb[i]) != eb[i]:
-                report.fail("1.b=b", (i,))
-                break
+        report.fail_at("1.b=b", first_failure(
+            lambda i: act(h_alg.unit, eb[i]) == eb[i], db))
         for name, witness in zip(("h.1=eps(h)1", "h.(bc)=(h1.b)(h2.c)"),
                                  cleft.measuring_witnesses(
-                                     self.hopf, self.base, self.act)):
-            if witness is not None:
-                report.fail(name, witness)
-        for h in range(dh):
-            bad = False
-            for k in range(dh):
-                hk = self.hopf.algebra.product(eh[h], eh[k])
-                for i in range(db):
-                    if self.act(eh[h], self.act(eh[k], eb[i])) != self.act(hk, eb[i]):
-                        report.fail("h.(k.b)=(hk).b", (h, k, i))
-                        bad = True
-                        break
-                if bad:
-                    break
-            if bad:
-                break
+                                     self.hopf, self.base, act)):
+            report.fail_at(name, witness)
+        hk = [h_alg.mul.col(j) for j in range(dh * dh)]
+        report.fail_at("h.(k.b)=(hk).b", first_failure(
+            lambda h, k, i: act(eh[h], act(eh[k], eb[i]))
+            == act(hk[h * dh + k], eb[i]), dh, dh, db))
         return report
 
 
@@ -245,18 +233,9 @@ def cohomologous(act, v_mat, v1_mat, seed=0):
 
 
 def h1_classes(act, candidates, seed=0):
-    """Partition a list of cocycles into cohomology classes (union-find)."""
-    reps = []
-    classes = []
-    for v in candidates:
-        for idx, r in enumerate(reps):
-            if cohomologous(act, v, r, seed=seed):
-                classes[idx].append(v)
-                break
-        else:
-            reps.append(v)
-            classes.append([v])
-    return classes
+    """Partition a list of cocycles into cohomology classes."""
+    return search.classes(candidates,
+                          lambda v, r: cohomologous(act, v, r, seed=seed))
 
 
 def z1_enumerate(act, enumerate_cap=EXHAUSTIVE_CAP):
@@ -299,21 +278,8 @@ def z1_enumerate(act, enumerate_cap=EXHAUSTIVE_CAP):
 
 def omega_membership(ca, t_mat):
     """t in Omega_A: H-colinear algebra map."""
-    f = ca.field
-    dh = ca.hopf.dim
-    if not convcat.membership(ca, t_mat, (2, 1), "C"):
-        return False
-    if t_mat.apply(ca.hopf.algebra.unit) != ca.algebra.unit:
-        return False
-    for i in range(dh):
-        for j in range(dh):
-            prod = ca.hopf.algebra.product(basis_vec(f, dh, i),
-                                           basis_vec(f, dh, j))
-            if t_mat.apply(prod) != ca.algebra.product(
-                    t_mat.apply(basis_vec(f, dh, i)),
-                    t_mat.apply(basis_vec(f, dh, j))):
-                return False
-    return True
+    return (convcat.membership(ca, t_mat, (2, 1), "C")
+            and cleft.is_algebra_map(ca, t_mat))
 
 
 def omega_equivalence(ca, t1_mat, t2_mat, seed=0):
@@ -339,16 +305,8 @@ def omega_equivalence(ca, t1_mat, t2_mat, seed=0):
 
 
 def omega_classes(ca, candidates, seed=0):
-    reps, classes = [], []
-    for t in candidates:
-        for idx, r in enumerate(reps):
-            if omega_equivalence(ca, t, r, seed=seed):
-                classes[idx].append(t)
-                break
-        else:
-            reps.append(t)
-            classes.append([t])
-    return classes
+    return search.classes(candidates,
+                          lambda t, r: omega_equivalence(ca, t, r, seed=seed))
 
 
 def _embed_v(ca, b, v_mat):
@@ -359,7 +317,8 @@ def _embed_v(ca, b, v_mat):
 def omega_enumerate(ca, act=None, base_point=None, seed=0,
                     enumerate_cap=EXHAUSTIVE_CAP):
     """All of Omega_A: exhaustive over F_p within cap; over Q generated as
-    {v * t0 | v in Z^1} from a base point (complete by Prop 5.7)."""
+    {v * t0 | v in Z^1} from a base point (complete by Prop 5.7).  The
+    candidates span Hom^H(H, A), so only the algebra-map test is made."""
     f = ca.field
     b = ca.coinvariants()
     hs = convcat.hom_space(ca, (2, 1), "C")
@@ -367,10 +326,8 @@ def omega_enumerate(ca, act=None, base_point=None, seed=0,
     d = len(mats)
     unit = ([m.apply(ca.hopf.algebra.unit) for m in mats], ca.algebra.unit)
     if search.enumerable(f, d, enumerate_cap, unit):
-        def omega_at(coeffs):
-            t = lin_comb(mats, coeffs)
-            return t if omega_membership(ca, t) else None
-        return search.every(f, d, omega_at, enumerate_cap, unit)
+        return search.every(f, d, partial(cleft._algebra_map_at, ca, mats),
+                            enumerate_cap, unit)
     if base_point is None:
         base_point, status = cleft._algebra_map_search(
             ca, mats, seed=seed, enumerate_cap=enumerate_cap)
@@ -397,15 +354,10 @@ def omega_enumerate(ca, act=None, base_point=None, seed=0,
 # -- Theorem 5.6: the groupoid X_A -------------------------------------------
 
 
-class GroupoidReport(ValidationReport):
-    def __init__(self):
-        super().__init__()
-        self.vacuous = False
-        self.sizes = {}
-
-
 def groupoid_xa_check(ca, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
-    """All six closure items of Thm 5.6 plus invertibility of every morphism."""
+    """All six closure items of Thm 5.6 plus invertibility of every morphism;
+    details holds the sizes of Z^1, Omega_A, X22 and X12, and vacuous is
+    true when Omega_A is empty."""
     b = ca.coinvariants()
     _gate(ca.hopf, b.algebra)
     f = ca.field
@@ -415,158 +367,95 @@ def groupoid_xa_check(ca, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
     if isinstance(datum, cleft.NotFound):
         raise HypothesisViolated(f"A is not cleft: {datum!r}")
     act = action_from_cleft(ca, datum)
-    report = GroupoidReport()
+    report = ValidationReport()
     z1 = z1_enumerate(act, enumerate_cap=enumerate_cap)
     omega = omega_enumerate(ca, act=act, seed=seed,
                             enumerate_cap=enumerate_cap)
     x22 = [v @ hopf.antipode_inv for v in z1]     # w with w o S in Z^1
     x12 = [t @ s for t in omega]
-    report.sizes = {"Z1": len(z1), "Omega": len(omega),
-                    "X22": len(x22), "X12": len(x12)}
+    report.details.update(vacuous=not omega, sizes={
+        "Z1": len(z1), "Omega": len(omega), "X22": len(x22), "X12": len(x12)})
+
+    def in_b(m):
+        """An A-valued map as a B-valued one, or None if a value leaves B."""
+        try:
+            return Matrix.from_cols(f, [b.from_ambient(m.col(h))
+                                        for h in range(hopf.dim)], nrows=b.dim)
+        except InternalInvariant:
+            return None
 
     def in_z1_ambient(m):
-        """Membership of an A-valued map whose values must lie in B."""
-        cols = []
-        for h in range(hopf.dim):
-            try:
-                cols.append(b.from_ambient(m.col(h)))
-            except InternalInvariant:
-                return False
-        return z1_membership(act, Matrix.from_cols(f, cols, nrows=b.dim))
+        v = in_b(m)
+        return v is not None and z1_membership(act, v)
 
     def in_x22_ambient(m):
-        cols = []
-        for h in range(hopf.dim):
-            try:
-                cols.append(b.from_ambient(m.col(h)))
-            except InternalInvariant:
-                return False
-        w = Matrix.from_cols(f, cols, nrows=b.dim)
-        return z1_membership(act, w @ s)
+        w = in_b(m)
+        return w is not None and z1_membership(act, w @ s)
 
     def in_x12(m):
         return omega_membership(ca, m @ hopf.antipode_inv)
+
+    def inverse_in_z1(v):
+        try:
+            return z1_membership(
+                act, convolution_inverse(act.base, hopf.coalgebra, v))
+        except NotInvertible:
+            return False
+
+    def invertible(m):
+        try:
+            convcat.convolution_inverse_matrix(ca, m, "C")
+        except NotInvertible:
+            return False
+        return True
+
+    def closed(name, left, right, conv, member):
+        """member(conv(l, r)) for every l in left and r in right."""
+        report.fail_at(name, first_failure(
+            lambda i, j: member(conv(left[i], right[j])),
+            len(left), len(right)))
 
     # Z^1 group structure
     unit_b = convolution_unit(act.base, hopf.coalgebra)
     if z1 and not z1_membership(act, unit_b):
         report.fail("Z1-unit")
-    for i, v in enumerate(z1):
-        try:
-            ok = z1_membership(
-                act, convolution_inverse(act.base, hopf.coalgebra, v))
-        except NotInvertible:
-            ok = False
-        if not ok:
-            report.fail("Z1-inverse", (i,))
-            break
-    for i, v in enumerate(z1):
-        bad = False
-        for j, v2 in enumerate(z1):
-            if not z1_membership(act, convolve(act.base, hopf.coalgebra,
-                                               v, v2)):
-                report.fail("Z1-closure", (i, j))
-                bad = True
-                break
-        if bad:
-            break
-
+    report.fail_at("Z1-inverse",
+                   first_failure(lambda i: inverse_in_z1(z1[i]), len(z1)))
+    closed("Z1-closure", z1, z1, partial(convolve, act.base, hopf.coalgebra),
+           partial(z1_membership, act))
     if not omega:
-        report.vacuous = True
         return report
 
-    emb = lambda v: _embed_v(ca, b, v)
-    conv_a = lambda g, h: convcat.convolve_matrices(ca, g, h, "C")
-    # 1) t * u1 in Z^1 for t, t1 in Omega, u1 = t1 o S
-    for i, t in enumerate(omega):
-        bad = False
-        for j, t1 in enumerate(omega):
-            if not in_z1_ambient(conv_a(t, t1 @ s)):
-                report.fail("closure-1 t*u1 in Z1", (i, j))
-                bad = True
-                break
-        if bad:
-            break
-    # 2) v * t in Omega
-    for i, v in enumerate(z1):
-        bad = False
-        for j, t in enumerate(omega):
-            if not omega_membership(ca, conv_a(emb(v), t)):
-                report.fail("closure-2 v*t in Omega", (i, j))
-                bad = True
-                break
-        if bad:
-            break
-    # 3) t * w in Omega for w in X22
-    for i, t in enumerate(omega):
-        bad = False
-        for j, w in enumerate(x22):
-            if not omega_membership(ca, conv_a(t, emb(w))):
-                report.fail("closure-3 t*w in Omega", (i, j))
-                bad = True
-                break
-        if bad:
-            break
-    # 4) u * t1 in X22 for u = t o S
-    for i, t in enumerate(omega):
-        bad = False
-        for j, t1 in enumerate(omega):
-            if not in_x22_ambient(conv_a(t @ s, t1)):
-                report.fail("closure-4 u*t1 in X22", (i, j))
-                bad = True
-                break
-        if bad:
-            break
-    # 5) w * u in X12
-    for i, w in enumerate(x22):
-        bad = False
-        for j, t in enumerate(omega):
-            if not in_x12(conv_a(emb(w), t @ s)):
-                report.fail("closure-5 w*u in X12", (i, j))
-                bad = True
-                break
-        if bad:
-            break
-    # 6) u * v in X12
-    for i, t in enumerate(omega):
-        bad = False
-        for j, v in enumerate(z1):
-            if not in_x12(conv_a(t @ s, emb(v))):
-                report.fail("closure-6 u*v in X12", (i, j))
-                bad = True
-                break
-        if bad:
-            break
+    z1_a = [_embed_v(ca, b, v) for v in z1]
+    x22_a = [_embed_v(ca, b, w) for w in x22]
+    conv_a = partial(convcat.convolve_matrices, ca)
+    in_omega = partial(omega_membership, ca)
+    closed("closure-1 t*u1 in Z1", omega, x12, conv_a, in_z1_ambient)
+    closed("closure-2 v*t in Omega", z1_a, omega, conv_a, in_omega)
+    closed("closure-3 t*w in Omega", omega, x22_a, conv_a, in_omega)
+    closed("closure-4 u*t1 in X22", x12, omega, conv_a, in_x22_ambient)
+    closed("closure-5 w*u in X12", x22_a, x12, conv_a, in_x12)
+    closed("closure-6 u*v in X12", x12, z1_a, conv_a, in_x12)
     # groupoid: every morphism is convolution invertible
-    for name, fam, ambient in (("Z1", z1, False), ("Omega", omega, True),
-                               ("X22", x22, False), ("X12", x12, True)):
-        for i, m in enumerate(fam):
-            mat = m if ambient else emb(m)
-            try:
-                convcat.convolution_inverse_matrix(ca, mat, "C")
-            except Exception:
-                report.fail(f"{name}-morphism-not-invertible", (i,))
-                break
+    for name, fam in (("Z1", z1_a), ("Omega", omega), ("X22", x22_a),
+                      ("X12", x12)):
+        report.fail_at(f"{name}-morphism-not-invertible", first_failure(
+            lambda i: invertible(fam[i]), len(fam)))
     return report
 
 
 # -- Proposition 5.7 ---------------------------------------------------------
 
 
-class Prop57Report(ValidationReport):
-    def __init__(self):
-        super().__init__()
-        self.h1_count = None
-        self.omega_bar_count = None
-
-
 def prop57_check(ca, t0=None, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
-    """F(v) = v * t0 is a bijection Z^1 -> Omega_A preserving/reflecting ~."""
+    """F(v) = v * t0 is a bijection Z^1 -> Omega_A preserving/reflecting ~;
+    details holds h1_count and omega_bar_count once both are counted."""
     b = ca.coinvariants()
     _gate(ca.hopf, b.algebra)
     f = ca.field
     hopf = ca.hopf
-    report = Prop57Report()
+    report = ValidationReport()
+    report.details.update(h1_count=None, omega_bar_count=None)
     omega = omega_enumerate(ca, seed=seed, enumerate_cap=enumerate_cap)
     if t0 is None:
         if not omega:
@@ -614,9 +503,9 @@ def prop57_check(ca, t0=None, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
             rhs = omega_equivalence(ca, F(z1[i]), F(z1[j]), seed=seed)
             if lhs != rhs:
                 report.fail("equivalence-not-transported", (i, j))
-    report.h1_count = len(h1_classes(act, z1, seed=seed))
-    report.omega_bar_count = len(omega_classes(ca, omega, seed=seed))
-    if report.h1_count != report.omega_bar_count:
-        report.fail("class-count-mismatch",
-                    (report.h1_count, report.omega_bar_count))
+    counts = (len(h1_classes(act, z1, seed=seed)),
+              len(omega_classes(ca, omega, seed=seed)))
+    report.details.update(h1_count=counts[0], omega_bar_count=counts[1])
+    if counts[0] != counts[1]:
+        report.fail("class-count-mismatch", counts)
     return report

@@ -12,6 +12,8 @@ Conventions (inherited by every other module):
     constructor is called, so the tables cannot go stale.
 """
 
+import itertools
+
 from .linalg import (Matrix, NoSolution, NotInvertible, basis_vec,
                      gather_legs, kron_vec, linear_operator, reduced,
                      scatter_legs)
@@ -34,14 +36,21 @@ class ValidationReport:
 
     Each failure is (axiom name, witness); the witness is a tuple of basis
     indices locating the first offending instance, or None when the failure
-    is structural (e.g. a dimension clash).
+    is structural (e.g. a dimension clash).  details holds what a check
+    measured besides its verdict (dimensions, counts, sizes).
     """
 
     def __init__(self):
         self.failures = []
+        self.details = {}
 
     def fail(self, axiom, witness=None):
         self.failures.append((axiom, witness))
+
+    def fail_at(self, axiom, witness):
+        """Record axiom as failing at witness, unless witness is None."""
+        if witness is not None:
+            self.fail(axiom, witness)
 
     @property
     def passed(self):
@@ -53,16 +62,36 @@ class ValidationReport:
         if not diff.is_zero():
             witness = None
             if witness_dims is not None:
-                for i, x in enumerate(diff.data):
-                    if x != diff.field.zero:
-                        col = i % diff.cols
-                        witness = _unflatten(col, witness_dims)
-                        break
+                i = next(i for i, x in enumerate(diff.data)
+                         if x != diff.field.zero)
+                witness = _unflatten(i % diff.cols, witness_dims)
             self.fail(axiom, witness)
 
     def __repr__(self):
         status = "pass" if self.passed else f"fail({self.failures!r})"
         return f"ValidationReport({status})"
+
+
+def first_failure(holds, *dims):
+    """The first index tuple of range(dims[0]) x range(dims[1]) x ... in
+    lexicographic order at which holds(*idx) is false, or None when it holds
+    on every tuple; holds is called on no tuple after the first failure."""
+    return next((idx for idx in itertools.product(*map(range, dims))
+                 if not holds(*idx)), None)
+
+
+def multiplicative_witness(src, dst, t_mat, anti=False):
+    """First (i, j) with t(e_i e_j) != t(e_i) t(e_j), or != t(e_j) t(e_i)
+    when anti, for a linear map t: src -> dst of algebras; None if none."""
+    n = src.dim
+    images = [t_mat.col(i) for i in range(n)]
+
+    def holds(i, j):
+        x, y = (j, i) if anti else (i, j)
+        return (t_mat.apply(src.mul.col(i * n + j))
+                == dst.product(images[x], images[y]))
+
+    return first_failure(holds, n, n)
 
 
 def _columns(mat):
@@ -130,7 +159,7 @@ class StructureConstantAlgebra:
         """Two-sided inverse of v, or None."""
         try:
             w = self.lmul(v).solve(self.unit)
-        except Exception:
+        except NoSolution:
             return None
         if self.product(w, v) != self.unit:
             return None
@@ -148,9 +177,8 @@ class StructureConstantAlgebra:
         report.check("algebra.associativity", lhs, rhs, (n, n, n))
         for name, op in (("algebra.left-unit", self.lmul(self.unit)),
                          ("algebra.right-unit", self.rmul(self.unit))):
-            bad = next((i for i in range(n) if op.col(i) != idn.col(i)), None)
-            if bad is not None:
-                report.fail(name, (bad,))
+            report.fail_at(name, first_failure(
+                lambda i: op.col(i) == idn.col(i), n))
         return report
 
 
@@ -283,6 +311,13 @@ def convolve(algebra, coalgebra, g_mat, f_mat):
 def convolution_unit(algebra, coalgebra):
     """eta_A o eps_C, the unit of Hom(C, A)."""
     return Matrix.from_cols(algebra.field, [algebra.unit]) @ coalgebra.counit
+
+
+def is_convolution_inverse(algebra, coalgebra, f_mat, g_mat):
+    """f * g = g * f = eta eps in Hom(C, A)."""
+    unit = convolution_unit(algebra, coalgebra)
+    return (convolve(algebra, coalgebra, f_mat, g_mat) == unit
+            and convolve(algebra, coalgebra, g_mat, f_mat) == unit)
 
 
 def convolution_operator(algebra, coalgebra, f_mat):

@@ -8,7 +8,8 @@ E-coordinates as in module maintheorem.
 """
 
 from . import cleft, cohomology, convcat, maintheorem, search
-from .hopf import ValidationReport, is_cocommutative
+from .hopf import (ValidationReport, first_failure, is_cocommutative,
+                   multiplicative_witness)
 from .linalg import (Matrix, OperatorSpan, basis_vec, intertwiners,
                      kron_vec, lin_comb, tensor_entries, vec_add, vec_scale)
 from .search import EXHAUSTIVE_CAP, NotFound, SearchInconclusive
@@ -24,7 +25,6 @@ class ActionCandidate:
     def __init__(self, ctx, phi):
         self.ctx = ctx
         self.phi = phi
-        f = ctx.field
         for k in range(ctx.b.dim):
             if phi @ ctx.x2_actions[k] != ctx.m.actions[k] @ phi:
                 raise NotLinear(f"phi is not B-linear at b_{k}")
@@ -52,48 +52,48 @@ class LiftingPair:
 
 
 def _check_621(ctx, candidate, u_prime):
-    """(6.2.1): m.a (x)_B 1 = u'(a_[1]) (m (x)_B a_[0])."""
+    """First (m, a) where (6.2.1) m.a (x)_B 1 = u'(a_[1]) (m (x)_B a_[0])
+    fails, or None."""
     f = ctx.field
-    da, dh = ctx.ca.algebra.dim, ctx.ca.hopf.dim
-    for mi in range(ctx.m.dim):
-        em = basis_vec(f, ctx.m.dim, mi)
-        for aj in range(da):
-            x = ctx.quot.project(kron_vec(f, em, basis_vec(f, da, aj)))
-            lhs = ctx.eta.apply(candidate.phi.apply(x))
-            rhs = [f.zero] * ctx.quot.dim
-            rho_a = ctx.ca.coaction.apply(basis_vec(f, da, aj))
-            for (a0, h), c in tensor_entries(f, rho_a, (da, dh)):
-                p = ctx.quot.project(kron_vec(f, em, basis_vec(f, da, a0)))
-                w = ctx.ev(u_prime, basis_vec(f, dh, h)).apply(p)
-                rhs = vec_add(f, rhs, vec_scale(f, c, w))
-            if lhs != rhs:
-                return False, (mi, aj)
-    return True, None
+    dm, da, dh = ctx.m.dim, ctx.ca.algebra.dim, ctx.ca.hopf.dim
+    u_h = [ctx.ev(u_prime, basis_vec(f, dh, h)) for h in range(dh)]
+
+    def holds(mi, aj):
+        em = basis_vec(f, dm, mi)
+        x = ctx.quot.project(kron_vec(f, em, basis_vec(f, da, aj)))
+        rhs = [f.zero] * ctx.quot.dim
+        rho_a = ctx.ca.coaction.apply(basis_vec(f, da, aj))
+        for (a0, h), c in tensor_entries(f, rho_a, (da, dh)):
+            p = ctx.quot.project(kron_vec(f, em, basis_vec(f, da, a0)))
+            rhs = vec_add(f, rhs, vec_scale(f, c, u_h[h].apply(p)))
+        return ctx.eta.apply(candidate.phi.apply(x)) == rhs
+
+    return first_failure(holds, dm, da)
 
 
 def _check_622(ctx, candidate, t_coords):
-    """(6.2.2): t(h)(m (x) a) = Sum_i phi(m (x) l_i(h)) (x) r_i(h) a."""
+    """First (h, m, a) where (6.2.2) t(h)(m (x) a) = Sum_i phi(m (x) l_i(h))
+    (x) r_i(h) a fails, or None."""
     f = ctx.field
-    da, dh = ctx.ca.algebra.dim, ctx.ca.hopf.dim
-    for hj in range(dh):
-        t_h = ctx.ev(t_coords, basis_vec(f, dh, hj))
-        rep = ctx.tmap.rep(basis_vec(f, dh, hj))
-        for mi in range(ctx.m.dim):
-            em = basis_vec(f, ctx.m.dim, mi)
-            for aj in range(da):
-                x = ctx.quot.project(kron_vec(f, em, basis_vec(f, da, aj)))
-                lhs = t_h.apply(x)
-                rhs = [f.zero] * ctx.quot.dim
-                for (l, r), c in tensor_entries(f, rep, (da, da)):
-                    mv = candidate.phi.apply(ctx.quot.project(
-                        kron_vec(f, em, basis_vec(f, da, l))))
-                    av = ctx.ca.algebra.product(basis_vec(f, da, r),
-                                                basis_vec(f, da, aj))
-                    rhs = vec_add(f, rhs, vec_scale(
-                        f, c, ctx.quot.project(kron_vec(f, mv, av))))
-                if lhs != rhs:
-                    return False, (hj, mi, aj)
-    return True, None
+    dm, da, dh = ctx.m.dim, ctx.ca.algebra.dim, ctx.ca.hopf.dim
+    t_h = [ctx.ev(t_coords, basis_vec(f, dh, h)) for h in range(dh)]
+    reps = [list(tensor_entries(f, ctx.tmap.rep(basis_vec(f, dh, h)),
+                                (da, da))) for h in range(dh)]
+
+    def holds(hj, mi, aj):
+        em = basis_vec(f, dm, mi)
+        x = ctx.quot.project(kron_vec(f, em, basis_vec(f, da, aj)))
+        rhs = [f.zero] * ctx.quot.dim
+        for (l, r), c in reps[hj]:
+            mv = candidate.phi.apply(ctx.quot.project(
+                kron_vec(f, em, basis_vec(f, da, l))))
+            av = ctx.ca.algebra.product(basis_vec(f, da, r),
+                                        basis_vec(f, da, aj))
+            rhs = vec_add(f, rhs, vec_scale(
+                f, c, ctx.quot.project(kron_vec(f, mv, av))))
+        return t_h[hj].apply(x) == rhs
+
+    return first_failure(holds, dh, dm, da)
 
 
 def phi_to_t(ctx, phi):
@@ -103,11 +103,11 @@ def phi_to_t(ctx, phi):
     if not convcat.membership(ctx.e.ca, t_coords, (2, 1), "C"):
         raise maintheorem.MembershipViolation("t = alpha^_12(phi) not colinear")
     pair = LiftingPair(ctx, candidate, t_coords)
-    ok, w = _check_621(ctx, candidate, pair.u_prime)
-    if not ok:
+    w = _check_621(ctx, candidate, pair.u_prime)
+    if w is not None:
         raise maintheorem.MembershipViolation(f"(6.2.1) fails at {w}")
-    ok, w = _check_622(ctx, candidate, t_coords)
-    if not ok:
+    w = _check_622(ctx, candidate, t_coords)
+    if w is not None:
         raise maintheorem.MembershipViolation(f"(6.2.2) fails at {w}")
     return pair
 
@@ -136,6 +136,16 @@ class EquivalenceVerdict:
         return f"EquivalenceVerdict({body})"
 
 
+def _associativity_witness(cand):
+    """First (i, j) with (m.e_i).e_j != m.(e_i e_j), or None; the action of
+    e_i e_j is the combination of the basis actions by its coordinates."""
+    alg = cand.ctx.ca.algebra
+    da = alg.dim
+    acts = [cand.act_matrix(basis_vec(alg.field, da, i)) for i in range(da)]
+    return first_failure(lambda i, j: acts[j] @ acts[i]
+                         == lin_comb(acts, alg.mul.col(i * da + j)), da, da)
+
+
 def check_unitality(pair):
     """Prop 6.2: t(1)=1, u'(1)=1, m.1=m (the paper's 'm.1=1' is a typo)."""
     ctx = pair.ctx
@@ -149,45 +159,11 @@ def check_unitality(pair):
 
 def check_associativity(pair):
     """Prop 6.3: t multiplicative, u anti-multiplicative, action associative."""
-    ctx = pair.ctx
-    f = ctx.field
-    dh, da = ctx.ca.hopf.dim, ctx.ca.algebra.dim
-    e_alg = ctx.e.ca.algebra
-    eh = [basis_vec(f, dh, i) for i in range(dh)]
-    c1 = True
-    for i in range(dh):
-        for j in range(dh):
-            hk = ctx.ca.hopf.algebra.product(eh[i], eh[j])
-            if pair.t.apply(hk) != e_alg.product(pair.t.apply(eh[i]),
-                                                 pair.t.apply(eh[j])):
-                c1 = False
-                break
-        if not c1:
-            break
-    c2 = True
-    for i in range(dh):
-        for j in range(dh):
-            hk = ctx.ca.hopf.algebra.product(eh[i], eh[j])
-            if pair.u.apply(hk) != e_alg.product(pair.u.apply(eh[j]),
-                                                 pair.u.apply(eh[i])):
-                c2 = False
-                break
-        if not c2:
-            break
-    c3 = True
-    for i in range(da):
-        acti = pair.candidate.act_matrix(basis_vec(f, da, i))
-        for j in range(da):
-            ab = ctx.ca.algebra.product(basis_vec(f, da, i),
-                                        basis_vec(f, da, j))
-            actj = pair.candidate.act_matrix(basis_vec(f, da, j))
-            if actj @ acti != pair.candidate.act_matrix(ab):
-                c3 = False
-                break
-        if not c3:
-            break
+    h_alg, e_alg = pair.ctx.ca.hopf.algebra, pair.ctx.e.ca.algebra
     return EquivalenceVerdict(
-        (c1, c2, c3),
+        (multiplicative_witness(h_alg, e_alg, pair.t) is None,
+         multiplicative_witness(h_alg, e_alg, pair.u, anti=True) is None,
+         _associativity_witness(pair.candidate) is None),
         ("t multiplicative", "u anti-multiplicative", "action associative"))
 
 
@@ -290,19 +266,8 @@ def _is_action(ctx, phi):
         cand = ActionCandidate(ctx, phi)
     except NotLinear:
         return False
-    f = ctx.field
-    if cand.phi @ ctx.eta != Matrix.identity(f, ctx.m.dim):
-        return False
-    da = ctx.ca.algebra.dim
-    for i in range(da):
-        acti = cand.act_matrix(basis_vec(f, da, i))
-        for j in range(da):
-            ab = ctx.ca.algebra.product(basis_vec(f, da, i),
-                                        basis_vec(f, da, j))
-            if cand.act_matrix(basis_vec(f, da, j)) @ acti \
-                    != cand.act_matrix(ab):
-                return False
-    return True
+    return (phi @ ctx.eta == Matrix.identity(ctx.field, ctx.m.dim)
+            and _associativity_witness(cand) is None)
 
 
 def lambda_enumerate(ctx, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
@@ -391,16 +356,6 @@ def phi_equivalence(ctx, phi1, phi2, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
     return via_651
 
 
-class ClassificationReport(ValidationReport):
-    def __init__(self):
-        super().__init__()
-        self.lambda_count = None
-        self.lambda_classes = None
-        self.omega_count = None
-        self.omega_classes = None
-        self.h1_count = None
-
-
 def classify_actions(ca, m, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
                      candidates=None):
     """Prop 6.5 + final remark: |Lambda_M-bar| = |Omega_E-bar| (= |H^1|).
@@ -408,12 +363,13 @@ def classify_actions(ca, m, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
     When `candidates` is supplied (required over Q whenever Omega_E is not
     finitely enumerable), the classification runs on the supplied family and
     its alpha^_12 transport; completeness claims are then relative to it.
+    details holds lambda_count, lambda_classes, omega_count, omega_classes
+    and h1_count, which stays None when |H^1| is not computed.
     """
     ctx = maintheorem.TheoremContext(ca, m)
-    report = ClassificationReport()
+    report = ValidationReport()
     lams = lambda_enumerate(ctx, seed=seed, enumerate_cap=enumerate_cap,
                             candidates=candidates)
-    report.lambda_count = len(lams)
     # round trips phi <-> t on everything enumerated
     ts = []
     for phi in lams:
@@ -432,26 +388,18 @@ def classify_actions(ca, m, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
     else:
         omega = cohomology.omega_enumerate(ctx.e.ca, seed=seed,
                                            enumerate_cap=enumerate_cap)
-    report.omega_count = len(omega)
     if len(lams) != len(omega):
         report.fail("lambda-omega-count", (len(lams), len(omega)))
     # classes on both sides
-    reps, classes = [], []
-    for phi in lams:
-        for idx, r in enumerate(reps):
-            if phi_equivalence(ctx, phi, r, seed=seed,
-                               enumerate_cap=enumerate_cap):
-                classes[idx].append(phi)
-                break
-        else:
-            reps.append(phi)
-            classes.append([phi])
-    report.lambda_classes = len(classes)
-    report.omega_classes = len(cohomology.omega_classes(
-        ctx.e.ca, omega, seed=seed))
-    if report.lambda_classes != report.omega_classes:
-        report.fail("class-count", (report.lambda_classes,
-                                    report.omega_classes))
+    lambda_classes = len(search.classes(
+        lams, lambda phi, r: phi_equivalence(ctx, phi, r, seed=seed,
+                                             enumerate_cap=enumerate_cap)))
+    omega_classes = len(cohomology.omega_classes(ctx.e.ca, omega, seed=seed))
+    report.details.update(lambda_count=len(lams), omega_count=len(omega),
+                          lambda_classes=lambda_classes,
+                          omega_classes=omega_classes, h1_count=None)
+    if lambda_classes != omega_classes:
+        report.fail("class-count", (lambda_classes, omega_classes))
     # cohomological description when the §5 hypotheses hold
     endb = ctx.e.ca.coinvariants()
     if (omega and is_cocommutative(ca.hopf)
@@ -467,8 +415,8 @@ def classify_actions(ca, m, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
         except SearchInconclusive:
             z1 = None       # |H^1| not computable; leave h1_count unset
         if z1 is not None:
-            report.h1_count = len(cohomology.h1_classes(act, z1, seed=seed))
-            if candidates is None and report.h1_count != report.lambda_classes:
-                report.fail("h1-count",
-                            (report.h1_count, report.lambda_classes))
+            h1_count = len(cohomology.h1_classes(act, z1, seed=seed))
+            report.details["h1_count"] = h1_count
+            if candidates is None and h1_count != lambda_classes:
+                report.fail("h1-count", (h1_count, lambda_classes))
     return report

@@ -379,12 +379,6 @@ class LinearAlpha:
 # -- full verification ------------------------------------------------------
 
 
-class TheoremReport(ValidationReport):
-    def __init__(self):
-        super().__init__()
-        self.details = {}
-
-
 def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
                      seed=0):
     """Dimension equalities, bijectivity, alpha o gamma = beta, and all
@@ -394,7 +388,7 @@ def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
     21a, 21b, 22 or 3.9.1-222."""
     ctx = TheoremContext(ca, m, corrupt_gamma=corrupt_gamma)
     e_ca = ctx.e.ca
-    report = TheoremReport()
+    report = ValidationReport()
     c_spaces, cp_spaces, d_spaces = {}, {}, {}
     for cls in convcat.CLASSES:
         c_spaces[cls] = convcat.hom_space(e_ca, cls, "C")

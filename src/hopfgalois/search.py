@@ -140,6 +140,20 @@ def found(result, what):
     raise SearchInconclusive(f"{what} not found: {result!r}")
 
 
+def classes(items, equivalent):
+    """Partition items into classes, each headed by its first member: an
+    item joins the first class whose head r has equivalent(item, r), and
+    otherwise heads a new one."""
+    out = []
+    for item in items:
+        home = next((cls for cls in out if equivalent(item, cls[0])), None)
+        if home is None:
+            out.append([item])
+        else:
+            home.append(item)
+    return out
+
+
 def rational_points(algebra, mats, equations, test, refuse=None):
     """Witnesses among the rational solutions of a quadratic system over Q.
 

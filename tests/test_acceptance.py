@@ -125,11 +125,13 @@ def test_criterion_6_cohomology(announce):
     p57 = cohomology.prop57_check(m2)
     # Thm 5.6 closures, exhaustively
     groupoid = cohomology.groupoid_xa_check(m2)
+    p57_counts = (p57.details["h1_count"], p57.details["omega_bar_count"])
     ok = (counts == [2, 2] and p57.passed
-          and p57.h1_count == p57.omega_bar_count
-          and groupoid.passed and not groupoid.vacuous)
-    announce(6, ok, f"|H1|={counts}, prop57 {p57.h1_count}="
-                    f"{p57.omega_bar_count}, groupoid sizes {groupoid.sizes}")
+          and p57_counts[0] == p57_counts[1]
+          and groupoid.passed and not groupoid.details["vacuous"])
+    announce(6, ok, f"|H1|={counts}, prop57 {p57_counts[0]}="
+                    f"{p57_counts[1]}, groupoid sizes "
+                    f"{groupoid.details['sizes']}")
 
 
 def test_criterion_7_lifting(announce):
@@ -139,9 +141,10 @@ def test_criterion_7_lifting(announce):
                lifting.classify_actions(m2, module_b(m2))]
     elapsed = time.perf_counter() - t0
     ok = (all(r.passed for r in reports)
-          and all(r.lambda_count == r.omega_count for r in reports)
+          and all(r.details["lambda_count"] == r.details["omega_count"]
+                  for r in reports)
           and elapsed < 30.0)
-    announce(7, ok, f"counts {[r.lambda_count for r in reports]}, "
+    announce(7, ok, f"counts {[r.details['lambda_count'] for r in reports]}, "
                     f"{elapsed:.2f}s")
 
 

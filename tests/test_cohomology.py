@@ -79,23 +79,23 @@ def test_groupoid_closures(m2_f3, kc2_q):
     for ca in (m2_f3, kc2_q):
         report = cohomology.groupoid_xa_check(ca)
         assert report.passed, report.failures
-        assert not report.vacuous
-        assert report.sizes["Z1"] == 2
+        assert not report.details["vacuous"]
+        assert report.details["sizes"]["Z1"] == 2
 
 
 def test_groupoid_vacuous_cp2(cp2):
     report = cohomology.groupoid_xa_check(cp2)
     assert report.passed
-    assert report.vacuous     # Omega_A empty: no colinear algebra map over Q
+    assert report.details["vacuous"]     # Omega_A empty: no colinear algebra map over Q
 
 
 def test_prop57(m2_f3, kc2_q):
     r = cohomology.prop57_check(m2_f3)
     assert r.passed, r.failures
-    assert r.h1_count == r.omega_bar_count == 1
+    assert r.details["h1_count"] == r.details["omega_bar_count"] == 1
     r = cohomology.prop57_check(kc2_q)
     assert r.passed, r.failures
-    assert r.h1_count == r.omega_bar_count == 2
+    assert r.details["h1_count"] == r.details["omega_bar_count"] == 2
 
 
 def test_h1_of_cyclic_groups_is_gcd():

@@ -48,9 +48,10 @@ def test_point_module_not_stable(m2_f3):
 def test_classify_m2_f3(m2_f3):
     report = lifting.classify_actions(m2_f3, module_b(m2_f3))
     assert report.passed, report.failures
-    assert report.lambda_count == report.omega_count == 2
-    assert report.lambda_classes == report.omega_classes == 1
-    assert report.h1_count == 1
+    d = report.details
+    assert d["lambda_count"] == d["omega_count"] == 2
+    assert d["lambda_classes"] == d["omega_classes"] == 1
+    assert d["h1_count"] == 1
 
 
 def test_classify_point_module(m2_f3):
@@ -58,13 +59,13 @@ def test_classify_point_module(m2_f3):
     assert report.passed, report.failures
     # M = k is not stable (E = k has no clefting): no lift exists, and the
     # count equality |Lambda| = |Omega_E| holds vacuously at 0 = 0
-    assert report.lambda_count == report.omega_count == 0
+    assert report.details["lambda_count"] == report.details["omega_count"] == 0
 
 
 def test_classify_kc2_regular_q(kc2_q):
     report = lifting.classify_actions(kc2_q, module_b(kc2_q))
     assert report.passed, report.failures
-    assert report.lambda_classes == 2 == report.h1_count
+    assert report.details["lambda_classes"] == 2 == report.details["h1_count"]
 
 
 def test_classify_q_needs_candidates(m2_q):
@@ -98,5 +99,6 @@ def test_classify_q_with_candidates(m2_q):
     cands = _small_candidates(ctx)
     report = lifting.classify_actions(m2_q, module_b(m2_q), candidates=cands)
     assert report.passed, report.failures
-    assert report.lambda_count == 2 and report.lambda_classes == 1
-    assert report.h1_count is None      # not computable from candidates alone
+    d = report.details
+    assert d["lambda_count"] == 2 and d["lambda_classes"] == 1
+    assert d["h1_count"] is None      # not computable from candidates alone
