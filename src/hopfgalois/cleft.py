@@ -89,7 +89,7 @@ def find_cleft(ca, seed=0, tries=500, enumerate_cap=EXHAUSTIVE_CAP):
                                               m) for m in mats])
     return search.first(ca.field, len(mats),
                         lambda coeffs: _attempt(ca, span, mats, coeffs),
-                        seed, tries, enumerate_cap)
+                        seed, tries, enumerate_cap, degree=span.degree)
 
 
 # -- crossed-product data ----------------------------------------------------
@@ -509,8 +509,9 @@ def _find_bh_iso(ca, b, seed, tries):
     mats = intertwiners(f, da, da, x_acts, a_acts, (x_co, ca.coaction))
     if not mats:
         return NotFound(True, 0, 0, "no B-linear colinear map")
-    return search.first(f, len(mats), OperatorSpan(mats).full_rank_at, seed,
-                        tries)
+    span = OperatorSpan(mats)
+    return search.first(f, len(mats), span.full_rank_at, seed, tries,
+                        degree=span.degree)
 
 
 def _transport_witness(ca, psi, back, cp):
@@ -611,6 +612,11 @@ def is_algebra_map(ca, t_mat):
                                        t_mat) is None)
 
 
+def unit_condition(ca, mats):
+    """t(1) = 1 for t = Sum_k c_k mats[k], as search's `unit`."""
+    return [m.apply(ca.hopf.algebra.unit) for m in mats], ca.algebra.unit
+
+
 def _algebra_map_at(ca, mats, coeffs):
     """t = Sum coeffs[k] mats[k] if it is an algebra map, else None."""
     t_mat = lin_comb(mats, coeffs)
@@ -628,7 +634,7 @@ def _algebra_map_search(ca, mats, seed=0, tries=500,
     algebra_map_at = partial(_algebra_map_at, ca, mats)
     if f.kind == "Fp":
         got = search.first(f, len(mats), algebra_map_at, seed, tries,
-                           enumerate_cap)
+                           enumerate_cap, unit=unit_condition(ca, mats))
         if isinstance(got, NotFound):
             return None, "none" if got.exhaustive else "inconclusive"
         return got, "found"

@@ -203,7 +203,8 @@ def _invertible_in_span(base, kernel_vecs, seed=0, tries=200):
             raise InternalInvariant("lmul(b) has full rank but b has no inverse")
         return b
 
-    return search.first(f, len(kernel_vecs), invertible_at, seed, tries)
+    return search.first(f, len(kernel_vecs), invertible_at, seed, tries,
+                        degree=span.degree)
 
 
 def cohomologous(act, v_mat, v1_mat, seed=0):
@@ -324,7 +325,7 @@ def omega_enumerate(ca, act=None, base_point=None, seed=0,
     hs = convcat.hom_space(ca, (2, 1), "C")
     mats = [el.matrix for el in hs.elements]
     d = len(mats)
-    unit = ([m.apply(ca.hopf.algebra.unit) for m in mats], ca.algebra.unit)
+    unit = cleft.unit_condition(ca, mats)
     if search.enumerable(f, d, enumerate_cap, unit):
         return search.every(f, d, partial(cleft._algebra_map_at, ca, mats),
                             enumerate_cap, unit)

@@ -196,8 +196,9 @@ def _invertible_in_matrix_span(field, mats, seed=0, tries=200,
     d = len(mats)
     if d == 0 or mats[0].rows != mats[0].cols:
         return NotFound(True, 0, d)
-    return search.first(field, d, OperatorSpan(mats).full_rank_at, seed,
-                        tries, enumerate_cap)
+    span = OperatorSpan(mats)
+    return search.first(field, d, span.full_rank_at, seed, tries,
+                        enumerate_cap, degree=span.degree)
 
 
 def stability_check(ca, m, seed=0, tries=200, enumerate_cap=EXHAUSTIVE_CAP):

@@ -4,10 +4,12 @@ Matrices are flat row-major lists of scalars tagged with a field object
 (see fields).  Everything is immutable by convention: operations return new
 matrices and never mutate their inputs, so values are safe to share.
 
-Over F_p the two hot kernels (rref, matmul) are the pure-Python ones of
-_modp_py, exact for every p since Python ints do not overflow.  Over Q the
-Fraction path below is used.  Both follow one deterministic pivot policy
-(leftmost nonzero pivot, rows scanned top-down).
+Over F_p the hot kernels (rref, the full-rank test, matmul) are the
+pure-Python ones of _modp_py, exact for every p since Python ints do not
+overflow.  Over Q the Fraction path below is used.  Both follow one
+deterministic pivot policy (leftmost nonzero pivot, rows scanned top-down).
+is_invertible over F_p only eliminates forward and stops at the first
+column without a pivot; it never builds the RREF that rank() reads.
 
 Tensor legs.  A vector of V_0 (x) ... (x) V_{k-1} is flattened
 lexicographically with leg 0 major.  A leg permutation `perm` (output leg j
@@ -198,8 +200,8 @@ class Matrix:
         for j, v in enumerate(vec):
             if v != zero:
                 for i in range(self.rows):
-                    out[i] = f.add(out[i], f.mul(data[i * cols + j], v))
-        return out
+                    out[i] += data[i * cols + j] * v
+        return reduced(f, out)
 
     def transpose(self):
         out = [self.field.zero] * (self.rows * self.cols)
@@ -309,7 +311,11 @@ class Matrix:
         return Matrix(self.field, n, n, data)
 
     def is_invertible(self):
-        return self.rows == self.cols and self.rank() == self.rows
+        if self.rows != self.cols:
+            return False
+        if self.field.kind == "Fp":
+            return _modp.full_rank_modp(self.data, self.rows, self.field.p)
+        return self.rank() == self.rows
 
 
 class Factorization:
@@ -390,22 +396,31 @@ def lin_comb(mats, coeffs):
 
 
 class OperatorSpan:
-    """Equal-shape operators kept as their nonzero entries, built once."""
+    """Equal-shape operators kept as their nonzero entries, built once.
+
+    degree is the row count n: for square operators det(Sum_k c_k ops[k])
+    is a polynomial of degree <= n in each c_k, and full_rank_at(c) is None
+    exactly where it vanishes (search.first's `degree`).
+    """
 
     def __init__(self, ops):
         self.template, zero = ops[0], ops[0].field.zero
+        self.degree = ops[0].rows
         self.terms = [[(i, x) for i, x in enumerate(op.data) if x != zero]
                       for op in ops]
 
     def full_rank_at(self, coeffs):
-        """Sum_k coeffs[k] ops[k] (a sparse sum) if invertible, else None."""
+        """Sum_k coeffs[k] ops[k] (a sparse sum) if invertible, else None.
+        The rank test reads the unreduced sum; only a hit is reduced."""
         f, like = self.template.field, self.template
         out = [f.zero] * len(like.data)
         for terms, c in zip(self.terms, coeffs):
-            for i, x in terms:
-                out[i] += c * x
-        op = Matrix(f, like.rows, like.cols, reduced(f, out))
-        return op if op.is_invertible() else None
+            if c:
+                for i, x in terms:
+                    out[i] += c * x
+        if not Matrix(f, like.rows, like.cols, out).is_invertible():
+            return None
+        return Matrix(f, like.rows, like.cols, reduced(f, out))
 
 
 def basis_vec(field, n, i):

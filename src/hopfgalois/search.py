@@ -1,17 +1,32 @@
 """The one search policy for every span search (Thm 5.2/5.4, Prop 5.7, 6.5).
 
 A candidate is a coefficient tuple c in k^d, and `test(c)` returns a witness
-or None.  Over F_p with p^d <= cap every tuple is tried in itertools.product
+or None.  Over F_p with p^d <= cap the box is searched in itertools.product
 order, so a miss is a proof.  Otherwise the d basis tuples and the all-ones
 tuple are tried, then `tries` draws from random.Random(seed); such a miss is
 NotFound(exhaustive=False) and may only ever be reported as inconclusive.
 Over Q the quadratic systems are solved exactly by `rational_points`.
+NotFound.searched is the size of the space the search covers and
+NotFound.tried the number of candidates test was called on.
+
+Dead sub-boxes.  An invertibility search passes `degree` = n: test(c) is
+None exactly where P(c) = det(Sum_k c_k L(m_k)) vanishes, and P has degree
+<= n in each coordinate.  Walk the box lexicographically, coordinate by
+coordinate.  Once n + 1 values of coordinate j (the earlier ones fixed)
+have sub-boxes without a hit, then for every fixed suffix the univariate
+polynomial x -> P(prefix, x, suffix) has n + 1 roots, so it is zero and no
+value of c_j hits either: the walk can leave that level.  It returns at the
+first hit, so every sub-box it finishes has none, and it visits exactly the
+grid range(min(p, n + 1))^d in lexicographic order.  That grid is a
+subsequence of the box in the same order and holds the box's first hit
+(Alon's Combinatorial Nullstellensatz), so witnesses and NotFound(True,
+p^d, ...) are unchanged; only boxes without a hit are skipped.
 
 Linear once.  An invertibility search builds the operators L(m_k) of its
 basis once (convolution by m_k, lmul, or m_k) in a linalg.OperatorSpan, so c
-costs one sparse sum and one rank.  The rank test is a proof: L(f * g) =
-L(f) L(g), so f has a right inverse iff L(f) has full rank, and in finite
-dimension a right inverse is two-sided.  Hits are handled as before (cleft
+costs one sparse sum and one full-rank test.  The test is a proof:
+L(f * g) = L(f) L(g), so f has a right inverse iff L(f) has full rank, and
+in finite dimension a right inverse is two-sided.  Hits are handled as before (cleft
 still inverts and normalizes one), so every witness is unchanged.
 
 Unital slice.  Z^1, Omega_A and Lambda_M are enumerated on the affine slice
@@ -22,6 +37,8 @@ depends only on earlier free coordinates.  Two slice points then first differ
 at a free coordinate, so the free tuples in itertools.product order give the
 slice in lexicographic order: the order in which the box k^d meets it, and
 every list and witness is unchanged.  An inconsistent system has no points.
+The algebra-map search walks the slice t(1) = 1 through first(unit=...),
+but there the box p^d still decides exhaustive or sampled, as before.
 """
 
 import itertools
@@ -43,11 +60,12 @@ class SearchInconclusive(RuntimeError):
 class NotFound:
     """Search certificate: exhaustive means the failure is a proof."""
 
-    def __init__(self, exhaustive, searched, dim, detail=""):
+    def __init__(self, exhaustive, searched, dim, detail="", tried=None):
         self.exhaustive = exhaustive
         self.searched = searched
         self.dim = dim
         self.detail = detail
+        self.tried = searched if tried is None else tried
 
     def __repr__(self):
         kind = "exhaustive" if self.exhaustive else "sampled"
@@ -75,14 +93,28 @@ def _sampled(field, d, seed, tries):
                 for _ in range(d))
 
 
-def first(field, d, test, seed=0, tries=500, cap=EXHAUSTIVE_CAP):
-    """The first witness test(c) that is not None, or NotFound."""
+def first(field, d, test, seed=0, tries=500, cap=EXHAUSTIVE_CAP,
+          degree=None, unit=None):
+    """The first witness test(c) that is not None, or NotFound.
+
+    When the box k^d is enumerable, `degree` (test(c) is None exactly where
+    a polynomial of degree <= degree in each coordinate vanishes) skips its
+    dead sub-boxes and `unit` (see unital_slice; every hit lies on the
+    slice) walks only the unital slice; either way the first hit of the box
+    is found and a miss is a proof over all p^d tuples."""
     if enumerable(field, d, cap):
-        for coeffs in itertools.product(range(field.p), repeat=d):
+        if unit is not None:
+            points = unital_slice(field, d, unit)[1]
+        else:
+            width = field.p if degree is None else min(field.p, degree + 1)
+            points = itertools.product(range(width), repeat=d)
+        tried = 0
+        for coeffs in points:
+            tried += 1
             hit = test(coeffs)
             if hit is not None:
                 return hit
-        return NotFound(True, field.p ** d, d, "full enumeration")
+        return NotFound(True, field.p ** d, d, "full enumeration", tried)
     for coeffs in _sampled(field, d, seed, tries):
         hit = test(coeffs)
         if hit is not None:

@@ -198,3 +198,50 @@ def test_matmul_modp_reduces_once_like_the_old_kernel(p):
         got = _modp_py.matmul_modp(a, ar, ac, b, ac, bc, p)
         assert got == old_matmul_modp(a, ar, ac, b, ac, bc, p)
         assert all(0 <= x < p for x in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 13]), rows=st.integers(0, 5),
+       cols=st.integers(0, 5), low_rank=st.booleans(), data=st.data())
+def test_full_rank_modp_matches_the_rref_rank(p, rows, cols, low_rank, data):
+    """Forward-only full-rank test against rank() == n of the RREF kernel,
+    on entries that are unreduced or negative, zero or rank-deficient."""
+    f = PrimeField(p)
+    entry = st.integers(-3 * p, 3 * p)
+    flat = data.draw(st.lists(entry, min_size=rows * cols,
+                              max_size=rows * cols))
+    if low_rank and rows > 1:  # last row a combination of the others
+        coeffs = data.draw(st.lists(entry, min_size=rows - 1,
+                                    max_size=rows - 1))
+        flat[-cols:] = [sum(c * flat[r * cols + j]
+                            for r, c in enumerate(coeffs))
+                        for j in range(cols)] if cols else []
+    m = Matrix(f, rows, cols, flat)
+    want = rows == cols and m.rank() == rows
+    assert m.is_invertible() is want
+    assert Matrix.zeros(f, rows, rows).is_invertible() is (rows == 0)
+    if rows == cols:
+        assert _modp_py.full_rank_modp(flat, rows, p) is want
+    elif flat:  # square input only
+        with pytest.raises(ValueError):
+            _modp_py.full_rank_modp(flat, rows, p)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F7])
+def test_apply_reduces_once_like_the_old_loop(field):
+    """apply against the former per-entry field.add/field.mul loop."""
+    import random
+    rng = random.Random(7)
+    for _ in range(100):
+        rows, cols = rng.randrange(5), rng.randrange(5)
+        m = Matrix(field, rows, cols,
+                   [field.from_int(rng.randrange(-9, 9))
+                    for _ in range(rows * cols)])
+        vec = [rng.choice([field.zero, field.from_int(rng.randrange(-9, 9))])
+               for _ in range(cols)]
+        old = [field.zero] * rows
+        for j, v in enumerate(vec):
+            if v != field.zero:
+                for i in range(rows):
+                    old[i] = field.add(old[i], field.mul(m.get(i, j), v))
+        assert m.apply(vec) == old

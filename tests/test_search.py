@@ -69,11 +69,12 @@ def test_first_tries_the_old_sequence(field, cap):
 def test_exhaustive_and_sampled_misses():
     for d in range(4):
         got = search.first(F7, d, lambda c: None)
-        assert got.exhaustive and got.searched == 7 ** d
+        assert got.exhaustive and got.searched == got.tried == 7 ** d
     for field, cap in ((QQ, search.EXHAUSTIVE_CAP), (F7, 7 ** 3 - 1)):
         got = search.first(field, 3, lambda c: None, seed=5, tries=40,
                            cap=cap)
         assert not got.exhaustive and got.searched == 40 + 3 + 1
+        assert got.tried == got.searched
         with pytest.raises(search.SearchInconclusive):
             search.found(got, "x")
     assert search.found(search.NotFound(True, 1, 0), "x") is False
@@ -537,6 +538,12 @@ def test_unital_slice_is_the_box_restricted_in_order(system):
     if want:
         assert len(want) == field.p ** free
     assert search.every(field, d, lambda c: c, unit=(images, target)) == want
+    # first() on the slice: the box's first hit, or a proof over all p^d
+    got = search.first(field, d, lambda c: c, unit=(images, target))
+    assert got == want[0] if want else got.tried == 0
+    miss = search.first(field, d, lambda c: None, unit=(images, target))
+    assert (miss.exhaustive, miss.searched, miss.tried) == (
+        True, field.p ** d, len(want))
 
 
 def test_unital_slice_empty_and_inconsistent_systems():
@@ -726,3 +733,143 @@ def test_q_equations_are_the_former_ones(monkeypatch, name, action):
         pass
     [(new, old)] = lists
     assert new == old and any(e != 0 for e in new)
+
+
+# -- dead sub-boxes: the pruned walk against the whole box -------------------
+
+
+def rank_walk(field, n, ops, degree):
+    """search.first over span(ops) of n x n matrices, hit iff rank n by the
+    RREF (not the full-rank kernel); returns (result, tested points)."""
+    seen = []
+
+    def test(c):
+        seen.append(c)
+        m = Matrix(field, n, n, [sum(x * op.data[i] for x, op in zip(c, ops))
+                                 for i in range(n * n)])
+        return c if m.rank() == n else None
+
+    return search.first(field, len(ops), test, degree=degree), seen
+
+
+def assert_pruned_walk_is_the_box(field, n, ops):
+    got, pruned = rank_walk(field, n, ops, n)
+    want, full = rank_walk(field, n, ops, None)
+    assert same_result(got, want), (got, want)
+    points = iter(full)
+    assert all(c in points for c in pruned)  # an in-order subsequence
+    if not isinstance(want, search.NotFound):
+        assert pruned[-1] == full[-1] == want  # stopped at the same hit
+    width = min(field.p, n + 1)
+    assert pruned == list(itertools.product(range(width), repeat=len(ops)))[
+        :len(pruned)]
+    if field.p <= n + 1:
+        assert pruned == full
+    if isinstance(want, search.NotFound):
+        assert (want.tried, got.tried) == (field.p ** len(ops),
+                                           width ** len(ops))
+    return got
+
+
+@st.composite
+def matrix_spans(draw):
+    """(field, n, ops): d <= 3 square n x n matrices, n <= 3, over a prime
+    on either side of n + 1; a shared zero last column makes every
+    combination singular."""
+    field = PrimeField(draw(st.sampled_from((2, 3, 5, 11, 13))))
+    n, d = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    singular = draw(st.booleans())
+    ops = []
+    for _ in range(d):
+        data = draw(st.lists(st.integers(-field.p, 2 * field.p),
+                             min_size=n * n, max_size=n * n))
+        if singular:
+            data[n - 1::n] = [0] * n
+        ops.append(Matrix(field, n, n, data))
+    return field, n, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_spans())
+def test_pruned_walk_finds_what_the_box_finds(span):
+    field, n, ops = span
+    got = assert_pruned_walk_is_the_box(field, n, ops)
+    if ops and all(op.data[n - 1::n] == [0] * n for op in ops):
+        assert isinstance(got, search.NotFound) and got.exhaustive
+
+
+def lmul_span(algebra, vecs):
+    f = algebra.field
+    return [algebra.lmul([f.from_int(x) for x in v]) for v in vecs]
+
+
+@pytest.mark.parametrize("name,p,vecs,hit", [
+    # k x k x k: invertible iff every coordinate is nonzero
+    ("k3", 13, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], (1, 1, 1)),
+    ("k3", 11, [[1, 1, 0], [0, 1, 1], [1, 0, 0]], (0, 1, 1)),
+    # the augmentation ideal of kC_3 and the radical of H4: all singular
+    ("kC3", 13, [[1, -1, 0], [1, 0, -1]], None),
+    ("H4", 11, [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1]], None),
+    ("H4", 13, [[1, 0, 1, 0], [0, 0, 1, 0]], (1, 0)),
+    # p <= n + 1: nothing is skipped
+    ("k3", 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], (1, 1, 1)),
+    ("H4", 5, [[0, 0, 1, 0], [0, 0, 0, 1]], None),
+    # d = 1 and d = 0
+    ("kC3", 13, [[1, -1, 0]], None),
+    ("k3", 13, [[1, 2, 3]], (1,)),
+    ("k3", 13, [], None),
+])
+def test_pruned_walk_on_lmul_spans(name, p, vecs, hit):
+    field = PrimeField(p)
+    algebra = {"k3": lambda: dual_group_algebra(field, cyclic_cayley(3)),
+               "kC3": lambda: group_algebra(field, cyclic_cayley(3)),
+               "H4": lambda: sweedler_h4(field)}[name]().algebra
+    ops = lmul_span(algebra, vecs)
+    n = algebra.dim
+    got = assert_pruned_walk_is_the_box(field, n, ops)
+    assert got == hit if hit else isinstance(got, search.NotFound)
+    if ops:
+        assert OperatorSpan(ops).degree == n
+    b = cohomology._invertible_in_span(
+        algebra, [[field.from_int(x) for x in v] for v in vecs])
+    assert isinstance(b, search.NotFound) == (hit is None)
+
+
+def test_pinned_full_rank_test_counts(monkeypatch):
+    seen = []
+    full_rank_at = OperatorSpan.full_rank_at
+    monkeypatch.setattr(OperatorSpan, "full_rank_at",
+                        lambda span, c: seen.append(c) or full_rank_at(span, c))
+    f31 = PrimeField(31)
+    got = cleft.find_cleft(regular_comodule(group_algebra(f31,
+                                                          cyclic_cayley(3))))
+    assert isinstance(got, cleft.CleftingDatum)
+    # the box tries 31^2 + 31 + 2 = 994; the grid range(10)^3, 112
+    assert len(seen) == 112 and seen[-1] == (1, 1, 1)
+    for p, tried in ((13, 9 ** 4), (7, 7 ** 4)):
+        got = cleft.find_cleft(k4_trivial(PrimeField(p)))
+        assert (got.exhaustive, got.searched, got.tried) == (True, p ** 4,
+                                                             tried)
+
+
+@pytest.mark.parametrize("name,field", [
+    ("kC2", F7), ("kC3", F7), ("H4", F5), ("M2", F5), ("k4", F7)])
+def test_algebra_map_search_walks_the_unital_slice(monkeypatch, name, field):
+    ca = HOM_CASES[name](field)
+    mats = [el.matrix for el in convcat.hom_space(ca, (2, 1), "C").elements]
+    want = search.first(field, len(mats),
+                        lambda c: cleft._algebra_map_at(ca, mats, c))
+    seen = []
+    at = cleft._algebra_map_at
+    monkeypatch.setattr(cleft, "_algebra_map_at",
+                        lambda ca, mats, c: seen.append(c) or at(ca, mats, c))
+    t_mat, status = cleft._algebra_map_search(ca, mats)
+    if isinstance(want, search.NotFound):
+        assert (t_mat, status) == (None, "none")
+    else:
+        assert (t_mat, status) == (want, "found")
+    points = search.unital_slice(field, len(mats),
+                                 cleft.unit_condition(ca, mats))[1]
+    assert seen == list(points)[:len(seen)]
+    if name == "k4":  # one of the 2,401 tuples of the box has t(1) = 1
+        assert len(seen) == 1
