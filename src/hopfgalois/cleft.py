@@ -522,7 +522,7 @@ def _transport_witness(ca, psi, back, cp):
     images = [psi.col(x) for x in range(n)]
     return first_failure(
         lambda x, y: back.apply(ca.algebra.product(images[x], images[y]))
-        == alg.mul.col(x * n + y), n, n)
+        == alg.basis_product(x, y), n, n)
 
 
 def structure_theorem_check(ca, seed=0, tries=500):

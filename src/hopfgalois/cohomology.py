@@ -60,7 +60,7 @@ class HModuleAlgebraAction:
                     for r, x in enumerate(prods[h1][s][t]):
                         quad[r][key] = f.add(quad[r].get(key, f.zero),
                                              f.mul(c, x))
-            hk = hopf.algebra.product(eh[h], eh[k])
+            hk = hopf.algebra.basis_product(h, k)
             law += [([(r * dh + j, x) for j, x in enumerate(hk) if x],
                      [(i, j, c) for (i, j), c in quad[r].items() if c])
                     for r in range(db)]
@@ -100,10 +100,9 @@ class HModuleAlgebraAction:
                                  cleft.measuring_witnesses(
                                      self.hopf, self.base, act)):
             report.fail_at(name, witness)
-        hk = [h_alg.mul.col(j) for j in range(dh * dh)]
         report.fail_at("h.(k.b)=(hk).b", first_failure(
             lambda h, k, i: act(eh[h], act(eh[k], eb[i]))
-            == act(hk[h * dh + k], eb[i]), dh, dh, db))
+            == act(h_alg.basis_product(h, k), eb[i]), dh, dh, db))
         return report
 
 

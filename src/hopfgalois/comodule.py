@@ -6,9 +6,11 @@ QuotientSpace fixes a deterministic projection/section pair, and equality of
 classes is equality of projected coordinates, never of representatives.
 """
 
-from .hopf import DimensionMismatch, StructureConstantAlgebra, ValidationReport
-from .linalg import (Factorization, Matrix, NoSolution, basis_vec,
-                     gather_legs, kron_vec, lin_comb, vec_is_zero)
+from .hopf import (DimensionMismatch, StructureConstantAlgebra,
+                   ValidationReport, _agree, _columns, _leg_columns,
+                   first_failure, tensor_algebra_map)
+from .linalg import (Factorization, Matrix, NoSolution, basis_vec, kron_vec,
+                     lin_comb, vec_is_zero)
 
 
 class InternalInvariant(RuntimeError):
@@ -37,36 +39,13 @@ class ComoduleAlgebraData:
         return self.algebra.field
 
     def validate(self):
-        f = self.field
-        da, dh = self.algebra.dim, self.hopf.dim
+        rho = _leg_columns(self.coaction, self.hopf.dim)
         report = ValidationReport()
         self.algebra.validate(report)
-        ida = Matrix.identity(f, da)
-        idh = Matrix.identity(f, dh)
-        rho = self.coaction
-        lhs = rho.kron(idh) @ rho
-        rhs = ida.kron(self.hopf.coalgebra.comul) @ rho
-        report.check("comodule.coassociativity", lhs, rhs, (da,))
-        report.check("comodule.counit", ida.kron(self.hopf.coalgebra.counit) @ rho,
-                     ida, (da,))
+        _coaction_laws(report, "comodule", self.hopf, rho)
         # rho is an algebra map, for the componentwise product on A (x) H
-        mul2 = gather_legs(self.algebra.mul.kron(self.hopf.algebra.mul),
-                           (da, dh, da, dh), (0, 2, 1, 3))
-        for i in range(da):
-            for j in range(da):
-                prod = self.algebra.product(basis_vec(f, da, i), basis_vec(f, da, j))
-                lhs_v = rho.apply(prod)
-                rhs_v = mul2.apply(kron_vec(f, rho.apply(basis_vec(f, da, i)),
-                                            rho.apply(basis_vec(f, da, j))))
-                if lhs_v != rhs_v:
-                    report.fail("comodule.multiplicative", (i, j))
-                    break
-            else:
-                continue
-            break
-        if rho.apply(self.algebra.unit) != kron_vec(f, self.algebra.unit,
-                                                    self.hopf.algebra.unit):
-            report.fail("comodule.unit")
+        tensor_algebra_map(report, "comodule.", self.algebra, rho,
+                           self.algebra, self.hopf.algebra)
         return report
 
     def coinvariants(self):
@@ -141,19 +120,6 @@ class BModule:
         self.dim = dim
         self.actions = actions  # actions[i] = right action of b_i
 
-    @property
-    def field(self):
-        return self.base.algebra.field
-
-    def act(self, v, b_coords):
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, c in enumerate(b_coords):
-            if c != f.zero:
-                col = self.actions[i].apply(v)
-                out = [f.add(a, f.mul(c, x)) for a, x in zip(out, col)]
-        return out
-
     def validate(self):
         report = ValidationReport()
         check_right_action(report, self.base.algebra, self.actions, self.dim,
@@ -164,16 +130,33 @@ class BModule:
 def check_right_action(report, alg, actions, dim, unit_name, assoc_name):
     """Record in report where actions (one dim x dim matrix per basis
     element of alg) fail to be a right module: Sum_i u_i actions[i] = I
-    under unit_name, and m.(a_i a_j) = (m.a_i).a_j under assoc_name with
-    witness (i, j)."""
-    f, n = alg.field, alg.dim
-    report.check(unit_name, lin_comb(actions, alg.unit),
-                 Matrix.identity(f, dim), (dim,))
+    under unit_name with witness (column,), and m.(a_i a_j) = (m.a_i).a_j
+    under assoc_name with witness (i, j)."""
+    n, unit = alg.dim, lin_comb(actions, alg.unit)
+    idm = Matrix.identity(alg.field, dim)
+    report.fail_at(unit_name, first_failure(
+        lambda c: unit.col(c) == idm.col(c), dim))
     for i in range(n):
         for j in range(n):
-            prod = alg.product(basis_vec(f, n, i), basis_vec(f, n, j))
-            if lin_comb(actions, prod) != actions[j] @ actions[i]:
+            prod = lin_comb(actions, alg.basis_product(i, j))
+            if prod != actions[j] @ actions[i]:
                 report.fail(assoc_name, (i, j))
+
+
+def _coaction_laws(report, prefix, hopf, rho):
+    """Record where the coaction table rho fails coassociativity and the
+    counit law, each with witness (column,)."""
+    f, dim = hopf.field, len(rho)
+    comul, eps = hopf.coalgebra.comul_table, hopf.coalgebra.counit.data
+    report.fail_at(f"{prefix}.coassociativity", first_failure(
+        lambda k: _agree(                     # (rho (x) id) = (id (x) Delta)
+            f, (((a2, h2, h), x * y) for a, h, x in rho[k]
+                for a2, h2, y in rho[a]),
+            (((a, h1, h2), x * y) for a, h, x in rho[k]
+             for h1, h2, y in comul[h])), dim))
+    report.fail_at(f"{prefix}.counit", first_failure(
+        lambda k: _agree(f, ((a, x * eps[h]) for a, h, x in rho[k]),
+                         [(k, f.one)]), dim))
 
 
 def regular_bmodule(ca):
@@ -199,50 +182,31 @@ class RelativeHopfModuleData:
         self.actions = actions  # one matrix per basis element of A
         self.coaction = coaction
 
-    def act(self, field, v, a_coords):
-        out = [field.zero] * self.dim
-        for i, c in enumerate(a_coords):
-            if c != field.zero:
-                col = self.actions[i].apply(v)
-                out = [field.add(a, field.mul(c, x)) for a, x in zip(out, col)]
-        return out
-
     def coinvariant_basis(self, ca):
         return comodule_coinvariant_basis(ca.field, self.dim, self.coaction,
                                           ca.hopf.algebra.unit)
 
     def validate(self, ca):
-        f = ca.field
-        da, dh, dm = ca.algebra.dim, ca.hopf.dim, self.dim
+        f, dh, dm = ca.field, ca.hopf.dim, self.dim
+        h_mul = ca.hopf.algebra.mul_table
         report = ValidationReport()
-        idm = Matrix.identity(f, dm)
         check_right_action(report, ca.algebra, self.actions, dm,
                            "hopfmodule.action-unit",
                            "hopfmodule.action-associativity")
-        rho = self.coaction
-        report.check("hopfmodule.coassociativity",
-                     rho.kron(Matrix.identity(f, dh)) @ rho,
-                     idm.kron(ca.hopf.coalgebra.comul) @ rho, (dm,))
-        report.check("hopfmodule.counit",
-                     idm.kron(ca.hopf.coalgebra.counit) @ rho, idm, (dm,))
-        # rho(m a) = m_[0] a_[0] (x) m_[1] a_[1]
-        hmul = ca.hopf.algebra
-        for a_idx in range(da):
-            lhs = rho @ self.actions[a_idx]
-            rhs = Matrix.zeros(f, dm * dh, dm)
-            rho_a = ca.coaction.apply(basis_vec(f, da, a_idx))
-            for (i, j), c in _pairs(f, rho_a, da, dh):
-                term = self.actions[i].kron(hmul.rmul(basis_vec(f, dh, j))) @ rho
-                rhs = rhs + term.scale(c)
-            if lhs != rhs:
-                report.fail("hopfmodule.compatibility", (a_idx,))
+        rho = _leg_columns(self.coaction, dh)
+        _coaction_laws(report, "hopfmodule", ca.hopf, rho)
+        # rho(m a) = m_[0] a_[0] (x) m_[1] a_[1], on each pair (e_m, e_a)
+        rho_a = _leg_columns(ca.coaction, dh)
+        acts = [_columns(act) for act in self.actions]
+        for a in range(ca.algebra.dim):
+            if first_failure(lambda m: _agree(
+                    f, (((k, h), y * x) for r, y in acts[a][m]
+                        for k, h, x in rho[r]),
+                    (((r, s), c * x * y * z) for i, j, c in rho_a[a]
+                     for k, h, x in rho[m] for r, y in acts[i][k]
+                     for s, z in h_mul[h * dh + j])), dm) is not None:
+                report.fail("hopfmodule.compatibility", (a,))
         return report
-
-
-def _pairs(field, vec, d1, d2):
-    for flat, c in enumerate(vec):
-        if c != field.zero:
-            yield (flat // d2, flat % d2), c
 
 
 class QuotientSpace:

@@ -175,8 +175,7 @@ def verify_F_iso(ca, m, ident):
     # algebra map: restrict(x y) = restrict(x) restrict(y)
     for i in range(emb.dim):
         for j in range(emb.dim):
-            prod = emb.algebra.product(basis_vec(field, emb.dim, i),
-                                       basis_vec(field, emb.dim, j))
+            prod = emb.algebra.basis_product(i, j)
             lhs = ident.restrict(prod)
             rhs = ident.restrict(basis_vec(field, emb.dim, i)) \
                 @ ident.restrict(basis_vec(field, emb.dim, j))

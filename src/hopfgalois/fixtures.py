@@ -7,13 +7,13 @@ constructors here are the source of truth for both.
 from .comodule import ComoduleAlgebraData
 from .hopf import (BadCharacteristic, CoalgebraData, HopfAlgebraData, Matrix,
                    StructureConstantAlgebra, cyclic_cayley, dual_group_algebra,
-                   group_algebra, sweedler_h4)
+                   group_algebra, sweedler_h4, taft)
 from .linalg import basis_vec, kron_vec
 
 __all__ = [
-    "group_algebra", "dual_group_algebra", "sweedler_h4", "cyclic_cayley",
-    "regular_comodule", "trivial_coaction", "graded_m2", "trivial_kxk",
-    "cp_fixture",
+    "group_algebra", "dual_group_algebra", "sweedler_h4", "taft",
+    "cyclic_cayley", "regular_comodule", "trivial_coaction", "graded_m2",
+    "trivial_kxk", "cp_fixture",
 ]
 
 

@@ -195,8 +195,7 @@ def verify_translation_identities(ca, tmap=None):
         x = rep.apply(basis_vec(f, dh, hi))          # legs (l_j(h), r_j(h))
         for hj in range(dh):
             y = rep.apply(basis_vec(f, dh, hj))      # legs (l_i(h'), r_i(h'))
-            lhs_v = gamma.apply(hopf.algebra.product(basis_vec(f, dh, hi),
-                                                     basis_vec(f, dh, hj)))
+            lhs_v = gamma.apply(hopf.algebra.basis_product(hi, hj))
             rhs_v = combine.apply(kron_vec(f, y, x))
             if lhs_v != rhs_v:
                 report.fail("1.2.7", (hi, hj))

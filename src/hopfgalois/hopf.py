@@ -10,13 +10,18 @@ Conventions (inherited by every other module):
     and comul_table[c] lists (c1, c2, x) with Delta(e_c) = Sum x e_c1 (x) e_c2,
     both ascending.  mul.data and comul.data are only written before the
     constructor is called, so the tables cannot go stale.
+
+The axiom audits read the tables too: each axiom is a first_failure over
+basis tuples, its two sides summed raw and reduced once (_agree), so no audit
+forms a Kronecker product and each witness is the first failing tuple.
 """
 
+import functools
 import itertools
+import math
 
 from .linalg import (Matrix, NoSolution, NotInvertible, basis_vec,
-                     gather_legs, kron_vec, linear_operator, reduced,
-                     scatter_legs)
+                     linear_operator, reduced)
 
 
 class DimensionMismatch(ValueError):
@@ -56,17 +61,6 @@ class ValidationReport:
     def passed(self):
         return not self.failures
 
-    def check(self, axiom, lhs, rhs, witness_dims=None):
-        """Record the first differing entry of two matrices under `axiom`."""
-        diff = lhs - rhs
-        if not diff.is_zero():
-            witness = None
-            if witness_dims is not None:
-                i = next(i for i, x in enumerate(diff.data)
-                         if x != diff.field.zero)
-                witness = _unflatten(i % diff.cols, witness_dims)
-            self.fail(axiom, witness)
-
     def __repr__(self):
         status = "pass" if self.passed else f"fail({self.failures!r})"
         return f"ValidationReport({status})"
@@ -88,7 +82,7 @@ def multiplicative_witness(src, dst, t_mat, anti=False):
 
     def holds(i, j):
         x, y = (j, i) if anti else (i, j)
-        return (t_mat.apply(src.mul.col(i * n + j))
+        return (t_mat.apply(src.basis_product(i, j))
                 == dst.product(images[x], images[y]))
 
     return first_failure(holds, n, n)
@@ -101,12 +95,40 @@ def _columns(mat):
             for j in range(m)]
 
 
-def _unflatten(flat, dims):
-    idx = [0] * len(dims)
-    for leg in reversed(range(len(dims))):
-        idx[leg] = flat % dims[leg]
-        flat //= dims[leg]
-    return tuple(idx)
+def _leg_columns(mat, d2):
+    """_columns of mat, rows indexing V (x) W with dim W = d2, as (i, j, x)."""
+    return [[(*divmod(r, d2), x) for r, x in col] for col in _columns(mat)]
+
+
+def _agree(field, lhs, rhs):
+    """Whether two elements given as (key, raw coefficient) terms are equal:
+    the terms of lhs - rhs are summed per key in one dict, reduced once."""
+    acc = {}
+    for key, x in lhs:
+        acc[key] = acc.get(key, 0) + x
+    for key, x in rhs:
+        acc[key] = acc.get(key, 0) - x
+    return not any(reduced(field, list(acc.values())))
+
+
+def tensor_algebra_map(report, prefix, alg, table, left, right):
+    """Record where t: alg -> left (x) right, given by its _leg_columns table,
+    is no algebra map for the legwise product: prefix + "multiplicative" at
+    the first (i, j) with t(e_i e_j) != t(e_i) t(e_j), prefix + "unit"."""
+    f, n, dl, dr = alg.field, alg.dim, left.dim, right.dim
+    lm, rm = left.mul_table, right.mul_table
+    report.fail_at(prefix + "multiplicative", first_failure(
+        lambda i, j: _agree(
+            f, (((a, b), c * x) for r, c in alg.mul_table[i * n + j]
+                for a, b, x in table[r]),
+            (((r, s), x * y * z * w) for a1, b1, x in table[i]
+             for a2, b2, y in table[j] for r, z in lm[a1 * dl + a2]
+             for s, w in rm[b1 * dr + b2])), n, n))
+    if not _agree(f, (((a, b), u * x) for k, u in enumerate(alg.unit)
+                      for a, b, x in table[k]),
+                  (((a, b), u * v) for a, u in enumerate(left.unit)
+                   for b, v in enumerate(right.unit))):
+        report.fail(prefix + "unit")
 
 
 class StructureConstantAlgebra:
@@ -165,16 +187,28 @@ class StructureConstantAlgebra:
             return None
         return w
 
+    def basis_product(self, i, j):
+        """e_i e_j as a coordinate vector, from the mul table."""
+        out = [self.field.zero] * self.dim
+        for r, c in self.mul_table[i * self.dim + j]:
+            out[r] = c
+        return out
+
     def is_commutative(self):
-        return gather_legs(self.mul, (self.dim, self.dim), (1, 0)) == self.mul
+        n, table = self.dim, self.mul_table
+        return all(table[i * n + j] == table[j * n + i]
+                   for i in range(n) for j in range(i))
 
     def validate(self, report=None):
         report = report if report is not None else ValidationReport()
-        f, n = self.field, self.dim
+        f, n, table = self.field, self.dim, self.mul_table
         idn = Matrix.identity(f, n)
-        lhs = self.mul @ self.mul.kron(idn)          # (ab)c
-        rhs = self.mul @ idn.kron(self.mul)          # a(bc)
-        report.check("algebra.associativity", lhs, rhs, (n, n, n))
+        report.fail_at("algebra.associativity", first_failure(
+            lambda i, j, k: _agree(           # (e_i e_j) e_k = e_i (e_j e_k)
+                f, ((s, a * b) for r, a in table[i * n + j]
+                    for s, b in table[r * n + k]),
+                ((s, a * b) for r, a in table[j * n + k]
+                 for s, b in table[i * n + r])), n, n, n))
         for name, op in (("algebra.left-unit", self.lmul(self.unit)),
                          ("algebra.right-unit", self.rmul(self.unit))):
             report.fail_at(name, first_failure(
@@ -192,20 +226,23 @@ class CoalgebraData:
         self.dim = dim
         self.comul = comul
         self.counit = counit
-        self.comul_table = [[(*divmod(k, dim), x) for k, x in col]
-                            for col in _columns(comul)]
+        self.comul_table = _leg_columns(comul, dim)
 
     def validate(self, report=None):
         report = report if report is not None else ValidationReport()
-        f, n = self.field, self.dim
-        idn = Matrix.identity(f, n)
-        lhs = self.comul.kron(idn) @ self.comul
-        rhs = idn.kron(self.comul) @ self.comul
-        report.check("coalgebra.coassociativity", lhs, rhs, (n,))
-        left = self.counit.kron(idn) @ self.comul    # (eps (x) id) Delta
-        right = idn.kron(self.counit) @ self.comul
-        report.check("coalgebra.left-counit", left, idn, (n,))
-        report.check("coalgebra.right-counit", right, idn, (n,))
+        f, table, eps = self.field, self.comul_table, self.counit.data
+        report.fail_at("coalgebra.coassociativity", first_failure(
+            lambda c: _agree(                 # (Delta (x) id) = (id (x) Delta)
+                f, (((a, b, c2), x * y) for c1, c2, x in table[c]
+                    for a, b, y in table[c1]),
+                (((c1, a, b), x * y) for c1, c2, x in table[c]
+                 for a, b, y in table[c2])), self.dim))
+        report.fail_at("coalgebra.left-counit", first_failure(
+            lambda c: _agree(f, ((c2, eps[c1] * x) for c1, c2, x in table[c]),
+                             [(c, f.one)]), self.dim))
+        report.fail_at("coalgebra.right-counit", first_failure(
+            lambda c: _agree(f, ((c1, eps[c2] * x) for c1, c2, x in table[c]),
+                             [(c, f.one)]), self.dim))
         return report
 
 
@@ -241,28 +278,33 @@ def validate_hopf(h):
     report = ValidationReport()
     h.algebra.validate(report)
     h.coalgebra.validate(report)
-    idn = Matrix.identity(f, n)
-    mul, comul = h.algebra.mul, h.coalgebra.comul
-    counit, unit = h.coalgebra.counit, h.algebra.unit
+    mul, comul = h.algebra.mul_table, h.coalgebra.comul_table
+    eps, unit = h.coalgebra.counit.data, h.algebra.unit
+    ones = [(k, u) for k, u in enumerate(unit) if u != f.zero]
+    s_cols, inv_cols = _columns(h.antipode), _columns(h.antipode_inv)
 
-    # Delta is an algebra map: Delta(ab) = Delta(a)Delta(b)
-    mul2 = gather_legs(mul.kron(mul), (n,) * 4, (0, 2, 1, 3))  # on H (x) H
-    report.check("bialgebra.comul-multiplicative",
-                 comul @ mul, mul2 @ comul.kron(comul), (n, n))
-    if comul.apply(unit) != kron_vec(f, unit, unit):
-        report.fail("bialgebra.comul-unit")
-    # eps is an algebra map
-    report.check("bialgebra.counit-multiplicative",
-                 counit @ mul, counit.kron(counit), (n, n))
-    if counit.apply(unit) != [f.one]:
+    # Delta and eps are algebra maps
+    tensor_algebra_map(report, "bialgebra.comul-", h.algebra, comul,
+                       h.algebra, h.algebra)
+    report.fail_at("bialgebra.counit-multiplicative", first_failure(
+        lambda i, j: _agree(f, ((0, eps[r] * a) for r, a in mul[i * n + j]),
+                            [(0, eps[i] * eps[j])]), n, n))
+    if not _agree(f, ((0, eps[c] * u) for c, u in ones), [(0, f.one)]):
         report.fail("bialgebra.counit-unit")
 
-    unit_mat = Matrix.from_cols(f, [unit])           # k -> H
-    eta_eps = unit_mat @ counit
-    report.check("antipode.left", mul @ h.antipode.kron(idn) @ comul, eta_eps, (n,))
-    report.check("antipode.right", mul @ idn.kron(h.antipode) @ comul, eta_eps, (n,))
-    report.check("antipode.inverse-left", h.antipode @ h.antipode_inv, idn, (n,))
-    report.check("antipode.inverse-right", h.antipode_inv @ h.antipode, idn, (n,))
+    # S(c1) c2 = c1 S(c2) = eps(c) 1, and S S^-1 = S^-1 S = id, by column
+    for name, left in (("antipode.left", True), ("antipode.right", False)):
+        report.fail_at(name, first_failure(
+            lambda c: _agree(
+                f, ((t, x * y * m) for c1, c2, x in comul[c]
+                    for r, y in s_cols[c1 if left else c2]
+                    for t, m in mul[r * n + c2 if left else c1 * n + r]),
+                ((k, eps[c] * u) for k, u in ones)), n))
+    for name, first, then in (("antipode.inverse-left", inv_cols, s_cols),
+                              ("antipode.inverse-right", s_cols, inv_cols)):
+        report.fail_at(name, first_failure(
+            lambda c: _agree(f, ((t, x * y) for r, x in first[c]
+                                 for t, y in then[r]), [(c, f.one)]), n))
     return report
 
 
@@ -280,8 +322,8 @@ def comul_iterated(h, x, arity):
 
 
 def is_cocommutative(h):
-    comul = h.coalgebra.comul
-    return scatter_legs(comul, (h.dim, h.dim), (1, 0)) == comul
+    return all(sorted((c2, c1, x) for c1, c2, x in terms) == terms
+               for terms in h.coalgebra.comul_table)
 
 
 # -- the convolution algebra Hom(C, A) -------------------------------------
@@ -353,37 +395,32 @@ def convolution_inverse(algebra, coalgebra, f_mat):
 # -- generators ------------------------------------------------------------
 
 
-def _check_group_table(cayley):
+def _group_table(field, cayley):
+    """Identity of a checked Cayley table, and S(e_g) = e_g^-1 (kG, kG^*)."""
     n = len(cayley)
-    for row in cayley:
-        if len(row) != n or any(not (0 <= v < n) for v in row):
-            raise NotAGroup("table entries out of range")
-    identity = None
-    for e in range(n):
-        if all(cayley[e][j] == j and cayley[j][e] == j for j in range(n)):
-            identity = e
-            break
+    if any(len(row) != n or any(not (0 <= v < n) for v in row)
+           for row in cayley):
+        raise NotAGroup("table entries out of range")
+    identity = next((e for e in range(n) if all(
+        cayley[e][j] == j == cayley[j][e] for j in range(n))), None)
     if identity is None:
         raise NotAGroup("no identity element")
-    inverse = [None] * n
-    for i in range(n):
-        for j in range(n):
-            if cayley[i][j] == identity and cayley[j][i] == identity:
-                inverse[i] = j
-                break
-        if inverse[i] is None:
-            raise NotAGroup(f"element {i} has no inverse")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if cayley[cayley[i][j]][k] != cayley[i][cayley[j][k]]:
-                    raise NotAGroup(f"associativity fails at {(i, j, k)}")
-    return identity, inverse
+    inverse = [next((j for j in range(n)
+                     if cayley[i][j] == identity == cayley[j][i]), None)
+               for i in range(n)]
+    if None in inverse:
+        raise NotAGroup(f"element {inverse.index(None)} has no inverse")
+    witness = first_failure(lambda i, j, k: cayley[cayley[i][j]][k]
+                            == cayley[i][cayley[j][k]], n, n, n)
+    if witness is not None:
+        raise NotAGroup(f"associativity fails at {witness}")
+    return identity, Matrix.from_cols(field, [basis_vec(field, n, k)
+                                              for k in inverse])
 
 
 def group_algebra(field, cayley, labels=None):
     """The group algebra kG of a finite group given by its Cayley table."""
-    identity, inverse = _check_group_table(cayley)
+    identity, antipode = _group_table(field, cayley)
     n = len(cayley)
     mul = Matrix.zeros(field, n, n * n)
     for i in range(n):
@@ -394,9 +431,6 @@ def group_algebra(field, cayley, labels=None):
     for i in range(n):
         comul.data[(i * n + i) * n + i] = field.one
     counit = Matrix(field, 1, n, [field.one] * n)
-    antipode = Matrix.zeros(field, n, n)
-    for i in range(n):
-        antipode.data[inverse[i] * n + i] = field.one
     alg = StructureConstantAlgebra(field, n, mul, unit, labels)
     coalg = CoalgebraData(field, n, comul, counit)
     return HopfAlgebraData(alg, coalg, antipode, antipode.invert())
@@ -404,7 +438,7 @@ def group_algebra(field, cayley, labels=None):
 
 def dual_group_algebra(field, cayley, labels=None):
     """The dual (kG)^*: idempotent basis, comultiplication from the table."""
-    identity, inverse = _check_group_table(cayley)
+    identity, antipode = _group_table(field, cayley)
     n = len(cayley)
     mul = Matrix.zeros(field, n, n * n)
     for i in range(n):
@@ -416,9 +450,6 @@ def dual_group_algebra(field, cayley, labels=None):
             comul.data[(a * n + b) * n + cayley[a][b]] = field.one
     counit = Matrix.zeros(field, 1, n)
     counit.data[identity] = field.one
-    antipode = Matrix.zeros(field, n, n)
-    for i in range(n):
-        antipode.data[inverse[i] * n + i] = field.one
     alg = StructureConstantAlgebra(field, n, mul, unit, labels)
     coalg = CoalgebraData(field, n, comul, counit)
     return HopfAlgebraData(alg, coalg, antipode, antipode.invert())
@@ -428,46 +459,54 @@ def cyclic_cayley(n):
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
-def sweedler_h4(field):
-    """The 4-dimensional Taft/Sweedler Hopf algebra, char(k) != 2.
-
-    Basis 1, g, x, gx with g^2 = 1, x^2 = 0, xg = -gx.
-    """
-    if field.kind == "Fp" and field.p == 2:
-        raise BadCharacteristic("needs char != 2")
-    one, zero = field.one, field.zero
-    n = 4
-    labels = ["1", "g", "x", "gx"]
-    # exponent form: index <-> (a, b) with element g^a x^b
-    to_idx = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
-    from_idx = {v: k for k, v in to_idx.items()}
-    mul = Matrix.zeros(field, n, n * n)
-    for i in range(n):
-        ai, bi = from_idx[i]
-        for j in range(n):
-            aj, bj = from_idx[j]
-            if bi + bj >= 2:
-                continue  # x^2 = 0
-            sign = one if (bi * aj) % 2 == 0 else field.neg(one)
-            k = to_idx[((ai + aj) % 2, bi + bj)]
-            mul.data[k * n * n + i * n + j] = sign
-    unit = basis_vec(field, n, 0)
-    comul = Matrix.zeros(field, n * n, n)
-
-    def set_comul(i, pairs):
-        for (a, b), c in pairs:
-            comul.data[(a * n + b) * n + i] = c
-
-    set_comul(0, [((0, 0), one)])
-    set_comul(1, [((1, 1), one)])
-    set_comul(2, [((2, 0), one), ((1, 2), one)])          # x (x) 1 + g (x) x
-    set_comul(3, [((3, 1), one), ((0, 3), one)])          # gx (x) g + 1 (x) gx
-    counit = Matrix(field, 1, n, [one, one, zero, zero])
-    antipode = Matrix.zeros(field, n, n)
-    antipode.data[0 * n + 0] = one
-    antipode.data[1 * n + 1] = one
-    antipode.data[3 * n + 2] = field.neg(one)             # S(x) = -gx
-    antipode.data[2 * n + 3] = one                        # S(gx) = x
-    alg = StructureConstantAlgebra(field, n, mul, unit, labels)
-    coalg = CoalgebraData(field, n, comul, counit)
+def taft(field, n):
+    """The Taft algebra T_n (Taft 1971), n >= 2 dividing p - 1 or n = 2 over
+    Q: basis g^a x^b at index a + n*b, g^n = 1, x^n = 0, xg = q gx for q the
+    least primitive n-th root of unity (-1 over Q), g grouplike,
+    Delta(g^a x^b) = Sum_k [b, k]_q g^(a+k) x^(b-k) (x) g^a x^k, and S the
+    anti-algebra map with S(g) = g^(n-1), S(x) = -g^(n-1) x."""
+    p = field.p
+    if n < 2 or (p is None and n != 2) or (p is not None and (p - 1) % n):
+        raise BadCharacteristic(
+            f"T_{n} needs n >= 2 dividing p - 1, or n = 2 over Q")
+    if p is None:
+        q = -1
+    else:       # some y^((p-1)/n) has order n; q is its least primitive power
+        r = next(r for r in (pow(y, (p - 1) // n, p) for y in range(2, p))
+                 if all(pow(r, d, p) != 1 for d in range(1, n)))
+        q = min(pow(r, k, p) for k in range(1, n) if math.gcd(k, n) == 1)
+    qp = [field.from_int(q ** k) for k in range(n)]
+    binom = [[field.one]]                         # [b, k]_q, q-Pascal rule
+    for b in range(1, n):
+        row = binom[-1] + [field.zero]
+        binom.append([field.one] + [field.add(row[k - 1], qp[k] * row[k])
+                                    for k in range(1, b + 1)])
+    dim = n * n
+    mul = Matrix.zeros(field, dim, dim * dim)
+    comul = Matrix.zeros(field, dim * dim, dim)
+    for i, (b, a) in enumerate(itertools.product(range(n), repeat=2)):
+        for j, (d, c) in enumerate(itertools.product(range(n), repeat=2)):
+            if b + d < n:       # g^a x^b g^c x^d = q^(bc) g^(a+c) x^(b+d)
+                k = (a + c) % n + n * (b + d)
+                mul.data[k * dim * dim + i * dim + j] = qp[b * c % n]
+        for k in range(b + 1):
+            left = (a + k) % n + n * (b - k)
+            comul.data[(left * dim + a + n * k) * dim + i] = binom[b][k]
+    counit = Matrix(field, 1, dim, [field.one] * n + [field.zero] * (dim - n))
+    labels = [("" if a == 0 else "g" if a == 1 else f"g^{a}")
+              + ("" if b == 0 else "x" if b == 1 else f"x^{b}") or "1"
+              for b in range(n) for a in range(n)]
+    alg = StructureConstantAlgebra(field, dim, mul, basis_vec(field, dim, 0),
+                                   labels)
+    s_g = basis_vec(field, dim, n - 1)
+    s_x = [field.neg(v) for v in basis_vec(field, dim, 2 * n - 1)]
+    antipode = Matrix.from_cols(field, [         # S(g^a x^b) = S(x)^b S(g)^a
+        functools.reduce(alg.product, [s_x] * b + [s_g] * a, alg.unit)
+        for b in range(n) for a in range(n)])
+    coalg = CoalgebraData(field, dim, comul, counit)
     return HopfAlgebraData(alg, coalg, antipode, antipode.invert())
+
+
+def sweedler_h4(field):
+    """The 4-dimensional Sweedler Hopf algebra T_2, basis 1, g, x, gx."""
+    return taft(field, 2)

@@ -176,9 +176,12 @@ def load_bundle(path):
         raise ParseError(str(path), f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(str(path), "bundle must be a JSON object")
-    field = None
+    header = _require(raw, "field", str(path))
+    if not isinstance(header, str):
+        raise ParseError(str(path), "field must be a string such as \"Q\" or "
+                         f"\"F_7\", not {json.dumps(header)}")
     try:
-        field = field_from_name(_require(raw, "field", str(path)))
+        field = field_from_name(header)
     except FieldError as exc:
         raise ParseError(str(path), str(exc)) from exc
     bundle = WorkspaceBundle(field)

@@ -87,8 +87,7 @@ def _check_622(ctx, candidate, t_coords):
         for (l, r), c in reps[hj]:
             mv = candidate.phi.apply(ctx.quot.project(
                 kron_vec(f, em, basis_vec(f, da, l))))
-            av = ctx.ca.algebra.product(basis_vec(f, da, r),
-                                        basis_vec(f, da, aj))
+            av = ctx.ca.algebra.basis_product(r, aj)
             rhs = vec_add(f, rhs, vec_scale(
                 f, c, ctx.quot.project(kron_vec(f, mv, av))))
         return t_h[hj].apply(x) == rhs
@@ -143,7 +142,7 @@ def _associativity_witness(cand):
     da = alg.dim
     acts = [cand.act_matrix(basis_vec(alg.field, da, i)) for i in range(da)]
     return first_failure(lambda i, j: acts[j] @ acts[i]
-                         == lin_comb(acts, alg.mul.col(i * da + j)), da, da)
+                         == lin_comb(acts, alg.basis_product(i, j)), da, da)
 
 
 def check_unitality(pair):

@@ -223,8 +223,7 @@ def alpha12_hat(ctx, phi):
                 for (l, r), c in tensor_entries(f, rep, (da, da)):
                     mv = phi.apply(ctx.quot.project(
                         kron_vec(f, basis_vec(f, dm, mi), basis_vec(f, da, l))))
-                    av = ctx.ca.algebra.product(basis_vec(f, da, r),
-                                                basis_vec(f, da, aj))
+                    av = ctx.ca.algebra.basis_product(r, aj)
                     term = ctx.quot.project(kron_vec(f, mv, av))
                     acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, term)]
                 amb_cols.append(acc)
@@ -266,8 +265,7 @@ def alpha22_bar(ctx, kappa):
                 for (l, r), c in tensor_entries(f, rep, (da, da)):
                     base = kappa.apply(ctx.quot.project(
                         kron_vec(f, basis_vec(f, dm, mi), basis_vec(f, da, l))))
-                    ra = ctx.ca.algebra.product(basis_vec(f, da, r),
-                                                basis_vec(f, da, aj))
+                    ra = ctx.ca.algebra.basis_product(r, aj)
                     term = ctx.induced_action(ra).apply(base)
                     acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, term)]
                 amb_cols.append(acc)

@@ -148,3 +148,16 @@ def test_cli_crossed_product_prints_sigma_condition(tmp_path):
                         "cp_minus1_data")
     assert code == 1
     assert "sigma not convolution invertible" in report.to_text()
+
+
+@pytest.mark.parametrize("header", [None, 7, ["Q"]])
+def test_cli_non_string_field_header_is_an_input_error(header, tmp_path):
+    d = json.load(open(FIXTURES / "kc2.json"))
+    d["field"] = header
+    p = tmp_path / "bad_field.json"
+    json.dump(d, open(p, "w"))
+    err, code = _run("validate", str(p))
+    assert code == 2
+    assert isinstance(err, io_json.ParseError)
+    assert str(err) == (f"{p}: field must be a string such as \"Q\" or "
+                        f"\"F_7\", not {json.dumps(header)}")
