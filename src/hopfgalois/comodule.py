@@ -4,13 +4,16 @@ construction M (x)_B A, together with the adjunction unit/counit.
 Every identity "in M (x)_B A" is checked in quotient coordinates: the
 QuotientSpace fixes a deterministic projection/section pair, and equality of
 classes is equality of projected coordinates, never of representatives.
+The pair is held as index maps (QuotientSpace), through which tensor_over_B
+builds the action and coaction from mul_table and the columns of rho, with
+no Kronecker product, checking well-definedness relation by relation.
 """
 
 from .hopf import (DimensionMismatch, StructureConstantAlgebra,
                    ValidationReport, _agree, _columns, _leg_columns,
                    first_failure, tensor_algebra_map)
 from .linalg import (Factorization, Matrix, NoSolution, basis_vec, kron_vec,
-                     lin_comb, vec_is_zero)
+                     lin_comb, reduced)
 
 
 class InternalInvariant(RuntimeError):
@@ -210,44 +213,73 @@ class RelativeHopfModuleData:
 
 
 class QuotientSpace:
-    """Coordinatized quotient of a plain tensor product by a relation span.
+    """Coordinatized quotient of a plain tensor product by the span of
+    relations (sparse rows: lists of raw (ambient index, x)), as index maps.
 
-    projection @ section = identity; kernel(projection) = span(relations).
-    Pivot columns of the row-reduced relation matrix are eliminated; the
-    remaining (free) columns, in increasing order, index the quotient basis.
+    The free (non-pivot) columns of the row-reduced relations, in increasing
+    order, index the quotient basis: the section sends q to ambient e_free[q],
+    so amb @ section is a column gather.  columns[j] lists the nonzero
+    (q, x) of the projection of e_j: (q, 1) at j = free[q], the negated
+    reduced relation row at a pivot.  The projection kills exactly the
+    relations, and projection . section is the identity.
     """
 
     def __init__(self, field, ambient_dim, relations):
         self.field = field
-        self.ambient_dim = ambient_dim
-        self.relations = relations
-        if relations:
-            red, pivots = Matrix.from_rows(field, relations).rref()
-        else:
-            red, pivots = Matrix.zeros(field, 0, ambient_dim), []
+        rows = []
+        for rel in relations:
+            row = [field.zero] * ambient_dim
+            for j, x in rel:
+                row[j] += x
+            if any(row := reduced(field, row)):
+                rows.append(row)
+        red, pivots = Matrix.from_rows(field, rows).rref() if rows else (None, [])
         pivot_set = set(pivots)
-        free = [j for j in range(ambient_dim) if j not in pivot_set]
-        self.dim = len(free)
-        proj = Matrix.zeros(field, self.dim, ambient_dim)
-        sect = Matrix.zeros(field, ambient_dim, self.dim)
-        for qi, fc in enumerate(free):
-            proj.data[qi * ambient_dim + fc] = field.one
-            sect.data[fc * self.dim + qi] = field.one
+        self.free = [j for j in range(ambient_dim) if j not in pivot_set]
+        self.dim = len(self.free)
+        self.columns = [[] for _ in range(ambient_dim)]
+        for q, j in enumerate(self.free):
+            self.columns[j] = [(q, field.one)]
         for r, pc in enumerate(pivots):
-            for qi, fc in enumerate(free):
-                proj.data[qi * ambient_dim + pc] = field.neg(red.get(r, fc))
-        self.projection = proj
-        self.section = sect
+            self.columns[pc] = [(q, field.neg(x)) for q, j in enumerate(self.free)
+                                if (x := red.get(r, j)) != field.zero]
 
     def project(self, v):
-        return self.projection.apply(v)
+        """Quotient coordinates of the class of the ambient vector v."""
+        f, cols = self.field, self.columns
+        out = [f.zero] * self.dim
+        for j, x in enumerate(v):
+            if x:
+                for q, y in cols[j]:
+                    out[q] += x * y
+        return reduced(f, out)
 
-    def check_welldefined(self, ambient_map):
-        """True iff projection . ambient_map kills every relation."""
-        for rel in self.relations:
-            if not vec_is_zero(self.field, self.projection.apply(ambient_map.apply(rel))):
-                return False
-        return True
+    def classes(self, terms):
+        """The terms ((q, k), x y) of the class of Sum x e_j (x) e_k, given
+        as raw terms (j, k, x) with j ambient: the first leg projected."""
+        cols = self.columns
+        return (((q, k), x * y) for j, k, x in terms for q, y in cols[j])
+
+    def gather(self, amb):
+        """amb @ section: the columns free[q] of amb."""
+        data, n = amb.data, amb.cols
+        return Matrix(amb.field, amb.rows, self.dim,
+                      [data[base + j] for base in range(0, len(data), n)
+                       for j in self.free])
+
+    def induced(self, image, legs=1):
+        """projection (x) I_legs . g . section for the ambient map g with
+        g(e_j) = Sum x e_i (x) e_k over the raw terms (i, k, x) of image(j):
+        a (dim * legs) x dim matrix, rows q * legs + k."""
+        f, n, acc = self.field, self.dim, {}
+        for q, j in enumerate(self.free):
+            for (r, k), x in self.classes(image(j)):
+                t = (r * legs + k) * n + q
+                acc[t] = acc.get(t, 0) + x
+        out = [f.zero] * (n * legs * n)     # only the entries hit are reduced
+        for t, x in zip(acc, reduced(f, list(acc.values()))):
+            out[t] = x
+        return Matrix(f, n * legs, n, out)
 
 
 class InducedModule:
@@ -259,38 +291,47 @@ class InducedModule:
         self.quotient = quotient
         self.module = module
 
+    def induced_map(self, g):
+        """g (x)_B A on quotient coordinates, for g: M -> M B-linear."""
+        da, g_cols = self.ca.algebra.dim, _columns(g)
+        return self.quotient.induced(lambda j: (
+            (r * da + j % da, 0, x) for r, x in g_cols[j // da]))
+
 
 def tensor_over_B(m, ca):
-    """The induction M (x)_B A with verified induced action and coaction."""
+    """The induction M (x)_B A with verified induced action and coaction.
+
+    Ambient index i * dA + a stands for e_i (x) e_a.  The relations
+    e_i.b_k (x) e_a - e_i (x) b_k e_a, the action (x) a_j and the coaction
+    id (x) rho are read from the action columns, mul_table and the columns
+    of rho; each relation is checked against each a_j and against rho.
+    """
     f = ca.field
     b = ca.coinvariants()
     da, dh, dm = ca.algebra.dim, ca.hopf.dim, m.dim
-    relations = []
-    for i in range(dm):
-        em = basis_vec(f, dm, i)
-        for k in range(b.dim):
-            mb = m.actions[k].apply(em)
-            lb = ca.algebra.lmul(b.inclusion.col(k))
-            for j in range(da):
-                ea = basis_vec(f, da, j)
-                rel = [f.sub(x, y) for x, y in
-                       zip(kron_vec(f, mb, ea), kron_vec(f, em, lb.apply(ea)))]
-                if not vec_is_zero(f, rel):
-                    relations.append(rel)
+    mul, rho = ca.algebra.mul_table, _leg_columns(ca.coaction, dh)
+    acts, b_cols = [_columns(act) for act in m.actions], _columns(b.inclusion)
+    relations = [[(r * da + a, x) for r, x in acts[k][i]]
+                 + [(i * da + s, -y * c) for t, y in b_cols[k]
+                    for s, c in mul[t * da + a]]
+                 for i in range(dm) for k in range(b.dim) for a in range(da)]
     quot = QuotientSpace(f, dm * da, relations)
-    idm = Matrix.identity(f, dm)
-    actions = []
+
+    def times(terms, j):                 # (Sum x e_i (x) e_a) . a_j
+        return [(i - i % da + r, 0, x * c) for i, x in terms
+                for r, c in mul[i % da * da + j]]
+
+    def coact(terms):                    # (id (x) rho)(Sum x e_i (x) e_a)
+        return [(i - i % da + a0, h, x * y) for i, x in terms
+                for a0, h, y in rho[i % da]]
+
     for j in range(da):
-        amb = idm.kron(ca.algebra.rmul(basis_vec(f, da, j)))
-        if not quot.check_welldefined(amb):
+        if not all(_agree(f, quot.classes(times(rel, j)), ()) for rel in relations):
             raise IllDefinedStructure("A-action does not respect the relations")
-        actions.append(quot.projection @ amb @ quot.section)
-    amb_rho = idm.kron(ca.coaction)
-    for rel in quot.relations:
-        if not vec_is_zero(f, (quot.projection.kron(Matrix.identity(f, dh))
-                               @ amb_rho).apply(rel)):
-            raise IllDefinedStructure("coaction does not respect the relations")
-    coaction = quot.projection.kron(Matrix.identity(f, dh)) @ amb_rho @ quot.section
+    actions = [quot.induced(lambda i: times([(i, f.one)], j)) for j in range(da)]
+    if not all(_agree(f, quot.classes(coact(rel)), ()) for rel in relations):
+        raise IllDefinedStructure("coaction does not respect the relations")
+    coaction = quot.induced(lambda i: coact([(i, f.one)]), dh)
     module = RelativeHopfModuleData(quot.dim, actions, coaction)
     return InducedModule(ca, m, quot, module)
 
@@ -333,11 +374,8 @@ def adjunction_counit(n, ca):
     m = BModule(b, c, actions)
     ind = tensor_over_B(m, ca)
     da = ca.algebra.dim
-    cols = []
-    for i in range(c):
-        for j in range(da):
-            cols.append(n.actions[j].apply(coinv.col(i)))
-    eps_amb = Matrix.from_cols(f, cols, nrows=n.dim)
-    eps = eps_amb @ ind.quotient.section
+    # the columns of n (x) a -> n.a at the section's ambient indices
+    eps = Matrix.from_cols(f, [n.actions[j % da].apply(coinv.col(j // da))
+                               for j in ind.quotient.free], nrows=n.dim)
     bijective = eps.is_invertible()
     return eps, ind, bijective

@@ -153,9 +153,7 @@ def build_F(ca, m, e):
         return eta_fac.solve_matrix(phi @ eta)   # g with eta g = phi eta
 
     def extend(g_mat):
-        amb = g_mat.kron(Matrix.identity(field, ca.algebra.dim))
-        phi = e.induced.quotient.projection @ amb @ e.induced.quotient.section
-        return emb.from_ambient(e.to_coords(phi))
+        return emb.from_ambient(e.to_coords(e.induced.induced_map(g_mat)))
 
     return CoinvariantIdentification(e, emb, restrict, extend, endb_basis)
 

@@ -3,13 +3,15 @@ translation map gamma_A(h) = can^{-1}(1 (x) h) and identities (1.2.1)-(1.2.7).
 
 A (x)_B A is realized through comodule.tensor_over_B with A as a right
 B-module; every identity stated in the quotient is checked on projected
-coordinates, never on representatives.
+coordinates, never on representatives.  can, can', gamma and (1.2.1)-(1.2.7)
+read mul_table, the columns of rho and the quotient's index maps; only
+phi_comparison forms Kronecker products.
 """
 
 from .comodule import algebra_as_bmodule, tensor_over_B
-from .hopf import ValidationReport
-from .linalg import (Matrix, basis_vec, gather_legs, kron_vec, scatter_legs,
-                     tensor_entries, vec_add, vec_scale)
+from .hopf import (ValidationReport, _agree, _columns, _leg_columns,
+                   first_failure)
+from .linalg import Matrix, basis_vec, gather_legs, kron_vec, reduced
 
 
 class NotGalois(RuntimeError):
@@ -28,40 +30,34 @@ def _a_tensor_a(ca):
     return tensor_over_B(algebra_as_bmodule(ca), ca)
 
 
-def _can_ambient(ca):
-    f = ca.field
-    da, dh = ca.algebra.dim, ca.hopf.dim
-    ida = Matrix.identity(f, da)
-    idh = Matrix.identity(f, dh)
-    return ca.algebra.mul.kron(idh) @ ida.kron(ca.coaction)
-
-
-def _can_prime_ambient(ca):
-    f = ca.field
-    da, dh = ca.algebra.dim, ca.hopf.dim
-    idh = Matrix.identity(f, dh)
-    ida = Matrix.identity(f, da)
-    # a_[0] (x) a_[1] (x) a' -> a_[0] (x) a' (x) a_[1]
-    moved = scatter_legs(ca.coaction.kron(ida), (da, dh, da), (0, 2, 1))
-    return ca.algebra.mul.kron(idh) @ moved
+def _canonical(ca, induced, prime):
+    """can, or can' when prime, with its Galois verdict: column q is the
+    image of the section's a (x) a' = e_{free[q]}, read from mul_table and
+    the columns of rho."""
+    ind = induced if induced is not None else _a_tensor_a(ca)
+    f, quot = ca.field, ind.quotient
+    da, dh, n = ca.algebra.dim, ca.hopf.dim, quot.dim
+    mul, rho = ca.algebra.mul_table, _leg_columns(ca.coaction, dh)
+    out = [f.zero] * (da * dh * n)
+    for q, j in enumerate(quot.free):
+        a, a2 = divmod(j, da)
+        for a0, h, x in rho[a if prime else a2]:
+            for r, c in mul[a0 * da + a2 if prime else a * da + a0]:
+                out[(r * dh + h) * n + q] += x * c
+    mat = Matrix(f, da * dh, n, reduced(f, out))
+    galois = mat.is_invertible()
+    inverse = mat.invert() if galois else None
+    return CanonicalMapData(mat, inverse, galois, ind)
 
 
 def canonical_map(ca, induced=None):
     """can(a (x)_B a') = a a'_[0] (x) a'_[1], in quotient coordinates."""
-    ind = induced if induced is not None else _a_tensor_a(ca)
-    mat = _can_ambient(ca) @ ind.quotient.section
-    galois = mat.is_invertible()
-    inverse = mat.invert() if galois else None
-    return CanonicalMapData(mat, inverse, galois, ind)
+    return _canonical(ca, induced, False)
 
 
 def canonical_map_prime(ca, induced=None):
     """can'(a (x)_B a') = a_[0] a' (x) a_[1]."""
-    ind = induced if induced is not None else _a_tensor_a(ca)
-    mat = _can_prime_ambient(ca) @ ind.quotient.section
-    galois = mat.is_invertible()
-    inverse = mat.invert() if galois else None
-    return CanonicalMapData(mat, inverse, galois, ind)
+    return _canonical(ca, induced, True)
 
 
 def phi_comparison(ca):
@@ -92,12 +88,17 @@ class TranslationMap:
         self.ca = ca
         self.can = can_data
         self.induced = can_data.induced
+        quot = can_data.induced.quotient
         cols = [can_data.inverse.apply(
             kron_vec(f, ca.algebra.unit, basis_vec(f, dh, j)))
             for j in range(dh)]
-        self.gamma = Matrix.from_cols(f, cols, nrows=can_data.induced.quotient.dim)
-        # representative Sum_i l_i(h) (x) r_i(h) in A (x) A, via the section
-        self.representative = can_data.induced.quotient.section @ self.gamma
+        self.gamma = Matrix.from_cols(f, cols, nrows=quot.dim)
+        # representative Sum_i l_i(h) (x) r_i(h) in A (x) A, via the section:
+        # row q of gamma is row free[q]
+        data = [f.zero] * (da * da * dh)
+        for q, j in enumerate(quot.free):
+            data[j * dh:(j + 1) * dh] = self.gamma.row(q)
+        self.representative = Matrix(f, da * da, dh, data)
 
     def value(self, h_vec):
         """Quotient coordinates of gamma_A(h)."""
@@ -114,101 +115,73 @@ def translation_map(ca, can_data=None):
 
 
 def verify_translation_identities(ca, tmap=None):
-    """Exact check of (1.2.1)-(1.2.7) over all basis tuples."""
+    """Exact check of (1.2.1)-(1.2.7), each a first_failure over basis
+    tuples: both sides sum raw products of table entries, of the columns
+    of gamma and of the representatives l_i(h) (x) r_i(h), a side in
+    A (x)_B A projected term by term, and are compared after one reduction."""
     tmap = tmap if tmap is not None else translation_map(ca)
     f = ca.field
     da, dh = ca.algebra.dim, ca.hopf.dim
-    alg, hopf = ca.algebra, ca.hopf
-    quot = tmap.induced.quotient
-    pi, sect = quot.projection, quot.section
-    ida = Matrix.identity(f, da)
-    idh = Matrix.identity(f, dh)
-    rep = tmap.representative          # H -> A (x) A
-    gamma = tmap.gamma
+    mul, unit, hopf = ca.algebra.mul_table, ca.algebra.unit, ca.hopf
+    comul, hmul = hopf.coalgebra.comul_table, hopf.algebra.mul_table
+    eps = hopf.coalgebra.counit.data
+    rho = _leg_columns(ca.coaction, dh)
+    rep = _leg_columns(tmap.representative, da)     # h -> (l, r, x)
+    gam = _columns(tmap.gamma)
+    s_cols, sbar_cols = _columns(hopf.antipode), _columns(hopf.antipode_inv)
+    b_cols = _columns(ca.coinvariants().inclusion)
+    cls = tmap.induced.quotient.classes
     report = ValidationReport()
 
     # (1.2.1)  Sum l_i(h) r_i(h)_[0] (x) r_i(h)_[1] = 1 (x) h
-    lhs = _can_ambient(ca) @ rep
-    rhs = Matrix.from_cols(
-        f, [kron_vec(f, alg.unit, basis_vec(f, dh, j)) for j in range(dh)],
-        nrows=da * dh)
-    if lhs != rhs:
-        report.fail("1.2.1", _first_col_diff(lhs, rhs))
+    report.fail_at("1.2.1", first_failure(lambda h: _agree(
+        f, (((s, k), x * y * c) for l, r, x in rep[h]
+            for r0, k, y in rho[r] for s, c in mul[l * da + r0]),
+        (((a, h), u) for a, u in enumerate(unit))), dh))
 
-    # (1.2.2)  gamma(h) is B-central in A (x)_B A
-    b = ca.coinvariants()
-    for k in range(b.dim):
-        bv = b.inclusion.col(k)
-        left = pi @ alg.lmul(bv).kron(ida) @ rep
-        right = pi @ ida.kron(alg.rmul(bv)) @ rep
-        if left != right:
-            report.fail("1.2.2", (k,) + (_first_col_diff(left, right) or ()))
-            break
+    # (1.2.2)  gamma(h) is B-central: b l_i (x)_B r_i = l_i (x)_B r_i b
+    report.fail_at("1.2.2", first_failure(lambda k, h: _agree(
+        f, cls((s * da + r, 0, x * y * c) for l, r, x in rep[h]
+               for t, y in b_cols[k] for s, c in mul[t * da + l]),
+        cls((l * da + s, 0, x * y * c) for l, r, x in rep[h]
+            for t, y in b_cols[k] for s, c in mul[r * da + t])),
+        len(b_cols), dh))
 
     # (1.2.3)  gamma(h_(1)) (x) h_(2) = Sum l_i (x)_B r_i_[0] (x) r_i_[1]
-    lhs = gamma.kron(idh) @ hopf.coalgebra.comul
-    rhs = pi.kron(idh) @ ida.kron(ca.coaction) @ rep
-    if lhs != rhs:
-        report.fail("1.2.3", _first_col_diff(lhs, rhs))
+    report.fail_at("1.2.3", first_failure(lambda h: _agree(
+        f, (((q, h2), x * y) for h1, h2, x in comul[h] for q, y in gam[h1]),
+        cls((l * da + r0, k, x * y) for l, r, x in rep[h]
+            for r0, k, y in rho[r])), dh))
 
     # (1.2.4)  gamma(h_(2)) (x) S(h_(1)) = Sum l_i_[0] (x)_B r_i (x) l_i_[1]
-    lhs = gamma.kron(hopf.antipode) @ scatter_legs(hopf.coalgebra.comul,
-                                                   (dh, dh), (1, 0))
-    rhs = pi.kron(idh) @ scatter_legs(ca.coaction.kron(ida) @ rep,
-                                      (da, dh, da), (0, 2, 1))
-    if lhs != rhs:
-        report.fail("1.2.4", _first_col_diff(lhs, rhs))
+    report.fail_at("1.2.4", first_failure(lambda h: _agree(
+        f, (((q, t), x * y * z) for h1, h2, x in comul[h]
+            for q, y in gam[h2] for t, z in s_cols[h1]),
+        cls((l0 * da + r, k, x * y) for l, r, x in rep[h]
+            for l0, k, y in rho[l])), dh))
 
     # (1.2.5)  Sum l_i(h) r_i(h) = eps(h) 1
-    lhs = alg.mul @ rep
-    rhs = Matrix.from_cols(f, [alg.unit]) @ hopf.coalgebra.counit
-    if lhs != rhs:
-        report.fail("1.2.5", _first_col_diff(lhs, rhs))
+    report.fail_at("1.2.5", first_failure(lambda h: _agree(
+        f, ((s, x * c) for l, r, x in rep[h] for s, c in mul[l * da + r]),
+        ((a, eps[h] * u) for a, u in enumerate(unit))), dh))
 
     # (1.2.6)  Sum a_[0] l_i(a_[1]) (x)_B r_i(a_[1]) = 1 (x)_B a
-    for a_idx in range(da):
-        acc = [f.zero] * quot.dim
-        for (i, j), c in tensor_entries(f, ca.coaction.apply(basis_vec(f, da, a_idx)),
-                                        (da, dh)):
-            term = pi @ alg.lmul(basis_vec(f, da, i)).kron(ida)
-            acc = vec_add(f, acc, vec_scale(f, c, term.apply(
-                rep.apply(basis_vec(f, dh, j)))))
-        if acc != quot.project(kron_vec(f, alg.unit, basis_vec(f, da, a_idx))):
-            report.fail("1.2.6", (a_idx,))
-            break
+    report.fail_at("1.2.6", first_failure(lambda a: _agree(
+        f, cls((s * da + r, 0, c * x * y) for a0, h, c in rho[a]
+               for l, r, x in rep[h] for s, y in mul[a0 * da + l]),
+        cls((u * da + a, 0, x) for u, x in enumerate(unit))), da))
 
     # (1.2.6a) Sum l_i(Sbar(a_[1])) (x)_B r_i(Sbar(a_[1])) a_[0] = a (x)_B 1
-    for a_idx in range(da):
-        acc = [f.zero] * quot.dim
-        for (i, j), c in tensor_entries(f, ca.coaction.apply(basis_vec(f, da, a_idx)),
-                                        (da, dh)):
-            v = rep.apply(hopf.antipode_inv.apply(basis_vec(f, dh, j)))
-            term = pi @ ida.kron(alg.rmul(basis_vec(f, da, i)))
-            acc = vec_add(f, acc, vec_scale(f, c, term.apply(v)))
-        if acc != quot.project(kron_vec(f, basis_vec(f, da, a_idx), alg.unit)):
-            report.fail("1.2.6a", (a_idx,))
-            break
+    report.fail_at("1.2.6a", first_failure(lambda a: _agree(
+        f, cls((l * da + s, 0, c * z * x * y) for a0, h, c in rho[a]
+               for h2, z in sbar_cols[h] for l, r, x in rep[h2]
+               for s, y in mul[r * da + a0]),
+        cls((a * da + u, 0, x) for u, x in enumerate(unit))), da))
 
     # (1.2.7)  gamma(h h') = Sum l_i(h') l_j(h) (x)_B r_j(h) r_i(h')
-    combine = pi @ gather_legs(alg.mul.kron(alg.mul), (da,) * 4, (0, 2, 3, 1))
-    for hi in range(dh):
-        x = rep.apply(basis_vec(f, dh, hi))          # legs (l_j(h), r_j(h))
-        for hj in range(dh):
-            y = rep.apply(basis_vec(f, dh, hj))      # legs (l_i(h'), r_i(h'))
-            lhs_v = gamma.apply(hopf.algebra.basis_product(hi, hj))
-            rhs_v = combine.apply(kron_vec(f, y, x))
-            if lhs_v != rhs_v:
-                report.fail("1.2.7", (hi, hj))
-                break
-        else:
-            continue
-        break
+    report.fail_at("1.2.7", first_failure(lambda h, h2: _agree(
+        f, (((q, 0), c * y) for t, c in hmul[h * dh + h2] for q, y in gam[t]),
+        cls((s * da + t, 0, x * y * c * z) for l1, r1, x in rep[h]
+            for l2, r2, y in rep[h2] for s, c in mul[l2 * da + l1]
+            for t, z in mul[r1 * da + r2])), dh, dh))
     return report
-
-
-def _first_col_diff(lhs, rhs):
-    diff = lhs - rhs
-    for i, x in enumerate(diff.data):
-        if x != diff.field.zero:
-            return (i % diff.cols,)
-    return None

@@ -307,9 +307,7 @@ def _endb_conjugation_kernel(ctx, t1, t2):
     endb = intertwiners(f, ctx.m.dim, ctx.m.dim, ctx.m.actions, ctx.m.actions)
     if not endb:
         return [], endb
-    gq = [ctx.quot.projection
-          @ g.kron(Matrix.identity(f, ctx.ca.algebra.dim))
-          @ ctx.quot.section for g in endb]
+    gq = [ctx.induced.induced_map(g) for g in endb]
     t12 = []
     for h in range(dh):
         e = basis_vec(f, dh, h)

@@ -446,9 +446,6 @@ def vec_add(field, v, w):
 def vec_scale(field, c, v):
     return [field.mul(c, a) for a in v]
 
-def vec_is_zero(field, v):
-    return all(a == field.zero for a in v)
-
 
 def tensor_entries(field, vec, dims):
     """Iterate (multi_index, coeff) over the nonzero entries of a tensor.

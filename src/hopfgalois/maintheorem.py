@@ -147,15 +147,14 @@ def beta11_tilde(ctx, v_prime_mat):
 
 def beta11_hat(ctx, theta_small):
     """Inverse direction: Hom_B(M (x) H, M) -> Hom(H, F) (coords in E)."""
-    f, dm, dh, da = ctx.field, ctx.m.dim, ctx.ca.hopf.dim, ctx.ca.algebra.dim
-    ida = Matrix.identity(f, da)
+    f, dm, dh = ctx.field, ctx.m.dim, ctx.ca.hopf.dim
     endos = []
     for hj in range(dh):
         th_h = Matrix.from_cols(
             f, [theta_small.apply(kron_vec(f, basis_vec(f, dm, mi),
                                            basis_vec(f, dh, hj)))
                 for mi in range(dm)], nrows=dm)
-        endos.append(ctx.quot.projection @ th_h.kron(ida) @ ctx.quot.section)
+        endos.append(ctx.induced.induced_map(th_h))
     return ctx.e.coords_matrix(endos)
 
 
@@ -177,14 +176,12 @@ def beta21_bar(ctx, psi):
     f, dm, dh, da = ctx.field, ctx.m.dim, ctx.ca.hopf.dim, ctx.ca.algebra.dim
     endos = []
     for hj in range(dh):
-        amb_cols = []
-        for mi in range(dm):
-            base = psi.apply(kron_vec(f, basis_vec(f, dm, mi),
-                                      basis_vec(f, dh, hj)))
-            for aj in range(da):
-                amb_cols.append(ctx.induced.module.actions[aj].apply(base))
-        amb = Matrix.from_cols(f, amb_cols, nrows=ctx.quot.dim)
-        endos.append(amb @ ctx.quot.section)
+        bases = [psi.apply(kron_vec(f, basis_vec(f, dm, mi),
+                                    basis_vec(f, dh, hj))) for mi in range(dm)]
+        # psi(m (x) h).a at the section's ambient indices m (x) a
+        endos.append(Matrix.from_cols(
+            f, [ctx.induced.module.actions[j % da].apply(bases[j // da])
+                for j in ctx.quot.free], nrows=ctx.quot.dim))
     return ctx.e.coords_matrix(endos)
 
 
@@ -207,7 +204,7 @@ def beta12_tilde(ctx, u_prime_mat):
             amb_cols.append(acc)
     # only the full sums are coinvariant; invert eta after summing
     amb = Matrix.from_cols(f, amb_cols, nrows=ctx.quot.dim)
-    return ctx.eta_inv(amb) @ ctx.quot.section
+    return ctx.quot.gather(ctx.eta_inv(amb))
 
 
 def alpha12_hat(ctx, phi):
@@ -217,18 +214,16 @@ def alpha12_hat(ctx, phi):
     for hj in range(dh):
         rep = ctx.tmap.rep(basis_vec(f, dh, hj))
         amb_cols = []
-        for mi in range(dm):
-            for aj in range(da):
-                acc = [f.zero] * ctx.quot.dim
-                for (l, r), c in tensor_entries(f, rep, (da, da)):
-                    mv = phi.apply(ctx.quot.project(
-                        kron_vec(f, basis_vec(f, dm, mi), basis_vec(f, da, l))))
-                    av = ctx.ca.algebra.basis_product(r, aj)
-                    term = ctx.quot.project(kron_vec(f, mv, av))
-                    acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, term)]
-                amb_cols.append(acc)
-        amb = Matrix.from_cols(f, amb_cols, nrows=ctx.quot.dim)
-        endos.append(amb @ ctx.quot.section)
+        for mi, aj in (divmod(j, da) for j in ctx.quot.free):
+            acc = [f.zero] * ctx.quot.dim
+            for (l, r), c in tensor_entries(f, rep, (da, da)):
+                mv = phi.apply(ctx.quot.project(
+                    kron_vec(f, basis_vec(f, dm, mi), basis_vec(f, da, l))))
+                av = ctx.ca.algebra.basis_product(r, aj)
+                term = ctx.quot.project(kron_vec(f, mv, av))
+                acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, term)]
+            amb_cols.append(acc)
+        endos.append(Matrix.from_cols(f, amb_cols, nrows=ctx.quot.dim))
     return ctx.e.coords_matrix(endos)
 
 
@@ -259,18 +254,16 @@ def alpha22_bar(ctx, kappa):
     for hj in range(dh):
         rep = ctx.tmap.rep(basis_vec(f, dh, hj))
         amb_cols = []
-        for mi in range(dm):
-            for aj in range(da):
-                acc = [f.zero] * ctx.quot.dim
-                for (l, r), c in tensor_entries(f, rep, (da, da)):
-                    base = kappa.apply(ctx.quot.project(
-                        kron_vec(f, basis_vec(f, dm, mi), basis_vec(f, da, l))))
-                    ra = ctx.ca.algebra.basis_product(r, aj)
-                    term = ctx.induced_action(ra).apply(base)
-                    acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, term)]
-                amb_cols.append(acc)
-        amb = Matrix.from_cols(f, amb_cols, nrows=ctx.quot.dim)
-        endos.append(amb @ ctx.quot.section)
+        for mi, aj in (divmod(j, da) for j in ctx.quot.free):
+            acc = [f.zero] * ctx.quot.dim
+            for (l, r), c in tensor_entries(f, rep, (da, da)):
+                base = kappa.apply(ctx.quot.project(
+                    kron_vec(f, basis_vec(f, dm, mi), basis_vec(f, da, l))))
+                ra = ctx.ca.algebra.basis_product(r, aj)
+                term = ctx.induced_action(ra).apply(base)
+                acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, term)]
+            amb_cols.append(acc)
+        endos.append(Matrix.from_cols(f, amb_cols, nrows=ctx.quot.dim))
     return ctx.e.coords_matrix(endos)
 
 

@@ -53,11 +53,26 @@ def test_translation_identities_f5(h4_f5):
 
 
 def test_identity_witness_on_corruption(h4_q):
-    # corrupting gamma by scaling breaks (1.2.1) with a basis witness
+    """Each failing identity is witnessed by its first failing basis tuple,
+    in lexicographic order."""
     tmap = translation_map(h4_q)
-    tmap.gamma = tmap.gamma.scale(QQ.from_int(2))
-    tmap.representative = tmap.representative.scale(QQ.from_int(2))
-    report = verify_translation_identities(h4_q, tmap)
-    assert not report.passed
-    names = {name for name, _ in report.failures}
-    assert "1.2.1" in names or "1.2.3" in names
+    gamma, rep = tmap.gamma, tmap.representative
+    # gamma scaled by 2 everywhere: the identities linear in gamma fail at 1
+    tmap.gamma = gamma.scale(QQ.from_int(2))
+    tmap.representative = rep.scale(QQ.from_int(2))
+    assert verify_translation_identities(h4_q, tmap).failures == [
+        ("1.2.1", (0,)), ("1.2.5", (0,)), ("1.2.6", (0,)), ("1.2.6a", (0,)),
+        ("1.2.7", (0, 0))]
+
+    # only gamma(x) = g (x) x - gx (x) 1 scaled by 2 (basis 1, g, x, gx):
+    # (1.2.5) holds as eps(x) = 0, (1.2.6a) first meets Sbar(gx) = -x at
+    # a = gx, and (1.2.7) holds at (1, x), failing first at (g, x)
+    def scale_x(mat):
+        return Matrix(QQ, mat.rows, mat.cols,
+                      [x * 2 if i % mat.cols == 2 else x
+                       for i, x in enumerate(mat.data)])
+
+    tmap.gamma, tmap.representative = scale_x(gamma), scale_x(rep)
+    assert verify_translation_identities(h4_q, tmap).failures == [
+        ("1.2.1", (2,)), ("1.2.3", (2,)), ("1.2.4", (2,)), ("1.2.6", (2,)),
+        ("1.2.6a", (3,)), ("1.2.7", (1, 2))]
