@@ -15,7 +15,8 @@ from . import convcat, search
 from .comodule import ComoduleAlgebraData, InternalInvariant
 from .galois import canonical_map, translation_map
 from .hopf import (CoalgebraData, OneSidedInverse, StructureConstantAlgebra,
-                   ValidationReport, comul_iterated, convolution_inverse,
+                   ValidationReport, _leg_columns, colinear_witness,
+                   comul_iterated, comul_on, convolution_inverse,
                    convolution_operator, convolution_unit, convolve,
                    first_failure, is_convolution_inverse,
                    multiplicative_witness)
@@ -457,7 +458,7 @@ def _varphi_matrix(ca, b, u_mat):
     """varphi(a) = a_[0] u(a_[1]) (x) a_[2] as a matrix A -> B (x) H."""
     f = ca.field
     da, dh, db = ca.algebra.dim, ca.hopf.dim, b.dim
-    rho2 = Matrix.identity(f, da).kron(ca.hopf.coalgebra.comul) @ ca.coaction
+    rho2 = comul_on(ca.hopf.coalgebra, da) @ ca.coaction
     cols = []
     for a in range(da):
         # group by the a_[2] leg: only Sum a_[0] u(a_[1]) is coinvariant
@@ -490,8 +491,8 @@ def _check_bh_iso(ca, b, psi, leg):
                 == ca.algebra.lmul(b.to_ambient(e)) @ psi)
 
     leg.fail_at("psi-not-B-linear", first_failure(b_linear, db))
-    x_co = Matrix.identity(f, db).kron(ca.hopf.coalgebra.comul)
-    if ca.coaction @ psi != psi.kron(idh) @ x_co:
+    if colinear_witness(f, psi, _leg_columns(comul_on(ca.hopf.coalgebra, db), dh),
+                        _leg_columns(ca.coaction, dh)) is not None:
         leg.fail("psi-not-colinear")
 
 
@@ -502,7 +503,7 @@ def _find_bh_iso(ca, b, seed, tries):
     if da != db * dh:
         return NotFound(True, 0, 0, "dim A != dim B * dim H")
     idh = Matrix.identity(f, dh)
-    x_co = Matrix.identity(f, db).kron(ca.hopf.coalgebra.comul)
+    x_co = comul_on(ca.hopf.coalgebra, db)
     x_acts = [b.algebra.lmul(basis_vec(f, db, i)).kron(idh) for i in range(db)]
     a_acts = [ca.algebra.lmul(b.to_ambient(basis_vec(f, db, i)))
               for i in range(db)]

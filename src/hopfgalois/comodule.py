@@ -13,7 +13,7 @@ from .hopf import (DimensionMismatch, StructureConstantAlgebra,
                    ValidationReport, _agree, _columns, _leg_columns,
                    first_failure, tensor_algebra_map)
 from .linalg import (Factorization, Matrix, NoSolution, basis_vec, kron_vec,
-                     lin_comb, reduced)
+                     lin_comb, reduced, summed)
 
 
 class InternalInvariant(RuntimeError):
@@ -271,15 +271,10 @@ class QuotientSpace:
         """projection (x) I_legs . g . section for the ambient map g with
         g(e_j) = Sum x e_i (x) e_k over the raw terms (i, k, x) of image(j):
         a (dim * legs) x dim matrix, rows q * legs + k."""
-        f, n, acc = self.field, self.dim, {}
-        for q, j in enumerate(self.free):
-            for (r, k), x in self.classes(image(j)):
-                t = (r * legs + k) * n + q
-                acc[t] = acc.get(t, 0) + x
-        out = [f.zero] * (n * legs * n)     # only the entries hit are reduced
-        for t, x in zip(acc, reduced(f, list(acc.values()))):
-            out[t] = x
-        return Matrix(f, n * legs, n, out)
+        n = self.dim
+        return summed(self.field, n * legs, n, (
+            ((r * legs + k) * n + q, x) for q, j in enumerate(self.free)
+            for (r, k), x in self.classes(image(j))))
 
 
 class InducedModule:

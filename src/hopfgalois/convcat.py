@@ -1,16 +1,18 @@
 """The two-object categories C_A and C'_A of colinear maps H -> A.
 
-A hom element of class (i, j) is an arrow i -> j; the eight colinearity
-constraint shapes are materialized as linear operators on vec(f) and the
-hom-spaces as their nullspaces.  Composition of f: i -> j and g: j -> k is
+A hom element of class (i, j) is an arrow i -> j.  Each of the eight
+colinearity constraint shapes is a table of terms per basis vector h of H,
+read from comul_table, mul_table and the columns of S or Sbar; membership
+checks it column by column and the hom-spaces are the nullspaces of the
+operators written from it.  Composition of f: i -> j and g: j -> k is
 the convolution g * f (outer factor g), matching the functoriality identity
 alpha_kj(g) o alpha_ji(f) = alpha_ki(g * f) of the main theorem; in C'_A
 the cop-convolution (g ? f)(h) = g(h_(2)) f(h_(1)) is used instead.
 """
 
 from . import hopf
-from .hopf import CoalgebraData
-from .linalg import Matrix, kron_terms, linear_operator, scatter_legs
+from .hopf import CoalgebraData, _columns, _leg_columns, colinear_witness
+from .linalg import Matrix, colinearity_operator, scatter_legs, summed
 
 CLASSES = ((1, 1), (2, 1), (1, 2), (2, 2))
 
@@ -54,59 +56,47 @@ class HomSpaceBasis:
                                 nrows=da * dh)
 
 
-def _constraint(ca, cls, variant):
-    """(G, D) such that class (cls, variant) requires rho o f = (f (x) G) D."""
-    field = ca.field
-    dh = ca.hopf.dim
-    comul = ca.hopf.coalgebra.comul
-    idh = Matrix.identity(field, dh)
-    s, sbar = ca.hopf.antipode, ca.hopf.antipode_inv
-    hmul = ca.hopf.algebra.mul
-    if cls == (1, 1):
-        # f(h) (x) 1
-        return Matrix.from_cols(field, [ca.hopf.algebra.unit]), idh
+def _constraint_terms(ca, cls, variant):
+    """terms[h]: the raw (h2, k, c) with which class (cls, variant) requires
+    rho(f(e_h)) = Sum c f(e_h2) (x) e_k, read from the tables of H."""
+    hopf = ca.hopf
+    dh, comul, hmul = hopf.dim, hopf.coalgebra.comul_table, hopf.algebra.mul_table
+    s = _columns(hopf.antipode if variant == "C" else hopf.antipode_inv)
+    if cls not in CLASSES or variant not in ("C", "Cprime"):
+        raise ValueError(f"unknown constraint {cls}/{variant}")
+    if cls == (1, 1):                   # f(h) (x) 1
+        return [[(h, k, u) for k, u in enumerate(hopf.algebra.unit) if u]
+                for h in range(dh)]
     if (cls, variant) in (((2, 1), "C"), ((1, 2), "Cprime")):
-        # t(h_(1)) (x) h_(2)
-        return idh, comul
-    if (cls, variant) == ((1, 2), "C"):
-        # u(h_(2)) (x) S(h_(1))
-        return s, scatter_legs(comul, (dh, dh), (1, 0))
-    if (cls, variant) == ((2, 1), "Cprime"):
-        # u'(h_(2)) (x) Sbar(h_(1))
-        return sbar, scatter_legs(comul, (dh, dh), (1, 0))
-    comul3 = idh.kron(comul) @ comul      # h_(1) (x) h_(2) (x) h_(3)
-    if (cls, variant) == ((2, 2), "C"):
-        # w(h_(2)) (x) S(h_(1)) h_(3)
-        return (hmul @ s.kron(idh),
-                scatter_legs(comul3, (dh, dh, dh), (1, 0, 2)))
-    if (cls, variant) == ((2, 2), "Cprime"):
-        # w'(h_(2)) (x) h_(3) Sbar(h_(1))
-        return (hmul @ idh.kron(sbar),
-                scatter_legs(comul3, (dh, dh, dh), (1, 2, 0)))
-    raise ValueError(f"unknown constraint {cls}/{variant}")
-
-
-def constraint_rhs(ca, f_mat, cls, variant):
-    """The required value of rho o f for the given constraint class."""
-    g, d = _constraint(ca, cls, variant)
-    return f_mat.kron(g) @ d
-
-
-def constraint_defect(ca, f_mat, cls, variant):
-    return ca.coaction @ f_mat - constraint_rhs(ca, f_mat, cls, variant)
+        return comul                    # t(h_(1)) (x) h_(2)
+    if cls != (2, 2):       # u(h_(2)) (x) S(h_(1)), u'(h_(2)) (x) Sbar(h_(1))
+        return [[(h2, t, x * y) for h1, h2, x in comul[h] for t, y in s[h1]]
+                for h in range(dh)]
+    # w(h_(2)) (x) S(h_(1)) h_(3), w'(h_(2)) (x) h_(3) Sbar(h_(1)), with
+    # h_(1) (x) h_(2) (x) h_(3) = (id (x) Delta) Delta(h)
+    return [[(h2, r, x * y * z * m) for h1, c, x in comul[h]
+             for h2, h3, y in comul[c] for t, z in s[h1]
+             for r, m in hmul[t * dh + h3 if variant == "C" else h3 * dh + t]]
+            for h in range(dh)]
 
 
 def membership(ca, f_mat, cls, variant):
-    return constraint_defect(ca, f_mat, cls, variant).is_zero()
+    """Whether f satisfies the constraint of class (cls, variant), checked
+    at each basis vector of H from the columns of f and rho."""
+    terms = _constraint_terms(ca, cls, variant)
+    return colinear_witness(ca.field, f_mat, terms,
+                            _leg_columns(ca.coaction, ca.hopf.dim)) is None
 
 
 def constraint_operator(ca, cls, variant):
-    """Matrix of f -> constraint_defect(ca, f, cls, variant) on vec(f)."""
-    g, d = _constraint(ca, cls, variant)
-    idh = Matrix.identity(ca.field, ca.hopf.dim)
-    return linear_operator([(ca.coaction, idh)]
-                           + [(a, -b) for a, b in
-                              kron_terms(ca.algebra.dim, g, d)])
+    """Matrix on vec(f) of f -> rho o f - (f (x) I_H) D, where D[(h2, k), h]
+    sums the constraint terms (h2, k, c) of h."""
+    f, dh = ca.field, ca.hopf.dim
+    d = summed(f, dh * dh, dh, (
+        ((h2 * dh + k) * dh + h, c)
+        for h, terms in enumerate(_constraint_terms(ca, cls, variant))
+        for h2, k, c in terms))
+    return colinearity_operator(f, dh, ca.algebra.dim, d, ca.coaction)
 
 
 def hom_space(ca, cls, variant):

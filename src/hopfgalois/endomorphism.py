@@ -3,11 +3,13 @@ algebra E = END_A(M (x)_B A) and the identification F = E^{co H} = End_B(M).
 
 At finite dimension every A-linear endomorphism is rational; the coaction
 solver below still verifies rationality instance by instance instead of
-assuming it.
+assuming it.  E's products and coaction are summed from the nonzero columns
+of its basis, of rho and of S and from mul_table, and solved against the
+one factorization of the basis.
 """
 
 from .comodule import ComoduleAlgebraData, InternalInvariant, adjunction_unit
-from .hopf import StructureConstantAlgebra
+from .hopf import StructureConstantAlgebra, _columns, _leg_columns
 from .linalg import (Factorization, Matrix, NoSolution, basis_vec,
                      intertwiners, lin_comb)
 
@@ -22,36 +24,34 @@ def end_A(ca, module):
                         module.actions)
 
 
-def rational_coaction_matrix(ca, module, f_mat):
-    """The map rho(f): P -> P (x) H, rho(f)(p) = f(p_[0])_[0] (x) f(p_[0])_[1] S(p_[1])."""
-    field = ca.field
-    dh = ca.hopf.dim
-    idp = Matrix.identity(field, module.dim)
-    hmul = ca.hopf.algebra.mul
-    rho = module.coaction
-    return (idp.kron(hmul) @ rho.kron(ca.hopf.antipode)
-            @ f_mat.kron(Matrix.identity(field, dh)) @ rho)
-
-
-def rational_coaction(ca, module, basis):
+def rational_coaction(ca, module, basis, coords):
     """The coaction of span(basis) as a dim(E)*dim(H) x dim(E) matrix.
 
-    Column i holds the coefficients c of rho(basis_i) = Sum_{k,h}
-    c[k*dim(H) + h] basis_k (x) e_h; raises NotRational if one is absent.
+    rho(f)(e_p) = Sum f(p_[0])_[0] (x) f(p_[0])_[1] S(p_[1]) is summed from
+    the columns of rho, f, S and mul_table; its slice at each e_h is solved
+    against coords, the basis factored, for the coefficients c of
+    rho(basis_i) = Sum_{k,h} c[k*dim(H) + h] basis_k (x) e_h in column i.
+    Raises NotRational if a slice is outside span(basis).
     """
-    field = ca.field
-    dh = ca.hopf.dim
-    rows = module.dim * dh * module.dim
-    e_cols = [Matrix(field, dh, 1, basis_vec(field, dh, j)) for j in range(dh)]
-    op = Matrix.from_cols(field, [b.kron(e).data for b in basis
-                                  for e in e_cols], nrows=rows)
-    targets = Matrix.from_cols(
-        field, [rational_coaction_matrix(ca, module, b).data for b in basis],
-        nrows=rows)
-    try:
-        return op.solve_matrix(targets)
-    except NoSolution as exc:
-        raise NotRational("rho(f) is not in End_A (x) H") from exc
+    f, dh, dq, n = ca.field, ca.hopf.dim, module.dim, len(basis)
+    hmul, rho = ca.hopf.algebra.mul_table, _leg_columns(module.coaction, dh)
+    s = _columns(ca.hopf.antipode)
+    hs = [[(t, y * m) for r, y in s[h0] for t, m in hmul[h1 * dh + r]]
+          for h1 in range(dh) for h0 in range(dh)]     # e_h1 S(e_h0)
+    out = [f.zero] * (dq * dq * n * dh)   # raw; row (r0, p), column (i, h)
+    for i, b in enumerate(basis):
+        cols = _columns(b)
+        for p in range(dq):
+            for p0, h0, x in rho[p]:
+                for r, z in cols[p0]:
+                    for r0, h1, y in rho[r]:
+                        for t, m in hs[h1 * dh + h0]:
+                            out[((r0 * dq + p) * n + i) * dh + t] += x * z * y * m
+    x, ok = coords.solve_columns(Matrix(f, dq * dq, n * dh, out))
+    if not all(ok):
+        raise NotRational("rho(f) is not in End_A (x) H")
+    return Matrix(f, n * dh, n, [x.data[(k * n + i) * dh + h] for k in range(n)
+                                 for h in range(dh) for i in range(n)])
 
 
 class EndComoduleAlgebra:
@@ -94,13 +94,20 @@ def build_E(ca, induced):
     n = len(basis)
     coords = Factorization(Matrix.from_cols(field, [b.data for b in basis],
                                             nrows=dq * dq))
-    mul = coords.solve_matrix(Matrix.from_cols(
-        field, [(bi @ bj).data for bi in basis for bj in basis],
-        nrows=dq * dq))
+    cols = [_columns(b) for b in basis]
+    # raw vec(b_i b_j) in column i*n + j; the solve reduces what it reads
+    prods = [field.zero] * (dq * dq * n * n)
+    for i, ci in enumerate(cols):
+        for j, cj in enumerate(cols):
+            for v, terms in enumerate(cj):
+                for w, z in terms:
+                    for u, y in ci[w]:
+                        prods[(u * dq + v) * n * n + i * n + j] += y * z
+    mul = coords.solve_matrix(Matrix(field, dq * dq, n * n, prods))
     unit = coords.solve(Matrix.identity(field, dq).data)
     alg = StructureConstantAlgebra(field, n, mul, unit,
                                    [f"f{i}" for i in range(n)])
-    coaction = rational_coaction(ca, module, basis)
+    coaction = rational_coaction(ca, module, basis, coords)
     e_ca = ComoduleAlgebraData(ca.hopf, alg, coaction)
     return EndComoduleAlgebra(ca, induced, basis, e_ca, coords)
 

@@ -21,7 +21,7 @@ class NotGalois(RuntimeError):
 class CanonicalMapData:
     def __init__(self, matrix, inverse, galois, induced):
         self.matrix = matrix          # quotient coords of A (x)_B A -> A (x) H
-        self.inverse = inverse        # None when not galois
+        self.inverse = inverse        # None when not galois, and for can'
         self.galois = galois
         self.induced = induced        # the A (x)_B A presentation
 
@@ -46,7 +46,7 @@ def _canonical(ca, induced, prime):
                 out[(r * dh + h) * n + q] += x * c
     mat = Matrix(f, da * dh, n, reduced(f, out))
     galois = mat.is_invertible()
-    inverse = mat.invert() if galois else None
+    inverse = mat.invert() if galois and not prime else None
     return CanonicalMapData(mat, inverse, galois, ind)
 
 

@@ -20,8 +20,8 @@ import functools
 import itertools
 import math
 
-from .linalg import (Matrix, NoSolution, NotInvertible, basis_vec,
-                     linear_operator, reduced)
+from .linalg import (Matrix, NoSolution, NotInvertible, basis_vec, reduced,
+                     summed)
 
 
 class DimensionMismatch(ValueError):
@@ -109,6 +109,17 @@ def _agree(field, lhs, rhs):
     for key, x in rhs:
         acc[key] = acc.get(key, 0) - x
     return not any(reduced(field, list(acc.values())))
+
+
+def colinear_witness(field, mat, x_co, y_co):
+    """First column x with y_co(mat e_x) != (mat (x) id)(x_co e_x), or None,
+    for x_co and y_co given by their _leg_columns: the check that mat is a
+    comodule map, column by column from the nonzero entries."""
+    cols = _columns(mat)
+    return first_failure(lambda x: _agree(
+        field, (((y0, h), z * c) for y, z in cols[x] for y0, h, c in y_co[y]),
+        (((y, h), c * z) for x0, h, c in x_co[x] for y, z in cols[x0])),
+        len(cols))
 
 
 def tensor_algebra_map(report, prefix, alg, table, left, right):
@@ -321,6 +332,16 @@ def comul_iterated(h, x, arity):
     return out
 
 
+def comul_on(coalgebra, d):
+    """I_d (x) Delta, the coaction of k^d (x) C, as a (d * dim^2) x (d * dim)
+    matrix written from comul_table."""
+    n = coalgebra.dim
+    return summed(coalgebra.field, d * n * n, d * n, (
+        (((i * n + c1) * n + c2) * d * n + i * n + c, x) for i in range(d)
+        for c, terms in enumerate(coalgebra.comul_table)
+        for c1, c2, x in terms))
+
+
 def is_cocommutative(h):
     return all(sorted((c2, c1, x) for c1, c2, x in terms) == terms
                for terms in h.coalgebra.comul_table)
@@ -336,8 +357,14 @@ class OneSidedInverse(NotInvertible):
 def convolve(algebra, coalgebra, g_mat, f_mat):
     """(g * f)(c) = Sum x g(c1) f(c2) over the Delta table of c, each product
     from the mul table; maps C -> A as dim A x dim C matrices."""
+    return convolve_columns(algebra, coalgebra, _columns(g_mat),
+                            _columns(f_mat))
+
+
+def convolve_columns(algebra, coalgebra, gs, fs):
+    """convolve for g and f given by their _columns, so that maps convolved
+    many times are scanned once."""
     da, dc, table = algebra.dim, coalgebra.dim, algebra.mul_table
-    gs, fs = _columns(g_mat), _columns(f_mat)
     out = [algebra.field.zero] * (da * dc)
     for c, terms in enumerate(coalgebra.comul_table):
         for c1, c2, x in terms:
@@ -363,14 +390,14 @@ def is_convolution_inverse(algebra, coalgebra, f_mat, g_mat):
 
 
 def convolution_operator(algebra, coalgebra, f_mat):
-    """Matrix of X -> f * X: Sum_c lmul(f(c)) X Delta_c, where
-    Delta_c[c2, k] = Delta[(c, c2), k]."""
-    dc = coalgebra.dim
-    comul = coalgebra.comul.data
-    return linear_operator([
-        (algebra.lmul(f_mat.col(c)),
-         Matrix(algebra.field, dc, dc, comul[c * dc * dc:(c + 1) * dc * dc]))
-        for c in range(dc)])
+    """Matrix on vec(X) of X -> f * X, (f * X)(c) = Sum x f(c1) X(c2) over
+    the Delta table of c, each product from the mul table."""
+    da, dc, fs = algebra.dim, coalgebra.dim, _columns(f_mat)
+    return summed(algebra.field, da * dc, da * dc, (
+        ((r * dc + c) * da * dc + a * dc + c2, x * y * m)
+        for c, terms in enumerate(coalgebra.comul_table)
+        for c1, c2, x in terms for i, y in fs[c1] for a in range(da)
+        for r, m in algebra.mul_table[i * da + a]))
 
 
 def convolution_inverse(algebra, coalgebra, f_mat):

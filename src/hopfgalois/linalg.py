@@ -17,14 +17,14 @@ carries source leg perm[j]) is never built as a matrix: leg_index gives
 where each flat index goes, gather_legs(X, ...) computes X @ P by gathering
 columns and scatter_legs(Y, ...) computes P @ Y by scattering rows.
 
-Operators.  A linear constraint on an unknown matrix X is written as terms
-(A_k, B_k) of X -> Sum_k A_k X B_k; linear_operator returns its matrix on
-the row-major vec(X), Sum_k A_k (x) B_k^T, from the identity
-vec(A X B) = (A (x) B^T) vec(X).  kron_terms rewrites (X (x) G) D in that
-form, and intertwiner_operator stacks the commutation and colinearity
-constraints of module and comodule maps.  Column c*n + j of an operator is
-the image of the matrix unit E_cj, so kernels (from the canonical RREF) are
-the same as those of an operator probed column by column.
+Operators.  A linear constraint on an unknown matrix X is a matrix on the
+row-major vec(X), written entry by entry from the nonzero entries of its
+data and summed by `summed`, which reduces only the entries it hits.
+colinearity_operator is X -> y_co X - (X (x) I_H) x_co, and
+intertwiner_operator stacks it for module maps (dim H = 1) and comodule
+maps.  Column c*n + j of an operator is the image of the matrix unit E_cj,
+so kernels (from the canonical RREF) are the same as those of an operator
+probed column by column.
 
 Factor once.  A matrix A solved against many right-hand sides is factored
 once.  Factorization(A) picks r = rank(A) independent rows of A and reduces
@@ -33,8 +33,9 @@ solution of A X = B is X[pivot_k] = (t B_rows)[k], zero elsewhere, and it
 exists iff that X solves A X = B.  It is the one solution supported on
 the pivot columns, the one the RREF of [A | b] gives column by column;
 Matrix.solve and Matrix.solve_matrix are this solve.  Right-hand sides are
-best passed as one block B: solve_columns solves all columns with two
-products and says which of them are consistent.  Picking rows first keeps
+best passed as one block B: solve_columns solves all columns with one
+product t B_rows, checks A X = B from the nonzero entries of A and X, and
+says which columns are consistent.  Picking rows first keeps
 the reduction at r rows for the tall stacked-constraint operators the
 package solves against.  A factorization is held by the object that solves
 against A (a context, an algebra, a hom-space), never cached on Matrix:
@@ -96,15 +97,8 @@ class Matrix:
             if nrows is None:
                 raise ValueError("need nrows for an empty column list")
             return cls.zeros(field, nrows, 0)
-        nrows = len(cols[0])
-        ncols = len(cols)
-        data = [field.zero] * (nrows * ncols)
-        for j, c in enumerate(cols):
-            if len(c) != nrows:
-                raise ValueError("ragged columns")
-            for i in range(nrows):
-                data[i * ncols + j] = c[i]
-        return cls(field, nrows, ncols, data)
+        return cls(field, len(cols[0]), len(cols),    # ragged: ValueError
+                   [x for r in zip(*cols, strict=True) for x in r])
 
     # -- access ------------------------------------------------------------
 
@@ -204,11 +198,9 @@ class Matrix:
         return reduced(f, out)
 
     def transpose(self):
-        out = [self.field.zero] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j * self.rows + i] = self.data[i * self.cols + j]
-        return Matrix(self.field, self.cols, self.rows, out)
+        data, n = self.data, self.cols
+        return Matrix(self.field, n, self.rows,
+                      [x for j in range(n) for x in data[j::n]])
 
     def kron(self, other):
         """Kronecker/tensor product, left factor index major."""
@@ -268,18 +260,22 @@ class Matrix:
         """Deterministic basis of the right nullspace, as a list of vectors.
 
         One basis vector per free column, in increasing column order, with a
-        1 in the free position.
+        1 in the free position.  Only the distinct nonzero rows are reduced:
+        the RREF, and so the basis, depends on the row space alone.
         """
-        f = self.field
-        red, pivots = self.rref()
+        f, n, data = self.field, self.cols, self.data
+        rows = dict.fromkeys(t for i in range(self.rows)
+                             if any(t := tuple(data[i * n:(i + 1) * n])))
+        red, pivots = Matrix(f, len(rows), n,
+                             [x for r in rows for x in r]).rref()
         pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
         basis = []
-        for fc in free:
-            v = [f.zero] * self.cols
+        for fc in (j for j in range(n) if j not in pivot_set):
+            v = [f.zero] * n
             v[fc] = f.one
             for r, pc in enumerate(pivots):
-                v[pc] = f.neg(red.get(r, fc))
+                if x := red.data[r * n + fc]:
+                    v[pc] = f.neg(x)
             basis.append(v)
         return basis
 
@@ -325,11 +321,13 @@ class Factorization:
     t: the inverse of A on those rows and columns.  A is copied.
     """
 
-    __slots__ = ("a", "rows", "pivots", "t")
+    __slots__ = ("a", "columns", "rows", "pivots", "t")
 
     def __init__(self, a):
         f, m = a.field, a.cols
         self.a = Matrix(f, a.rows, m, a.data)
+        self.columns = [[(i, x) for i, x in enumerate(a.data[c::m]) if x]
+                        for c in range(m)]
         self.rows = a.transpose().rref()[1]
         r = len(self.rows)
         top = Matrix(f, r, m, [x for i in self.rows for x in a.row(i)])
@@ -349,10 +347,16 @@ class Factorization:
         data = [f.zero] * (a.cols * k)
         for r, pc in enumerate(self.pivots):
             data[pc * k:(pc + 1) * k] = y[r * k:(r + 1) * k]
-        x = Matrix(f, a.cols, k, data)
-        got, want = (a @ x).data, reduced(f, rhs.data)
-        ok = [got[j::k] == want[j::k] for j in range(k)]
-        return x, ok
+        got = [f.zero] * (a.rows * k)        # A X, from the nonzero y entries
+        for r, pc in enumerate(self.pivots):
+            nz = [(j, v) for j, v in enumerate(y[r * k:(r + 1) * k]) if v]
+            for i, av in self.columns[pc]:
+                for j, v in nz:
+                    got[i * k + j] += av * v
+        got, want = reduced(f, got), reduced(f, rhs.data)
+        ok = ([True] * k if got == want
+              else [got[j::k] == want[j::k] for j in range(k)])
+        return Matrix(f, a.cols, k, data), ok
 
     def solve_matrix(self, rhs):
         """X with A X = rhs, zero off the pivot columns; raises NoSolution."""
@@ -372,7 +376,8 @@ class Factorization:
 
 def reduced(field, values):
     """values with each entry taken mod p over F_p; unchanged over Q."""
-    return [v % field.p for v in values] if field.kind == "Fp" else values
+    p = field.p
+    return [v % p for v in values] if p else values
 
 
 def vstack(mats):
@@ -505,63 +510,46 @@ def scatter_legs(mat, dims, perm):
     return Matrix(mat.field, mat.rows, mat.cols, out)
 
 
-def linear_operator(terms):
-    """Matrix of X -> Sum_k A_k X B_k on the row-major vec(X).
-
-    terms is a non-empty list of pairs (A_k, B_k) of equal shapes; the
-    result is Sum_k A_k (x) B_k^T, whose column c*n + j is the image of the
-    matrix unit E_cj.
-    """
-    a0, b0 = terms[0]
-    f = a0.field
-    p, m, n, q = a0.rows, a0.cols, b0.rows, b0.cols
-    zero = f.zero
-    ncols = m * n
-    out = [zero] * (p * q * ncols)
-    for a, b in terms:
-        if (a.rows, a.cols, b.rows, b.cols) != (p, m, n, q):
-            raise ValueError("operator terms of different shapes")
-        bnz = [(j, l, y) for j in range(n) for l in range(q)
-               if (y := b.data[j * q + l]) != zero]
-        for i in range(p):
-            for k in range(m):
-                x = a.data[i * m + k]
-                if x != zero:
-                    for j, l, y in bnz:
-                        t = (i * q + l) * ncols + k * n + j
-                        out[t] = out[t] + x * y
-    return Matrix(f, p * q, ncols, reduced(f, out))
+def summed(field, rows, cols, terms):
+    """The rows x cols matrix whose flat entry k sums the raw x of the terms
+    (k, x); only the entries hit are reduced, the others are zero."""
+    acc = {}
+    for k, x in terms:
+        acc[k] = acc.get(k, 0) + x
+    out = [field.zero] * (rows * cols)
+    for k, x in zip(acc, reduced(field, list(acc.values()))):
+        out[k] = x
+    return Matrix(field, rows, cols, out)
 
 
-def kron_terms(rows, g, d):
-    """Terms of X -> (X (x) g) @ d for X with `rows` rows, one per row h of g:
-    A_h = I (x) e_h puts row x of X at row (x, h), and
-    B_h[c, k] = Sum_c2 g[h, c2] d[(c, c2), k]."""
-    f = g.field
-    xcols = d.rows // g.cols
-    terms = []
-    for h in range(g.rows):
-        a = Matrix.zeros(f, rows * g.rows, rows)
-        for x in range(rows):
-            a.data[(x * g.rows + h) * rows + x] = f.one
-        g_h = Matrix(f, 1, g.cols, g.row(h))
-        terms.append((a, Matrix.identity(f, xcols).kron(g_h) @ d))
-    return terms
+def colinearity_operator(field, dx, dy, x_co, y_co):
+    """Matrix on vec(X), X a dy x dx matrix, of X -> y_co X - (X (x) I_H) x_co,
+    written from the nonzero entries of x_co ((dx * dH) x dx) and y_co."""
+    dh, n = y_co.rows // dy, dy * dx
+
+    def terms():
+        for t, v in enumerate(y_co.data):
+            if v:                       # y_co[yr, y] X[y, c] lands at (yr, c)
+                yr, y = divmod(t, dy)
+                yield from (((yr * dx + c) * n + y * dx + c, v)
+                            for c in range(dx))
+        for t, v in enumerate(x_co.data):
+            if v:                       # X[y, x] x_co[(x, h), c] at ((y, h), c)
+                (x, h), c = divmod(t // dx, dh), t % dx
+                yield from ((((y * dh + h) * dx + c) * n + y * dx + x, -v)
+                            for y in range(dy))
+
+    return summed(field, dy * dh * dx, n, terms())
 
 
 def intertwiner_operator(field, dx, dy, x_maps, y_maps, coactions=None):
     """Matrix on vec(X), X a dy x dx matrix, of the stacked defects
     X x_k - y_k X for each pair (x_k, y_k), followed, when
     coactions = (x_co, y_co), by y_co X - (X (x) I_H) x_co."""
-    idx, idy = Matrix.identity(field, dx), Matrix.identity(field, dy)
-    blocks = [linear_operator([(idy, xa), (-ya, idx)])
+    blocks = [colinearity_operator(field, dx, dy, -xa, -ya)   # dim H = 1
               for xa, ya in zip(x_maps, y_maps)]
     if coactions is not None:
-        x_co, y_co = coactions
-        dh = y_co.rows // dy
-        blocks.append(linear_operator(
-            [(y_co, idx)] + [(a, -b) for a, b in
-                             kron_terms(dy, Matrix.identity(field, dh), x_co)]))
+        blocks.append(colinearity_operator(field, dx, dy, *coactions))
     if not blocks:
         return Matrix.zeros(field, 0, dy * dx)
     return vstack(blocks)

@@ -6,6 +6,10 @@ commutative triangle C'_E -> C_E -> D_M with the functoriality identities
 Composition-of-arrows is convolution in the order alpha_kj(g) o alpha_ji(f)
 = alpha_ki(g * f); this is the orientation the proofs of (21a)-(22) use
 (the statement displays swap the factors in places).
+
+The coaction I_M (x) Delta of M (x) H comes from comul_table; D_M
+membership and the delta maps read the nonzero columns of the arrow and
+of both coactions, so only the B-actions on M (x) H are Kronecker products.
 """
 
 import random
@@ -14,9 +18,11 @@ from . import convcat
 from .comodule import adjunction_unit, tensor_over_B
 from .endomorphism import build_E
 from .galois import canonical_map, translation_map
-from .hopf import ValidationReport
+from .hopf import (ValidationReport, _columns, _leg_columns, colinear_witness,
+                   comul_on, convolve_columns)
 from .linalg import (Factorization, Matrix, NoSolution, basis_vec,
-                     intertwiners, kron_vec, lin_comb, tensor_entries)
+                     intertwiners, kron_vec, lin_comb, reduced, summed,
+                     tensor_entries)
 
 
 class MembershipViolation(RuntimeError):
@@ -48,17 +54,18 @@ class TheoremContext:
         # deliberate negative control of identity (12b).
         self.corrupt_gamma = corrupt_gamma
         f, dh, dm = self.field, ca.hopf.dim, m.dim
-        idm = Matrix.identity(f, dm)
-        self.idh = Matrix.identity(f, dh)
+        idh = Matrix.identity(f, dh)
         # object 1: M (x) H
         self.x1_dim = dm * dh
-        self.x1_actions = [m.actions[k].kron(self.idh) for k in range(self.b.dim)]
-        self.x1_coaction = idm.kron(ca.hopf.coalgebra.comul)
+        self.x1_actions = [m.actions[k].kron(idh) for k in range(self.b.dim)]
+        self.x1_coaction = comul_on(ca.hopf.coalgebra, dm)
         # object 2: M (x)_B A in quotient coordinates
         self.x2_dim = self.quot.dim
         self.x2_actions = [self.induced_action(self.b.inclusion.col(k))
                            for k in range(self.b.dim)]
         self.x2_coaction = self.induced.module.coaction
+        self._co_cols = {1: _leg_columns(self.x1_coaction, dh),
+                         2: _leg_columns(self.x2_coaction, dh)}
         self._dm_cache = {}
 
     # -- evaluation helpers ------------------------------------------------
@@ -94,12 +101,10 @@ class TheoremContext:
         return basis
 
     def dm_membership(self, mat, i, j):
-        dx, x_actions, x_co = self.object_data(i)
-        dy, y_actions, y_co = self.object_data(j)
-        for xa, ya in zip(x_actions, y_actions):
-            if not (mat @ xa - ya @ mat).is_zero():
-                return False
-        return (y_co @ mat - mat.kron(self.idh) @ x_co).is_zero()
+        x_actions, y_actions = self.object_data(i)[1], self.object_data(j)[1]
+        return (all(mat @ xa == ya @ mat for xa, ya in zip(x_actions, y_actions))
+                and colinear_witness(self.field, mat, self._co_cols[i],
+                                     self._co_cols[j]) is None)
 
     def dm_coords(self, mats, i, j):
         """Coordinates of the arrows mats in dm_hom_space(i, j), one column
@@ -114,24 +119,31 @@ class TheoremContext:
 # -- Lemma 3.2 -------------------------------------------------------------
 
 
+def _tensor_h(ctx, mat, i):
+    """(mat (x) I_H) rho_i for the coaction rho_i of object i, summed from
+    the columns of mat and of rho_i."""
+    dh, cols, co = ctx.ca.hopf.dim, _columns(mat), ctx._co_cols[i]
+    return summed(ctx.field, mat.rows * dh, len(co), (
+        ((r * dh + h) * len(co) + q, c * z) for q, terms in enumerate(co)
+        for q0, h, c in terms for r, z in cols[q0]))
+
+
 def delta1(ctx, phi):
     """Hom_B(M (x)_B A, M) -> Hom_B^H(M (x)_B A, M (x) H)."""
-    return phi.kron(ctx.idh) @ ctx.x2_coaction
-
-
-def delta1_bar(ctx, varphi):
-    idm = Matrix.identity(ctx.field, ctx.m.dim)
-    return idm.kron(ctx.ca.hopf.coalgebra.counit) @ varphi
+    return _tensor_h(ctx, phi, 2)
 
 
 def delta2(ctx, theta_small):
     """Hom_B(M (x) H, M) -> End_B^H(M (x) H)."""
-    return theta_small.kron(ctx.idh) @ ctx.x1_coaction
+    return _tensor_h(ctx, theta_small, 1)
 
 
-def delta2_bar(ctx, theta):
-    idm = Matrix.identity(ctx.field, ctx.m.dim)
-    return idm.kron(ctx.ca.hopf.coalgebra.counit) @ theta
+def delta_bar(ctx, mat):
+    """delta1_bar and delta2_bar: (I_M (x) eps) mat, for mat with rows M (x) H."""
+    f, dh, eps = ctx.field, ctx.ca.hopf.dim, ctx.ca.hopf.coalgebra.counit.data
+    return Matrix(f, mat.rows // dh, mat.cols, reduced(f, [
+        sum(eps[h] * mat.get(mi * dh + h, c) for h in range(dh))
+        for mi in range(mat.rows // dh) for c in range(mat.cols)]))
 
 
 # -- Lemma 3.3 / Corollary 3.4 ---------------------------------------------
@@ -305,11 +317,11 @@ def beta(ctx, cls, mat):
 def alpha_inverse(ctx, cls, dm_mat):
     """The inverse map D_M hom -> C_E(i, j)."""
     if cls == (1, 1):
-        return beta11_hat(ctx, delta2_bar(ctx, dm_mat)) @ ctx.ca.hopf.antipode
+        return beta11_hat(ctx, delta_bar(ctx, dm_mat)) @ ctx.ca.hopf.antipode
     if cls == (1, 2):
         return beta21_bar(ctx, dm_mat) @ ctx.ca.hopf.antipode
     if cls == (2, 1):
-        return alpha12_hat(ctx, delta1_bar(ctx, dm_mat))
+        return alpha12_hat(ctx, delta_bar(ctx, dm_mat))
     if cls == (2, 2):
         return alpha22_bar(ctx, dm_mat)
     raise ValueError(cls)
@@ -440,7 +452,10 @@ def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
                 report.fail("alpha-round-trip", cls)
                 break
 
-    # the eight composition patterns (3.9.1) incl. (21a)-(22)
+    # the eight composition patterns (3.9.1) incl. (21a)-(22), each basis
+    # element's columns read once
+    cols = {cls: [_columns(el.matrix) for el in c_spaces[cls].elements]
+            for cls in convcat.CLASSES}
     rng = random.Random(seed)
     for i in (1, 2):
         for j in (1, 2):
@@ -454,8 +469,8 @@ def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
                     pairs = rng.sample(pairs, sample)
                 # alpha(g * f) of all pairs from one solve when C(i, k) is
                 # kept; None marks a g * f outside C(i, k)
-                comps = [convcat.convolve_matrices(e_ca, gs[gi].matrix,
-                                                   fs[fi].matrix, "C")
+                comps = [convolve_columns(e_ca.algebra, e_ca.hopf.coalgebra,
+                                          cols[(j, k)][gi], cols[(i, j)][fi])
                          for fi, gi in pairs]
                 lhs_all = lin.many((i, k), comps)
                 for n, (fi, gi) in enumerate(pairs):

@@ -3,7 +3,8 @@
 product, lmul, rmul, convolve and convolution_operator are computed from
 mul_table and comul_table.  Each must equal, entry for entry, a dense
 formula: mul @ kron_vec, the column formula, mul @ ((g (x) f) @ Delta), the
-former Kron-free convolve body, and linear_operator over the dense lmul.
+former Kron-free convolve body, and the former linear_operator over the
+dense lmul.
 The dense formulas live on here only, as the oracles.
 """
 
@@ -24,7 +25,7 @@ from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
                                  sweedler_h4)
 from hopfgalois.hopf import (CoalgebraData, StructureConstantAlgebra,
                              convolution_operator, convolve)
-from hopfgalois.linalg import (Matrix, basis_vec, kron_vec, linear_operator,
+from hopfgalois.linalg import (Matrix, basis_vec, kron_vec, reduced,
                                tensor_entries)
 
 F2, F3, F7 = PrimeField(2), PrimeField(3), PrimeField(7)
@@ -65,6 +66,27 @@ def kron_free_convolve(algebra, coalgebra, g_mat, f_mat):
 
 def dense_convolve(algebra, coalgebra, g_mat, f_mat):
     return algebra.mul @ (g_mat.kron(f_mat) @ coalgebra.comul)
+
+
+def linear_operator(terms):
+    """The former linalg.linear_operator: the matrix of X -> Sum_k A_k X B_k
+    on the row-major vec(X), Sum_k A_k (x) B_k^T."""
+    a0, b0 = terms[0]
+    f = a0.field
+    p, m, n, q = a0.rows, a0.cols, b0.rows, b0.cols
+    ncols = m * n
+    out = [f.zero] * (p * q * ncols)
+    for a, b in terms:
+        bnz = [(j, l, y) for j in range(n) for l in range(q)
+               if (y := b.data[j * q + l]) != f.zero]
+        for i in range(p):
+            for k in range(m):
+                x = a.data[i * m + k]
+                if x != f.zero:
+                    for j, l, y in bnz:
+                        t = (i * q + l) * ncols + k * n + j
+                        out[t] = out[t] + x * y
+    return Matrix(f, p * q, ncols, reduced(f, out))
 
 
 def dense_convolution_operator(algebra, coalgebra, f_mat):

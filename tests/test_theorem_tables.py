@@ -1,0 +1,378 @@
+"""Differential tests for the Theorem 3.1 layer read from the sparse tables.
+
+E's multiplication and its Eq. (14) coaction, the colinearity constraints of
+C_A and C'_A, the coaction of M (x) H, the D_M membership test, the delta
+maps of Lemma 3.2 and Matrix.kernel's reduction of the distinct nonzero rows
+are computed from mul_table, comul_table and the nonzero columns of rho, S
+and Sbar.  Each must equal the former dense Kronecker formula, which lives
+on here only, as the oracle.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hopfgalois import cleft, convcat
+from hopfgalois.comodule import BModule, regular_bmodule, tensor_over_B
+from hopfgalois.endomorphism import NotRational, build_E, rational_coaction
+from hopfgalois.fields import QQ, PrimeField
+from hopfgalois.galois import NotGalois, canonical_map, canonical_map_prime
+from hopfgalois.hopf import ValidationReport
+from hopfgalois.maintheorem import (TheoremContext, delta1, delta2,
+                                    delta_bar)
+from hopfgalois.linalg import (Factorization, Matrix, NoSolution, basis_vec,
+                               scatter_legs)
+
+from test_quotient import F7, RUNGS, fixture_cases, relabelled
+
+VARIANTS = [(cls, variant) for cls in convcat.CLASSES
+            for variant in ("C", "Cprime")]
+
+
+# -- the oracles -------------------------------------------------------------
+
+
+def dense_rational_coaction_matrix(ca, module, f_mat):
+    """rho(f)(p) = f(p_[0])_[0] (x) f(p_[0])_[1] S(p_[1]) by Kronecker
+    products."""
+    field, dh = ca.field, ca.hopf.dim
+    rho = module.coaction
+    return (Matrix.identity(field, module.dim).kron(ca.hopf.algebra.mul)
+            @ rho.kron(ca.hopf.antipode)
+            @ f_mat.kron(Matrix.identity(field, dh)) @ rho)
+
+
+def dense_rational_coaction(ca, module, basis):
+    """The former rational_coaction; raises NoSolution where it raised
+    NotRational."""
+    field, dh = ca.field, ca.hopf.dim
+    rows = module.dim * dh * module.dim
+    units = [Matrix(field, dh, 1, basis_vec(field, dh, j)) for j in range(dh)]
+    op = Matrix.from_cols(field, [b.kron(e).data for b in basis for e in units],
+                          nrows=rows)
+    return op.solve_matrix(Matrix.from_cols(
+        field, [dense_rational_coaction_matrix(ca, module, b).data
+                for b in basis], nrows=rows))
+
+
+def dense_mul(field, basis, dq):
+    """E's structure constants from the products b_i b_j, solved."""
+    coords = Matrix.from_cols(field, [b.data for b in basis], nrows=dq * dq)
+    return coords.solve_matrix(Matrix.from_cols(
+        field, [(bi @ bj).data for bi in basis for bj in basis],
+        nrows=dq * dq))
+
+
+def dense_constraint(ca, cls, variant):
+    """The former convcat._constraint: (G, D) with rho o f = (f (x) G) D."""
+    field, dh = ca.field, ca.hopf.dim
+    comul = ca.hopf.coalgebra.comul
+    idh = Matrix.identity(field, dh)
+    s, sbar = ca.hopf.antipode, ca.hopf.antipode_inv
+    hmul = ca.hopf.algebra.mul
+    if cls == (1, 1):
+        return Matrix.from_cols(field, [ca.hopf.algebra.unit]), idh
+    if (cls, variant) in (((2, 1), "C"), ((1, 2), "Cprime")):
+        return idh, comul
+    if (cls, variant) == ((1, 2), "C"):
+        return s, scatter_legs(comul, (dh, dh), (1, 0))
+    if (cls, variant) == ((2, 1), "Cprime"):
+        return sbar, scatter_legs(comul, (dh, dh), (1, 0))
+    comul3 = idh.kron(comul) @ comul
+    if variant == "C":
+        return (hmul @ s.kron(idh),
+                scatter_legs(comul3, (dh, dh, dh), (1, 0, 2)))
+    return (hmul @ idh.kron(sbar),
+            scatter_legs(comul3, (dh, dh, dh), (1, 2, 0)))
+
+
+def dense_defect(ca, f_mat, cls, variant, gd=None):
+    """The former convcat.constraint_defect; gd is dense_constraint's value
+    when it is already known."""
+    g, d = gd or dense_constraint(ca, cls, variant)
+    return ca.coaction @ f_mat - f_mat.kron(g) @ d
+
+
+def dense_x1_coaction(ctx):
+    return Matrix.identity(ctx.field, ctx.m.dim).kron(
+        ctx.ca.hopf.coalgebra.comul)
+
+
+def dense_object(ctx, i):
+    """object_data with the Kronecker coaction of M (x) H."""
+    if i == 1:
+        return ctx.x1_dim, ctx.x1_actions, dense_x1_coaction(ctx)
+    return ctx.object_data(2)
+
+
+def dense_dm_membership(ctx, mat, i, j):
+    """The former TheoremContext.dm_membership."""
+    _, x_actions, x_co = dense_object(ctx, i)
+    _, y_actions, y_co = dense_object(ctx, j)
+    for xa, ya in zip(x_actions, y_actions):
+        if not (mat @ xa - ya @ mat).is_zero():
+            return False
+    idh = Matrix.identity(ctx.field, ctx.ca.hopf.dim)
+    return (y_co @ mat - mat.kron(idh) @ x_co).is_zero()
+
+
+def dense_delta(ctx, mat, i):
+    """delta1 (i = 2) and delta2 (i = 1): (mat (x) I_H) rho_i."""
+    idh = Matrix.identity(ctx.field, ctx.ca.hopf.dim)
+    return mat.kron(idh) @ dense_object(ctx, i)[2]
+
+
+def dense_delta_bar(ctx, mat):
+    return Matrix.identity(ctx.field, ctx.m.dim).kron(
+        ctx.ca.hopf.coalgebra.counit) @ mat
+
+
+def full_rref_kernel(mat):
+    """The former Matrix.kernel: the RREF of every row."""
+    f = mat.field
+    red, pivots = mat.rref()
+    free = [j for j in range(mat.cols) if j not in set(pivots)]
+    basis = []
+    for fc in free:
+        v = [f.zero] * mat.cols
+        v[fc] = f.one
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(red.get(r, fc))
+        basis.append(v)
+    return basis
+
+
+# -- the cases ---------------------------------------------------------------
+
+
+def mixed_double(ca):
+    """B (+) B in a basis that mixes every coordinate."""
+    b, f = ca.coinvariants(), ca.field
+    n = 2 * b.dim
+    mix = Matrix(f, n, n, [f.one if c >= r else f.zero
+                           for r in range(n) for c in range(n)])
+    double = BModule(b, n, [mix @ Matrix.identity(f, 2).kron(
+        b.algebra.rmul(basis_vec(f, b.dim, k))) @ mix.invert()
+        for k in range(b.dim)])
+    assert double.validate().passed
+    return double
+
+
+def cases():
+    """(label, ca, module): every fixture comodule algebra and crossed
+    product with each of its modules and B; the regular and trivial rungs
+    over F_7 relabelled by a random permutation, with B and, up to
+    dim A = 4, with B (+) B in a mixing basis."""
+    for stem, name, ca, mods in fixture_cases():
+        for k, m in enumerate(mods + [regular_bmodule(ca)]):
+            yield f"{stem}:{name}:{k}", ca, m
+    for name in sorted(RUNGS):
+        ca = relabelled(RUNGS[name](), 1)
+        yield f"{name}:B", ca, regular_bmodule(ca)
+        if ca.algebra.dim <= 4:
+            yield f"{name}:BB", ca, mixed_double(ca)
+
+
+CASES = list(cases())
+IDS = [label for label, _, _ in CASES]
+
+
+def bumped(mat, rng):
+    """mat with one entry moved by a nonzero scalar."""
+    f = mat.field
+    data = list(mat.data)
+    k = rng.randrange(len(data))
+    data[k] = f.add(data[k], f.from_int(rng.randint(1, 3)))
+    return Matrix(f, mat.rows, mat.cols, data)
+
+
+def random_matrix(field, rows, cols, rng):
+    return Matrix(field, rows, cols, [field.from_int(rng.randint(-2, 2))
+                                      for _ in range(rows * cols)])
+
+
+# -- E: multiplication and the Eq. (14) coaction -----------------------------
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_E_equals_the_dense_oracle(case):
+    _, ca, m = case
+    ind = tensor_over_B(m, ca)
+    e = build_E(ca, ind)
+    dq = ind.module.dim
+    assert e.ca.algebra.mul == dense_mul(ca.field, e.basis, dq)
+    assert e.ca.coaction == dense_rational_coaction(ca, ind.module, e.basis)
+    # a sub-basis whose span rho leaves raises where the oracle has no
+    # solution, and agrees where it has one
+    for k in sorted({1, e.dim // 2, e.dim - 1} - {0, e.dim}):
+        sub = e.basis[:k]
+        coords = Factorization(Matrix.from_cols(
+            ca.field, [b.data for b in sub], nrows=dq * dq))
+        try:
+            want = dense_rational_coaction(ca, ind.module, sub)
+        except NoSolution:
+            with pytest.raises(NotRational):
+                rational_coaction(ca, ind.module, sub, coords)
+        else:
+            assert rational_coaction(ca, ind.module, sub, coords) == want
+
+
+def test_some_sub_basis_is_not_rational():
+    """The NotRational branch above is reached: on the regular H4 over F_7
+    span(f0) of E is not a subcomodule."""
+    ca = RUNGS["T2"]()
+    ind = tensor_over_B(regular_bmodule(ca), ca)
+    e = build_E(ca, ind)
+    with pytest.raises(NoSolution):
+        dense_rational_coaction(ca, ind.module, e.basis[:1])
+    with pytest.raises(NotRational):
+        rational_coaction(ca, ind.module, e.basis[:1], Factorization(
+            Matrix.from_cols(ca.field, [e.basis[0].data], nrows=16)))
+
+
+# -- the colinearity constraints of C_A and C'_A -----------------------------
+
+
+def check_constraints(ca, rng):
+    da, dh = ca.algebra.dim, ca.hopf.dim
+    for cls, variant in VARIANTS:
+        gd = dense_constraint(ca, cls, variant)
+        op = convcat.constraint_operator(ca, cls, variant)
+        for j in rng.sample(range(da * dh), min(4, da * dh)):
+            unit = Matrix(ca.field, da, dh, basis_vec(ca.field, da * dh, j))
+            assert op.col(j) == dense_defect(ca, unit, cls, variant, gd).data
+        space = convcat.hom_space(ca, cls, variant)
+        maps = [el.matrix for el in space.elements]
+        assert all(convcat.membership(ca, mat, cls, variant) for mat in maps)
+        maps = [bumped(mat, rng) for mat in maps[:3]]
+        maps.append(random_matrix(ca.field, da, dh, rng))
+        for mat in maps:
+            assert (convcat.membership(ca, mat, cls, variant)
+                    == dense_defect(ca, mat, cls, variant, gd).is_zero())
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_constraints_equal_the_dense_oracle(case):
+    """On A itself and on E = END_A(M (x)_B A), whose basis is not monomial
+    when M is B (+) B in a mixing basis."""
+    _, ca, m = case
+    rng = random.Random(5)
+    check_constraints(ca, rng)
+    check_constraints(build_E(ca, tensor_over_B(m, ca)).ca, rng)
+
+
+def test_bumped_maps_fail_in_every_shape():
+    """A one-entry bump of a colinear map fails its constraint in each of
+    the 8 shapes, and membership says so at a basis vector h > 0."""
+    ca = RUNGS["T2"]()
+    f, dh = ca.field, ca.hopf.dim
+    for cls, variant in VARIANTS:
+        el = convcat.hom_space(ca, cls, variant).elements[0].matrix
+        bad = None
+        for r in range(el.rows):
+            for h in range(1, dh):      # only columns h > 0 are bumped
+                data = list(el.data)
+                data[r * dh + h] = f.add(data[r * dh + h], f.one)
+                cand = Matrix(f, el.rows, dh, data)
+                if bad is None and not dense_defect(ca, cand, cls,
+                                                    variant).is_zero():
+                    bad = cand
+        assert bad is not None
+        assert not convcat.membership(ca, bad, cls, variant)
+
+
+# -- the D_M objects: M (x) H, membership and the delta maps -----------------
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_dm_objects_equal_the_dense_oracle(case):
+    _, ca, m = case
+    try:
+        ctx = TheoremContext(ca, m)
+    except NotGalois:
+        return
+    f, rng = ctx.field, random.Random(7)
+    assert ctx.x1_coaction == dense_x1_coaction(ctx)
+    for i, j in convcat.CLASSES:
+        dx, dy = ctx.object_data(i)[0], ctx.object_data(j)[0]
+        mats = ctx.dm_hom_space(i, j)
+        mats = mats + [bumped(mat, rng) for mat in mats[:4]]
+        mats.append(random_matrix(f, dy, dx, rng))
+        for mat in mats:
+            assert (ctx.dm_membership(mat, i, j)
+                    == dense_dm_membership(ctx, mat, i, j))
+        assert all(ctx.dm_membership(mat, i, j)
+                   for mat in ctx.dm_hom_space(i, j))
+    dm, dq, dh = ctx.m.dim, ctx.quot.dim, ca.hopf.dim
+    for _ in range(3):
+        phi = random_matrix(f, dm, dq, rng)
+        theta = random_matrix(f, dm, dm * dh, rng)
+        assert delta1(ctx, phi) == dense_delta(ctx, phi, 2)
+        assert delta2(ctx, theta) == dense_delta(ctx, theta, 1)
+        for mat in (random_matrix(f, dm * dh, dq, rng),
+                    random_matrix(f, dm * dh, dm * dh, rng)):
+            assert delta_bar(ctx, mat) == dense_delta_bar(ctx, mat)
+
+
+def test_bh_iso_colinearity_equals_the_dense_check():
+    """cleft._check_bh_iso's colinearity test on psi: k (x) H -> A for the
+    regular kC_3: the identity passes, a cyclic shift fails."""
+    ca = RUNGS["kC3"]()
+    f, b = ca.field, ca.coinvariants()
+    x_co = Matrix.identity(f, b.dim).kron(ca.hopf.coalgebra.comul)
+    for shift in (0, 1):
+        psi = Matrix(f, 3, 3, [f.one if r == (c + shift) % 3 else f.zero
+                               for r in range(3) for c in range(3)])
+        leg = ValidationReport()
+        cleft._check_bh_iso(ca, b, psi, leg)
+        dense = ca.coaction @ psi == psi.kron(Matrix.identity(f, 3)) @ x_co
+        assert dense == (shift == 0)
+        assert (("psi-not-colinear", None) in leg.failures) == (not dense)
+
+
+# -- kernels on the distinct nonzero rows ------------------------------------
+
+
+@st.composite
+def padded_matrices(draw):
+    """A matrix whose rows are drawn from a few base rows, with forced zero
+    rows and repeats, over F_2, F_7, F_(2^61 - 1) or Q."""
+    field = draw(st.sampled_from([PrimeField(2), F7, PrimeField(2 ** 61 - 1),
+                                  QQ]))
+    cols = draw(st.integers(1, 7))
+    entries = st.integers(-3, 3).map(field.from_int)
+    base = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=1, max_size=5))
+    base.append([field.zero] * cols)
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=len(base),
+                          max_size=3 * len(base)))
+    rows = [base[k] for k in picks] + [base[-1], base[0], base[0]]
+    draw(st.randoms()).shuffle(rows)
+    return Matrix.from_rows(field, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(padded_matrices())
+def test_kernel_on_distinct_rows_equals_the_full_rref_kernel(mat):
+    assert mat.kernel() == full_rref_kernel(mat)
+
+
+def test_kernel_of_empty_and_zero_matrices():
+    for field in (QQ, F7):
+        for rows in (0, 3):
+            mat = Matrix.zeros(field, rows, 4)
+            assert mat.kernel() == full_rref_kernel(mat) == [
+                basis_vec(field, 4, j) for j in range(4)]
+
+
+# -- can' is not inverted ------------------------------------------------------
+
+
+def test_only_can_is_inverted():
+    ca = RUNGS["T3"]()
+    can = canonical_map(ca)
+    can_p = canonical_map_prime(ca, can.induced)
+    assert can.galois and can_p.galois
+    assert can.matrix @ can.inverse == Matrix.identity(F7, can.matrix.rows)
+    assert can_p.inverse is None
