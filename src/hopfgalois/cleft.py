@@ -16,13 +16,13 @@ from .comodule import ComoduleAlgebraData, InternalInvariant
 from .galois import canonical_map, translation_map
 from .hopf import (CoalgebraData, OneSidedInverse, StructureConstantAlgebra,
                    ValidationReport, _leg_columns, colinear_witness,
-                   comul_iterated, comul_on, convolution_inverse,
+                   comul_on, comul_terms, convolution_inverse,
                    convolution_operator, convolution_unit, convolve,
                    first_failure, is_convolution_inverse,
                    multiplicative_witness)
 from .linalg import (Matrix, NotInvertible, OperatorSpan, basis_vec,
-                     gather_legs, intertwiners, kron_vec, lin_comb,
-                     scatter_legs, tensor_entries, vec_add, vec_scale)
+                     intertwiners, kron_vec, lin_comb, tensor_entries,
+                     vec_add, vec_scale)
 from .search import EXHAUSTIVE_CAP, NotFound
 
 
@@ -120,11 +120,15 @@ def _bilinear(field, mat, x_vec, y_vec):
 
 
 def _hh_coalgebra(hopf):
-    """H (x) H with comultiplication (Delta (x) Delta) on legs (0, 2, 1, 3)."""
-    co = hopf.coalgebra
-    dh = hopf.dim
-    comul = scatter_legs(co.comul.kron(co.comul), (dh,) * 4, (0, 2, 1, 3))
-    return CoalgebraData(hopf.field, dh * dh, comul, co.counit.kron(co.counit))
+    """H (x) H with Delta(h (x) k) = Sum (h1 (x) k1) (x) (h2 (x) k2)."""
+    f, dh, co = hopf.field, hopf.dim, hopf.coalgebra
+    eps, table = co.counit.data, co.comul_table
+    comul = [[(h1 * dh + k1, h2 * dh + k2, f.mul(x, y))
+              for h1, h2, x in table[h] for k1, k2, y in table[k]]
+             for h in range(dh) for k in range(dh)]
+    return CoalgebraData(f, dh * dh, comul,
+                         Matrix(f, 1, dh * dh, [f.mul(a, b) for a in eps
+                                                for b in eps]))
 
 
 def measuring_witnesses(hopf, base, act):
@@ -156,8 +160,7 @@ def _prop51_violations(base, hopf, omega, sigma, sigma_bar):
     eb = [basis_vec(f, db, i) for i in range(db)]
     eh = [basis_vec(f, dh, i) for i in range(dh)]
     dl = hopf.coalgebra.comul_table
-    dl3 = [list(tensor_entries(f, comul_iterated(hopf, eh[i], 3),
-                               (dh, dh, dh))) for i in range(dh)]
+    dl3 = [comul_terms(hopf.coalgebra, h, 3) for h in range(dh)]
     one_h = hopf.algebra.unit
     report = ValidationReport()
     om, sg, sgb = (partial(_bilinear, f, m) for m in (omega, sigma, sigma_bar))
@@ -236,15 +239,12 @@ def build_crossed_product(base, hopf, omega, sigma, sigma_bar=None):
     n = db * dh
     eb = [basis_vec(f, db, i) for i in range(db)]
     eh = [basis_vec(f, dh, i) for i in range(dh)]
-    dl3 = [list(tensor_entries(f, comul_iterated(hopf, eh[i], 3),
-                               (dh, dh, dh))) for i in range(dh)]
-    mul = Matrix.zeros(f, n, n * n)
+    dl3 = [comul_terms(hopf.coalgebra, h, 3) for h in range(dh)]
+    mul = []                    # entry x * n + y is e_x e_y, x = bi * dh + hi
     for bi in range(db):
         for hi in range(dh):
-            x = bi * dh + hi
             for cj in range(db):
                 for kj in range(dh):
-                    y = cj * dh + kj
                     acc = [f.zero] * n
                     for (h1, h2, h3), c1 in dl3[hi]:
                         for k1, k2, c2 in hopf.coalgebra.comul_table[kj]:
@@ -256,8 +256,7 @@ def build_crossed_product(base, hopf, omega, sigma, sigma_bar=None):
                             hpart = hopf.algebra.product(eh[h3], eh[k2])
                             acc = vec_add(f, acc, vec_scale(
                                 f, f.mul(c1, c2), kron_vec(f, bpart, hpart)))
-                    for r in range(n):
-                        mul.data[r * n * n + x * n + y] = acc[r]
+                    mul.append(list(enumerate(acc)))
     unit = kron_vec(f, base.unit, hopf.algebra.unit)
     labels = [f"{bl}#{hl}" for bl in base.labels for hl in hopf.labels]
     alg = StructureConstantAlgebra(f, n, mul, unit, labels)
@@ -265,8 +264,7 @@ def build_crossed_product(base, hopf, omega, sigma, sigma_bar=None):
     if not rep.passed:
         raise InternalInvariant(
             f"Prop 5.1 held but B#H not associative/unital: {rep.failures[0]}")
-    coaction = Matrix.identity(f, db).kron(hopf.coalgebra.comul)
-    ca = ComoduleAlgebraData(hopf, alg, coaction)
+    ca = ComoduleAlgebraData(hopf, alg, comul_on(hopf.coalgebra, db))
     rep = ca.validate()
     if not rep.passed:
         raise InternalInvariant(f"B#H comodule axioms failed: {rep.failures[0]}")
@@ -300,7 +298,15 @@ def extract_crossed_data(datum, ca):
     db, dh = b.dim, hopf.dim
     t_mat, u_mat = datum.t.matrix, datum.u.matrix
     hh = _hh_coalgebra(hopf)
-    hmul = hopf.algebra.mul
+    ts = [t_mat.col(h) for h in range(dh)]
+    us = [u_mat.col(h) for h in range(dh)]
+
+    def on_hh(value):           # the map H (x) H -> A, h (x) k -> value(h, k)
+        return Matrix.from_cols(f, [value(h, k) for h in range(dh)
+                                    for k in range(dh)], nrows=alg.dim)
+
+    def of_hk(mat):             # h (x) k -> mat(h k)
+        return on_hh(lambda h, k: mat.apply(hopf.algebra.basis_product(h, k)))
 
     def in_b(amb, what, width):
         cols = []
@@ -314,11 +320,11 @@ def extract_crossed_data(datum, ca):
 
     omega = in_b(omega_t(ca, t_mat, u_mat), "omega_t value", db)
     # sigma(h (x) k) = t(h1) t(k1) u(h2 k2)
-    sigma = in_b(convolve(alg, hh, alg.mul @ t_mat.kron(t_mat), u_mat @ hmul),
-                 "sigma value", dh)
+    t_t = on_hh(lambda h, k: alg.product(ts[h], ts[k]))
+    sigma = in_b(convolve(alg, hh, t_t, of_hk(u_mat)), "sigma value", dh)
     # sigmabar(h (x) k) = t(h1 k1) u(k2) u(h2)
-    u_flip = gather_legs(alg.mul @ u_mat.kron(u_mat), (dh, dh), (1, 0))
-    sigma_bar = in_b(convolve(alg, hh, t_mat @ hmul, u_flip),
+    u_flip = on_hh(lambda h, k: alg.product(us[k], us[h]))
+    sigma_bar = in_b(convolve(alg, hh, of_hk(t_mat), u_flip),
                      "sigmabar value", dh)
     try:
         return build_crossed_product(b.algebra, hopf, omega, sigma, sigma_bar)
@@ -355,8 +361,7 @@ def crossed_canonical_inverse(cp):
         result.fail("can-not-bijective")
         return result
     quot = can.induced.quotient
-    dl4 = [list(tensor_entries(f, comul_iterated(hopf, eh[i], 4), (dh,) * 4))
-           for i in range(dh)]
+    dl4 = [comul_terms(hopf.coalgebra, h, 4) for h in range(dh)]
     # closed-form inverse, compared column by column against can.inverse
     for bi in range(db):
         for hi in range(dh):
@@ -396,8 +401,7 @@ def crossed_canonical_inverse(cp):
     u_cols = []
     for hi in range(dh):
         acc = [f.zero] * db * dh
-        for (h1, h2, h3), c in tensor_entries(
-                f, comul_iterated(hopf, eh[hi], 3), (dh,) * 3):
+        for (h1, h2, h3), c in comul_terms(hopf.coalgebra, hi, 3):
             bpart = cp.coc_bar(s.apply(eh[h2]), eh[h3])
             acc = vec_add(f, acc, vec_scale(
                 f, c, kron_vec(f, bpart, s.apply(eh[h1]))))
@@ -492,7 +496,7 @@ def _check_bh_iso(ca, b, psi, leg):
 
     leg.fail_at("psi-not-B-linear", first_failure(b_linear, db))
     if colinear_witness(f, psi, _leg_columns(comul_on(ca.hopf.coalgebra, db), dh),
-                        _leg_columns(ca.coaction, dh)) is not None:
+                        ca.coaction_table) is not None:
         leg.fail("psi-not-colinear")
 
 

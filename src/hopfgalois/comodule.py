@@ -25,7 +25,9 @@ class IllDefinedStructure(RuntimeError):
 
 
 class ComoduleAlgebraData:
-    """Right H-comodule algebra: algebra A plus coaction rho: A -> A (x) H."""
+    """Right H-comodule algebra: algebra A plus coaction rho: A -> A (x) H,
+    held as the dense matrix (for the coinvariant kernel and the
+    colinearity operators) and as its _leg_columns, coaction_table."""
 
     def __init__(self, hopf, algebra, coaction):
         if algebra.field != hopf.field:
@@ -35,6 +37,7 @@ class ComoduleAlgebraData:
         self.hopf = hopf
         self.algebra = algebra
         self.coaction = coaction
+        self.coaction_table = _leg_columns(coaction, hopf.dim)
         self._coinv = None
 
     @property
@@ -42,7 +45,7 @@ class ComoduleAlgebraData:
         return self.algebra.field
 
     def validate(self):
-        rho = _leg_columns(self.coaction, self.hopf.dim)
+        rho = self.coaction_table
         report = ValidationReport()
         self.algebra.validate(report)
         _coaction_laws(report, "comodule", self.hopf, rho)
@@ -103,7 +106,7 @@ def _coinvariant_subalgebra(ca):
         mul = factored.solve_matrix(Matrix.from_cols(f, prods, nrows=da))
     except NoSolution as exc:
         raise InternalInvariant("coinvariants not closed under product") from exc
-    b_alg = StructureConstantAlgebra(f, db, mul, unit_b,
+    b_alg = StructureConstantAlgebra(f, db, _columns(mul), unit_b,
                                      [f"b{i}" for i in range(db)])
     return SubalgebraEmbedding(ca.algebra, incl, b_alg, factored)
 
@@ -199,7 +202,7 @@ class RelativeHopfModuleData:
         rho = _leg_columns(self.coaction, dh)
         _coaction_laws(report, "hopfmodule", ca.hopf, rho)
         # rho(m a) = m_[0] a_[0] (x) m_[1] a_[1], on each pair (e_m, e_a)
-        rho_a = _leg_columns(ca.coaction, dh)
+        rho_a = ca.coaction_table
         acts = [_columns(act) for act in self.actions]
         for a in range(ca.algebra.dim):
             if first_failure(lambda m: _agree(
@@ -304,7 +307,7 @@ def tensor_over_B(m, ca):
     f = ca.field
     b = ca.coinvariants()
     da, dh, dm = ca.algebra.dim, ca.hopf.dim, m.dim
-    mul, rho = ca.algebra.mul_table, _leg_columns(ca.coaction, dh)
+    mul, rho = ca.algebra.mul_table, ca.coaction_table
     acts, b_cols = [_columns(act) for act in m.actions], _columns(b.inclusion)
     relations = [[(r * da + a, x) for r, x in acts[k][i]]
                  + [(i * da + s, -y * c) for t, y in b_cols[k]

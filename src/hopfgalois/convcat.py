@@ -11,8 +11,8 @@ the cop-convolution (g ? f)(h) = g(h_(2)) f(h_(1)) is used instead.
 """
 
 from . import hopf
-from .hopf import CoalgebraData, _columns, _leg_columns, colinear_witness
-from .linalg import Matrix, colinearity_operator, scatter_legs, summed
+from .hopf import CoalgebraData, _columns, colinear_witness
+from .linalg import Matrix, colinearity_operator, summed
 
 CLASSES = ((1, 1), (2, 1), (1, 2), (2, 2))
 
@@ -84,8 +84,7 @@ def membership(ca, f_mat, cls, variant):
     """Whether f satisfies the constraint of class (cls, variant), checked
     at each basis vector of H from the columns of f and rho."""
     terms = _constraint_terms(ca, cls, variant)
-    return colinear_witness(ca.field, f_mat, terms,
-                            _leg_columns(ca.coaction, ca.hopf.dim)) is None
+    return colinear_witness(ca.field, f_mat, terms, ca.coaction_table) is None
 
 
 def constraint_operator(ca, cls, variant):
@@ -112,9 +111,9 @@ def variant_coalgebra(ca, variant="C"):
     """H for C_A; H^cop for C'_A, whose convolution is g(h_(2)) f(h_(1))."""
     co = ca.hopf.coalgebra
     if variant == "Cprime":
-        co = CoalgebraData(ca.field, co.dim,
-                           scatter_legs(co.comul, (co.dim, co.dim), (1, 0)),
-                           co.counit)
+        co = CoalgebraData(ca.field, co.dim, [[
+            (c2, c1, x) for c1, c2, x in terms] for terms in co.comul_table],
+            co.counit)
     return co
 
 

@@ -105,7 +105,7 @@ def build_E(ca, induced):
                         prods[(u * dq + v) * n * n + i * n + j] += y * z
     mul = coords.solve_matrix(Matrix(field, dq * dq, n * n, prods))
     unit = coords.solve(Matrix.identity(field, dq).data)
-    alg = StructureConstantAlgebra(field, n, mul, unit,
+    alg = StructureConstantAlgebra(field, n, _columns(mul), unit,
                                    [f"f{i}" for i in range(n)])
     coaction = rational_coaction(ca, module, basis, coords)
     e_ca = ComoduleAlgebraData(ca.hopf, alg, coaction)
@@ -123,12 +123,9 @@ def verify_eq14(e):
     for i in range(e.dim):
         lhs = rho @ e.basis[i]
         rhs = Matrix.zeros(field, module.dim * dh, module.dim)
-        rho_f = e.ca.coaction.apply(basis_vec(field, e.dim, i))
-        for flat, c in enumerate(rho_f):
-            if c != field.zero:
-                k, j = flat // dh, flat % dh
-                term = e.basis[k].kron(hmul.lmul(basis_vec(field, dh, j))) @ rho
-                rhs = rhs + term.scale(c)
+        for k, j, c in e.ca.coaction_table[i]:
+            term = e.basis[k].kron(hmul.lmul(basis_vec(field, dh, j))) @ rho
+            rhs = rhs + term.scale(c)
         if lhs != rhs:
             return False, i
     return True, None

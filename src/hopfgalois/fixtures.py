@@ -6,8 +6,8 @@ constructors here are the source of truth for both.
 
 from .comodule import ComoduleAlgebraData
 from .hopf import (BadCharacteristic, CoalgebraData, HopfAlgebraData, Matrix,
-                   StructureConstantAlgebra, cyclic_cayley, dual_group_algebra,
-                   group_algebra, sweedler_h4, taft)
+                   StructureConstantAlgebra, comul_on, cyclic_cayley,
+                   dual_group_algebra, group_algebra, sweedler_h4, taft)
 from .linalg import basis_vec, kron_vec
 
 __all__ = [
@@ -19,7 +19,7 @@ __all__ = [
 
 def regular_comodule(hopf):
     """A = H with rho = Delta: the standard Galois extension of k."""
-    return ComoduleAlgebraData(hopf, hopf.algebra, hopf.coalgebra.comul)
+    return ComoduleAlgebraData(hopf, hopf.algebra, comul_on(hopf.coalgebra, 1))
 
 
 def trivial_coaction(hopf, algebra):
@@ -48,11 +48,8 @@ def graded_m2(field):
     n = 4
     labels = ["e11", "e12", "e21", "e22"]
     idx = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
-    mul = Matrix.zeros(field, n, n * n)
-    for (i, j), a in idx.items():
-        for (k, l), b in idx.items():
-            if j == k:
-                mul.data[idx[(i, l)] * n * n + a * n + b] = one
+    mul = [[(idx[(i, l)], one)] if j == k else []     # e_ij e_kl = [j = k] e_il
+           for i, j in idx for k, l in idx]
     unit = [one, zero, zero, one]
     alg = StructureConstantAlgebra(field, n, mul, unit, labels)
     # degree of e_ij is (i + j) mod 2 in C_2
@@ -70,11 +67,7 @@ def cp_fixture(field, c):
         raise ValueError("c must be nonzero")
     h = group_algebra(field, cyclic_cayley(2), ["1", "g"])
     one, zero = field.one, field.zero
-    mul = Matrix.zeros(field, 2, 4)
-    mul.data[0 * 4 + 0] = one        # 1*1 = 1
-    mul.data[1 * 4 + 1] = one        # 1*x = x
-    mul.data[1 * 4 + 2] = one        # x*1 = x
-    mul.data[0 * 4 + 3] = c          # x*x = c
+    mul = [[(0, one)], [(1, one)], [(1, one)], [(0, c)]]  # 1x = x1 = x, xx = c
     alg = StructureConstantAlgebra(field, 2, mul, [one, zero], ["1", "x"])
     rho = Matrix.zeros(field, 4, 2)
     rho.data[0 * 2 + 0] = one        # 1 -> 1 (x) 1

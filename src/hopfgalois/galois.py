@@ -4,14 +4,15 @@ translation map gamma_A(h) = can^{-1}(1 (x) h) and identities (1.2.1)-(1.2.7).
 A (x)_B A is realized through comodule.tensor_over_B with A as a right
 B-module; every identity stated in the quotient is checked on projected
 coordinates, never on representatives.  can, can', gamma and (1.2.1)-(1.2.7)
-read mul_table, the columns of rho and the quotient's index maps; only
-phi_comparison forms Kronecker products.
+read mul_table, the columns of rho and the quotient's index maps, and
+phi_comparison is summed from the tables of H, rho and S, so no map here
+forms a Kronecker product.
 """
 
 from .comodule import algebra_as_bmodule, tensor_over_B
 from .hopf import (ValidationReport, _agree, _columns, _leg_columns,
                    first_failure)
-from .linalg import Matrix, basis_vec, gather_legs, kron_vec, reduced
+from .linalg import Matrix, basis_vec, kron_vec, reduced, summed
 
 
 class NotGalois(RuntimeError):
@@ -37,7 +38,7 @@ def _canonical(ca, induced, prime):
     ind = induced if induced is not None else _a_tensor_a(ca)
     f, quot = ca.field, ind.quotient
     da, dh, n = ca.algebra.dim, ca.hopf.dim, quot.dim
-    mul, rho = ca.algebra.mul_table, _leg_columns(ca.coaction, dh)
+    mul, rho = ca.algebra.mul_table, ca.coaction_table
     out = [f.zero] * (da * dh * n)
     for q, j in enumerate(quot.free):
         a, a2 = divmod(j, da)
@@ -67,14 +68,19 @@ def phi_comparison(ca):
     a_[0] (x) Sbar(h) a_[1].  (Right multiplication fails for
     noncommutative H; the counit collapse needs a_(1)S(a_(2)) adjacent.)
     """
-    f = ca.field
-    da, dh = ca.algebra.dim, ca.hopf.dim
-    ida = Matrix.identity(f, da)
-    hmul = ca.hopf.algebra.mul
-    phi = ida.kron(hmul) @ ca.coaction.kron(ca.hopf.antipode)
-    phi_inv = (ida.kron(gather_legs(hmul, (dh, dh), (1, 0)))
-               @ ca.coaction.kron(ca.hopf.antipode_inv))
-    return phi, phi_inv
+    f, dh, n = ca.field, ca.hopf.dim, ca.algebra.dim * ca.hopf.dim
+    rho, hmul = ca.coaction_table, ca.hopf.algebra.mul_table
+
+    def phi_with(s_mat, left):      # a_[0] (x) a_[1] S(h), or S(h) a_[1]
+        s = _columns(s_mat)
+        return summed(f, n, n, (
+            ((a0 * dh + t) * n + a * dh + h, x * y * m)
+            for a, terms in enumerate(rho) for a0, h1, x in terms
+            for h in range(dh) for r, y in s[h]
+            for t, m in hmul[r * dh + h1 if left else h1 * dh + r]))
+
+    return (phi_with(ca.hopf.antipode, False),
+            phi_with(ca.hopf.antipode_inv, True))
 
 
 class TranslationMap:
@@ -125,7 +131,7 @@ def verify_translation_identities(ca, tmap=None):
     mul, unit, hopf = ca.algebra.mul_table, ca.algebra.unit, ca.hopf
     comul, hmul = hopf.coalgebra.comul_table, hopf.algebra.mul_table
     eps = hopf.coalgebra.counit.data
-    rho = _leg_columns(ca.coaction, dh)
+    rho = ca.coaction_table
     rep = _leg_columns(tmap.representative, da)     # h -> (l, r, x)
     gam = _columns(tmap.gamma)
     s_cols, sbar_cols = _columns(hopf.antipode), _columns(hopf.antipode_inv)

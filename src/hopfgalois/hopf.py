@@ -2,14 +2,14 @@
 constants, with exact axiom validation and a few built-in generators.
 
 Conventions (inherited by every other module):
-  * the multiplication is a matrix  m : A (x) A -> A,
-  * the comultiplication a matrix  Delta : H -> H (x) H,
+  * m and Delta are held only as sparse tables: mul_table[i*dim + j] lists
+    (r, c) with e_i e_j = Sum c e_r, and comul_table[c] lists (c1, c2, x)
+    with Delta(e_c) = Sum x e_c1 (x) e_c2.  The constructors take the tables
+    and are the one normalisation point: each list is sorted ascending and
+    loses its zero coefficients, so equal tensors have equal tables;
   * tensor factors are flattened lexicographically with the LEFT leg major,
-  * the constructors also hold sparse tables, which product, lmul, rmul and
-    convolve use: mul_table[i*dim + j] lists (r, c) with e_i e_j = Sum c e_r
-    and comul_table[c] lists (c1, c2, x) with Delta(e_c) = Sum x e_c1 (x) e_c2,
-    both ascending.  mul.data and comul.data are only written before the
-    constructor is called, so the tables cannot go stale.
+    so _columns of a dense A (x) A -> A matrix is a mul_table and
+    _leg_columns of a dense H -> H (x) H matrix is a comul_table.
 
 The axiom audits read the tables too: each axiom is a first_failure over
 basis tuples, its two sides summed raw and reduced once (_agree), so no audit
@@ -142,21 +142,27 @@ def tensor_algebra_map(report, prefix, alg, table, left, right):
         report.fail(prefix + "unit")
 
 
+def _table(field, table, size, what):
+    """table with each entry list sorted and its zero coefficients dropped,
+    after checking that it has size entries."""
+    if len(table) != size:
+        raise DimensionMismatch(what)
+    return [sorted(t for t in terms if t[-1] != field.zero) for terms in table]
+
+
 class StructureConstantAlgebra:
-    """Associative unital algebra given by a multiplication tensor.
+    """Associative unital algebra given by its mul_table (module doc); unit
+    is the coordinate vector of 1."""
 
-    mul is the matrix A (x) A -> A; unit is the coordinate vector of 1.
-    """
-
-    def __init__(self, field, dim, mul, unit, labels=None):
-        if mul.rows != dim or mul.cols != dim * dim or len(unit) != dim:
+    def __init__(self, field, dim, mul_table, unit, labels=None):
+        if len(unit) != dim:
             raise DimensionMismatch("algebra tensor shapes")
         self.field = field
         self.dim = dim
-        self.mul = mul
+        self.mul_table = _table(field, mul_table, dim * dim,
+                                "algebra tensor shapes")
         self.unit = list(unit)
         self.labels = list(labels) if labels else [f"e{i}" for i in range(dim)]
-        self.mul_table = _columns(mul)
 
     def product(self, v, w):
         f, n, table = self.field, self.dim, self.mul_table
@@ -228,16 +234,17 @@ class StructureConstantAlgebra:
 
 
 class CoalgebraData:
-    """Coalgebra: comul H -> H (x) H plus counit H -> k (a 1 x dim matrix)."""
+    """Coalgebra: Delta by its comul_table (module doc) plus the counit
+    H -> k as a 1 x dim matrix."""
 
-    def __init__(self, field, dim, comul, counit):
-        if comul.rows != dim * dim or comul.cols != dim or counit.cols != dim:
+    def __init__(self, field, dim, comul_table, counit):
+        if counit.cols != dim:
             raise DimensionMismatch("coalgebra tensor shapes")
         self.field = field
         self.dim = dim
-        self.comul = comul
+        self.comul_table = _table(field, comul_table, dim,
+                                  "coalgebra tensor shapes")
         self.counit = counit
-        self.comul_table = _leg_columns(comul, dim)
 
     def validate(self, report=None):
         report = report if report is not None else ValidationReport()
@@ -319,17 +326,24 @@ def validate_hopf(h):
     return report
 
 
-def comul_iterated(h, x, arity):
-    """x_(1) (x) ... (x) x_(r), computed by left-nested comultiplication."""
+def comul_terms(coalgebra, c, arity):
+    """c_(1) (x) ... (x) c_(arity) by left-nested comultiplication (Delta
+    applied to the first leg each time), as the terms (legs, x), legs
+    ascending, x reduced and nonzero."""
     if arity < 1:
         raise ValueError("arity must be >= 1")
-    f, n = h.field, h.dim
-    out = list(x)
-    for step in range(arity - 1):
-        trailing = n ** step
-        op = h.coalgebra.comul.kron(Matrix.identity(f, trailing)) if step else h.coalgebra.comul
-        out = op.apply(out)
-    return out
+    f, table = coalgebra.field, coalgebra.comul_table
+    terms = {(c,): f.one}
+    for _ in range(arity - 1):
+        acc = {}
+        for (first, *rest), x in terms.items():
+            for c1, c2, y in table[first]:
+                legs = (c1, c2, *rest)
+                acc[legs] = acc.get(legs, 0) + x * y
+        terms = acc
+    legs = sorted(terms)
+    return [(k, x) for k, x in zip(legs, reduced(f, [terms[k] for k in legs]))
+            if x != f.zero]
 
 
 def comul_on(coalgebra, d):
@@ -448,37 +462,26 @@ def _group_table(field, cayley):
 def group_algebra(field, cayley, labels=None):
     """The group algebra kG of a finite group given by its Cayley table."""
     identity, antipode = _group_table(field, cayley)
-    n = len(cayley)
-    mul = Matrix.zeros(field, n, n * n)
-    for i in range(n):
-        for j in range(n):
-            mul.data[cayley[i][j] * n * n + i * n + j] = field.one
-    unit = basis_vec(field, n, identity)
-    comul = Matrix.zeros(field, n * n, n)
-    for i in range(n):
-        comul.data[(i * n + i) * n + i] = field.one
-    counit = Matrix(field, 1, n, [field.one] * n)
-    alg = StructureConstantAlgebra(field, n, mul, unit, labels)
-    coalg = CoalgebraData(field, n, comul, counit)
+    n, one = len(cayley), field.one
+    alg = StructureConstantAlgebra(
+        field, n, [[(cayley[i][j], one)] for i in range(n) for j in range(n)],
+        basis_vec(field, n, identity), labels)
+    coalg = CoalgebraData(field, n, [[(i, i, one)] for i in range(n)],
+                          Matrix(field, 1, n, [one] * n))
     return HopfAlgebraData(alg, coalg, antipode, antipode.invert())
 
 
 def dual_group_algebra(field, cayley, labels=None):
     """The dual (kG)^*: idempotent basis, comultiplication from the table."""
     identity, antipode = _group_table(field, cayley)
-    n = len(cayley)
-    mul = Matrix.zeros(field, n, n * n)
-    for i in range(n):
-        mul.data[i * n * n + i * n + i] = field.one
-    unit = [field.one] * n
-    comul = Matrix.zeros(field, n * n, n)
-    for a in range(n):
-        for b in range(n):
-            comul.data[(a * n + b) * n + cayley[a][b]] = field.one
-    counit = Matrix.zeros(field, 1, n)
-    counit.data[identity] = field.one
-    alg = StructureConstantAlgebra(field, n, mul, unit, labels)
-    coalg = CoalgebraData(field, n, comul, counit)
+    n, one = len(cayley), field.one
+    alg = StructureConstantAlgebra(
+        field, n, [[(i, one)] if i == j else [] for i in range(n)
+                   for j in range(n)], [one] * n, labels)
+    coalg = CoalgebraData(
+        field, n, [[(a, b, one) for a in range(n) for b in range(n)
+                    if cayley[a][b] == c] for c in range(n)],
+        Matrix(field, 1, n, basis_vec(field, n, identity)))
     return HopfAlgebraData(alg, coalg, antipode, antipode.invert())
 
 
@@ -509,16 +512,12 @@ def taft(field, n):
         binom.append([field.one] + [field.add(row[k - 1], qp[k] * row[k])
                                     for k in range(1, b + 1)])
     dim = n * n
-    mul = Matrix.zeros(field, dim, dim * dim)
-    comul = Matrix.zeros(field, dim * dim, dim)
-    for i, (b, a) in enumerate(itertools.product(range(n), repeat=2)):
-        for j, (d, c) in enumerate(itertools.product(range(n), repeat=2)):
-            if b + d < n:       # g^a x^b g^c x^d = q^(bc) g^(a+c) x^(b+d)
-                k = (a + c) % n + n * (b + d)
-                mul.data[k * dim * dim + i * dim + j] = qp[b * c % n]
-        for k in range(b + 1):
-            left = (a + k) % n + n * (b - k)
-            comul.data[(left * dim + a + n * k) * dim + i] = binom[b][k]
+    basis = list(itertools.product(range(n), repeat=2))     # (b, a) at a + n*b
+    # g^a x^b g^c x^d = q^(bc) g^(a+c) x^(b+d), zero when b + d >= n
+    mul = [[((a + c) % n + n * (b + d), qp[b * c % n])] if b + d < n else []
+           for b, a in basis for d, c in basis]
+    comul = [[((a + k) % n + n * (b - k), a + n * k, binom[b][k])
+              for k in range(b + 1)] for b, a in basis]
     counit = Matrix(field, 1, dim, [field.one] * n + [field.zero] * (dim - n))
     labels = [("" if a == 0 else "g" if a == 1 else f"g^{a}")
               + ("" if b == 0 else "x" if b == 1 else f"x^{b}") or "1"

@@ -22,7 +22,11 @@ Q, "n mod p" over F_p):
   - matrices (antipode, module actions): [i, j, "coeff"] triples, entry (i,j).
   - vectors (unit, counit): dense lists of scalars.
 
-All validators run eagerly on load; emit(load(x)) round-trips semantically.
+A 3-leg tensor is parsed into a dense matrix, so the last of duplicate
+entries wins and an explicit zero overwrites; mul, comul and the coaction
+then reach the constructors as that matrix's _columns / _leg_columns (see
+hopf).  The emitter writes the sorted quadruples of the same tables.  All
+validators run eagerly on load; emit(load(x)) round-trips semantically.
 """
 
 import json
@@ -31,7 +35,7 @@ from .cleft import build_crossed_product
 from .comodule import BModule, ComoduleAlgebraData
 from .fields import FieldError, field_from_name, field_name
 from .hopf import (CoalgebraData, HopfAlgebraData, StructureConstantAlgebra,
-                   validate_hopf)
+                   _columns, _leg_columns, validate_hopf)
 from .linalg import Matrix
 
 
@@ -136,7 +140,7 @@ def _algebra(field, record, where):
     if labels is not None and (not isinstance(labels, list)
                                or len(labels) != dim):
         raise ParseError(f"{where}.labels", f"expected {dim} labels")
-    return StructureConstantAlgebra(field, dim, mul, unit, labels)
+    return StructureConstantAlgebra(field, dim, _columns(mul), unit, labels)
 
 
 def _hopf(field, record, where):
@@ -147,7 +151,7 @@ def _hopf(field, record, where):
     counit = Matrix(field, 1, dim,
                     _vector(field, _require(record, "counit", where), dim,
                             f"{where}.counit"))
-    coalg = CoalgebraData(field, dim, comul, counit)
+    coalg = CoalgebraData(field, dim, _leg_columns(comul, dim), counit)
     antipode = _matrix(field, _require(record, "antipode", where), dim, dim,
                        f"{where}.antipode")
     if "antipode_inv" in record:
@@ -270,30 +274,23 @@ def _emit_matrix(field, m):
     return out
 
 
-def _emit_tensor3(field, m, d_out, d_in1, d_in2, kind):
-    out = []
-    if kind == "mul":
-        for i in range(d_out):
-            for j in range(d_in1):
-                for k in range(d_in2):
-                    x = m.get(i, j * d_in2 + k)
-                    if x != field.zero:
-                        out.append([i, j, k, field.format(x)])
-    else:
-        for i in range(d_out):
-            for j in range(d_in1):
-                for k in range(d_in2):
-                    x = m.get(i * d_in1 + j, k)
-                    if x != field.zero:
-                        out.append([i, j, k, field.format(x)])
-    return out
+def _emit_tensor3(field, table, d_in2=None):
+    """The sorted [i, j, k, coeff] quadruples of a 3-leg tensor given by its
+    _columns, column j * d_in2 + k listing (i, x) (mul, omega, sigma), or,
+    without d_in2, by its _leg_columns, column k listing (i, j, x) (comul,
+    coaction)."""
+    quads = ([(i, j, k, x) for k, terms in enumerate(table)
+              for i, j, x in terms] if d_in2 is None else
+             [(i, *divmod(col, d_in2), x) for col, terms in enumerate(table)
+              for i, x in terms])
+    return [[i, j, k, field.format(x)] for i, j, k, x in sorted(quads)]
 
 
 def emit_algebra(field, alg):
     return {
         "dim": alg.dim,
         "labels": list(alg.labels),
-        "mul": _emit_tensor3(field, alg.mul, alg.dim, alg.dim, alg.dim, "mul"),
+        "mul": _emit_tensor3(field, alg.mul_table, alg.dim),
         "unit": _emit_vector(field, alg.unit),
     }
 
@@ -301,8 +298,7 @@ def emit_algebra(field, alg):
 def emit_hopf(field, hopf):
     record = emit_algebra(field, hopf.algebra)
     record.update({
-        "comul": _emit_tensor3(field, hopf.coalgebra.comul,
-                               hopf.dim, hopf.dim, hopf.dim, "split"),
+        "comul": _emit_tensor3(field, hopf.coalgebra.comul_table),
         "counit": _emit_vector(field, hopf.coalgebra.counit.data),
         "antipode": _emit_matrix(field, hopf.antipode),
         "antipode_inv": _emit_matrix(field, hopf.antipode_inv),
@@ -314,8 +310,7 @@ def emit_comodule_algebra(field, ca, hopf_name):
     record = emit_algebra(field, ca.algebra)
     record.update({
         "hopf": hopf_name,
-        "coaction": _emit_tensor3(field, ca.coaction, ca.algebra.dim,
-                                  ca.hopf.dim, ca.algebra.dim, "split"),
+        "coaction": _emit_tensor3(field, ca.coaction_table),
     })
     return record
 
@@ -351,15 +346,14 @@ def emit_bundle(bundle):
             record = {
                 "hopf": href,
                 "base": emit_algebra(bundle.field, base),
-                "omega": _emit_tensor3(bundle.field, omega, base.dim,
-                                       hopf.dim, base.dim, "mul"),
-                "sigma": _emit_tensor3(bundle.field, sigma, base.dim,
-                                       hopf.dim, hopf.dim, "mul"),
+                "omega": _emit_tensor3(bundle.field, _columns(omega),
+                                       base.dim),
+                "sigma": _emit_tensor3(bundle.field, _columns(sigma),
+                                       hopf.dim),
             }
             if sigma_bar is not None:
                 record["sigma_bar"] = _emit_tensor3(
-                    bundle.field, sigma_bar, base.dim, hopf.dim, hopf.dim,
-                    "mul")
+                    bundle.field, _columns(sigma_bar), hopf.dim)
             out["crossed_products"][name] = record
     return out
 

@@ -62,8 +62,7 @@ def _check_621(ctx, candidate, u_prime):
         em = basis_vec(f, dm, mi)
         x = ctx.quot.project(kron_vec(f, em, basis_vec(f, da, aj)))
         rhs = [f.zero] * ctx.quot.dim
-        rho_a = ctx.ca.coaction.apply(basis_vec(f, da, aj))
-        for (a0, h), c in tensor_entries(f, rho_a, (da, dh)):
+        for a0, h, c in ctx.ca.coaction_table[aj]:
             p = ctx.quot.project(kron_vec(f, em, basis_vec(f, da, a0)))
             rhs = vec_add(f, rhs, vec_scale(f, c, u_h[h].apply(p)))
         return ctx.eta.apply(candidate.phi.apply(x)) == rhs

@@ -12,10 +12,7 @@ is_invertible over F_p only eliminates forward and stops at the first
 column without a pivot; it never builds the RREF that rank() reads.
 
 Tensor legs.  A vector of V_0 (x) ... (x) V_{k-1} is flattened
-lexicographically with leg 0 major.  A leg permutation `perm` (output leg j
-carries source leg perm[j]) is never built as a matrix: leg_index gives
-where each flat index goes, gather_legs(X, ...) computes X @ P by gathering
-columns and scatter_legs(Y, ...) computes P @ Y by scattering rows.
+lexicographically with leg 0 major; tensor_entries reads the legs back.
 
 Operators.  A linear constraint on an unknown matrix X is a matrix on the
 row-major vec(X), written entry by entry from the nonzero entries of its
@@ -203,22 +200,14 @@ class Matrix:
                       [x for j in range(n) for x in data[j::n]])
 
     def kron(self, other):
-        """Kronecker/tensor product, left factor index major."""
-        f = self.field
-        ar, ac, br, bc = self.rows, self.cols, other.rows, other.cols
-        out = [f.zero] * (ar * br * ac * bc)
-        mul = f.mul
-        for i in range(ar):
-            for j in range(ac):
-                a = self.data[i * ac + j]
-                if a == f.zero:
-                    continue
-                for k in range(br):
-                    orow = (i * br + k) * (ac * bc)
-                    boff = k * bc
-                    for l in range(bc):
-                        out[orow + j * bc + l] = mul(a, other.data[boff + l])
-        return Matrix(f, ar * br, ac * bc, out)
+        """Kronecker/tensor product, left factor index major; the products
+        are taken raw and reduced once."""
+        ac, bc = self.cols, other.cols
+        arows = [self.data[i * ac:(i + 1) * ac] for i in range(self.rows)]
+        brows = [other.data[k * bc:(k + 1) * bc] for k in range(other.rows)]
+        return Matrix(self.field, self.rows * other.rows, ac * bc, reduced(
+            self.field, [a * b for arow in arows for brow in brows
+                         for a in arow for b in brow]))
 
     # -- elimination -------------------------------------------------------
 
@@ -435,13 +424,11 @@ def basis_vec(field, n, i):
 
 
 def kron_vec(field, v, w):
-    out = [field.zero] * (len(v) * len(w))
-    mul = field.mul
+    """v (x) w; each block a w of a nonzero a is taken raw and reduced once."""
+    out, n = [field.zero] * (len(v) * len(w)), len(w)
     for i, a in enumerate(v):
         if a != field.zero:
-            base = i * len(w)
-            for j, b in enumerate(w):
-                out[base + j] = mul(a, b)
+            out[i * n:(i + 1) * n] = reduced(field, [a * b for b in w])
     return out
 
 
@@ -468,46 +455,7 @@ def tensor_entries(field, vec, dims):
             yield tuple(idx), c
 
 
-# -- leg permutations and linear operators ----------------------------------
-
-
-def leg_index(dims, perm):
-    """to[s] = flat index that source flat index s takes when the legs of a
-    tensor with leg dimensions dims are reordered so that output leg j
-    carries source leg perm[j]."""
-    stride = [0] * len(dims)
-    size = 1
-    for j in reversed(range(len(perm))):
-        stride[perm[j]] = size
-        size *= dims[perm[j]]
-    to = [0]
-    for leg, d in enumerate(dims):
-        to = [t + i * stride[leg] for t in to for i in range(d)]
-    return to
-
-
-def gather_legs(mat, dims, perm):
-    """mat @ P for the leg permutation P: column s is column to[s] of mat."""
-    to = leg_index(dims, perm)
-    if len(to) != mat.cols:
-        raise ValueError("leg dimensions do not match the columns")
-    data = mat.data
-    out = [data[base + t] for base in range(0, len(data), mat.cols) for t in to]
-    return Matrix(mat.field, mat.rows, mat.cols, out)
-
-
-def scatter_legs(mat, dims, perm):
-    """P @ mat for the leg permutation P: row s of mat becomes row to[s]."""
-    to = leg_index(dims, perm)
-    if len(to) != mat.rows:
-        raise ValueError("leg dimensions do not match the rows")
-    src = [0] * len(to)
-    for s, t in enumerate(to):
-        src[t] = s
-    out = []
-    for s in src:
-        out.extend(mat.row(s))
-    return Matrix(mat.field, mat.rows, mat.cols, out)
+# -- linear operators ------------------------------------------------------
 
 
 def summed(field, rows, cols, terms):

@@ -207,8 +207,7 @@ def beta12_tilde(ctx, u_prime_mat):
     for mi in range(dm):
         for aj in range(da):
             acc = [f.zero] * ctx.quot.dim
-            rho_a = ctx.ca.coaction.apply(basis_vec(f, da, aj))
-            for (a0, h), c in tensor_entries(f, rho_a, (da, dh)):
+            for a0, h, c in ctx.ca.coaction_table[aj]:
                 p = ctx.quot.project(kron_vec(f, basis_vec(f, dm, mi),
                                               basis_vec(f, da, a0)))
                 w = evs[h].apply(p)
@@ -247,21 +246,20 @@ def beta12(ctx, u_prime_mat):
 
 
 def beta22(ctx, w_prime_mat):
-    f, dh = ctx.field, ctx.ca.hopf.dim
+    f, dh, n = ctx.field, ctx.ca.hopf.dim, ctx.quot.dim
+    evs = [ctx.ev(w_prime_mat, basis_vec(f, dh, h)) for h in range(dh)]
     cols = []
-    for q in range(ctx.quot.dim):
-        rho_q = ctx.x2_coaction.apply(basis_vec(f, ctx.quot.dim, q))
-        acc = [f.zero] * ctx.quot.dim
-        for (qi, h), c in tensor_entries(f, rho_q, (ctx.quot.dim, dh)):
-            w = ctx.ev(w_prime_mat, basis_vec(f, dh, h)).apply(
-                basis_vec(f, ctx.quot.dim, qi))
-            acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, w)]
+    for q in range(n):
+        acc = [f.zero] * n
+        for qi, h, c in ctx._co_cols[2][q]:
+            acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, evs[h].col(qi))]
         cols.append(acc)
-    return Matrix.from_cols(f, cols, nrows=ctx.quot.dim)
+    return Matrix.from_cols(f, cols, nrows=n)
 
 
 def alpha22_bar(ctx, kappa):
     f, dm, dh, da = ctx.field, ctx.m.dim, ctx.ca.hopf.dim, ctx.ca.algebra.dim
+    mul, acts = ctx.ca.algebra.mul_table, ctx.induced.module.actions
     endos = []
     for hj in range(dh):
         rep = ctx.tmap.rep(basis_vec(f, dh, hj))
@@ -271,10 +269,10 @@ def alpha22_bar(ctx, kappa):
             for (l, r), c in tensor_entries(f, rep, (da, da)):
                 base = kappa.apply(ctx.quot.project(
                     kron_vec(f, basis_vec(f, dm, mi), basis_vec(f, da, l))))
-                ra = ctx.ca.algebra.basis_product(r, aj)
-                term = ctx.induced_action(ra).apply(base)
-                acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, term)]
-            amb_cols.append(acc)
+                for s, y in mul[r * da + aj]:       # base . (c e_r a_j)
+                    acc = [x + c * y * z
+                           for x, z in zip(acc, acts[s].apply(base))]
+            amb_cols.append(reduced(f, acc))
         endos.append(Matrix.from_cols(f, amb_cols, nrows=ctx.quot.dim))
     return ctx.e.coords_matrix(endos)
 

@@ -105,3 +105,69 @@ def module_k(ca):
 
 def module_b(ca):
     return regular_bmodule(ca)
+
+
+# -- dense oracles ----------------------------------------------------------
+# The package holds m and Delta only as sparse tables; the oracles below
+# rebuild the dense matrices and the tensor-leg permutations from them.
+
+
+def dense_mul(alg):
+    """m: A (x) A -> A as a dim x dim^2 matrix, from alg.mul_table."""
+    n, out = alg.dim, Matrix.zeros(alg.field, alg.dim, alg.dim ** 2)
+    for col, terms in enumerate(alg.mul_table):
+        for r, c in terms:
+            out.data[r * n * n + col] = c
+    return out
+
+
+def dense_comul(co):
+    """Delta: C -> C (x) C as a dim^2 x dim matrix, from co.comul_table."""
+    n, out = co.dim, Matrix.zeros(co.field, co.dim ** 2, co.dim)
+    for c, terms in enumerate(co.comul_table):
+        for c1, c2, x in terms:
+            out.data[(c1 * n + c2) * n + c] = x
+    return out
+
+
+def dense_comul_iterated(co, x, arity):
+    """x_(1) (x) ... (x) x_(arity) as a flat vector, by left-nested dense
+    comultiplication: Delta (x) I on the first leg each time."""
+    out, comul = list(x), dense_comul(co)
+    for step in range(arity - 1):
+        op = comul.kron(Matrix.identity(co.field, co.dim ** step))
+        out = op.apply(out)
+    return out
+
+
+def leg_index(dims, perm):
+    """to[s] = flat index that source flat index s takes when the legs of a
+    tensor with leg dimensions dims are reordered so that output leg j
+    carries source leg perm[j]."""
+    stride = [0] * len(dims)
+    size = 1
+    for j in reversed(range(len(perm))):
+        stride[perm[j]] = size
+        size *= dims[perm[j]]
+    to = [0]
+    for leg, d in enumerate(dims):
+        to = [t + i * stride[leg] for t in to for i in range(d)]
+    return to
+
+
+def gather_legs(mat, dims, perm):
+    """mat @ P for the leg permutation P: column s is column to[s] of mat."""
+    to = leg_index(dims, perm)
+    data, n = mat.data, mat.cols
+    return Matrix(mat.field, mat.rows, n, [
+        data[base + t] for base in range(0, len(data), n) for t in to])
+
+
+def scatter_legs(mat, dims, perm):
+    """P @ mat for the leg permutation P: row s of mat becomes row to[s]."""
+    to = leg_index(dims, perm)
+    src = [0] * len(to)
+    for s, t in enumerate(to):
+        src[t] = s
+    return Matrix(mat.field, mat.rows, mat.cols,
+                  [x for s in src for x in mat.row(s)])

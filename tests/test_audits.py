@@ -21,8 +21,11 @@ from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
                                  sweedler_h4, taft)
 from hopfgalois.hopf import (BadCharacteristic, CoalgebraData,
                              HopfAlgebraData, StructureConstantAlgebra,
-                             is_cocommutative, validate_hopf)
-from hopfgalois.linalg import Matrix, gather_legs, kron_vec, lin_comb
+                             _columns, _leg_columns, is_cocommutative,
+                             validate_hopf)
+from hopfgalois.linalg import Matrix, kron_vec, lin_comb
+
+from conftest import dense_comul, dense_mul, gather_legs
 
 F2, F5, F7, F11 = (PrimeField(p) for p in (2, 5, 7, 11))
 
@@ -54,7 +57,7 @@ def dense_failures(checks):
 
 
 def dense_algebra(alg):
-    f, n, mul = alg.field, alg.dim, alg.mul
+    f, n, mul = alg.field, alg.dim, dense_mul(alg)
     idn, u = Matrix.identity(f, n), Matrix.from_cols(f, [alg.unit])
     return [("algebra.associativity", mul @ mul.kron(idn), mul @ idn.kron(mul),
              (n, n, n)),
@@ -63,7 +66,7 @@ def dense_algebra(alg):
 
 
 def dense_coalgebra(co):
-    f, n, comul, counit = co.field, co.dim, co.comul, co.counit
+    f, n, comul, counit = co.field, co.dim, dense_comul(co), co.counit
     idn = Matrix.identity(f, n)
     return [("coalgebra.coassociativity", comul.kron(idn) @ comul,
              idn.kron(comul) @ comul, (n,)),
@@ -74,7 +77,7 @@ def dense_coalgebra(co):
 def dense_hopf(h):
     f, n = h.field, h.dim
     idn = Matrix.identity(f, n)
-    mul, comul = h.algebra.mul, h.coalgebra.comul
+    mul, comul = dense_mul(h.algebra), dense_comul(h.coalgebra)
     counit, unit = h.coalgebra.counit, h.algebra.unit
     mul2 = gather_legs(mul.kron(mul), (n,) * 4, (0, 2, 1, 3))  # on H (x) H
     eta_eps = Matrix.from_cols(f, [unit]) @ counit
@@ -97,16 +100,16 @@ def dense_coaction(prefix, hopf, rho, dim):
     f, idv = hopf.field, Matrix.identity(hopf.field, dim)
     idh = Matrix.identity(f, hopf.dim)
     return [(f"{prefix}.coassociativity", rho.kron(idh) @ rho,
-             idv.kron(hopf.coalgebra.comul) @ rho, (dim,)),
+             idv.kron(dense_comul(hopf.coalgebra)) @ rho, (dim,)),
             (f"{prefix}.counit", idv.kron(hopf.coalgebra.counit) @ rho, idv,
              (dim,))]
 
 
 def dense_comodule(ca):
     f, da, dh = ca.field, ca.algebra.dim, ca.hopf.dim
-    rho, a_mul = ca.coaction, ca.algebra.mul
-    mul2 = gather_legs(a_mul.kron(ca.hopf.algebra.mul), (da, dh, da, dh),
-                       (0, 2, 1, 3))                      # on A (x) H
+    rho, a_mul = ca.coaction, dense_mul(ca.algebra)
+    mul2 = gather_legs(a_mul.kron(dense_mul(ca.hopf.algebra)),
+                       (da, dh, da, dh), (0, 2, 1, 3))    # on A (x) H
     return dense_algebra(ca.algebra) + dense_coaction(
         "comodule", ca.hopf, rho, da) + [
         ("comodule.multiplicative", rho @ a_mul, mul2 @ rho.kron(rho),
@@ -170,18 +173,21 @@ def bumped(ca, target, pos, delta):
     """(H, A) rebuilt from their matrices, one entry of target moved by
     delta; S^-1 is kept, so a moved S also breaks the inverse checks."""
     h, f = ca.hopf, ca.field
-    mats = {"H.mul": h.algebra.mul, "H.comul": h.coalgebra.comul,
+    mats = {"H.mul": dense_mul(h.algebra),
+            "H.comul": dense_comul(h.coalgebra),
             "H.counit": h.coalgebra.counit, "S": h.antipode,
-            "A.mul": ca.algebra.mul, "rho": ca.coaction}
+            "A.mul": dense_mul(ca.algebra), "rho": ca.coaction}
     old = mats[target]
     data = list(old.data)
     data[pos % len(data)] = f.add(data[pos % len(data)], f.from_int(delta))
     mats[target] = Matrix(f, old.rows, old.cols, data)
     hopf = HopfAlgebraData(
-        StructureConstantAlgebra(f, h.dim, mats["H.mul"], h.algebra.unit),
-        CoalgebraData(f, h.dim, mats["H.comul"], mats["H.counit"]),
+        StructureConstantAlgebra(f, h.dim, _columns(mats["H.mul"]),
+                                 h.algebra.unit),
+        CoalgebraData(f, h.dim, _leg_columns(mats["H.comul"], h.dim),
+                      mats["H.counit"]),
         mats["S"], h.antipode_inv)
-    alg = StructureConstantAlgebra(f, ca.algebra.dim, mats["A.mul"],
+    alg = StructureConstantAlgebra(f, ca.algebra.dim, _columns(mats["A.mul"]),
                                    ca.algebra.unit)
     return ComoduleAlgebraData(hopf, alg, mats["rho"])
 
@@ -212,9 +218,8 @@ def test_witness_is_the_first_failing_column():
     ca = bumped(CASES["H4/F5"], "H.mul", 0, 1)
     assert validate_hopf(ca.hopf).failures[0] == ("algebra.associativity",
                                                   (0, 0, 1))
-    diff = ca.hopf.algebra.mul @ ca.hopf.algebra.mul.kron(Matrix.identity(F5, 4))
-    diff = diff - ca.hopf.algebra.mul @ Matrix.identity(F5, 4).kron(
-        ca.hopf.algebra.mul)
+    mul, idn = dense_mul(ca.hopf.algebra), Matrix.identity(F5, 4)
+    diff = mul @ mul.kron(idn) - mul @ idn.kron(mul)
     assert next(i for i, x in enumerate(diff.data) if x) == 0 * 64 + 5
 
 
@@ -265,10 +270,10 @@ def test_taft_2_is_the_sweedler_algebra(field):
         antipode.data[r * 4 + c] = field.from_int(x)
     assert h.labels == ["1", "g", "x", "gx"]
     assert h.algebra.unit == [field.one, field.zero, field.zero, field.zero]
-    assert h.algebra.mul == mul and h.coalgebra.comul == comul
+    assert dense_mul(h.algebra) == mul and dense_comul(h.coalgebra) == comul
     assert h.coalgebra.counit.data == [field.one] * 2 + [field.zero] * 2
     assert h.antipode == antipode and h.antipode_inv == antipode.invert()
-    assert sweedler_h4(field).algebra.mul == mul
+    assert dense_mul(sweedler_h4(field).algebra) == mul
 
 
 @pytest.mark.parametrize("field, n", [(F2, 2), (QQ, 3), (F7, 4), (F5, 3),

@@ -14,9 +14,11 @@ from hypothesis import given, settings, strategies as st
 from hopfgalois import cleft, cohomology, convcat, search
 from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import cyclic_cayley, group_algebra, sweedler_h4
-from hopfgalois.hopf import (StructureConstantAlgebra, first_failure,
-                             multiplicative_witness)
+from hopfgalois.hopf import (StructureConstantAlgebra, _columns,
+                             first_failure, multiplicative_witness)
 from hopfgalois.linalg import Matrix, NotInvertible, basis_vec, kron_vec
+
+from conftest import dense_mul
 from test_sparse import scalars, tensors
 
 F3, F7 = PrimeField(3), PrimeField(7)
@@ -64,14 +66,15 @@ def failing_pairs(src, dst, t_mat, anti):
     """Every (i, j) with t(e_i e_j) != t(e_i) t(e_j) (t(e_j) t(e_i) when
     anti), by the dense formulas mul @ (x (x) y)."""
     f, n = src.field, src.dim
+    src_mul, dst_mul = dense_mul(src), dense_mul(dst)
     out = []
     for i, j in itertools.product(range(n), repeat=2):
         ei, ej = basis_vec(f, n, i), basis_vec(f, n, j)
         x, y = t_mat.apply(ei), t_mat.apply(ej)
         if anti:
             x, y = y, x
-        if (t_mat.apply(src.mul.apply(kron_vec(f, ei, ej)))
-                != dst.mul.apply(kron_vec(f, x, y))):
+        if (t_mat.apply(src_mul.apply(kron_vec(f, ei, ej)))
+                != dst_mul.apply(kron_vec(f, x, y))):
             out.append((i, j))
     return out
 
@@ -83,14 +86,14 @@ def algebra_maps(draw):
     verdicts occur."""
     field = draw(st.sampled_from([F3, F7, QQ]))
     n = draw(st.integers(1, 4))
-    src = StructureConstantAlgebra(field, n, draw(tensors(field, n, n * n)),
-                                   [field.zero] * n)
+    src = StructureConstantAlgebra(
+        field, n, _columns(draw(tensors(field, n, n * n))), [field.zero] * n)
     kind = draw(st.sampled_from(["drawn", "zero", "identity"]))
     if kind == "identity":
         return src, src, Matrix.identity(field, n)
     m = draw(st.integers(1, 4))
-    dst = StructureConstantAlgebra(field, m, draw(tensors(field, m, m * m)),
-                                   [field.zero] * m)
+    dst = StructureConstantAlgebra(
+        field, m, _columns(draw(tensors(field, m, m * m))), [field.zero] * m)
     if kind == "zero":
         return src, dst, Matrix.zeros(field, m, n)
     return src, dst, Matrix(field, m, n, draw(st.lists(

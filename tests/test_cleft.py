@@ -3,7 +3,7 @@ import pytest
 from hopfgalois import cleft, convcat
 from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import cyclic_cayley, group_algebra
-from hopfgalois.hopf import OneSidedInverse, comul_iterated
+from hopfgalois.hopf import OneSidedInverse
 from hopfgalois.linalg import Matrix, basis_vec
 
 F3 = PrimeField(3)

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from hopfgalois import _modp_py
 from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.linalg import (Factorization, Matrix, NoSolution, basis_vec,
-                               kron_vec, scatter_legs)
+                               kron_vec)
+
+from conftest import scatter_legs
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -229,7 +231,7 @@ def test_full_rank_modp_matches_the_rref_rank(p, rows, cols, low_rank, data):
 
 @pytest.mark.parametrize("field", [QQ, F2, F7])
 def test_apply_reduces_once_like_the_old_loop(field):
-    """apply against the former per-entry field.add/field.mul loop."""
+    """apply against the former per-entry field.add/dense_mul(field) loop."""
     import random
     rng = random.Random(7)
     for _ in range(100):

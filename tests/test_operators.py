@@ -18,11 +18,12 @@ from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
                                  sweedler_h4)
 from hopfgalois.hopf import convolution_operator, convolve
 from hopfgalois.lifting import ActionCandidate, _b_linear_space
-from hopfgalois.linalg import (Matrix, basis_vec, gather_legs,
-                               intertwiner_operator, kron_vec, scatter_legs,
-                               tensor_entries, vec_add, vec_scale, vstack)
+from hopfgalois.linalg import (Matrix, basis_vec, intertwiner_operator,
+                               kron_vec, tensor_entries, vec_add, vec_scale,
+                               vstack)
 
-from conftest import module_b, module_k
+from conftest import (dense_comul, dense_mul, gather_legs, module_b, module_k,
+                      scatter_legs)
 
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 
@@ -78,10 +79,10 @@ def probe_operator(field, rows, cols, defect):
 def old_constraint_rhs(ca, f_mat, cls, variant):
     field = ca.field
     da, dh = ca.algebra.dim, ca.hopf.dim
-    comul = ca.hopf.coalgebra.comul
+    comul = dense_comul(ca.hopf.coalgebra)
     idh = Matrix.identity(field, dh)
     s, sbar = ca.hopf.antipode, ca.hopf.antipode_inv
-    hmul = ca.hopf.algebra.mul
+    hmul = dense_mul(ca.hopf.algebra)
     sw = dense_perm(field, (dh, dh), (1, 0))
     if cls == (1, 1):
         embed = Matrix.from_cols(
@@ -104,24 +105,24 @@ def old_constraint_rhs(ca, f_mat, cls, variant):
 
 
 def old_convolve(ca, g_mat, f_mat, variant):
-    comul = ca.hopf.coalgebra.comul
+    comul = dense_comul(ca.hopf.coalgebra)
     if variant == "Cprime":
         dh = ca.hopf.dim
         comul = dense_perm(ca.field, (dh, dh), (1, 0)) @ comul
-    return ca.algebra.mul @ g_mat.kron(f_mat) @ comul
+    return dense_mul(ca.algebra) @ g_mat.kron(f_mat) @ comul
 
 
 def old_conv2(base, hopf, s1, s2):
     """Convolution on Hom(H (x) H, B): s1(h1 (x) k1) s2(h2 (x) k2)."""
     f = base.field
-    dh = hopf.dim
+    dh, comul = hopf.dim, dense_comul(hopf.coalgebra)
     cols = []
     for h in range(dh):
-        dlh = list(tensor_entries(f, hopf.coalgebra.comul.apply(
-            basis_vec(f, dh, h)), (dh, dh)))
+        dlh = list(tensor_entries(f, comul.apply(basis_vec(f, dh, h)),
+                                  (dh, dh)))
         for k in range(dh):
-            dlk = list(tensor_entries(f, hopf.coalgebra.comul.apply(
-                basis_vec(f, dh, k)), (dh, dh)))
+            dlk = list(tensor_entries(f, comul.apply(basis_vec(f, dh, k)),
+                                      (dh, dh)))
             acc = [f.zero] * base.dim
             for (h1, h2), c1 in dlh:
                 for (k1, k2), c2 in dlk:
@@ -220,7 +221,8 @@ def test_convolution_operator(name):
     v = random_matrix(ca.field, b.dim, dh, rng)
     oracle = probe_operator(
         ca.field, b.dim, dh,
-        lambda x: (b.algebra.mul @ v.kron(x) @ ca.hopf.coalgebra.comul).data)
+        lambda x: (dense_mul(b.algebra) @ v.kron(x)
+                   @ dense_comul(ca.hopf.coalgebra)).data)
     assert convolution_operator(b.algebra, ca.hopf.coalgebra, v) == oracle
 
 
@@ -246,8 +248,8 @@ def test_convolve_matches_dense_kron(field):
         for _ in range(3):
             g = random_matrix(field, alg.dim, co.dim, rng)
             f = random_matrix(field, alg.dim, co.dim, rng)
-            assert convolve(alg, co, g, f) == alg.mul @ (g.kron(f)
-                                                         @ co.comul)
+            assert convolve(alg, co, g, f) == dense_mul(alg) @ (
+                g.kron(f) @ dense_comul(co))
             cases += 1
     assert cases == 30
 
@@ -292,7 +294,7 @@ def test_bh_iso_operator(name):
     b = ca.coinvariants()
     da, db, dh = ca.algebra.dim, b.dim, ca.hopf.dim
     idh = Matrix.identity(f, dh)
-    x_co = Matrix.identity(f, db).kron(ca.hopf.coalgebra.comul)
+    x_co = Matrix.identity(f, db).kron(dense_comul(ca.hopf.coalgebra))
     x_acts = [b.algebra.lmul(basis_vec(f, db, i)).kron(idh)
               for i in range(db)]
     a_acts = [ca.algebra.lmul(b.to_ambient(basis_vec(f, db, i)))

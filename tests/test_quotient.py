@@ -26,10 +26,12 @@ from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
 from hopfgalois.galois import (canonical_map, canonical_map_prime,
                                translation_map, verify_translation_identities)
 from hopfgalois.hopf import (CoalgebraData, HopfAlgebraData,
-                             StructureConstantAlgebra, validate_hopf)
-from hopfgalois.linalg import (Matrix, basis_vec, gather_legs, intertwiners,
-                               kron_vec, scatter_legs, tensor_entries,
-                               vec_add, vec_scale)
+                             StructureConstantAlgebra, _columns, _leg_columns,
+                             validate_hopf)
+from hopfgalois.linalg import (Matrix, basis_vec, intertwiners, kron_vec,
+                               tensor_entries, vec_add, vec_scale)
+
+from conftest import dense_comul, dense_mul, gather_legs, scatter_legs
 
 F5, F7 = PrimeField(5), PrimeField(7)
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "hopfgalois" / "fixtures"
@@ -108,7 +110,7 @@ def dense_tensor_over_B(m, ca):
 def dense_can_ambient(ca):
     f = ca.field
     da, dh = ca.algebra.dim, ca.hopf.dim
-    return (ca.algebra.mul.kron(Matrix.identity(f, dh))
+    return (dense_mul(ca.algebra).kron(Matrix.identity(f, dh))
             @ Matrix.identity(f, da).kron(ca.coaction))
 
 
@@ -118,7 +120,7 @@ def dense_can_prime_ambient(ca):
     # a_[0] (x) a_[1] (x) a' -> a_[0] (x) a' (x) a_[1]
     moved = scatter_legs(ca.coaction.kron(Matrix.identity(f, da)),
                          (da, dh, da), (0, 2, 1))
-    return ca.algebra.mul.kron(Matrix.identity(f, dh)) @ moved
+    return dense_mul(ca.algebra).kron(Matrix.identity(f, dh)) @ moved
 
 
 def first_col(lhs, rhs):
@@ -154,17 +156,17 @@ def dense_identities(ca, tmap, quot):
          if w is not None), None))
     # (1.2.3)
     record("1.2.3", first_col(
-        gamma.kron(idh) @ hopf.coalgebra.comul,
+        gamma.kron(idh) @ dense_comul(hopf.coalgebra),
         pi.kron(idh) @ ida.kron(ca.coaction) @ rep))
     # (1.2.4)
     record("1.2.4", first_col(
-        gamma.kron(hopf.antipode) @ scatter_legs(hopf.coalgebra.comul,
+        gamma.kron(hopf.antipode) @ scatter_legs(dense_comul(hopf.coalgebra),
                                                  (dh, dh), (1, 0)),
         pi.kron(idh) @ scatter_legs(ca.coaction.kron(ida) @ rep,
                                     (da, dh, da), (0, 2, 1))))
     # (1.2.5)
-    record("1.2.5", first_col(
-        alg.mul @ rep, Matrix.from_cols(f, [alg.unit]) @ hopf.coalgebra.counit))
+    record("1.2.5", first_col(dense_mul(alg) @ rep, Matrix.from_cols(
+        f, [alg.unit]) @ hopf.coalgebra.counit))
     # (1.2.6) and (1.2.6a), column a by column a
     lhs6, lhs6a = [], []
     for a_idx in range(da):
@@ -186,7 +188,8 @@ def dense_identities(ca, tmap, quot):
     record("1.2.6", first_col(Matrix.from_cols(f, lhs6), pi @ one_a))
     record("1.2.6a", first_col(Matrix.from_cols(f, lhs6a), pi @ a_one))
     # (1.2.7)
-    combine = pi @ gather_legs(alg.mul.kron(alg.mul), (da,) * 4, (0, 2, 3, 1))
+    mul = dense_mul(alg)
+    combine = pi @ gather_legs(mul.kron(mul), (da,) * 4, (0, 2, 3, 1))
     record("1.2.7", next(
         ((hi, hj) for hi in range(dh) for hj in range(dh)
          if gamma.apply(hopf.algebra.basis_product(hi, hj))
@@ -295,12 +298,14 @@ def relabelled(ca, seed):
         return out
 
     def algebra(a, p):
-        return StructureConstantAlgebra(f, a.dim, move(a.mul, [p], [p, p]),
-                                        move(Matrix(f, a.dim, 1, a.unit), [p], []).data)
+        return StructureConstantAlgebra(
+            f, a.dim, _columns(move(dense_mul(a), [p], [p, p])),
+            move(Matrix(f, a.dim, 1, a.unit), [p], []).data)
 
     hopf = HopfAlgebraData(
         algebra(h.algebra, s),
-        CoalgebraData(f, h.dim, move(h.coalgebra.comul, [s, s], [s]),
+        CoalgebraData(f, h.dim, _leg_columns(
+            move(dense_comul(h.coalgebra), [s, s], [s]), h.dim),
                       move(h.coalgebra.counit, [], [s])),
         move(h.antipode, [s], [s]), move(h.antipode_inv, [s], [s]))
     out = ComoduleAlgebraData(hopf, algebra(alg, t),
@@ -400,8 +405,8 @@ def test_non_associative_algebra_has_no_induced_action():
     rho = Matrix.zeros(F5, 8, 4)
     for a, deg in enumerate([0, 0, 1, 1]):
         rho.data[(a * 2 + deg) * 4 + a] = 1
-    ca = ComoduleAlgebraData(h, StructureConstantAlgebra(F5, 4, mul, [1, 0, 0, 0]),
-                             rho)
+    ca = ComoduleAlgebraData(h, StructureConstantAlgebra(
+        F5, 4, _columns(mul), [1, 0, 0, 0]), rho)
     assert ca.validate().failures == [("algebra.associativity", (1, 2, 2))]
     m = BModule(ca.coinvariants(), 1, [Matrix(F5, 1, 1, [x]) for x in (1, 0)])
     for build in (tensor_over_B, dense_tensor_over_B):

@@ -4,8 +4,9 @@ product, lmul, rmul, convolve and convolution_operator are computed from
 mul_table and comul_table.  Each must equal, entry for entry, a dense
 formula: mul @ kron_vec, the column formula, mul @ ((g (x) f) @ Delta), the
 former Kron-free convolve body, and the former linear_operator over the
-dense lmul.
-The dense formulas live on here only, as the oracles.
+dense lmul.  The dense formulas live on here only, as the oracles, over the
+dense m and Delta rebuilt from the tables; a drawn tensor must come back
+from its tables unchanged.
 """
 
 import itertools
@@ -24,9 +25,11 @@ from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
                                  graded_m2, group_algebra, regular_comodule,
                                  sweedler_h4)
 from hopfgalois.hopf import (CoalgebraData, StructureConstantAlgebra,
-                             convolution_operator, convolve)
-from hopfgalois.linalg import (Matrix, basis_vec, kron_vec, reduced,
-                               tensor_entries)
+                             _columns, _leg_columns, convolution_operator,
+                             convolve)
+from hopfgalois.linalg import Matrix, basis_vec, kron_vec, reduced
+
+from conftest import dense_comul, dense_mul
 
 F2, F3, F7 = PrimeField(2), PrimeField(3), PrimeField(7)
 F_BIG = PrimeField(2 ** 61 - 1)     # beyond the compiled kernels' range
@@ -35,37 +38,37 @@ F_BIG = PrimeField(2 ** 61 - 1)     # beyond the compiled kernels' range
 # -- the oracles -------------------------------------------------------------
 
 
-def dense_product(alg, v, w):
-    return alg.mul.apply(kron_vec(alg.field, v, w))
+def dense_product(mul, v, w):
+    return mul.apply(kron_vec(mul.field, v, w))
 
 
-def dense_lmul(alg, v):
+def dense_lmul(mul, v):
     """Column j is v e_j, each by the dense product."""
-    f, n = alg.field, alg.dim
-    return Matrix.from_cols(f, [dense_product(alg, v, basis_vec(f, n, j))
+    f, n = mul.field, mul.rows
+    return Matrix.from_cols(f, [dense_product(mul, v, basis_vec(f, n, j))
                                 for j in range(n)], nrows=n)
 
 
-def dense_rmul(alg, v):
-    f, n = alg.field, alg.dim
-    return Matrix.from_cols(f, [dense_product(alg, basis_vec(f, n, j), v)
+def dense_rmul(mul, v):
+    f, n = mul.field, mul.rows
+    return Matrix.from_cols(f, [dense_product(mul, basis_vec(f, n, j), v)
                                 for j in range(n)], nrows=n)
 
 
 def kron_free_convolve(algebra, coalgebra, g_mat, f_mat):
     """The former hopf.convolve: mul @ (g @ F), row c of F vec(f @ Delta_c)."""
     field, da, dc = algebra.field, algebra.dim, coalgebra.dim
-    comul, block = coalgebra.comul.data, dc * dc
+    comul, block = dense_comul(coalgebra).data, dc * dc
     rows = []
     for c in range(dc):
         rows.extend((f_mat @ Matrix(field, dc, dc,
                                     comul[c * block:(c + 1) * block])).data)
     gf = g_mat @ Matrix(field, dc, da * dc, rows)
-    return algebra.mul @ Matrix(field, da * da, dc, gf.data)
+    return dense_mul(algebra) @ Matrix(field, da * da, dc, gf.data)
 
 
 def dense_convolve(algebra, coalgebra, g_mat, f_mat):
-    return algebra.mul @ (g_mat.kron(f_mat) @ coalgebra.comul)
+    return dense_mul(algebra) @ (g_mat.kron(f_mat) @ dense_comul(coalgebra))
 
 
 def linear_operator(terms):
@@ -91,36 +94,27 @@ def linear_operator(terms):
 
 def dense_convolution_operator(algebra, coalgebra, f_mat):
     """Sum_c lmul(f(c)) (x) Delta_c^T with the dense lmul."""
-    dc, comul = coalgebra.dim, coalgebra.comul.data
+    dc, comul = coalgebra.dim, dense_comul(coalgebra).data
     return linear_operator([
-        (dense_lmul(algebra, f_mat.col(c)),
+        (dense_lmul(dense_mul(algebra), f_mat.col(c)),
          Matrix(algebra.field, dc, dc, comul[c * dc * dc:(c + 1) * dc * dc]))
         for c in range(dc)])
 
 
 def check_algebra(alg, vectors):
-    """Tables, product, lmul and rmul against the dense formulas."""
-    f, n = alg.field, alg.dim
-    for i, j in itertools.product(range(n), repeat=2):
-        col = [alg.mul.get(r, i * n + j) for r in range(n)]
-        assert alg.mul_table[i * n + j] == [
-            (r, c) for (r,), c in tensor_entries(f, col, (n,))]
+    """product, lmul and rmul against the dense formulas."""
+    f, n, mul = alg.field, alg.dim, dense_mul(alg)
     basis = [basis_vec(f, n, i) for i in range(n)]
     for v, w in itertools.product(basis + vectors, repeat=2):
-        assert alg.product(v, w) == dense_product(alg, v, w)
+        assert alg.product(v, w) == dense_product(mul, v, w)
     for v in basis + vectors:
-        assert alg.lmul(v) == dense_lmul(alg, v)
-        assert alg.rmul(v) == dense_rmul(alg, v)
+        assert alg.lmul(v) == dense_lmul(mul, v)
+        assert alg.rmul(v) == dense_rmul(mul, v)
 
 
 def check_convolution(alg, co, pairs):
-    """The Delta table, convolve and convolution_operator against the
-    dense formulas, for each (g, f) in pairs."""
-    f, dc = co.field, co.dim
-    for c in range(dc):
-        assert co.comul_table[c] == [
-            (c1, c2, x) for (c1, c2), x in tensor_entries(
-                f, co.comul.apply(basis_vec(f, dc, c)), (dc, dc))]
+    """convolve and convolution_operator against the dense formulas, for
+    each (g, f) in pairs."""
     for g_mat, f_mat in pairs:
         conv = convolve(alg, co, g_mat, f_mat)
         assert conv == kron_free_convolve(alg, co, g_mat, f_mat)
@@ -158,26 +152,29 @@ def tensors(draw, field, rows, cols):
 
 @st.composite
 def structures(draw):
-    """(field, algebra, coalgebra, vectors, (g, f) pairs) with arbitrary
-    tensors: nothing is associative, unital or coassociative on purpose."""
+    """(algebra, coalgebra, vectors, (g, f) pairs, (mul, comul)) with
+    arbitrary tensors mul and comul: nothing is associative, unital or
+    coassociative on purpose."""
     field = draw(st.sampled_from([F2, F3, F7, F_BIG, QQ]))
     n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
-    alg = StructureConstantAlgebra(field, n, draw(tensors(field, n, n * n)),
+    mul, comul = draw(tensors(field, n, n * n)), draw(tensors(field, m * m, m))
+    alg = StructureConstantAlgebra(field, n, _columns(mul),
                                    draw(st.lists(scalars(field), min_size=n,
                                                  max_size=n)))
-    co = CoalgebraData(field, m, draw(tensors(field, m * m, m)),
+    co = CoalgebraData(field, m, _leg_columns(comul, m),
                        Matrix.zeros(field, 1, m))
     vectors = draw(st.lists(st.lists(scalars(field), min_size=n, max_size=n),
                             min_size=1, max_size=3))
     pairs = [(draw(tensors(field, n, m)), draw(tensors(field, n, m)))
              for _ in range(2)]
-    return alg, co, vectors, pairs
+    return alg, co, vectors, pairs, (mul, comul)
 
 
 @settings(max_examples=150, deadline=None)
 @given(structures())
 def test_tables_match_dense_formulas_on_drawn_tensors(case):
-    alg, co, vectors, pairs = case
+    alg, co, vectors, pairs, (mul, comul) = case
+    assert dense_mul(alg) == mul and dense_comul(co) == comul
     check_algebra(alg, vectors)
     check_convolution(alg, co, pairs)
 
