@@ -15,14 +15,12 @@ from . import convcat, search
 from .comodule import ComoduleAlgebraData, InternalInvariant
 from .galois import canonical_map, translation_map
 from .hopf import (CoalgebraData, OneSidedInverse, StructureConstantAlgebra,
-                   ValidationReport, _leg_columns, colinear_witness,
-                   comul_on, comul_terms, convolution_inverse,
-                   convolution_operator, convolution_unit, convolve,
-                   first_failure, is_convolution_inverse,
-                   multiplicative_witness)
+                   ValidationReport, colinear_witness, comul_on, comul_terms,
+                   convolution_inverse, convolution_operator,
+                   convolution_unit, convolve, first_failure,
+                   is_convolution_inverse, multiplicative_witness)
 from .linalg import (Matrix, NotInvertible, OperatorSpan, basis_vec,
-                     intertwiners, kron_vec, lin_comb, tensor_entries,
-                     vec_add, vec_scale)
+                     intertwiners, kron_vec, lin_comb, vec_add, vec_scale)
 from .search import EXHAUSTIVE_CAP, NotFound
 
 
@@ -462,16 +460,15 @@ def _varphi_matrix(ca, b, u_mat):
     """varphi(a) = a_[0] u(a_[1]) (x) a_[2] as a matrix A -> B (x) H."""
     f = ca.field
     da, dh, db = ca.algebra.dim, ca.hopf.dim, b.dim
-    rho2 = comul_on(ca.hopf.coalgebra, da) @ ca.coaction
+    rho, comul = ca.coaction_table, ca.hopf.coalgebra.comul_table
     cols = []
     for a in range(da):
         # group by the a_[2] leg: only Sum a_[0] u(a_[1]) is coinvariant
         partial = [[f.zero] * da for _ in range(dh)]
-        for (a0, a1, a2), c in tensor_entries(
-                f, rho2.apply(basis_vec(f, da, a)), (da, dh, dh)):
-            v = ca.algebra.product(basis_vec(f, da, a0),
-                                   u_mat.apply(basis_vec(f, dh, a1)))
-            partial[a2] = vec_add(f, partial[a2], vec_scale(f, c, v))
+        for a0, h, x in rho[a]:
+            for a1, a2, y in comul[h]:
+                v = ca.algebra.product(basis_vec(f, da, a0), u_mat.col(a1))
+                partial[a2] = vec_add(f, partial[a2], vec_scale(f, x * y, v))
         acc = [f.zero] * (db * dh)
         for a2 in range(dh):
             bcoords = b.from_ambient(partial[a2])
@@ -495,7 +492,7 @@ def _check_bh_iso(ca, b, psi, leg):
                 == ca.algebra.lmul(b.to_ambient(e)) @ psi)
 
     leg.fail_at("psi-not-B-linear", first_failure(b_linear, db))
-    if colinear_witness(f, psi, _leg_columns(comul_on(ca.hopf.coalgebra, db), dh),
+    if colinear_witness(f, psi, comul_on(ca.hopf.coalgebra, db),
                         ca.coaction_table) is not None:
         leg.fail("psi-not-colinear")
 
@@ -507,11 +504,12 @@ def _find_bh_iso(ca, b, seed, tries):
     if da != db * dh:
         return NotFound(True, 0, 0, "dim A != dim B * dim H")
     idh = Matrix.identity(f, dh)
-    x_co = comul_on(ca.hopf.coalgebra, db)
     x_acts = [b.algebra.lmul(basis_vec(f, db, i)).kron(idh) for i in range(db)]
     a_acts = [ca.algebra.lmul(b.to_ambient(basis_vec(f, db, i)))
               for i in range(db)]
-    mats = intertwiners(f, da, da, x_acts, a_acts, (x_co, ca.coaction))
+    x_co = comul_on(ca.hopf.coalgebra, db)
+    mats = intertwiners(f, da, da, x_acts, a_acts,
+                        (x_co, ca.coaction_table, dh))
     if not mats:
         return NotFound(True, 0, 0, "no B-linear colinear map")
     span = OperatorSpan(mats)

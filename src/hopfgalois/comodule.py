@@ -1,19 +1,23 @@
 """Comodule algebras, coinvariants, relative Hopf modules and the quotient
-construction M (x)_B A, together with the adjunction unit/counit.
+construction M (x)_B A, together with the adjunction unit.
 
-Every identity "in M (x)_B A" is checked in quotient coordinates: the
-QuotientSpace fixes a deterministic projection/section pair, and equality of
-classes is equality of projected coordinates, never of representatives.
-The pair is held as index maps (QuotientSpace), through which tensor_over_B
-builds the action and coaction from mul_table and the columns of rho, with
-no Kronecker product, checking well-definedness relation by relation.
+A coaction is held only as its coaction_table (see hopf).  Every identity
+"in M (x)_B A" is checked in quotient coordinates: the QuotientSpace fixes a
+deterministic projection/section pair, and equality of classes is equality
+of projected coordinates, never of representatives.  The pair is held as
+index maps (QuotientSpace), through which tensor_over_B builds the action
+and coaction from mul_table and rho's table, with no Kronecker product,
+checking well-definedness relation by relation.
 """
 
+import functools
+
 from .hopf import (DimensionMismatch, StructureConstantAlgebra,
-                   ValidationReport, _agree, _columns, _leg_columns,
-                   first_failure, tensor_algebra_map)
-from .linalg import (Factorization, Matrix, NoSolution, basis_vec, kron_vec,
-                     lin_comb, reduced, summed)
+                   ValidationReport, _agree, _table, first_failure,
+                   tensor_algebra_map)
+from .linalg import (Factorization, Matrix, NoSolution, _columns, _terms,
+                     basis_vec, colinearity_operator, kron_vec, lin_comb,
+                     reduced, summed)
 
 
 class InternalInvariant(RuntimeError):
@@ -26,18 +30,15 @@ class IllDefinedStructure(RuntimeError):
 
 class ComoduleAlgebraData:
     """Right H-comodule algebra: algebra A plus coaction rho: A -> A (x) H,
-    held as the dense matrix (for the coinvariant kernel and the
-    colinearity operators) and as its _leg_columns, coaction_table."""
+    given by its coaction_table (hopf module doc)."""
 
-    def __init__(self, hopf, algebra, coaction):
+    def __init__(self, hopf, algebra, coaction_table):
         if algebra.field != hopf.field:
             raise DimensionMismatch("field mismatch")
-        if coaction.rows != algebra.dim * hopf.dim or coaction.cols != algebra.dim:
-            raise DimensionMismatch("coaction shape")
         self.hopf = hopf
         self.algebra = algebra
-        self.coaction = coaction
-        self.coaction_table = _leg_columns(coaction, hopf.dim)
+        self.coaction_table = _table(coaction_table, algebra.dim,
+                                     "coaction shape")
         self._coinv = None
 
     @property
@@ -60,13 +61,12 @@ class ComoduleAlgebraData:
         return self._coinv
 
 
-def comodule_coinvariant_basis(field, dim, coaction, hopf_unit):
-    """Kernel of (rho - ((-) (x) 1)) as a dim x c matrix of column vectors."""
-    dh = len(hopf_unit)
-    embed = Matrix.from_cols(
-        field, [kron_vec(field, basis_vec(field, dim, j), hopf_unit) for j in range(dim)],
-        nrows=dim * dh)
-    kernel = (coaction - embed).kernel()
+def comodule_coinvariant_basis(field, dim, coaction_table, hopf_unit):
+    """Kernel of (rho - ((-) (x) 1)) as a dim x c matrix of column vectors:
+    the colinear maps from k, with 1 -> 1 (x) 1_H, into (k^dim, rho)."""
+    unit = [[(0, h, u) for h, u in enumerate(hopf_unit) if u]]
+    kernel = colinearity_operator(field, 1, dim, unit, coaction_table,
+                                  len(hopf_unit)).kernel()
     return Matrix.from_cols(field, kernel, nrows=dim)
 
 
@@ -97,7 +97,8 @@ class SubalgebraEmbedding:
 def _coinvariant_subalgebra(ca):
     f = ca.field
     da = ca.algebra.dim
-    incl = comodule_coinvariant_basis(f, da, ca.coaction, ca.hopf.algebra.unit)
+    incl = comodule_coinvariant_basis(f, da, ca.coaction_table,
+                                      ca.hopf.algebra.unit)
     db, factored = incl.cols, Factorization(incl)
     unit_b = factored.solve(ca.algebra.unit)  # 1_A is always coinvariant
     prods = [ca.algebra.product(incl.col(i), incl.col(j))
@@ -109,11 +110,6 @@ def _coinvariant_subalgebra(ca):
     b_alg = StructureConstantAlgebra(f, db, _columns(mul), unit_b,
                                      [f"b{i}" for i in range(db)])
     return SubalgebraEmbedding(ca.algebra, incl, b_alg, factored)
-
-
-def coinvariants(ca):
-    """B = A^{co H} with its induced multiplication; closure is verified."""
-    return ca.coinvariants()
 
 
 class BModule:
@@ -181,15 +177,17 @@ def algebra_as_bmodule(ca):
 
 
 class RelativeHopfModuleData:
-    """Right A-module + right H-comodule with the compatibility relation."""
+    """Right A-module + right H-comodule with the compatibility relation;
+    the coaction is given by its coaction_table (hopf module doc)."""
 
-    def __init__(self, dim, actions, coaction):
+    def __init__(self, dim, actions, coaction_table):
         self.dim = dim
         self.actions = actions  # one matrix per basis element of A
-        self.coaction = coaction
+        self.coaction_table = _table(coaction_table, dim, "coaction shape")
 
     def coinvariant_basis(self, ca):
-        return comodule_coinvariant_basis(ca.field, self.dim, self.coaction,
+        return comodule_coinvariant_basis(ca.field, self.dim,
+                                          self.coaction_table,
                                           ca.hopf.algebra.unit)
 
     def validate(self, ca):
@@ -199,7 +197,7 @@ class RelativeHopfModuleData:
         check_right_action(report, ca.algebra, self.actions, dm,
                            "hopfmodule.action-unit",
                            "hopfmodule.action-associativity")
-        rho = _leg_columns(self.coaction, dh)
+        rho = self.coaction_table
         _coaction_laws(report, "hopfmodule", ca.hopf, rho)
         # rho(m a) = m_[0] a_[0] (x) m_[1] a_[1], on each pair (e_m, e_a)
         rho_a = ca.coaction_table
@@ -270,24 +268,29 @@ class QuotientSpace:
                       [data[base + j] for base in range(0, len(data), n)
                        for j in self.free])
 
-    def induced(self, image, legs=1):
-        """projection (x) I_legs . g . section for the ambient map g with
-        g(e_j) = Sum x e_i (x) e_k over the raw terms (i, k, x) of image(j):
-        a (dim * legs) x dim matrix, rows q * legs + k."""
+    def induced(self, image):
+        """projection . g . section for the ambient map g with g(e_j) =
+        Sum x e_i over the raw terms (i, 0, x) of image(j): a dim x dim
+        matrix."""
         n = self.dim
-        return summed(self.field, n * legs, n, (
-            ((r * legs + k) * n + q, x) for q, j in enumerate(self.free)
-            for (r, k), x in self.classes(image(j))))
+        return summed(self.field, n, n, (
+            (r * n + q, x) for q, j in enumerate(self.free)
+            for (r, _), x in self.classes(image(j))))
 
 
 class InducedModule:
-    """M (x)_B A as a relative Hopf module, with its quotient presentation."""
+    """M (x)_B A as a relative Hopf module, with its quotient presentation;
+    module is built when first read, as galois reads only the quotient."""
 
-    def __init__(self, ca, bmodule, quotient, module):
+    def __init__(self, ca, bmodule, quotient, build):
         self.ca = ca
         self.bmodule = bmodule
         self.quotient = quotient
-        self.module = module
+        self._build = build
+
+    @functools.cached_property
+    def module(self):
+        return self._build()
 
     def induced_map(self, g):
         """g (x)_B A on quotient coordinates, for g: M -> M B-linear."""
@@ -301,12 +304,12 @@ def tensor_over_B(m, ca):
 
     Ambient index i * dA + a stands for e_i (x) e_a.  The relations
     e_i.b_k (x) e_a - e_i (x) b_k e_a, the action (x) a_j and the coaction
-    id (x) rho are read from the action columns, mul_table and the columns
-    of rho; each relation is checked against each a_j and against rho.
+    id (x) rho are read from the action columns, mul_table and rho's table;
+    each relation is checked here against each a_j and against rho.
     """
     f = ca.field
     b = ca.coinvariants()
-    da, dh, dm = ca.algebra.dim, ca.hopf.dim, m.dim
+    da, dm = ca.algebra.dim, m.dim
     mul, rho = ca.algebra.mul_table, ca.coaction_table
     acts, b_cols = [_columns(act) for act in m.actions], _columns(b.inclusion)
     relations = [[(r * da + a, x) for r, x in acts[k][i]]
@@ -326,12 +329,17 @@ def tensor_over_B(m, ca):
     for j in range(da):
         if not all(_agree(f, quot.classes(times(rel, j)), ()) for rel in relations):
             raise IllDefinedStructure("A-action does not respect the relations")
-    actions = [quot.induced(lambda i: times([(i, f.one)], j)) for j in range(da)]
     if not all(_agree(f, quot.classes(coact(rel)), ()) for rel in relations):
         raise IllDefinedStructure("coaction does not respect the relations")
-    coaction = quot.induced(lambda i: coact([(i, f.one)]), dh)
-    module = RelativeHopfModuleData(quot.dim, actions, coaction)
-    return InducedModule(ca, m, quot, module)
+
+    def build():
+        actions = [quot.induced(lambda i: times([(i, f.one)], j))
+                   for j in range(da)]
+        coaction = [[(*key, x) for key, x in _terms(
+            f, quot.classes(coact([(j, f.one)])))] for j in quot.free]
+        return RelativeHopfModuleData(quot.dim, actions, coaction)
+
+    return InducedModule(ca, m, quot, build)
 
 
 def adjunction_unit(m, ca, induced=None):
@@ -353,27 +361,3 @@ def adjunction_unit(m, ca, induced=None):
         raise InternalInvariant("eta does not land in the coinvariants") from exc
     bijective = coords.is_invertible()
     return eta, coords, bijective
-
-
-def adjunction_counit(n, ca):
-    """eps_N: N^{co H} (x)_B A -> N, n (x) a -> n.a, with bijectivity verdict."""
-    f = ca.field
-    b = ca.coinvariants()
-    coinv = n.coinvariant_basis(ca)
-    c = coinv.cols
-    coinv_fac = Factorization(coinv)
-    actions = []
-    for k in range(b.dim):
-        ambient_act = lin_comb(n.actions, b.inclusion.col(k))
-        try:
-            actions.append(coinv_fac.solve_matrix(ambient_act @ coinv))
-        except NoSolution as exc:
-            raise InternalInvariant("coinvariants of N not B-stable") from exc
-    m = BModule(b, c, actions)
-    ind = tensor_over_B(m, ca)
-    da = ca.algebra.dim
-    # the columns of n (x) a -> n.a at the section's ambient indices
-    eps = Matrix.from_cols(f, [n.actions[j % da].apply(coinv.col(j // da))
-                               for j in ind.quotient.free], nrows=n.dim)
-    bijective = eps.is_invertible()
-    return eps, ind, bijective

@@ -11,8 +11,8 @@ the cop-convolution (g ? f)(h) = g(h_(2)) f(h_(1)) is used instead.
 """
 
 from . import hopf
-from .hopf import CoalgebraData, _columns, colinear_witness
-from .linalg import Matrix, colinearity_operator, summed
+from .hopf import CoalgebraData, colinear_witness
+from .linalg import Matrix, _columns, colinearity_operator
 
 CLASSES = ((1, 1), (2, 1), (1, 2), (2, 2))
 
@@ -88,14 +88,12 @@ def membership(ca, f_mat, cls, variant):
 
 
 def constraint_operator(ca, cls, variant):
-    """Matrix on vec(f) of f -> rho o f - (f (x) I_H) D, where D[(h2, k), h]
-    sums the constraint terms (h2, k, c) of h."""
-    f, dh = ca.field, ca.hopf.dim
-    d = summed(f, dh * dh, dh, (
-        ((h2 * dh + k) * dh + h, c)
-        for h, terms in enumerate(_constraint_terms(ca, cls, variant))
-        for h2, k, c in terms))
-    return colinearity_operator(f, dh, ca.algebra.dim, d, ca.coaction)
+    """Matrix on vec(f) of f -> rho o f - (f (x) I_H) D, for D the coaction
+    on H whose table is the constraint terms."""
+    dh = ca.hopf.dim
+    return colinearity_operator(ca.field, dh, ca.algebra.dim,
+                                _constraint_terms(ca, cls, variant),
+                                ca.coaction_table, dh)
 
 
 def hom_space(ca, cls, variant):
@@ -172,13 +170,3 @@ def convolution_inverse_matrix(ca, f_mat, variant="C"):
     return hopf.convolution_inverse(ca.algebra, variant_coalgebra(ca, variant),
                                     f_mat)
 
-
-def convolution_inverse(ca, f):
-    """Inverse morphism: f: i -> j invertible gives f^{-1}: j -> i."""
-    mat = convolution_inverse_matrix(ca, f.matrix, f.variant)
-    cls = (f.cls[1], f.cls[0])
-    out = HomSpaceElement(mat, cls, f.variant)
-    if not membership(ca, mat, cls, f.variant):
-        raise MembershipViolation(
-            f"convolution inverse fails {f.variant}{cls} membership")
-    return out

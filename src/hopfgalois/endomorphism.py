@@ -9,8 +9,8 @@ one factorization of the basis.
 """
 
 from .comodule import ComoduleAlgebraData, InternalInvariant, adjunction_unit
-from .hopf import StructureConstantAlgebra, _columns, _leg_columns
-from .linalg import (Factorization, Matrix, NoSolution, basis_vec,
+from .hopf import StructureConstantAlgebra, _agree, first_failure
+from .linalg import (Factorization, Matrix, NoSolution, _columns, basis_vec,
                      intertwiners, lin_comb)
 
 
@@ -25,16 +25,16 @@ def end_A(ca, module):
 
 
 def rational_coaction(ca, module, basis, coords):
-    """The coaction of span(basis) as a dim(E)*dim(H) x dim(E) matrix.
+    """The coaction table of span(basis): entry i lists (k, h, c) with
+    rho(basis_i) = Sum c basis_k (x) e_h.
 
     rho(f)(e_p) = Sum f(p_[0])_[0] (x) f(p_[0])_[1] S(p_[1]) is summed from
-    the columns of rho, f, S and mul_table; its slice at each e_h is solved
-    against coords, the basis factored, for the coefficients c of
-    rho(basis_i) = Sum_{k,h} c[k*dim(H) + h] basis_k (x) e_h in column i.
-    Raises NotRational if a slice is outside span(basis).
+    the tables of rho, f, S and mul_table; its slice at each e_h is solved
+    against coords, the basis factored.  Raises NotRational if a slice is
+    outside span(basis).
     """
     f, dh, dq, n = ca.field, ca.hopf.dim, module.dim, len(basis)
-    hmul, rho = ca.hopf.algebra.mul_table, _leg_columns(module.coaction, dh)
+    hmul, rho = ca.hopf.algebra.mul_table, module.coaction_table
     s = _columns(ca.hopf.antipode)
     hs = [[(t, y * m) for r, y in s[h0] for t, m in hmul[h1 * dh + r]]
           for h1 in range(dh) for h0 in range(dh)]     # e_h1 S(e_h0)
@@ -50,8 +50,8 @@ def rational_coaction(ca, module, basis, coords):
     x, ok = coords.solve_columns(Matrix(f, dq * dq, n * dh, out))
     if not all(ok):
         raise NotRational("rho(f) is not in End_A (x) H")
-    return Matrix(f, n * dh, n, [x.data[(k * n + i) * dh + h] for k in range(n)
-                                 for h in range(dh) for i in range(n)])
+    return [[(k, h, c) for k in range(n) for h in range(dh)
+             if (c := x.data[(k * n + i) * dh + h])] for i in range(n)]
 
 
 class EndComoduleAlgebra:
@@ -107,28 +107,26 @@ def build_E(ca, induced):
     unit = coords.solve(Matrix.identity(field, dq).data)
     alg = StructureConstantAlgebra(field, n, _columns(mul), unit,
                                    [f"f{i}" for i in range(n)])
-    coaction = rational_coaction(ca, module, basis, coords)
-    e_ca = ComoduleAlgebraData(ca.hopf, alg, coaction)
+    e_ca = ComoduleAlgebraData(ca.hopf, alg,
+                               rational_coaction(ca, module, basis, coords))
     return EndComoduleAlgebra(ca, induced, basis, e_ca, coords)
 
 
 def verify_eq14(e):
-    """Eq. (14): rho(f(p)) = f_[0](p_[0]) (x) f_[1] p_[1], on all basis f."""
-    ca = e.base
-    field = ca.field
-    module = e.induced.module
-    dh = ca.hopf.dim
-    rho = module.coaction
-    hmul = ca.hopf.algebra
-    for i in range(e.dim):
-        lhs = rho @ e.basis[i]
-        rhs = Matrix.zeros(field, module.dim * dh, module.dim)
-        for k, j, c in e.ca.coaction_table[i]:
-            term = e.basis[k].kron(hmul.lmul(basis_vec(field, dh, j))) @ rho
-            rhs = rhs + term.scale(c)
-        if lhs != rhs:
-            return False, i
-    return True, None
+    """Eq. (14): rho(f(p)) = f_[0](p_[0]) (x) f_[1] p_[1], on all basis f
+    and basis p, from the tables of rho, of E's coaction and of H's
+    product.  Returns (True, None), or (False, i) for the first failing f_i."""
+    ca, module = e.base, e.induced.module
+    dh, hmul = ca.hopf.dim, ca.hopf.algebra.mul_table
+    rho, e_rho = module.coaction_table, e.ca.coaction_table
+    cols = [_columns(b) for b in e.basis]
+    witness = first_failure(lambda i, p: _agree(
+        ca.field, (((r0, h), z * y) for r, z in cols[i][p]
+                   for r0, h, y in rho[r]),
+        (((r, t), c * x * z * m) for k, j, c in e_rho[i]
+         for p0, h, x in rho[p] for r, z in cols[k][p0]
+         for t, m in hmul[j * dh + h])), e.dim, module.dim)
+    return (True, None) if witness is None else (False, witness[0])
 
 
 class CoinvariantIdentification:

@@ -5,10 +5,8 @@ constructors here are the source of truth for both.
 """
 
 from .comodule import ComoduleAlgebraData
-from .hopf import (BadCharacteristic, CoalgebraData, HopfAlgebraData, Matrix,
-                   StructureConstantAlgebra, comul_on, cyclic_cayley,
+from .hopf import (StructureConstantAlgebra, comul_on, cyclic_cayley,
                    dual_group_algebra, group_algebra, sweedler_h4, taft)
-from .linalg import basis_vec, kron_vec
 
 __all__ = [
     "group_algebra", "dual_group_algebra", "sweedler_h4", "taft",
@@ -24,11 +22,9 @@ def regular_comodule(hopf):
 
 def trivial_coaction(hopf, algebra):
     """rho(a) = a (x) 1; coinvariants are all of A (never Galois unless H = k)."""
-    f = algebra.field
-    cols = [kron_vec(f, basis_vec(f, algebra.dim, j), hopf.algebra.unit)
-            for j in range(algebra.dim)]
-    rho = Matrix.from_cols(f, cols, nrows=algebra.dim * hopf.dim)
-    return ComoduleAlgebraData(hopf, algebra, rho)
+    ones = [(h, u) for h, u in enumerate(hopf.algebra.unit) if u]
+    return ComoduleAlgebraData(hopf, algebra, [
+        [(j, h, u) for h, u in ones] for j in range(algebra.dim)])
 
 
 def trivial_kxk(field):
@@ -53,9 +49,7 @@ def graded_m2(field):
     unit = [one, zero, zero, one]
     alg = StructureConstantAlgebra(field, n, mul, unit, labels)
     # degree of e_ij is (i + j) mod 2 in C_2
-    rho = Matrix.zeros(field, n * 2, n)
-    for (i, j), a in idx.items():
-        rho.data[(a * 2 + (i + j) % 2) * n + a] = one
+    rho = [[(a, (i + j) % 2, one)] for (i, j), a in idx.items()]
     return ComoduleAlgebraData(h, alg, rho)
 
 
@@ -69,7 +63,5 @@ def cp_fixture(field, c):
     one, zero = field.one, field.zero
     mul = [[(0, one)], [(1, one)], [(1, one)], [(0, c)]]  # 1x = x1 = x, xx = c
     alg = StructureConstantAlgebra(field, 2, mul, [one, zero], ["1", "x"])
-    rho = Matrix.zeros(field, 4, 2)
-    rho.data[0 * 2 + 0] = one        # 1 -> 1 (x) 1
-    rho.data[3 * 2 + 1] = one        # x -> x (x) g
+    rho = [[(0, 0, one)], [(1, 1, one)]]    # 1 -> 1 (x) 1, x -> x (x) g
     return ComoduleAlgebraData(h, alg, rho)

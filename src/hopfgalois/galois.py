@@ -10,9 +10,9 @@ forms a Kronecker product.
 """
 
 from .comodule import algebra_as_bmodule, tensor_over_B
-from .hopf import (ValidationReport, _agree, _columns, _leg_columns,
-                   first_failure)
-from .linalg import Matrix, basis_vec, kron_vec, reduced, summed
+from .hopf import ValidationReport, _agree, first_failure
+from .linalg import (Matrix, _columns, _leg_columns, basis_vec, kron_vec,
+                     reduced, summed)
 
 
 class NotGalois(RuntimeError):

@@ -2,14 +2,18 @@
 constants, with exact axiom validation and a few built-in generators.
 
 Conventions (inherited by every other module):
-  * m and Delta are held only as sparse tables: mul_table[i*dim + j] lists
-    (r, c) with e_i e_j = Sum c e_r, and comul_table[c] lists (c1, c2, x)
-    with Delta(e_c) = Sum x e_c1 (x) e_c2.  The constructors take the tables
-    and are the one normalisation point: each list is sorted ascending and
-    loses its zero coefficients, so equal tensors have equal tables;
+  * m, Delta and every right coaction rho: V -> V (x) H are held only as
+    sparse tables: mul_table[i*dim + j] lists (r, c) with e_i e_j =
+    Sum c e_r, comul_table[c] lists (c1, c2, x) with Delta(e_c) =
+    Sum x e_c1 (x) e_c2, and a coaction_table[v] lists (v0, h, x) with
+    rho(e_v) = Sum x e_v0 (x) e_h.  The constructors (here and in comodule)
+    take the tables and normalise them with _table, the one normalisation
+    point: each list is sorted ascending and loses its zero coefficients,
+    so equal tensors have equal tables;
   * tensor factors are flattened lexicographically with the LEFT leg major,
     so _columns of a dense A (x) A -> A matrix is a mul_table and
-    _leg_columns of a dense H -> H (x) H matrix is a comul_table.
+    _leg_columns of a dense H -> H (x) H (or V -> V (x) H) matrix is a
+    comul_table (or a coaction_table).
 
 The axiom audits read the tables too: each axiom is a first_failure over
 basis tuples, its two sides summed raw and reduced once (_agree), so no audit
@@ -20,8 +24,8 @@ import functools
 import itertools
 import math
 
-from .linalg import (Matrix, NoSolution, NotInvertible, basis_vec, reduced,
-                     summed)
+from .linalg import (Matrix, NoSolution, NotInvertible, _columns, _terms,
+                     basis_vec, reduced, summed)
 
 
 class DimensionMismatch(ValueError):
@@ -88,18 +92,6 @@ def multiplicative_witness(src, dst, t_mat, anti=False):
     return first_failure(holds, n, n)
 
 
-def _columns(mat):
-    """The nonzero entries (row, x) of each column of mat, rows ascending."""
-    zero, m = mat.field.zero, mat.cols
-    return [[(r, x) for r, x in enumerate(mat.data[j::m]) if x != zero]
-            for j in range(m)]
-
-
-def _leg_columns(mat, d2):
-    """_columns of mat, rows indexing V (x) W with dim W = d2, as (i, j, x)."""
-    return [[(*divmod(r, d2), x) for r, x in col] for col in _columns(mat)]
-
-
 def _agree(field, lhs, rhs):
     """Whether two elements given as (key, raw coefficient) terms are equal:
     the terms of lhs - rhs are summed per key in one dict, reduced once."""
@@ -113,7 +105,7 @@ def _agree(field, lhs, rhs):
 
 def colinear_witness(field, mat, x_co, y_co):
     """First column x with y_co(mat e_x) != (mat (x) id)(x_co e_x), or None,
-    for x_co and y_co given by their _leg_columns: the check that mat is a
+    for x_co and y_co given by their coaction tables: the check that mat is a
     comodule map, column by column from the nonzero entries."""
     cols = _columns(mat)
     return first_failure(lambda x: _agree(
@@ -142,12 +134,12 @@ def tensor_algebra_map(report, prefix, alg, table, left, right):
         report.fail(prefix + "unit")
 
 
-def _table(field, table, size, what):
+def _table(table, size, what):
     """table with each entry list sorted and its zero coefficients dropped,
     after checking that it has size entries."""
     if len(table) != size:
         raise DimensionMismatch(what)
-    return [sorted(t for t in terms if t[-1] != field.zero) for terms in table]
+    return [sorted(t for t in terms if t[-1]) for terms in table]
 
 
 class StructureConstantAlgebra:
@@ -159,8 +151,7 @@ class StructureConstantAlgebra:
             raise DimensionMismatch("algebra tensor shapes")
         self.field = field
         self.dim = dim
-        self.mul_table = _table(field, mul_table, dim * dim,
-                                "algebra tensor shapes")
+        self.mul_table = _table(mul_table, dim * dim, "algebra tensor shapes")
         self.unit = list(unit)
         self.labels = list(labels) if labels else [f"e{i}" for i in range(dim)]
 
@@ -242,8 +233,7 @@ class CoalgebraData:
             raise DimensionMismatch("coalgebra tensor shapes")
         self.field = field
         self.dim = dim
-        self.comul_table = _table(field, comul_table, dim,
-                                  "coalgebra tensor shapes")
+        self.comul_table = _table(comul_table, dim, "coalgebra tensor shapes")
         self.counit = counit
 
     def validate(self, report=None):
@@ -333,27 +323,19 @@ def comul_terms(coalgebra, c, arity):
     if arity < 1:
         raise ValueError("arity must be >= 1")
     f, table = coalgebra.field, coalgebra.comul_table
-    terms = {(c,): f.one}
+    terms = [((c,), f.one)]
     for _ in range(arity - 1):
-        acc = {}
-        for (first, *rest), x in terms.items():
-            for c1, c2, y in table[first]:
-                legs = (c1, c2, *rest)
-                acc[legs] = acc.get(legs, 0) + x * y
-        terms = acc
-    legs = sorted(terms)
-    return [(k, x) for k, x in zip(legs, reduced(f, [terms[k] for k in legs]))
-            if x != f.zero]
+        terms = _terms(f, (((c1, c2, *rest), x * y) for (first, *rest), x
+                           in terms for c1, c2, y in table[first]))
+    return terms
 
 
 def comul_on(coalgebra, d):
-    """I_d (x) Delta, the coaction of k^d (x) C, as a (d * dim^2) x (d * dim)
-    matrix written from comul_table."""
+    """I_d (x) Delta, the coaction of k^d (x) C, as its coaction_table:
+    e_i (x) e_c -> Sum x (e_i (x) e_c1) (x) e_c2 at index i * dim + c."""
     n = coalgebra.dim
-    return summed(coalgebra.field, d * n * n, d * n, (
-        (((i * n + c1) * n + c2) * d * n + i * n + c, x) for i in range(d)
-        for c, terms in enumerate(coalgebra.comul_table)
-        for c1, c2, x in terms))
+    return [[(i * n + c1, c2, x) for c1, c2, x in terms]
+            for i in range(d) for terms in coalgebra.comul_table]
 
 
 def is_cocommutative(h):

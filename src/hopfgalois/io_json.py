@@ -25,8 +25,9 @@ Q, "n mod p" over F_p):
 A 3-leg tensor is parsed into a dense matrix, so the last of duplicate
 entries wins and an explicit zero overwrites; mul, comul and the coaction
 then reach the constructors as that matrix's _columns / _leg_columns (see
-hopf).  The emitter writes the sorted quadruples of the same tables.  All
-validators run eagerly on load; emit(load(x)) round-trips semantically.
+linalg and hopf).  The emitter writes the sorted quadruples of the same
+tables.  All validators run eagerly on load; emit(load(x)) round-trips
+semantically.
 """
 
 import json
@@ -35,8 +36,8 @@ from .cleft import build_crossed_product
 from .comodule import BModule, ComoduleAlgebraData
 from .fields import FieldError, field_from_name, field_name
 from .hopf import (CoalgebraData, HopfAlgebraData, StructureConstantAlgebra,
-                   _columns, _leg_columns, validate_hopf)
-from .linalg import Matrix
+                   validate_hopf)
+from .linalg import Matrix, _columns, _leg_columns
 
 
 class ParseError(ValueError):
@@ -202,7 +203,7 @@ def load_bundle(path):
         coaction = _tensor3(field, _require(record, "coaction", where),
                             alg.dim, hopf.dim, alg.dim,
                             f"{where}.coaction", "split")
-        ca = ComoduleAlgebraData(hopf, alg, coaction)
+        ca = ComoduleAlgebraData(hopf, alg, _leg_columns(coaction, hopf.dim))
         report = ca.validate()
         if not report.passed:
             raise ValidationError(where, *report.failures[0])

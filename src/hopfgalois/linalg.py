@@ -14,10 +14,13 @@ column without a pivot; it never builds the RREF that rank() reads.
 Tensor legs.  A vector of V_0 (x) ... (x) V_{k-1} is flattened
 lexicographically with leg 0 major; tensor_entries reads the legs back.
 
+Tables.  _columns and _leg_columns turn a matrix into the sparse tables in
+which the package holds m, Delta and every coaction (see hopf).
+
 Operators.  A linear constraint on an unknown matrix X is a matrix on the
-row-major vec(X), written entry by entry from the nonzero entries of its
-data and summed by `summed`, which reduces only the entries it hits.
-colinearity_operator is X -> y_co X - (X (x) I_H) x_co, and
+row-major vec(X), written entry by entry from sparse tables and summed by
+`summed`, which reduces only the entries it hits.  colinearity_operator is
+X -> y_co X - (X (x) I_H) x_co for the coaction tables x_co and y_co, and
 intertwiner_operator stacks it for module maps (dim H = 1) and comodule
 maps.  Column c*n + j of an operator is the image of the matrix unit E_cj,
 so kernels (from the canonical RREF) are the same as those of an operator
@@ -121,9 +124,6 @@ class Matrix:
             and self.cols == other.cols
             and self.data == other.data
         )
-
-    def __hash__(self):
-        return hash((self.field, self.rows, self.cols, tuple(self.data)))
 
     def is_zero(self):
         z = self.field.zero
@@ -458,6 +458,29 @@ def tensor_entries(field, vec, dims):
 # -- linear operators ------------------------------------------------------
 
 
+def _columns(mat):
+    """The nonzero entries (row, x) of each column of mat, rows ascending."""
+    zero, m = mat.field.zero, mat.cols
+    return [[(r, x) for r, x in enumerate(mat.data[j::m]) if x != zero]
+            for j in range(m)]
+
+
+def _leg_columns(mat, d2):
+    """_columns of mat, rows indexing V (x) W with dim W = d2, as (i, j, x)."""
+    return [[(*divmod(r, d2), x) for r, x in col] for col in _columns(mat)]
+
+
+def _terms(field, terms):
+    """Sum x e_key over the raw terms (key, x), as its (key, x) with keys
+    ascending, x reduced and nonzero."""
+    acc = {}
+    for key, x in terms:
+        acc[key] = acc.get(key, 0) + x
+    keys = sorted(acc)
+    values = reduced(field, [acc[k] for k in keys])
+    return [(k, x) for k, x in zip(keys, values) if x]
+
+
 def summed(field, rows, cols, terms):
     """The rows x cols matrix whose flat entry k sums the raw x of the terms
     (k, x); only the entries hit are reduced, the others are zero."""
@@ -470,22 +493,19 @@ def summed(field, rows, cols, terms):
     return Matrix(field, rows, cols, out)
 
 
-def colinearity_operator(field, dx, dy, x_co, y_co):
+def colinearity_operator(field, dx, dy, x_co, y_co, dh):
     """Matrix on vec(X), X a dy x dx matrix, of X -> y_co X - (X (x) I_H) x_co,
-    written from the nonzero entries of x_co ((dx * dH) x dx) and y_co."""
-    dh, n = y_co.rows // dy, dy * dx
+    for the coaction tables x_co (dx lists) and y_co (dy lists) of
+    (x0, h, c) with rho(e_x) = Sum c e_x0 (x) e_h, h < dh."""
+    n = dy * dx
 
     def terms():
-        for t, v in enumerate(y_co.data):
-            if v:                       # y_co[yr, y] X[y, c] lands at (yr, c)
-                yr, y = divmod(t, dy)
-                yield from (((yr * dx + c) * n + y * dx + c, v)
-                            for c in range(dx))
-        for t, v in enumerate(x_co.data):
-            if v:                       # X[y, x] x_co[(x, h), c] at ((y, h), c)
-                (x, h), c = divmod(t // dx, dh), t % dx
-                yield from ((((y * dh + h) * dx + c) * n + y * dx + x, -v)
-                            for y in range(dy))
+        for y, col in enumerate(y_co):  # y_co[yr, y] X[y, c] at (yr, c)
+            yield from ((((y0 * dh + h) * dx + c) * n + y * dx + c, v)
+                        for y0, h, v in col for c in range(dx))
+        for c, col in enumerate(x_co):  # X[y, x] x_co[(x, h), c], ((y, h), c)
+            yield from ((((y * dh + h) * dx + c) * n + y * dx + x, -v)
+                        for x, h, v in col for y in range(dy))
 
     return summed(field, dy * dh * dx, n, terms())
 
@@ -493,8 +513,9 @@ def colinearity_operator(field, dx, dy, x_co, y_co):
 def intertwiner_operator(field, dx, dy, x_maps, y_maps, coactions=None):
     """Matrix on vec(X), X a dy x dx matrix, of the stacked defects
     X x_k - y_k X for each pair (x_k, y_k), followed, when
-    coactions = (x_co, y_co), by y_co X - (X (x) I_H) x_co."""
-    blocks = [colinearity_operator(field, dx, dy, -xa, -ya)   # dim H = 1
+    coactions = (x_co, y_co, dh), by y_co X - (X (x) I_H) x_co."""
+    blocks = [colinearity_operator(field, dx, dy, _leg_columns(-xa, 1),
+                                   _leg_columns(-ya, 1), 1)     # dim H = 1
               for xa, ya in zip(x_maps, y_maps)]
     if coactions is not None:
         blocks.append(colinearity_operator(field, dx, dy, *coactions))

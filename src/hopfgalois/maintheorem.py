@@ -9,7 +9,8 @@ Composition-of-arrows is convolution in the order alpha_kj(g) o alpha_ji(f)
 
 The coaction I_M (x) Delta of M (x) H comes from comul_table; D_M
 membership and the delta maps read the nonzero columns of the arrow and
-of both coactions, so only the B-actions on M (x) H are Kronecker products.
+the tables of both coactions, so only the B-actions on M (x) H are
+Kronecker products.
 """
 
 import random
@@ -18,9 +19,9 @@ from . import convcat
 from .comodule import adjunction_unit, tensor_over_B
 from .endomorphism import build_E
 from .galois import canonical_map, translation_map
-from .hopf import (ValidationReport, _columns, _leg_columns, colinear_witness,
-                   comul_on, convolve_columns)
-from .linalg import (Factorization, Matrix, NoSolution, basis_vec,
+from .hopf import (ValidationReport, colinear_witness, comul_on,
+                   convolve_columns)
+from .linalg import (Factorization, Matrix, NoSolution, _columns, basis_vec,
                      intertwiners, kron_vec, lin_comb, reduced, summed,
                      tensor_entries)
 
@@ -63,9 +64,7 @@ class TheoremContext:
         self.x2_dim = self.quot.dim
         self.x2_actions = [self.induced_action(self.b.inclusion.col(k))
                            for k in range(self.b.dim)]
-        self.x2_coaction = self.induced.module.coaction
-        self._co_cols = {1: _leg_columns(self.x1_coaction, dh),
-                         2: _leg_columns(self.x2_coaction, dh)}
+        self.x2_coaction = self.induced.module.coaction_table
         self._dm_cache = {}
 
     # -- evaluation helpers ------------------------------------------------
@@ -96,15 +95,15 @@ class TheoremContext:
         dx, x_actions, x_co = self.object_data(i)
         dy, y_actions, y_co = self.object_data(j)
         basis = intertwiners(self.field, dx, dy, x_actions, y_actions,
-                             (x_co, y_co))
+                             (x_co, y_co, self.ca.hopf.dim))
         self._dm_cache[(i, j)] = basis
         return basis
 
     def dm_membership(self, mat, i, j):
-        x_actions, y_actions = self.object_data(i)[1], self.object_data(j)[1]
+        _, x_actions, x_co = self.object_data(i)
+        _, y_actions, y_co = self.object_data(j)
         return (all(mat @ xa == ya @ mat for xa, ya in zip(x_actions, y_actions))
-                and colinear_witness(self.field, mat, self._co_cols[i],
-                                     self._co_cols[j]) is None)
+                and colinear_witness(self.field, mat, x_co, y_co) is None)
 
     def dm_coords(self, mats, i, j):
         """Coordinates of the arrows mats in dm_hom_space(i, j), one column
@@ -121,8 +120,8 @@ class TheoremContext:
 
 def _tensor_h(ctx, mat, i):
     """(mat (x) I_H) rho_i for the coaction rho_i of object i, summed from
-    the columns of mat and of rho_i."""
-    dh, cols, co = ctx.ca.hopf.dim, _columns(mat), ctx._co_cols[i]
+    the columns of mat and the table of rho_i."""
+    dh, cols, co = ctx.ca.hopf.dim, _columns(mat), ctx.object_data(i)[2]
     return summed(ctx.field, mat.rows * dh, len(co), (
         ((r * dh + h) * len(co) + q, c * z) for q, terms in enumerate(co)
         for q0, h, c in terms for r, z in cols[q0]))
@@ -251,7 +250,7 @@ def beta22(ctx, w_prime_mat):
     cols = []
     for q in range(n):
         acc = [f.zero] * n
-        for qi, h, c in ctx._co_cols[2][q]:
+        for qi, h, c in ctx.x2_coaction[q]:
             acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, evs[h].col(qi))]
         cols.append(acc)
     return Matrix.from_cols(f, cols, nrows=n)

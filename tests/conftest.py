@@ -108,8 +108,9 @@ def module_b(ca):
 
 
 # -- dense oracles ----------------------------------------------------------
-# The package holds m and Delta only as sparse tables; the oracles below
-# rebuild the dense matrices and the tensor-leg permutations from them.
+# The package holds m, Delta and every coaction only as sparse tables; the
+# oracles below rebuild the dense matrices and the tensor-leg permutations
+# from them.
 
 
 def dense_mul(alg):
@@ -127,6 +128,17 @@ def dense_comul(co):
     for c, terms in enumerate(co.comul_table):
         for c1, c2, x in terms:
             out.data[(c1 * n + c2) * n + c] = x
+    return out
+
+
+def dense_rho(field, table, dh):
+    """rho: V -> V (x) H as a (dim V * dh) x dim V matrix, from its
+    coaction_table."""
+    n = len(table)
+    out = Matrix.zeros(field, n * dh, n)
+    for v, terms in enumerate(table):
+        for v0, h, x in terms:
+            out.data[(v0 * dh + h) * n + v] = x
     return out
 
 

@@ -21,11 +21,11 @@ from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
                                  sweedler_h4, taft)
 from hopfgalois.hopf import (BadCharacteristic, CoalgebraData,
                              HopfAlgebraData, StructureConstantAlgebra,
-                             _columns, _leg_columns, is_cocommutative,
-                             validate_hopf)
-from hopfgalois.linalg import Matrix, kron_vec, lin_comb
+                             is_cocommutative, validate_hopf)
+from hopfgalois.linalg import (Matrix, _columns, _leg_columns, kron_vec,
+                               lin_comb)
 
-from conftest import dense_comul, dense_mul, gather_legs
+from conftest import dense_comul, dense_mul, dense_rho, gather_legs
 
 F2, F5, F7, F11 = (PrimeField(p) for p in (2, 5, 7, 11))
 
@@ -107,7 +107,7 @@ def dense_coaction(prefix, hopf, rho, dim):
 
 def dense_comodule(ca):
     f, da, dh = ca.field, ca.algebra.dim, ca.hopf.dim
-    rho, a_mul = ca.coaction, dense_mul(ca.algebra)
+    rho, a_mul = dense_rho(f, ca.coaction_table, dh), dense_mul(ca.algebra)
     mul2 = gather_legs(a_mul.kron(dense_mul(ca.hopf.algebra)),
                        (da, dh, da, dh), (0, 2, 1, 3))    # on A (x) H
     return dense_algebra(ca.algebra) + dense_coaction(
@@ -134,14 +134,14 @@ def dense_right_action(alg, actions, dim, unit_name, assoc_name):
 def dense_hopf_module(module, ca):
     """The former RelativeHopfModuleData.validate."""
     f, da, dh, dm = ca.field, ca.algebra.dim, ca.hopf.dim, module.dim
-    rho = module.coaction
+    rho = dense_rho(f, module.coaction_table, dh)
     out = dense_right_action(ca.algebra, module.actions, dm,
                              "hopfmodule.action-unit",
                              "hopfmodule.action-associativity")
     out += dense_failures(dense_coaction("hopfmodule", ca.hopf, rho, dm))
     for a in range(da):
         rhs = Matrix.zeros(f, dm * dh, dm)
-        rho_a = ca.coaction.col(a)
+        rho_a = dense_rho(f, ca.coaction_table, dh).col(a)
         for flat, c in enumerate(rho_a):
             if c != f.zero:
                 i, j = divmod(flat, dh)
@@ -176,7 +176,8 @@ def bumped(ca, target, pos, delta):
     mats = {"H.mul": dense_mul(h.algebra),
             "H.comul": dense_comul(h.coalgebra),
             "H.counit": h.coalgebra.counit, "S": h.antipode,
-            "A.mul": dense_mul(ca.algebra), "rho": ca.coaction}
+            "A.mul": dense_mul(ca.algebra),
+            "rho": dense_rho(f, ca.coaction_table, h.dim)}
     old = mats[target]
     data = list(old.data)
     data[pos % len(data)] = f.add(data[pos % len(data)], f.from_int(delta))
@@ -189,7 +190,7 @@ def bumped(ca, target, pos, delta):
         mats["S"], h.antipode_inv)
     alg = StructureConstantAlgebra(f, ca.algebra.dim, _columns(mats["A.mul"]),
                                    ca.algebra.unit)
-    return ComoduleAlgebraData(hopf, alg, mats["rho"])
+    return ComoduleAlgebraData(hopf, alg, _leg_columns(mats["rho"], h.dim))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -232,14 +233,16 @@ def test_hopf_module_audit_matches_the_dense_oracle(name):
     ca = CASES[name]
     base = tensor_over_B(regular_bmodule(ca), ca).module
     assert base.validate(ca).failures == dense_hopf_module(base, ca) == []
-    f, one = ca.field, ca.field.one
-    for k, mat in enumerate(base.actions + [base.coaction]):
+    f, one, dh = ca.field, ca.field.one, ca.hopf.dim
+    coaction = dense_rho(f, base.coaction_table, dh)
+    for k, mat in enumerate(base.actions + [coaction]):
         for pos in range(len(mat.data)):
             data = list(mat.data)
             data[pos] = f.add(data[pos], one)
-            moved = base.actions + [base.coaction]
+            moved = base.actions + [coaction]
             moved[k] = Matrix(f, mat.rows, mat.cols, data)
-            module = RelativeHopfModuleData(base.dim, moved[:-1], moved[-1])
+            module = RelativeHopfModuleData(base.dim, moved[:-1],
+                                            _leg_columns(moved[-1], dh))
             failures = module.validate(ca).failures
             assert failures and failures == dense_hopf_module(module, ca)
 

@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 from hopfgalois import cleft, cohomology, convcat, search
 from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import cyclic_cayley, group_algebra, sweedler_h4
-from hopfgalois.hopf import (StructureConstantAlgebra, _columns,
-                             first_failure, multiplicative_witness)
-from hopfgalois.linalg import Matrix, NotInvertible, basis_vec, kron_vec
+from hopfgalois.hopf import (StructureConstantAlgebra, first_failure,
+                             multiplicative_witness)
+from hopfgalois.linalg import (Matrix, NotInvertible, _columns, basis_vec,
+                               kron_vec)
 
 from conftest import dense_mul
 from test_sparse import scalars, tensors

@@ -1,8 +1,7 @@
 import pytest
 
-from hopfgalois.comodule import (InternalInvariant, adjunction_counit,
-                                 adjunction_unit, algebra_as_bmodule,
-                                 regular_bmodule, tensor_over_B)
+from hopfgalois.comodule import (InternalInvariant, adjunction_unit,
+                                 algebra_as_bmodule, tensor_over_B)
 from hopfgalois.fields import QQ
 from hopfgalois.linalg import NoSolution, basis_vec
 

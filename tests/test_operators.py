@@ -16,14 +16,14 @@ from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
                                  graded_m2, group_algebra, regular_comodule,
                                  sweedler_h4)
-from hopfgalois.hopf import convolution_operator, convolve
+from hopfgalois.hopf import comul_on, convolution_operator, convolve
 from hopfgalois.lifting import ActionCandidate, _b_linear_space
 from hopfgalois.linalg import (Matrix, basis_vec, intertwiner_operator,
                                kron_vec, tensor_entries, vec_add, vec_scale,
                                vstack)
 
-from conftest import (dense_comul, dense_mul, gather_legs, module_b, module_k,
-                      scatter_legs)
+from conftest import (dense_comul, dense_mul, dense_rho, gather_legs, module_b,
+                      module_k, scatter_legs)
 
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 
@@ -183,10 +183,11 @@ def test_gather_scatter_match_dense_permutation():
 def test_hom_space_operator(name):
     ca = FIXTURES[name]()
     da, dh = ca.algebra.dim, ca.hopf.dim
+    rho = dense_rho(ca.field, ca.coaction_table, dh)
     for cls, variant in VARIANTS:
         oracle = probe_operator(
             ca.field, da, dh,
-            lambda x: (ca.coaction @ x
+            lambda x: (rho @ x
                        - old_constraint_rhs(ca, x, cls, variant)).data)
         assert convcat.constraint_operator(ca, cls, variant) == oracle
 
@@ -195,10 +196,11 @@ def test_hom_space_operator_on_E():
     ca = graded_m2(F3)
     e_ca = maintheorem.TheoremContext(ca, module_k(ca)).e.ca
     de, dh = e_ca.algebra.dim, e_ca.hopf.dim
+    rho = dense_rho(ca.field, e_ca.coaction_table, dh)
     for cls, variant in VARIANTS:
         oracle = probe_operator(
             ca.field, de, dh,
-            lambda x: (e_ca.coaction @ x
+            lambda x: (rho @ x
                        - old_constraint_rhs(e_ca, x, cls, variant)).data)
         assert convcat.constraint_operator(e_ca, cls, variant) == oracle
 
@@ -277,14 +279,16 @@ def test_sigma_convolution_operator(field):
 def test_dm_hom_space_operator(name, module):
     ca = FIXTURES[name]()
     ctx = maintheorem.TheoremContext(ca, module(ca))
+    f, dh = ctx.field, ca.hopf.dim
     for i, j in convcat.CLASSES:
         dx, x_actions, x_co = ctx.object_data(i)
         dy, y_actions, y_co = ctx.object_data(j)
         oracle = probe_operator(
-            ctx.field, dy, dx, action_defect(x_actions, y_actions,
-                                             (x_co, y_co)))
-        assert intertwiner_operator(ctx.field, dx, dy, x_actions, y_actions,
-                                    (x_co, y_co)) == oracle
+            f, dy, dx, action_defect(x_actions, y_actions,
+                                     (dense_rho(f, x_co, dh),
+                                      dense_rho(f, y_co, dh))))
+        assert intertwiner_operator(f, dx, dy, x_actions, y_actions,
+                                    (x_co, y_co, dh)) == oracle
 
 
 @pytest.mark.parametrize("name", ["m2_q", "m2_f3", "h4_f5"])
@@ -299,10 +303,12 @@ def test_bh_iso_operator(name):
               for i in range(db)]
     a_acts = [ca.algebra.lmul(b.to_ambient(basis_vec(f, db, i)))
               for i in range(db)]
+    rho = dense_rho(f, ca.coaction_table, dh)
     oracle = probe_operator(f, da, da, action_defect(x_acts, a_acts,
-                                                     (x_co, ca.coaction)))
-    assert intertwiner_operator(f, da, da, x_acts, a_acts,
-                                (x_co, ca.coaction)) == oracle
+                                                     (x_co, rho)))
+    assert intertwiner_operator(
+        f, da, da, x_acts, a_acts,
+        (comul_on(ca.hopf.coalgebra, db), ca.coaction_table, dh)) == oracle
 
 
 @pytest.mark.parametrize("name", ["m2_q", "m2_f3"])

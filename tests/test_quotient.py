@@ -1,8 +1,8 @@
 """Differential tests for the index-map quotient M (x)_B A.
 
 tensor_over_B, the canonical maps can and can', the representatives of
-gamma_A and the translation identities (1.2.1)-(1.2.7) read mul_table, the
-columns of rho and the QuotientSpace index maps (free, columns).  Each must
+gamma_A and the translation identities (1.2.1)-(1.2.7) read mul_table,
+rho's table and the QuotientSpace index maps (free, columns).  Each must
 equal the former dense construction: Kronecker products, a dense
 projection/section pair and the matrix forms of the identities.  Those
 dense bodies live on here only, as the oracles.  The identity oracle
@@ -26,12 +26,13 @@ from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
 from hopfgalois.galois import (canonical_map, canonical_map_prime,
                                translation_map, verify_translation_identities)
 from hopfgalois.hopf import (CoalgebraData, HopfAlgebraData,
-                             StructureConstantAlgebra, _columns, _leg_columns,
-                             validate_hopf)
-from hopfgalois.linalg import (Matrix, basis_vec, intertwiners, kron_vec,
-                               tensor_entries, vec_add, vec_scale)
+                             StructureConstantAlgebra, validate_hopf)
+from hopfgalois.linalg import (Matrix, _columns, _leg_columns, basis_vec,
+                               intertwiners, kron_vec, tensor_entries, vec_add,
+                               vec_scale)
 
-from conftest import dense_comul, dense_mul, gather_legs, scatter_legs
+from conftest import (dense_comul, dense_mul, dense_rho, gather_legs,
+                      scatter_legs)
 
 F5, F7 = PrimeField(5), PrimeField(7)
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "hopfgalois" / "fixtures"
@@ -42,6 +43,11 @@ FIXTURES = Path(__file__).resolve().parents[1] / "src" / "hopfgalois" / "fixture
 
 def vec_is_zero(field, v):
     return all(a == field.zero for a in v)
+
+
+def rho_of(ca):
+    """The coaction of ca as a dense (dim A * dim H) x dim A matrix."""
+    return dense_rho(ca.field, ca.coaction_table, ca.hopf.dim)
 
 
 class DenseQuotient:
@@ -99,7 +105,7 @@ def dense_tensor_over_B(m, ca):
         if not quot.check_welldefined(amb):
             raise IllDefinedStructure("A-action does not respect the relations")
         actions.append(quot.projection @ amb @ quot.section)
-    amb_rho = idm.kron(ca.coaction)
+    amb_rho = idm.kron(rho_of(ca))
     pi_h = quot.projection.kron(Matrix.identity(f, dh))
     for rel in quot.relations:
         if not vec_is_zero(f, (pi_h @ amb_rho).apply(rel)):
@@ -111,14 +117,14 @@ def dense_can_ambient(ca):
     f = ca.field
     da, dh = ca.algebra.dim, ca.hopf.dim
     return (dense_mul(ca.algebra).kron(Matrix.identity(f, dh))
-            @ Matrix.identity(f, da).kron(ca.coaction))
+            @ Matrix.identity(f, da).kron(rho_of(ca)))
 
 
 def dense_can_prime_ambient(ca):
     f = ca.field
     da, dh = ca.algebra.dim, ca.hopf.dim
     # a_[0] (x) a_[1] (x) a' -> a_[0] (x) a' (x) a_[1]
-    moved = scatter_legs(ca.coaction.kron(Matrix.identity(f, da)),
+    moved = scatter_legs(rho_of(ca).kron(Matrix.identity(f, da)),
                          (da, dh, da), (0, 2, 1))
     return dense_mul(ca.algebra).kron(Matrix.identity(f, dh)) @ moved
 
@@ -134,7 +140,7 @@ def dense_identities(ca, tmap, quot):
     f = ca.field
     da, dh = ca.algebra.dim, ca.hopf.dim
     alg, hopf = ca.algebra, ca.hopf
-    pi = quot.projection
+    pi, rho = quot.projection, rho_of(ca)
     ida, idh = Matrix.identity(f, da), Matrix.identity(f, dh)
     rep, gamma = tmap.representative, tmap.gamma
     out = []
@@ -157,12 +163,12 @@ def dense_identities(ca, tmap, quot):
     # (1.2.3)
     record("1.2.3", first_col(
         gamma.kron(idh) @ dense_comul(hopf.coalgebra),
-        pi.kron(idh) @ ida.kron(ca.coaction) @ rep))
+        pi.kron(idh) @ ida.kron(rho) @ rep))
     # (1.2.4)
     record("1.2.4", first_col(
         gamma.kron(hopf.antipode) @ scatter_legs(dense_comul(hopf.coalgebra),
                                                  (dh, dh), (1, 0)),
-        pi.kron(idh) @ scatter_legs(ca.coaction.kron(ida) @ rep,
+        pi.kron(idh) @ scatter_legs(rho.kron(ida) @ rep,
                                     (da, dh, da), (0, 2, 1))))
     # (1.2.5)
     record("1.2.5", first_col(dense_mul(alg) @ rep, Matrix.from_cols(
@@ -172,7 +178,7 @@ def dense_identities(ca, tmap, quot):
     for a_idx in range(da):
         acc, acc_a = [f.zero] * quot.dim, [f.zero] * quot.dim
         for (i, j), c in tensor_entries(
-                f, ca.coaction.apply(basis_vec(f, da, a_idx)), (da, dh)):
+                f, rho.apply(basis_vec(f, da, a_idx)), (da, dh)):
             term = pi @ alg.lmul(basis_vec(f, da, i)).kron(ida)
             acc = vec_add(f, acc, vec_scale(f, c, term.apply(
                 rep.apply(basis_vec(f, dh, j)))))
@@ -228,7 +234,8 @@ def check_induction(m, ca, rng):
     proj, sect = dense_projection(q), dense_section(q)
     assert (q.dim, proj, sect) == (quot.dim, quot.projection, quot.section)
     assert proj @ sect == Matrix.identity(f, q.dim)
-    assert ind.module.actions == actions and ind.module.coaction == coaction
+    assert ind.module.actions == actions
+    assert ind.module.coaction_table == _leg_columns(coaction, ca.hopf.dim)
     n = len(q.columns)
     amb = Matrix(f, 3, n, [f.from_int(rng.randint(-2, 2)) for _ in range(3 * n)])
     assert q.gather(amb) == amb @ sect
@@ -308,8 +315,8 @@ def relabelled(ca, seed):
             move(dense_comul(h.coalgebra), [s, s], [s]), h.dim),
                       move(h.coalgebra.counit, [], [s])),
         move(h.antipode, [s], [s]), move(h.antipode_inv, [s], [s]))
-    out = ComoduleAlgebraData(hopf, algebra(alg, t),
-                              move(ca.coaction, [t, s], [t]))
+    out = ComoduleAlgebraData(hopf, algebra(alg, t), _leg_columns(
+        move(rho_of(ca), [t, s], [t]), h.dim))
     assert validate_hopf(hopf).passed and out.validate().passed
     return out
 
@@ -406,7 +413,7 @@ def test_non_associative_algebra_has_no_induced_action():
     for a, deg in enumerate([0, 0, 1, 1]):
         rho.data[(a * 2 + deg) * 4 + a] = 1
     ca = ComoduleAlgebraData(h, StructureConstantAlgebra(
-        F5, 4, _columns(mul), [1, 0, 0, 0]), rho)
+        F5, 4, _columns(mul), [1, 0, 0, 0]), _leg_columns(rho, 2))
     assert ca.validate().failures == [("algebra.associativity", (1, 2, 2))]
     m = BModule(ca.coinvariants(), 1, [Matrix(F5, 1, 1, [x]) for x in (1, 0)])
     for build in (tensor_over_B, dense_tensor_over_B):
@@ -426,7 +433,8 @@ def test_coaction_not_linear_over_the_coinvariants_is_refused():
     for sign, col in ((1, 1), (-1, 2)):
         for a, hh, x in ((0, 1, sign), (0, 0, -sign), (2, 1, -sign), (2, 0, sign)):
             rho.data[(a * 2 + hh) * 3 + col] = (rho.data[(a * 2 + hh) * 3 + col] + x) % 5
-    ca = ComoduleAlgebraData(h, dual_group_algebra(F5, cyclic_cayley(3)).algebra, rho)
+    k3 = dual_group_algebra(F5, cyclic_cayley(3)).algebra
+    ca = ComoduleAlgebraData(h, k3, _leg_columns(rho, 2))
     assert ca.coinvariants().dim == 2
     assert ca.validate().failures == [("comodule.multiplicative", (0, 1))]
     for build in (tensor_over_B, dense_tensor_over_B):

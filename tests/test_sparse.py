@@ -25,9 +25,9 @@ from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
                                  graded_m2, group_algebra, regular_comodule,
                                  sweedler_h4)
 from hopfgalois.hopf import (CoalgebraData, StructureConstantAlgebra,
-                             _columns, _leg_columns, convolution_operator,
-                             convolve)
-from hopfgalois.linalg import Matrix, basis_vec, kron_vec, reduced
+                             convolution_operator, convolve)
+from hopfgalois.linalg import (Matrix, _columns, _leg_columns, basis_vec,
+                               kron_vec, reduced)
 
 from conftest import dense_comul, dense_mul
 

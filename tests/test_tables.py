@@ -18,9 +18,10 @@ from hopfgalois import convcat, io_json
 from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import regular_comodule, sweedler_h4, taft
 from hopfgalois.hopf import (CoalgebraData, HopfAlgebraData,
-                             StructureConstantAlgebra, _columns, _leg_columns,
-                             comul_terms, validate_hopf)
-from hopfgalois.linalg import Matrix, kron_vec, tensor_entries
+                             StructureConstantAlgebra, comul_terms,
+                             validate_hopf)
+from hopfgalois.linalg import (Matrix, _columns, _leg_columns, kron_vec,
+                               tensor_entries)
 
 from conftest import dense_comul_iterated
 

@@ -3,9 +3,9 @@
 E's multiplication and its Eq. (14) coaction, the colinearity constraints of
 C_A and C'_A, the coaction of M (x) H, the D_M membership test, the delta
 maps of Lemma 3.2 and Matrix.kernel's reduction of the distinct nonzero rows
-are computed from mul_table, comul_table and the nonzero columns of rho, S
-and Sbar.  Each must equal the former dense Kronecker formula, which lives
-on here only, as the oracle.
+are computed from mul_table, comul_table, the coaction tables and the
+nonzero columns of S and Sbar.  Each must equal the former dense Kronecker
+formula, which lives on here only, as the oracle.
 """
 
 import random
@@ -21,9 +21,10 @@ from hopfgalois.galois import NotGalois, canonical_map, canonical_map_prime
 from hopfgalois.hopf import ValidationReport
 from hopfgalois.maintheorem import (TheoremContext, delta1, delta2,
                                     delta_bar)
-from hopfgalois.linalg import Factorization, Matrix, NoSolution, basis_vec
+from hopfgalois.linalg import (Factorization, Matrix, NoSolution, _leg_columns,
+                               basis_vec)
 
-from conftest import dense_comul, dense_mul, scatter_legs
+from conftest import dense_comul, dense_mul, dense_rho, scatter_legs
 from test_quotient import F7, RUNGS, fixture_cases, relabelled
 
 VARIANTS = [(cls, variant) for cls in convcat.CLASSES
@@ -37,7 +38,7 @@ def dense_rational_coaction_matrix(ca, module, f_mat):
     """rho(f)(p) = f(p_[0])_[0] (x) f(p_[0])_[1] S(p_[1]) by Kronecker
     products."""
     field, dh = ca.field, ca.hopf.dim
-    rho = module.coaction
+    rho = dense_rho(field, module.coaction_table, dh)
     return (Matrix.identity(field, module.dim).kron(
         dense_mul(ca.hopf.algebra)) @ rho.kron(ca.hopf.antipode)
             @ f_mat.kron(Matrix.identity(field, dh)) @ rho)
@@ -91,7 +92,8 @@ def dense_defect(ca, f_mat, cls, variant, gd=None):
     """The former convcat.constraint_defect; gd is dense_constraint's value
     when it is already known."""
     g, d = gd or dense_constraint(ca, cls, variant)
-    return ca.coaction @ f_mat - f_mat.kron(g) @ d
+    rho = dense_rho(ca.field, ca.coaction_table, ca.hopf.dim)
+    return rho @ f_mat - f_mat.kron(g) @ d
 
 
 def dense_x1_coaction(ctx):
@@ -100,10 +102,11 @@ def dense_x1_coaction(ctx):
 
 
 def dense_object(ctx, i):
-    """object_data with the Kronecker coaction of M (x) H."""
+    """object_data with dense coactions: the Kronecker coaction of M (x) H."""
     if i == 1:
         return ctx.x1_dim, ctx.x1_actions, dense_x1_coaction(ctx)
-    return ctx.object_data(2)
+    dq, actions, co = ctx.object_data(2)
+    return dq, actions, dense_rho(ctx.field, co, ctx.ca.hopf.dim)
 
 
 def dense_dm_membership(ctx, mat, i, j):
@@ -200,9 +203,10 @@ def test_E_equals_the_dense_oracle(case):
     _, ca, m = case
     ind = tensor_over_B(m, ca)
     e = build_E(ca, ind)
-    dq = ind.module.dim
+    dq, dh = ind.module.dim, ca.hopf.dim
     assert dense_mul(e.ca.algebra) == dense_e_mul(ca.field, e.basis, dq)
-    assert e.ca.coaction == dense_rational_coaction(ca, ind.module, e.basis)
+    assert e.ca.coaction_table == _leg_columns(
+        dense_rational_coaction(ca, ind.module, e.basis), dh)
     # a sub-basis whose span rho leaves raises where the oracle has no
     # solution, and agrees where it has one
     for k in sorted({1, e.dim // 2, e.dim - 1} - {0, e.dim}):
@@ -215,7 +219,8 @@ def test_E_equals_the_dense_oracle(case):
             with pytest.raises(NotRational):
                 rational_coaction(ca, ind.module, sub, coords)
         else:
-            assert rational_coaction(ca, ind.module, sub, coords) == want
+            assert rational_coaction(ca, ind.module, sub, coords) == \
+                _leg_columns(want, dh)
 
 
 def test_some_sub_basis_is_not_rational():
@@ -293,7 +298,8 @@ def test_dm_objects_equal_the_dense_oracle(case):
     except NotGalois:
         return
     f, rng = ctx.field, random.Random(7)
-    assert ctx.x1_coaction == dense_x1_coaction(ctx)
+    assert ctx.x1_coaction == _leg_columns(dense_x1_coaction(ctx),
+                                           ca.hopf.dim)
     for i, j in convcat.CLASSES:
         dx, dy = ctx.object_data(i)[0], ctx.object_data(j)[0]
         mats = ctx.dm_hom_space(i, j)
@@ -326,7 +332,8 @@ def test_bh_iso_colinearity_equals_the_dense_check():
                                for r in range(3) for c in range(3)])
         leg = ValidationReport()
         cleft._check_bh_iso(ca, b, psi, leg)
-        dense = ca.coaction @ psi == psi.kron(Matrix.identity(f, 3)) @ x_co
+        dense = (dense_rho(f, ca.coaction_table, 3) @ psi
+                 == psi.kron(Matrix.identity(f, 3)) @ x_co)
         assert dense == (shift == 0)
         assert (("psi-not-colinear", None) in leg.failures) == (not dense)
 
