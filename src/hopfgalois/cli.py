@@ -6,6 +6,7 @@ byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -328,7 +329,9 @@ def cmd_classify(args):
 # -- argument parsing --------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The parser, built on the first run; run looks up each cmd_* itself."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", choices=None, default=None,
                         help='require this ground field ("Q" or "F_p")')
@@ -352,37 +355,37 @@ def build_parser():
                     "products, Sweedler cohomology and module lifting.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, fn, parents, positionals=()):
+    def add(name, parents, positionals=()):
         p = sub.add_parser(name, parents=parents)
         for extra in positionals:
             p.add_argument(extra[0], **extra[1])
         p.add_argument("bundle", help="path to a JSON workspace bundle")
-        p.set_defaults(fn=fn)
         return p
 
-    add("validate", cmd_validate, [common])
-    add("galois", cmd_galois, [common, ca_flag])
-    add("translation-map", cmd_translation_map, [common, ca_flag])
-    add("cat-iso-check", cmd_cat_iso_check, [common, ca_flag, mod_flag])
-    add("cleft", cmd_cleft, [common, ca_flag])
-    p = add("crossed-product", cmd_crossed_product, [common])
+    add("validate", [common])
+    add("galois", [common, ca_flag])
+    add("translation-map", [common, ca_flag])
+    add("cat-iso-check", [common, ca_flag, mod_flag])
+    add("cleft", [common, ca_flag])
+    p = add("crossed-product", [common])
     p.add_argument("--crossed", default=None,
                    help="crossed-product data name in the bundle")
-    add("smash-check", cmd_smash_check, [common, ca_flag])
-    p = add("cohomology", cmd_cohomology, [common, ca_flag],
+    add("smash-check", [common, ca_flag])
+    p = add("cohomology", [common, ca_flag],
             positionals=[("what", {"choices": ["h1"]})])
     p.add_argument("--action", choices=["trivial", "from-cleft"],
                    default="trivial")
-    add("lift", cmd_lift, [common, ca_flag, mod_flag])
-    add("classify", cmd_classify, [common, ca_flag, mod_flag])
+    add("lift", [common, ca_flag, mod_flag])
+    add("classify", [common, ca_flag, mod_flag])
     return parser
 
 
 def run(argv):
     """Parse argv, execute, and return (report, exit_code)."""
     args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.subcommand.replace("-", "_")]
     try:
-        report = args.fn(args)
+        report = command(args)
     except (io_json.ParseError, io_json.ValidationError, InputError,
             cohomology.HypothesisViolated, galois.NotGalois) as exc:
         return exc, 2

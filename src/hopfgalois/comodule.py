@@ -17,7 +17,7 @@ from .hopf import (DimensionMismatch, StructureConstantAlgebra,
                    tensor_algebra_map)
 from .linalg import (Factorization, Matrix, NoSolution, _columns, _terms,
                      basis_vec, colinearity_operator, kron_vec, lin_comb,
-                     reduced, summed)
+                     reduced, sparse_kernel, summed)
 
 
 class InternalInvariant(RuntimeError):
@@ -37,8 +37,8 @@ class ComoduleAlgebraData:
             raise DimensionMismatch("field mismatch")
         self.hopf = hopf
         self.algebra = algebra
-        self.coaction_table = _table(coaction_table, algebra.dim,
-                                     "coaction shape")
+        self.coaction_table = _table(algebra.field, coaction_table,
+                                     algebra.dim, "coaction shape")
         self._coinv = None
 
     @property
@@ -65,8 +65,8 @@ def comodule_coinvariant_basis(field, dim, coaction_table, hopf_unit):
     """Kernel of (rho - ((-) (x) 1)) as a dim x c matrix of column vectors:
     the colinear maps from k, with 1 -> 1 (x) 1_H, into (k^dim, rho)."""
     unit = [[(0, h, u) for h, u in enumerate(hopf_unit) if u]]
-    kernel = colinearity_operator(field, 1, dim, unit, coaction_table,
-                                  len(hopf_unit)).kernel()
+    kernel = sparse_kernel(field, dim, colinearity_operator(
+        field, 1, dim, unit, coaction_table, len(hopf_unit)))
     return Matrix.from_cols(field, kernel, nrows=dim)
 
 
@@ -180,10 +180,12 @@ class RelativeHopfModuleData:
     """Right A-module + right H-comodule with the compatibility relation;
     the coaction is given by its coaction_table (hopf module doc)."""
 
-    def __init__(self, dim, actions, coaction_table):
+    def __init__(self, field, dim, actions, coaction_table):
+        self.field = field
         self.dim = dim
         self.actions = actions  # one matrix per basis element of A
-        self.coaction_table = _table(coaction_table, dim, "coaction shape")
+        self.coaction_table = _table(field, coaction_table, dim,
+                                     "coaction shape")
 
     def coinvariant_basis(self, ca):
         return comodule_coinvariant_basis(ca.field, self.dim,
@@ -337,7 +339,7 @@ def tensor_over_B(m, ca):
                    for j in range(da)]
         coaction = [[(*key, x) for key, x in _terms(
             f, quot.classes(coact([(j, f.one)])))] for j in quot.free]
-        return RelativeHopfModuleData(quot.dim, actions, coaction)
+        return RelativeHopfModuleData(f, quot.dim, actions, coaction)
 
     return InducedModule(ca, m, quot, build)
 

@@ -12,7 +12,7 @@ the cop-convolution (g ? f)(h) = g(h_(2)) f(h_(1)) is used instead.
 
 from . import hopf
 from .hopf import CoalgebraData, colinear_witness
-from .linalg import Matrix, _columns, colinearity_operator
+from .linalg import Matrix, _columns, colinearity_operator, sparse_kernel
 
 CLASSES = ((1, 1), (2, 1), (1, 2), (2, 2))
 
@@ -88,8 +88,8 @@ def membership(ca, f_mat, cls, variant):
 
 
 def constraint_operator(ca, cls, variant):
-    """Matrix on vec(f) of f -> rho o f - (f (x) I_H) D, for D the coaction
-    on H whose table is the constraint terms."""
+    """The rows of the operator on vec(f) of f -> rho o f - (f (x) I_H) D,
+    for D the coaction on H whose table is the constraint terms."""
     dh = ca.hopf.dim
     return colinearity_operator(ca.field, dh, ca.algebra.dim,
                                 _constraint_terms(ca, cls, variant),
@@ -101,7 +101,8 @@ def hom_space(ca, cls, variant):
     field = ca.field
     da, dh = ca.algebra.dim, ca.hopf.dim
     elems = [HomSpaceElement(Matrix(field, da, dh, v), cls, variant)
-             for v in constraint_operator(ca, cls, variant).kernel()]
+             for v in sparse_kernel(field, da * dh,
+                                    constraint_operator(ca, cls, variant))]
     return HomSpaceBasis(cls, variant, elems)
 
 

@@ -8,8 +8,9 @@ Conventions (inherited by every other module):
     Sum x e_c1 (x) e_c2, and a coaction_table[v] lists (v0, h, x) with
     rho(e_v) = Sum x e_v0 (x) e_h.  The constructors (here and in comodule)
     take the tables and normalise them with _table, the one normalisation
-    point: each list is sorted ascending and loses its zero coefficients,
-    so equal tensors have equal tables;
+    point: each list is sorted ascending, its duplicate keys merged, its
+    coefficients reduced and its zeros dropped, so equal tensors have equal
+    tables;
   * tensor factors are flattened lexicographically with the LEFT leg major,
     so _columns of a dense A (x) A -> A matrix is a mul_table and
     _leg_columns of a dense H -> H (x) H (or V -> V (x) H) matrix is a
@@ -134,12 +135,14 @@ def tensor_algebra_map(report, prefix, alg, table, left, right):
         report.fail(prefix + "unit")
 
 
-def _table(table, size, what):
-    """table with each entry list sorted and its zero coefficients dropped,
-    after checking that it has size entries."""
+def _table(field, table, size, what):
+    """table with each entry list summed by _terms (keys ascending,
+    duplicate keys merged, coefficients reduced, zeros dropped), after
+    checking that it has size entries."""
     if len(table) != size:
         raise DimensionMismatch(what)
-    return [sorted(t for t in terms if t[-1]) for terms in table]
+    return [[(*k, x) for k, x in _terms(field, ((t[:-1], t[-1]) for t in e))]
+            for e in table]
 
 
 class StructureConstantAlgebra:
@@ -151,7 +154,8 @@ class StructureConstantAlgebra:
             raise DimensionMismatch("algebra tensor shapes")
         self.field = field
         self.dim = dim
-        self.mul_table = _table(mul_table, dim * dim, "algebra tensor shapes")
+        self.mul_table = _table(field, mul_table, dim * dim,
+                                "algebra tensor shapes")
         self.unit = list(unit)
         self.labels = list(labels) if labels else [f"e{i}" for i in range(dim)]
 
@@ -233,7 +237,8 @@ class CoalgebraData:
             raise DimensionMismatch("coalgebra tensor shapes")
         self.field = field
         self.dim = dim
-        self.comul_table = _table(comul_table, dim, "coalgebra tensor shapes")
+        self.comul_table = _table(field, comul_table, dim,
+                                  "coalgebra tensor shapes")
         self.counit = counit
 
     def validate(self, report=None):

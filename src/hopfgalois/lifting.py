@@ -56,7 +56,7 @@ def _check_621(ctx, candidate, u_prime):
     fails, or None."""
     f = ctx.field
     dm, da, dh = ctx.m.dim, ctx.ca.algebra.dim, ctx.ca.hopf.dim
-    u_h = [ctx.ev(u_prime, basis_vec(f, dh, h)) for h in range(dh)]
+    u_h = [ctx.e.to_matrix(u_prime.col(h)) for h in range(dh)]
 
     def holds(mi, aj):
         em = basis_vec(f, dm, mi)
@@ -75,7 +75,7 @@ def _check_622(ctx, candidate, t_coords):
     (x) r_i(h) a fails, or None."""
     f = ctx.field
     dm, da, dh = ctx.m.dim, ctx.ca.algebra.dim, ctx.ca.hopf.dim
-    t_h = [ctx.ev(t_coords, basis_vec(f, dh, h)) for h in range(dh)]
+    t_h = [ctx.e.to_matrix(t_coords.col(h)) for h in range(dh)]
     reps = [list(tensor_entries(f, ctx.tmap.rep(basis_vec(f, dh, h)),
                                 (da, da))) for h in range(dh)]
 
@@ -144,6 +144,11 @@ def _associativity_witness(cand):
                          == lin_comb(acts, alg.basis_product(i, j)), da, da)
 
 
+def _unital(ctx, phi):
+    """phi o eta = id: the action m.1 = m."""
+    return phi @ ctx.eta == Matrix.identity(ctx.field, ctx.m.dim)
+
+
 def check_unitality(pair):
     """Prop 6.2: t(1)=1, u'(1)=1, m.1=m (the paper's 'm.1=1' is a typo)."""
     ctx = pair.ctx
@@ -151,7 +156,7 @@ def check_unitality(pair):
     unit_e = ctx.e.ca.algebra.unit
     c1 = pair.t.apply(one_h) == unit_e
     c2 = pair.u_prime.apply(one_h) == unit_e
-    c3 = pair.candidate.phi @ ctx.eta == Matrix.identity(ctx.field, ctx.m.dim)
+    c3 = _unital(ctx, pair.candidate.phi)
     return EquivalenceVerdict((c1, c2, c3), ("t(1)=1", "u'(1)=1", "m.1=m"))
 
 
@@ -265,8 +270,7 @@ def _is_action(ctx, phi):
         cand = ActionCandidate(ctx, phi)
     except NotLinear:
         return False
-    return (phi @ ctx.eta == Matrix.identity(ctx.field, ctx.m.dim)
-            and _associativity_witness(cand) is None)
+    return _unital(ctx, phi) and _associativity_witness(cand) is None
 
 
 def lambda_enumerate(ctx, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
@@ -307,10 +311,8 @@ def _endb_conjugation_kernel(ctx, t1, t2):
     if not endb:
         return [], endb
     gq = [ctx.induced.induced_map(g) for g in endb]
-    t12 = []
-    for h in range(dh):
-        e = basis_vec(f, dh, h)
-        t12.append((ctx.ev(t1, e), ctx.ev(t2, e)))
+    t12 = [(ctx.e.to_matrix(t1.col(h)), ctx.e.to_matrix(t2.col(h)))
+           for h in range(dh)]
     cols = []
     for g in gq:
         defect = []

@@ -17,14 +17,14 @@ lexicographically with leg 0 major; tensor_entries reads the legs back.
 Tables.  _columns and _leg_columns turn a matrix into the sparse tables in
 which the package holds m, Delta and every coaction (see hopf).
 
-Operators.  A linear constraint on an unknown matrix X is a matrix on the
-row-major vec(X), written entry by entry from sparse tables and summed by
-`summed`, which reduces only the entries it hits.  colinearity_operator is
-X -> y_co X - (X (x) I_H) x_co for the coaction tables x_co and y_co, and
-intertwiner_operator stacks it for module maps (dim H = 1) and comodule
-maps.  Column c*n + j of an operator is the image of the matrix unit E_cj,
-so kernels (from the canonical RREF) are the same as those of an operator
-probed column by column.
+Operators.  A linear constraint on an unknown matrix X is an operator on
+the row-major vec(X), held as its sparse rows ({column: x} dicts) written
+from sparse tables: colinearity_operator is X -> y_co X - (X (x) I_H) x_co
+for the coaction tables x_co and y_co, and intertwiner_operator stacks it
+for module maps (dim H = 1) and comodule maps.  Column c*n + j is the
+unknown X[c, j].  Every kernel, of such rows or of a Matrix, comes from one
+sparse elimination, sparse_kernel, whose basis is the one read off the
+canonical RREF; no dense operator is formed.
 
 Factor once.  A matrix A solved against many right-hand sides is factored
 once.  Factorization(A) picks r = rank(A) independent rows of A and reduces
@@ -246,27 +246,11 @@ class Matrix:
         return len(self.rref()[1])
 
     def kernel(self):
-        """Deterministic basis of the right nullspace, as a list of vectors.
-
-        One basis vector per free column, in increasing column order, with a
-        1 in the free position.  Only the distinct nonzero rows are reduced:
-        the RREF, and so the basis, depends on the row space alone.
-        """
-        f, n, data = self.field, self.cols, self.data
-        rows = dict.fromkeys(t for i in range(self.rows)
-                             if any(t := tuple(data[i * n:(i + 1) * n])))
-        red, pivots = Matrix(f, len(rows), n,
-                             [x for r in rows for x in r]).rref()
-        pivot_set = set(pivots)
-        basis = []
-        for fc in (j for j in range(n) if j not in pivot_set):
-            v = [f.zero] * n
-            v[fc] = f.one
-            for r, pc in enumerate(pivots):
-                if x := red.data[r * n + fc]:
-                    v[pc] = f.neg(x)
-            basis.append(v)
-        return basis
+        """sparse_kernel of the rows of self."""
+        n, data = self.cols, self.data
+        return sparse_kernel(self.field, n, (
+            {j: x for j, x in enumerate(data[i * n:(i + 1) * n]) if x}
+            for i in range(self.rows)))
 
     def solve(self, b):
         """A particular solution x of self @ x = b.  Raises NoSolution."""
@@ -367,16 +351,6 @@ def reduced(field, values):
     """values with each entry taken mod p over F_p; unchanged over Q."""
     p = field.p
     return [v % p for v in values] if p else values
-
-
-def vstack(mats):
-    cols = mats[0].cols
-    data = []
-    for m in mats:
-        if m.cols != cols:
-            raise ValueError("column mismatch")
-        data.extend(m.data)
-    return Matrix(mats[0].field, sum(m.rows for m in mats), cols, data)
 
 
 def lin_comb(mats, coeffs):
@@ -493,38 +467,87 @@ def summed(field, rows, cols, terms):
     return Matrix(field, rows, cols, out)
 
 
+def sparse_kernel(field, n, rows):
+    """Deterministic basis of the right nullspace of the n-column matrix
+    whose rows are the {column: x} dicts rows (x raw; the input is not
+    changed): one vector per free column, in increasing order, with a 1
+    there, read off the RREF, which depends on the row space alone.
+
+    The rows are reduced once and taken in order, each eliminated at its
+    leftmost column by the pivot rows found so far until that column has
+    no pivot; the row is normalised into that pivot.  Back substitution,
+    pivots right to left, then gives the reduced form.
+    """
+    p, piv = field.p, {}
+    for row in rows:
+        row = {j: y for j, x in row.items() if (y := x % p if p else x)}
+        while row:
+            c = min(row)
+            if c not in piv:
+                inv = field.inv(row[c])
+                piv[c] = {j: field.mul(inv, x) for j, x in row.items()}
+                break
+            _eliminate(p, row, row[c], piv[c])
+    for c in sorted(piv, reverse=True):
+        prow = piv[c]
+        for j in [j for j in prow if j != c and j in piv]:
+            _eliminate(p, prow, prow[j], piv[j])
+    basis = []
+    for fc in (j for j in range(n) if j not in piv):
+        v = [field.zero] * n
+        v[fc] = field.one
+        for c, prow in piv.items():
+            if fc in prow:
+                v[c] = field.neg(prow[fc])
+        basis.append(v)
+    return basis
+
+
+def _eliminate(p, row, x, prow):
+    """row -= x prow in place, dropping the entries that vanish (mod p)."""
+    for j, y in prow.items():
+        v = row.get(j, 0) - x * y
+        if v := v % p if p else v:
+            row[j] = v
+        else:
+            del row[j]
+
+
 def colinearity_operator(field, dx, dy, x_co, y_co, dh):
-    """Matrix on vec(X), X a dy x dx matrix, of X -> y_co X - (X (x) I_H) x_co,
-    for the coaction tables x_co (dx lists) and y_co (dy lists) of
-    (x0, h, c) with rho(e_x) = Sum c e_x0 (x) e_h, h < dh."""
-    n = dy * dx
-
-    def terms():
-        for y, col in enumerate(y_co):  # y_co[yr, y] X[y, c] at (yr, c)
-            yield from ((((y0 * dh + h) * dx + c) * n + y * dx + c, v)
-                        for y0, h, v in col for c in range(dx))
-        for c, col in enumerate(x_co):  # X[y, x] x_co[(x, h), c], ((y, h), c)
-            yield from ((((y * dh + h) * dx + c) * n + y * dx + x, -v)
-                        for x, h, v in col for y in range(dy))
-
-    return summed(field, dy * dh * dx, n, terms())
+    """The rows, as {column: x} dicts of raw sums, of the operator on vec(X),
+    X a dy x dx matrix, of X -> y_co X - (X (x) I_H) x_co, for the coaction
+    tables x_co (dx lists) and y_co (dy lists) of (x0, h, c) with rho(e_x) =
+    Sum c e_x0 (x) e_h, h < dh.  Row (y * dh + h) * dx + c is the entry
+    ((y, h), c) of the defect; column y * dx + x is the unknown X[y, x]."""
+    rows = [{} for _ in range(dy * dh * dx)]
+    for y, col in enumerate(y_co):      # y_co[(y0, h), y] X[y, c]
+        for y0, h, v in col:
+            for c in range(dx):
+                row, k = rows[(y0 * dh + h) * dx + c], y * dx + c
+                row[k] = row.get(k, 0) + v
+    for c, col in enumerate(x_co):      # X[y, x] x_co[(x, h), c]
+        for x, h, v in col:
+            for y in range(dy):
+                row, k = rows[(y * dh + h) * dx + c], y * dx + x
+                row[k] = row.get(k, 0) - v
+    return rows
 
 
 def intertwiner_operator(field, dx, dy, x_maps, y_maps, coactions=None):
-    """Matrix on vec(X), X a dy x dx matrix, of the stacked defects
-    X x_k - y_k X for each pair (x_k, y_k), followed, when
+    """The rows of the operator on vec(X), X a dy x dx matrix, of the
+    stacked defects X x_k - y_k X for each pair (x_k, y_k), followed, when
     coactions = (x_co, y_co, dh), by y_co X - (X (x) I_H) x_co."""
-    blocks = [colinearity_operator(field, dx, dy, _leg_columns(-xa, 1),
-                                   _leg_columns(-ya, 1), 1)     # dim H = 1
-              for xa, ya in zip(x_maps, y_maps)]
+    rows = []
+    for xa, ya in zip(x_maps, y_maps):
+        rows += colinearity_operator(field, dx, dy, _leg_columns(-xa, 1),
+                                     _leg_columns(-ya, 1), 1)   # dim H = 1
     if coactions is not None:
-        blocks.append(colinearity_operator(field, dx, dy, *coactions))
-    if not blocks:
-        return Matrix.zeros(field, 0, dy * dx)
-    return vstack(blocks)
+        rows += colinearity_operator(field, dx, dy, *coactions)
+    return rows
 
 
 def intertwiners(field, dx, dy, x_maps, y_maps, coactions=None):
     """Kernel basis of intertwiner_operator, as dy x dx matrices."""
-    op = intertwiner_operator(field, dx, dy, x_maps, y_maps, coactions)
-    return [Matrix(field, dy, dx, v) for v in op.kernel()]
+    return [Matrix(field, dy, dx, v) for v in sparse_kernel(
+        field, dy * dx,
+        intertwiner_operator(field, dx, dy, x_maps, y_maps, coactions))]

@@ -7,10 +7,12 @@ Composition-of-arrows is convolution in the order alpha_kj(g) o alpha_ji(f)
 = alpha_ki(g * f); this is the orientation the proofs of (21a)-(22) use
 (the statement displays swap the factors in places).
 
-The coaction I_M (x) Delta of M (x) H comes from comul_table; D_M
-membership and the delta maps read the nonzero columns of the arrow and
-the tables of both coactions, so only the B-actions on M (x) H are
-Kronecker products.
+I_M (x) Delta comes from comul_table; D_M membership and the delta maps
+read the arrow's columns and both coaction tables.  The B-actions on
+M (x)_B A and the maps of Lemmas 3.3-3.8 are summed from the quotient's
+index maps, mul_table, rho's table and the columns of eta, of E's basis
+and of gamma's representative: no basis vector is applied, and only the
+B-actions on M (x) H are Kronecker products.
 """
 
 import random
@@ -18,12 +20,11 @@ import random
 from . import convcat
 from .comodule import adjunction_unit, tensor_over_B
 from .endomorphism import build_E
-from .galois import canonical_map, translation_map
+from .galois import NotGalois, canonical_map, translation_map
 from .hopf import (ValidationReport, colinear_witness, comul_on,
                    convolve_columns)
-from .linalg import (Factorization, Matrix, NoSolution, _columns, basis_vec,
-                     intertwiners, kron_vec, lin_comb, reduced, summed,
-                     tensor_entries)
+from .linalg import (Factorization, Matrix, NoSolution, _columns,
+                     _leg_columns, intertwiners, reduced, summed)
 
 
 class MembershipViolation(RuntimeError):
@@ -43,35 +44,35 @@ class TheoremContext:
         self.e = build_E(ca, self.induced)
         self.eta, _, eta_bij = adjunction_unit(m, ca, self.induced)
         if not eta_bij:
-            from .galois import NotGalois
             raise NotGalois("eta_M is not bijective")
         self._eta = Factorization(self.eta)
         can = canonical_map(ca)
         if not can.galois:
-            from .galois import NotGalois
             raise NotGalois("canonical map not invertible")
         self.tmap = translation_map(ca, can)
         # When corrupt_gamma is set, gamma_12^{-1} "forgets" Sbar — the
         # deliberate negative control of identity (12b).
         self.corrupt_gamma = corrupt_gamma
-        f, dh, dm = self.field, ca.hopf.dim, m.dim
-        idh = Matrix.identity(f, dh)
+        dh, dm, da = ca.hopf.dim, m.dim, ca.algebra.dim
+        # the tables the D_M maps are summed from
+        self.eta_cols = _columns(self.eta)
+        self.e_cols = [_columns(b) for b in self.e.basis]
+        self.rep = _leg_columns(self.tmap.representative, da)  # h -> (l, r, x)
         # object 1: M (x) H
         self.x1_dim = dm * dh
-        self.x1_actions = [m.actions[k].kron(idh) for k in range(self.b.dim)]
+        self.x1_actions = [act.kron(Matrix.identity(self.field, dh))
+                           for act in m.actions]
         self.x1_coaction = comul_on(ca.hopf.coalgebra, dm)
         # object 2: M (x)_B A in quotient coordinates
         self.x2_dim = self.quot.dim
-        self.x2_actions = [self.induced_action(self.b.inclusion.col(k))
-                           for k in range(self.b.dim)]
+        free, n = self.quot.free, self.x2_dim
+        self.x2_actions = [_matrix(self, n, _times(self, (
+            (j, a, q, x) for a, x in col for q, j in enumerate(free))))
+            for col in _columns(self.b.inclusion)]
         self.x2_coaction = self.induced.module.coaction_table
         self._dm_cache = {}
 
     # -- evaluation helpers ------------------------------------------------
-
-    def ev(self, hom_mat, h_vec):
-        """Endomorphism matrix of (element of Hom(H,E)) evaluated at h."""
-        return self.e.to_matrix(hom_mat.apply(h_vec))
 
     def eta_inv(self, mat):
         """X with eta X = mat, for all columns of mat at once."""
@@ -81,10 +82,6 @@ class TheoremContext:
         if i == 1:
             return self.x1_dim, self.x1_actions, self.x1_coaction
         return self.x2_dim, self.x2_actions, self.x2_coaction
-
-    def induced_action(self, a_vec):
-        """Right action of an element of A on M (x)_B A."""
-        return lin_comb(self.induced.module.actions, a_vec)
 
     # -- D_M hom spaces ----------------------------------------------------
 
@@ -145,28 +142,69 @@ def delta_bar(ctx, mat):
         for mi in range(mat.rows // dh) for c in range(mat.cols)]))
 
 
+# -- the D_M maps, summed from the tables -----------------------------------
+
+
+def _matrix(ctx, cols, terms):
+    """The quot.dim x cols matrix summed from the raw terms ((row, col), x)."""
+    return summed(ctx.field, ctx.quot.dim, cols,
+                  ((r * cols + c, x) for (r, c), x in terms))
+
+
+def _times(ctx, terms):
+    """The raw terms ((q, k), x) of the class of Sum x (e_j . e_a) over the
+    raw terms (j, a, k, x), j = m * dA + a' an ambient index: the action
+    read from mul_table, the class from the projection's columns."""
+    da, mul, cols = ctx.ca.algebra.dim, ctx.ca.algebra.mul_table, \
+        ctx.quot.columns
+    return (((q, k), x * c * y) for j, a, k, x in terms
+            for r, c in mul[j % da * da + a] for q, y in cols[j - j % da + r])
+
+
+def _ev(ctx, hom):
+    """ev(h, p): the raw terms (r, x) of column p of the endomorphism at h
+    of the map hom: H -> E, whose column h holds E-coordinates."""
+    cols, e_cols = _columns(hom), ctx.e_cols
+    return lambda h, p: ((r, x * z) for i, x in cols[h]
+                         for r, z in e_cols[i][p])
+
+
+def _on_eta(ctx, hom):
+    """Column mi * dH + h: the endomorphism at h of hom applied to eta(m_i),
+    the class of m_i (x) 1."""
+    ev, dh = _ev(ctx, hom), ctx.ca.hopf.dim
+    n = ctx.m.dim * dh
+    return _matrix(ctx, n, (((r, mi * dh + h), y * z)
+                            for mi, col in enumerate(ctx.eta_cols)
+                            for p, y in col for h in range(dh)
+                            for r, z in ev(h, p)))
+
+
+def _translated(ctx, h):
+    """The raw terms (q, p, s, x) of Sum_i [m (x) l_i(h)] (x) r_i(h) a at
+    the section's e_m (x) e_a = e_free[q], as x e_p (x) e_s with p a
+    quotient index and s an index of A."""
+    da, mul, cols = ctx.ca.algebra.dim, ctx.ca.algebra.mul_table, \
+        ctx.quot.columns
+    return ((q, p, s, c * y * w) for q, j in enumerate(ctx.quot.free)
+            for l, r, c in ctx.rep[h] for p, y in cols[j - j % da + l]
+            for s, w in mul[r * da + j % da])
+
+
 # -- Lemma 3.3 / Corollary 3.4 ---------------------------------------------
 
 
 def beta11_tilde(ctx, v_prime_mat):
-    f, dm, dh = ctx.field, ctx.m.dim, ctx.ca.hopf.dim
-    evs = [ctx.ev(v_prime_mat, basis_vec(f, dh, hj)) for hj in range(dh)]
-    cols = [ev.apply(ctx.eta.col(mi))               # class of m (x) 1
-            for mi in range(dm) for ev in evs]
-    return ctx.eta_inv(Matrix.from_cols(f, cols, nrows=ctx.quot.dim))
+    return ctx.eta_inv(_on_eta(ctx, v_prime_mat))
 
 
 def beta11_hat(ctx, theta_small):
-    """Inverse direction: Hom_B(M (x) H, M) -> Hom(H, F) (coords in E)."""
-    f, dm, dh = ctx.field, ctx.m.dim, ctx.ca.hopf.dim
-    endos = []
-    for hj in range(dh):
-        th_h = Matrix.from_cols(
-            f, [theta_small.apply(kron_vec(f, basis_vec(f, dm, mi),
-                                           basis_vec(f, dh, hj)))
-                for mi in range(dm)], nrows=dm)
-        endos.append(ctx.induced.induced_map(th_h))
-    return ctx.e.coords_matrix(endos)
+    """Inverse direction: Hom_B(M (x) H, M) -> Hom(H, F) (coords in E):
+    theta(- (x) h) (x)_B A for each h."""
+    dh, da, cols = ctx.ca.hopf.dim, ctx.ca.algebra.dim, _columns(theta_small)
+    return ctx.e.coords_matrix([ctx.quot.induced(lambda j: (
+        (r * da + j % da, 0, x) for r, x in cols[j // da * dh + h]))
+        for h in range(dh)])
 
 
 def beta11(ctx, v_prime_mat):
@@ -177,64 +215,41 @@ def beta11(ctx, v_prime_mat):
 
 
 def beta21(ctx, t_prime_mat):
-    f, dm, dh = ctx.field, ctx.m.dim, ctx.ca.hopf.dim
-    evs = [ctx.ev(t_prime_mat, basis_vec(f, dh, hj)) for hj in range(dh)]
-    cols = [ev.apply(ctx.eta.col(mi)) for mi in range(dm) for ev in evs]
-    return Matrix.from_cols(f, cols, nrows=ctx.quot.dim)
+    return _on_eta(ctx, t_prime_mat)
 
 
 def beta21_bar(ctx, psi):
-    f, dm, dh, da = ctx.field, ctx.m.dim, ctx.ca.hopf.dim, ctx.ca.algebra.dim
-    endos = []
-    for hj in range(dh):
-        bases = [psi.apply(kron_vec(f, basis_vec(f, dm, mi),
-                                    basis_vec(f, dh, hj))) for mi in range(dm)]
-        # psi(m (x) h).a at the section's ambient indices m (x) a
-        endos.append(Matrix.from_cols(
-            f, [ctx.induced.module.actions[j % da].apply(bases[j // da])
-                for j in ctx.quot.free], nrows=ctx.quot.dim))
-    return ctx.e.coords_matrix(endos)
+    """psi(m (x) h) . a at the section's e_m (x) e_a, for each h."""
+    dh, da, free = ctx.ca.hopf.dim, ctx.ca.algebra.dim, ctx.quot.free
+    cols = _columns(psi)
+    return ctx.e.coords_matrix([_matrix(ctx, len(free), _times(ctx, (
+        (free[q1], j % da, q, x) for q, j in enumerate(free)
+        for q1, x in cols[j // da * dh + h]))) for h in range(dh)])
 
 
 # -- Lemma 3.6 / Corollary 3.7 ---------------------------------------------
 
 
 def beta12_tilde(ctx, u_prime_mat):
-    f, dm, dh, da = ctx.field, ctx.m.dim, ctx.ca.hopf.dim, ctx.ca.algebra.dim
-    evs = [ctx.ev(u_prime_mat, basis_vec(f, dh, h)) for h in range(dh)]
-    amb_cols = []
-    for mi in range(dm):
-        for aj in range(da):
-            acc = [f.zero] * ctx.quot.dim
-            for a0, h, c in ctx.ca.coaction_table[aj]:
-                p = ctx.quot.project(kron_vec(f, basis_vec(f, dm, mi),
-                                              basis_vec(f, da, a0)))
-                w = evs[h].apply(p)
-                acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, w)]
-            amb_cols.append(acc)
+    """eta^{-1} of Sum u'(a_[1])(m (x) a_[0]) at each ambient m (x) a, then
+    the section's columns."""
+    da, rho, cols = ctx.ca.algebra.dim, ctx.ca.coaction_table, \
+        ctx.quot.columns
+    ev, n = _ev(ctx, u_prime_mat), ctx.m.dim * da
+    amb = _matrix(ctx, n, (((r, j), c * y * z) for j in range(n)
+                           for a0, h, c in rho[j % da]
+                           for p, y in cols[j - j % da + a0]
+                           for r, z in ev(h, p)))
     # only the full sums are coinvariant; invert eta after summing
-    amb = Matrix.from_cols(f, amb_cols, nrows=ctx.quot.dim)
     return ctx.quot.gather(ctx.eta_inv(amb))
 
 
 def alpha12_hat(ctx, phi):
     """Eq. (AA): (alpha^_12(phi)(h))(m (x) a) = Sum phi(m (x) l_i(h)) (x) r_i(h) a."""
-    f, dm, dh, da = ctx.field, ctx.m.dim, ctx.ca.hopf.dim, ctx.ca.algebra.dim
-    endos = []
-    for hj in range(dh):
-        rep = ctx.tmap.rep(basis_vec(f, dh, hj))
-        amb_cols = []
-        for mi, aj in (divmod(j, da) for j in ctx.quot.free):
-            acc = [f.zero] * ctx.quot.dim
-            for (l, r), c in tensor_entries(f, rep, (da, da)):
-                mv = phi.apply(ctx.quot.project(
-                    kron_vec(f, basis_vec(f, dm, mi), basis_vec(f, da, l))))
-                av = ctx.ca.algebra.basis_product(r, aj)
-                term = ctx.quot.project(kron_vec(f, mv, av))
-                acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, term)]
-            amb_cols.append(acc)
-        endos.append(Matrix.from_cols(f, amb_cols, nrows=ctx.quot.dim))
-    return ctx.e.coords_matrix(endos)
+    dh, da, cols = ctx.ca.hopf.dim, ctx.ca.algebra.dim, _columns(phi)
+    return ctx.e.coords_matrix([_matrix(ctx, ctx.quot.dim, ctx.quot.classes(
+        (m * da + s, q, x * z) for q, p, s, x in _translated(ctx, h)
+        for m, z in cols[p])) for h in range(dh)])
 
 
 def beta12(ctx, u_prime_mat):
@@ -245,35 +260,18 @@ def beta12(ctx, u_prime_mat):
 
 
 def beta22(ctx, w_prime_mat):
-    f, dh, n = ctx.field, ctx.ca.hopf.dim, ctx.quot.dim
-    evs = [ctx.ev(w_prime_mat, basis_vec(f, dh, h)) for h in range(dh)]
-    cols = []
-    for q in range(n):
-        acc = [f.zero] * n
-        for qi, h, c in ctx.x2_coaction[q]:
-            acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, evs[h].col(qi))]
-        cols.append(acc)
-    return Matrix.from_cols(f, cols, nrows=n)
+    ev = _ev(ctx, w_prime_mat)
+    return _matrix(ctx, ctx.quot.dim, (
+        ((r, q), c * z) for q, terms in enumerate(ctx.x2_coaction)
+        for qi, h, c in terms for r, z in ev(h, qi)))
 
 
 def alpha22_bar(ctx, kappa):
-    f, dm, dh, da = ctx.field, ctx.m.dim, ctx.ca.hopf.dim, ctx.ca.algebra.dim
-    mul, acts = ctx.ca.algebra.mul_table, ctx.induced.module.actions
-    endos = []
-    for hj in range(dh):
-        rep = ctx.tmap.rep(basis_vec(f, dh, hj))
-        amb_cols = []
-        for mi, aj in (divmod(j, da) for j in ctx.quot.free):
-            acc = [f.zero] * ctx.quot.dim
-            for (l, r), c in tensor_entries(f, rep, (da, da)):
-                base = kappa.apply(ctx.quot.project(
-                    kron_vec(f, basis_vec(f, dm, mi), basis_vec(f, da, l))))
-                for s, y in mul[r * da + aj]:       # base . (c e_r a_j)
-                    acc = [x + c * y * z
-                           for x, z in zip(acc, acts[s].apply(base))]
-            amb_cols.append(reduced(f, acc))
-        endos.append(Matrix.from_cols(f, amb_cols, nrows=ctx.quot.dim))
-    return ctx.e.coords_matrix(endos)
+    """Sum kappa(m (x) l_i(h)) . (r_i(h) a) at the section's e_m (x) e_a."""
+    dh, free, cols = ctx.ca.hopf.dim, ctx.quot.free, _columns(kappa)
+    return ctx.e.coords_matrix([_matrix(ctx, len(free), _times(ctx, (
+        (free[q1], s, q, x * z) for q, p, s, x in _translated(ctx, h)
+        for q1, z in cols[p]))) for h in range(dh)])
 
 
 # -- the alpha functor ------------------------------------------------------

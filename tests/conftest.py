@@ -5,7 +5,7 @@ from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import (cp_fixture, cyclic_cayley,
                                  dual_group_algebra, graded_m2, group_algebra,
                                  regular_comodule, sweedler_h4, trivial_kxk)
-from hopfgalois.linalg import Matrix
+from hopfgalois.linalg import Matrix, reduced
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -140,6 +140,23 @@ def dense_rho(field, table, dh):
         for v0, h, x in terms:
             out.data[(v0 * dh + h) * n + v] = x
     return out
+
+
+def dense_rows(field, rows, cols):
+    """The dense view of an operator held as sparse rows ({column: x}
+    dicts of raw sums): a len(rows) x cols matrix, reduced."""
+    data = [0] * (len(rows) * cols)
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            data[r * cols + c] = x
+    return Matrix(field, len(rows), cols,
+                  [field.zero if not v else v for v in reduced(field, data)])
+
+
+def vstack(mats):
+    """The matrices mats stacked top to bottom."""
+    return Matrix(mats[0].field, sum(m.rows for m in mats), mats[0].cols,
+                  [x for m in mats for x in m.data])
 
 
 def dense_comul_iterated(co, x, arity):

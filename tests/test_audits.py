@@ -241,7 +241,7 @@ def test_hopf_module_audit_matches_the_dense_oracle(name):
             data[pos] = f.add(data[pos], one)
             moved = base.actions + [coaction]
             moved[k] = Matrix(f, mat.rows, mat.cols, data)
-            module = RelativeHopfModuleData(base.dim, moved[:-1],
+            module = RelativeHopfModuleData(f, base.dim, moved[:-1],
                                             _leg_columns(moved[-1], dh))
             failures = module.validate(ca).failures
             assert failures and failures == dense_hopf_module(module, ca)

@@ -103,11 +103,12 @@ def test_shuffled_coaction_tables_build_the_same_structures(make):
     module = tensor_over_B(regular_bmodule(ca), ca).module
     table = shuffled(module.coaction_table, rng)
     table[-1].insert(0, (0, 0, zero))
-    again = RelativeHopfModuleData(module.dim, module.actions, table)
+    again = RelativeHopfModuleData(ca.field, module.dim, module.actions,
+                                   table)
     assert again.coaction_table == module.coaction_table
     assert again.validate(ca).failures == module.validate(ca).failures
     with pytest.raises(DimensionMismatch):
-        RelativeHopfModuleData(module.dim, module.actions,
+        RelativeHopfModuleData(ca.field, module.dim, module.actions,
                                module.coaction_table + [[]])
 
 

@@ -19,11 +19,10 @@ from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
 from hopfgalois.hopf import comul_on, convolution_operator, convolve
 from hopfgalois.lifting import ActionCandidate, _b_linear_space
 from hopfgalois.linalg import (Matrix, basis_vec, intertwiner_operator,
-                               kron_vec, tensor_entries, vec_add, vec_scale,
-                               vstack)
+                               kron_vec, tensor_entries, vec_add, vec_scale)
 
-from conftest import (dense_comul, dense_mul, dense_rho, gather_legs, module_b,
-                      module_k, scatter_legs)
+from conftest import (dense_comul, dense_mul, dense_rho, dense_rows,
+                      gather_legs, module_b, module_k, scatter_legs, vstack)
 
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 
@@ -189,7 +188,8 @@ def test_hom_space_operator(name):
             ca.field, da, dh,
             lambda x: (rho @ x
                        - old_constraint_rhs(ca, x, cls, variant)).data)
-        assert convcat.constraint_operator(ca, cls, variant) == oracle
+        assert dense_rows(ca.field, convcat.constraint_operator(
+            ca, cls, variant), da * dh) == oracle
 
 
 def test_hom_space_operator_on_E():
@@ -202,7 +202,8 @@ def test_hom_space_operator_on_E():
             ca.field, de, dh,
             lambda x: (rho @ x
                        - old_constraint_rhs(e_ca, x, cls, variant)).data)
-        assert convcat.constraint_operator(e_ca, cls, variant) == oracle
+        assert dense_rows(ca.field, convcat.constraint_operator(
+            e_ca, cls, variant), de * dh) == oracle
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -287,8 +288,9 @@ def test_dm_hom_space_operator(name, module):
             f, dy, dx, action_defect(x_actions, y_actions,
                                      (dense_rho(f, x_co, dh),
                                       dense_rho(f, y_co, dh))))
-        assert intertwiner_operator(f, dx, dy, x_actions, y_actions,
-                                    (x_co, y_co, dh)) == oracle
+        assert dense_rows(f, intertwiner_operator(
+            f, dx, dy, x_actions, y_actions, (x_co, y_co, dh)),
+            dy * dx) == oracle
 
 
 @pytest.mark.parametrize("name", ["m2_q", "m2_f3", "h4_f5"])
@@ -306,9 +308,10 @@ def test_bh_iso_operator(name):
     rho = dense_rho(f, ca.coaction_table, dh)
     oracle = probe_operator(f, da, da, action_defect(x_acts, a_acts,
                                                      (x_co, rho)))
-    assert intertwiner_operator(
+    assert dense_rows(f, intertwiner_operator(
         f, da, da, x_acts, a_acts,
-        (comul_on(ca.hopf.coalgebra, db), ca.coaction_table, dh)) == oracle
+        (comul_on(ca.hopf.coalgebra, db), ca.coaction_table, dh)),
+        da * da) == oracle
 
 
 @pytest.mark.parametrize("name", ["m2_q", "m2_f3"])
@@ -319,8 +322,8 @@ def test_lifting_operators(name):
     f, dm, dq = ctx.field, ctx.m.dim, ctx.quot.dim
     oracle = probe_operator(f, dm, dq,
                             action_defect(ctx.x2_actions, ctx.m.actions))
-    assert intertwiner_operator(f, dq, dm, ctx.x2_actions,
-                                ctx.m.actions) == oracle
+    assert dense_rows(f, intertwiner_operator(f, dq, dm, ctx.x2_actions,
+                                              ctx.m.actions), dm * dq) == oracle
     space = _b_linear_space(ctx)
     c1 = ActionCandidate(ctx, space[0])
     c2 = ActionCandidate(ctx, space[-1] + space[0])
@@ -328,7 +331,8 @@ def test_lifting_operators(name):
     acts1 = [c1.act_matrix(basis_vec(f, da, i)) for i in range(da)]
     acts2 = [c2.act_matrix(basis_vec(f, da, i)) for i in range(da)]
     oracle = probe_operator(f, dm, dm, action_defect(acts2, acts1))
-    assert intertwiner_operator(f, dm, dm, acts2, acts1) == oracle
+    assert dense_rows(f, intertwiner_operator(f, dm, dm, acts2, acts1),
+                      dm * dm) == oracle
 
 
 @pytest.mark.parametrize("name", ["m2_q", "h4_f5"])
@@ -340,5 +344,6 @@ def test_hom_A_operator(name):
     actions = ctx.induced.module.actions
     idn = Matrix.identity(f, n)
     old = vstack([idn.kron(a.transpose()) - a.kron(idn) for a in actions])
-    assert intertwiner_operator(f, n, n, actions, actions) == old
+    assert dense_rows(f, intertwiner_operator(f, n, n, actions, actions),
+                      n * n) == old
     assert old == probe_operator(f, n, n, action_defect(actions, actions))

@@ -1,7 +1,8 @@
 """The sparse tables as the only form of m and Delta.
 
 The constructors take mul_table and comul_table and normalise them (each
-entry list sorted, zeros dropped); taft writes its tables directly and
+entry list sorted, duplicate keys merged, coefficients reduced, zeros
+dropped); taft writes its tables directly and
 io_json emits from them.  The oracles here are the dense forms: the Taft
 formula as it filled a dense matrix, the left-nested dense Delta, and the
 entrywise Kronecker product.
@@ -18,7 +19,7 @@ from hopfgalois import convcat, io_json
 from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import regular_comodule, sweedler_h4, taft
 from hopfgalois.hopf import (CoalgebraData, HopfAlgebraData,
-                             StructureConstantAlgebra, comul_terms,
+                             StructureConstantAlgebra, _table, comul_terms,
                              validate_hopf)
 from hopfgalois.linalg import (Matrix, _columns, _leg_columns, kron_vec,
                                tensor_entries)
@@ -123,6 +124,21 @@ def test_zero_coefficients_are_dropped():
     co = CoalgebraData(F5, 1, [[(0, 0, 0), (0, 0, 1)]],
                        Matrix(F5, 1, 1, [1]))
     assert alg.mul_table == [[(0, 1)]] and co.comul_table == [[(0, 0, 1)]]
+
+
+def test_tables_are_reduced_and_merged():
+    """Equal tensors have equal tables whatever the input: an entry 8 is
+    1 over F_7, an entry 7 is dropped, and two terms on one key merge."""
+    one = StructureConstantAlgebra(F7, 1, [[(0, 1)]], [1])
+    assert StructureConstantAlgebra(F7, 1, [[(0, 8)]], [1]).mul_table == \
+        one.mul_table == [[(0, 1)]]
+    assert StructureConstantAlgebra(F7, 1, [[(0, 7)]], [1]).mul_table == [[]]
+    split = [[(0, 3), (0, 4)]]
+    assert StructureConstantAlgebra(QQ, 1, split, [1]).mul_table == \
+        [[(0, 7)]]
+    assert StructureConstantAlgebra(F7, 1, split, [1]).mul_table == [[]]
+    assert _table(F7, [[(1, 0, 8), (0, 1, 2), (0, 1, 5), (1, 0, 5)]], 1,
+                  "coaction shape") == [[(1, 0, 6)]]
 
 
 # -- iterated comultiplication ----------------------------------------------

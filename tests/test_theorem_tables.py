@@ -2,10 +2,12 @@
 
 E's multiplication and its Eq. (14) coaction, the colinearity constraints of
 C_A and C'_A, the coaction of M (x) H, the D_M membership test, the delta
-maps of Lemma 3.2 and Matrix.kernel's reduction of the distinct nonzero rows
-are computed from mul_table, comul_table, the coaction tables and the
-nonzero columns of S and Sbar.  Each must equal the former dense Kronecker
-formula, which lives on here only, as the oracle.
+maps of Lemma 3.2, the eight D_M maps of Lemmas 3.3-3.8 and the B-actions
+on M (x)_B A are computed from mul_table, comul_table, the coaction tables,
+the projection's columns and the nonzero columns of S and Sbar, and every
+kernel from sparse_kernel's elimination of sparse rows.  Each must equal
+the former dense formula (Kronecker products, basis vectors applied one at
+a time, the full RREF), which lives on here only, as the oracle.
 """
 
 import random
@@ -13,8 +15,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfgalois import cleft, convcat
-from hopfgalois.comodule import BModule, regular_bmodule, tensor_over_B
+from hopfgalois import cleft, convcat, maintheorem
+from hopfgalois.comodule import (BModule, InternalInvariant, regular_bmodule,
+                                 tensor_over_B)
 from hopfgalois.endomorphism import NotRational, build_E, rational_coaction
 from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.galois import NotGalois, canonical_map, canonical_map_prime
@@ -22,9 +25,11 @@ from hopfgalois.hopf import ValidationReport
 from hopfgalois.maintheorem import (TheoremContext, delta1, delta2,
                                     delta_bar)
 from hopfgalois.linalg import (Factorization, Matrix, NoSolution, _leg_columns,
-                               basis_vec)
+                               basis_vec, kron_vec, lin_comb, reduced,
+                               sparse_kernel, tensor_entries)
 
-from conftest import dense_comul, dense_mul, dense_rho, scatter_legs
+from conftest import (dense_comul, dense_mul, dense_rho, dense_rows,
+                      scatter_legs)
 from test_quotient import F7, RUNGS, fixture_cases, relabelled
 
 VARIANTS = [(cls, variant) for cls in convcat.CLASSES
@@ -146,6 +151,136 @@ def full_rref_kernel(mat):
     return basis
 
 
+def ev(ctx, hom_mat, h_vec):
+    """The former TheoremContext.ev: the endomorphism at h of hom_mat."""
+    return ctx.e.to_matrix(hom_mat.apply(h_vec))
+
+
+def old_beta11_tilde(ctx, v_prime_mat):
+    f, dm, dh = ctx.field, ctx.m.dim, ctx.ca.hopf.dim
+    evs = [ev(ctx, v_prime_mat, basis_vec(f, dh, hj)) for hj in range(dh)]
+    cols = [ev.apply(ctx.eta.col(mi))               # class of m (x) 1
+            for mi in range(dm) for ev in evs]
+    return ctx.eta_inv(Matrix.from_cols(f, cols, nrows=ctx.quot.dim))
+
+
+def old_beta11_hat(ctx, theta_small):
+    f, dm, dh = ctx.field, ctx.m.dim, ctx.ca.hopf.dim
+    endos = []
+    for hj in range(dh):
+        th_h = Matrix.from_cols(
+            f, [theta_small.apply(kron_vec(f, basis_vec(f, dm, mi),
+                                           basis_vec(f, dh, hj)))
+                for mi in range(dm)], nrows=dm)
+        endos.append(ctx.induced.induced_map(th_h))
+    return ctx.e.coords_matrix(endos)
+
+
+def old_beta21(ctx, t_prime_mat):
+    f, dm, dh = ctx.field, ctx.m.dim, ctx.ca.hopf.dim
+    evs = [ev(ctx, t_prime_mat, basis_vec(f, dh, hj)) for hj in range(dh)]
+    cols = [ev.apply(ctx.eta.col(mi)) for mi in range(dm) for ev in evs]
+    return Matrix.from_cols(f, cols, nrows=ctx.quot.dim)
+
+
+def old_beta21_bar(ctx, psi):
+    f, dm, dh, da = ctx.field, ctx.m.dim, ctx.ca.hopf.dim, ctx.ca.algebra.dim
+    endos = []
+    for hj in range(dh):
+        bases = [psi.apply(kron_vec(f, basis_vec(f, dm, mi),
+                                    basis_vec(f, dh, hj))) for mi in range(dm)]
+        endos.append(Matrix.from_cols(
+            f, [ctx.induced.module.actions[j % da].apply(bases[j // da])
+                for j in ctx.quot.free], nrows=ctx.quot.dim))
+    return ctx.e.coords_matrix(endos)
+
+
+def old_beta12_tilde(ctx, u_prime_mat):
+    f, dm, dh, da = ctx.field, ctx.m.dim, ctx.ca.hopf.dim, ctx.ca.algebra.dim
+    evs = [ev(ctx, u_prime_mat, basis_vec(f, dh, h)) for h in range(dh)]
+    amb_cols = []
+    for mi in range(dm):
+        for aj in range(da):
+            acc = [f.zero] * ctx.quot.dim
+            for a0, h, c in ctx.ca.coaction_table[aj]:
+                p = ctx.quot.project(kron_vec(f, basis_vec(f, dm, mi),
+                                              basis_vec(f, da, a0)))
+                w = evs[h].apply(p)
+                acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, w)]
+            amb_cols.append(acc)
+    amb = Matrix.from_cols(f, amb_cols, nrows=ctx.quot.dim)
+    return ctx.quot.gather(ctx.eta_inv(amb))
+
+
+def old_alpha12_hat(ctx, phi):
+    f, dm, dh, da = ctx.field, ctx.m.dim, ctx.ca.hopf.dim, ctx.ca.algebra.dim
+    endos = []
+    for hj in range(dh):
+        rep = ctx.tmap.rep(basis_vec(f, dh, hj))
+        amb_cols = []
+        for mi, aj in (divmod(j, da) for j in ctx.quot.free):
+            acc = [f.zero] * ctx.quot.dim
+            for (l, r), c in tensor_entries(f, rep, (da, da)):
+                mv = phi.apply(ctx.quot.project(
+                    kron_vec(f, basis_vec(f, dm, mi), basis_vec(f, da, l))))
+                av = ctx.ca.algebra.basis_product(r, aj)
+                term = ctx.quot.project(kron_vec(f, mv, av))
+                acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, term)]
+            amb_cols.append(acc)
+        endos.append(Matrix.from_cols(f, amb_cols, nrows=ctx.quot.dim))
+    return ctx.e.coords_matrix(endos)
+
+
+def old_beta22(ctx, w_prime_mat):
+    f, dh, n = ctx.field, ctx.ca.hopf.dim, ctx.quot.dim
+    evs = [ev(ctx, w_prime_mat, basis_vec(f, dh, h)) for h in range(dh)]
+    cols = []
+    for q in range(n):
+        acc = [f.zero] * n
+        for qi, h, c in ctx.x2_coaction[q]:
+            acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, evs[h].col(qi))]
+        cols.append(acc)
+    return Matrix.from_cols(f, cols, nrows=n)
+
+
+def old_alpha22_bar(ctx, kappa):
+    f, dm, dh, da = ctx.field, ctx.m.dim, ctx.ca.hopf.dim, ctx.ca.algebra.dim
+    mul, acts = ctx.ca.algebra.mul_table, ctx.induced.module.actions
+    endos = []
+    for hj in range(dh):
+        rep = ctx.tmap.rep(basis_vec(f, dh, hj))
+        amb_cols = []
+        for mi, aj in (divmod(j, da) for j in ctx.quot.free):
+            acc = [f.zero] * ctx.quot.dim
+            for (l, r), c in tensor_entries(f, rep, (da, da)):
+                base = kappa.apply(ctx.quot.project(
+                    kron_vec(f, basis_vec(f, dm, mi), basis_vec(f, da, l))))
+                for s, y in mul[r * da + aj]:
+                    acc = [x + c * y * z
+                           for x, z in zip(acc, acts[s].apply(base))]
+            amb_cols.append(reduced(f, acc))
+        endos.append(Matrix.from_cols(f, amb_cols, nrows=ctx.quot.dim))
+    return ctx.e.coords_matrix(endos)
+
+
+def old_x2_actions(ctx):
+    """The former TheoremContext.induced_action of each b_k: the dense
+    actions of A combined by b_k's coordinates."""
+    return [lin_comb(ctx.induced.module.actions, ctx.b.inclusion.col(k))
+            for k in range(ctx.b.dim)]
+
+
+# the maps on Hom(H, E) (dim E x dim H, E-coordinates) and on D_M arrows
+E_MAPS = [("beta11_tilde", old_beta11_tilde, (1, 1)),
+          ("beta21", old_beta21, (1, 2)),
+          ("beta12_tilde", old_beta12_tilde, (2, 1)),
+          ("beta22", old_beta22, (2, 2))]
+DM_MAPS = [("beta11_hat", old_beta11_hat, (1, 1)),
+           ("beta21_bar", old_beta21_bar, (1, 2)),
+           ("alpha12_hat", old_alpha12_hat, (2, 1)),
+           ("alpha22_bar", old_alpha22_bar, (2, 2))]
+
+
 # -- the cases ---------------------------------------------------------------
 
 
@@ -243,7 +378,8 @@ def check_constraints(ca, rng):
     da, dh = ca.algebra.dim, ca.hopf.dim
     for cls, variant in VARIANTS:
         gd = dense_constraint(ca, cls, variant)
-        op = convcat.constraint_operator(ca, cls, variant)
+        op = dense_rows(ca.field, convcat.constraint_operator(
+            ca, cls, variant), da * dh)
         for j in rng.sample(range(da * dh), min(4, da * dh)):
             unit = Matrix(ca.field, da, dh, basis_vec(ca.field, da * dh, j))
             assert op.col(j) == dense_defect(ca, unit, cls, variant, gd).data
@@ -321,6 +457,53 @@ def test_dm_objects_equal_the_dense_oracle(case):
             assert delta_bar(ctx, mat) == dense_delta_bar(ctx, mat)
 
 
+def outcome(fn, *args):
+    """fn(*args), or the class of the NoSolution or InternalInvariant it
+    raised."""
+    try:
+        return fn(*args)
+    except (NoSolution, InternalInvariant) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_dm_maps_equal_the_dense_oracle(case):
+    """The eight maps of Lemmas 3.3-3.8 and the B-actions on M (x)_B A.
+    Each map is fed what alpha or alpha_inverse feeds it on the C_E or D_M
+    hom basis (it must succeed there), a bumped basis element and a random
+    matrix (where both may raise, they raise the same)."""
+    _, ca, m = case
+    try:
+        ctx = TheoremContext(ca, m)
+    except NotGalois:
+        return
+    f, rng, sbar = ctx.field, random.Random(11), ca.hopf.antipode_inv
+    assert ctx.x2_actions == old_x2_actions(ctx)
+    for name, old, cls in E_MAPS:
+        new = getattr(maintheorem, name)
+        basis = [el.matrix @ sbar for el in
+                 convcat.hom_space(ctx.e.ca, cls, "C").elements]
+        for k, mat in enumerate(basis + [bumped(mat, rng) for mat in
+                                         basis[:1]]
+                                + [random_matrix(f, ctx.e.dim, ca.hopf.dim,
+                                                 rng)]):
+            got = outcome(new, ctx, mat)
+            assert got == outcome(old, ctx, mat), (name, k)
+            assert isinstance(got, Matrix) or k >= len(basis)
+    for name, old, (i, j) in DM_MAPS:
+        new = getattr(maintheorem, name)
+        basis = ctx.dm_hom_space(i, j)
+        dx, dy = ctx.object_data(i)[0], ctx.object_data(j)[0]
+        for k, mat in enumerate(basis + [bumped(mat, rng) for mat in
+                                         basis[:1]]
+                                + [random_matrix(f, dy, dx, rng)]):
+            if j == 1:
+                mat = delta_bar(ctx, mat)
+            got = outcome(new, ctx, mat)
+            assert got == outcome(old, ctx, mat), (name, k)
+            assert isinstance(got, Matrix) or k >= len(basis)
+
+
 def test_bh_iso_colinearity_equals_the_dense_check():
     """cleft._check_bh_iso's colinearity test on psi: k (x) H -> A for the
     regular kC_3: the identity passes, a cyclic shift fails."""
@@ -338,7 +521,7 @@ def test_bh_iso_colinearity_equals_the_dense_check():
         assert (("psi-not-colinear", None) in leg.failures) == (not dense)
 
 
-# -- kernels on the distinct nonzero rows ------------------------------------
+# -- kernels by sparse elimination -------------------------------------------
 
 
 @st.composite
@@ -363,6 +546,41 @@ def padded_matrices(draw):
 @given(padded_matrices())
 def test_kernel_on_distinct_rows_equals_the_full_rref_kernel(mat):
     assert mat.kernel() == full_rref_kernel(mat)
+
+
+@st.composite
+def sparse_systems(draw):
+    """(field, n, rows): sparse rows of raw integers (unreduced, negative
+    or explicit zeros included) drawn from a few base rows that vanish left
+    of a column lead, repeated and shuffled, then a last row whose leading
+    column lies left of every pivot found before it."""
+    field = draw(st.sampled_from([PrimeField(2), F7, PrimeField(2 ** 61 - 1),
+                                  QQ]))
+    n = draw(st.integers(2, 8))
+    lead = draw(st.integers(1, n - 1))
+    raw = st.integers(-20, 20)
+    base = draw(st.lists(st.dictionaries(st.integers(lead, n - 1), raw,
+                                         max_size=n), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1,
+                          max_size=3 * len(base)))
+    rows = [dict(base[k]) for k in picks] + [dict(base[0])]
+    draw(st.randoms()).shuffle(rows)
+    last = draw(st.dictionaries(st.integers(0, n - 1), raw, max_size=n))
+    last[draw(st.integers(0, lead - 1))] = draw(st.sampled_from([1, -1, 3]))
+    return field, n, rows + [last]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_sparse_kernel_equals_the_full_rref_kernel(system):
+    field, n, rows = system
+    before = [dict(row) for row in rows]
+    mat = Matrix.from_rows(field, [[field.from_int(row.get(j, 0))
+                                    for j in range(n)] for row in rows])
+    want = full_rref_kernel(mat)
+    assert sparse_kernel(field, n, rows) == want
+    assert rows == before                       # the input is not changed
+    assert mat.kernel() == want
 
 
 def test_kernel_of_empty_and_zero_matrices():
