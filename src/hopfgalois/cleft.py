@@ -18,9 +18,11 @@ from .hopf import (CoalgebraData, OneSidedInverse, StructureConstantAlgebra,
                    ValidationReport, colinear_witness, comul_on, comul_terms,
                    convolution_inverse, convolution_operator,
                    convolution_unit, convolve, first_failure,
-                   is_convolution_inverse, multiplicative_witness)
-from .linalg import (Matrix, NotInvertible, OperatorSpan, basis_vec,
-                     intertwiners, kron_vec, lin_comb, vec_add, vec_scale)
+                   is_convolution_inverse, linear_witness,
+                   multiplicative_witness)
+from .linalg import (Matrix, NotInvertible, OperatorSpan, _columns, _terms,
+                     basis_vec, intertwiners, kron_vec, lin_comb, vec_add,
+                     vec_scale)
 from .search import EXHAUSTIVE_CAP, NotFound
 
 
@@ -477,22 +479,30 @@ def _varphi_matrix(ca, b, u_mat):
     return Matrix.from_cols(f, cols, nrows=db * dh)
 
 
+def _left_b_actions(ca, b):
+    """The left B-actions b_k . (e_j (x) e_h) = (b_k e_j) (x) e_h on B (x) H
+    and b_k . e_a on A, as action tables (hopf module doc)."""
+    db, dh, da = b.dim, ca.hopf.dim, ca.algebra.dim
+    bmul, amul, incl = b.algebra.mul_table, ca.algebra.mul_table, \
+        _columns(b.inclusion)
+    return ([sorted((r * dh + h, k, c) for k in range(db)
+                    for r, c in bmul[k * db + j])
+             for j in range(db) for h in range(dh)],
+            [[(*key, x) for key, x in _terms(ca.field, (
+                ((s, k), y * c) for k, col in enumerate(incl)
+                for t, y in col for s, c in amul[t * da + a]))]
+             for a in range(da)])
+
+
 def _check_bh_iso(ca, b, psi, leg):
     """psi: B (x) H -> A must be a B-linear H-colinear bijection."""
     f = ca.field
-    db, dh = b.dim, ca.hopf.dim
-    idh = Matrix.identity(f, dh)
     if not psi.is_invertible():
         leg.fail("psi-not-bijective")
         return
-
-    def b_linear(i):
-        e = basis_vec(f, db, i)
-        return (psi @ b.algebra.lmul(e).kron(idh)
-                == ca.algebra.lmul(b.to_ambient(e)) @ psi)
-
-    leg.fail_at("psi-not-B-linear", first_failure(b_linear, db))
-    if colinear_witness(f, psi, comul_on(ca.hopf.coalgebra, db),
+    leg.fail_at("psi-not-B-linear",
+                linear_witness(f, psi, *_left_b_actions(ca, b)))
+    if colinear_witness(f, psi, comul_on(ca.hopf.coalgebra, b.dim),
                         ca.coaction_table) is not None:
         leg.fail("psi-not-colinear")
 
@@ -503,13 +513,9 @@ def _find_bh_iso(ca, b, seed, tries):
     da, db, dh = ca.algebra.dim, b.dim, ca.hopf.dim
     if da != db * dh:
         return NotFound(True, 0, 0, "dim A != dim B * dim H")
-    idh = Matrix.identity(f, dh)
-    x_acts = [b.algebra.lmul(basis_vec(f, db, i)).kron(idh) for i in range(db)]
-    a_acts = [ca.algebra.lmul(b.to_ambient(basis_vec(f, db, i)))
-              for i in range(db)]
-    x_co = comul_on(ca.hopf.coalgebra, db)
-    mats = intertwiners(f, da, da, x_acts, a_acts,
-                        (x_co, ca.coaction_table, dh))
+    mats = intertwiners(f, da, da, (*_left_b_actions(ca, b), db),
+                        (comul_on(ca.hopf.coalgebra, db), ca.coaction_table,
+                         dh))
     if not mats:
         return NotFound(True, 0, 0, "no B-linear colinear map")
     span = OperatorSpan(mats)

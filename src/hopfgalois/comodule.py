@@ -1,23 +1,23 @@
 """Comodule algebras, coinvariants, relative Hopf modules and the quotient
 construction M (x)_B A, together with the adjunction unit.
 
-A coaction is held only as its coaction_table (see hopf).  Every identity
-"in M (x)_B A" is checked in quotient coordinates: the QuotientSpace fixes a
-deterministic projection/section pair, and equality of classes is equality
-of projected coordinates, never of representatives.  The pair is held as
-index maps (QuotientSpace), through which tensor_over_B builds the action
-and coaction from mul_table and rho's table, with no Kronecker product,
-checking well-definedness relation by relation.
+A coaction is held only as its coaction_table and a module action only as
+its action_table (see hopf).  Every identity "in M (x)_B A" is checked in
+quotient coordinates: the QuotientSpace fixes a deterministic
+projection/section pair, and equality of classes is equality of projected
+coordinates, never of representatives.  The pair is held as index maps
+(QuotientSpace), through which tensor_over_B builds the action and
+coaction tables from the action table of M, mul_table and rho's table,
+with no Kronecker product, checking well-definedness relation by relation.
 """
 
-import functools
+import itertools
 
 from .hopf import (DimensionMismatch, StructureConstantAlgebra,
                    ValidationReport, _agree, _table, first_failure,
                    tensor_algebra_map)
-from .linalg import (Factorization, Matrix, NoSolution, _columns, _terms,
-                     basis_vec, colinearity_operator, kron_vec, lin_comb,
-                     reduced, sparse_kernel, summed)
+from .linalg import (Factorization, Matrix, NoSolution, _columns,
+                     colinearity_operator, reduced, sparse_kernel, summed)
 
 
 class InternalInvariant(RuntimeError):
@@ -113,36 +113,54 @@ def _coinvariant_subalgebra(ca):
 
 
 class BModule:
-    """Right module over the coinvariant subalgebra B, by action matrices."""
+    """Right module over the coinvariant subalgebra B, by its action_table:
+    entry m lists (r, k, x) with e_m . b_k = Sum x e_r (hopf module doc)."""
 
-    def __init__(self, base, dim, actions):
-        if len(actions) != base.dim:
-            raise DimensionMismatch("one action matrix per basis element of B")
+    def __init__(self, base, dim, action_table):
         self.base = base
         self.dim = dim
-        self.actions = actions  # actions[i] = right action of b_i
+        self.action_table = _table(base.algebra.field, action_table, dim,
+                                   "action shape")
 
     def validate(self):
         report = ValidationReport()
-        check_right_action(report, self.base.algebra, self.actions, self.dim,
+        check_right_action(report, self.base.algebra, self.action_table,
                            "bmodule.unit", "bmodule.associativity")
         return report
 
 
-def check_right_action(report, alg, actions, dim, unit_name, assoc_name):
-    """Record in report where actions (one dim x dim matrix per basis
-    element of alg) fail to be a right module: Sum_i u_i actions[i] = I
-    under unit_name with witness (column,), and m.(a_i a_j) = (m.a_i).a_j
-    under assoc_name with witness (i, j)."""
-    n, unit = alg.dim, lin_comb(actions, alg.unit)
-    idm = Matrix.identity(alg.field, dim)
-    report.fail_at(unit_name, first_failure(
-        lambda c: unit.col(c) == idm.col(c), dim))
-    for i in range(n):
-        for j in range(n):
-            prod = lin_comb(actions, alg.basis_product(i, j))
-            if prod != actions[j] @ actions[i]:
-                report.fail(assoc_name, (i, j))
+def _slices(table, n):
+    """out[m][k] lists the (r, x) of e_m . b_k, from the action table."""
+    out = [[[] for _ in range(n)] for _ in table]
+    for m, terms in enumerate(table):
+        for r, k, x in terms:
+            out[m][k].append((r, x))
+    return out
+
+
+def associativity_failures(alg, table):
+    """The (i, j), in lexicographic order, with m.(a_i a_j) != (m.a_i).a_j
+    at some basis vector m, for the action table of a right alg-action."""
+    f, n, mul = alg.field, alg.dim, alg.mul_table
+    acts = _slices(table, n)
+    return ((i, j) for i, j in itertools.product(range(n), repeat=2)
+            if first_failure(lambda m: _agree(
+                f, ((r, c * x) for s, c in mul[i * n + j]
+                    for r, x in acts[m][s]),
+                ((t, x * y) for r, x in acts[m][i] for t, y in acts[r][j])),
+                len(table)) is not None)
+
+
+def check_right_action(report, alg, table, unit_name, assoc_name):
+    """Record where the action table fails to be a right alg-module: m.1 = m
+    under unit_name at the first failing (m,), associativity under
+    assoc_name at every failing (i, j)."""
+    f, unit = alg.field, alg.unit
+    report.fail_at(unit_name, first_failure(lambda m: _agree(
+        f, ((r, unit[k] * x) for r, k, x in table[m]), [(m, f.one)]),
+        len(table)))
+    for witness in associativity_failures(alg, table):
+        report.fail(assoc_name, witness)
 
 
 def _coaction_laws(report, prefix, hopf, rho):
@@ -162,28 +180,33 @@ def _coaction_laws(report, prefix, hopf, rho):
 
 
 def regular_bmodule(ca):
-    """B as a right module over itself."""
+    """B as a right module over itself: e_m . b_k from B's mul_table."""
     b = ca.coinvariants()
-    f = ca.field
-    actions = [b.algebra.rmul(basis_vec(f, b.dim, i)) for i in range(b.dim)]
-    return BModule(b, b.dim, actions)
+    n, mul = b.dim, b.algebra.mul_table
+    return BModule(b, n, [[(r, k, c) for k in range(n)
+                           for r, c in mul[m * n + k]] for m in range(n)])
 
 
 def algebra_as_bmodule(ca):
-    """A as a right B-module by right multiplication through the inclusion."""
+    """A as a right B-module by right multiplication through the inclusion:
+    e_a . b_k = Sum y e_a e_t over the column (t, y) of b_k."""
     b = ca.coinvariants()
-    actions = [ca.algebra.rmul(b.inclusion.col(i)) for i in range(b.dim)]
-    return BModule(b, ca.algebra.dim, actions)
+    da, mul = ca.algebra.dim, ca.algebra.mul_table
+    return BModule(b, da, [[(s, k, y * c)
+                            for k, col in enumerate(_columns(b.inclusion))
+                            for t, y in col for s, c in mul[a * da + t]]
+                           for a in range(da)])
 
 
 class RelativeHopfModuleData:
     """Right A-module + right H-comodule with the compatibility relation;
-    the coaction is given by its coaction_table (hopf module doc)."""
+    the action is given by its action_table and the coaction by its
+    coaction_table (hopf module doc)."""
 
-    def __init__(self, field, dim, actions, coaction_table):
+    def __init__(self, field, dim, action_table, coaction_table):
         self.field = field
         self.dim = dim
-        self.actions = actions  # one matrix per basis element of A
+        self.action_table = _table(field, action_table, dim, "action shape")
         self.coaction_table = _table(field, coaction_table, dim,
                                      "coaction shape")
 
@@ -196,20 +219,20 @@ class RelativeHopfModuleData:
         f, dh, dm = ca.field, ca.hopf.dim, self.dim
         h_mul = ca.hopf.algebra.mul_table
         report = ValidationReport()
-        check_right_action(report, ca.algebra, self.actions, dm,
+        check_right_action(report, ca.algebra, self.action_table,
                            "hopfmodule.action-unit",
                            "hopfmodule.action-associativity")
         rho = self.coaction_table
         _coaction_laws(report, "hopfmodule", ca.hopf, rho)
         # rho(m a) = m_[0] a_[0] (x) m_[1] a_[1], on each pair (e_m, e_a)
-        rho_a = ca.coaction_table
-        acts = [_columns(act) for act in self.actions]
+        rho_a, acts = ca.coaction_table, _slices(self.action_table,
+                                                 ca.algebra.dim)
         for a in range(ca.algebra.dim):
             if first_failure(lambda m: _agree(
-                    f, (((k, h), y * x) for r, y in acts[a][m]
+                    f, (((k, h), y * x) for r, y in acts[m][a]
                         for k, h, x in rho[r]),
                     (((r, s), c * x * y * z) for i, j, c in rho_a[a]
-                     for k, h, x in rho[m] for r, y in acts[i][k]
+                     for k, h, x in rho[m] for r, y in acts[k][i]
                      for s, z in h_mul[h * dh + j])), dm) is not None:
                 report.fail("hopfmodule.compatibility", (a,))
         return report
@@ -281,18 +304,13 @@ class QuotientSpace:
 
 
 class InducedModule:
-    """M (x)_B A as a relative Hopf module, with its quotient presentation;
-    module is built when first read, as galois reads only the quotient."""
+    """M (x)_B A as a relative Hopf module, with its quotient presentation."""
 
-    def __init__(self, ca, bmodule, quotient, build):
+    def __init__(self, ca, bmodule, quotient, module):
         self.ca = ca
         self.bmodule = bmodule
         self.quotient = quotient
-        self._build = build
-
-    @functools.cached_property
-    def module(self):
-        return self._build()
+        self.module = module
 
     def induced_map(self, g):
         """g (x)_B A on quotient coordinates, for g: M -> M B-linear."""
@@ -306,42 +324,37 @@ def tensor_over_B(m, ca):
 
     Ambient index i * dA + a stands for e_i (x) e_a.  The relations
     e_i.b_k (x) e_a - e_i (x) b_k e_a, the action (x) a_j and the coaction
-    id (x) rho are read from the action columns, mul_table and rho's table;
-    each relation is checked here against each a_j and against rho.
+    id (x) rho are read from the action table of M, mul_table and rho's
+    table; each relation is checked here against each a_j and against rho.
+    The induced action and coaction tables are the classes of the section's
+    e_free[q] . a_j and (id (x) rho)(e_free[q]).
     """
     f = ca.field
     b = ca.coinvariants()
     da, dm = ca.algebra.dim, m.dim
     mul, rho = ca.algebra.mul_table, ca.coaction_table
-    acts, b_cols = [_columns(act) for act in m.actions], _columns(b.inclusion)
-    relations = [[(r * da + a, x) for r, x in acts[k][i]]
+    acts, b_cols = _slices(m.action_table, b.dim), _columns(b.inclusion)
+    relations = [[(r * da + a, x) for r, x in acts[i][k]]
                  + [(i * da + s, -y * c) for t, y in b_cols[k]
                     for s, c in mul[t * da + a]]
                  for i in range(dm) for k in range(b.dim) for a in range(da)]
     quot = QuotientSpace(f, dm * da, relations)
 
-    def times(terms, j):                 # (Sum x e_i (x) e_a) . a_j
-        return [(i - i % da + r, 0, x * c) for i, x in terms
-                for r, c in mul[i % da * da + j]]
+    def times(terms):                    # (Sum x e_i (x) e_a) . a_j, all j
+        return [(i - i % da + r, j, x * c) for i, x in terms
+                for j in range(da) for r, c in mul[i % da * da + j]]
 
     def coact(terms):                    # (id (x) rho)(Sum x e_i (x) e_a)
         return [(i - i % da + a0, h, x * y) for i, x in terms
                 for a0, h, y in rho[i % da]]
 
-    for j in range(da):
-        if not all(_agree(f, quot.classes(times(rel, j)), ()) for rel in relations):
-            raise IllDefinedStructure("A-action does not respect the relations")
-    if not all(_agree(f, quot.classes(coact(rel)), ()) for rel in relations):
-        raise IllDefinedStructure("coaction does not respect the relations")
-
-    def build():
-        actions = [quot.induced(lambda i: times([(i, f.one)], j))
-                   for j in range(da)]
-        coaction = [[(*key, x) for key, x in _terms(
-            f, quot.classes(coact([(j, f.one)])))] for j in quot.free]
-        return RelativeHopfModuleData(f, quot.dim, actions, coaction)
-
-    return InducedModule(ca, m, quot, build)
+    for image, what in ((times, "A-action"), (coact, "coaction")):
+        if not all(_agree(f, quot.classes(image(rel)), ()) for rel in relations):
+            raise IllDefinedStructure(f"{what} does not respect the relations")
+    module = RelativeHopfModuleData(f, quot.dim, *(
+        [[(*key, x) for key, x in quot.classes(image([(j, f.one)]))]
+         for j in quot.free] for image in (times, coact)))
+    return InducedModule(ca, m, quot, module)
 
 
 def adjunction_unit(m, ca, induced=None):
@@ -352,10 +365,11 @@ def adjunction_unit(m, ca, induced=None):
     coords expresses eta through the computed coinvariant basis.
     """
     ind = induced if induced is not None else tensor_over_B(m, ca)
-    f = ca.field
-    cols = [ind.quotient.project(kron_vec(f, basis_vec(f, m.dim, i), ca.algebra.unit))
-            for i in range(m.dim)]
-    eta = Matrix.from_cols(f, cols, nrows=ind.quotient.dim)
+    f, quot, dm = ca.field, ind.quotient, m.dim
+    unit, da = list(enumerate(ca.algebra.unit)), ca.algebra.dim
+    eta = summed(f, quot.dim, dm, ((q * dm + i, u * y) for i in range(dm)
+                                   for a, u in unit
+                                   for q, y in quot.columns[i * da + a]))
     coinv = ind.module.coinvariant_basis(ca)
     try:
         coords = coinv.solve_matrix(eta)

@@ -20,8 +20,9 @@ class NotRational(RuntimeError):
 
 def end_A(ca, module):
     """Basis of A-linear endomorphisms of a relative Hopf module."""
-    return intertwiners(ca.field, module.dim, module.dim, module.actions,
-                        module.actions)
+    table = module.action_table
+    return intertwiners(ca.field, module.dim, module.dim,
+                        (table, table, ca.algebra.dim))
 
 
 def rational_coaction(ca, module, basis, coords):
@@ -147,7 +148,8 @@ def build_F(ca, m, e):
     eta, _, bij = adjunction_unit(m, ca, e.induced)
     if not bij:
         raise InternalInvariant("eta_M not bijective; extension not Galois")
-    endb_basis = intertwiners(field, m.dim, m.dim, m.actions, m.actions)
+    endb_basis = intertwiners(field, m.dim, m.dim, (
+        m.action_table, m.action_table, m.base.dim))
     eta_fac = Factorization(eta)
 
     def restrict(coords_f):

@@ -11,8 +11,8 @@ forms a Kronecker product.
 
 from .comodule import algebra_as_bmodule, tensor_over_B
 from .hopf import ValidationReport, _agree, first_failure
-from .linalg import (Matrix, _columns, _leg_columns, basis_vec, kron_vec,
-                     reduced, summed)
+from .linalg import (Matrix, NotInvertible, _columns, _leg_columns,
+                     basis_vec, kron_vec, reduced, summed)
 
 
 class NotGalois(RuntimeError):
@@ -46,9 +46,12 @@ def _canonical(ca, induced, prime):
             for r, c in mul[a0 * da + a2 if prime else a * da + a0]:
                 out[(r * dh + h) * n + q] += x * c
     mat = Matrix(f, da * dh, n, reduced(f, out))
-    galois = mat.is_invertible()
-    inverse = mat.invert() if galois and not prime else None
-    return CanonicalMapData(mat, inverse, galois, ind)
+    if prime:
+        return CanonicalMapData(mat, None, mat.is_invertible(), ind)
+    try:                    # can is reduced once: its inverse or singular
+        return CanonicalMapData(mat, mat.invert(), True, ind)
+    except NotInvertible:
+        return CanonicalMapData(mat, None, False, ind)
 
 
 def canonical_map(ca, induced=None):

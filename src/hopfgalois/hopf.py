@@ -11,6 +11,10 @@ Conventions (inherited by every other module):
     point: each list is sorted ascending, its duplicate keys merged, its
     coefficients reduced and its zeros dropped, so equal tensors have equal
     tables;
+  * an action of B (basis b_k) on V is held as its action_table[v], the
+    (r, k, x) with e_v . b_k = Sum x e_r: the B*-coaction e_v -> Sum_k
+    (e_v . b_k) (x) b_k^* (Montgomery 1993, 1.6), so B-linear is colinear
+    for the two action tables, one check for both;
   * tensor factors are flattened lexicographically with the LEFT leg major,
     so _columns of a dense A (x) A -> A matrix is a mul_table and
     _leg_columns of a dense H -> H (x) H (or V -> V (x) H) matrix is a
@@ -104,15 +108,29 @@ def _agree(field, lhs, rhs):
     return not any(reduced(field, list(acc.values())))
 
 
+def _colinear_defect(cols, x_co, y_co, x):
+    """The raw terms ((y, h), c) of y_co(mat e_x) - (mat (x) id)(x_co e_x),
+    for mat given by its _columns cols."""
+    yield from (((y0, h), z * c) for y, z in cols[x] for y0, h, c in y_co[y])
+    yield from (((y, h), -c * z) for x0, h, c in x_co[x] for y, z in cols[x0])
+
+
 def colinear_witness(field, mat, x_co, y_co):
     """First column x with y_co(mat e_x) != (mat (x) id)(x_co e_x), or None,
     for x_co and y_co given by their coaction tables: the check that mat is a
-    comodule map, column by column from the nonzero entries."""
+    comodule map (a module map, for action tables), column by column from
+    the nonzero entries."""
     cols = _columns(mat)
     return first_failure(lambda x: _agree(
-        field, (((y0, h), z * c) for y, z in cols[x] for y0, h, c in y_co[y]),
-        (((y, h), c * z) for x0, h, c in x_co[x] for y, z in cols[x0])),
-        len(cols))
+        field, _colinear_defect(cols, x_co, y_co, x), ()), len(cols))
+
+
+def linear_witness(field, mat, x_act, y_act):
+    """(k,) for the least k with mat(e_x . b_k) != mat(e_x) . b_k at some
+    x, or None, for actions given by their action tables."""
+    cols = _columns(mat)
+    return min(((k,) for x in range(len(cols)) for (_, k), _ in _terms(
+        field, _colinear_defect(cols, x_act, y_act, x))), default=None)
 
 
 def tensor_algebra_map(report, prefix, alg, table, left, right):

@@ -22,12 +22,12 @@ Q, "n mod p" over F_p):
   - matrices (antipode, module actions): [i, j, "coeff"] triples, entry (i,j).
   - vectors (unit, counit): dense lists of scalars.
 
-A 3-leg tensor is parsed into a dense matrix, so the last of duplicate
-entries wins and an explicit zero overwrites; mul, comul and the coaction
-then reach the constructors as that matrix's _columns / _leg_columns (see
-linalg and hopf).  The emitter writes the sorted quadruples of the same
-tables.  All validators run eagerly on load; emit(load(x)) round-trips
-semantically.
+A 3-leg tensor or an action matrix is parsed into a dense matrix (the last
+of duplicate entries wins, an explicit zero overwrites) and reaches the
+constructors as the table read off it (see linalg and hopf); the emitter
+writes those tables back sorted.  Each section, record, reference and dim
+is type-checked, a malformed one being a ParseError that names it.  All
+validators run eagerly on load; emit(load(x)) round-trips semantically.
 """
 
 import json
@@ -80,46 +80,28 @@ def _vector(field, data, length, where):
     return [_scalar(field, x, where) for x in data]
 
 
-def _matrix(field, entries, rows, cols, where):
-    m = Matrix.zeros(field, rows, cols)
+def _matrix(field, entries, rows, cols, where, dims=None):
+    """The rows x cols matrix, row-major, of the tensor of shape dims
+    (default (rows, cols), leg 0 major) given by [i, j, (k,) coeff]
+    entries; the last of duplicate entries wins."""
+    dims = dims or (rows, cols)
+    m, names = Matrix.zeros(field, rows, cols), "i, j, k"[:3 * len(dims) - 2]
     if not isinstance(entries, list):
-        raise ParseError(where, "expected a list of [i, j, coeff] triples")
+        raise ParseError(where, f"expected a list of [{names}, coeff] "
+                         + ("triples" if len(dims) == 2 else "entries"))
     for idx, entry in enumerate(entries):
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise ParseError(f"{where}[{idx}]", "expected [i, j, coeff]")
-        i, j, c = entry
-        if not (isinstance(i, int) and 0 <= i < rows
-                and isinstance(j, int) and 0 <= j < cols):
-            raise ParseError(f"{where}[{idx}]", f"index out of range ({i},{j})")
-        m.data[i * cols + j] = _scalar(field, c, f"{where}[{idx}]")
-    return m
-
-
-def _tensor3(field, entries, d_out, d_in1, d_in2, where, kind):
-    """kind 'mul': rows d_out, cols d_in1*d_in2 (entry i <- (j,k));
-    kind 'split': rows d_out*d_in1, cols d_in2 (entry (i,j) <- k)."""
-    if kind == "mul":
-        rows, cols = d_out, d_in1 * d_in2
-    else:
-        rows, cols = d_out * d_in1, d_in2
-    m = Matrix.zeros(field, rows, cols)
-    if not isinstance(entries, list):
-        raise ParseError(where, "expected a list of [i, j, k, coeff] entries")
-    for idx, entry in enumerate(entries):
-        if not (isinstance(entry, list) and len(entry) == 4):
-            raise ParseError(f"{where}[{idx}]", "expected [i, j, k, coeff]")
-        i, j, k, c = entry
-        if not (isinstance(i, int) and 0 <= i < d_out
-                and isinstance(j, int) and 0 <= j < d_in1
-                and isinstance(k, int) and 0 <= k < d_in2):
-            raise ParseError(f"{where}[{idx}]",
-                             f"index out of range ({i},{j},{k})")
-        if kind == "mul":
-            m.data[i * cols + j * d_in2 + k] = _scalar(field, c,
-                                                       f"{where}[{idx}]")
-        else:
-            m.data[(i * d_in1 + j) * cols + k] = _scalar(field, c,
-                                                         f"{where}[{idx}]")
+        here = f"{where}[{idx}]"
+        if not (isinstance(entry, list) and len(entry) == len(dims) + 1):
+            raise ParseError(here, f"expected [{names}, coeff]")
+        *index, c = entry
+        if not all(isinstance(i, int) and 0 <= i < d
+                   for i, d in zip(index, dims)):
+            raise ParseError(here, "index out of range "
+                             f"({','.join(map(str, index))})")
+        flat = 0
+        for i, d in zip(index, dims):
+            flat = flat * d + i
+        m.data[flat] = _scalar(field, c, here)
     return m
 
 
@@ -129,12 +111,39 @@ def _require(record, key, where):
     return record[key]
 
 
-def _algebra(field, record, where):
+def _object(value, where):
+    if not isinstance(value, dict):
+        raise ParseError(where, "expected a JSON object")
+    return value
+
+
+def _records(raw, section):
+    """The (name, record) pairs of a section, sorted, each record an object."""
+    return [(name, _object(record, f"{section}.{name}")) for name, record
+            in sorted(_object(raw.get(section, {}), section).items())]
+
+
+def _reference(record, key, where, known, what):
+    """known[record[key]], the named entry a record refers to."""
+    ref = _require(record, key, where)
+    if not isinstance(ref, str):
+        raise ParseError(f"{where}.{key}", f"expected the name of a {what}")
+    if ref not in known:
+        raise ParseError(where, f"unknown {what} {ref!r}")
+    return ref, known[ref]
+
+
+def _dim(record, where):
     dim = _require(record, "dim", where)
     if not (isinstance(dim, int) and dim >= 0):
         raise ParseError(where, "dim must be a nonnegative integer")
-    mul = _tensor3(field, _require(record, "mul", where), dim, dim, dim,
-                   f"{where}.mul", "mul")
+    return dim
+
+
+def _algebra(field, record, where):
+    dim = _dim(record, where)
+    mul = _matrix(field, _require(record, "mul", where), dim, dim * dim,
+                  f"{where}.mul", (dim,) * 3)
     unit = _vector(field, _require(record, "unit", where), dim,
                    f"{where}.unit")
     labels = record.get("labels")
@@ -147,8 +156,8 @@ def _algebra(field, record, where):
 def _hopf(field, record, where):
     alg = _algebra(field, record, where)
     dim = alg.dim
-    comul = _tensor3(field, _require(record, "comul", where), dim, dim, dim,
-                     f"{where}.comul", "split")
+    comul = _matrix(field, _require(record, "comul", where), dim * dim, dim,
+                    f"{where}.comul", (dim,) * 3)
     counit = Matrix(field, 1, dim,
                     _vector(field, _require(record, "counit", where), dim,
                             f"{where}.counit"))
@@ -190,63 +199,58 @@ def load_bundle(path):
     except FieldError as exc:
         raise ParseError(str(path), str(exc)) from exc
     bundle = WorkspaceBundle(field)
-    for name, record in sorted(raw.get("hopf_algebras", {}).items()):
+    for name, record in _records(raw, "hopf_algebras"):
         bundle.hopf_algebras[name] = _hopf(field, record,
                                            f"hopf_algebras.{name}")
-    for name, record in sorted(raw.get("comodule_algebras", {}).items()):
+    for name, record in _records(raw, "comodule_algebras"):
         where = f"comodule_algebras.{name}"
-        href = _require(record, "hopf", where)
-        if href not in bundle.hopf_algebras:
-            raise ParseError(where, f"unknown hopf algebra {href!r}")
-        hopf = bundle.hopf_algebras[href]
+        href, hopf = _reference(record, "hopf", where, bundle.hopf_algebras,
+                                "hopf algebra")
         alg = _algebra(field, record, where)
-        coaction = _tensor3(field, _require(record, "coaction", where),
-                            alg.dim, hopf.dim, alg.dim,
-                            f"{where}.coaction", "split")
+        coaction = _matrix(field, _require(record, "coaction", where),
+                           alg.dim * hopf.dim, alg.dim, f"{where}.coaction",
+                           (alg.dim, hopf.dim, alg.dim))
         ca = ComoduleAlgebraData(hopf, alg, _leg_columns(coaction, hopf.dim))
         report = ca.validate()
         if not report.passed:
             raise ValidationError(where, *report.failures[0])
         ca.hopf_name = href
         bundle.comodule_algebras[name] = ca
-    for name, record in sorted(raw.get("modules", {}).items()):
+    for name, record in _records(raw, "modules"):
         where = f"modules.{name}"
-        cref = _require(record, "comodule_algebra", where)
-        if cref not in bundle.comodule_algebras:
-            raise ParseError(where, f"unknown comodule algebra {cref!r}")
-        ca = bundle.comodule_algebras[cref]
+        cref, ca = _reference(record, "comodule_algebra", where,
+                              bundle.comodule_algebras, "comodule algebra")
         b = ca.coinvariants()
-        dim = _require(record, "dim", where)
+        dim = _dim(record, where)
         actions_raw = _require(record, "actions", where)
         if not (isinstance(actions_raw, list) and len(actions_raw) == b.dim):
             raise ParseError(f"{where}.actions",
                              f"expected {b.dim} action matrices (one per "
                              f"coinvariant basis element)")
-        actions = [_matrix(field, a, dim, dim, f"{where}.actions[{k}]")
-                   for k, a in enumerate(actions_raw)]
-        module = BModule(b, dim, actions)
+        cols = [_columns(_matrix(field, a, dim, dim, f"{where}.actions[{k}]"))
+                for k, a in enumerate(actions_raw)]
+        module = BModule(b, dim, [[(r, k, x) for k, col in enumerate(cols)
+                                   for r, x in col[m]] for m in range(dim)])
         report = module.validate()
         if not report.passed:
             raise ValidationError(where, *report.failures[0])
         module.ca_name = cref
         bundle.modules[name] = module
-    for name, record in sorted(raw.get("crossed_products", {}).items()):
+    for name, record in _records(raw, "crossed_products"):
         where = f"crossed_products.{name}"
-        href = _require(record, "hopf", where)
-        if href not in bundle.hopf_algebras:
-            raise ParseError(where, f"unknown hopf algebra {href!r}")
-        hopf = bundle.hopf_algebras[href]
-        base = _algebra(field, _require(record, "base", where),
-                        f"{where}.base")
+        href, hopf = _reference(record, "hopf", where, bundle.hopf_algebras,
+                                "hopf algebra")
+        base = _algebra(field, _object(_require(record, "base", where),
+                                       f"{where}.base"), f"{where}.base")
         db, dh = base.dim, hopf.dim
-        omega = _tensor3(field, _require(record, "omega", where),
-                         db, dh, db, f"{where}.omega", "mul")
-        sigma = _tensor3(field, _require(record, "sigma", where),
-                         db, dh, dh, f"{where}.sigma", "mul")
+        omega = _matrix(field, _require(record, "omega", where), db,
+                        dh * db, f"{where}.omega", (db, dh, db))
+        sigma = _matrix(field, _require(record, "sigma", where), db,
+                        dh * dh, f"{where}.sigma", (db, dh, dh))
         sigma_bar = None
         if "sigma_bar" in record:
-            sigma_bar = _tensor3(field, record["sigma_bar"], db, dh, dh,
-                                 f"{where}.sigma_bar", "mul")
+            sigma_bar = _matrix(field, record["sigma_bar"], db, dh * dh,
+                                f"{where}.sigma_bar", (db, dh, dh))
         bundle.crossed_products[name] = (base, hopf, omega, sigma, sigma_bar,
                                          href)
     return bundle
@@ -317,10 +321,14 @@ def emit_comodule_algebra(field, ca, hopf_name):
 
 
 def emit_module(field, module, ca_name):
+    """actions[k] lists, sorted, the [r, m, x] with e_m . b_k = Sum x e_r."""
     return {
         "comodule_algebra": ca_name,
         "dim": module.dim,
-        "actions": [_emit_matrix(field, a) for a in module.actions],
+        "actions": [sorted([r, m, field.format(x)] for m, terms in
+                           enumerate(module.action_table)
+                           for r, j, x in terms if j == k)
+                    for k in range(module.base.dim)],
     }
 
 

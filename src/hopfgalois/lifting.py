@@ -8,10 +8,11 @@ E-coordinates as in module maintheorem.
 """
 
 from . import cleft, cohomology, convcat, maintheorem, search
-from .hopf import (ValidationReport, first_failure, is_cocommutative,
-                   multiplicative_witness)
-from .linalg import (Matrix, OperatorSpan, basis_vec, intertwiners,
-                     kron_vec, lin_comb, tensor_entries, vec_add, vec_scale)
+from .comodule import associativity_failures
+from .hopf import (ValidationReport, _agree, first_failure,
+                   is_cocommutative, linear_witness, multiplicative_witness)
+from .linalg import (Matrix, OperatorSpan, _columns, _terms, intertwiners,
+                     lin_comb)
 from .search import EXHAUSTIVE_CAP, NotFound, SearchInconclusive
 
 
@@ -20,24 +21,22 @@ class NotLinear(ValueError):
 
 
 class ActionCandidate:
-    """B-linear phi: M (x)_B A -> M with derived action m.a = phi(pi(m (x) a))."""
+    """B-linear phi: M (x)_B A -> M with derived action m.a = phi(pi(m (x) a)),
+    held as its action_table: entry m lists (r, a, x) with m.e_a = Sum x e_r,
+    summed from the projection's columns and phi's."""
 
     def __init__(self, ctx, phi):
         self.ctx = ctx
         self.phi = phi
-        for k in range(ctx.b.dim):
-            if phi @ ctx.x2_actions[k] != ctx.m.actions[k] @ phi:
-                raise NotLinear(f"phi is not B-linear at b_{k}")
-
-    def act_matrix(self, a_vec):
-        """m -> m.a as a dm x dm matrix."""
-        ctx = self.ctx
-        f = ctx.field
-        cols = []
-        for mi in range(ctx.m.dim):
-            x = ctx.quot.project(kron_vec(f, basis_vec(f, ctx.m.dim, mi), a_vec))
-            cols.append(self.phi.apply(x))
-        return Matrix.from_cols(f, cols, nrows=ctx.m.dim)
+        w = linear_witness(ctx.field, phi, ctx.x2_actions,
+                           ctx.m.action_table)
+        if w is not None:
+            raise NotLinear(f"phi is not B-linear at b_{w[0]}")
+        da, cols, phi_cols = ctx.ca.algebra.dim, ctx.quot.columns, \
+            _columns(phi)
+        self.action_table = [[(*key, x) for key, x in _terms(ctx.field, (
+            ((r, a), y * z) for a in range(da) for q, y in cols[m * da + a]
+            for r, z in phi_cols[q]))] for m in range(ctx.m.dim)]
 
 
 class LiftingPair:
@@ -53,45 +52,29 @@ class LiftingPair:
 
 def _check_621(ctx, candidate, u_prime):
     """First (m, a) where (6.2.1) m.a (x)_B 1 = u'(a_[1]) (m (x)_B a_[0])
-    fails, or None."""
-    f = ctx.field
-    dm, da, dh = ctx.m.dim, ctx.ca.algebra.dim, ctx.ca.hopf.dim
-    u_h = [ctx.e.to_matrix(u_prime.col(h)) for h in range(dh)]
-
-    def holds(mi, aj):
-        em = basis_vec(f, dm, mi)
-        x = ctx.quot.project(kron_vec(f, em, basis_vec(f, da, aj)))
-        rhs = [f.zero] * ctx.quot.dim
-        for a0, h, c in ctx.ca.coaction_table[aj]:
-            p = ctx.quot.project(kron_vec(f, em, basis_vec(f, da, a0)))
-            rhs = vec_add(f, rhs, vec_scale(f, c, u_h[h].apply(p)))
-        return ctx.eta.apply(candidate.phi.apply(x)) == rhs
-
-    return first_failure(holds, dm, da)
+    fails, or None; m (x)_B a is the projection's column m * dA + a."""
+    da, cols, rho = ctx.ca.algebra.dim, ctx.quot.columns, ctx.ca.coaction_table
+    phi, ev = _columns(candidate.phi), maintheorem._ev(ctx, u_prime)
+    return first_failure(lambda m, a: _agree(
+        ctx.field, ((r, y * z * w) for q, y in cols[m * da + a]
+                    for s, z in phi[q] for r, w in ctx.eta_cols[s]),
+        ((r, c * y * z) for a0, h, c in rho[a] for p, y in cols[m * da + a0]
+         for r, z in ev(h, p))), ctx.m.dim, da)
 
 
 def _check_622(ctx, candidate, t_coords):
     """First (h, m, a) where (6.2.2) t(h)(m (x) a) = Sum_i phi(m (x) l_i(h))
     (x) r_i(h) a fails, or None."""
-    f = ctx.field
-    dm, da, dh = ctx.m.dim, ctx.ca.algebra.dim, ctx.ca.hopf.dim
-    t_h = [ctx.e.to_matrix(t_coords.col(h)) for h in range(dh)]
-    reps = [list(tensor_entries(f, ctx.tmap.rep(basis_vec(f, dh, h)),
-                                (da, da))) for h in range(dh)]
-
-    def holds(hj, mi, aj):
-        em = basis_vec(f, dm, mi)
-        x = ctx.quot.project(kron_vec(f, em, basis_vec(f, da, aj)))
-        rhs = [f.zero] * ctx.quot.dim
-        for (l, r), c in reps[hj]:
-            mv = candidate.phi.apply(ctx.quot.project(
-                kron_vec(f, em, basis_vec(f, da, l))))
-            av = ctx.ca.algebra.basis_product(r, aj)
-            rhs = vec_add(f, rhs, vec_scale(
-                f, c, ctx.quot.project(kron_vec(f, mv, av))))
-        return t_h[hj].apply(x) == rhs
-
-    return first_failure(holds, dh, dm, da)
+    da, cols, mul = ctx.ca.algebra.dim, ctx.quot.columns, \
+        ctx.ca.algebra.mul_table
+    phi, ev = _columns(candidate.phi), maintheorem._ev(ctx, t_coords)
+    return first_failure(lambda h, m, a: _agree(
+        ctx.field, ((r, y * z) for q, y in cols[m * da + a]
+                    for r, z in ev(h, q)),
+        ((q2, c * y * z * w * v) for l, r, c in ctx.rep[h]
+         for q, y in cols[m * da + l] for s, z in phi[q]
+         for t, w in mul[r * da + a] for q2, v in cols[s * da + t])),
+        ctx.ca.hopf.dim, ctx.m.dim, da)
 
 
 def phi_to_t(ctx, phi):
@@ -134,16 +117,6 @@ class EquivalenceVerdict:
         return f"EquivalenceVerdict({body})"
 
 
-def _associativity_witness(cand):
-    """First (i, j) with (m.e_i).e_j != m.(e_i e_j), or None; the action of
-    e_i e_j is the combination of the basis actions by its coordinates."""
-    alg = cand.ctx.ca.algebra
-    da = alg.dim
-    acts = [cand.act_matrix(basis_vec(alg.field, da, i)) for i in range(da)]
-    return first_failure(lambda i, j: acts[j] @ acts[i]
-                         == lin_comb(acts, alg.basis_product(i, j)), da, da)
-
-
 def _unital(ctx, phi):
     """phi o eta = id: the action m.1 = m."""
     return phi @ ctx.eta == Matrix.identity(ctx.field, ctx.m.dim)
@@ -166,7 +139,8 @@ def check_associativity(pair):
     return EquivalenceVerdict(
         (multiplicative_witness(h_alg, e_alg, pair.t) is None,
          multiplicative_witness(h_alg, e_alg, pair.u, anti=True) is None,
-         _associativity_witness(pair.candidate) is None),
+         not any(associativity_failures(pair.ctx.ca.algebra,
+                                        pair.candidate.action_table))),
         ("t multiplicative", "u anti-multiplicative", "action associative"))
 
 
@@ -260,8 +234,8 @@ def stability_check(ca, m, seed=0, tries=200, enumerate_cap=EXHAUSTIVE_CAP):
 
 def _b_linear_space(ctx):
     """Basis of all B-linear maps M (x)_B A -> M."""
-    return intertwiners(ctx.field, ctx.quot.dim, ctx.m.dim, ctx.x2_actions,
-                        ctx.m.actions)
+    return intertwiners(ctx.field, ctx.quot.dim, ctx.m.dim, (
+        ctx.x2_actions, ctx.m.action_table, ctx.b.dim))
 
 
 def _is_action(ctx, phi):
@@ -270,7 +244,8 @@ def _is_action(ctx, phi):
         cand = ActionCandidate(ctx, phi)
     except NotLinear:
         return False
-    return _unital(ctx, phi) and _associativity_witness(cand) is None
+    return _unital(ctx, phi) and not any(
+        associativity_failures(ctx.ca.algebra, cand.action_table))
 
 
 def lambda_enumerate(ctx, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
@@ -307,20 +282,15 @@ def _endb_conjugation_kernel(ctx, t1, t2):
     """Solutions f in End_B(M) of (6.5.1): t1(h)(f (x) A) = (f (x) A)t2(h)."""
     f = ctx.field
     dh = ctx.ca.hopf.dim
-    endb = intertwiners(f, ctx.m.dim, ctx.m.dim, ctx.m.actions, ctx.m.actions)
+    endb = intertwiners(f, ctx.m.dim, ctx.m.dim, (
+        ctx.m.action_table, ctx.m.action_table, ctx.b.dim))
     if not endb:
         return [], endb
-    gq = [ctx.induced.induced_map(g) for g in endb]
     t12 = [(ctx.e.to_matrix(t1.col(h)), ctx.e.to_matrix(t2.col(h)))
            for h in range(dh)]
-    cols = []
-    for g in gq:
-        defect = []
-        for t1h, t2h in t12:
-            defect.extend((t1h @ g - g @ t2h).data)
-        cols.append(defect)
-    op = Matrix.from_cols(f, cols, nrows=len(cols[0]))
-    return [lin_comb(endb, v) for v in op.kernel()], endb
+    cols = [[x for t1h, t2h in t12 for x in (t1h @ g - g @ t2h).data]
+            for g in map(ctx.induced.induced_map, endb)]
+    return [lin_comb(endb, v) for v in Matrix.from_cols(f, cols).kernel()], endb
 
 
 def phi_equivalence(ctx, phi1, phi2, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
@@ -338,13 +308,9 @@ def phi_equivalence(ctx, phi1, phi2, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
                                    enumerate_cap=enumerate_cap),
         "invertible f in End_B(M) solving (6.5.1)")
     # independent check: f A-linear between the two induced module structures
-    da = ctx.ca.algebra.dim
-    c1 = ActionCandidate(ctx, phi1)
-    c2 = ActionCandidate(ctx, phi2)
-    basis = [basis_vec(f, da, i) for i in range(da)]
-    direct_sols = intertwiners(f, ctx.m.dim, ctx.m.dim,
-                               [c2.act_matrix(a) for a in basis],
-                               [c1.act_matrix(a) for a in basis])
+    direct_sols = intertwiners(f, ctx.m.dim, ctx.m.dim, (
+        ActionCandidate(ctx, phi2).action_table,
+        ActionCandidate(ctx, phi1).action_table, ctx.ca.algebra.dim))
     direct = search.found(
         _invertible_in_matrix_span(f, direct_sols, seed=seed,
                                    enumerate_cap=enumerate_cap),

@@ -12,19 +12,22 @@ is_invertible over F_p only eliminates forward and stops at the first
 column without a pivot; it never builds the RREF that rank() reads.
 
 Tensor legs.  A vector of V_0 (x) ... (x) V_{k-1} is flattened
-lexicographically with leg 0 major; tensor_entries reads the legs back.
+lexicographically with leg 0 major.
 
 Tables.  _columns and _leg_columns turn a matrix into the sparse tables in
-which the package holds m, Delta and every coaction (see hopf).
+which the package holds m, Delta, every coaction and every module action
+(see hopf).
 
 Operators.  A linear constraint on an unknown matrix X is an operator on
 the row-major vec(X), held as its sparse rows ({column: x} dicts) written
 from sparse tables: colinearity_operator is X -> y_co X - (X (x) I_H) x_co
-for the coaction tables x_co and y_co, and intertwiner_operator stacks it
-for module maps (dim H = 1) and comodule maps.  Column c*n + j is the
-unknown X[c, j].  Every kernel, of such rows or of a Matrix, comes from one
-sparse elimination, sparse_kernel, whose basis is the one read off the
-canonical RREF; no dense operator is formed.
+for the coaction tables x_co and y_co.  On two action tables, with dim B
+in place of dim H, the same operator is X -> (X(-) . b_k - X(- . b_k))_k,
+so intertwiners stacks it once for the actions and once for the
+coactions.  Column c*n + j is the unknown X[c, j].  Every kernel, of such
+rows or of a Matrix, comes from one sparse elimination, sparse_kernel,
+whose basis is the one read off the canonical RREF; no dense operator or
+Kronecker product is formed.
 
 Factor once.  A matrix A solved against many right-hand sides is factored
 once.  Factorization(A) picks r = rank(A) independent rows of A and reduces
@@ -201,7 +204,8 @@ class Matrix:
 
     def kron(self, other):
         """Kronecker/tensor product, left factor index major; the products
-        are taken raw and reduced once."""
+        are taken raw and reduced once.  No package code forms one: it is
+        the tests' dense oracle, and perfbench counts calls to it."""
         ac, bc = self.cols, other.cols
         arows = [self.data[i * ac:(i + 1) * ac] for i in range(self.rows)]
         brows = [other.data[k * bc:(k + 1) * bc] for k in range(other.rows)]
@@ -276,8 +280,8 @@ class Matrix:
         red, pivots = self._reduce_with_identity()
         if pivots != list(range(n)):
             raise NotInvertible()
-        data = [red.get(i, n + j) for i in range(n) for j in range(n)]
-        return Matrix(self.field, n, n, data)
+        return Matrix(self.field, n, n, [x for i in range(n)
+                                         for x in red.row(i)[n:]])
 
     def is_invertible(self):
         if self.rows != self.cols:
@@ -413,22 +417,6 @@ def vec_scale(field, c, v):
     return [field.mul(c, a) for a in v]
 
 
-def tensor_entries(field, vec, dims):
-    """Iterate (multi_index, coeff) over the nonzero entries of a tensor.
-
-    dims are the leg dimensions, leg 0 major (the package-wide convention).
-    """
-    k = len(dims)
-    for flat, c in enumerate(vec):
-        if c != field.zero:
-            idx = [0] * k
-            rem = flat
-            for leg in reversed(range(k)):
-                idx[leg] = rem % dims[leg]
-                rem //= dims[leg]
-            yield tuple(idx), c
-
-
 # -- linear operators ------------------------------------------------------
 
 
@@ -533,21 +521,13 @@ def colinearity_operator(field, dx, dy, x_co, y_co, dh):
     return rows
 
 
-def intertwiner_operator(field, dx, dy, x_maps, y_maps, coactions=None):
-    """The rows of the operator on vec(X), X a dy x dx matrix, of the
-    stacked defects X x_k - y_k X for each pair (x_k, y_k), followed, when
-    coactions = (x_co, y_co, dh), by y_co X - (X (x) I_H) x_co."""
-    rows = []
-    for xa, ya in zip(x_maps, y_maps):
-        rows += colinearity_operator(field, dx, dy, _leg_columns(-xa, 1),
-                                     _leg_columns(-ya, 1), 1)   # dim H = 1
+def intertwiners(field, dx, dy, actions, coactions=None):
+    """Basis of the dy x dx matrices X that are module maps for actions =
+    (x_act, y_act, d), two action tables over a d-dimensional algebra, and,
+    when coactions = (x_co, y_co, dh) is given, comodule maps: the kernel
+    of the colinearity_operator rows of both, stacked."""
+    rows = colinearity_operator(field, dx, dy, *actions)
     if coactions is not None:
         rows += colinearity_operator(field, dx, dy, *coactions)
-    return rows
-
-
-def intertwiners(field, dx, dy, x_maps, y_maps, coactions=None):
-    """Kernel basis of intertwiner_operator, as dy x dx matrices."""
-    return [Matrix(field, dy, dx, v) for v in sparse_kernel(
-        field, dy * dx,
-        intertwiner_operator(field, dx, dy, x_maps, y_maps, coactions))]
+    return [Matrix(field, dy, dx, v)
+            for v in sparse_kernel(field, dy * dx, rows)]

@@ -7,12 +7,12 @@ Composition-of-arrows is convolution in the order alpha_kj(g) o alpha_ji(f)
 = alpha_ki(g * f); this is the orientation the proofs of (21a)-(22) use
 (the statement displays swap the factors in places).
 
-I_M (x) Delta comes from comul_table; D_M membership and the delta maps
-read the arrow's columns and both coaction tables.  The B-actions on
-M (x)_B A and the maps of Lemmas 3.3-3.8 are summed from the quotient's
-index maps, mul_table, rho's table and the columns of eta, of E's basis
-and of gamma's representative: no basis vector is applied, and only the
-B-actions on M (x) H are Kronecker products.
+Both objects hold their B-action and coaction as tables (hopf module doc),
+so D_M membership and hom spaces are colinearity checks.  The B-actions,
+I_M (x) Delta and the maps of Lemmas 3.3-3.8 are summed from M's action
+table, comul_table, the quotient's index maps, mul_table, rho's table and
+the columns of eta, of E's basis and of gamma's representative: no basis
+vector is applied and no Kronecker product is formed.
 """
 
 import random
@@ -24,7 +24,7 @@ from .galois import NotGalois, canonical_map, translation_map
 from .hopf import (ValidationReport, colinear_witness, comul_on,
                    convolve_columns)
 from .linalg import (Factorization, Matrix, NoSolution, _columns,
-                     _leg_columns, intertwiners, reduced, summed)
+                     _leg_columns, _terms, intertwiners, reduced, summed)
 
 
 class MembershipViolation(RuntimeError):
@@ -58,17 +58,17 @@ class TheoremContext:
         self.eta_cols = _columns(self.eta)
         self.e_cols = [_columns(b) for b in self.e.basis]
         self.rep = _leg_columns(self.tmap.representative, da)  # h -> (l, r, x)
-        # object 1: M (x) H
+        # object 1: M (x) H, (e_r (x) e_h) . b_k = (e_r . b_k) (x) e_h
         self.x1_dim = dm * dh
-        self.x1_actions = [act.kron(Matrix.identity(self.field, dh))
-                           for act in m.actions]
+        self.x1_actions = [[(r * dh + h, k, x) for r, k, x in terms]
+                           for terms in m.action_table for h in range(dh)]
         self.x1_coaction = comul_on(ca.hopf.coalgebra, dm)
-        # object 2: M (x)_B A in quotient coordinates
+        # object 2: M (x)_B A in quotient coordinates, e_free[q] . b_k
         self.x2_dim = self.quot.dim
-        free, n = self.quot.free, self.x2_dim
-        self.x2_actions = [_matrix(self, n, _times(self, (
-            (j, a, q, x) for a, x in col for q, j in enumerate(free))))
-            for col in _columns(self.b.inclusion)]
+        b_cols = _columns(self.b.inclusion)
+        self.x2_actions = [[(*key, x) for key, x in _terms(self.field, _times(
+            self, ((j, a, k, x) for k, col in enumerate(b_cols)
+                   for a, x in col)))] for j in self.quot.free]
         self.x2_coaction = self.induced.module.coaction_table
         self._dm_cache = {}
 
@@ -91,7 +91,8 @@ class TheoremContext:
             return self._dm_cache[(i, j)]
         dx, x_actions, x_co = self.object_data(i)
         dy, y_actions, y_co = self.object_data(j)
-        basis = intertwiners(self.field, dx, dy, x_actions, y_actions,
+        basis = intertwiners(self.field, dx, dy,
+                             (x_actions, y_actions, self.b.dim),
                              (x_co, y_co, self.ca.hopf.dim))
         self._dm_cache[(i, j)] = basis
         return basis
@@ -99,7 +100,7 @@ class TheoremContext:
     def dm_membership(self, mat, i, j):
         _, x_actions, x_co = self.object_data(i)
         _, y_actions, y_co = self.object_data(j)
-        return (all(mat @ xa == ya @ mat for xa, ya in zip(x_actions, y_actions))
+        return (colinear_witness(self.field, mat, x_actions, y_actions) is None
                 and colinear_witness(self.field, mat, x_co, y_co) is None)
 
     def dm_coords(self, mats, i, j):

@@ -5,7 +5,7 @@ from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import (cp_fixture, cyclic_cayley,
                                  dual_group_algebra, graded_m2, group_algebra,
                                  regular_comodule, sweedler_h4, trivial_kxk)
-from hopfgalois.linalg import Matrix, reduced
+from hopfgalois.linalg import Matrix, _columns, basis_vec, kron_vec, reduced
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -84,8 +84,7 @@ def character_module(ca, values):
     """M = k as a B-module via the algebra character b_i -> values[i]."""
     b = ca.coinvariants()
     f = ca.field
-    actions = [Matrix(f, 1, 1, [v]) for v in values]
-    m = BModule(b, 1, actions)
+    m = BModule(b, 1, action_table([Matrix(f, 1, 1, [v]) for v in values]))
     assert m.validate().passed
     return m
 
@@ -108,9 +107,9 @@ def module_b(ca):
 
 
 # -- dense oracles ----------------------------------------------------------
-# The package holds m, Delta and every coaction only as sparse tables; the
-# oracles below rebuild the dense matrices and the tensor-leg permutations
-# from them.
+# The package holds m, Delta, every coaction and every module action only as
+# sparse tables; the oracles below rebuild the dense matrices and the
+# tensor-leg permutations from them.
 
 
 def dense_mul(alg):
@@ -142,6 +141,34 @@ def dense_rho(field, table, dh):
     return out
 
 
+def action_table(mats):
+    """The action table of the action with dense matrices mats: entry m
+    lists, sorted, the (r, k, x) with x = mats[k][r, m] nonzero."""
+    cols = [_columns(mat) for mat in mats]
+    return [sorted((r, k, x) for k, col in enumerate(cols) for r, x in col[m])
+            for m in range(mats[0].cols)]
+
+
+def dense_actions(field, table, n):
+    """The dense view of an action table over an n-dimensional algebra: one
+    len(table)^2 matrix per basis element, entry (r, m) the x of (r, k, x)
+    in table[m]."""
+    dim = len(table)
+    out = [Matrix.zeros(field, dim, dim) for _ in range(n)]
+    for m, terms in enumerate(table):
+        for r, k, x in terms:
+            out[k].data[r * dim + m] = x
+    return out
+
+
+def dense_act(ctx, phi, a_vec):
+    """The former lifting.ActionCandidate.act_matrix: m -> phi(pi(m (x) a))
+    as a dense dim M x dim M matrix."""
+    f, dm = ctx.field, ctx.m.dim
+    return Matrix.from_cols(f, [phi.apply(ctx.quot.project(kron_vec(
+        f, basis_vec(f, dm, mi), a_vec))) for mi in range(dm)], nrows=dm)
+
+
 def dense_rows(field, rows, cols):
     """The dense view of an operator held as sparse rows ({column: x}
     dicts of raw sums): a len(rows) x cols matrix, reduced."""
@@ -157,6 +184,22 @@ def vstack(mats):
     """The matrices mats stacked top to bottom."""
     return Matrix(mats[0].field, sum(m.rows for m in mats), mats[0].cols,
                   [x for m in mats for x in m.data])
+
+
+def tensor_entries(field, vec, dims):
+    """Iterate (multi_index, coeff) over the nonzero entries of a tensor.
+
+    dims are the leg dimensions, leg 0 major (the package-wide convention).
+    """
+    k = len(dims)
+    for flat, c in enumerate(vec):
+        if c != field.zero:
+            idx = [0] * k
+            rem = flat
+            for leg in reversed(range(k)):
+                idx[leg] = rem % dims[leg]
+                rem //= dims[leg]
+            yield tuple(idx), c
 
 
 def dense_comul_iterated(co, x, arity):

@@ -25,7 +25,8 @@ from hopfgalois.hopf import (BadCharacteristic, CoalgebraData,
 from hopfgalois.linalg import (Matrix, _columns, _leg_columns, kron_vec,
                                lin_comb)
 
-from conftest import dense_comul, dense_mul, dense_rho, gather_legs
+from conftest import (action_table, dense_actions, dense_comul, dense_mul,
+                      dense_rho, gather_legs)
 
 F2, F5, F7, F11 = (PrimeField(p) for p in (2, 5, 7, 11))
 
@@ -119,8 +120,9 @@ def dense_comodule(ca):
 
 
 def dense_right_action(alg, actions, dim, unit_name, assoc_name):
-    """The unit check as a dense identity, then every failing (i, j) of the
-    associativity loop, which is not a dense audit and is unchanged."""
+    """The former check_right_action on dense action matrices: the unit
+    check as a dense identity, then every failing (i, j) of the lin_comb /
+    @ associativity loop."""
     out = dense_failures([(unit_name, lin_comb(actions, alg.unit),
                            Matrix.identity(alg.field, dim), (dim,))])
     f, n = alg.field, alg.dim
@@ -135,7 +137,8 @@ def dense_hopf_module(module, ca):
     """The former RelativeHopfModuleData.validate."""
     f, da, dh, dm = ca.field, ca.algebra.dim, ca.hopf.dim, module.dim
     rho = dense_rho(f, module.coaction_table, dh)
-    out = dense_right_action(ca.algebra, module.actions, dm,
+    actions = dense_actions(f, module.action_table, da)
+    out = dense_right_action(ca.algebra, actions, dm,
                              "hopfmodule.action-unit",
                              "hopfmodule.action-associativity")
     out += dense_failures(dense_coaction("hopfmodule", ca.hopf, rho, dm))
@@ -146,10 +149,10 @@ def dense_hopf_module(module, ca):
             if c != f.zero:
                 i, j = divmod(flat, dh)
                 e_j = Matrix.identity(f, dh).col(j)
-                term = (module.actions[i].kron(ca.hopf.algebra.rmul(e_j))
+                term = (actions[i].kron(ca.hopf.algebra.rmul(e_j))
                         @ rho)
                 rhs = rhs + term.scale(c)
-        if rho @ module.actions[a] != rhs:
+        if rho @ actions[a] != rhs:
             out.append(("hopfmodule.compatibility", (a,)))
     return out
 
@@ -235,13 +238,15 @@ def test_hopf_module_audit_matches_the_dense_oracle(name):
     assert base.validate(ca).failures == dense_hopf_module(base, ca) == []
     f, one, dh = ca.field, ca.field.one, ca.hopf.dim
     coaction = dense_rho(f, base.coaction_table, dh)
-    for k, mat in enumerate(base.actions + [coaction]):
+    actions = dense_actions(f, base.action_table, ca.algebra.dim)
+    for k, mat in enumerate(actions + [coaction]):
         for pos in range(len(mat.data)):
             data = list(mat.data)
             data[pos] = f.add(data[pos], one)
-            moved = base.actions + [coaction]
+            moved = actions + [coaction]
             moved[k] = Matrix(f, mat.rows, mat.cols, data)
-            module = RelativeHopfModuleData(f, base.dim, moved[:-1],
+            module = RelativeHopfModuleData(f, base.dim,
+                                            action_table(moved[:-1]),
                                             _leg_columns(moved[-1], dh))
             failures = module.validate(ca).failures
             assert failures and failures == dense_hopf_module(module, ca)

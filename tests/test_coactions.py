@@ -6,7 +6,7 @@ table of I_d (x) Delta, the coinvariants are the kernel of the colinearity
 operator from k, and Eq. (14) is checked pointwise.  The oracles here are
 the dense forms: I_d (x) Delta as a Kronecker product, the kernel of
 rho - ((-) (x) 1) and the matrix form of Eq. (14).  M (x)_B A builds its
-module only when it is read.
+module, action and coaction tables, with its quotient.
 """
 
 import random
@@ -15,6 +15,7 @@ import pytest
 
 from hopfgalois import cleft
 from hopfgalois.comodule import (ComoduleAlgebraData, RelativeHopfModuleData,
+                                 algebra_as_bmodule,
                                  comodule_coinvariant_basis, regular_bmodule,
                                  tensor_over_B)
 from hopfgalois.endomorphism import (EndComoduleAlgebra, build_E,
@@ -27,8 +28,9 @@ from hopfgalois.galois import (canonical_map, translation_map,
 from hopfgalois.hopf import DimensionMismatch, comul_on
 from hopfgalois.linalg import Matrix, _leg_columns, basis_vec, kron_vec
 
-from conftest import dense_comul, dense_rho, module_b, module_k
-from test_quotient import RUNGS, fixture_cases
+from conftest import (action_table, dense_actions, dense_comul, dense_rho,
+                      module_b, module_k)
+from test_quotient import RUNGS, dense_tensor_over_B, fixture_cases
 from test_tables import shipped_coalgebras, shuffled
 
 F5, F7 = PrimeField(5), PrimeField(7)
@@ -103,13 +105,19 @@ def test_shuffled_coaction_tables_build_the_same_structures(make):
     module = tensor_over_B(regular_bmodule(ca), ca).module
     table = shuffled(module.coaction_table, rng)
     table[-1].insert(0, (0, 0, zero))
-    again = RelativeHopfModuleData(ca.field, module.dim, module.actions,
-                                   table)
+    actions = shuffled(module.action_table, rng)
+    actions[0].append((0, 0, zero))
+    again = RelativeHopfModuleData(ca.field, module.dim, actions, table)
     assert again.coaction_table == module.coaction_table
+    assert again.action_table == module.action_table
     assert again.validate(ca).failures == module.validate(ca).failures
     with pytest.raises(DimensionMismatch):
-        RelativeHopfModuleData(ca.field, module.dim, module.actions,
+        RelativeHopfModuleData(ca.field, module.dim, module.action_table,
                                module.coaction_table + [[]])
+    with pytest.raises(DimensionMismatch):
+        RelativeHopfModuleData(ca.field, module.dim,
+                               module.action_table[:-1],
+                               module.coaction_table)
 
 
 # -- the coinvariants ---------------------------------------------------------
@@ -176,14 +184,18 @@ def test_structure_theorem_over_a_noncocommutative_hopf_algebra(make):
     assert report.passed and not report.inconclusive
 
 
-# -- M (x)_B A builds its module only when read -------------------------------
+# -- M (x)_B A builds its module with the quotient ----------------------------
 
 
-def test_translation_identities_do_not_build_the_module():
+def test_the_induced_module_is_built_with_the_quotient():
+    """A (x)_B A for the regular T_3 over F_7: its action and coaction
+    tables are those of the former dense construction."""
     ca = RUNGS["T3"]()
     can = canonical_map(ca)
     assert verify_translation_identities(ca, translation_map(ca, can)).passed
-    ind = can.induced
-    assert "module" not in ind.__dict__
-    assert ind.module is ind.module and "module" in ind.__dict__
+    ind, f = can.induced, ca.field
+    _, actions, coaction = dense_tensor_over_B(algebra_as_bmodule(ca), ca)
+    assert dense_actions(f, ind.module.action_table, ca.algebra.dim) == actions
+    assert ind.module.action_table == action_table(actions)
+    assert ind.module.coaction_table == _leg_columns(coaction, ca.hopf.dim)
     assert ind.module.validate(ca).passed

@@ -161,3 +161,36 @@ def test_cli_non_string_field_header_is_an_input_error(header, tmp_path):
     assert isinstance(err, io_json.ParseError)
     assert str(err) == (f"{p}: field must be a string such as \"Q\" or "
                         f"\"F_7\", not {json.dumps(header)}")
+
+
+MALFORMED = {   # a mutation of m2_graded.json, and the field it must name
+    "dim-text": (("modules", "b_regular", "dim"), "2", "modules.b_regular"),
+    "dim-float": (("modules", "b_regular", "dim"), 2.0, "modules.b_regular"),
+    "dim-null": (("modules", "b_regular", "dim"), None, "modules.b_regular"),
+    "hopf-list": (("comodule_algebras", "m2_graded", "hopf"), ["kC2"],
+                  "comodule_algebras.m2_graded.hopf"),
+    "ca-list": (("modules", "b_regular", "comodule_algebra"), ["m2_graded"],
+                "modules.b_regular.comodule_algebra"),
+    "modules-list": (("modules",), [], "modules"),
+    "module-int": (("modules", "b_regular"), 7, "modules.b_regular"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_cli_malformed_module_record_is_an_input_error(case, tmp_path,
+                                                       capsys):
+    """Each malformed section, record, reference or module dim ends in
+    exit 2 with a ParseError naming the field, never in a traceback."""
+    path, value, field = MALFORMED[case]
+    root = json.load(open(FIXTURES / "m2_graded.json"))
+    record = root
+    for part in path[:-1]:
+        record = record[part]
+    record[path[-1]] = value
+    p = tmp_path / "bad.json"
+    json.dump(root, open(p, "w"))
+    err, code = _run("validate", str(p))
+    assert code == 2 and isinstance(err, io_json.ParseError)
+    assert err.where == field
+    assert cli.main(["validate", str(p)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")

@@ -18,11 +18,12 @@ from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
                                  sweedler_h4)
 from hopfgalois.hopf import comul_on, convolution_operator, convolve
 from hopfgalois.lifting import ActionCandidate, _b_linear_space
-from hopfgalois.linalg import (Matrix, basis_vec, intertwiner_operator,
-                               kron_vec, tensor_entries, vec_add, vec_scale)
+from hopfgalois.linalg import (Matrix, basis_vec, colinearity_operator,
+                               kron_vec, vec_add, vec_scale)
 
-from conftest import (dense_comul, dense_mul, dense_rho, dense_rows,
-                      gather_legs, module_b, module_k, scatter_legs, vstack)
+from conftest import (action_table, dense_act, dense_actions, dense_comul,
+                      dense_mul, dense_rho, dense_rows, gather_legs, module_b,
+                      module_k, scatter_legs, tensor_entries, vstack)
 
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 
@@ -274,23 +275,36 @@ def test_sigma_convolution_operator(field):
                                     sigma) == oracle
 
 
+def action_rows(f, dx, dy, x_act, y_act, d):
+    """The rows of colinearity_operator on two action tables over a
+    d-dimensional algebra, negated and reordered as the blocks k of the
+    former stacked operator of X x_k - y_k X: old row (k dy + y) dx + c is
+    new row (y d + k) dx + c."""
+    new = dense_rows(f, colinearity_operator(f, dx, dy, x_act, y_act, d),
+                     dy * dx)
+    return Matrix.from_rows(f, [
+        [f.neg(v) for v in new.row((y * d + k) * dx + c)]
+        for k in range(d) for y in range(dy) for c in range(dx)])
+
+
 @pytest.mark.parametrize("name,module",
                          [("m2_q", module_k), ("m2_f3", module_b),
                           ("h4_f5", module_k)])
 def test_dm_hom_space_operator(name, module):
     ca = FIXTURES[name]()
     ctx = maintheorem.TheoremContext(ca, module(ca))
-    f, dh = ctx.field, ca.hopf.dim
+    f, dh, db = ctx.field, ca.hopf.dim, ctx.b.dim
     for i, j in convcat.CLASSES:
         dx, x_actions, x_co = ctx.object_data(i)
         dy, y_actions, y_co = ctx.object_data(j)
         oracle = probe_operator(
-            f, dy, dx, action_defect(x_actions, y_actions,
-                                     (dense_rho(f, x_co, dh),
-                                      dense_rho(f, y_co, dh))))
-        assert dense_rows(f, intertwiner_operator(
-            f, dx, dy, x_actions, y_actions, (x_co, y_co, dh)),
-            dy * dx) == oracle
+            f, dy, dx, action_defect(dense_actions(f, x_actions, db),
+                                     dense_actions(f, y_actions, db)))
+        assert action_rows(f, dx, dy, x_actions, y_actions, db) == oracle
+        oracle = probe_operator(f, dy, dx, action_defect(
+            [], [], (dense_rho(f, x_co, dh), dense_rho(f, y_co, dh))))
+        assert dense_rows(f, colinearity_operator(
+            f, dx, dy, x_co, y_co, dh), dy * dx) == oracle
 
 
 @pytest.mark.parametrize("name", ["m2_q", "m2_f3", "h4_f5"])
@@ -305,13 +319,15 @@ def test_bh_iso_operator(name):
               for i in range(db)]
     a_acts = [ca.algebra.lmul(b.to_ambient(basis_vec(f, db, i)))
               for i in range(db)]
+    on_bh, on_a = cleft._left_b_actions(ca, b)
+    assert (on_bh, on_a) == (action_table(x_acts), action_table(a_acts))
+    assert action_rows(f, da, da, on_bh, on_a, db) == probe_operator(
+        f, da, da, action_defect(x_acts, a_acts))
     rho = dense_rho(f, ca.coaction_table, dh)
-    oracle = probe_operator(f, da, da, action_defect(x_acts, a_acts,
-                                                     (x_co, rho)))
-    assert dense_rows(f, intertwiner_operator(
-        f, da, da, x_acts, a_acts,
-        (comul_on(ca.hopf.coalgebra, db), ca.coaction_table, dh)),
-        da * da) == oracle
+    assert dense_rows(f, colinearity_operator(
+        f, da, da, comul_on(ca.hopf.coalgebra, db), ca.coaction_table, dh),
+        da * da) == probe_operator(f, da, da,
+                                   action_defect([], [], (x_co, rho)))
 
 
 @pytest.mark.parametrize("name", ["m2_q", "m2_f3"])
@@ -319,20 +335,23 @@ def test_lifting_operators(name):
     """lifting._b_linear_space and the direct check of phi_equivalence."""
     ca = FIXTURES[name]()
     ctx = maintheorem.TheoremContext(ca, module_b(ca))
-    f, dm, dq = ctx.field, ctx.m.dim, ctx.quot.dim
-    oracle = probe_operator(f, dm, dq,
-                            action_defect(ctx.x2_actions, ctx.m.actions))
-    assert dense_rows(f, intertwiner_operator(f, dq, dm, ctx.x2_actions,
-                                              ctx.m.actions), dm * dq) == oracle
+    f, dm, dq, db = ctx.field, ctx.m.dim, ctx.quot.dim, ctx.b.dim
+    oracle = probe_operator(f, dm, dq, action_defect(
+        dense_actions(f, ctx.x2_actions, db),
+        dense_actions(f, ctx.m.action_table, db)))
+    assert action_rows(f, dq, dm, ctx.x2_actions, ctx.m.action_table,
+                       db) == oracle
     space = _b_linear_space(ctx)
     c1 = ActionCandidate(ctx, space[0])
     c2 = ActionCandidate(ctx, space[-1] + space[0])
     da = ca.algebra.dim
-    acts1 = [c1.act_matrix(basis_vec(f, da, i)) for i in range(da)]
-    acts2 = [c2.act_matrix(basis_vec(f, da, i)) for i in range(da)]
+    acts1 = [dense_act(ctx, c1.phi, basis_vec(f, da, i)) for i in range(da)]
+    acts2 = [dense_act(ctx, c2.phi, basis_vec(f, da, i)) for i in range(da)]
+    assert (c1.action_table, c2.action_table) == (action_table(acts1),
+                                                  action_table(acts2))
     oracle = probe_operator(f, dm, dm, action_defect(acts2, acts1))
-    assert dense_rows(f, intertwiner_operator(f, dm, dm, acts2, acts1),
-                      dm * dm) == oracle
+    assert action_rows(f, dm, dm, c2.action_table, c1.action_table,
+                       da) == oracle
 
 
 @pytest.mark.parametrize("name", ["m2_q", "h4_f5"])
@@ -340,10 +359,10 @@ def test_hom_A_operator(name):
     """The Kronecker formula hom_A used, for End_A of M (x)_B A."""
     ca = FIXTURES[name]()
     ctx = maintheorem.TheoremContext(ca, module_b(ca))
-    f, n = ctx.field, ctx.quot.dim
-    actions = ctx.induced.module.actions
+    f, n, da = ctx.field, ctx.quot.dim, ca.algebra.dim
+    table = ctx.induced.module.action_table
+    actions = dense_actions(f, table, da)
     idn = Matrix.identity(f, n)
     old = vstack([idn.kron(a.transpose()) - a.kron(idn) for a in actions])
-    assert dense_rows(f, intertwiner_operator(f, n, n, actions, actions),
-                      n * n) == old
+    assert action_rows(f, n, n, table, table, da) == old
     assert old == probe_operator(f, n, n, action_defect(actions, actions))

@@ -28,11 +28,10 @@ from hopfgalois.galois import (canonical_map, canonical_map_prime,
 from hopfgalois.hopf import (CoalgebraData, HopfAlgebraData,
                              StructureConstantAlgebra, validate_hopf)
 from hopfgalois.linalg import (Matrix, _columns, _leg_columns, basis_vec,
-                               intertwiners, kron_vec, tensor_entries, vec_add,
-                               vec_scale)
+                               intertwiners, kron_vec, vec_add, vec_scale)
 
-from conftest import (dense_comul, dense_mul, dense_rho, gather_legs,
-                      scatter_legs)
+from conftest import (action_table, dense_actions, dense_comul, dense_mul,
+                      dense_rho, gather_legs, scatter_legs, tensor_entries)
 
 F5, F7 = PrimeField(5), PrimeField(7)
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "hopfgalois" / "fixtures"
@@ -85,11 +84,11 @@ def dense_tensor_over_B(m, ca):
     f = ca.field
     b = ca.coinvariants()
     da, dh, dm = ca.algebra.dim, ca.hopf.dim, m.dim
-    relations = []
+    relations, m_acts = [], dense_actions(f, m.action_table, b.dim)
     for i in range(dm):
         em = basis_vec(f, dm, i)
         for k in range(b.dim):
-            mb = m.actions[k].apply(em)
+            mb = m_acts[k].apply(em)
             lb = ca.algebra.lmul(b.inclusion.col(k))
             for j in range(da):
                 ea = basis_vec(f, da, j)
@@ -234,7 +233,7 @@ def check_induction(m, ca, rng):
     proj, sect = dense_projection(q), dense_section(q)
     assert (q.dim, proj, sect) == (quot.dim, quot.projection, quot.section)
     assert proj @ sect == Matrix.identity(f, q.dim)
-    assert ind.module.actions == actions
+    assert dense_actions(f, ind.module.action_table, ca.algebra.dim) == actions
     assert ind.module.coaction_table == _leg_columns(coaction, ca.hopf.dim)
     n = len(q.columns)
     amb = Matrix(f, 3, n, [f.from_int(rng.randint(-2, 2)) for _ in range(3 * n)])
@@ -242,7 +241,8 @@ def check_induction(m, ca, rng):
     for c in range(3):
         assert q.project(amb.row(c)) == proj.apply(amb.row(c))
     ida = Matrix.identity(f, ca.algebra.dim)
-    for g in intertwiners(f, m.dim, m.dim, m.actions, m.actions):
+    table = m.action_table
+    for g in intertwiners(f, m.dim, m.dim, (table, table, m.base.dim)):
         assert ind.induced_map(g) == proj @ g.kron(ida) @ sect
     return ind, quot
 
@@ -352,9 +352,9 @@ def test_relabelled_rungs_equal_the_dense_oracle(name, seed):
     n = 2 * b.dim
     mix = Matrix(F7, n, n, [F7.one if c >= r else F7.zero
                             for r in range(n) for c in range(n)])
-    twice = BModule(b, n, [mix @ Matrix.identity(F7, 2).kron(
+    twice = BModule(b, n, action_table([mix @ Matrix.identity(F7, 2).kron(
         b.algebra.rmul(basis_vec(F7, b.dim, k))) @ mix.invert()
-        for k in range(b.dim)])
+        for k in range(b.dim)]))
     assert twice.validate().passed
     check_induction(twice, ca, rng)
 
@@ -415,7 +415,8 @@ def test_non_associative_algebra_has_no_induced_action():
     ca = ComoduleAlgebraData(h, StructureConstantAlgebra(
         F5, 4, _columns(mul), [1, 0, 0, 0]), _leg_columns(rho, 2))
     assert ca.validate().failures == [("algebra.associativity", (1, 2, 2))]
-    m = BModule(ca.coinvariants(), 1, [Matrix(F5, 1, 1, [x]) for x in (1, 0)])
+    m = BModule(ca.coinvariants(), 1,
+                action_table([Matrix(F5, 1, 1, [x]) for x in (1, 0)]))
     for build in (tensor_over_B, dense_tensor_over_B):
         with pytest.raises(IllDefinedStructure, match="A-action"):
             build(m, ca)

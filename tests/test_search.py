@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_comul, module_b, module_k
+from conftest import dense_comul, module_b, module_k, tensor_entries
 from hopfgalois import (cleft, cohomology, convcat, galois, lifting,
                         maintheorem, search)
 from hopfgalois.fields import QQ, PrimeField
@@ -15,8 +15,7 @@ from hopfgalois.hopf import (StructureConstantAlgebra, ValidationReport,
                              convolution_inverse, convolution_operator,
                              convolution_unit)
 from hopfgalois.linalg import (Matrix, NotInvertible, OperatorSpan,
-                               basis_vec, lin_comb, tensor_entries, vec_add,
-                               vec_scale)
+                               basis_vec, lin_comb, vec_add, vec_scale)
 
 F3 = PrimeField(3)
 F7 = PrimeField(7)

@@ -29,7 +29,7 @@ from hopfgalois.hopf import (CoalgebraData, StructureConstantAlgebra,
 from hopfgalois.linalg import (Matrix, _columns, _leg_columns, basis_vec,
                                kron_vec, reduced)
 
-from conftest import dense_comul, dense_mul
+from conftest import action_table, dense_comul, dense_mul
 
 F2, F3, F7 = PrimeField(2), PrimeField(3), PrimeField(7)
 F_BIG = PrimeField(2 ** 61 - 1)     # beyond the compiled kernels' range
@@ -199,8 +199,8 @@ def dim16_e(field):
     """E = END_A(k^2 (x)_k H4) of the theorem workload's H4 with M = k^2."""
     ca = regular_comodule(sweedler_h4(field))
     b = ca.coinvariants()
-    m = BModule(b, 2, [Matrix.identity(field, 2).scale(
-        field.inv(b.algebra.unit[0]))])
+    m = BModule(b, 2, action_table([Matrix.identity(field, 2).scale(
+        field.inv(b.algebra.unit[0]))]))
     return maintheorem.TheoremContext(ca, m).e.ca
 
 

@@ -26,10 +26,10 @@ from hopfgalois.maintheorem import (TheoremContext, delta1, delta2,
                                     delta_bar)
 from hopfgalois.linalg import (Factorization, Matrix, NoSolution, _leg_columns,
                                basis_vec, kron_vec, lin_comb, reduced,
-                               sparse_kernel, tensor_entries)
+                               sparse_kernel)
 
-from conftest import (dense_comul, dense_mul, dense_rho, dense_rows,
-                      scatter_legs)
+from conftest import (action_table, dense_actions, dense_comul, dense_mul,
+                      dense_rho, dense_rows, scatter_legs, tensor_entries)
 from test_quotient import F7, RUNGS, fixture_cases, relabelled
 
 VARIANTS = [(cls, variant) for cls in convcat.CLASSES
@@ -107,11 +107,15 @@ def dense_x1_coaction(ctx):
 
 
 def dense_object(ctx, i):
-    """object_data with dense coactions: the Kronecker coaction of M (x) H."""
+    """object_data with dense actions and coactions: the Kronecker coaction
+    of M (x) H."""
+    f, db = ctx.field, ctx.b.dim
     if i == 1:
-        return ctx.x1_dim, ctx.x1_actions, dense_x1_coaction(ctx)
+        return (ctx.x1_dim, dense_actions(f, ctx.x1_actions, db),
+                dense_x1_coaction(ctx))
     dq, actions, co = ctx.object_data(2)
-    return dq, actions, dense_rho(ctx.field, co, ctx.ca.hopf.dim)
+    return (dq, dense_actions(f, actions, db),
+            dense_rho(f, co, ctx.ca.hopf.dim))
 
 
 def dense_dm_membership(ctx, mat, i, j):
@@ -185,12 +189,12 @@ def old_beta21(ctx, t_prime_mat):
 
 def old_beta21_bar(ctx, psi):
     f, dm, dh, da = ctx.field, ctx.m.dim, ctx.ca.hopf.dim, ctx.ca.algebra.dim
-    endos = []
+    endos, acts = [], dense_actions(f, ctx.induced.module.action_table, da)
     for hj in range(dh):
         bases = [psi.apply(kron_vec(f, basis_vec(f, dm, mi),
                                     basis_vec(f, dh, hj))) for mi in range(dm)]
         endos.append(Matrix.from_cols(
-            f, [ctx.induced.module.actions[j % da].apply(bases[j // da])
+            f, [acts[j % da].apply(bases[j // da])
                 for j in ctx.quot.free], nrows=ctx.quot.dim))
     return ctx.e.coords_matrix(endos)
 
@@ -245,7 +249,8 @@ def old_beta22(ctx, w_prime_mat):
 
 def old_alpha22_bar(ctx, kappa):
     f, dm, dh, da = ctx.field, ctx.m.dim, ctx.ca.hopf.dim, ctx.ca.algebra.dim
-    mul, acts = ctx.ca.algebra.mul_table, ctx.induced.module.actions
+    mul = ctx.ca.algebra.mul_table
+    acts = dense_actions(f, ctx.induced.module.action_table, da)
     endos = []
     for hj in range(dh):
         rep = ctx.tmap.rep(basis_vec(f, dh, hj))
@@ -266,8 +271,9 @@ def old_alpha22_bar(ctx, kappa):
 def old_x2_actions(ctx):
     """The former TheoremContext.induced_action of each b_k: the dense
     actions of A combined by b_k's coordinates."""
-    return [lin_comb(ctx.induced.module.actions, ctx.b.inclusion.col(k))
-            for k in range(ctx.b.dim)]
+    acts = dense_actions(ctx.field, ctx.induced.module.action_table,
+                         ctx.ca.algebra.dim)
+    return [lin_comb(acts, ctx.b.inclusion.col(k)) for k in range(ctx.b.dim)]
 
 
 # the maps on Hom(H, E) (dim E x dim H, E-coordinates) and on D_M arrows
@@ -290,9 +296,9 @@ def mixed_double(ca):
     n = 2 * b.dim
     mix = Matrix(f, n, n, [f.one if c >= r else f.zero
                            for r in range(n) for c in range(n)])
-    double = BModule(b, n, [mix @ Matrix.identity(f, 2).kron(
+    double = BModule(b, n, action_table([mix @ Matrix.identity(f, 2).kron(
         b.algebra.rmul(basis_vec(f, b.dim, k))) @ mix.invert()
-        for k in range(b.dim)])
+        for k in range(b.dim)]))
     assert double.validate().passed
     return double
 
@@ -478,7 +484,7 @@ def test_dm_maps_equal_the_dense_oracle(case):
     except NotGalois:
         return
     f, rng, sbar = ctx.field, random.Random(11), ca.hopf.antipode_inv
-    assert ctx.x2_actions == old_x2_actions(ctx)
+    assert dense_actions(f, ctx.x2_actions, ctx.b.dim) == old_x2_actions(ctx)
     for name, old, cls in E_MAPS:
         new = getattr(maintheorem, name)
         basis = [el.matrix @ sbar for el in
