@@ -1,11 +1,8 @@
-"""The mod-p kernels behind linalg's rref, full-rank test and matmul over F_p.
-
-Exact for every prime p: entries are Python ints.  Pivot policy (shared
-with the Fraction path in linalg): leftmost nonzero pivot, rows scanned
-top-down, first nonzero row wins.  This keeps echelon forms, kernels and
-solutions deterministic.  full_rank_modp only decides rank = n for a square
-matrix: it eliminates forward, stops at the first column without a pivot
-and never forms the reduced echelon form, so rref_modp stays its oracle.
+"""Dense mod-p kernels on flat row-major lists of Python ints, exact for
+every prime p.  matmul_modp is Matrix.__matmul__ over F_p.  rref_modp has no
+package caller (every elimination is linalg.eliminate): it is the dense
+oracle the tests compare eliminate with, and the reduction perfbench's
+kernel micro-benchmark times.
 """
 
 
@@ -41,28 +38,6 @@ def rref_modp(data, rows, cols, p):
     for r in m:
         flat.extend(v % p for v in r)
     return flat, pivots
-
-
-def full_rank_modp(data, n, p):
-    """Whether the flat row-major n x n int matrix has rank n mod p.
-
-    Forward elimination on the rows still without a pivot, each kept only
-    right of the current column; False at the first column with no pivot.
-    Entries may be unreduced or negative.
-    """
-    if len(data) != n * n:
-        raise ValueError(f"data length {len(data)} is not {n}x{n}")
-    rest = [data[r * n:(r + 1) * n] for r in range(n)]
-    for _ in range(n):
-        sel = next((r for r, row in enumerate(rest) if row[0] % p), -1)
-        if sel < 0:
-            return False
-        pivot = rest.pop(sel)
-        inv = pow(pivot[0], -1, p)
-        tail = pivot[1:]
-        rest = [[(a - f * b) % p for a, b in zip(row[1:], tail)]
-                if (f := row[0] * inv % p) else row[1:] for row in rest]
-    return True
 
 
 def matmul_modp(a, ar, ac, b, br, bc, p):

@@ -389,7 +389,7 @@ def run(argv):
     except (io_json.ParseError, io_json.ValidationError, InputError,
             cohomology.HypothesisViolated, galois.NotGalois) as exc:
         return exc, 2
-    except MemoryError:
+    except (MemoryError, OverflowError):   # a size no list can have
         return "input too large", 2
     report.output_mode = args.output
     return report, report.exit_code

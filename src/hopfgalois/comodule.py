@@ -16,8 +16,9 @@ import itertools
 from .hopf import (DimensionMismatch, StructureConstantAlgebra,
                    ValidationReport, _agree, _table, first_failure,
                    tensor_algebra_map)
-from .linalg import (Factorization, Matrix, NoSolution, _columns,
-                     colinearity_operator, reduced, sparse_kernel, summed)
+from .linalg import (Factorization, Matrix, NoSolution, _columns, _terms,
+                     colinearity_operator, eliminate, reduced, sparse_kernel,
+                     summed)
 
 
 class InternalInvariant(RuntimeError):
@@ -252,23 +253,17 @@ class QuotientSpace:
 
     def __init__(self, field, ambient_dim, relations):
         self.field = field
-        rows = []
-        for rel in relations:
-            row = [field.zero] * ambient_dim
-            for j, x in rel:
-                row[j] += x
-            if any(row := reduced(field, row)):
-                rows.append(row)
-        red, pivots = Matrix.from_rows(field, rows).rref() if rows else (None, [])
-        pivot_set = set(pivots)
-        self.free = [j for j in range(ambient_dim) if j not in pivot_set]
+        piv = eliminate(field, (dict(_terms(field, rel))
+                                for rel in relations))[0]
+        self.free = [j for j in range(ambient_dim) if j not in piv]
         self.dim = len(self.free)
         self.columns = [[] for _ in range(ambient_dim)]
         for q, j in enumerate(self.free):
             self.columns[j] = [(q, field.one)]
-        for r, pc in enumerate(pivots):
-            self.columns[pc] = [(q, field.neg(x)) for q, j in enumerate(self.free)
-                                if (x := red.get(r, j)) != field.zero]
+        q_of = {j: q for q, j in enumerate(self.free)}
+        for pc, prow in piv.items():   # the RREF row is zero at other pivots
+            self.columns[pc] = [(q_of[j], field.neg(x))
+                                for j, x in sorted(prow.items()) if j != pc]
 
     def project(self, v):
         """Quotient coordinates of the class of the ambient vector v."""

@@ -1,15 +1,19 @@
-"""Dense exact linear algebra over Q and F_p.
+"""Exact linear algebra over Q and F_p: dense matrices, sparse elimination.
 
 Matrices are flat row-major lists of scalars tagged with a field object
 (see fields).  Everything is immutable by convention: operations return new
-matrices and never mutate their inputs, so values are safe to share.
+matrices and never mutate their inputs, so values are safe to share.  The
+product over F_p is _modp_py's matmul_modp, exact for every p since Python
+ints do not overflow.
 
-Over F_p the hot kernels (rref, the full-rank test, matmul) are the
-pure-Python ones of _modp_py, exact for every p since Python ints do not
-overflow.  Over Q the Fraction path below is used.  Both follow one
-deterministic pivot policy (leftmost nonzero pivot, rows scanned top-down).
-is_invertible over F_p only eliminates forward and stops at the first
-column without a pivot; it never builds the RREF that rank() reads.
+One elimination.  Every rank, RREF, kernel, inverse and solve comes from
+eliminate, on rows held as {column: x} dicts of their nonzero entries, over
+Q and F_p alike.  Rows are taken in order, each pivoting at its leftmost
+column without a pivot; each can carry the combination of input rows it
+equals.  One pass thus gives full rank (stopping at the first dependent
+row), the RREF and its pivots, the kernel, the inverse (the combinations,
+when the pivots are 0..n-1) and the solves below.  The RREF of a row space
+is unique, so none of these depends on the pivot policy.
 
 Tensor legs.  A vector of V_0 (x) ... (x) V_{k-1} is flattened
 lexicographically with leg 0 major.
@@ -24,26 +28,20 @@ from sparse tables: colinearity_operator is X -> y_co X - (X (x) I_H) x_co
 for the coaction tables x_co and y_co.  On two action tables, with dim B
 in place of dim H, the same operator is X -> (X(-) . b_k - X(- . b_k))_k,
 so intertwiners stacks it once for the actions and once for the
-coactions.  Column c*n + j is the unknown X[c, j].  Every kernel, of such
-rows or of a Matrix, comes from one sparse elimination, sparse_kernel,
-whose basis is the one read off the canonical RREF; no dense operator or
-Kronecker product is formed.
+coactions.  Column c*n + j is the unknown X[c, j].  Their kernels are
+sparse_kernel's, read off eliminate's RREF; no dense operator or Kronecker
+product is formed.
 
 Factor once.  A matrix A solved against many right-hand sides is factored
-once.  Factorization(A) picks r = rank(A) independent rows of A and reduces
-[A_rows | I_r]; that gives the pivot columns of A and a transform t.  The
-solution of A X = B is X[pivot_k] = (t B_rows)[k], zero elsewhere, and it
-exists iff that X solves A X = B.  It is the one solution supported on
-the pivot columns, the one the RREF of [A | b] gives column by column;
-Matrix.solve and Matrix.solve_matrix are this solve.  Right-hand sides are
-best passed as one block B: solve_columns solves all columns with one
-product t B_rows, checks A X = B from the nonzero entries of A and X, and
-says which columns are consistent.  Picking rows first keeps
-the reduction at r rows for the tall stacked-constraint operators the
-package solves against.  A factorization is held by the object that solves
-against A (a context, an algebra, a hom-space), never cached on Matrix:
-matrices are built in place through .data, so a cache on a Matrix could go
-stale.
+once: Factorization(A) eliminates the rows of A with their combinations,
+RREF row k at pivot column pc being Sum_i y_i A[i, :].  The solution of
+A X = B is X[pc] = Sum_i y_i B[i, :], zero elsewhere; it exists iff it
+solves A X = B, and it is the one the RREF of [A | b] gives column by
+column (Matrix.solve, Matrix.solve_matrix).  solve_columns solves a block B
+at once, following the nonzero entries of B and X, and says which columns
+are consistent.  A factorization is held by the object that solves against
+A, never cached on Matrix: matrices are built in place through .data, so a
+cache could go stale.
 """
 
 from . import _modp_py as _modp
@@ -213,48 +211,25 @@ class Matrix:
             self.field, [a * b for arow in arows for brow in brows
                          for a in arow for b in brow]))
 
-    # -- elimination -------------------------------------------------------
+    # -- elimination: eliminate on the sparse rows ---------------------------
 
     def rref(self):
         """Reduced row echelon form.  Returns (Matrix, pivot column list)."""
-        f = self.field
-        if f.kind == "Fp":
-            data, pivots = _modp.rref_modp(self.data, self.rows, self.cols,
-                                           f.p)
-            return Matrix(f, self.rows, self.cols, data), pivots
-        m = self.row_list()
-        pivots = []
-        row = 0
-        for col in range(self.cols):
-            if row == self.rows:
-                break
-            sel = -1
-            for r in range(row, self.rows):
-                if m[r][col] != f.zero:
-                    sel = r
-                    break
-            if sel < 0:
-                continue
-            m[row], m[sel] = m[sel], m[row]
-            inv = f.inv(m[row][col])
-            m[row] = [f.mul(inv, v) for v in m[row]]
-            for r in range(self.rows):
-                if r != row and m[r][col] != f.zero:
-                    c = m[r][col]
-                    m[r] = [f.sub(a, f.mul(c, b)) for a, b in zip(m[r], m[row])]
-            pivots.append(col)
-            row += 1
-        return Matrix.from_rows(f, m) if m else Matrix.zeros(f, 0, self.cols), pivots
+        f, n = self.field, self.cols
+        piv = eliminate(f, _rows(self))[0]
+        pivots = sorted(piv)
+        data = [f.zero] * (self.rows * n)
+        for r, c in enumerate(pivots):
+            for j, x in piv[c].items():
+                data[r * n + j] = x
+        return Matrix(f, self.rows, n, data), pivots
 
     def rank(self):
         return len(self.rref()[1])
 
     def kernel(self):
         """sparse_kernel of the rows of self."""
-        n, data = self.cols, self.data
-        return sparse_kernel(self.field, n, (
-            {j: x for j, x in enumerate(data[i * n:(i + 1) * n]) if x}
-            for i in range(self.rows)))
+        return sparse_kernel(self.field, self.cols, _rows(self))
 
     def solve(self, b):
         """A particular solution x of self @ x = b.  Raises NoSolution."""
@@ -264,76 +239,75 @@ class Matrix:
         """Solve self @ X = rhs; column j of X is self.solve(rhs.col(j))."""
         return Factorization(self).solve_matrix(rhs)
 
-    def _reduce_with_identity(self):
-        """RREF of [self | I] and its pivots; the right block is the
-        transform."""
-        n = self.rows
-        eye = Matrix.identity(self.field, n)
-        aug = Matrix(self.field, n, self.cols + n,
-                     [x for i in range(n) for x in self.row(i) + eye.row(i)])
-        return aug.rref()
-
     def invert(self):
+        """The inverse: row c is the combination of rows that reduces to
+        e_c.  Raises NotInvertible at the first dependent row."""
         if self.rows != self.cols:
             raise NotInvertible("not square")
-        n = self.rows
-        red, pivots = self._reduce_with_identity()
-        if pivots != list(range(n)):
+        f, n = self.field, self.rows
+        done = eliminate(f, _rows(self), combos=True, independent=True)
+        if done is None:
             raise NotInvertible()
-        return Matrix(self.field, n, n, [x for i in range(n)
-                                         for x in red.row(i)[n:]])
+        data = [f.zero] * (n * n)
+        for c, combo in done[1].items():
+            for i, y in combo.items():
+                data[c * n + i] = y
+        return Matrix(f, n, n, data)
 
     def is_invertible(self):
-        if self.rows != self.cols:
-            return False
-        if self.field.kind == "Fp":
-            return _modp.full_rank_modp(self.data, self.rows, self.field.p)
-        return self.rank() == self.rows
+        """Full rank, by forward elimination up to the first dependent row."""
+        return self.rows == self.cols and eliminate(
+            self.field, _rows(self), independent=True, back=False) is not None
 
 
 class Factorization:
     """A factored once, then A X = B for any number of B (see the module doc).
 
-    rows: rank(A) independent rows of A; pivots: the pivot columns of A;
-    t: the inverse of A on those rows and columns.  A is copied.
+    pivots: the pivot columns of A; row_uses[i]: the (pc, y) with y the
+    coefficient of row i of A in the RREF row at pivot column pc.  A is
+    copied.
     """
 
-    __slots__ = ("a", "columns", "rows", "pivots", "t")
+    __slots__ = ("a", "columns", "pivots", "row_uses")
 
     def __init__(self, a):
-        f, m = a.field, a.cols
-        self.a = Matrix(f, a.rows, m, a.data)
-        self.columns = [[(i, x) for i, x in enumerate(a.data[c::m]) if x]
-                        for c in range(m)]
-        self.rows = a.transpose().rref()[1]
-        r = len(self.rows)
-        top = Matrix(f, r, m, [x for i in self.rows for x in a.row(i)])
-        red, self.pivots = top._reduce_with_identity()
-        self.t = Matrix(f, r, r, [x for i in range(r) for x in red.row(i)[m:]])
+        self.a = Matrix(a.field, a.rows, a.cols, a.data)
+        self.columns = _columns(a)
+        piv, comb = eliminate(a.field, _rows(a), combos=True)
+        self.pivots = sorted(piv)
+        self.row_uses = [[] for _ in range(a.rows)]
+        for pc in self.pivots:
+            for i, y in comb[pc].items():
+                self.row_uses[i].append((pc, y))
 
     def solve_columns(self, rhs):
         """(X, ok): column j of X solves A x = rhs[:, j] when ok[j] is True;
-        X is zero off the pivot columns."""
+        X is zero off the pivot columns.  The work follows the nonzero
+        entries of rhs and X."""
         a = self.a
         if rhs.rows != a.rows:
             raise ValueError("rhs rows mismatch")
-        f, k = a.field, rhs.cols
-        picked = Matrix(f, len(self.rows), k,
-                        [x for i in self.rows for x in rhs.row(i)])
-        y = (self.t @ picked).data
-        data = [f.zero] * (a.cols * k)
-        for r, pc in enumerate(self.pivots):
-            data[pc * k:(pc + 1) * k] = y[r * k:(r + 1) * k]
-        got = [f.zero] * (a.rows * k)        # A X, from the nonzero y entries
-        for r, pc in enumerate(self.pivots):
-            nz = [(j, v) for j, v in enumerate(y[r * k:(r + 1) * k]) if v]
-            for i, av in self.columns[pc]:
-                for j, v in nz:
-                    got[i * k + j] += av * v
-        got, want = reduced(f, got), reduced(f, rhs.data)
-        ok = ([True] * k if got == want
-              else [got[j::k] == want[j::k] for j in range(k)])
-        return Matrix(f, a.cols, k, data), ok
+        f, k, p = a.field, rhs.cols, a.field.p
+        nz = [(n, v) for n, v in enumerate(rhs.data) if v]
+        xs = {}                              # X[pc, j] = Sum_i y rhs[i, j]
+        for n, v in nz:
+            i, j = divmod(n, k)
+            for pc, y in self.row_uses[i]:
+                xs[pc * k + j] = xs.get(pc * k + j, 0) + y * v
+        x, res = [f.zero] * (a.cols * k), {}     # res: A X - rhs, raw
+        for key, v in xs.items():
+            if v := v % p if p else v:
+                x[key] = v
+                pc, j = divmod(key, k)
+                for i, av in self.columns[pc]:
+                    res[i * k + j] = res.get(i * k + j, 0) + av * v
+        for n, v in nz:
+            res[n] = res.get(n, 0) - v
+        ok = [True] * k
+        for n, v in res.items():
+            if v % p if p else v:
+                ok[n % k] = False
+        return Matrix(f, a.cols, k, x), ok
 
     def solve_matrix(self, rhs):
         """X with A X = rhs, zero off the pivot columns; raises NoSolution."""
@@ -376,23 +350,28 @@ class OperatorSpan:
     """
 
     def __init__(self, ops):
-        self.template, zero = ops[0], ops[0].field.zero
+        self.template = ops[0]
         self.degree = ops[0].rows
-        self.terms = [[(i, x) for i, x in enumerate(op.data) if x != zero]
-                      for op in ops]
+        self.terms = [[(*divmod(i, op.cols), x) for i, x in enumerate(op.data)
+                       if x] for op in ops]
 
     def full_rank_at(self, coeffs):
-        """Sum_k coeffs[k] ops[k] (a sparse sum) if invertible, else None.
-        The rank test reads the unreduced sum; only a hit is reduced."""
+        """Sum_k coeffs[k] ops[k] if invertible, else None.  The sum is
+        taken raw into sparse rows for the rank test; only a hit is made a
+        matrix."""
         f, like = self.template.field, self.template
-        out = [f.zero] * len(like.data)
+        rows = [{} for _ in range(like.rows)]
         for terms, c in zip(self.terms, coeffs):
             if c:
-                for i, x in terms:
-                    out[i] += c * x
-        if not Matrix(f, like.rows, like.cols, out).is_invertible():
+                for i, j, x in terms:
+                    row = rows[i]
+                    row[j] = row.get(j, 0) + c * x
+        if like.rows != like.cols or eliminate(
+                f, rows, independent=True, back=False) is None:
             return None
-        return Matrix(f, like.rows, like.cols, reduced(f, out))
+        return summed(f, like.rows, like.cols, (
+            (i * like.cols + j, x) for i, row in enumerate(rows)
+            for j, x in row.items()))
 
 
 def basis_vec(field, n, i):
@@ -455,31 +434,62 @@ def summed(field, rows, cols, terms):
     return Matrix(field, rows, cols, out)
 
 
-def sparse_kernel(field, n, rows):
-    """Deterministic basis of the right nullspace of the n-column matrix
-    whose rows are the {column: x} dicts rows (x raw; the input is not
-    changed): one vector per free column, in increasing order, with a 1
-    there, read off the RREF, which depends on the row space alone.
+def _rows(mat):
+    """The rows of mat as {column: x} dicts of its nonzero entries."""
+    n, data = mat.cols, mat.data
+    return ({j: x for j, x in enumerate(data[i * n:(i + 1) * n]) if x}
+            for i in range(mat.rows))
 
-    The rows are reduced once and taken in order, each eliminated at its
-    leftmost column by the pivot rows found so far until that column has
-    no pivot; the row is normalised into that pivot.  Back substitution,
-    pivots right to left, then gives the reduced form.
+
+def eliminate(field, rows, combos=False, independent=False, back=True):
+    """The one elimination: (piv, comb) for the {column: x} dicts rows (x
+    raw; the input is not changed).  piv maps each pivot column c to its
+    row, with a 1 at c; with combos, comb[c] = {i: y} with piv[c] = Sum y
+    rows[i], else comb is empty.
+
+    Each row in turn is reduced at its leftmost column by the pivot row
+    there, until that column has no pivot yet; the row, with its
+    combination, is normalised into a new pivot.  A row that reduces to
+    zero is dropped, or, when independent is set, the answer is None.
+    Back substitution, pivots right to left, then gives the RREF;
+    back=False leaves the echelon form, enough to count the pivots.
     """
-    p, piv = field.p, {}
-    for row in rows:
+    p, one, piv, comb = field.p, field.one, {}, {}
+    for n, row in enumerate(rows):
         row = {j: y for j, x in row.items() if (y := x % p if p else x)}
+        mix = {n: one} if combos else None
         while row:
             c = min(row)
             if c not in piv:
                 inv = field.inv(row[c])
                 piv[c] = {j: field.mul(inv, x) for j, x in row.items()}
+                if combos:
+                    comb[c] = {i: field.mul(inv, x) for i, x in mix.items()}
                 break
-            _eliminate(p, row, row[c], piv[c])
-    for c in sorted(piv, reverse=True):
-        prow = piv[c]
-        for j in [j for j in prow if j != c and j in piv]:
-            _eliminate(p, prow, prow[j], piv[j])
+            x = row[c]
+            _eliminate(p, row, x, piv[c])
+            if combos:
+                _eliminate(p, mix, x, comb[c])
+        else:
+            if independent:
+                return None
+    if back:
+        for c in sorted(piv, reverse=True):
+            prow = piv[c]
+            for j in [j for j in prow if j != c and j in piv]:
+                x = prow[j]
+                _eliminate(p, prow, x, piv[j])
+                if combos:
+                    _eliminate(p, comb[c], x, comb[j])
+    return piv, comb
+
+
+def sparse_kernel(field, n, rows):
+    """Deterministic basis of the right nullspace of the n-column matrix
+    whose rows are the {column: x} dicts rows (x raw): one vector per free
+    column, in increasing order, with a 1 there, read off eliminate's
+    RREF."""
+    piv = eliminate(field, rows)[0]
     basis = []
     for fc in (j for j in range(n) if j not in piv):
         v = [field.zero] * n

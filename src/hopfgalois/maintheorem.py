@@ -327,8 +327,8 @@ class LinearAlpha:
     """alpha_ji kept on the C_E(i, j) basis and extended by linearity.
 
     A class enters through keep() once alpha of every basis element is
-    known; any other class (a failed membership, as under corrupt_gamma)
-    is evaluated directly.
+    known; its images are then summed from their columns.  Any other class
+    (a failed membership, as under corrupt_gamma) is evaluated directly.
     """
 
     def __init__(self, ctx, c_spaces):
@@ -336,14 +336,14 @@ class LinearAlpha:
         self.c_spaces = c_spaces
         self.images = {}
         self._coords = {}
-        self._rows = {}             # cls -> one row vec(alpha(b_k)) per k
+        self._cols = {}             # cls -> _columns(alpha(b_k)) per k
 
     def keep(self, cls, images):
         f, e_ca = self.ctx.field, self.ctx.e.ca
         self.images[cls] = images
         self._coords[cls] = Factorization(self.c_spaces[cls].coordinate_matrix(
             f, e_ca.algebra.dim, e_ca.hopf.dim))
-        self._rows[cls] = Matrix.from_rows(f, [img.data for img in images])
+        self._cols[cls] = [_columns(img) for img in images]
 
     def at(self, cls, n):
         """alpha of the n-th C(cls) basis element."""
@@ -357,12 +357,25 @@ class LinearAlpha:
         alpha(mat) = Sum_k c_k alpha(b_k).  None when cls is not kept."""
         if not self.images.get(cls):
             return None
-        f, first = self.ctx.field, self.images[cls][0]
+        f, first, cols = self.ctx.field, self.images[cls][0], self._cols[cls]
         coords, ok = self._coords[cls].solve_columns(Matrix.from_cols(
             f, [m.data for m in mats], nrows=self._coords[cls].a.rows))
-        out = coords.transpose() @ self._rows[cls]
-        return [Matrix(f, first.rows, first.cols, out.row(n)) if ok[n]
-                else None for n in range(len(mats))]
+        n = first.cols
+        return [summed(f, first.rows, n, (
+            (r * n + j, c * x) for k, c in col
+            for j, terms in enumerate(cols[k]) for r, x in terms))
+            if good else None for col, good in zip(_columns(coords), ok)]
+
+    def compose(self, g_cls, gi, f_cls, fi):
+        """alpha(g) o alpha(f) for the gi-th C(g_cls) and the fi-th C(f_cls)
+        basis elements: summed from the kept columns, a product otherwise."""
+        if g_cls not in self.images or f_cls not in self.images:
+            return self.at(g_cls, gi) @ self.at(f_cls, fi)
+        g_cols, f_cols = self._cols[g_cls][gi], self._cols[f_cls][fi]
+        n = len(f_cols)
+        return summed(self.ctx.field, self.images[g_cls][gi].rows, n, (
+            (r * n + c, y * x) for c, col in enumerate(f_cols)
+            for m, x in col for r, y in g_cols[m]))
 
     def __call__(self, cls, mat):
         """alpha(ctx, cls, mat); raises MembershipViolation when mat is not
@@ -473,8 +486,8 @@ def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
                     try:
                         lhs = (lin((i, k), comps[n]) if lhs_all is None
                                else lhs_all[n])
-                        equal = lhs is not None and lhs == (
-                            lin.at((j, k), gi) @ lin.at((i, j), fi))
+                        equal = lhs is not None and lhs == lin.compose(
+                            (j, k), gi, (i, j), fi)
                     except (NoSolution, MembershipViolation,
                             convcat.MembershipViolation):
                         equal = False

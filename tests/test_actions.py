@@ -34,10 +34,11 @@ from hopfgalois.linalg import (Matrix, basis_vec, intertwiners, kron_vec,
 from conftest import (action_table, dense_act, dense_actions, dense_rho,
                       module_b, module_k, tensor_entries, vstack)
 from test_audits import dense_right_action
+from test_linalg import dense_kernel
 from test_operators import action_defect, probe_operator
 from test_quotient import F7, FIXTURES
-from test_theorem_tables import (CASES, IDS, bumped, full_rref_kernel,
-                                 old_x2_actions, random_matrix)
+from test_theorem_tables import (CASES, IDS, bumped, old_x2_actions,
+                                 random_matrix)
 
 F5 = PrimeField(5)
 
@@ -58,7 +59,7 @@ def stacked_kernel(f, dx, dy, x_maps, y_maps, coactions=None):
     if coactions is not None:
         blocks.append(probe_operator(f, dy, dx,
                                      action_defect([], [], coactions)))
-    return [Matrix(f, dy, dx, v) for v in full_rref_kernel(vstack(blocks))]
+    return [Matrix(f, dy, dx, v) for v in dense_kernel(vstack(blocks))]
 
 
 def dense_linear_witness(mat, x_maps, y_maps):

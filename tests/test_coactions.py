@@ -30,6 +30,7 @@ from hopfgalois.linalg import Matrix, _leg_columns, basis_vec, kron_vec
 
 from conftest import (action_table, dense_actions, dense_comul, dense_rho,
                       module_b, module_k)
+from test_linalg import dense_kernel
 from test_quotient import RUNGS, dense_tensor_over_B, fixture_cases
 from test_tables import shipped_coalgebras, shuffled
 
@@ -42,7 +43,7 @@ def dense_coinvariant_basis(field, table, hopf_unit):
     embed = Matrix.from_cols(field, [kron_vec(field, basis_vec(field, dim, j),
                                               hopf_unit) for j in range(dim)],
                              nrows=dim * dh)
-    kernel = (dense_rho(field, table, dh) - embed).kernel()
+    kernel = dense_kernel(dense_rho(field, table, dh) - embed)
     return Matrix.from_cols(field, kernel, nrows=dim)
 
 

@@ -163,6 +163,23 @@ def test_cli_non_string_field_header_is_an_input_error(header, tmp_path):
                         f"\"F_7\", not {json.dumps(header)}")
 
 
+@pytest.mark.parametrize("record", [("hopf_algebras", "kC2"),
+                                    ("comodule_algebras", "regular")])
+def test_cli_oversized_dim_is_an_input_error(record, tmp_path, capsys):
+    """A declared dim of 10^7 asks for a dim x dim^2 structure-constant
+    matrix, a list longer than any index: OverflowError is raised before
+    anything is allocated, and it exits 2, never 1 with a traceback."""
+    d = json.load(open(FIXTURES / "kc2.json"))
+    d[record[0]][record[1]]["dim"] = 10 ** 7
+    p = tmp_path / "oversized.json"
+    json.dump(d, open(p, "w"))
+    assert _run("validate", str(p)) == ("input too large", 2)
+    assert cli.main(["validate", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: input too large\n"
+    assert captured.out == ""
+
+
 MALFORMED = {   # a mutation of m2_graded.json, and the field it must name
     "dim-text": (("modules", "b_regular", "dim"), "2", "modules.b_regular"),
     "dim-float": (("modules", "b_regular", "dim"), 2.0, "modules.b_regular"),

@@ -4,14 +4,75 @@ from hypothesis import strategies as st
 
 from hopfgalois import _modp_py
 from hopfgalois.fields import QQ, PrimeField
-from hopfgalois.linalg import (Factorization, Matrix, NoSolution, basis_vec,
-                               kron_vec)
+from hopfgalois.linalg import (Factorization, Matrix, NoSolution,
+                               NotInvertible, basis_vec, eliminate, kron_vec)
 
 from conftest import scatter_legs
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+F_BIG = PrimeField(2 ** 61 - 1)
+
+
+# -- the dense oracles ---------------------------------------------------------
+
+
+def fraction_rref(m):
+    """The former Matrix.rref over Q: the dense loop on field operations
+    (leftmost nonzero pivot, rows scanned top-down).  Returns (Matrix,
+    pivot column list)."""
+    f = m.field
+    rows = m.row_list()
+    pivots = []
+    row = 0
+    for col in range(m.cols):
+        if row == m.rows:
+            break
+        sel = -1
+        for r in range(row, m.rows):
+            if rows[r][col] != f.zero:
+                sel = r
+                break
+        if sel < 0:
+            continue
+        rows[row], rows[sel] = rows[sel], rows[row]
+        inv = f.inv(rows[row][col])
+        rows[row] = [f.mul(inv, v) for v in rows[row]]
+        for r in range(m.rows):
+            if r != row and rows[r][col] != f.zero:
+                c = rows[r][col]
+                rows[r] = [f.sub(a, f.mul(c, b))
+                           for a, b in zip(rows[r], rows[row])]
+        pivots.append(col)
+        row += 1
+    return (Matrix.from_rows(f, rows) if rows else Matrix.zeros(f, 0, m.cols),
+            pivots)
+
+
+def dense_rref(m):
+    """The dense RREF, the oracle of eliminate: _modp_py.rref_modp over
+    F_p, fraction_rref over Q."""
+    f = m.field
+    if f.kind == "Fp":
+        data, pivots = _modp_py.rref_modp(m.data, m.rows, m.cols, f.p)
+        return Matrix(f, m.rows, m.cols, data), pivots
+    return fraction_rref(m)
+
+
+def dense_kernel(m):
+    """The former Matrix.kernel: the basis read off the dense RREF of
+    every row, one vector per free column."""
+    f = m.field
+    red, pivots = dense_rref(m)
+    basis = []
+    for fc in (j for j in range(m.cols) if j not in pivots):
+        v = [f.zero] * m.cols
+        v[fc] = f.one
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(red.get(r, fc))
+        basis.append(v)
+    return basis
 
 
 def test_kernel_f2_oracle():
@@ -44,13 +105,13 @@ def test_solve_and_no_solution():
 
 def rref_solve(a, b):
     """The augmented-RREF solve: the oracle for Factorization.  Reduces
-    [a | b] and reads x off the pivot columns; raises NoSolution."""
+    [a | b] densely and reads x off the pivot columns; raises NoSolution."""
     if len(b) != a.rows:
         raise ValueError("rhs length mismatch")
     f = a.field
     aug = Matrix(f, a.rows, a.cols + 1,
                  [x for i in range(a.rows) for x in a.row(i) + [b[i]]])
-    red, pivots = aug.rref()
+    red, pivots = dense_rref(aug)
     if a.cols in pivots:
         raise NoSolution()
     x = [f.zero] * a.cols
@@ -67,21 +128,47 @@ def _solution_or_none(solve, b):
 
 
 @st.composite
-def _systems(draw):
-    """A of rank <= r (tall, wide or square, 0 rows or columns allowed),
-    with right-hand sides in its column space and arbitrary ones."""
-    field = draw(st.sampled_from([QQ, F7]))
+def _matrices(draw):
+    """A of rank <= r over F_2, F_7, F_(2^61-1) or Q, tall, wide or square
+    (0 rows or columns allowed), with entries moved off their reduced
+    values by multiples of p (so unreduced or negative) over F_p and
+    fractions among them over Q."""
+    field = draw(st.sampled_from([F2, F7, F_BIG, QQ]))
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        cols = rows
     rank = draw(st.integers(0, min(rows, cols)))
+    if field.kind == "Fp":
+        scalar = st.integers(-3, 3).map(field.from_int)
+    else:
+        scalar = st.sampled_from([-2, -1, 0, 1, 3]).map(field.from_int) | \
+            st.sampled_from(["1/2", "-2/3", "5/7"]).map(field.parse)
 
     def mat(r, c):
-        return Matrix(field, r, c, [field.from_int(draw(st.integers(-3, 3)))
-                                    for _ in range(r * c)])
+        return Matrix(field, r, c, draw(st.lists(scalar, min_size=r * c,
+                                                 max_size=r * c)))
 
     a = mat(rows, rank) @ mat(rank, cols)
-    k = draw(st.integers(0, 3))
-    rhs = [(a @ mat(cols, k)), mat(rows, k)]
-    return a, rhs
+    if field.kind == "Fp":
+        shifts = draw(st.lists(st.integers(-2, 2), min_size=rows * cols,
+                               max_size=rows * cols))
+        a = Matrix(field, rows, cols, [x + s * field.p
+                                       for x, s in zip(a.data, shifts)])
+    return a
+
+
+@st.composite
+def _systems(draw):
+    """A from _matrices, with k right-hand sides (k = 0 allowed) in its
+    column space and k arbitrary ones."""
+    a = draw(_matrices())
+    f, k = a.field, draw(st.integers(0, 3))
+
+    def mat(r, c):
+        return Matrix(f, r, c, [f.from_int(draw(st.integers(-3, 3)))
+                                for _ in range(r * c)])
+
+    return a, [a @ mat(a.cols, k), mat(a.rows, k)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -89,7 +176,7 @@ def _systems(draw):
 def test_factorization_matches_solve(system):
     a, rhs = system
     fac = Factorization(a)
-    assert len(fac.pivots) == a.rank()
+    assert fac.pivots == dense_rref(a)[1]
     for b in rhs:
         cols = [_solution_or_none(lambda v: rref_solve(a, v), b.col(j))
                 for j in range(b.cols)]
@@ -205,9 +292,10 @@ def test_matmul_modp_reduces_once_like_the_old_kernel(p):
 @settings(max_examples=300, deadline=None)
 @given(p=st.sampled_from([2, 3, 5, 13]), rows=st.integers(0, 5),
        cols=st.integers(0, 5), low_rank=st.booleans(), data=st.data())
-def test_full_rank_modp_matches_the_rref_rank(p, rows, cols, low_rank, data):
-    """Forward-only full-rank test against rank() == n of the RREF kernel,
-    on entries that are unreduced or negative, zero or rank-deficient."""
+def test_full_rank_matches_the_dense_rref_rank(p, rows, cols, low_rank, data):
+    """The forward-only full-rank test against the pivot count of the dense
+    RREF, on entries that are unreduced or negative, zero or
+    rank-deficient."""
     f = PrimeField(p)
     entry = st.integers(-3 * p, 3 * p)
     flat = data.draw(st.lists(entry, min_size=rows * cols,
@@ -219,14 +307,38 @@ def test_full_rank_modp_matches_the_rref_rank(p, rows, cols, low_rank, data):
                             for r, c in enumerate(coeffs))
                         for j in range(cols)] if cols else []
     m = Matrix(f, rows, cols, flat)
-    want = rows == cols and m.rank() == rows
-    assert m.is_invertible() is want
+    rank = len(dense_rref(m)[1])
+    assert m.is_invertible() is (rows == cols == rank)
     assert Matrix.zeros(f, rows, rows).is_invertible() is (rows == 0)
-    if rows == cols:
-        assert _modp_py.full_rank_modp(flat, rows, p) is want
-    elif flat:  # square input only
-        with pytest.raises(ValueError):
-            _modp_py.full_rank_modp(flat, rows, p)
+    rows_of = [{j: x for j, x in enumerate(m.row(i)) if x}
+               for i in range(rows)]
+    independent = eliminate(f, rows_of, independent=True, back=False)
+    assert (independent is not None) is (rank == rows)
+
+
+# -- the one elimination against the dense oracles ----------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_elimination_matches_the_dense_rref(a):
+    """Pivots, RREF, rank, full rank, kernel and inverse of the one
+    elimination against the dense RREF of the same matrix."""
+    f, n = a.field, a.rows
+    red, pivots = dense_rref(a)
+    assert a.rref() == (red, pivots)
+    assert a.rank() == len(pivots)
+    assert a.kernel() == dense_kernel(a)
+    for v in a.kernel():
+        assert not any(a.apply(v))
+    square = a.rows == a.cols
+    assert a.is_invertible() is (square and len(pivots) == n)
+    if square and len(pivots) == n:
+        inv = a.invert()
+        assert a @ inv == inv @ a == Matrix.identity(f, n)
+    else:
+        with pytest.raises(NotInvertible):
+            a.invert()
 
 
 @pytest.mark.parametrize("field", [QQ, F2, F7])

@@ -32,6 +32,7 @@ from hopfgalois.linalg import (Matrix, _columns, _leg_columns, basis_vec,
 
 from conftest import (action_table, dense_actions, dense_comul, dense_mul,
                       dense_rho, gather_legs, scatter_legs, tensor_entries)
+from test_linalg import dense_rref
 
 F5, F7 = PrimeField(5), PrimeField(7)
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "hopfgalois" / "fixtures"
@@ -56,7 +57,7 @@ class DenseQuotient:
         self.field = field
         self.relations = relations
         if relations:
-            red, pivots = Matrix.from_rows(field, relations).rref()
+            red, pivots = dense_rref(Matrix.from_rows(field, relations))
         else:
             red, pivots = Matrix.zeros(field, 0, ambient_dim), []
         pivot_set = set(pivots)

@@ -30,6 +30,7 @@ from hopfgalois.linalg import (Factorization, Matrix, NoSolution, _leg_columns,
 
 from conftest import (action_table, dense_actions, dense_comul, dense_mul,
                       dense_rho, dense_rows, scatter_legs, tensor_entries)
+from test_linalg import dense_kernel
 from test_quotient import F7, RUNGS, fixture_cases, relabelled
 
 VARIANTS = [(cls, variant) for cls in convcat.CLASSES
@@ -138,21 +139,6 @@ def dense_delta(ctx, mat, i):
 def dense_delta_bar(ctx, mat):
     return Matrix.identity(ctx.field, ctx.m.dim).kron(
         ctx.ca.hopf.coalgebra.counit) @ mat
-
-
-def full_rref_kernel(mat):
-    """The former Matrix.kernel: the RREF of every row."""
-    f = mat.field
-    red, pivots = mat.rref()
-    free = [j for j in range(mat.cols) if j not in set(pivots)]
-    basis = []
-    for fc in free:
-        v = [f.zero] * mat.cols
-        v[fc] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(red.get(r, fc))
-        basis.append(v)
-    return basis
 
 
 def ev(ctx, hom_mat, h_vec):
@@ -551,7 +537,7 @@ def padded_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(padded_matrices())
 def test_kernel_on_distinct_rows_equals_the_full_rref_kernel(mat):
-    assert mat.kernel() == full_rref_kernel(mat)
+    assert mat.kernel() == dense_kernel(mat)
 
 
 @st.composite
@@ -583,7 +569,7 @@ def test_sparse_kernel_equals_the_full_rref_kernel(system):
     before = [dict(row) for row in rows]
     mat = Matrix.from_rows(field, [[field.from_int(row.get(j, 0))
                                     for j in range(n)] for row in rows])
-    want = full_rref_kernel(mat)
+    want = dense_kernel(mat)
     assert sparse_kernel(field, n, rows) == want
     assert rows == before                       # the input is not changed
     assert mat.kernel() == want
@@ -593,7 +579,7 @@ def test_kernel_of_empty_and_zero_matrices():
     for field in (QQ, F7):
         for rows in (0, 3):
             mat = Matrix.zeros(field, rows, 4)
-            assert mat.kernel() == full_rref_kernel(mat) == [
+            assert mat.kernel() == dense_kernel(mat) == [
                 basis_vec(field, 4, j) for j in range(4)]
 
 
