@@ -292,7 +292,7 @@ def test_matmul_modp_reduces_once_like_the_old_kernel(p):
 @settings(max_examples=300, deadline=None)
 @given(p=st.sampled_from([2, 3, 5, 13]), rows=st.integers(0, 5),
        cols=st.integers(0, 5), low_rank=st.booleans(), data=st.data())
-def test_full_rank_matches_the_dense_rref_rank(p, rows, cols, low_rank, data):
+def test_full_rank_modp_matches_the_rref_rank(p, rows, cols, low_rank, data):
     """The forward-only full-rank test against the pivot count of the dense
     RREF, on entries that are unreduced or negative, zero or
     rank-deficient."""
