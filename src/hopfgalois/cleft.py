@@ -5,24 +5,32 @@ Structure Theorem 5.2 round-trip, and the smash-product case (Thm 5.4).
 
 Representations: omega: H (x) B -> B as a db x (dh*db) matrix, sigma,
 sigmabar: H (x) H -> B as db x dh^2 matrices, all with left-leg-major
-flattening.  The assembled B#_sigma H lives on B (x) H with flat index
-b*dh + h and coaction id_B (x) Delta.
+flattening.  They are read through their columns, taken once, in the
+mul_table layout (the one io_json emits): _columns(omega)[h * db + i]
+lists h . b_i and _columns(sigma)[h * dh + k] lists sigma(h (x) k).  So
+are t, u, S, the inclusion of B and can^-1.  Each identity is compared
+by _agree per basis tuple, its two sides raw terms summed from those
+columns and the tables (linalg._pair), and the Prop 5.1 audit reports the
+first failing tuple of each condition; every map built here is summed
+from raw terms.  No basis vector is applied and no vector is tensored.
+The assembled B#_sigma H lives on B (x) H with flat index b*dh + h and
+coaction id_B (x) Delta.
 """
 
+import itertools
 from functools import partial
 
 from . import convcat, search
 from .comodule import ComoduleAlgebraData, InternalInvariant
 from .galois import canonical_map, translation_map
 from .hopf import (CoalgebraData, OneSidedInverse, StructureConstantAlgebra,
-                   ValidationReport, colinear_witness, comul_on, comul_terms,
-                   convolution_inverse, convolution_operator,
+                   ValidationReport, _agree, colinear_witness, comul_on,
+                   comul_terms, convolution_inverse, convolution_operator,
                    convolution_unit, convolve, first_failure,
                    is_convolution_inverse, linear_witness,
                    multiplicative_witness)
-from .linalg import (Matrix, NotInvertible, OperatorSpan, _columns, _terms,
-                     basis_vec, intertwiners, kron_vec, lin_comb, vec_add,
-                     vec_scale)
+from .linalg import (Matrix, NotInvertible, OperatorSpan, _columns, _nonzero,
+                     _pair, _terms, intertwiners, lin_comb, reduced, summed)
 from .search import EXHAUSTIVE_CAP, NotFound
 
 
@@ -107,17 +115,6 @@ class CrossedProductData:
         self.sigma_bar = sigma_bar
         self.algebra = algebra      # ComoduleAlgebraData on B (x) H
 
-    def act(self, h_vec, b_vec):
-        return self.omega.apply(kron_vec(self.base.field, h_vec, b_vec))
-
-    def coc_bar(self, h_vec, k_vec):
-        return self.sigma_bar.apply(kron_vec(self.base.field, h_vec, k_vec))
-
-
-def _bilinear(field, mat, x_vec, y_vec):
-    """omega, sigma or sigmabar applied to x (x) y."""
-    return mat.apply(kron_vec(field, x_vec, y_vec))
-
 
 def _hh_coalgebra(hopf):
     """H (x) H with Delta(h (x) k) = Sum (h1 (x) k1) (x) (h2 (x) k2)."""
@@ -131,39 +128,43 @@ def _hh_coalgebra(hopf):
                                                 for b in eps]))
 
 
-def measuring_witnesses(hopf, base, act):
+def unit_witness(hopf, base, om):
+    """First (i,) with 1_H . b_i != b_i, or None, for the action with
+    columns om (om[h * dim B + i] = h . b_i)."""
+    f, db = base.field, base.dim
+    return first_failure(lambda i: _agree(f, _pair(
+        om, db, _nonzero(hopf.algebra.unit), [(i, f.one)]), [(i, f.one)]), db)
+
+
+def measuring_witnesses(hopf, base, om):
     """First witness, or None, of h.1 = eps(h)1 and of h.(bc) = (h1.b)(h2.c)
-    for act(h_vec, b_vec) in B."""
-    f = base.field
-    db, dh = base.dim, hopf.dim
-    eps = hopf.coalgebra.counit
-    eb = [basis_vec(f, db, i) for i in range(db)]
-    eh = [basis_vec(f, dh, i) for i in range(dh)]
-
-    def multiplicative(h, i, j):
-        rhs = [f.zero] * db
-        for h1, h2, c in hopf.coalgebra.comul_table[h]:
-            v = base.product(act(eh[h1], eb[i]), act(eh[h2], eb[j]))
-            rhs = vec_add(f, rhs, vec_scale(f, c, v))
-        return act(eh[h], base.product(eb[i], eb[j])) == rhs
-
-    unit = first_failure(lambda h: act(eh[h], base.unit) == vec_scale(
-        f, eps.apply(eh[h])[0], base.unit), dh)
-    return unit, first_failure(multiplicative, dh, db, db)
+    for the action with columns om (om[h * dim B + i] = h . b_i)."""
+    f, db, dh = base.field, base.dim, hopf.dim
+    comul, eps = hopf.coalgebra.comul_table, hopf.coalgebra.counit.data
+    bmul, ones = base.mul_table, _nonzero(base.unit)
+    return (first_failure(lambda h: _agree(
+                f, _pair(om, db, [(h, f.one)], ones),
+                ((k, eps[h] * u) for k, u in ones)), dh),
+            first_failure(lambda h, i, j: _agree(
+                f, _pair(om, db, [(h, f.one)], bmul[i * db + j]),
+                ((r, z * x) for h1, h2, z in comul[h] for r, x in _pair(
+                    bmul, db, om[h1 * db + i], om[h2 * db + j]))),
+                dh, db, db))
 
 
 def _prop51_violations(base, hopf, omega, sigma, sigma_bar):
-    """All Prop 5.1 conditions; returns [(condition, witness), ...]."""
-    f = base.field
+    """All Prop 5.1 conditions; returns [(condition, witness), ...].  Each
+    is a first_failure over basis tuples, its two sides summed raw from the
+    columns of omega, sigma and sigmabar and the tables of B and H."""
+    f, one = base.field, base.field.one
     db, dh = base.dim, hopf.dim
-    eps = hopf.coalgebra.counit
-    eb = [basis_vec(f, db, i) for i in range(db)]
-    eh = [basis_vec(f, dh, i) for i in range(dh)]
-    dl = hopf.coalgebra.comul_table
+    eps, dl = hopf.coalgebra.counit.data, hopf.coalgebra.comul_table
     dl3 = [comul_terms(hopf.coalgebra, h, 3) for h in range(dh)]
-    one_h = hopf.algebra.unit
+    hmul, ones_h = hopf.algebra.mul_table, _nonzero(hopf.algebra.unit)
+    om, sg, sgb = _columns(omega), _columns(sigma), _columns(sigma_bar)
+    times = partial(_pair, base.mul_table, db)
+    act, coc = partial(_pair, om, db), partial(_pair, sg, dh)
     report = ValidationReport()
-    om, sg, sgb = (partial(_bilinear, f, m) for m in (omega, sigma, sigma_bar))
     for name, witness in zip(("measuring h.1=eps(h)1",
                               "measuring h.(bc)=(h1.b)(h2.c)"),
                              measuring_witnesses(hopf, base, om)):
@@ -171,42 +172,31 @@ def _prop51_violations(base, hopf, omega, sigma, sigma_bar):
 
     # twisted module (5.1.2): h.(k.b) = sigma(h1,k1) (h2k2.b) sigmabar(h3,k3)
     def twisted(h, k, i):
-        rhs = [f.zero] * db
-        for (h1, h2, h3), c1 in dl3[h]:
-            for (k1, k2, k3), c2 in dl3[k]:
-                mid = om(hopf.algebra.product(eh[h2], eh[k2]), eb[i])
-                v = base.product(sg(eh[h1], eh[k1]),
-                                 base.product(mid, sgb(eh[h3], eh[k3])))
-                rhs = vec_add(f, rhs, vec_scale(f, f.mul(c1, c2), v))
-        return om(eh[h], om(eh[k], eb[i])) == rhs
+        return _agree(
+            f, act([(h, one)], om[k * db + i]),
+            ((r, c1 * c2 * x) for (h1, h2, h3), c1 in dl3[h]
+             for (k1, k2, k3), c2 in dl3[k] for r, x in times(
+                 sg[h1 * dh + k1], times(act(hmul[h2 * dh + k2], [(i, one)]),
+                                         sgb[h3 * dh + k3]))))
 
     # normalized cocycle: sigma(h (x) 1) = sigma(1 (x) h) = eps(h) 1
     def normalized(h):
-        e = vec_scale(f, eps.apply(eh[h])[0], base.unit)
-        return sg(eh[h], one_h) == e and sg(one_h, eh[h]) == e
+        e = [(r, eps[h] * u) for r, u in _nonzero(base.unit)]
+        return (_agree(f, coc([(h, one)], ones_h), e)
+                and _agree(f, coc(ones_h, [(h, one)]), e))
 
     # cocycle condition (5.1.3)
     def cocycle(h, k, l):
-        lhs = [f.zero] * db
-        for h1, h2, c1 in dl[h]:
-            for k1, k2, c2 in dl[k]:
-                for l1, l2, c3 in dl[l]:
-                    v = base.product(
-                        om(eh[h1], sg(eh[k1], eh[l1])),
-                        sg(eh[h2], hopf.algebra.product(eh[k2], eh[l2])))
-                    rhs_c = f.mul(f.mul(c1, c2), c3)
-                    lhs = vec_add(f, lhs, vec_scale(f, rhs_c, v))
-        rhs = [f.zero] * db
-        for h1, h2, c1 in dl[h]:
-            for k1, k2, c2 in dl[k]:
-                v = base.product(
-                    sg(eh[h1], eh[k1]),
-                    sg(hopf.algebra.product(eh[h2], eh[k2]), eh[l]))
-                rhs = vec_add(f, rhs, vec_scale(f, f.mul(c1, c2), v))
-        return lhs == rhs
+        return _agree(
+            f, ((r, c1 * c2 * c3 * x) for h1, h2, c1 in dl[h]
+                for k1, k2, c2 in dl[k] for l1, l2, c3 in dl[l]
+                for r, x in times(act([(h1, one)], sg[k1 * dh + l1]),
+                                  coc([(h2, one)], hmul[k2 * dh + l2]))),
+            ((r, c1 * c2 * x) for h1, h2, c1 in dl[h] for k1, k2, c2 in dl[k]
+             for r, x in times(sg[h1 * dh + k1],
+                               coc(hmul[h2 * dh + k2], [(l, one)]))))
 
-    report.fail_at("twisted-module 1.b=b",
-                   first_failure(lambda i: om(one_h, eb[i]) == eb[i], db))
+    report.fail_at("twisted-module 1.b=b", unit_witness(hopf, base, om))
     report.fail_at("(5.1.2)", first_failure(twisted, dh, dh, db))
     report.fail_at("normalization sigma(h,1)=sigma(1,h)=eps(h)1",
                    first_failure(normalized, dh))
@@ -236,28 +226,21 @@ def build_crossed_product(base, hopf, omega, sigma, sigma_bar=None):
     violations = _prop51_violations(base, hopf, omega, sigma, sigma_bar)
     if violations:
         raise InvalidCrossedData(*violations[0])
-    n = db * dh
-    eb = [basis_vec(f, db, i) for i in range(db)]
-    eh = [basis_vec(f, dh, i) for i in range(dh)]
-    dl3 = [comul_terms(hopf.coalgebra, h, 3) for h in range(dh)]
-    mul = []                    # entry x * n + y is e_x e_y, x = bi * dh + hi
-    for bi in range(db):
-        for hi in range(dh):
-            for cj in range(db):
-                for kj in range(dh):
-                    acc = [f.zero] * n
-                    for (h1, h2, h3), c1 in dl3[hi]:
-                        for k1, k2, c2 in hopf.coalgebra.comul_table[kj]:
-                            bpart = base.product(
-                                eb[bi],
-                                base.product(
-                                    _bilinear(f, omega, eh[h1], eb[cj]),
-                                    _bilinear(f, sigma, eh[h2], eh[k1])))
-                            hpart = hopf.algebra.product(eh[h3], eh[k2])
-                            acc = vec_add(f, acc, vec_scale(
-                                f, f.mul(c1, c2), kron_vec(f, bpart, hpart)))
-                    mul.append(list(enumerate(acc)))
-    unit = kron_vec(f, base.unit, hopf.algebra.unit)
+    n, hunit = db * dh, hopf.algebra.unit
+    om, sg, hmul = _columns(omega), _columns(sigma), hopf.algebra.mul_table
+    times = partial(_pair, base.mul_table, db)
+    dl, dl3 = hopf.coalgebra.comul_table, [
+        comul_terms(hopf.coalgebra, h, 3) for h in range(dh)]
+    # entry x * n + y lists e_x e_y, x = bi * dh + hi: (b#h)(c#k) =
+    # Sum b (h1.c) sigma(h2, k1) # h3 k2
+    mul = [[(r * dh + t, c1 * c2 * x * z)
+            for (h1, h2, h3), c1 in dl3[hi] for k1, k2, c2 in dl[kj]
+            for r, x in times([(bi, f.one)], times(
+                om[h1 * db + cj], sg[h2 * dh + k1]))
+            for t, z in hmul[h3 * dh + k2]]
+           for bi in range(db) for hi in range(dh)
+           for cj in range(db) for kj in range(dh)]
+    unit = reduced(f, [x * y for x in base.unit for y in hunit])
     labels = [f"{bl}#{hl}" for bl in base.labels for hl in hopf.labels]
     alg = StructureConstantAlgebra(f, n, mul, unit, labels)
     rep = alg.validate()
@@ -269,22 +252,25 @@ def build_crossed_product(base, hopf, omega, sigma, sigma_bar=None):
     if not rep.passed:
         raise InternalInvariant(f"B#H comodule axioms failed: {rep.failures[0]}")
     coinv = ca.coinvariants()
-    if coinv.dim != db:
+    # the columns b_i # 1 of B # 1 lie in the coinvariants
+    if coinv.dim != db or coinv.coords(summed(f, n, db, (
+            ((i * dh + h) * db + i, u) for i in range(db)
+            for h, u in _nonzero(hunit))))[1] is not None:
         raise InternalInvariant("coinvariants of B#H are not B # 1")
-    for i in range(db):
-        coinv.from_ambient(kron_vec(f, eb[i], hopf.algebra.unit))
     return CrossedProductData(base, hopf, omega, sigma, sigma_bar, ca)
 
 
 def omega_t(ca, t_mat, u_mat):
     """omega_t(h (x) b_i) = t(h1) b_i u(h2) in A, column h * dim B + i."""
-    f = ca.field
-    b = ca.coinvariants()
-    convs = [convolve(ca.algebra, ca.hopf.coalgebra,
-                      ca.algebra.rmul(b.to_ambient(basis_vec(f, b.dim, i)))
-                      @ t_mat, u_mat) for i in range(b.dim)]
-    return Matrix.from_cols(f, [conv.col(h) for h in range(ca.hopf.dim)
-                                for conv in convs], nrows=ca.algebra.dim)
+    alg, b = ca.algebra, ca.coinvariants()
+    db, n = b.dim, ca.hopf.dim * b.dim
+    ts, us, b_cols = _columns(t_mat), _columns(u_mat), _columns(b.inclusion)
+    times = partial(_pair, alg.mul_table, alg.dim)
+    return summed(ca.field, alg.dim, n, (
+        (r * n + h * db + i, x * y)
+        for h, terms in enumerate(ca.hopf.coalgebra.comul_table)
+        for h1, h2, x in terms for i, col in enumerate(b_cols)
+        for r, y in times(times(ts[h1], col), us[h2])))
 
 
 def extract_crossed_data(datum, ca):
@@ -295,36 +281,36 @@ def extract_crossed_data(datum, ca):
     alg = ca.algebra
     hopf = ca.hopf
     b = ca.coinvariants()
-    db, dh = b.dim, hopf.dim
-    t_mat, u_mat = datum.t.matrix, datum.u.matrix
+    da, dh = alg.dim, hopf.dim
+    hmul = hopf.algebra.mul_table
     hh = _hh_coalgebra(hopf)
-    ts = [t_mat.col(h) for h in range(dh)]
-    us = [u_mat.col(h) for h in range(dh)]
+    ts, us = _columns(datum.t.matrix), _columns(datum.u.matrix)
+    times = partial(_pair, alg.mul_table, da)
 
     def on_hh(value):           # the map H (x) H -> A, h (x) k -> value(h, k)
-        return Matrix.from_cols(f, [value(h, k) for h in range(dh)
-                                    for k in range(dh)], nrows=alg.dim)
+        return summed(f, da, dh * dh, (
+            (r * dh * dh + h * dh + k, x) for h in range(dh)
+            for k in range(dh) for r, x in value(h, k)))
 
-    def of_hk(mat):             # h (x) k -> mat(h k)
-        return on_hh(lambda h, k: mat.apply(hopf.algebra.basis_product(h, k)))
+    def of_hk(cols):            # h (x) k -> cols(h k)
+        return on_hh(lambda h, k: ((r, x * y) for t, x in hmul[h * dh + k]
+                                   for r, y in cols[t]))
 
     def in_b(amb, what, width):
-        cols = []
-        for j in range(amb.cols):
-            try:
-                cols.append(b.from_ambient(amb.col(j)))
-            except InternalInvariant as exc:
-                raise InvariantFailure(f"{what} at {divmod(j, width)} "
-                                       "is not coinvariant") from exc
-        return Matrix.from_cols(f, cols, nrows=db)
+        coords, bad = b.coords(amb)
+        if bad is not None:
+            raise InvariantFailure(f"{what} at {divmod(bad, width)} "
+                                   "is not coinvariant")
+        return coords
 
-    omega = in_b(omega_t(ca, t_mat, u_mat), "omega_t value", db)
+    omega = in_b(omega_t(ca, datum.t.matrix, datum.u.matrix),
+                 "omega_t value", b.dim)
     # sigma(h (x) k) = t(h1) t(k1) u(h2 k2)
-    t_t = on_hh(lambda h, k: alg.product(ts[h], ts[k]))
-    sigma = in_b(convolve(alg, hh, t_t, of_hk(u_mat)), "sigma value", dh)
+    t_t = on_hh(lambda h, k: times(ts[h], ts[k]))
+    sigma = in_b(convolve(alg, hh, t_t, of_hk(us)), "sigma value", dh)
     # sigmabar(h (x) k) = t(h1 k1) u(k2) u(h2)
-    u_flip = on_hh(lambda h, k: alg.product(us[k], us[h]))
-    sigma_bar = in_b(convolve(alg, hh, of_hk(t_mat), u_flip),
+    u_flip = on_hh(lambda h, k: times(us[k], us[h]))
+    sigma_bar = in_b(convolve(alg, hh, of_hk(ts), u_flip),
                      "sigmabar value", dh)
     try:
         return build_crossed_product(b.algebra, hopf, omega, sigma, sigma_bar)
@@ -335,78 +321,70 @@ def extract_crossed_data(datum, ca):
 # -- Remark 5.3 / closed-form canonical inverse ------------------------------
 
 
-def _one_sharp(cp, h_vec):
-    """1_B # h as a vector of B#H."""
-    return kron_vec(cp.base.field, cp.base.unit, h_vec)
-
-
 def crossed_canonical_inverse(cp):
     """Thm 5.2 (2)=>(3): the closed-form can^{-1} and Remark 5.3's gamma.
 
     Verifies entry-for-entry that the displayed inverse
     can^{-1}(b (x) h (x) k) = b sigmabar(h1 S(k2) (x) k3) (x) h2 S(k1) (x) k4
     equals the matrix inverse, and that Remark 5.3's l_i (x) r_i, t and u
-    reproduce the computed translation map.
+    reproduce the computed translation map.  Both sides are summed raw from
+    the columns of sigmabar, S, can^{-1} and gamma, an element of
+    A (x)_B A projected term by term.
     """
-    f = cp.base.field
-    db, dh = cp.base.dim, cp.hopf.dim
-    hopf = cp.hopf
+    f, base, hopf = cp.base.field, cp.base, cp.hopf
+    db, dh = base.dim, hopf.dim
+    n = db * dh
     ca = cp.algebra
-    s = hopf.antipode
-    eh = [basis_vec(f, dh, i) for i in range(dh)]
-    eb = [basis_vec(f, db, i) for i in range(db)]
     can = canonical_map(ca)
     result = ValidationReport()
     if not can.galois:
         result.fail("can-not-bijective")
         return result
     quot = can.induced.quotient
+    hmul, dl = hopf.algebra.mul_table, hopf.coalgebra.comul_table
+    s_cols, sgb = _columns(hopf.antipode), _columns(cp.sigma_bar)
+    ones = _nonzero(base.unit)
     dl4 = [comul_terms(hopf.coalgebra, h, 4) for h in range(dh)]
+
+    def h_s(h, k):              # h S(k) in H
+        return _pair(hmul, dh, [(h, f.one)], s_cols[k])
+
+    def u_of(h1, h2, h3):       # sigmabar(S(h2) (x) h3) # S(h1) in B#H
+        return ((a * dh + s, x * y) for a, x in _pair(
+            sgb, dh, s_cols[h2], [(h3, f.one)]) for s, y in s_cols[h1])
+
+    def over_b(left, k):        # the class of left (x)_B (1_B # k)
+        return quot.classes((l * n + j * dh + k, 0, x * u)
+                            for l, x in left for j, u in ones)
+
     # closed-form inverse, compared column by column against can.inverse
-    for bi in range(db):
-        for hi in range(dh):
-            for ki in range(dh):
-                acc = [f.zero] * quot.dim
-                for h1, h2, c1 in hopf.coalgebra.comul_table[hi]:
-                    for (k1, k2, k3, k4), c2 in dl4[ki]:
-                        barg = hopf.algebra.product(eh[h1], s.apply(eh[k2]))
-                        bpart = cp.base.product(
-                            eb[bi], cp.coc_bar(barg, eh[k3]))
-                        left = kron_vec(
-                            f, bpart,
-                            hopf.algebra.product(eh[h2], s.apply(eh[k1])))
-                        right = _one_sharp(cp, eh[k4])
-                        acc = vec_add(f, acc, vec_scale(
-                            f, f.mul(c1, c2),
-                            quot.project(kron_vec(f, left, right))))
-                flat = (bi * dh + hi) * dh + ki
-                if acc != can.inverse.col(flat):
-                    result.fail("closed-form-inverse", (bi, hi, ki))
-    tmap = translation_map(ca, can)
+    inv = _columns(can.inverse)
+    for bi, hi, ki in itertools.product(range(db), range(dh), range(dh)):
+        if not _agree(f, (
+                (key, c1 * c2 * x) for h1, h2, c1 in dl[hi]
+                for (k1, k2, k3, k4), c2 in dl4[ki]
+                for key, x in over_b((
+                    (a * dh + t2, y * z * w) for t, y in h_s(h1, k2)
+                    for a, z in _pair(base.mul_table, db, [(bi, f.one)],
+                                      sgb[t * dh + k3])
+                    for t2, w in h_s(h2, k1)), k4)),
+                (((q, 0), x) for q, x in inv[(bi * dh + hi) * dh + ki])):
+            result.fail("closed-form-inverse", (bi, hi, ki))
+    gamma = _columns(translation_map(ca, can).gamma)
     # Remark 5.3: Sum l_i(h) (x) r_i(h)
     #   = (sigmabar(S(h2) (x) h3) 1_B # S(h1)) (x)_B (1_B # h4)
     for hi in range(dh):
-        acc = [f.zero] * quot.dim
-        for (h1, h2, h3, h4), c in dl4[hi]:
-            bpart = cp.coc_bar(s.apply(eh[h2]), eh[h3])
-            left = kron_vec(f, bpart, s.apply(eh[h1]))
-            right = _one_sharp(cp, eh[h4])
-            acc = vec_add(f, acc, vec_scale(
-                f, c, quot.project(kron_vec(f, left, right))))
-        if acc != tmap.value(eh[hi]):
+        if not _agree(f, ((key, c * x) for (h1, h2, h3, h4), c in dl4[hi]
+                          for key, x in over_b(u_of(h1, h2, h3), h4)),
+                      (((q, 0), x) for q, x in gamma[hi])):
             result.fail("remark-5.3-gamma", (hi,))
     # Remark 5.3: t(h) = 1 # h, u(h) = sigmabar(S(h2) (x) h3) # S(h1)
-    t_mat = Matrix.from_cols(f, [_one_sharp(cp, eh[h]) for h in range(dh)],
-                             nrows=db * dh)
-    u_cols = []
-    for hi in range(dh):
-        acc = [f.zero] * db * dh
-        for (h1, h2, h3), c in comul_terms(hopf.coalgebra, hi, 3):
-            bpart = cp.coc_bar(s.apply(eh[h2]), eh[h3])
-            acc = vec_add(f, acc, vec_scale(
-                f, c, kron_vec(f, bpart, s.apply(eh[h1]))))
-        u_cols.append(acc)
-    u_mat = Matrix.from_cols(f, u_cols, nrows=db * dh)
+    t_mat = summed(f, n, dh, (((j * dh + h) * dh + h, u) for h in range(dh)
+                              for j, u in ones))
+    u_mat = summed(f, n, dh, (
+        (r * dh + h, c * x) for h in range(dh)
+        for (h1, h2, h3), c in comul_terms(hopf.coalgebra, h, 3)
+        for r, x in u_of(h1, h2, h3)))
     if not convcat.membership(ca, t_mat, (2, 1), "C"):
         result.fail("remark-5.3-t-colinear")
     if not is_convolution_inverse(ca.algebra, hopf.coalgebra, t_mat, u_mat):
@@ -448,35 +426,31 @@ class StructureTheoremReport:
 
 def _psi_matrix(ca, b, t_mat):
     """psi(b (x) h) = b t(h) as a matrix B (x) H -> A."""
-    f = ca.field
-    db, dh = b.dim, ca.hopf.dim
-    cols = []
-    for i in range(db):
-        lm = ca.algebra.lmul(b.to_ambient(basis_vec(f, db, i)))
-        for h in range(dh):
-            cols.append(lm.apply(t_mat.col(h)))
-    return Matrix.from_cols(f, cols, nrows=ca.algebra.dim)
+    alg, dh = ca.algebra, ca.hopf.dim
+    n, ts = b.dim * dh, _columns(t_mat)
+    return summed(ca.field, alg.dim, n, (
+        (r * n + i * dh + h, x) for i, col in enumerate(_columns(b.inclusion))
+        for h in range(dh)
+        for r, x in _pair(alg.mul_table, alg.dim, col, ts[h])))
 
 
 def _varphi_matrix(ca, b, u_mat):
     """varphi(a) = a_[0] u(a_[1]) (x) a_[2] as a matrix A -> B (x) H."""
-    f = ca.field
-    da, dh, db = ca.algebra.dim, ca.hopf.dim, b.dim
-    rho, comul = ca.coaction_table, ca.hopf.coalgebra.comul_table
-    cols = []
-    for a in range(da):
-        # group by the a_[2] leg: only Sum a_[0] u(a_[1]) is coinvariant
-        partial = [[f.zero] * da for _ in range(dh)]
-        for a0, h, x in rho[a]:
-            for a1, a2, y in comul[h]:
-                v = ca.algebra.product(basis_vec(f, da, a0), u_mat.col(a1))
-                partial[a2] = vec_add(f, partial[a2], vec_scale(f, x * y, v))
-        acc = [f.zero] * (db * dh)
-        for a2 in range(dh):
-            bcoords = b.from_ambient(partial[a2])
-            acc = vec_add(f, acc, kron_vec(f, bcoords, basis_vec(f, dh, a2)))
-        cols.append(acc)
-    return Matrix.from_cols(f, cols, nrows=db * dh)
+    f, alg = ca.field, ca.algebra
+    da, dh, db = alg.dim, ca.hopf.dim, b.dim
+    rho, comul, us = ca.coaction_table, ca.hopf.coalgebra.comul_table, \
+        _columns(u_mat)
+    # column a * dh + a2 groups by the a_[2] leg: only Sum a_[0] u(a_[1])
+    # is coinvariant
+    part, bad = b.coords(summed(f, da, da * dh, (
+        (r * da * dh + a * dh + a2, x * y * z) for a, terms in enumerate(rho)
+        for a0, h, x in terms for a1, a2, y in comul[h]
+        for r, z in _pair(alg.mul_table, da, [(a0, f.one)], us[a1]))))
+    if bad is not None:
+        raise InternalInvariant("vector not in the subalgebra")
+    return summed(f, db * dh, da, (
+        ((i * dh + j % dh) * da + j // dh, x)
+        for j, col in enumerate(_columns(part)) for i, x in col))
 
 
 def _left_b_actions(ca, b):
@@ -586,9 +560,11 @@ def structure_theorem_check(ca, seed=0, tries=500):
     if isinstance(psi3, NotFound):
         report.miss("3->1", "no-BH-isomorphism", psi3)
     else:
-        t_cols = [psi3.apply(kron_vec(f, b.algebra.unit, basis_vec(f, dh, h)))
-                  for h in range(dh)]
-        t_mat = Matrix.from_cols(f, t_cols, nrows=ca.algebra.dim)
+        # t(h) = psi3(1_B (x) h)
+        p3 = _columns(psi3)
+        t_mat = summed(f, ca.algebra.dim, dh, (
+            (r * dh + h, u * x) for h in range(dh)
+            for k, u in _nonzero(b.algebra.unit) for r, x in p3[k * dh + h]))
         if not convcat.membership(ca, t_mat, (2, 1), "C"):
             leg3.fail("t-not-colinear")
         try:
@@ -639,7 +615,7 @@ def _algebra_map_search(ca, mats, seed=0, tries=500,
     if not mats:
         return None, "none"
     h_alg, alg = ca.hopf.algebra, ca.algebra
-    eh = [basis_vec(f, h_alg.dim, i) for i in range(h_alg.dim)]
+    n = h_alg.dim
     algebra_map_at = partial(_algebra_map_at, ca, mats)
     if f.kind == "Fp":
         got = search.first(f, len(mats), algebra_map_at, seed, tries,
@@ -648,13 +624,18 @@ def _algebra_map_search(ca, mats, seed=0, tries=500,
             return None, "none" if got.exhaustive else "inconclusive"
         return got, "found"
 
-    # over Q: the conditions are quadratic in the coefficients; solve exactly
+    # over Q: the conditions are quadratic in the coefficients; solve
+    # exactly, t[j] being the image of e_j
     def equations(t, prod):
-        yield from (v - u for v, u in zip(t(h_alg.unit), alg.unit))
-        for x in eh:
-            for y in eh:
-                yield from (l - r for l, r in zip(t(h_alg.product(x, y)),
-                                                  prod(t(x), t(y))))
+        def image(terms):       # t(Sum x e_j) for the terms (j, x)
+            return [sum(x * t[j][r] for j, x in terms)
+                    for r in range(alg.dim)]
+
+        yield from (v - u for v, u in zip(image(_nonzero(h_alg.unit)),
+                                          alg.unit))
+        for i, j in itertools.product(range(n), repeat=2):
+            yield from (l - r for l, r in zip(
+                image(h_alg.mul_table[i * n + j]), prod(t[i], t[j])))
 
     try:
         for t_mat in search.rational_points(alg, mats, equations,

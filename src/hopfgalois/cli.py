@@ -1,6 +1,7 @@
 """Command-line surface: load a JSON bundle, run one check, emit a report.
 
-Exit codes: 0 pass, 1 check-failure, 2 input error, 3 inconclusive-search.
+Exit codes: 0 pass, 1 check-failure, 2 input error, 3 inconclusive-search,
+4 internal error (an exception no check maps, reported on stderr).
 Reports carry no timing so that identical (bundle, seed, flags) give
 byte-identical output.
 """
@@ -396,14 +397,17 @@ def run(argv):
 
 
 def main(argv=None):
-    out, code = run(sys.argv[1:] if argv is None else argv)
-    if code == 2:
-        print(f"error: {out}", file=sys.stderr)
-        return 2
-    if out.output_mode == "json":
-        print(json.dumps(out.to_dict(), indent=1, sort_keys=True))
-    else:
-        sys.stdout.write(out.to_text())
+    try:
+        out, code = run(sys.argv[1:] if argv is None else argv)
+        if code == 2:
+            print(f"error: {out}", file=sys.stderr)
+            return 2
+        text = (json.dumps(out.to_dict(), indent=1, sort_keys=True) + "\n"
+                if out.output_mode == "json" else out.to_text())
+    except Exception as exc:    # a crash is no verdict: exit 4, never 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+    sys.stdout.write(text)
     return code
 
 

@@ -3,7 +3,12 @@ Z^1, B^1, H^1, the set Omega_A of colinear algebra maps, the equivalence ~,
 the groupoid X_A (Thm 5.6), the bijection F (Prop 5.7), and Lemma 5.5.
 
 Cocycles v: H -> B are db x dh matrices; the module-algebra action is a
-db x (dh*db) matrix with left-leg-major flattening, as in module cleft.
+db x (dh*db) matrix with left-leg-major flattening, as in module cleft,
+read through its columns (columns[h * db + i] lists h . b_i).  The cocycle
+law, the module-algebra audit and f_b are summed from those columns and the
+tables, and the linear-in-b conditions of ~ (cohomologous,
+omega_equivalence) are {column: x} rows for sparse_kernel; no basis vector
+is applied.
 """
 
 import itertools
@@ -11,11 +16,11 @@ from functools import cached_property, partial
 
 from . import cleft, convcat, search
 from .comodule import InternalInvariant
-from .hopf import (ValidationReport, convolution_inverse,
+from .hopf import (ValidationReport, _agree, convolution_inverse,
                    convolution_operator, convolution_unit, convolve,
                    first_failure, is_cocommutative)
-from .linalg import (Matrix, NotInvertible, OperatorSpan, basis_vec,
-                     kron_vec, vec_add, vec_scale)
+from .linalg import (Matrix, NotInvertible, OperatorSpan, _columns, _nonzero,
+                     _pair, _terms, sparse_kernel, summed)
 from .search import EXHAUSTIVE_CAP, NotFound, SearchInconclusive
 
 
@@ -23,20 +28,35 @@ class HypothesisViolated(RuntimeError):
     pass
 
 
+def _units(field, rows, cols):
+    """The rows x cols matrix units E_i, row-major: E_i.data[i] = 1."""
+    return [Matrix(field, rows, cols, row)
+            for row in Matrix.identity(field, rows * cols).row_list()]
+
+
+def _sparse_rows(n, terms):
+    """The n rows, {column: x} dicts of raw sums, of the raw terms
+    ((row, column), x): an operator for sparse_kernel."""
+    rows = [{} for _ in range(n)]
+    for (i, j), x in terms:
+        rows[i][j] = rows[i].get(j, 0) + x
+    return rows
+
+
 class HModuleAlgebraAction:
-    """Left H-module algebra action on B (the untwisted case of Lemma 5.5)."""
+    """Left H-module algebra action on B (the untwisted case of Lemma 5.5),
+    read through the columns of the action: columns[h * dim B + i] lists
+    h . b_i, the mul_table layout of cleft."""
 
     def __init__(self, hopf, base, action):
         self.hopf = hopf
         self.base = base            # StructureConstantAlgebra
         self.action = action        # db x (dh * db)
+        self.columns = _columns(action)
 
     @property
     def field(self):
         return self.base.field
-
-    def act(self, h_vec, b_vec):
-        return self.action.apply(kron_vec(self.field, h_vec, b_vec))
 
     @cached_property
     def cocycle_law(self):
@@ -44,25 +64,20 @@ class HModuleAlgebraAction:
         once as one (linear, quadratic) pair per (h, k, r) in that order: the
         terms (i, a) of v(e_h e_k)_r and the aggregated terms (i, j, c) of
         the right side's r-th coordinate, i and j indexing v.data."""
-        f, base, hopf = self.field, self.base, self.hopf
-        db, dh = base.dim, hopf.dim
-        eh = [basis_vec(f, dh, i) for i in range(dh)]
-        eb = [basis_vec(f, db, i) for i in range(db)]
-        # (e_h1 . e_s) e_t, with v(e_k) = sum_s v[s][k] e_s
-        prods = [[[base.product(self.act(x, y), z) for z in eb] for y in eb]
-                 for x in eh]
+        f, base, hopf, om = self.field, self.base, self.hopf, self.columns
+        db, dh, bmul = base.dim, hopf.dim, base.mul_table
         law = []
         for h, k in itertools.product(range(dh), repeat=2):
-            quad = [{} for _ in range(db)]
-            for h1, h2, c in hopf.coalgebra.comul_table[h]:
-                for s, t in itertools.product(range(db), repeat=2):
-                    key = (s * dh + k, t * dh + h2)
-                    for r, x in enumerate(prods[h1][s][t]):
-                        quad[r][key] = f.add(quad[r].get(key, f.zero),
-                                             f.mul(c, x))
-            hk = hopf.algebra.basis_product(h, k)
-            law += [([(r * dh + j, x) for j, x in enumerate(hk) if x],
-                     [(i, j, c) for (i, j), c in quad[r].items() if c])
+            # (e_h1 . e_s) e_t, with v(e_k) = sum_s v[s][k] e_s
+            quad = [[] for _ in range(db)]
+            for (r, i, j), c in _terms(f, (
+                    ((r, s * dh + k, t * dh + h2), c * x * y)
+                    for h1, h2, c in hopf.coalgebra.comul_table[h]
+                    for s in range(db) for a, x in om[h1 * db + s]
+                    for t in range(db) for r, y in bmul[a * db + t])):
+                quad[r].append((i, j, c))
+            hk = hopf.algebra.mul_table[h * dh + k]
+            law += [([(r * dh + j, x) for j, x in hk], quad[r])
                     for r in range(db)]
         return law
 
@@ -82,50 +97,44 @@ class HModuleAlgebraAction:
     def conv_span(self):
         """OperatorSpan of L(E_i), E_i the row-major matrix units of
         Hom(H, B): convolution by v is its combination at v.data."""
-        f, db, dh = self.field, self.base.dim, self.hopf.dim
         return OperatorSpan([convolution_operator(
-            self.base, self.hopf.coalgebra,
-            Matrix(f, db, dh, basis_vec(f, db * dh, i)))
-            for i in range(db * dh)])
+            self.base, self.hopf.coalgebra, e)
+            for e in _units(self.field, self.base.dim, self.hopf.dim)])
 
     def validate(self):
-        f, act, h_alg = self.field, self.act, self.hopf.algebra
+        f, om, hmul = self.field, self.columns, self.hopf.algebra.mul_table
         db, dh = self.base.dim, self.hopf.dim
-        eb = [basis_vec(f, db, i) for i in range(db)]
-        eh = [basis_vec(f, dh, i) for i in range(dh)]
         report = ValidationReport()
-        report.fail_at("1.b=b", first_failure(
-            lambda i: act(h_alg.unit, eb[i]) == eb[i], db))
+        report.fail_at("1.b=b", cleft.unit_witness(self.hopf, self.base, om))
         for name, witness in zip(("h.1=eps(h)1", "h.(bc)=(h1.b)(h2.c)"),
                                  cleft.measuring_witnesses(
-                                     self.hopf, self.base, act)):
+                                     self.hopf, self.base, om)):
             report.fail_at(name, witness)
         report.fail_at("h.(k.b)=(hk).b", first_failure(
-            lambda h, k, i: act(eh[h], act(eh[k], eb[i]))
-            == act(h_alg.basis_product(h, k), eb[i]), dh, dh, db))
+            lambda h, k, i: _agree(
+                f, ((s, x * y) for r, x in om[k * db + i]
+                    for s, y in om[h * db + r]),
+                ((s, c * y) for t, c in hmul[h * dh + k]
+                 for s, y in om[t * db + i])), dh, dh, db))
         return report
 
 
 def trivial_action(hopf, base):
     """h.b = eps(h) b."""
-    f = base.field
-    db, dh = base.dim, hopf.dim
-    eps = hopf.coalgebra.counit
-    cols = []
-    for h in range(dh):
-        eh = eps.apply(basis_vec(f, dh, h))[0]
-        for i in range(db):
-            cols.append(vec_scale(f, eh, basis_vec(f, db, i)))
-    return HModuleAlgebraAction(hopf, base, Matrix.from_cols(f, cols, nrows=db))
+    db, n = base.dim, hopf.dim * base.dim
+    return HModuleAlgebraAction(hopf, base, summed(base.field, db, n, (
+        (i * n + h * db + i, e)
+        for h, e in enumerate(hopf.coalgebra.counit.data)
+        for i in range(db))))
 
 
 def action_from_cleft(ca, datum):
     """omega_t on B = A^{co H}, per Eq. (omega) of Thm 5.2's proof."""
     b = ca.coinvariants()
-    amb = cleft.omega_t(ca, datum.t.matrix, datum.u.matrix)
-    cols = [b.from_ambient(amb.col(j)) for j in range(amb.cols)]
-    return HModuleAlgebraAction(ca.hopf, b.algebra,
-                                Matrix.from_cols(ca.field, cols, nrows=b.dim))
+    omega, bad = b.coords(cleft.omega_t(ca, datum.t.matrix, datum.u.matrix))
+    if bad is not None:
+        raise InternalInvariant("vector not in the subalgebra")
+    return HModuleAlgebraAction(ca.hopf, b.algebra, omega)
 
 
 def _gate(hopf, base):
@@ -178,14 +187,15 @@ def z1_membership(act, v_mat):
 
 def b1_element(act, b_vec):
     """f_b(h) = (h.b) b^{-1}; raises ValueError for non-invertible b."""
-    f = act.field
-    base, hopf = act.base, act.hopf
+    f, base, dh = act.field, act.base, act.hopf.dim
     b_inv = base.element_inverse(b_vec)
     if b_inv is None:
         raise ValueError("b is not invertible in B")
-    cols = [base.product(act.act(basis_vec(f, hopf.dim, h), b_vec), b_inv)
-            for h in range(hopf.dim)]
-    return Matrix.from_cols(f, cols, nrows=base.dim)
+    db = base.dim
+    return summed(f, db, dh, ((r * dh + h, x) for h in range(dh) for r, x in
+                              _pair(base.mul_table, db, _pair(
+                                  act.columns, db, [(h, f.one)],
+                                  _nonzero(b_vec)), _nonzero(b_inv))))
 
 
 def _invertible_in_span(base, kernel_vecs, seed=0, tries=200):
@@ -216,16 +226,15 @@ def cohomologous(act, v_mat, v1_mat, seed=0):
         v1_inv = convolution_inverse(base, hopf.coalgebra, v1_mat)
     except NotInvertible as exc:
         raise ValueError("v1 is not convolution invertible") from exc
-    w = convolve(base, hopf.coalgebra, v_mat, v1_inv)
-    blocks = []
-    for h in range(dh):
-        # lmul_B(w(h)) b = (h . b): both sides linear in b
-        act_h = Matrix.from_cols(
-            f, [act.act(basis_vec(f, dh, h), basis_vec(f, db, i))
-                for i in range(db)], nrows=db)
-        blocks.append((base.lmul(w.apply(basis_vec(f, dh, h))) - act_h).data)
-    op = Matrix(f, dh * db, db, [x for blk in blocks for x in blk])
-    kernel = op.kernel()
+    w = _columns(convolve(base, hopf.coalgebra, v_mat, v1_inv))
+    times = partial(_pair, base.mul_table, db)
+    # w(h) b - h . b = 0 in row h * db + r, column i the coordinate b_i:
+    # both sides linear in b
+    kernel = sparse_kernel(f, db, _sparse_rows(dh * db, (
+        ((h * db + r, i), x) for h in range(dh) for i in range(db)
+        for r, x in itertools.chain(
+            times(w[h], [(i, f.one)]),
+            ((r, -x) for r, x in act.columns[h * db + i])))))
     b = _invertible_in_span(base, kernel, seed=seed)
     if not search.found(b, "invertible b with v = f_b * v1"):
         return False
@@ -245,8 +254,9 @@ def z1_enumerate(act, enumerate_cap=EXHAUSTIVE_CAP):
     base, hopf = act.base, act.hopf
     db, dh = base.dim, hopf.dim
     n = db * dh
-    unit = ([vec_scale(f, hopf.algebra.unit[i % dh], basis_vec(f, db, i // dh))
-             for i in range(n)], base.unit)
+    # v(1) = 1: coordinate i = r * dh + j adds 1_H[j] v[r, j] to row r
+    unit = ([[hopf.algebra.unit[i % dh] if r == i // dh else f.zero
+              for r in range(db)] for i in range(n)], base.unit)
 
     def cocycle_at(entries):
         v = Matrix(f, db, dh, list(entries))
@@ -255,18 +265,17 @@ def z1_enumerate(act, enumerate_cap=EXHAUSTIVE_CAP):
     if f.kind == "Fp":
         return search.every(f, n, cocycle_at, enumerate_cap, unit)
 
-    def equations(v, prod):
-        x = [v(basis_vec(f, dh, i % dh))[i // dh] for i in range(n)]
+    def equations(v, prod):         # v[j]: the image of e_j
+        x = [v[i % dh][i // dh] for i in range(n)]
         yield from (sum(img[r] * xi for img, xi in zip(unit[0], x)) - b
                     for r, b in enumerate(base.unit))
         for lin, quad in act.cocycle_law:
             yield (sum(a * x[i] for i, a in lin)
                    - sum(c * x[i] * x[j] for i, j, c in quad))
 
-    elementary = [Matrix(f, db, dh, basis_vec(f, n, i)) for i in range(n)]
     out = []
     for v in search.rational_points(
-            base, elementary, equations, cocycle_at,
+            base, _units(f, db, dh), equations, cocycle_at,
             refuse="Z^1 has a positive-dimensional family"):
         if v not in out:
             out.append(v)
@@ -284,23 +293,16 @@ def omega_membership(ca, t_mat):
 
 def omega_equivalence(ca, t1_mat, t2_mat, seed=0):
     """t1 ~ t2 iff b t1(h) = t2(h) b for some invertible b in B (linear in b)."""
-    f = ca.field
     b = ca.coinvariants()
-    db, dh = b.dim, ca.hopf.dim
-    blocks = []
-    for h in range(dh):
-        rows = []
-        for i in range(db):
-            amb = b.to_ambient(basis_vec(f, db, i))
-            diff = vec_add(
-                f, ca.algebra.product(amb, t1_mat.col(h)),
-                vec_scale(f, f.neg(f.one),
-                          ca.algebra.product(t2_mat.col(h), amb)))
-            rows.append(diff)
-        blocks.append(Matrix.from_cols(f, rows, nrows=ca.algebra.dim).data)
-    op = Matrix(f, dh * ca.algebra.dim, db,
-                [x for blk in blocks for x in blk])
-    return search.found(_invertible_in_span(b.algebra, op.kernel(), seed=seed),
+    da, db, dh = ca.algebra.dim, b.dim, ca.hopf.dim
+    times = partial(_pair, ca.algebra.mul_table, da)
+    incl, t1, t2 = _columns(b.inclusion), _columns(t1_mat), _columns(t2_mat)
+    # b t1(h) - t2(h) b = 0 in row h * da + r, column i the coordinate b_i
+    kernel = sparse_kernel(ca.field, db, _sparse_rows(dh * da, (
+        ((h * da + r, i), x) for h in range(dh) for i, col in enumerate(incl)
+        for r, x in itertools.chain(
+            times(col, t1[h]), ((r, -x) for r, x in times(t2[h], col))))))
+    return search.found(_invertible_in_span(b.algebra, kernel, seed=seed),
                         "invertible b with b t1(h) = t2(h) b")
 
 

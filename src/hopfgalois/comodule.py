@@ -17,7 +17,7 @@ from .hopf import (DimensionMismatch, StructureConstantAlgebra,
                    ValidationReport, _agree, _table, first_failure,
                    tensor_algebra_map)
 from .linalg import (Factorization, Matrix, NoSolution, _columns, _terms,
-                     colinearity_operator, eliminate, reduced, sparse_kernel,
+                     colinearity_operator, eliminate, sparse_kernel,
                      summed)
 
 
@@ -93,6 +93,13 @@ class SubalgebraEmbedding:
             return self.factored.solve(v)
         except NoSolution as exc:
             raise InternalInvariant("vector not in the subalgebra") from exc
+
+    def coords(self, amb):
+        """(X, bad): column j of X holds the coordinates in B of column j of
+        amb, from one solve, and bad is the first column of amb outside B,
+        or None."""
+        x, ok = self.factored.solve_columns(amb)
+        return x, next((j for j, good in enumerate(ok) if not good), None)
 
 
 def _coinvariant_subalgebra(ca):
@@ -264,16 +271,6 @@ class QuotientSpace:
         for pc, prow in piv.items():   # the RREF row is zero at other pivots
             self.columns[pc] = [(q_of[j], field.neg(x))
                                 for j, x in sorted(prow.items()) if j != pc]
-
-    def project(self, v):
-        """Quotient coordinates of the class of the ambient vector v."""
-        f, cols = self.field, self.columns
-        out = [f.zero] * self.dim
-        for j, x in enumerate(v):
-            if x:
-                for q, y in cols[j]:
-                    out[q] += x * y
-        return reduced(f, out)
 
     def classes(self, terms):
         """The terms ((q, k), x y) of the class of Sum x e_j (x) e_k, given

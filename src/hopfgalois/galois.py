@@ -4,15 +4,16 @@ translation map gamma_A(h) = can^{-1}(1 (x) h) and identities (1.2.1)-(1.2.7).
 A (x)_B A is realized through comodule.tensor_over_B with A as a right
 B-module; every identity stated in the quotient is checked on projected
 coordinates, never on representatives.  can, can', gamma and (1.2.1)-(1.2.7)
-read mul_table, the columns of rho and the quotient's index maps, and
-phi_comparison is summed from the tables of H, rho and S, so no map here
-forms a Kronecker product.
+read mul_table, the columns of rho and the quotient's index maps,
+phi_comparison is summed from the tables of H, rho and S, and gamma sums
+the columns of can^-1 at the support of 1_A, so no map here forms a
+Kronecker product or applies a basis vector.
 """
 
 from .comodule import algebra_as_bmodule, tensor_over_B
 from .hopf import ValidationReport, _agree, first_failure
 from .linalg import (Matrix, NotInvertible, _columns, _leg_columns,
-                     basis_vec, kron_vec, reduced, summed)
+                     reduced, summed)
 
 
 class NotGalois(RuntimeError):
@@ -98,20 +99,19 @@ class TranslationMap:
         self.can = can_data
         self.induced = can_data.induced
         quot = can_data.induced.quotient
-        cols = [can_data.inverse.apply(
-            kron_vec(f, ca.algebra.unit, basis_vec(f, dh, j)))
-            for j in range(dh)]
-        self.gamma = Matrix.from_cols(f, cols, nrows=quot.dim)
+        # gamma(h) = can^-1(1_A (x) h): the columns a * dh + h of can^-1
+        # at the support of 1_A, read as slices of its data
+        inv, n = can_data.inverse.data, can_data.inverse.cols
+        self.gamma = summed(f, quot.dim, dh, (
+            (q * dh + h, u * x) for h in range(dh)
+            for a, u in enumerate(ca.algebra.unit) if u
+            for q, x in enumerate(inv[a * dh + h::n]) if x))
         # representative Sum_i l_i(h) (x) r_i(h) in A (x) A, via the section:
         # row q of gamma is row free[q]
         data = [f.zero] * (da * da * dh)
         for q, j in enumerate(quot.free):
             data[j * dh:(j + 1) * dh] = self.gamma.row(q)
         self.representative = Matrix(f, da * da, dh, data)
-
-    def value(self, h_vec):
-        """Quotient coordinates of gamma_A(h)."""
-        return self.gamma.apply(h_vec)
 
     def rep(self, h_vec):
         """The chosen representative in A (x) A (flat, left leg major)."""

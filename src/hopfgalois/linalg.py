@@ -20,7 +20,10 @@ lexicographically with leg 0 major.
 
 Tables.  _columns and _leg_columns turn a matrix into the sparse tables in
 which the package holds m, Delta, every coaction and every module action
-(see hopf).
+(see hopf).  A map is read through its columns, a bilinear one through
+_pair's raw terms, and built by summed from raw terms: no vector is
+tensored, added or scaled entry by entry, and cleft, cohomology and galois
+apply no basis vector.
 
 Operators.  A linear constraint on an unknown matrix X is an operator on
 the row-major vec(X), held as its sparse rows ({column: x} dicts) written
@@ -380,22 +383,6 @@ def basis_vec(field, n, i):
     return v
 
 
-def kron_vec(field, v, w):
-    """v (x) w; each block a w of a nonzero a is taken raw and reduced once."""
-    out, n = [field.zero] * (len(v) * len(w)), len(w)
-    for i, a in enumerate(v):
-        if a != field.zero:
-            out[i * n:(i + 1) * n] = reduced(field, [a * b for b in w])
-    return out
-
-
-def vec_add(field, v, w):
-    return [field.add(a, b) for a, b in zip(v, w)]
-
-def vec_scale(field, c, v):
-    return [field.mul(c, a) for a in v]
-
-
 # -- linear operators ------------------------------------------------------
 
 
@@ -420,6 +407,20 @@ def _terms(field, terms):
     keys = sorted(acc)
     values = reduced(field, [acc[k] for k in keys])
     return [(k, x) for k, x in zip(keys, values) if x]
+
+
+def _nonzero(vec):
+    """The (i, x) of the nonzero entries of vec: its raw terms."""
+    return [(i, x) for i, x in enumerate(vec) if x]
+
+
+def _pair(table, width, xs, ys):
+    """The raw terms of m(x (x) y) for the raw terms (i, x) of x and of y,
+    where table[i * width + j] lists the (r, c) of m(e_i (x) e_j): a
+    mul_table, or the _columns of a bilinear map such as cleft's omega."""
+    ys = list(ys)
+    return ((r, x * y * c) for i, x in xs for j, y in ys
+            for r, c in table[i * width + j])
 
 
 def summed(field, rows, cols, terms):

@@ -394,10 +394,8 @@ class LinearAlpha:
 def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
                      seed=0):
     """Dimension equalities, bijectivity, alpha o gamma = beta, and all
-    eight composition patterns of (3.9.1)/(21a)-(22).  A pattern
-    reports its first failing pair, and (i, j, 2) is not checked once
-    (i, j, 1) fails: a failure of 3.9.1-111, 11, 12b or 12a hides one of
-    21a, 21b, 22 or 3.9.1-222."""
+    eight composition patterns of (3.9.1)/(21a)-(22).  Each pattern
+    reports its own first failing pair."""
     ctx = TheoremContext(ca, m, corrupt_gamma=corrupt_gamma)
     e_ca = ctx.e.ca
     report = ValidationReport()
@@ -494,9 +492,6 @@ def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
                     if not equal:
                         report.fail(label, (i, j, k, fi, gi))
                         break
-                else:
-                    continue
-                break
     return report
 
 

@@ -191,8 +191,8 @@ def rational_points(algebra, mats, equations, test, refuse=None):
 
     The unknown is t = sum_i c_i mats[i], a linear map into `algebra`.
     `equations(t, prod)` yields expressions that vanish exactly on the wanted
-    t; t(vec) applies t to a coordinate vector and prod multiplies two
-    symbolic vectors of `algebra`.  The system is solved with sympy and each
+    t; t[j] is the symbolic column t(e_j) and prod multiplies two symbolic
+    vectors of `algebra`.  The system is solved with sympy and each
     rational point c (a tuple of Fractions) is yielded as test(c) when that is
     not None.  A positive-dimensional family raises SearchInconclusive(refuse),
     or, when refuse is None, is sampled at every assignment of FREE_SAMPLES to
@@ -200,18 +200,10 @@ def rational_points(algebra, mats, equations, test, refuse=None):
     SearchInconclusive, since the family was not searched in full.
     """
     import sympy
-    f = algebra.field
     n, rows, cols = len(mats), algebra.dim, mats[0].cols
     cs = sympy.symbols(f"c0:{n}")
     t_cols = [[sum(sympy.Rational(m.get(r, j)) * c for c, m in zip(cs, mats))
                for r in range(rows)] for j in range(cols)]
-
-    def t(vec):
-        out = [sympy.Integer(0)] * rows
-        for x, col in zip(vec, t_cols):
-            if x != f.zero:
-                out = [o + sympy.Rational(x) * v for o, v in zip(out, col)]
-        return out
 
     def prod(x, y):
         out = [sympy.Integer(0)] * rows
@@ -222,7 +214,7 @@ def rational_points(algebra, mats, equations, test, refuse=None):
                         out[r] += sympy.Rational(coeff) * x[a] * y[b]
         return out
 
-    eqs = [sympy.expand(e) for e in equations(t, prod)]
+    eqs = [sympy.expand(e) for e in equations(t_cols, prod)]
     sols = sympy.solve([e for e in eqs if e != 0], list(cs), dict=True)
     sampled = False
     for sol in sols:

@@ -5,7 +5,7 @@ from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import (cp_fixture, cyclic_cayley,
                                  dual_group_algebra, graded_m2, group_algebra,
                                  regular_comodule, sweedler_h4, trivial_kxk)
-from hopfgalois.linalg import Matrix, _columns, basis_vec, kron_vec, reduced
+from hopfgalois.linalg import Matrix, _columns, basis_vec, reduced
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -161,11 +161,46 @@ def dense_actions(field, table, n):
     return out
 
 
+def kron_vec(field, v, w):
+    """v (x) w, leg v major; each block a w of a nonzero a is taken raw and
+    reduced once (the package's former kron_vec)."""
+    out, n = [field.zero] * (len(v) * len(w)), len(w)
+    for i, a in enumerate(v):
+        if a != field.zero:
+            out[i * n:(i + 1) * n] = reduced(field, [a * b for b in w])
+    return out
+
+
+def vec_add(field, v, w):
+    return [field.add(a, b) for a, b in zip(v, w)]
+
+
+def vec_scale(field, c, v):
+    return [field.mul(c, a) for a in v]
+
+
+def project(quot, v):
+    """Quotient coordinates of the class of the ambient vector v (the
+    former QuotientSpace.project), from quot.columns."""
+    f, out = quot.field, [quot.field.zero] * quot.dim
+    for j, x in enumerate(v):
+        if x:
+            for q, y in quot.columns[j]:
+                out[q] += x * y
+    return reduced(f, out)
+
+
+def act_on(action, h_vec, b_vec):
+    """h . b for the dense action matrix H (x) B -> B (the former
+    HModuleAlgebraAction.act and CrossedProductData.act)."""
+    return action.apply(kron_vec(action.field, h_vec, b_vec))
+
+
 def dense_act(ctx, phi, a_vec):
     """The former lifting.ActionCandidate.act_matrix: m -> phi(pi(m (x) a))
     as a dense dim M x dim M matrix."""
     f, dm = ctx.field, ctx.m.dim
-    return Matrix.from_cols(f, [phi.apply(ctx.quot.project(kron_vec(
+    return Matrix.from_cols(f, [phi.apply(project(ctx.quot, kron_vec(
         f, basis_vec(f, dm, mi), a_vec))) for mi in range(dm)], nrows=dm)
 
 

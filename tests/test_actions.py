@@ -28,11 +28,11 @@ from hopfgalois.fixtures import (cyclic_cayley, graded_m2, group_algebra,
 from hopfgalois.galois import NotGalois
 from hopfgalois.hopf import (ValidationReport, colinear_witness,
                              first_failure, linear_witness)
-from hopfgalois.linalg import (Matrix, basis_vec, intertwiners, kron_vec,
-                               lin_comb, vec_add, vec_scale)
+from hopfgalois.linalg import Matrix, basis_vec, intertwiners, lin_comb
 
 from conftest import (action_table, dense_act, dense_actions, dense_rho,
-                      module_b, module_k, tensor_entries, vstack)
+                      kron_vec, module_b, module_k, project, tensor_entries,
+                      vec_add, vec_scale, vstack)
 from test_audits import dense_right_action
 from test_linalg import dense_kernel
 from test_operators import action_defect, probe_operator
@@ -316,10 +316,10 @@ def dense_check_621(ctx, phi, u_prime):
 
     def holds(mi, aj):
         em = basis_vec(f, dm, mi)
-        x = ctx.quot.project(kron_vec(f, em, basis_vec(f, da, aj)))
+        x = project(ctx.quot, kron_vec(f, em, basis_vec(f, da, aj)))
         rhs = [f.zero] * ctx.quot.dim
         for a0, h, c in ctx.ca.coaction_table[aj]:
-            p = ctx.quot.project(kron_vec(f, em, basis_vec(f, da, a0)))
+            p = project(ctx.quot, kron_vec(f, em, basis_vec(f, da, a0)))
             rhs = vec_add(f, rhs, vec_scale(f, c, u_h[h].apply(p)))
         return ctx.eta.apply(phi.apply(x)) == rhs
 
@@ -335,14 +335,14 @@ def dense_check_622(ctx, phi, t_coords):
 
     def holds(hj, mi, aj):
         em = basis_vec(f, dm, mi)
-        x = ctx.quot.project(kron_vec(f, em, basis_vec(f, da, aj)))
+        x = project(ctx.quot, kron_vec(f, em, basis_vec(f, da, aj)))
         rhs = [f.zero] * ctx.quot.dim
         for (l, r), c in reps[hj]:
-            mv = phi.apply(ctx.quot.project(kron_vec(f, em,
+            mv = phi.apply(project(ctx.quot, kron_vec(f, em,
                                                      basis_vec(f, da, l))))
             av = ctx.ca.algebra.basis_product(r, aj)
             rhs = vec_add(f, rhs, vec_scale(
-                f, c, ctx.quot.project(kron_vec(f, mv, av))))
+                f, c, project(ctx.quot, kron_vec(f, mv, av))))
         return t_h[hj].apply(x) == rhs
 
     return first_failure(holds, dh, dm, da)

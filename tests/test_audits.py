@@ -22,11 +22,10 @@ from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
 from hopfgalois.hopf import (BadCharacteristic, CoalgebraData,
                              HopfAlgebraData, StructureConstantAlgebra,
                              is_cocommutative, validate_hopf)
-from hopfgalois.linalg import (Matrix, _columns, _leg_columns, kron_vec,
-                               lin_comb)
+from hopfgalois.linalg import Matrix, _columns, _leg_columns, lin_comb
 
 from conftest import (action_table, dense_actions, dense_comul, dense_mul,
-                      dense_rho, gather_legs)
+                      dense_rho, gather_legs, kron_vec)
 
 F2, F5, F7, F11 = (PrimeField(p) for p in (2, 5, 7, 11))
 

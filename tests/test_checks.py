@@ -16,10 +16,9 @@ from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import cyclic_cayley, group_algebra, sweedler_h4
 from hopfgalois.hopf import (StructureConstantAlgebra, first_failure,
                              multiplicative_witness)
-from hopfgalois.linalg import (Matrix, NotInvertible, _columns, basis_vec,
-                               kron_vec)
+from hopfgalois.linalg import Matrix, NotInvertible, _columns, basis_vec
 
-from conftest import dense_mul
+from conftest import dense_mul, kron_vec
 from test_sparse import scalars, tensors
 
 F3, F7 = PrimeField(3), PrimeField(7)

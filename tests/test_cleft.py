@@ -40,11 +40,9 @@ def test_find_cleft_negative_inconclusive_over_q(kxk_q):
 def test_extract_crossed_data_m2(m2_q):
     datum = cleft.find_cleft(m2_q)
     cp = cleft.extract_crossed_data(datum, m2_q)
-    # omega(g (x) -) swaps the two diagonal coordinates of B
-    g = basis_vec(QQ, 2, 1)
-    b0 = basis_vec(QQ, 2, 0)
-    swapped = [QQ.zero, QQ.one]
-    assert cp.act(g, b0) == swapped
+    # omega(g (x) -) swaps the two diagonal coordinates of B: the column
+    # g * dim B + 0 of omega is g . b_0 = b_1
+    assert cp.omega.col(1 * 2 + 0) == [QQ.zero, QQ.one]
 
 
 def test_build_crossed_product_cp_minus1():

@@ -26,10 +26,10 @@ from hopfgalois.fixtures import (graded_m2, regular_comodule, sweedler_h4,
 from hopfgalois.galois import (canonical_map, translation_map,
                                verify_translation_identities)
 from hopfgalois.hopf import DimensionMismatch, comul_on
-from hopfgalois.linalg import Matrix, _leg_columns, basis_vec, kron_vec
+from hopfgalois.linalg import Matrix, _leg_columns, basis_vec
 
 from conftest import (action_table, dense_actions, dense_comul, dense_rho,
-                      module_b, module_k)
+                      kron_vec, module_b, module_k)
 from test_linalg import dense_kernel
 from test_quotient import RUNGS, dense_tensor_over_B, fixture_cases
 from test_tables import shipped_coalgebras, shuffled

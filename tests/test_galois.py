@@ -4,7 +4,9 @@ from hopfgalois.fields import QQ
 from hopfgalois.galois import (NotGalois, canonical_map, canonical_map_prime,
                                phi_comparison, translation_map,
                                verify_translation_identities)
-from hopfgalois.linalg import Matrix, basis_vec, kron_vec
+from hopfgalois.linalg import Matrix, basis_vec
+
+from conftest import kron_vec
 
 
 def test_canonical_map_dims_m2(m2_q):

@@ -180,6 +180,24 @@ def test_cli_oversized_dim_is_an_input_error(record, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_cli_crash_exits_4_not_as_a_verdict(monkeypatch, capsys):
+    """An exception no check maps is an internal error, exit 4 with its
+    type and message on stderr: never exit 1, which reads as a failed
+    check.  run itself still raises it."""
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", boom)
+    kc2 = str(FIXTURES / "kc2.json")
+    with pytest.raises(RuntimeError, match="boom"):
+        cli.run(["validate", kc2])
+    for argv in (["validate", kc2], ["validate", kc2, "--output", "json"]):
+        assert cli.main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: boom\n"
+        assert captured.out == ""
+
+
 MALFORMED = {   # a mutation of m2_graded.json, and the field it must name
     "dim-text": (("modules", "b_regular", "dim"), "2", "modules.b_regular"),
     "dim-float": (("modules", "b_regular", "dim"), 2.0, "modules.b_regular"),

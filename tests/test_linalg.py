@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hopfgalois import _modp_py
 from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.linalg import (Factorization, Matrix, NoSolution,
-                               NotInvertible, basis_vec, eliminate, kron_vec)
+                               NotInvertible, basis_vec, eliminate)
 
-from conftest import scatter_legs
+from conftest import kron_vec, scatter_legs
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)

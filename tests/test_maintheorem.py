@@ -149,9 +149,6 @@ def per_pair_patterns(lin, pair_cap=8, sample=64, seed=0):
                     failures.append((maintheorem.PATTERN_LABELS[(i, j, k)],
                                      (i, j, k, fi, gi)))
                     break
-            else:
-                continue
-            break           # a failure also skips the (i, j, 2) pattern
     return failures
 
 
@@ -233,6 +230,17 @@ class _CorruptOneImage(maintheorem.LinearAlpha):
             images = images[:-1] + [type(bad)(bad.field, bad.rows, bad.cols,
                                               data)]
         super().keep(cls, images)
+
+
+def test_every_pattern_reports_its_own_first_failure(m2_q, monkeypatch):
+    # one corrupted alpha image of C(1, 2) on graded M_2 over Q breaks 11
+    # (f in C(1, 2)) and 21b (g in C(1, 2)) alike: the failure of 11 no
+    # longer hides 21b
+    report, _ = run_recorded(m2_q, module_b(m2_q), monkeypatch,
+                             base=_CorruptOneImage)
+    found = dict(pattern_failures(report))
+    assert found["21b"] == (1, 2, 2, 3, 0)
+    assert "11" in found
 
 
 @pytest.mark.parametrize("name", ["m2_q", "m2_f3", "h4_q", "h4_f5"])

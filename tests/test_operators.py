@@ -18,12 +18,12 @@ from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
                                  sweedler_h4)
 from hopfgalois.hopf import comul_on, convolution_operator, convolve
 from hopfgalois.lifting import ActionCandidate, _b_linear_space
-from hopfgalois.linalg import (Matrix, basis_vec, colinearity_operator,
-                               kron_vec, vec_add, vec_scale)
+from hopfgalois.linalg import Matrix, basis_vec, colinearity_operator
 
 from conftest import (action_table, dense_act, dense_actions, dense_comul,
-                      dense_mul, dense_rho, dense_rows, gather_legs, module_b,
-                      module_k, scatter_legs, tensor_entries, vstack)
+                      dense_mul, dense_rho, dense_rows, gather_legs, kron_vec,
+                      module_b, module_k, scatter_legs, tensor_entries,
+                      vec_add, vec_scale, vstack)
 
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 

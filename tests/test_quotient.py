@@ -28,10 +28,11 @@ from hopfgalois.galois import (canonical_map, canonical_map_prime,
 from hopfgalois.hopf import (CoalgebraData, HopfAlgebraData,
                              StructureConstantAlgebra, validate_hopf)
 from hopfgalois.linalg import (Matrix, _columns, _leg_columns, basis_vec,
-                               intertwiners, kron_vec, vec_add, vec_scale)
+                               intertwiners, summed)
 
 from conftest import (action_table, dense_actions, dense_comul, dense_mul,
-                      dense_rho, gather_legs, scatter_legs, tensor_entries)
+                      dense_rho, gather_legs, kron_vec, scatter_legs,
+                      tensor_entries, vec_add, vec_scale)
 from test_linalg import dense_rref
 
 F5, F7 = PrimeField(5), PrimeField(7)
@@ -239,8 +240,11 @@ def check_induction(m, ca, rng):
     n = len(q.columns)
     amb = Matrix(f, 3, n, [f.from_int(rng.randint(-2, 2)) for _ in range(3 * n)])
     assert q.gather(amb) == amb @ sect
-    for c in range(3):
-        assert q.project(amb.row(c)) == proj.apply(amb.row(c))
+    for c in range(3):      # the classes of a row, summed, are its image
+        assert summed(f, q.dim, 1, (
+            (k, x) for (k, _), x in q.classes(
+                (j, 0, x) for j, x in enumerate(amb.row(c))))).data \
+            == proj.apply(amb.row(c))
     ida = Matrix.identity(f, ca.algebra.dim)
     table = m.action_table
     for g in intertwiners(f, m.dim, m.dim, (table, table, m.base.dim)):

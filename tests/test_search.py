@@ -1,10 +1,12 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_comul, module_b, module_k, tensor_entries
+from conftest import (act_on, dense_comul, module_b, module_k, tensor_entries,
+                      vec_add, vec_scale)
 from hopfgalois import (cleft, cohomology, convcat, galois, lifting,
                         maintheorem, search)
 from hopfgalois.fields import QQ, PrimeField
@@ -14,8 +16,8 @@ from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra, graded_m2,
 from hopfgalois.hopf import (StructureConstantAlgebra, ValidationReport,
                              convolution_inverse, convolution_operator,
                              convolution_unit)
-from hopfgalois.linalg import (Matrix, NotInvertible, OperatorSpan,
-                               basis_vec, lin_comb, vec_add, vec_scale)
+from hopfgalois.linalg import (Matrix, NotInvertible, OperatorSpan, basis_vec,
+                               lin_comb)
 
 F3 = PrimeField(3)
 F7 = PrimeField(7)
@@ -110,8 +112,8 @@ def test_rational_points_free_families():
     mats = [Matrix(QQ, 1, 2, [QQ.one, QQ.zero]),
             Matrix(QQ, 1, 2, [QQ.zero, QQ.one])]
 
-    def equations(t, prod):
-        yield t([QQ.one, QQ.zero])[0] - t([QQ.zero, QQ.one])[0]
+    def equations(t, prod):         # t[j]: the symbolic column t(e_j)
+        yield t[0][0] - t[1][0]
 
     points = search.rational_points(k, mats, equations,
                                     lambda c: c if c[0] == 2 else None)
@@ -192,8 +194,8 @@ def test_measuring_witnesses_match_old_loops():
                 data[rng.randrange(8)] = rng.randrange(3)
             omega = Matrix(F3, 2, 4, data)
             act = cohomology.HModuleAlgebraAction(hopf, base, omega)
-            want = old_measuring(hopf, base, act.act)
-            assert cleft.measuring_witnesses(hopf, base, act.act) == want
+            want = old_measuring(hopf, base, partial(act_on, omega))
+            assert cleft.measuring_witnesses(hopf, base, act.columns) == want
             got = dict(act.validate().failures)
             assert (got.get("h.1=eps(h)1"),
                     got.get("h.(bc)=(h1.b)(h2.c)")) == want
@@ -353,7 +355,7 @@ def old_z1_membership(act, v_mat):
             rhs = [f.zero] * db
             for (h1, h2), c in tensor_entries(
                     f, dense_comul(hopf.coalgebra).apply(eh[h]), (dh, dh)):
-                v = base.product(act.act(eh[h1], v_mat.col(k)),
+                v = base.product(act_on(act.action, eh[h1], v_mat.col(k)),
                                  v_mat.apply(eh[h2]))
                 rhs = vec_add(f, rhs, vec_scale(f, c, v))
             if lhs != rhs:
@@ -624,7 +626,7 @@ def loop_holds(act, v_mat):
             rhs = [f.zero] * db
             for (h1, h2), c in tensor_entries(
                     f, dense_comul(hopf.coalgebra).apply(eh[h]), (dh, dh)):
-                v = base.product(act.act(eh[h1], v_mat.col(k)),
+                v = base.product(act_on(act.action, eh[h1], v_mat.col(k)),
                                  v_mat.apply(eh[h2]))
                 rhs = vec_add(f, rhs, vec_scale(f, c, v))
             if lhs != rhs:
@@ -676,7 +678,7 @@ def test_compiled_cocycle_law_is_the_per_pair_loop(name, field):
 
 def old_z1_equations(act):
     """The former Q path of z1_enumerate, re-deriving the cocycle law
-    through act.act and prod."""
+    through the dense action and prod."""
     f = act.field
     base, hopf = act.base, act.hopf
     db, dh = base.dim, hopf.dim
@@ -690,7 +692,7 @@ def old_z1_equations(act):
                 rhs = [0] * db
                 for (h1, h2), c in tensor_entries(
                         f, dense_comul(hopf.coalgebra).apply(eh[h]), (dh, dh)):
-                    cols = [act.act(eh[h1], e) for e in eb]
+                    cols = [act_on(act.action, eh[h1], e) for e in eb]
                     acted = [sum(col[r] * x for col, x in zip(cols, v(eh[k])))
                              for r in range(db)]
                     term = prod(acted, v(eh[h2]))
@@ -699,6 +701,21 @@ def old_z1_equations(act):
                     v(hopf.algebra.product(eh[h], eh[k])), rhs))
 
     return equations
+
+
+def former_t(t_cols):
+    """The former t(vec) of rational_points: the symbolic columns t_cols
+    applied to a coordinate vector."""
+    import sympy
+
+    def t(vec):
+        out = [sympy.Integer(0)] * len(t_cols[0])
+        for x, col in zip(vec, t_cols):
+            if x != 0:
+                out = [o + sympy.Rational(x) * v for o, v in zip(out, col)]
+        return out
+
+    return t
 
 
 @pytest.mark.parametrize("name,action", [
@@ -720,7 +737,8 @@ def test_q_equations_are_the_former_ones(monkeypatch, name, action):
         def both(t, prod):
             new = [sympy.expand(e) for e in equations(t, prod)]
             lists.append((new, [sympy.expand(e)
-                                for e in old_z1_equations(act)(t, prod)]))
+                                for e in old_z1_equations(act)(
+                                    former_t(t), prod)]))
             return new
         return solve(algebra, mats, both, test, refuse)
 

@@ -27,9 +27,9 @@ from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
 from hopfgalois.hopf import (CoalgebraData, StructureConstantAlgebra,
                              convolution_operator, convolve)
 from hopfgalois.linalg import (Matrix, _columns, _leg_columns, basis_vec,
-                               kron_vec, reduced)
+                               reduced)
 
-from conftest import action_table, dense_comul, dense_mul
+from conftest import action_table, dense_comul, dense_mul, kron_vec
 
 F2, F3, F7 = PrimeField(2), PrimeField(3), PrimeField(7)
 F_BIG = PrimeField(2 ** 61 - 1)     # beyond the compiled kernels' range

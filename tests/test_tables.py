@@ -21,9 +21,9 @@ from hopfgalois.fixtures import regular_comodule, sweedler_h4, taft
 from hopfgalois.hopf import (CoalgebraData, HopfAlgebraData,
                              StructureConstantAlgebra, _table, comul_terms,
                              validate_hopf)
-from hopfgalois.linalg import Matrix, _columns, _leg_columns, kron_vec
+from hopfgalois.linalg import Matrix, _columns, _leg_columns
 
-from conftest import dense_comul_iterated, tensor_entries
+from conftest import dense_comul_iterated, kron_vec, tensor_entries
 
 F5, F7 = PrimeField(5), PrimeField(7)
 F_BIG = PrimeField(2 ** 61 - 1)

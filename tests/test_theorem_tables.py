@@ -25,11 +25,11 @@ from hopfgalois.hopf import ValidationReport
 from hopfgalois.maintheorem import (TheoremContext, delta1, delta2,
                                     delta_bar)
 from hopfgalois.linalg import (Factorization, Matrix, NoSolution, _leg_columns,
-                               basis_vec, kron_vec, lin_comb, reduced,
-                               sparse_kernel)
+                               basis_vec, lin_comb, reduced, sparse_kernel)
 
 from conftest import (action_table, dense_actions, dense_comul, dense_mul,
-                      dense_rho, dense_rows, scatter_legs, tensor_entries)
+                      dense_rho, dense_rows, kron_vec, project, scatter_legs,
+                      tensor_entries)
 from test_linalg import dense_kernel
 from test_quotient import F7, RUNGS, fixture_cases, relabelled
 
@@ -193,7 +193,7 @@ def old_beta12_tilde(ctx, u_prime_mat):
         for aj in range(da):
             acc = [f.zero] * ctx.quot.dim
             for a0, h, c in ctx.ca.coaction_table[aj]:
-                p = ctx.quot.project(kron_vec(f, basis_vec(f, dm, mi),
+                p = project(ctx.quot, kron_vec(f, basis_vec(f, dm, mi),
                                               basis_vec(f, da, a0)))
                 w = evs[h].apply(p)
                 acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, w)]
@@ -211,10 +211,10 @@ def old_alpha12_hat(ctx, phi):
         for mi, aj in (divmod(j, da) for j in ctx.quot.free):
             acc = [f.zero] * ctx.quot.dim
             for (l, r), c in tensor_entries(f, rep, (da, da)):
-                mv = phi.apply(ctx.quot.project(
+                mv = phi.apply(project(ctx.quot, 
                     kron_vec(f, basis_vec(f, dm, mi), basis_vec(f, da, l))))
                 av = ctx.ca.algebra.basis_product(r, aj)
-                term = ctx.quot.project(kron_vec(f, mv, av))
+                term = project(ctx.quot, kron_vec(f, mv, av))
                 acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, term)]
             amb_cols.append(acc)
         endos.append(Matrix.from_cols(f, amb_cols, nrows=ctx.quot.dim))
@@ -244,7 +244,7 @@ def old_alpha22_bar(ctx, kappa):
         for mi, aj in (divmod(j, da) for j in ctx.quot.free):
             acc = [f.zero] * ctx.quot.dim
             for (l, r), c in tensor_entries(f, rep, (da, da)):
-                base = kappa.apply(ctx.quot.project(
+                base = kappa.apply(project(ctx.quot, 
                     kron_vec(f, basis_vec(f, dm, mi), basis_vec(f, da, l))))
                 for s, y in mul[r * da + aj]:
                     acc = [x + c * y * z
