@@ -30,7 +30,8 @@ from .hopf import (CoalgebraData, OneSidedInverse, StructureConstantAlgebra,
                    is_convolution_inverse, linear_witness,
                    multiplicative_witness)
 from .linalg import (Matrix, NotInvertible, OperatorSpan, _columns, _nonzero,
-                     _pair, _terms, intertwiners, lin_comb, reduced, summed)
+                     _pair, _terms, intertwiners, lin_comb, reduced, summed,
+                     summed_columns)
 from .search import EXHAUSTIVE_CAP, NotFound
 
 
@@ -253,9 +254,9 @@ def build_crossed_product(base, hopf, omega, sigma, sigma_bar=None):
         raise InternalInvariant(f"B#H comodule axioms failed: {rep.failures[0]}")
     coinv = ca.coinvariants()
     # the columns b_i # 1 of B # 1 lie in the coinvariants
-    if coinv.dim != db or coinv.coords(summed(f, n, db, (
-            ((i * dh + h) * db + i, u) for i in range(db)
-            for h, u in _nonzero(hunit))))[1] is not None:
+    if coinv.dim != db or coinv.coords(
+            [[(i * dh + h, u) for h, u in _nonzero(hunit)]
+             for i in range(db)])[1] is not None:
         raise InternalInvariant("coinvariants of B#H are not B # 1")
     return CrossedProductData(base, hopf, omega, sigma, sigma_bar, ca)
 
@@ -297,11 +298,11 @@ def extract_crossed_data(datum, ca):
                                    for r, y in cols[t]))
 
     def in_b(amb, what, width):
-        coords, bad = b.coords(amb)
+        coords, bad = b.coords(_columns(amb))
         if bad is not None:
             raise InvariantFailure(f"{what} at {divmod(bad, width)} "
                                    "is not coinvariant")
-        return coords
+        return summed_columns(f, b.dim, coords)
 
     omega = in_b(omega_t(ca, datum.t.matrix, datum.u.matrix),
                  "omega_t value", b.dim)
@@ -326,7 +327,7 @@ def crossed_canonical_inverse(cp):
 
     Verifies entry-for-entry that the displayed inverse
     can^{-1}(b (x) h (x) k) = b sigmabar(h1 S(k2) (x) k3) (x) h2 S(k1) (x) k4
-    equals the matrix inverse, and that Remark 5.3's l_i (x) r_i, t and u
+    equals the computed one, and that Remark 5.3's l_i (x) r_i, t and u
     reproduce the computed translation map.  Both sides are summed raw from
     the columns of sigmabar, S, can^{-1} and gamma, an element of
     A (x)_B A projected term by term.
@@ -357,9 +358,9 @@ def crossed_canonical_inverse(cp):
         return quot.classes((l * n + j * dh + k, 0, x * u)
                             for l, x in left for j, u in ones)
 
-    # closed-form inverse, compared column by column against can.inverse
-    inv = _columns(can.inverse)
+    # closed-form inverse, compared column by column against can^-1's rows
     for bi, hi, ki in itertools.product(range(db), range(dh), range(dh)):
+        i = (bi * dh + hi) * dh + ki
         if not _agree(f, (
                 (key, c1 * c2 * x) for h1, h2, c1 in dl[hi]
                 for (k1, k2, k3, k4), c2 in dl4[ki]
@@ -368,7 +369,8 @@ def crossed_canonical_inverse(cp):
                     for a, z in _pair(base.mul_table, db, [(bi, f.one)],
                                       sgb[t * dh + k3])
                     for t2, w in h_s(h2, k1)), k4)),
-                (((q, 0), x) for q, x in inv[(bi * dh + hi) * dh + ki])):
+                (((q, 0), row[i]) for q, row in enumerate(can.inverse)
+                 if i in row)):
             result.fail("closed-form-inverse", (bi, hi, ki))
     gamma = _columns(translation_map(ca, can).gamma)
     # Remark 5.3: Sum l_i(h) (x) r_i(h)
@@ -442,15 +444,15 @@ def _varphi_matrix(ca, b, u_mat):
         _columns(u_mat)
     # column a * dh + a2 groups by the a_[2] leg: only Sum a_[0] u(a_[1])
     # is coinvariant
-    part, bad = b.coords(summed(f, da, da * dh, (
-        (r * da * dh + a * dh + a2, x * y * z) for a, terms in enumerate(rho)
-        for a0, h, x in terms for a1, a2, y in comul[h]
-        for r, z in _pair(alg.mul_table, da, [(a0, f.one)], us[a1]))))
+    part, bad = b.coords([[
+        (r, x * y * z) for a0, h, x in rho[a] for a1, k, y in comul[h]
+        if k == a2 for r, z in _pair(alg.mul_table, da, [(a0, f.one)], us[a1])]
+        for a in range(da) for a2 in range(dh)])
     if bad is not None:
         raise InternalInvariant("vector not in the subalgebra")
     return summed(f, db * dh, da, (
         ((i * dh + j % dh) * da + j // dh, x)
-        for j, col in enumerate(_columns(part)) for i, x in col))
+        for j, col in enumerate(part) for i, x in col))
 
 
 def _left_b_actions(ca, b):

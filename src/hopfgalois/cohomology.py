@@ -20,7 +20,7 @@ from .hopf import (ValidationReport, _agree, convolution_inverse,
                    convolution_operator, convolution_unit, convolve,
                    first_failure, is_cocommutative)
 from .linalg import (Matrix, NotInvertible, OperatorSpan, _columns, _nonzero,
-                     _pair, _terms, sparse_kernel, summed)
+                     _pair, _terms, sparse_kernel, summed, summed_columns)
 from .search import EXHAUSTIVE_CAP, NotFound, SearchInconclusive
 
 
@@ -131,10 +131,12 @@ def trivial_action(hopf, base):
 def action_from_cleft(ca, datum):
     """omega_t on B = A^{co H}, per Eq. (omega) of Thm 5.2's proof."""
     b = ca.coinvariants()
-    omega, bad = b.coords(cleft.omega_t(ca, datum.t.matrix, datum.u.matrix))
+    omega, bad = b.coords(_columns(cleft.omega_t(ca, datum.t.matrix,
+                                                  datum.u.matrix)))
     if bad is not None:
         raise InternalInvariant("vector not in the subalgebra")
-    return HModuleAlgebraAction(ca.hopf, b.algebra, omega)
+    return HModuleAlgebraAction(ca.hopf, b.algebra,
+                                summed_columns(ca.field, b.dim, omega))
 
 
 def _gate(hopf, base):
@@ -380,11 +382,8 @@ def groupoid_xa_check(ca, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
 
     def in_b(m):
         """An A-valued map as a B-valued one, or None if a value leaves B."""
-        try:
-            return Matrix.from_cols(f, [b.from_ambient(m.col(h))
-                                        for h in range(hopf.dim)], nrows=b.dim)
-        except InternalInvariant:
-            return None
+        x, bad = b.coords(_columns(m))
+        return None if bad is not None else summed_columns(f, b.dim, x)
 
     def in_z1_ambient(m):
         v = in_b(m)
@@ -478,9 +477,10 @@ def prop57_check(ca, t0=None, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
         return convcat.convolve_matrices(ca, _embed_v(ca, b, v), t0, "C")
 
     def F_inv(t):
-        m = convcat.convolve_matrices(ca, t, u0, "C")
-        cols = [b.from_ambient(m.col(h)) for h in range(hopf.dim)]
-        return Matrix.from_cols(f, cols, nrows=b.dim)
+        x, bad = b.coords(_columns(convcat.convolve_matrices(ca, t, u0, "C")))
+        if bad is not None:
+            raise InternalInvariant("vector not in the subalgebra")
+        return summed_columns(f, b.dim, x)
 
     for i, v in enumerate(z1):
         t = F(v)

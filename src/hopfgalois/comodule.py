@@ -16,9 +16,9 @@ import itertools
 from .hopf import (DimensionMismatch, StructureConstantAlgebra,
                    ValidationReport, _agree, _table, first_failure,
                    tensor_algebra_map)
-from .linalg import (Factorization, Matrix, NoSolution, _columns, _terms,
-                     colinearity_operator, eliminate, sparse_kernel,
-                     summed)
+from .linalg import (Factorization, Matrix, _columns, _nonzero, _pair,
+                     _terms, colinearity_operator, eliminate, sparse_kernel,
+                     summed, summed_columns)
 
 
 class InternalInvariant(RuntimeError):
@@ -78,7 +78,7 @@ class SubalgebraEmbedding:
         self.ambient = ambient
         self.inclusion = inclusion
         self.algebra = algebra
-        self.factored = factored        # Factorization(inclusion)
+        self.factored = factored        # Factorization of the inclusion
 
     @property
     def dim(self):
@@ -87,37 +87,32 @@ class SubalgebraEmbedding:
     def to_ambient(self, v):
         return self.inclusion.apply(v)
 
-    def from_ambient(self, v):
-        """Coordinates in B of an ambient vector known to lie in B."""
-        try:
-            return self.factored.solve(v)
-        except NoSolution as exc:
-            raise InternalInvariant("vector not in the subalgebra") from exc
-
-    def coords(self, amb):
-        """(X, bad): column j of X holds the coordinates in B of column j of
-        amb, from one solve, and bad is the first column of amb outside B,
-        or None."""
-        x, ok = self.factored.solve_columns(amb)
+    def coords(self, cols):
+        """(x_cols, bad): x_cols[j] holds the coordinates in B of the
+        ambient vector with the raw terms cols[j], in the layout of
+        _columns, from one solve, and bad is the first j outside B, or
+        None."""
+        x, ok = self.factored.solve_columns(cols)
         return x, next((j for j, good in enumerate(ok) if not good), None)
 
 
 def _coinvariant_subalgebra(ca):
-    f = ca.field
-    da = ca.algebra.dim
-    incl = comodule_coinvariant_basis(f, da, ca.coaction_table,
+    f, alg = ca.field, ca.algebra
+    incl = comodule_coinvariant_basis(f, alg.dim, ca.coaction_table,
                                       ca.hopf.algebra.unit)
-    db, factored = incl.cols, Factorization(incl)
-    unit_b = factored.solve(ca.algebra.unit)  # 1_A is always coinvariant
-    prods = [ca.algebra.product(incl.col(i), incl.col(j))
-             for i in range(db) for j in range(db)]
-    try:
-        mul = factored.solve_matrix(Matrix.from_cols(f, prods, nrows=da))
-    except NoSolution as exc:
-        raise InternalInvariant("coinvariants not closed under product") from exc
-    b_alg = StructureConstantAlgebra(f, db, _columns(mul), unit_b,
+    cols = _columns(incl)
+    factored = Factorization(f, cols)
+    # 1_A is always coinvariant; mul is B's mul_table as solved
+    (unit, *mul), ok = factored.solve_columns(
+        [_nonzero(alg.unit)] + [list(_pair(alg.mul_table, alg.dim, ci, cj))
+                                for ci in cols for cj in cols])
+    if not all(ok):
+        raise InternalInvariant("coinvariants not closed under product")
+    db = incl.cols
+    b_alg = StructureConstantAlgebra(f, db, mul,
+                                     summed_columns(f, db, [unit]).data,
                                      [f"b{i}" for i in range(db)])
-    return SubalgebraEmbedding(ca.algebra, incl, b_alg, factored)
+    return SubalgebraEmbedding(alg, incl, b_alg, factored)
 
 
 class BModule:
@@ -278,13 +273,6 @@ class QuotientSpace:
         cols = self.columns
         return (((q, k), x * y) for j, k, x in terms for q, y in cols[j])
 
-    def gather(self, amb):
-        """amb @ section: the columns free[q] of amb."""
-        data, n = amb.data, amb.cols
-        return Matrix(amb.field, amb.rows, self.dim,
-                      [data[base + j] for base in range(0, len(data), n)
-                       for j in self.free])
-
     def induced(self, image):
         """projection . g . section for the ambient map g with g(e_j) =
         Sum x e_i over the raw terms (i, 0, x) of image(j): a dim x dim
@@ -357,15 +345,14 @@ def adjunction_unit(m, ca, induced=None):
     coords expresses eta through the computed coinvariant basis.
     """
     ind = induced if induced is not None else tensor_over_B(m, ca)
-    f, quot, dm = ca.field, ind.quotient, m.dim
-    unit, da = list(enumerate(ca.algebra.unit)), ca.algebra.dim
-    eta = summed(f, quot.dim, dm, ((q * dm + i, u * y) for i in range(dm)
-                                   for a, u in unit
-                                   for q, y in quot.columns[i * da + a]))
+    f, quot = ca.field, ind.quotient
+    unit, da = _nonzero(ca.algebra.unit), ca.algebra.dim
+    eta_cols = [[(q, u * y) for a, u in unit
+                 for q, y in quot.columns[i * da + a]] for i in range(m.dim)]
     coinv = ind.module.coinvariant_basis(ca)
-    try:
-        coords = coinv.solve_matrix(eta)
-    except NoSolution as exc:
-        raise InternalInvariant("eta does not land in the coinvariants") from exc
-    bijective = coords.is_invertible()
-    return eta, coords, bijective
+    x, ok = Factorization(f, _columns(coinv)).solve_columns(eta_cols)
+    if not all(ok):
+        raise InternalInvariant("eta does not land in the coinvariants")
+    coords = summed_columns(f, coinv.cols, x)
+    eta = summed_columns(f, quot.dim, eta_cols)
+    return eta, coords, coords.is_invertible()

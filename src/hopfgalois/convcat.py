@@ -51,10 +51,6 @@ class HomSpaceBasis:
     def dim(self):
         return len(self.elements)
 
-    def coordinate_matrix(self, field, da, dh):
-        return Matrix.from_cols(field, [e.matrix.data for e in self.elements],
-                                nrows=da * dh)
-
 
 def _constraint_terms(ca, cls, variant):
     """terms[h]: the raw (h2, k, c) with which class (cls, variant) requires

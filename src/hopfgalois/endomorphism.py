@@ -10,8 +10,8 @@ one factorization of the basis.
 
 from .comodule import ComoduleAlgebraData, InternalInvariant, adjunction_unit
 from .hopf import StructureConstantAlgebra, _agree, first_failure
-from .linalg import (Factorization, Matrix, NoSolution, _columns, basis_vec,
-                     intertwiners, lin_comb)
+from .linalg import (Factorization, _columns, _nonzero, basis_vec,
+                     intertwiners, lin_comb, summed_columns)
 
 
 class NotRational(RuntimeError):
@@ -34,25 +34,26 @@ def rational_coaction(ca, module, basis, coords):
     against coords, the basis factored.  Raises NotRational if a slice is
     outside span(basis).
     """
-    f, dh, dq, n = ca.field, ca.hopf.dim, module.dim, len(basis)
+    dh, dq, n = ca.hopf.dim, module.dim, len(basis)
     hmul, rho = ca.hopf.algebra.mul_table, module.coaction_table
     s = _columns(ca.hopf.antipode)
     hs = [[(t, y * m) for r, y in s[h0] for t, m in hmul[h1 * dh + r]]
           for h1 in range(dh) for h0 in range(dh)]     # e_h1 S(e_h0)
-    out = [f.zero] * (dq * dq * n * dh)   # raw; row (r0, p), column (i, h)
-    for i, b in enumerate(basis):
-        cols = _columns(b)
+    cols = []                               # raw; row (r0, p), column (i, h)
+    for b in basis:
+        b_cols, out = _columns(b), [[] for _ in range(dh)]
         for p in range(dq):
             for p0, h0, x in rho[p]:
-                for r, z in cols[p0]:
+                for r, z in b_cols[p0]:
                     for r0, h1, y in rho[r]:
                         for t, m in hs[h1 * dh + h0]:
-                            out[((r0 * dq + p) * n + i) * dh + t] += x * z * y * m
-    x, ok = coords.solve_columns(Matrix(f, dq * dq, n * dh, out))
+                            out[t].append((r0 * dq + p, x * z * y * m))
+        cols += out
+    x, ok = coords.solve_columns(cols)
     if not all(ok):
         raise NotRational("rho(f) is not in End_A (x) H")
-    return [[(k, h, c) for k in range(n) for h in range(dh)
-             if (c := x.data[(k * n + i) * dh + h])] for i in range(n)]
+    return [sorted((k, h, c) for h in range(dh) for k, c in x[i * dh + h])
+            for i in range(n)]
 
 
 class EndComoduleAlgebra:
@@ -73,17 +74,13 @@ class EndComoduleAlgebra:
         """Endomorphism matrix of an element given in E-coordinates."""
         return lin_comb(self.basis, coords)
 
-    def to_coords(self, mat):
-        return self.coords_matrix([mat]).data
-
-    def coords_matrix(self, mats):
-        """E-coordinates of the endomorphisms mats, one column each."""
-        n = self._coords.a.rows
-        try:
-            return self._coords.solve_matrix(Matrix.from_cols(
-                self.base.field, [m.data for m in mats], nrows=n))
-        except NoSolution as exc:
-            raise InternalInvariant("matrix not A-linear") from exc
+    def coords_matrix(self, cols):
+        """E-coordinates, one column each, of the endomorphisms with the raw
+        row-major terms cols."""
+        x, ok = self._coords.solve_columns(cols)
+        if not all(ok):
+            raise InternalInvariant("matrix not A-linear")
+        return summed_columns(self.base.field, self.dim, x)
 
 
 def build_E(ca, induced):
@@ -93,20 +90,19 @@ def build_E(ca, induced):
     dq = module.dim
     basis = end_A(ca, module)
     n = len(basis)
-    coords = Factorization(Matrix.from_cols(field, [b.data for b in basis],
-                                            nrows=dq * dq))
+    coords = Factorization(field, [_nonzero(b.data) for b in basis])
     cols = [_columns(b) for b in basis]
-    # raw vec(b_i b_j) in column i*n + j; the solve reduces what it reads
-    prods = [field.zero] * (dq * dq * n * n)
-    for i, ci in enumerate(cols):
-        for j, cj in enumerate(cols):
-            for v, terms in enumerate(cj):
-                for w, z in terms:
-                    for u, y in ci[w]:
-                        prods[(u * dq + v) * n * n + i * n + j] += y * z
-    mul = coords.solve_matrix(Matrix(field, dq * dq, n * n, prods))
-    unit = coords.solve(Matrix.identity(field, dq).data)
-    alg = StructureConstantAlgebra(field, n, _columns(mul), unit,
+    # the identity, then vec(b_i b_j) in column i*n + j, raw: mul is E's
+    # mul_table as solved
+    (unit, *mul), ok = coords.solve_columns(
+        [[(v * dq + v, field.one) for v in range(dq)]]
+        + [[(u * dq + v, y * z) for v, terms in enumerate(cj)
+            for w, z in terms for u, y in ci[w]]
+           for ci in cols for cj in cols])
+    if not all(ok):
+        raise InternalInvariant("End_A not closed under composition")
+    alg = StructureConstantAlgebra(field, n, mul,
+                                   summed_columns(field, n, [unit]).data,
                                    [f"f{i}" for i in range(n)])
     e_ca = ComoduleAlgebraData(ca.hopf, alg,
                                rational_coaction(ca, module, basis, coords))
@@ -150,14 +146,21 @@ def build_F(ca, m, e):
         raise InternalInvariant("eta_M not bijective; extension not Galois")
     endb_basis = intertwiners(field, m.dim, m.dim, (
         m.action_table, m.action_table, m.base.dim))
-    eta_fac = Factorization(eta)
+    eta_fac = Factorization(field, _columns(eta))
 
     def restrict(coords_f):
         phi = e.to_matrix(emb.inclusion.apply(coords_f))
-        return eta_fac.solve_matrix(phi @ eta)   # g with eta g = phi eta
+        g, ok = eta_fac.solve_columns(_columns(phi @ eta))  # eta g = phi eta
+        if not all(ok):
+            raise InternalInvariant("phi eta leaves the image of eta")
+        return summed_columns(field, m.dim, g)
 
     def extend(g_mat):
-        return emb.from_ambient(e.to_coords(e.induced.induced_map(g_mat)))
+        x, bad = emb.coords(_columns(e.coords_matrix(
+            [_nonzero(e.induced.induced_map(g_mat).data)])))
+        if bad is not None:
+            raise InternalInvariant("vector not in the subalgebra")
+        return summed_columns(field, emb.dim, x).data
 
     return CoinvariantIdentification(e, emb, restrict, extend, endb_basis)
 

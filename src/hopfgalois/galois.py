@@ -4,16 +4,16 @@ translation map gamma_A(h) = can^{-1}(1 (x) h) and identities (1.2.1)-(1.2.7).
 A (x)_B A is realized through comodule.tensor_over_B with A as a right
 B-module; every identity stated in the quotient is checked on projected
 coordinates, never on representatives.  can, can', gamma and (1.2.1)-(1.2.7)
-read mul_table, the columns of rho and the quotient's index maps,
-phi_comparison is summed from the tables of H, rho and S, and gamma sums
-the columns of can^-1 at the support of 1_A, so no map here forms a
-Kronecker product or applies a basis vector.
+read mul_table, the columns of rho and the quotient's index maps, and
+phi_comparison is summed from the tables of H, rho and S, so no map here
+forms a Kronecker product or applies a basis vector.  can and can' are held
+as the sparse rows that linalg.eliminate takes, never as a Matrix; can^-1
+is the combination rows of can's one elimination.
 """
 
 from .comodule import algebra_as_bmodule, tensor_over_B
 from .hopf import ValidationReport, _agree, first_failure
-from .linalg import (Matrix, NotInvertible, _columns, _leg_columns,
-                     reduced, summed)
+from .linalg import Matrix, _columns, _leg_columns, eliminate, summed
 
 
 class NotGalois(RuntimeError):
@@ -21,9 +21,11 @@ class NotGalois(RuntimeError):
 
 
 class CanonicalMapData:
-    def __init__(self, matrix, inverse, galois, induced):
-        self.matrix = matrix          # quotient coords of A (x)_B A -> A (x) H
-        self.inverse = inverse        # None when not galois, and for can'
+    def __init__(self, rows, shape, inverse, galois, induced):
+        self.rows = rows              # {q: x} per (r, h) of A (x) H, x raw
+        self.shape = shape            # (dim A (x) H, dim A (x)_B A)
+        self.inverse = inverse        # can^-1's {r * dim H + h: y} per q,
+                                      # None if not galois, and for can'
         self.galois = galois
         self.induced = induced        # the A (x)_B A presentation
 
@@ -35,24 +37,25 @@ def _a_tensor_a(ca):
 def _canonical(ca, induced, prime):
     """can, or can' when prime, with its Galois verdict: column q is the
     image of the section's a (x) a' = e_{free[q]}, read from mul_table and
-    the columns of rho."""
+    the columns of rho; can's RREF is the identity, so the combinations
+    of its rows are the rows of can^-1."""
     ind = induced if induced is not None else _a_tensor_a(ca)
     f, quot = ca.field, ind.quotient
-    da, dh, n = ca.algebra.dim, ca.hopf.dim, quot.dim
+    da, dh = ca.algebra.dim, ca.hopf.dim
     mul, rho = ca.algebra.mul_table, ca.coaction_table
-    out = [f.zero] * (da * dh * n)
+    rows = [{} for _ in range(da * dh)]
     for q, j in enumerate(quot.free):
         a, a2 = divmod(j, da)
         for a0, h, x in rho[a if prime else a2]:
             for r, c in mul[a0 * da + a2 if prime else a * da + a0]:
-                out[(r * dh + h) * n + q] += x * c
-    mat = Matrix(f, da * dh, n, reduced(f, out))
-    if prime:
-        return CanonicalMapData(mat, None, mat.is_invertible(), ind)
-    try:                    # can is reduced once: its inverse or singular
-        return CanonicalMapData(mat, mat.invert(), True, ind)
-    except NotInvertible:
-        return CanonicalMapData(mat, None, False, ind)
+                row = rows[r * dh + h]
+                row[q] = row.get(q, 0) + x * c
+    shape = (da * dh, quot.dim)
+    done = shape[0] == shape[1] and eliminate(
+        f, rows, combos=not prime, independent=True, back=not prime)
+    inverse = None if prime or not done else [
+        done[1][q] for q in range(quot.dim)]
+    return CanonicalMapData(rows, shape, inverse, bool(done), ind)
 
 
 def canonical_map(ca, induced=None):
@@ -99,23 +102,19 @@ class TranslationMap:
         self.can = can_data
         self.induced = can_data.induced
         quot = can_data.induced.quotient
-        # gamma(h) = can^-1(1_A (x) h): the columns a * dh + h of can^-1
-        # at the support of 1_A, read as slices of its data
-        inv, n = can_data.inverse.data, can_data.inverse.cols
+        # gamma(h) = can^-1(1_A (x) h): the entries a * dh + h of the rows
+        # of can^-1 at the support of 1_A
+        unit = ca.algebra.unit
         self.gamma = summed(f, quot.dim, dh, (
-            (q * dh + h, u * x) for h in range(dh)
-            for a, u in enumerate(ca.algebra.unit) if u
-            for q, x in enumerate(inv[a * dh + h::n]) if x))
+            (q * dh + i % dh, unit[i // dh] * y)
+            for q, row in enumerate(can_data.inverse) for i, y in row.items()
+            if unit[i // dh]))
         # representative Sum_i l_i(h) (x) r_i(h) in A (x) A, via the section:
         # row q of gamma is row free[q]
         data = [f.zero] * (da * da * dh)
         for q, j in enumerate(quot.free):
             data[j * dh:(j + 1) * dh] = self.gamma.row(q)
         self.representative = Matrix(f, da * da, dh, data)
-
-    def rep(self, h_vec):
-        """The chosen representative in A (x) A (flat, left leg major)."""
-        return self.representative.apply(h_vec)
 
 
 def translation_map(ca, can_data=None):

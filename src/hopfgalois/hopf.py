@@ -29,8 +29,9 @@ import functools
 import itertools
 import math
 
-from .linalg import (Matrix, NoSolution, NotInvertible, _columns, _terms,
-                     basis_vec, reduced, summed)
+from .linalg import (Factorization, Matrix, NotInvertible, _columns,
+                     _nonzero, _terms, basis_vec, reduced, summed,
+                     summed_columns)
 
 
 class DimensionMismatch(ValueError):
@@ -191,29 +192,26 @@ class StructureConstantAlgebra:
 
     def lmul(self, v):
         """Matrix of left multiplication by the element v."""
-        return self._mul_by(v, True)
+        return summed_columns(self.field, self.dim, self._mul_columns(v, True))
 
     def rmul(self, v):
-        return self._mul_by(v, False)
+        return summed_columns(self.field, self.dim,
+                              self._mul_columns(v, False))
 
-    def _mul_by(self, v, left):
-        """Column j is v e_j (left) or e_j v, from the mul table."""
-        f, n, table = self.field, self.dim, self.mul_table
-        out = [f.zero] * (n * n)
-        for i, a in enumerate(v):
-            if a != f.zero:
-                for j in range(n):
-                    for r, c in table[i * n + j if left else j * n + i]:
-                        out[r * n + j] += c * a
-        return Matrix(f, n, n, reduced(f, out))
+    def _mul_columns(self, v, left):
+        """The raw terms of column j, v e_j (left) or e_j v, from the mul
+        table."""
+        n, table, vs = self.dim, self.mul_table, _nonzero(v)
+        return [[(r, c * a) for i, a in vs
+                 for r, c in table[i * n + j if left else j * n + i]]
+                for j in range(n)]
 
     def element_inverse(self, v):
         """Two-sided inverse of v, or None."""
-        try:
-            w = self.lmul(v).solve(self.unit)
-        except NoSolution:
-            return None
-        if self.product(w, v) != self.unit:
+        (w,), (ok,) = Factorization(self.field, self._mul_columns(
+            v, True)).solve_columns([_nonzero(self.unit)])
+        w = summed_columns(self.field, self.dim, [w]).data
+        if not ok or self.product(w, v) != self.unit:
             return None
         return w
 
@@ -409,14 +407,25 @@ def is_convolution_inverse(algebra, coalgebra, f_mat, g_mat):
 
 
 def convolution_operator(algebra, coalgebra, f_mat):
-    """Matrix on vec(X) of X -> f * X, (f * X)(c) = Sum x f(c1) X(c2) over
-    the Delta table of c, each product from the mul table."""
+    """Matrix on vec(X) of X -> f * X."""
+    n = algebra.dim * coalgebra.dim
+    return summed_columns(algebra.field, n, _convolution_columns(
+        algebra, coalgebra, f_mat))
+
+
+def _convolution_columns(algebra, coalgebra, f_mat):
+    """The raw terms of column a * dC + c2 of convolution_operator: (f * X)
+    (c) = Sum x f(c1) X(c2) over the Delta table of c, each product from
+    the mul table."""
     da, dc, fs = algebra.dim, coalgebra.dim, _columns(f_mat)
-    return summed(algebra.field, da * dc, da * dc, (
-        ((r * dc + c) * da * dc + a * dc + c2, x * y * m)
-        for c, terms in enumerate(coalgebra.comul_table)
-        for c1, c2, x in terms for i, y in fs[c1] for a in range(da)
-        for r, m in algebra.mul_table[i * da + a]))
+    cols = [[] for _ in range(da * dc)]
+    for c, terms in enumerate(coalgebra.comul_table):
+        for c1, c2, x in terms:
+            for i, y in fs[c1]:
+                for a in range(da):
+                    for r, m in algebra.mul_table[i * da + a]:
+                        cols[a * dc + c2].append((r * dc + c, x * y * m))
+    return cols
 
 
 def convolution_inverse(algebra, coalgebra, f_mat):
@@ -428,11 +437,11 @@ def convolution_inverse(algebra, coalgebra, f_mat):
     OneSidedInverse when only the right inverse exists.
     """
     unit = convolution_unit(algebra, coalgebra)
-    try:
-        sol = convolution_operator(algebra, coalgebra, f_mat).solve(unit.data)
-    except NoSolution as exc:
-        raise NotInvertible("no right convolution inverse") from exc
-    g_mat = Matrix(algebra.field, algebra.dim, coalgebra.dim, sol)
+    (g,), (ok,) = Factorization(algebra.field, _convolution_columns(
+        algebra, coalgebra, f_mat)).solve_columns([_nonzero(unit.data)])
+    if not ok:
+        raise NotInvertible("no right convolution inverse")
+    g_mat = summed(algebra.field, algebra.dim, coalgebra.dim, g)
     if convolve(algebra, coalgebra, g_mat, f_mat) != unit:
         raise OneSidedInverse("right inverse is not two-sided")
     return g_mat

@@ -12,7 +12,7 @@ from .comodule import associativity_failures
 from .hopf import (ValidationReport, _agree, first_failure,
                    is_cocommutative, linear_witness, multiplicative_witness)
 from .linalg import (Matrix, OperatorSpan, _columns, _terms, intertwiners,
-                     lin_comb)
+                     lin_comb, sparse_kernel)
 from .search import EXHAUSTIVE_CAP, NotFound, SearchInconclusive
 
 
@@ -288,9 +288,14 @@ def _endb_conjugation_kernel(ctx, t1, t2):
         return [], endb
     t12 = [(ctx.e.to_matrix(t1.col(h)), ctx.e.to_matrix(t2.col(h)))
            for h in range(dh)]
-    cols = [[x for t1h, t2h in t12 for x in (t1h @ g - g @ t2h).data]
-            for g in map(ctx.induced.induced_map, endb)]
-    return [lin_comb(endb, v) for v in Matrix.from_cols(f, cols).kernel()], endb
+    rows = {}           # row (h, entry) of the operator on span(endb)
+    for k, g in enumerate(map(ctx.induced.induced_map, endb)):
+        for h, (t1h, t2h) in enumerate(t12):
+            for e, x in enumerate((t1h @ g - g @ t2h).data):
+                if x:
+                    rows.setdefault((h, e), {})[k] = x
+    return [lin_comb(endb, v) for v in sparse_kernel(
+        f, len(endb), rows.values())], endb
 
 
 def phi_equivalence(ctx, phi1, phi2, seed=0, enumerate_cap=EXHAUSTIVE_CAP):

@@ -36,15 +36,17 @@ sparse_kernel's, read off eliminate's RREF; no dense operator or Kronecker
 product is formed.
 
 Factor once.  A matrix A solved against many right-hand sides is factored
-once: Factorization(A) eliminates the rows of A with their combinations,
-RREF row k at pivot column pc being Sum_i y_i A[i, :].  The solution of
-A X = B is X[pc] = Sum_i y_i B[i, :], zero elsewhere; it exists iff it
-solves A X = B, and it is the one the RREF of [A | b] gives column by
-column (Matrix.solve, Matrix.solve_matrix).  solve_columns solves a block B
-at once, following the nonzero entries of B and X, and says which columns
-are consistent.  A factorization is held by the object that solves against
-A, never cached on Matrix: matrices are built in place through .data, so a
-cache could go stale.
+once, from its columns: Factorization eliminates the rows of A with their
+combinations, RREF row k at pivot column pc being Sum_i y_i A[i, :].  The
+solution of A x = b is x[pc] = Sum_i y_i b[i], zero elsewhere; it exists
+iff it solves A x = b, and it is the one the RREF of [A | b] gives.
+solve_columns takes each b as the raw terms of a column and gives each x
+in the layout of _columns, with a flag that says whether it solves; the
+work follows the terms of b and x, and no dense right-hand side or
+solution is written.  A caller that must raise tests the flag.  A
+factorization is held by the object that solves against A, never cached
+on Matrix: matrices are built in place through .data, so a cache could go
+stale.
 """
 
 from . import _modp_py as _modp
@@ -234,14 +236,6 @@ class Matrix:
         """sparse_kernel of the rows of self."""
         return sparse_kernel(self.field, self.cols, _rows(self))
 
-    def solve(self, b):
-        """A particular solution x of self @ x = b.  Raises NoSolution."""
-        return Factorization(self).solve(b)
-
-    def solve_matrix(self, rhs):
-        """Solve self @ X = rhs; column j of X is self.solve(rhs.col(j))."""
-        return Factorization(self).solve_matrix(rhs)
-
     def invert(self):
         """The inverse: row c is the combination of rows that reduces to
         e_c.  Raises NotInvertible at the first dependent row."""
@@ -264,65 +258,53 @@ class Matrix:
 
 
 class Factorization:
-    """A factored once, then A X = B for any number of B (see the module doc).
+    """A factored once, then A x = b for any number of b (see the module
+    doc).  A is given by the raw terms (i, x) of each of its columns.
 
     pivots: the pivot columns of A; row_uses[i]: the (pc, y) with y the
-    coefficient of row i of A in the RREF row at pivot column pc.  A is
-    copied.
+    coefficient of row i of A in the RREF row at pivot column pc (a row
+    that no RREF row uses has no entry).
     """
 
-    __slots__ = ("a", "columns", "pivots", "row_uses")
+    __slots__ = ("field", "columns", "pivots", "row_uses")
 
-    def __init__(self, a):
-        self.a = Matrix(a.field, a.rows, a.cols, a.data)
-        self.columns = _columns(a)
-        piv, comb = eliminate(a.field, _rows(a), combos=True)
+    def __init__(self, field, columns):
+        self.field = field
+        self.columns = [list(col) for col in columns]
+        rows = {}
+        for j, col in enumerate(self.columns):
+            for i, x in col:
+                row = rows.setdefault(i, {})
+                row[j] = row.get(j, 0) + x
+        keys = sorted(rows)
+        piv, comb = eliminate(field, [rows[i] for i in keys], combos=True)
         self.pivots = sorted(piv)
-        self.row_uses = [[] for _ in range(a.rows)]
+        self.row_uses = {}
         for pc in self.pivots:
-            for i, y in comb[pc].items():
-                self.row_uses[i].append((pc, y))
+            for n, y in comb[pc].items():
+                self.row_uses.setdefault(keys[n], []).append((pc, y))
 
-    def solve_columns(self, rhs):
-        """(X, ok): column j of X solves A x = rhs[:, j] when ok[j] is True;
-        X is zero off the pivot columns.  The work follows the nonzero
-        entries of rhs and X."""
-        a = self.a
-        if rhs.rows != a.rows:
-            raise ValueError("rhs rows mismatch")
-        f, k, p = a.field, rhs.cols, a.field.p
-        nz = [(n, v) for n, v in enumerate(rhs.data) if v]
-        xs = {}                              # X[pc, j] = Sum_i y rhs[i, j]
-        for n, v in nz:
-            i, j = divmod(n, k)
-            for pc, y in self.row_uses[i]:
-                xs[pc * k + j] = xs.get(pc * k + j, 0) + y * v
-        x, res = [f.zero] * (a.cols * k), {}     # res: A X - rhs, raw
-        for key, v in xs.items():
-            if v := v % p if p else v:
-                x[key] = v
-                pc, j = divmod(key, k)
-                for i, av in self.columns[pc]:
-                    res[i * k + j] = res.get(i * k + j, 0) + av * v
-        for n, v in nz:
-            res[n] = res.get(n, 0) - v
-        ok = [True] * k
-        for n, v in res.items():
-            if v % p if p else v:
-                ok[n % k] = False
-        return Matrix(f, a.cols, k, x), ok
-
-    def solve_matrix(self, rhs):
-        """X with A X = rhs, zero off the pivot columns; raises NoSolution."""
-        x, ok = self.solve_columns(rhs)
-        if not all(ok):
-            raise NoSolution()
-        return x
-
-    def solve(self, b):
-        """The solution of A x = b, zero off the pivot columns; raises
-        NoSolution."""
-        return self.solve_matrix(Matrix(self.a.field, len(b), 1, b)).data
+    def solve_columns(self, cols):
+        """(x_cols, ok) for the right-hand sides b_j given by the raw terms
+        (i, x) of each column: x_cols[j] lists the (pc, x) of the x with
+        x[pc] = Sum_i y_i b_j[i], in the layout of _columns, and ok[j] says
+        whether it solves A x = b_j.  The work follows the terms of b_j
+        and x."""
+        f, uses, columns = self.field, self.row_uses, self.columns
+        x_cols, ok = [], []
+        for b in cols:
+            b = list(b)
+            x = _terms(f, ((pc, y * v) for i, v in b
+                           for pc, y in uses.get(i, ())))
+            res = {}                                # A x - b, raw
+            for pc, v in x:
+                for i, a in columns[pc]:
+                    res[i] = res.get(i, 0) + a * v
+            for i, v in b:
+                res[i] = res.get(i, 0) - v
+            x_cols.append(x)
+            ok.append(not any(reduced(f, list(res.values()))))
+        return x_cols, ok
 
 
 # -- stacking and tensor-leg utilities ------------------------------------
@@ -433,6 +415,14 @@ def summed(field, rows, cols, terms):
     for k, x in zip(acc, reduced(field, list(acc.values()))):
         out[k] = x
     return Matrix(field, rows, cols, out)
+
+
+def summed_columns(field, rows, cols):
+    """The rows x len(cols) matrix whose column j sums the raw terms (r, x)
+    of cols[j]: the inverse of _columns."""
+    n = len(cols)
+    return summed(field, rows, n, ((r * n + j, x) for j, col in enumerate(cols)
+                                   for r, x in col))
 
 
 def _rows(mat):

@@ -24,7 +24,8 @@ from .galois import NotGalois, canonical_map, translation_map
 from .hopf import (ValidationReport, colinear_witness, comul_on,
                    convolve_columns)
 from .linalg import (Factorization, Matrix, NoSolution, _columns,
-                     _leg_columns, _terms, intertwiners, reduced, summed)
+                     _leg_columns, _nonzero, _terms, intertwiners, reduced,
+                     summed, summed_columns)
 
 
 class MembershipViolation(RuntimeError):
@@ -45,7 +46,6 @@ class TheoremContext:
         self.eta, _, eta_bij = adjunction_unit(m, ca, self.induced)
         if not eta_bij:
             raise NotGalois("eta_M is not bijective")
-        self._eta = Factorization(self.eta)
         can = canonical_map(ca)
         if not can.galois:
             raise NotGalois("canonical map not invertible")
@@ -56,6 +56,7 @@ class TheoremContext:
         dh, dm, da = ca.hopf.dim, m.dim, ca.algebra.dim
         # the tables the D_M maps are summed from
         self.eta_cols = _columns(self.eta)
+        self._eta = Factorization(self.field, self.eta_cols)
         self.e_cols = [_columns(b) for b in self.e.basis]
         self.rep = _leg_columns(self.tmap.representative, da)  # h -> (l, r, x)
         # object 1: M (x) H, (e_r (x) e_h) . b_k = (e_r . b_k) (x) e_h
@@ -74,9 +75,13 @@ class TheoremContext:
 
     # -- evaluation helpers ------------------------------------------------
 
-    def eta_inv(self, mat):
-        """X with eta X = mat, for all columns of mat at once."""
-        return self._eta.solve_matrix(mat)
+    def eta_inv(self, cols):
+        """The columns of X with eta X = Y, for the raw terms cols of the
+        columns of Y, from one solve; raises NoSolution."""
+        x, ok = self._eta.solve_columns(cols)
+        if not all(ok):
+            raise NoSolution()
+        return x
 
     def object_data(self, i):
         if i == 1:
@@ -106,11 +111,12 @@ class TheoremContext:
     def dm_coords(self, mats, i, j):
         """Coordinates of the arrows mats in dm_hom_space(i, j), one column
         each, from one solve; raises NoSolution."""
-        f, n = self.field, self.object_data(i)[0] * self.object_data(j)[0]
-        basis = Matrix.from_cols(f, [b.data for b in self.dm_hom_space(i, j)],
-                                 nrows=n)
-        return basis.solve_matrix(
-            Matrix.from_cols(f, [m.data for m in mats], nrows=n))
+        basis = self.dm_hom_space(i, j)
+        x, ok = Factorization(self.field, [_nonzero(b.data) for b in basis]) \
+            .solve_columns([_nonzero(m.data) for m in mats])
+        if not all(ok):
+            raise NoSolution()
+        return summed_columns(self.field, len(basis), x)
 
 
 # -- Lemma 3.2 -------------------------------------------------------------
@@ -146,10 +152,10 @@ def delta_bar(ctx, mat):
 # -- the D_M maps, summed from the tables -----------------------------------
 
 
-def _matrix(ctx, cols, terms):
-    """The quot.dim x cols matrix summed from the raw terms ((row, col), x)."""
-    return summed(ctx.field, ctx.quot.dim, cols,
-                  ((r * cols + c, x) for (r, c), x in terms))
+def _vec(cols, terms):
+    """The raw terms (row * cols + col, x) of the row-major entries of the
+    matrix with cols columns and the raw terms ((row, col), x)."""
+    return [(r * cols + c, x) for (r, c), x in terms]
 
 
 def _times(ctx, terms):
@@ -171,14 +177,11 @@ def _ev(ctx, hom):
 
 
 def _on_eta(ctx, hom):
-    """Column mi * dH + h: the endomorphism at h of hom applied to eta(m_i),
-    the class of m_i (x) 1."""
+    """The raw terms of column mi * dH + h: the endomorphism at h of hom
+    applied to eta(m_i), the class of m_i (x) 1."""
     ev, dh = _ev(ctx, hom), ctx.ca.hopf.dim
-    n = ctx.m.dim * dh
-    return _matrix(ctx, n, (((r, mi * dh + h), y * z)
-                            for mi, col in enumerate(ctx.eta_cols)
-                            for p, y in col for h in range(dh)
-                            for r, z in ev(h, p)))
+    return [[(r, y * z) for p, y in col for r, z in ev(h, p)]
+            for col in ctx.eta_cols for h in range(dh)]
 
 
 def _translated(ctx, h):
@@ -196,16 +199,18 @@ def _translated(ctx, h):
 
 
 def beta11_tilde(ctx, v_prime_mat):
-    return ctx.eta_inv(_on_eta(ctx, v_prime_mat))
+    return summed_columns(ctx.field, ctx.m.dim,
+                          ctx.eta_inv(_on_eta(ctx, v_prime_mat)))
 
 
 def beta11_hat(ctx, theta_small):
     """Inverse direction: Hom_B(M (x) H, M) -> Hom(H, F) (coords in E):
     theta(- (x) h) (x)_B A for each h."""
     dh, da, cols = ctx.ca.hopf.dim, ctx.ca.algebra.dim, _columns(theta_small)
-    return ctx.e.coords_matrix([ctx.quot.induced(lambda j: (
-        (r * da + j % da, 0, x) for r, x in cols[j // da * dh + h]))
-        for h in range(dh)])
+    free = ctx.quot.free
+    return ctx.e.coords_matrix([_vec(len(free), ctx.quot.classes(
+        (r * da + j % da, q, x) for q, j in enumerate(free)
+        for r, x in cols[j // da * dh + h])) for h in range(dh)])
 
 
 def beta11(ctx, v_prime_mat):
@@ -216,14 +221,14 @@ def beta11(ctx, v_prime_mat):
 
 
 def beta21(ctx, t_prime_mat):
-    return _on_eta(ctx, t_prime_mat)
+    return summed_columns(ctx.field, ctx.quot.dim, _on_eta(ctx, t_prime_mat))
 
 
 def beta21_bar(ctx, psi):
     """psi(m (x) h) . a at the section's e_m (x) e_a, for each h."""
     dh, da, free = ctx.ca.hopf.dim, ctx.ca.algebra.dim, ctx.quot.free
     cols = _columns(psi)
-    return ctx.e.coords_matrix([_matrix(ctx, len(free), _times(ctx, (
+    return ctx.e.coords_matrix([_vec(len(free), _times(ctx, (
         (free[q1], j % da, q, x) for q, j in enumerate(free)
         for q1, x in cols[j // da * dh + h]))) for h in range(dh)])
 
@@ -237,18 +242,18 @@ def beta12_tilde(ctx, u_prime_mat):
     da, rho, cols = ctx.ca.algebra.dim, ctx.ca.coaction_table, \
         ctx.quot.columns
     ev, n = _ev(ctx, u_prime_mat), ctx.m.dim * da
-    amb = _matrix(ctx, n, (((r, j), c * y * z) for j in range(n)
-                           for a0, h, c in rho[j % da]
-                           for p, y in cols[j - j % da + a0]
-                           for r, z in ev(h, p)))
+    amb = [[(r, c * y * z) for a0, h, c in rho[j % da]
+            for p, y in cols[j - j % da + a0] for r, z in ev(h, p)]
+           for j in range(n)]
     # only the full sums are coinvariant; invert eta after summing
-    return ctx.quot.gather(ctx.eta_inv(amb))
+    x = ctx.eta_inv(amb)
+    return summed_columns(ctx.field, ctx.m.dim, [x[j] for j in ctx.quot.free])
 
 
 def alpha12_hat(ctx, phi):
     """Eq. (AA): (alpha^_12(phi)(h))(m (x) a) = Sum phi(m (x) l_i(h)) (x) r_i(h) a."""
     dh, da, cols = ctx.ca.hopf.dim, ctx.ca.algebra.dim, _columns(phi)
-    return ctx.e.coords_matrix([_matrix(ctx, ctx.quot.dim, ctx.quot.classes(
+    return ctx.e.coords_matrix([_vec(ctx.quot.dim, ctx.quot.classes(
         (m * da + s, q, x * z) for q, p, s, x in _translated(ctx, h)
         for m, z in cols[p])) for h in range(dh)])
 
@@ -261,16 +266,16 @@ def beta12(ctx, u_prime_mat):
 
 
 def beta22(ctx, w_prime_mat):
-    ev = _ev(ctx, w_prime_mat)
-    return _matrix(ctx, ctx.quot.dim, (
+    ev, n = _ev(ctx, w_prime_mat), ctx.quot.dim
+    return summed(ctx.field, n, n, _vec(n, (
         ((r, q), c * z) for q, terms in enumerate(ctx.x2_coaction)
-        for qi, h, c in terms for r, z in ev(h, qi)))
+        for qi, h, c in terms for r, z in ev(h, qi))))
 
 
 def alpha22_bar(ctx, kappa):
     """Sum kappa(m (x) l_i(h)) . (r_i(h) a) at the section's e_m (x) e_a."""
     dh, free, cols = ctx.ca.hopf.dim, ctx.quot.free, _columns(kappa)
-    return ctx.e.coords_matrix([_matrix(ctx, len(free), _times(ctx, (
+    return ctx.e.coords_matrix([_vec(len(free), _times(ctx, (
         (free[q1], s, q, x * z) for q, p, s, x in _translated(ctx, h)
         for q1, z in cols[p]))) for h in range(dh)])
 
@@ -339,10 +344,9 @@ class LinearAlpha:
         self._cols = {}             # cls -> _columns(alpha(b_k)) per k
 
     def keep(self, cls, images):
-        f, e_ca = self.ctx.field, self.ctx.e.ca
         self.images[cls] = images
-        self._coords[cls] = Factorization(self.c_spaces[cls].coordinate_matrix(
-            f, e_ca.algebra.dim, e_ca.hopf.dim))
+        self._coords[cls] = Factorization(self.ctx.field, [
+            _nonzero(el.matrix.data) for el in self.c_spaces[cls].elements])
         self._cols[cls] = [_columns(img) for img in images]
 
     def at(self, cls, n):
@@ -358,13 +362,13 @@ class LinearAlpha:
         if not self.images.get(cls):
             return None
         f, first, cols = self.ctx.field, self.images[cls][0], self._cols[cls]
-        coords, ok = self._coords[cls].solve_columns(Matrix.from_cols(
-            f, [m.data for m in mats], nrows=self._coords[cls].a.rows))
+        coords, ok = self._coords[cls].solve_columns(
+            [_nonzero(m.data) for m in mats])
         n = first.cols
         return [summed(f, first.rows, n, (
             (r * n + j, c * x) for k, c in col
             for j, terms in enumerate(cols[k]) for r, x in terms))
-            if good else None for col, good in zip(_columns(coords), ok)]
+            if good else None for col, good in zip(coords, ok)]
 
     def compose(self, g_cls, gi, f_cls, fi):
         """alpha(g) o alpha(f) for the gi-th C(g_cls) and the fi-th C(f_cls)

@@ -215,6 +215,14 @@ def dense_rows(field, rows, cols):
                   [field.zero if not v else v for v in reduced(field, data)])
 
 
+def dense_can(can):
+    """(can, can^-1) of a galois.CanonicalMapData as dense matrices through
+    dense_rows; can^-1 is None where none is held."""
+    f, (rows, cols) = can.induced.quotient.field, can.shape
+    return dense_rows(f, can.rows, cols), (
+        None if can.inverse is None else dense_rows(f, can.inverse, rows))
+
+
 def vstack(mats):
     """The matrices mats stacked top to bottom."""
     return Matrix(mats[0].field, sum(m.rows for m in mats), mats[0].cols,

@@ -330,8 +330,8 @@ def dense_check_622(ctx, phi, t_coords):
     """The former lifting._check_622, on projected basis vectors."""
     f, dm, da, dh = ctx.field, ctx.m.dim, ctx.ca.algebra.dim, ctx.ca.hopf.dim
     t_h = [ctx.e.to_matrix(t_coords.col(h)) for h in range(dh)]
-    reps = [list(tensor_entries(f, ctx.tmap.rep(basis_vec(f, dh, h)),
-                                (da, da))) for h in range(dh)]
+    reps = [list(tensor_entries(f, ctx.tmap.representative.apply(
+        basis_vec(f, dh, h)), (da, da))) for h in range(dh)]
 
     def holds(hj, mi, aj):
         em = basis_vec(f, dm, mi)

@@ -16,7 +16,8 @@ from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import cyclic_cayley, group_algebra, sweedler_h4
 from hopfgalois.hopf import (StructureConstantAlgebra, first_failure,
                              multiplicative_witness)
-from hopfgalois.linalg import Matrix, NotInvertible, _columns, basis_vec
+from hopfgalois.linalg import (Factorization, Matrix, NotInvertible, _columns,
+                               basis_vec)
 
 from conftest import dense_mul, kron_vec
 from test_sparse import scalars, tensors
@@ -142,10 +143,10 @@ def test_element_inverse_lets_memory_error_through(monkeypatch):
     alg = group_algebra(F7, cyclic_cayley(2)).algebra
     assert alg.element_inverse(alg.unit) == alg.unit
 
-    def no_memory(self, b):
+    def no_memory(self, cols):
         raise MemoryError
 
-    monkeypatch.setattr(Matrix, "solve", no_memory)
+    monkeypatch.setattr(Factorization, "solve_columns", no_memory)
     with pytest.raises(MemoryError):
         alg.element_inverse(alg.unit)
 

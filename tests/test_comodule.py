@@ -1,12 +1,10 @@
-import pytest
-
-from hopfgalois.comodule import (InternalInvariant, adjunction_unit,
-                                 algebra_as_bmodule, tensor_over_B)
+from hopfgalois.comodule import (adjunction_unit, algebra_as_bmodule,
+                                 tensor_over_B)
 from hopfgalois.fields import QQ
-from hopfgalois.linalg import NoSolution, basis_vec
+from hopfgalois.linalg import NoSolution, _nonzero, basis_vec
 
 from conftest import module_b, module_k
-from test_linalg import rref_solve
+from test_linalg import dense_col, rref_solve
 from test_quotient import dense_projection, dense_section
 
 
@@ -65,6 +63,9 @@ def test_adjunction_unit_bijective_on_galois(m2_q):
 
 
 def test_from_ambient_uses_one_factorization(m2_q, h4_q, kxk_q, m2_f3):
+    """coords, the one solve against B's factorization, on vectors of B
+    and on every basis vector of A, one column each; a vector outside B
+    is flagged as bad."""
     outside = 0
     for ca in (m2_q, h4_q, kxk_q, m2_f3):
         b, f = ca.coinvariants(), ca.field
@@ -72,16 +73,20 @@ def test_from_ambient_uses_one_factorization(m2_q, h4_q, kxk_q, m2_f3):
         for coords in ([f.from_int(i - 1) for i in range(b.dim)],
                        [f.from_int(3)] + [f.zero] * (b.dim - 1)):
             v = b.to_ambient(coords)
-            assert b.from_ambient(v) == rref_solve(b.inclusion, v) == coords
-        # an ambient vector outside B still raises
+            (x,), bad = b.coords([_nonzero(v)])
+            assert bad is None
+            assert dense_col(f, b.dim, x) == rref_solve(b.inclusion, v) \
+                == coords
+        x, bad = b.coords([[(i, f.one)] for i in range(da)])
+        first_bad = None
         for i in range(da):
             e = basis_vec(f, da, i)
             try:
                 want = rref_solve(b.inclusion, e)
             except NoSolution:
                 outside += 1
-                with pytest.raises(InternalInvariant):
-                    b.from_ambient(e)
+                first_bad = i if first_bad is None else first_bad
             else:
-                assert b.from_ambient(e) == want
+                assert dense_col(f, b.dim, x[i]) == want
+        assert bad == first_bad
     assert outside > 0

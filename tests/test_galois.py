@@ -12,7 +12,7 @@ from conftest import kron_vec
 def test_canonical_map_dims_m2(m2_q):
     can = canonical_map(m2_q)
     assert can.galois
-    assert can.matrix.rows == 8 and can.matrix.cols == 8
+    assert can.shape == (8, 8) and len(can.rows) == len(can.inverse) == 8
 
 
 def test_canonical_prime_equivalent(m2_q, h4_q):
@@ -39,7 +39,7 @@ def test_phi_comparison_inverse(h4_q):
 def test_translation_map_kc2_oracle(kc2_q):
     # hand oracle: gamma(1) = 1 (x) 1, gamma(g) = g (x) g (g^{-1} = g)
     tmap = translation_map(kc2_q)
-    rep = tmap.rep(basis_vec(QQ, 2, 1))
+    rep = tmap.representative.apply(basis_vec(QQ, 2, 1))
     expected = kron_vec(QQ, basis_vec(QQ, 2, 1), basis_vec(QQ, 2, 1))
     assert rep == expected
 

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from hopfgalois import _modp_py
 from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.linalg import (Factorization, Matrix, NoSolution,
-                               NotInvertible, basis_vec, eliminate)
+                               NotInvertible, _columns, basis_vec, eliminate,
+                               reduced)
 
 from conftest import kron_vec, scatter_legs
 
@@ -98,9 +99,9 @@ def test_rref_deterministic():
 
 def test_solve_and_no_solution():
     m = Matrix(QQ, 2, 2, [QQ.parse(x) for x in ["1", "1", "2", "2"]])
-    assert m.solve([QQ.parse("3"), QQ.parse("6")])[0] is not None
-    with pytest.raises(NoSolution):
-        m.solve([QQ.one, QQ.zero])
+    x, ok = Factorization(QQ, _columns(m)).solve_columns(
+        [[(0, QQ.parse("3")), (1, QQ.parse("6"))], [(0, QQ.one)]])
+    assert ok == [True, False] and x[0] == [(0, QQ.parse("3"))]
 
 
 def rref_solve(a, b):
@@ -118,6 +119,21 @@ def rref_solve(a, b):
     for r, pc in enumerate(pivots):
         x[pc] = red.get(r, a.cols)
     return x
+
+
+def dense_solve(a, rhs):
+    """X with a X = rhs, read off the dense RREF of [a | rhs] as rref_solve
+    reads x; raises NoSolution if any column has none."""
+    f, n, k = a.field, a.cols, rhs.cols
+    aug = Matrix(f, a.rows, n + k,
+                 [x for i in range(a.rows) for x in a.row(i) + rhs.row(i)])
+    red, pivots = dense_rref(aug)
+    if pivots and pivots[-1] >= n:
+        raise NoSolution()
+    x = [f.zero] * (n * k)
+    for r, pc in enumerate(pivots):
+        x[pc * k:(pc + 1) * k] = red.row(r)[n:]
+    return Matrix(f, n, k, x)
 
 
 def _solution_or_none(solve, b):
@@ -160,7 +176,8 @@ def _matrices(draw):
 @st.composite
 def _systems(draw):
     """A from _matrices, with k right-hand sides (k = 0 allowed) in its
-    column space and k arbitrary ones."""
+    column space and k arbitrary ones, and the columns of A and of each
+    right-hand side as raw terms (raw_columns)."""
     a = draw(_matrices())
     f, k = a.field, draw(st.integers(0, 3))
 
@@ -168,64 +185,106 @@ def _systems(draw):
         return Matrix(f, r, c, [f.from_int(draw(st.integers(-3, 3)))
                                 for _ in range(r * c)])
 
-    return a, [a @ mat(a.cols, k), mat(a.rows, k)]
+    rhs = [a @ mat(a.cols, k), mat(a.rows, k)]
+    return a, rhs, raw_columns(draw, a), [raw_columns(draw, b) for b in rhs]
+
+
+def raw_columns(draw, mat):
+    """The columns of mat as raw (row, x) terms in a drawn order: each entry,
+    a zero one at times too, split into 1-3 terms that sum to it unreduced
+    (negative or off by multiples of p over F_p, Fractions over Q)."""
+    f, rnd = mat.field, draw(st.randoms(use_true_random=True))
+    if f.kind == "Fp":
+        parts = range(-2 * f.p, 2 * f.p + 1)
+    else:
+        parts = [f.parse(x) for x in ("-1", "2", "1/2", "-2/3")]
+    cols = []
+    for j in range(mat.cols):
+        terms = []
+        for i, x in enumerate(mat.col(j)):
+            if x or rnd.randrange(4) == 0:
+                split = [rnd.choice(parts) for _ in range(rnd.randrange(3))]
+                terms += [(i, y) for y in split] + [(i, x - sum(split))]
+        rnd.shuffle(terms)
+        cols.append(terms)
+    return cols
+
+
+def dense_col(field, n, col):
+    """The length-n vector with the (i, x) of col, after checking that col
+    is in the layout of _columns: i ascending, x reduced and nonzero."""
+    assert [i for i, _ in col] == sorted({i for i, _ in col})
+    assert all(x and reduced(field, [x]) == [x] for _, x in col)
+    v = [field.zero] * n
+    for i, x in col:
+        v[i] = x
+    return v
 
 
 @settings(max_examples=300, deadline=None)
 @given(_systems())
 def test_factorization_matches_solve(system):
-    a, rhs = system
-    fac = Factorization(a)
+    """Factorization from raw columns against the augmented-RREF oracle on
+    every right-hand side, given as raw terms: a block, and each column
+    alone."""
+    a, rhs, raw_a, raw_rhs = system
+    fac = Factorization(a.field, raw_a)
     assert fac.pivots == dense_rref(a)[1]
-    for b in rhs:
-        cols = [_solution_or_none(lambda v: rref_solve(a, v), b.col(j))
-                for j in range(b.cols)]
-        for j, want in enumerate(cols):
-            assert _solution_or_none(fac.solve, b.col(j)) == want
-        if None in cols:
-            with pytest.raises(NoSolution):
-                fac.solve_matrix(b)
-        else:
-            assert fac.solve_matrix(b) == Matrix.from_cols(a.field, cols,
-                                                            nrows=a.cols)
-            assert a.solve_matrix(b) == fac.solve_matrix(b)
-        for j, want in enumerate(cols):
-            assert _solution_or_none(a.solve, b.col(j)) == want
+    for b, raw_b in zip(rhs, raw_rhs):
+        x, ok = fac.solve_columns(raw_b)
+        assert len(x) == len(ok) == b.cols
+        for j in range(b.cols):
+            want = _solution_or_none(lambda v: rref_solve(a, v), b.col(j))
+            assert ok[j] == (want is not None)
+            if ok[j]:
+                assert dense_col(a.field, a.cols, x[j]) == want
+            assert fac.solve_columns([raw_b[j]]) == ([x[j]], [ok[j]])
 
 
 @settings(max_examples=300, deadline=None)
-@given(_systems(), st.lists(st.booleans(), min_size=3, max_size=3))
+@given(_systems(), st.lists(st.sampled_from(["good", "any", "empty"]),
+                            min_size=3, max_size=3))
 def test_solve_columns_flags_each_column(system, pick):
-    """Mixed consistent and arbitrary columns in one block: each consistent
-    column is the augmented-RREF solution, each inconsistent one is
-    flagged."""
-    a, (good, anything) = system
-    b = Matrix.from_cols(a.field, [good.col(j) if pick[j] else
-                                   anything.col(j) for j in range(good.cols)],
-                         nrows=a.rows)
-    x, ok = Factorization(a).solve_columns(b)
-    assert (x.rows, x.cols, len(ok)) == (a.cols, b.cols, b.cols)
-    for j in range(b.cols):
-        want = _solution_or_none(lambda v: rref_solve(a, v), b.col(j))
+    """Mixed consistent, arbitrary and empty raw columns in one block: each
+    consistent column is the augmented-RREF solution, each inconsistent
+    one is flagged, and an empty column is solved by the empty one."""
+    a, (good, anything), raw_a, (raw_good, raw_any) = system
+    f, z = a.field, a.field.zero
+    b, raw_b = [], []
+    for j in range(good.cols):
+        col, raw = {"good": (good.col(j), raw_good[j]),
+                    "any": (anything.col(j), raw_any[j]),
+                    "empty": ([z] * a.rows, [])}[pick[j]]
+        b.append(col)
+        raw_b.append(raw)
+    x, ok = Factorization(f, raw_a).solve_columns(raw_b)
+    assert len(x) == len(ok) == len(b)
+    for j, col in enumerate(b):
+        want = _solution_or_none(lambda v: rref_solve(a, v), col)
         assert ok[j] == (want is not None)
         if ok[j]:
-            assert x.col(j) == want
-        if pick[j]:
+            assert dense_col(f, a.cols, x[j]) == want
+        if pick[j] != "any":
             assert ok[j]
+        if pick[j] == "empty":
+            assert x[j] == []
 
 
 def test_factorization_inconsistent_and_empty():
     a = Matrix(F7, 3, 1, [1, 2, 3])
-    fac = Factorization(a)
-    assert fac.solve([2, 4, 6]) == rref_solve(a, [2, 4, 6]) == [2]
-    assert fac.solve([-5, 4, 13]) == [2]   # unreduced entries of b
-    with pytest.raises(NoSolution):
-        fac.solve([1, 0, 0])
+    x, ok = Factorization(F7, [[(2, 3), (0, 8), (1, -5)]]).solve_columns(
+        [[(0, 2), (1, 4), (2, 6)],
+         [(0, -5), (1, 4), (2, 13)],           # unreduced entries of b
+         [(2, 6), (0, 1), (1, 4), (0, 1)],     # repeated rows, out of order
+         [(0, 1)]])
+    assert rref_solve(a, [2, 4, 6]) == [2]
+    assert (x[:3], ok) == ([[(0, 2)]] * 3, [True, True, True, False])
     # a 0-column operator: only b = 0 is solvable, by the empty vector
-    empty = Factorization(Matrix.zeros(QQ, 2, 0))
-    assert empty.solve([QQ.zero, QQ.zero]) == []
+    x, ok = Factorization(QQ, []).solve_columns([[], [(1, QQ.one)],
+                                                 [(0, QQ.one), (0, -QQ.one)]])
+    assert (x[0], x[2], ok) == ([], [], [True, False, True])
     with pytest.raises(NoSolution):
-        empty.solve([QQ.one, QQ.zero])
+        rref_solve(Matrix.zeros(QQ, 2, 0), [QQ.zero, QQ.one])
 
 
 def test_kron_and_apply():

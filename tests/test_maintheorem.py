@@ -4,9 +4,10 @@ import random
 import pytest
 
 from hopfgalois import convcat, maintheorem
-from hopfgalois.linalg import Factorization, Matrix, NoSolution, lin_comb
+from hopfgalois.linalg import Matrix, NoSolution, lin_comb
 
 from conftest import module_b, module_k
+from test_linalg import rref_solve
 
 
 def test_theorem31_m2_regular(m2_q):
@@ -124,8 +125,9 @@ def per_pair_patterns(lin, pair_cap=8, sample=64, seed=0):
     def lhs_of(cls, mat):
         if not lin.images.get(cls):
             return maintheorem.alpha(ctx, cls, mat)
-        coords = Factorization(spaces[cls].coordinate_matrix(
-            ctx.field, e_ca.algebra.dim, e_ca.hopf.dim)).solve(mat.data)
+        coords = rref_solve(Matrix.from_cols(
+            ctx.field, [el.matrix.data for el in spaces[cls].elements],
+            nrows=len(mat.data)), mat.data)
         return lin_comb(lin.images[cls], coords)
 
     failures = []

@@ -30,9 +30,9 @@ from hopfgalois.hopf import (CoalgebraData, HopfAlgebraData,
 from hopfgalois.linalg import (Matrix, _columns, _leg_columns, basis_vec,
                                intertwiners, summed)
 
-from conftest import (action_table, dense_actions, dense_comul, dense_mul,
-                      dense_rho, gather_legs, kron_vec, scatter_legs,
-                      tensor_entries, vec_add, vec_scale)
+from conftest import (action_table, dense_actions, dense_can, dense_comul,
+                      dense_mul, dense_rho, gather_legs, kron_vec,
+                      scatter_legs, tensor_entries, vec_add, vec_scale)
 from test_linalg import dense_rref
 
 F5, F7 = PrimeField(5), PrimeField(7)
@@ -239,7 +239,6 @@ def check_induction(m, ca, rng):
     assert ind.module.coaction_table == _leg_columns(coaction, ca.hopf.dim)
     n = len(q.columns)
     amb = Matrix(f, 3, n, [f.from_int(rng.randint(-2, 2)) for _ in range(3 * n)])
-    assert q.gather(amb) == amb @ sect
     for c in range(3):      # the classes of a row, summed, are its image
         assert summed(f, q.dim, 1, (
             (k, x) for (k, _), x in q.classes(
@@ -255,12 +254,17 @@ def check_induction(m, ca, rng):
 def check_galois(ca, rng):
     """A (x)_B A, can, can', gamma's representatives and the identities."""
     ind, quot = check_induction(algebra_as_bmodule(ca), ca, rng)
-    can = canonical_map(ca, ind)
-    assert can.matrix == dense_can_ambient(ca) @ quot.section
-    assert (canonical_map_prime(ca, ind).matrix
-            == dense_can_prime_ambient(ca) @ quot.section)
+    can, can_p = canonical_map(ca, ind), canonical_map_prime(ca, ind)
+    for got, ambient in ((can, dense_can_ambient), (can_p,
+                                                    dense_can_prime_ambient)):
+        mat = dense_can(got)[0]
+        assert mat == ambient(ca) @ quot.section
+        assert got.galois == (len(dense_rref(mat)[1]) == mat.rows == mat.cols)
+    assert can_p.inverse is None
     if not can.galois:
         return None
+    mat, inv = dense_can(can)
+    assert mat @ inv == inv @ mat == Matrix.identity(ca.field, mat.rows)
     tmap = translation_map(ca, can)
     assert tmap.representative == quot.section @ tmap.gamma
     report = verify_translation_identities(ca, tmap)
