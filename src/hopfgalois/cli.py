@@ -160,7 +160,7 @@ def cmd_galois(args):
     report = Report("galois", [name], args.seed)
     can = galois.canonical_map(ca)
     can_p = galois.canonical_map_prime(ca, can.induced)
-    report.details["dims"] = "{}/{}".format(*can.shape)
+    report.details["dims"] = f"{len(can.rows)}/{can.induced.quotient.dim}"
     report.details["galois"] = can.galois
     report.details["coinvariant_dim"] = ca.coinvariants().dim
     report.add("can-bijective", "pass" if can.galois else "fail")

@@ -74,13 +74,18 @@ class EndComoduleAlgebra:
         """Endomorphism matrix of an element given in E-coordinates."""
         return lin_comb(self.basis, coords)
 
-    def coords_matrix(self, cols):
-        """E-coordinates, one column each, of the endomorphisms with the raw
-        row-major terms cols."""
+    def coords_columns(self, cols):
+        """E-coordinates, in the layout of _columns, of the endomorphisms
+        with the raw row-major terms cols."""
         x, ok = self._coords.solve_columns(cols)
         if not all(ok):
             raise InternalInvariant("matrix not A-linear")
-        return summed_columns(self.base.field, self.dim, x)
+        return x
+
+    def coords_matrix(self, cols):
+        """coords_columns(cols) as the columns of a matrix."""
+        return summed_columns(self.base.field, self.dim,
+                              self.coords_columns(cols))
 
 
 def build_E(ca, induced):
@@ -156,8 +161,8 @@ def build_F(ca, m, e):
         return summed_columns(field, m.dim, g)
 
     def extend(g_mat):
-        x, bad = emb.coords(_columns(e.coords_matrix(
-            [_nonzero(e.induced.induced_map(g_mat).data)])))
+        x, bad = emb.coords(e.coords_columns(
+            [_nonzero(e.induced.induced_map(g_mat).data)]))
         if bad is not None:
             raise InternalInvariant("vector not in the subalgebra")
         return summed_columns(field, emb.dim, x).data

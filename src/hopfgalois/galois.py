@@ -21,17 +21,12 @@ class NotGalois(RuntimeError):
 
 
 class CanonicalMapData:
-    def __init__(self, rows, shape, inverse, galois, induced):
+    def __init__(self, rows, inverse, galois, induced):
         self.rows = rows              # {q: x} per (r, h) of A (x) H, x raw
-        self.shape = shape            # (dim A (x) H, dim A (x)_B A)
         self.inverse = inverse        # can^-1's {r * dim H + h: y} per q,
                                       # None if not galois, and for can'
         self.galois = galois
         self.induced = induced        # the A (x)_B A presentation
-
-
-def _a_tensor_a(ca):
-    return tensor_over_B(algebra_as_bmodule(ca), ca)
 
 
 def _canonical(ca, induced, prime):
@@ -39,7 +34,8 @@ def _canonical(ca, induced, prime):
     image of the section's a (x) a' = e_{free[q]}, read from mul_table and
     the columns of rho; can's RREF is the identity, so the combinations
     of its rows are the rows of can^-1."""
-    ind = induced if induced is not None else _a_tensor_a(ca)
+    ind = induced if induced is not None else tensor_over_B(
+        algebra_as_bmodule(ca), ca)
     f, quot = ca.field, ind.quotient
     da, dh = ca.algebra.dim, ca.hopf.dim
     mul, rho = ca.algebra.mul_table, ca.coaction_table
@@ -50,12 +46,11 @@ def _canonical(ca, induced, prime):
             for r, c in mul[a0 * da + a2 if prime else a * da + a0]:
                 row = rows[r * dh + h]
                 row[q] = row.get(q, 0) + x * c
-    shape = (da * dh, quot.dim)
-    done = shape[0] == shape[1] and eliminate(
+    done = da * dh == quot.dim and eliminate(
         f, rows, combos=not prime, independent=True, back=not prime)
     inverse = None if prime or not done else [
         done[1][q] for q in range(quot.dim)]
-    return CanonicalMapData(rows, shape, inverse, bool(done), ind)
+    return CanonicalMapData(rows, inverse, bool(done), ind)
 
 
 def canonical_map(ca, induced=None):

@@ -256,6 +256,16 @@ class Matrix:
         return self.rows == self.cols and eliminate(
             self.field, _rows(self), independent=True, back=False) is not None
 
+    def solve(self, b):
+        """x with self @ x = b, zero off the pivot columns; raises
+        NoSolution.  Kept as perfbench's linalg.solve target only: the
+        package itself solves through Factorization.solve_columns."""
+        (x,), (ok,) = Factorization(self.field, _columns(self)) \
+            .solve_columns([_nonzero(b)])
+        if not ok:
+            raise NoSolution()
+        return summed_columns(self.field, self.cols, [x]).data
+
 
 class Factorization:
     """A factored once, then A x = b for any number of b (see the module

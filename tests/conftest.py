@@ -218,7 +218,8 @@ def dense_rows(field, rows, cols):
 def dense_can(can):
     """(can, can^-1) of a galois.CanonicalMapData as dense matrices through
     dense_rows; can^-1 is None where none is held."""
-    f, (rows, cols) = can.induced.quotient.field, can.shape
+    quot, rows = can.induced.quotient, len(can.rows)
+    f, cols = quot.field, quot.dim
     return dense_rows(f, can.rows, cols), (
         None if can.inverse is None else dense_rows(f, can.inverse, rows))
 

@@ -522,7 +522,7 @@ def test_gamma_is_the_dense_can_inverse_at_the_unit(name):
     rng = random.Random(name)
     inv = dense_can(can)[1]
     for _ in range(3):
-        wrong = CanonicalMapData(can.rows, can.shape, list(_rows(bumped(
+        wrong = CanonicalMapData(can.rows, list(_rows(bumped(
             inv, rng.randrange(len(inv.data))))), True, can.induced)
         assert TranslationMap(ca, wrong).gamma == dense_gamma(ca, wrong)
 

@@ -12,7 +12,7 @@ from conftest import kron_vec
 def test_canonical_map_dims_m2(m2_q):
     can = canonical_map(m2_q)
     assert can.galois
-    assert can.shape == (8, 8) and len(can.rows) == len(can.inverse) == 8
+    assert can.induced.quotient.dim == len(can.rows) == len(can.inverse) == 8
 
 
 def test_canonical_prime_equivalent(m2_q, h4_q):

@@ -102,6 +102,9 @@ def test_solve_and_no_solution():
     x, ok = Factorization(QQ, _columns(m)).solve_columns(
         [[(0, QQ.parse("3")), (1, QQ.parse("6"))], [(0, QQ.one)]])
     assert ok == [True, False] and x[0] == [(0, QQ.parse("3"))]
+    assert m.solve([QQ.parse("3"), QQ.parse("6")]) == [QQ.parse("3"), QQ.zero]
+    with pytest.raises(NoSolution):
+        m.solve([QQ.one, QQ.zero])
 
 
 def rref_solve(a, b):
@@ -226,7 +229,7 @@ def dense_col(field, n, col):
 def test_factorization_matches_solve(system):
     """Factorization from raw columns against the augmented-RREF oracle on
     every right-hand side, given as raw terms: a block, and each column
-    alone."""
+    alone.  Matrix.solve, the one-column dense form, agrees."""
     a, rhs, raw_a, raw_rhs = system
     fac = Factorization(a.field, raw_a)
     assert fac.pivots == dense_rref(a)[1]
@@ -238,6 +241,7 @@ def test_factorization_matches_solve(system):
             assert ok[j] == (want is not None)
             if ok[j]:
                 assert dense_col(a.field, a.cols, x[j]) == want
+            assert _solution_or_none(a.solve, b.col(j)) == want
             assert fac.solve_columns([raw_b[j]]) == ([x[j]], [ok[j]])
 
 

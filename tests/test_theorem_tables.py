@@ -605,5 +605,5 @@ def test_only_can_is_inverted():
     can_p = canonical_map_prime(ca, can.induced)
     assert can.galois and can_p.galois
     mat, inv = dense_can(can)
-    assert mat @ inv == inv @ mat == Matrix.identity(F7, can.shape[0])
+    assert mat @ inv == inv @ mat == Matrix.identity(F7, len(can.rows))
     assert can_p.inverse is None
