@@ -26,7 +26,7 @@ from .galois import canonical_map, translation_map
 from .hopf import (CoalgebraData, OneSidedInverse, StructureConstantAlgebra,
                    ValidationReport, _agree, colinear_witness, comul_on,
                    comul_terms, convolution_inverse, convolution_operator,
-                   convolution_unit, convolve, first_failure,
+                   convolution_terms, convolution_unit, first_failure,
                    is_convolution_inverse, linear_witness,
                    multiplicative_witness)
 from .linalg import (Matrix, NotInvertible, OperatorSpan, _columns, _nonzero,
@@ -262,16 +262,14 @@ def build_crossed_product(base, hopf, omega, sigma, sigma_bar=None):
 
 
 def omega_t(ca, t_mat, u_mat):
-    """omega_t(h (x) b_i) = t(h1) b_i u(h2) in A, column h * dim B + i."""
+    """The raw terms (r, x) of each column h * dim B + i of omega_t, where
+    omega_t(h (x) b_i) = t(h1) b_i u(h2) in A."""
     alg, b = ca.algebra, ca.coinvariants()
-    db, n = b.dim, ca.hopf.dim * b.dim
     ts, us, b_cols = _columns(t_mat), _columns(u_mat), _columns(b.inclusion)
     times = partial(_pair, alg.mul_table, alg.dim)
-    return summed(ca.field, alg.dim, n, (
-        (r * n + h * db + i, x * y)
-        for h, terms in enumerate(ca.hopf.coalgebra.comul_table)
-        for h1, h2, x in terms for i, col in enumerate(b_cols)
-        for r, y in times(times(ts[h1], col), us[h2])))
+    return [[(r, x * y) for h1, h2, x in terms
+             for r, y in times(times(ts[h1], col), us[h2])]
+            for terms in ca.hopf.coalgebra.comul_table for col in b_cols]
 
 
 def extract_crossed_data(datum, ca):
@@ -288,17 +286,15 @@ def extract_crossed_data(datum, ca):
     ts, us = _columns(datum.t.matrix), _columns(datum.u.matrix)
     times = partial(_pair, alg.mul_table, da)
 
-    def on_hh(value):           # the map H (x) H -> A, h (x) k -> value(h, k)
-        return summed(f, da, dh * dh, (
-            (r * dh * dh + h * dh + k, x) for h in range(dh)
-            for k in range(dh) for r, x in value(h, k)))
+    def on_hh(value):           # the columns of h (x) k -> value(h, k)
+        return [_terms(f, value(h, k)) for h in range(dh) for k in range(dh)]
 
     def of_hk(cols):            # h (x) k -> cols(h k)
         return on_hh(lambda h, k: ((r, x * y) for t, x in hmul[h * dh + k]
                                    for r, y in cols[t]))
 
-    def in_b(amb, what, width):
-        coords, bad = b.coords(_columns(amb))
+    def in_b(amb, what, width):     # amb: the raw terms of each column
+        coords, bad = b.coords(amb)
         if bad is not None:
             raise InvariantFailure(f"{what} at {divmod(bad, width)} "
                                    "is not coinvariant")
@@ -308,10 +304,11 @@ def extract_crossed_data(datum, ca):
                  "omega_t value", b.dim)
     # sigma(h (x) k) = t(h1) t(k1) u(h2 k2)
     t_t = on_hh(lambda h, k: times(ts[h], ts[k]))
-    sigma = in_b(convolve(alg, hh, t_t, of_hk(us)), "sigma value", dh)
+    sigma = in_b(convolution_terms(alg, hh, t_t, of_hk(us)), "sigma value",
+                 dh)
     # sigmabar(h (x) k) = t(h1 k1) u(k2) u(h2)
     u_flip = on_hh(lambda h, k: times(us[k], us[h]))
-    sigma_bar = in_b(convolve(alg, hh, of_hk(ts), u_flip),
+    sigma_bar = in_b(convolution_terms(alg, hh, of_hk(ts), u_flip),
                      "sigmabar value", dh)
     try:
         return build_crossed_product(b.algebra, hopf, omega, sigma, sigma_bar)

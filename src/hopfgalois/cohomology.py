@@ -17,8 +17,8 @@ from functools import cached_property, partial
 from . import cleft, convcat, search
 from .comodule import InternalInvariant
 from .hopf import (ValidationReport, _agree, convolution_inverse,
-                   convolution_operator, convolution_unit, convolve,
-                   first_failure, is_cocommutative)
+                   convolution_operator, convolution_terms, convolution_unit,
+                   convolve, first_failure, is_cocommutative)
 from .linalg import (Matrix, NotInvertible, OperatorSpan, _columns, _nonzero,
                      _pair, _terms, sparse_kernel, summed, summed_columns)
 from .search import EXHAUSTIVE_CAP, NotFound, SearchInconclusive
@@ -131,8 +131,7 @@ def trivial_action(hopf, base):
 def action_from_cleft(ca, datum):
     """omega_t on B = A^{co H}, per Eq. (omega) of Thm 5.2's proof."""
     b = ca.coinvariants()
-    omega, bad = b.coords(_columns(cleft.omega_t(ca, datum.t.matrix,
-                                                  datum.u.matrix)))
+    omega, bad = b.coords(cleft.omega_t(ca, datum.t.matrix, datum.u.matrix))
     if bad is not None:
         raise InternalInvariant("vector not in the subalgebra")
     return HModuleAlgebraAction(ca.hopf, b.algebra,
@@ -380,17 +379,23 @@ def groupoid_xa_check(ca, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
     report.details.update(vacuous=not omega, sizes={
         "Z1": len(z1), "Omega": len(omega), "X22": len(x22), "X12": len(x12)})
 
-    def in_b(m):
-        """An A-valued map as a B-valued one, or None if a value leaves B."""
-        x, bad = b.coords(_columns(m))
+    def conv_terms(g, t):
+        """The raw terms of each column of g * t, for in_b."""
+        return convolution_terms(ca.algebra, hopf.coalgebra, _columns(g),
+                                 _columns(t))
+
+    def in_b(cols):
+        """An A-valued map, by the raw terms of its columns, as a B-valued
+        one, or None if a value leaves B."""
+        x, bad = b.coords(cols)
         return None if bad is not None else summed_columns(f, b.dim, x)
 
-    def in_z1_ambient(m):
-        v = in_b(m)
+    def in_z1_ambient(cols):
+        v = in_b(cols)
         return v is not None and z1_membership(act, v)
 
-    def in_x22_ambient(m):
-        w = in_b(m)
+    def in_x22_ambient(cols):
+        w = in_b(cols)
         return w is not None and z1_membership(act, w @ s)
 
     def in_x12(m):
@@ -431,10 +436,10 @@ def groupoid_xa_check(ca, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
     x22_a = [_embed_v(ca, b, w) for w in x22]
     conv_a = partial(convcat.convolve_matrices, ca)
     in_omega = partial(omega_membership, ca)
-    closed("closure-1 t*u1 in Z1", omega, x12, conv_a, in_z1_ambient)
+    closed("closure-1 t*u1 in Z1", omega, x12, conv_terms, in_z1_ambient)
     closed("closure-2 v*t in Omega", z1_a, omega, conv_a, in_omega)
     closed("closure-3 t*w in Omega", omega, x22_a, conv_a, in_omega)
-    closed("closure-4 u*t1 in X22", x12, omega, conv_a, in_x22_ambient)
+    closed("closure-4 u*t1 in X22", x12, omega, conv_terms, in_x22_ambient)
     closed("closure-5 w*u in X12", x22_a, x12, conv_a, in_x12)
     closed("closure-6 u*v in X12", x12, z1_a, conv_a, in_x12)
     # groupoid: every morphism is convolution invertible
@@ -476,8 +481,11 @@ def prop57_check(ca, t0=None, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
     def F(v):
         return convcat.convolve_matrices(ca, _embed_v(ca, b, v), t0, "C")
 
+    u0_cols = _columns(u0)
+
     def F_inv(t):
-        x, bad = b.coords(_columns(convcat.convolve_matrices(ca, t, u0, "C")))
+        x, bad = b.coords(convolution_terms(ca.algebra, hopf.coalgebra,
+                                            _columns(t), u0_cols))
         if bad is not None:
             raise InternalInvariant("vector not in the subalgebra")
         return summed_columns(f, b.dim, x)

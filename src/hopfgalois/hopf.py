@@ -374,24 +374,18 @@ class OneSidedInverse(NotInvertible):
 def convolve(algebra, coalgebra, g_mat, f_mat):
     """(g * f)(c) = Sum x g(c1) f(c2) over the Delta table of c, each product
     from the mul table; maps C -> A as dim A x dim C matrices."""
-    return convolve_columns(algebra, coalgebra, _columns(g_mat),
-                            _columns(f_mat))
+    return summed_columns(algebra.field, algebra.dim, convolution_terms(
+        algebra, coalgebra, _columns(g_mat), _columns(f_mat)))
 
 
-def convolve_columns(algebra, coalgebra, gs, fs):
-    """convolve for g and f given by their _columns, so that maps convolved
-    many times are scanned once."""
-    da, dc, table = algebra.dim, coalgebra.dim, algebra.mul_table
-    out = [algebra.field.zero] * (da * dc)
-    for c, terms in enumerate(coalgebra.comul_table):
-        for c1, c2, x in terms:
-            for i, a in gs[c1]:
-                xa = x * a
-                for j, b in fs[c2]:
-                    xab = xa * b
-                    for r, m in table[i * da + j]:
-                        out[r * dc + c] += m * xab
-    return Matrix(algebra.field, da, dc, reduced(algebra.field, out))
+def convolution_terms(algebra, coalgebra, gs, fs):
+    """The raw terms (r, x) of each column of g * f, for g and f given by
+    their _columns: what convolve sums, and what a caller that solves
+    against the convolution takes as it is."""
+    da, table = algebra.dim, algebra.mul_table
+    return [[(r, m * x * a * b) for c1, c2, x in terms for i, a in gs[c1]
+             for j, b in fs[c2] for r, m in table[i * da + j]]
+            for terms in coalgebra.comul_table]
 
 
 def convolution_unit(algebra, coalgebra):

@@ -304,6 +304,10 @@ class Factorization:
         x_cols, ok = [], []
         for b in cols:
             b = list(b)
+            if not b:                               # x = 0 solves A x = 0
+                x_cols.append([])
+                ok.append(True)
+                continue
             x = _terms(f, ((pc, y * v) for i, v in b
                            for pc, y in uses.get(i, ())))
             res = {}                                # A x - b, raw
@@ -393,12 +397,12 @@ def _leg_columns(mat, d2):
 def _terms(field, terms):
     """Sum x e_key over the raw terms (key, x), as its (key, x) with keys
     ascending, x reduced and nonzero."""
-    acc = {}
+    acc, p = {}, field.p
     for key, x in terms:
         acc[key] = acc.get(key, 0) + x
-    keys = sorted(acc)
-    values = reduced(field, [acc[k] for k in keys])
-    return [(k, x) for k, x in zip(keys, values) if x]
+    if p:
+        return [(k, x) for k in sorted(acc) if (x := acc[k] % p)]
+    return [(k, x) for k in sorted(acc) if (x := acc[k])]
 
 
 def _nonzero(vec):

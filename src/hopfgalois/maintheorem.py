@@ -8,7 +8,10 @@ Composition-of-arrows is convolution in the order alpha_kj(g) o alpha_ji(f)
 (the statement displays swap the factors in places).
 
 Both objects hold their B-action and coaction as tables (hopf module doc),
-so D_M membership and hom spaces are colinearity checks.  The B-actions,
+so D_M membership and hom spaces are colinearity checks.  The verifier
+decides membership with the coordinate solves it makes anyway: an arrow
+lies in D_M(i, j), or a map H -> A in C(i, j), exactly when its column
+in the solve against that hom space's kernel basis is ok.  The B-actions,
 I_M (x) Delta and the maps of Lemmas 3.3-3.8 are summed from M's action
 table, comul_table, the quotient's index maps, mul_table, rho's table and
 the columns of eta, of E's basis and of gamma's representative: no basis
@@ -21,15 +24,10 @@ from . import convcat
 from .comodule import adjunction_unit, tensor_over_B
 from .endomorphism import build_E
 from .galois import NotGalois, canonical_map, translation_map
-from .hopf import (ValidationReport, colinear_witness, comul_on,
-                   convolve_columns)
-from .linalg import (Factorization, Matrix, NoSolution, _columns,
-                     _leg_columns, _nonzero, _terms, intertwiners, reduced,
-                     summed, summed_columns)
-
-
-class MembershipViolation(RuntimeError):
-    pass
+from .hopf import (ValidationReport, _agree, colinear_witness, comul_on,
+                   convolution_terms)
+from .linalg import (Factorization, NoSolution, _columns, _leg_columns,
+                     _nonzero, _terms, intertwiners, summed, summed_columns)
 
 
 class TheoremContext:
@@ -109,14 +107,13 @@ class TheoremContext:
                 and colinear_witness(self.field, mat, x_co, y_co) is None)
 
     def dm_coords(self, mats, i, j):
-        """Coordinates of the arrows mats in dm_hom_space(i, j), one column
-        each, from one solve; raises NoSolution."""
+        """(x_cols, ok): the coordinates of the arrows mats in
+        dm_hom_space(i, j), one sparse column each, from one solve.  The
+        hom space is the kernel of the constraints dm_membership checks, so
+        ok[n] says whether mats[n] lies in D_M(i, j)."""
         basis = self.dm_hom_space(i, j)
-        x, ok = Factorization(self.field, [_nonzero(b.data) for b in basis]) \
+        return Factorization(self.field, [_nonzero(b.data) for b in basis]) \
             .solve_columns([_nonzero(m.data) for m in mats])
-        if not all(ok):
-            raise NoSolution()
-        return summed_columns(self.field, len(basis), x)
 
 
 # -- Lemma 3.2 -------------------------------------------------------------
@@ -142,11 +139,11 @@ def delta2(ctx, theta_small):
 
 
 def delta_bar(ctx, mat):
-    """delta1_bar and delta2_bar: (I_M (x) eps) mat, for mat with rows M (x) H."""
-    f, dh, eps = ctx.field, ctx.ca.hopf.dim, ctx.ca.hopf.coalgebra.counit.data
-    return Matrix(f, mat.rows // dh, mat.cols, reduced(f, [
-        sum(eps[h] * mat.get(mi * dh + h, c) for h in range(dh))
-        for mi in range(mat.rows // dh) for c in range(mat.cols)]))
+    """delta1_bar and delta2_bar: (I_M (x) eps) mat, for mat with rows
+    M (x) H, summed from the columns of mat and the counit."""
+    dh, eps = ctx.ca.hopf.dim, ctx.ca.hopf.coalgebra.counit.data
+    return summed_columns(ctx.field, mat.rows // dh, [
+        [(r // dh, eps[r % dh] * x) for r, x in col] for col in _columns(mat)])
 
 
 # -- the D_M maps, summed from the tables -----------------------------------
@@ -331,22 +328,25 @@ def alpha_inverse(ctx, cls, dm_mat):
 class LinearAlpha:
     """alpha_ji kept on the C_E(i, j) basis and extended by linearity.
 
-    A class enters through keep() once alpha of every basis element is
-    known; its images are then summed from their columns.  Any other class
-    (a failed membership, as under corrupt_gamma) is evaluated directly.
+    Each C(cls) basis is factored once, for every class, so a map's
+    coordinate column both decides its membership in C(cls) and sums its
+    image.  A class enters through keep() once alpha of every basis
+    element is known and lies in D_M; any other class (a failed
+    membership, as under corrupt_gamma) has its basis images evaluated
+    directly, once.
     """
 
     def __init__(self, ctx, c_spaces):
         self.ctx = ctx
         self.c_spaces = c_spaces
         self.images = {}
-        self._coords = {}
+        self._coords = {cls: Factorization(ctx.field, [
+            _nonzero(el.matrix.data) for el in space.elements])
+            for cls, space in c_spaces.items()}
         self._cols = {}             # cls -> _columns(alpha(b_k)) per k
 
     def keep(self, cls, images):
         self.images[cls] = images
-        self._coords[cls] = Factorization(self.ctx.field, [
-            _nonzero(el.matrix.data) for el in self.c_spaces[cls].elements])
         self._cols[cls] = [_columns(img) for img in images]
 
     def at(self, cls, n):
@@ -355,41 +355,47 @@ class LinearAlpha:
             return self.images[cls][n]
         return alpha(self.ctx, cls, self.c_spaces[cls].elements[n].matrix)
 
-    def many(self, cls, mats):
-        """[alpha(ctx, cls, mat) for mat in mats], None for each mat not in
-        C(cls), from one coordinate solve: for mat = Sum_k c_k b_k,
-        alpha(mat) = Sum_k c_k alpha(b_k).  None when cls is not kept."""
-        if not self.images.get(cls):
-            return None
-        f, first, cols = self.ctx.field, self.images[cls][0], self._cols[cls]
-        coords, ok = self._coords[cls].solve_columns(
-            [_nonzero(m.data) for m in mats])
-        n = first.cols
-        return [summed(f, first.rows, n, (
-            (r * n + j, c * x) for k, c in col
-            for j, terms in enumerate(cols[k]) for r, x in terms))
-            if good else None for col, good in zip(coords, ok)]
+    def columns(self, cls):
+        """The _columns of alpha(b_k) for each C(cls) basis element b_k:
+        the kept images', else alpha evaluated directly, with None where it
+        raises NoSolution."""
+        if cls not in self._cols:
+            cols = self._cols[cls] = []
+            for n in range(self.c_spaces[cls].dim):
+                try:
+                    cols.append(_columns(self.at(cls, n)))
+                except NoSolution:
+                    cols.append(None)
+        return self._cols[cls]
 
-    def compose(self, g_cls, gi, f_cls, fi):
-        """alpha(g) o alpha(f) for the gi-th C(g_cls) and the fi-th C(f_cls)
-        basis elements: summed from the kept columns, a product otherwise."""
-        if g_cls not in self.images or f_cls not in self.images:
-            return self.at(g_cls, gi) @ self.at(f_cls, fi)
-        g_cols, f_cols = self._cols[g_cls][gi], self._cols[f_cls][fi]
-        n = len(f_cols)
-        return summed(self.ctx.field, self.images[g_cls][gi].rows, n, (
-            (r * n + c, y * x) for c, col in enumerate(f_cols)
-            for m, x in col for r, y in g_cols[m]))
+    def coords(self, cls, maps):
+        """(coords, ok) for the maps H -> A given by their raw terms
+        (r * dim H + c, x): their coordinates in the C(cls) basis, one
+        sparse column each, from one solve, and whether each lies in
+        C(cls) at all (the basis spans the kernel of the constraint that
+        convcat.membership checks)."""
+        return self._coords[cls].solve_columns(maps)
 
-    def __call__(self, cls, mat):
-        """alpha(ctx, cls, mat); raises MembershipViolation when mat is not
-        in a kept C(cls)."""
-        imgs = self.many(cls, [mat])
-        if imgs is None:
-            return alpha(self.ctx, cls, mat)
-        if imgs[0] is None:
-            raise MembershipViolation(f"not in C{cls}")
-        return imgs[0]
+    def terms(self, cls, maps):
+        """alpha(ctx, cls, map) for each map, given as in coords, as the raw
+        terms (r * n + c, x) of the matrix with n columns: for map =
+        Sum_k c_k b_k, alpha(map) = Sum_k c_k alpha(b_k).  None for a map
+        outside C(cls), or whose combination uses an image that raised
+        NoSolution."""
+        coords, ok = self.coords(cls, maps)
+        images, n = self.columns(cls), self.ctx.object_data(cls[0])[0]
+        return [[(r * n + j, c * x) for k, c in col
+                 for j, terms in enumerate(images[k]) for r, x in terms]
+                if good and all(images[k] is not None for k, _ in col)
+                else None for col, good in zip(coords, ok)]
+
+
+def _composed(g_cols, f_cols):
+    """The raw terms (r * n + c, x) of the n-column matrix g o f, for g and
+    f given by their _columns."""
+    n = len(f_cols)
+    return ((r * n + c, y * x) for c, col in enumerate(f_cols)
+            for m, x in col for r, y in g_cols[m])
 
 
 # -- full verification ------------------------------------------------------
@@ -399,9 +405,14 @@ def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
                      seed=0):
     """Dimension equalities, bijectivity, alpha o gamma = beta, and all
     eight composition patterns of (3.9.1)/(21a)-(22).  Each pattern
-    reports its own first failing pair."""
+    reports its own first failing pair.
+
+    Membership is the ok flag of a coordinate solve: an alpha image lies in
+    D_M(i, j) when its column against dm_hom_space(i, j) solves, and a map
+    H -> A (gamma(f') = f' o S, or a composite g * f) lies in C(i, j) when
+    its column against the C(i, j) basis solves (LinearAlpha.terms)."""
     ctx = TheoremContext(ca, m, corrupt_gamma=corrupt_gamma)
-    e_ca = ctx.e.ca
+    e_ca, f = ctx.e.ca, ctx.field
     report = ValidationReport()
     c_spaces, cp_spaces, d_spaces = {}, {}, {}
     for cls in convcat.CLASSES:
@@ -417,35 +428,31 @@ def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
     # once per basis element and kept for the checks below
     lin = LinearAlpha(ctx, c_spaces)
     for cls in convcat.CLASSES:
-        imgs = []
-        for el in c_spaces[cls].elements:
-            try:
-                img = alpha(ctx, cls, el.matrix)
-                member = ctx.dm_membership(img, *cls)
-            except NoSolution:
-                member = False
-            if not member:
-                report.fail("alpha-membership", cls)
-                break
-            imgs.append(img)
-        else:
-            try:
-                mat = ctx.dm_coords(imgs, *cls)
-            except NoSolution:
-                report.fail("alpha-membership", cls)
-                continue
-            lin.keep(cls, imgs)
-            if not mat.is_invertible():
-                report.fail("alpha-bijective", cls)
+        try:
+            imgs = [alpha(ctx, cls, el.matrix)
+                    for el in c_spaces[cls].elements]
+        except NoSolution:
+            report.fail("alpha-membership", cls)
+            continue
+        coords, ok = ctx.dm_coords(imgs, *cls)
+        if not all(ok):
+            report.fail("alpha-membership", cls)
+            continue
+        lin.keep(cls, imgs)
+        if not summed_columns(f, len(d_spaces[cls]), coords).is_invertible():
+            report.fail("alpha-bijective", cls)
 
-    # alpha o gamma = beta on every C' basis element
+    # alpha o gamma = beta on every C' basis element; gamma(f') = f' o S
+    # is in C(cls) when its coordinate column solves
+    s = e_ca.hopf.antipode
     for cls in convcat.CLASSES:
-        for el in cp_spaces[cls].elements:
+        els = cp_spaces[cls].elements
+        lhs = lin.terms(cls, [_nonzero((el.matrix @ s).data) for el in els])
+        for el, terms in zip(els, lhs):
             try:
-                g = convcat.gamma_functor(e_ca, el)
-                equal = lin(cls, g.matrix) == beta(ctx, cls, el.matrix)
-            except (NoSolution, MembershipViolation,
-                    convcat.MembershipViolation):
+                equal = terms is not None and _agree(
+                    f, terms, _nonzero(beta(ctx, cls, el.matrix).data))
+            except NoSolution:
                 equal = False
             if not equal:
                 report.fail("alpha-gamma-beta", cls)
@@ -463,10 +470,12 @@ def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
                 report.fail("alpha-round-trip", cls)
                 break
 
-    # the eight composition patterns (3.9.1) incl. (21a)-(22), each basis
-    # element's columns read once
+    # the eight composition patterns (3.9.1) incl. (21a)-(22): g * f summed
+    # raw from the tables and the basis columns, read once; alpha(g * f) of
+    # all pairs from one solve, compared raw with alpha(g) o alpha(f)
     cols = {cls: [_columns(el.matrix) for el in c_spaces[cls].elements]
             for cls in convcat.CLASSES}
+    alg, co, dh = e_ca.algebra, e_ca.hopf.coalgebra, e_ca.hopf.dim
     rng = random.Random(seed)
     for i in (1, 2):
         for j in (1, 2):
@@ -478,22 +487,15 @@ def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
                          for gi in range(len(gs))]
                 if max(len(fs), len(gs)) > pair_cap and len(pairs) > sample:
                     pairs = rng.sample(pairs, sample)
-                # alpha(g * f) of all pairs from one solve when C(i, k) is
-                # kept; None marks a g * f outside C(i, k)
-                comps = [convolve_columns(e_ca.algebra, e_ca.hopf.coalgebra,
-                                          cols[(j, k)][gi], cols[(i, j)][fi])
-                         for fi, gi in pairs]
-                lhs_all = lin.many((i, k), comps)
-                for n, (fi, gi) in enumerate(pairs):
-                    try:
-                        lhs = (lin((i, k), comps[n]) if lhs_all is None
-                               else lhs_all[n])
-                        equal = lhs is not None and lhs == lin.compose(
-                            (j, k), gi, (i, j), fi)
-                    except (NoSolution, MembershipViolation,
-                            convcat.MembershipViolation):
-                        equal = False
-                    if not equal:
+                lhs = lin.terms((i, k), [[
+                    (r * dh + c, x) for c, col in enumerate(convolution_terms(
+                        alg, co, cols[(j, k)][gi], cols[(i, j)][fi]))
+                    for r, x in col] for fi, gi in pairs])
+                g_imgs, f_imgs = lin.columns((j, k)), lin.columns((i, j))
+                for (fi, gi), terms in zip(pairs, lhs):
+                    g_img, f_img = g_imgs[gi], f_imgs[fi]
+                    if (terms is None or g_img is None or f_img is None
+                            or not _agree(f, terms, _composed(g_img, f_img))):
                         report.fail(label, (i, j, k, fi, gi))
                         break
     return report

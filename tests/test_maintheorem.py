@@ -4,7 +4,8 @@ import random
 import pytest
 
 from hopfgalois import convcat, maintheorem
-from hopfgalois.linalg import Matrix, NoSolution, lin_comb
+from hopfgalois.linalg import (Matrix, NoSolution, _columns, _nonzero,
+                               lin_comb, summed)
 
 from conftest import module_b, module_k
 from test_linalg import rref_solve
@@ -80,24 +81,62 @@ def test_linear_alpha_matches_direct(name, request):
             for g_el in spaces[(j, k)].elements:
                 comp = convcat.convolve_matrices(ctx.e.ca, g_el.matrix,
                                                  f_el.matrix)
-                assert lin((i, k), comp) == maintheorem.alpha(ctx, (i, k),
-                                                              comp)
+                direct = maintheorem.alpha(ctx, (i, k), comp)
+                assert as_matrix(lin.terms((i, k), [_nonzero(comp.data)])[0],
+                                 direct) == direct
                 composed += 1
     assert composed > 0
 
 
+def as_matrix(terms, like):
+    """The matrix shaped like like with the raw terms terms, or None."""
+    if terms is None:
+        return None
+    return summed(like.field, like.rows, like.cols, terms)
+
+
 class _DirectAlpha(maintheorem.LinearAlpha):
-    """The direct path: alpha evaluated afresh on every input."""
+    """The direct path: alpha evaluated afresh on every input, membership
+    in C(cls) by convcat.membership and coordinates by the dense RREF."""
 
     def at(self, cls, n):
         return maintheorem.alpha(self.ctx, cls,
                                  self.c_spaces[cls].elements[n].matrix)
 
-    def __call__(self, cls, mat):
-        return maintheorem.alpha(self.ctx, cls, mat)
+    def columns(self, cls):
+        out = []
+        for n in range(self.c_spaces[cls].dim):
+            try:
+                out.append(_columns(self.at(cls, n)))
+            except NoSolution:
+                out.append(None)
+        return out
 
-    def many(self, cls, mats):
-        return None
+    def _mats(self, maps):
+        e_ca = self.ctx.e.ca
+        return [summed(self.ctx.field, e_ca.algebra.dim, e_ca.hopf.dim, m)
+                for m in maps]
+
+    def coords(self, cls, maps):
+        e_ca, els = self.ctx.e.ca, self.c_spaces[cls].elements
+        coords, ok = [], []
+        for mat in self._mats(maps):
+            ok.append(convcat.membership(e_ca, mat, cls, "C"))
+            coords.append(_nonzero(rref_solve(Matrix.from_cols(
+                self.ctx.field, [el.matrix.data for el in els],
+                nrows=len(mat.data)), mat.data)) if ok[-1] else [])
+        return coords, ok
+
+    def terms(self, cls, maps):
+        e_ca, out = self.ctx.e.ca, []
+        for mat in self._mats(maps):
+            try:
+                out.append(_nonzero(maintheorem.alpha(self.ctx, cls, mat).data)
+                           if convcat.membership(e_ca, mat, cls, "C")
+                           else None)
+            except NoSolution:
+                out.append(None)
+        return out
 
 
 @pytest.mark.parametrize("name", ["h4_q", "h4_f5"])
@@ -186,7 +225,7 @@ def test_blocked_patterns_match_per_pair(name, module, request, monkeypatch):
 @pytest.mark.parametrize("name", ["m2_f3", "h4_q"])
 def test_many_marks_non_members(name, request, monkeypatch):
     # one block of basis elements and maps outside C(cls): the former get
-    # their kept images, the latter None, as lin(cls, mat) raises for them
+    # their kept images, the latter None, as a solve of their own gives
     ca = request.getfixturevalue(name)
     _, lin = run_recorded(ca, module_b(ca), monkeypatch)
     field, e_ca = ca.field, lin.ctx.e.ca
@@ -198,16 +237,17 @@ def test_many_marks_non_members(name, request, monkeypatch):
                           for _ in range(e_ca.algebra.dim * e_ca.hopf.dim)])
                   for _ in range(3)]
         mats = [el.matrix for el in space.elements] + others
-        got = lin.many(cls, mats)
-        assert got[:space.dim] == lin.images[cls]
-        for mat, img in zip(others, got[space.dim:]):
+        got = lin.terms(cls, [_nonzero(mat.data) for mat in mats])
+        assert [as_matrix(terms, img) for terms, img in zip(
+            got[:space.dim], lin.images[cls])] == lin.images[cls]
+        for mat, terms in zip(others, got[space.dim:]):
             if convcat.membership(e_ca, mat, cls, "C"):
-                assert img == maintheorem.alpha(lin.ctx, cls, mat)
+                direct = maintheorem.alpha(lin.ctx, cls, mat)
+                assert as_matrix(terms, direct) == direct
             else:
-                assert img is None
+                assert terms is None
                 outside += 1
-                with pytest.raises(maintheorem.MembershipViolation):
-                    lin(cls, mat)
+                assert lin.terms(cls, [_nonzero(mat.data)]) == [None]
     assert outside > 0
 
 
@@ -253,3 +293,58 @@ def test_blocked_patterns_corrupt_image(name, request, monkeypatch):
     found = pattern_failures(report)
     assert found, report.failures
     assert found == per_pair_patterns(lin)
+
+
+# -- membership: the ok flags of the coordinate solves ------------------------
+
+
+def perturbed(mats, rng, copies=2):
+    """copies of each matrix with one entry moved by a nonzero scalar."""
+    out = []
+    for mat in mats:
+        f = mat.field
+        for _ in range(copies):
+            data = list(mat.data)
+            k = rng.randrange(len(data))
+            data[k] = f.add(data[k], f.from_int(rng.randint(1, 3)))
+            out.append(Matrix(f, mat.rows, mat.cols, data))
+    return out
+
+
+@pytest.mark.parametrize("name", ["kc2_q", "kc2_f3", "m2_q", "m2_f3",
+                                  "h4_q", "h4_f5"])
+@pytest.mark.parametrize("module", [module_b, module_k])
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_solve_flags_equal_membership(name, module, corrupt, request):
+    # verify_theorem31 decides membership in D_M by dm_coords' ok flags and
+    # membership in C by LinearAlpha's: each flag must be the colinearity
+    # check's verdict, on alpha images, gamma images and perturbations
+    ca = request.getfixturevalue(name)
+    ctx = maintheorem.TheoremContext(ca, module(ca), corrupt_gamma=corrupt)
+    e_ca, rng = ctx.e.ca, random.Random(11)
+    spaces = {cls: convcat.hom_space(e_ca, cls, "C")
+              for cls in convcat.CLASSES}
+    lin = maintheorem.LinearAlpha(ctx, spaces)
+    direct = _DirectAlpha(ctx, spaces)
+    seen = set()
+    for cls, space in spaces.items():
+        imgs = []
+        for el in space.elements:
+            try:
+                imgs.append(maintheorem.alpha(ctx, cls, el.matrix))
+            except NoSolution:
+                pass
+        mats = imgs + perturbed(imgs, rng)
+        _, ok = ctx.dm_coords(mats, *cls)
+        assert ok == [ctx.dm_membership(mat, *cls) for mat in mats]
+        seen.update(("D", flag) for flag in ok)
+        maps = [el.matrix for el in space.elements] + [
+            el.matrix @ e_ca.hopf.antipode
+            for el in convcat.hom_space(e_ca, cls, "Cprime").elements]
+        raw = [_nonzero(mat.data) for mat in maps + perturbed(maps, rng)]
+        got, want = lin.coords(cls, raw), direct.coords(cls, raw)
+        assert got[1] == want[1]
+        assert ([x for x, good in zip(*got) if good]
+                == [x for x, good in zip(*want) if good])
+        seen.update(("C", flag) for flag in got[1])
+    assert seen == {("D", True), ("D", False), ("C", True), ("C", False)}
