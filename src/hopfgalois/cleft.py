@@ -25,7 +25,7 @@ from .comodule import ComoduleAlgebraData, InternalInvariant
 from .galois import canonical_map, translation_map
 from .hopf import (CoalgebraData, OneSidedInverse, StructureConstantAlgebra,
                    ValidationReport, _agree, colinear_witness, comul_on,
-                   comul_terms, convolution_inverse, convolution_operator,
+                   comul_terms, convolution_columns, convolution_inverse,
                    convolution_terms, convolution_unit, first_failure,
                    is_convolution_inverse, linear_witness,
                    multiplicative_witness)
@@ -51,8 +51,8 @@ class CleftingDatum:
     """Convolution invertible t in Hom^H(H, A) with inverse u, normalized."""
 
     def __init__(self, t, u, normalized):
-        self.t = t                  # HomSpaceElement, class (2, 1)
-        self.u = u                  # HomSpaceElement, class (1, 2)
+        self.t = t                  # dim A x dim H matrix, class (2, 1)
+        self.u = u                  # class (1, 2)
         self.normalized = normalized
 
 
@@ -69,17 +69,15 @@ def _normalize(ca, t_mat, u_mat):
         raise InternalInvariant("normalization failed: t(1) != 1")
     if not is_convolution_inverse(alg, ca.hopf.coalgebra, tp, up):
         raise InternalInvariant("normalization broke the convolution inverse")
-    if not convcat.membership(ca, tp, (2, 1), "C"):
+    if not convcat.membership(ca, _columns(tp), (2, 1), "C"):
         raise InternalInvariant("normalized t lost colinearity")
-    t_el = convcat.HomSpaceElement(tp, (2, 1), "C")
-    u_el = convcat.HomSpaceElement(up, (1, 2), "C")
-    return CleftingDatum(t_el, u_el, normalized=True)
+    return CleftingDatum(tp, up, normalized=True)
 
 
-def _attempt(ca, span, mats, coeffs):
+def _attempt(ca, span, ops, coeffs):
     if span.full_rank_at(coeffs) is None:
         return None
-    t_mat = lin_comb(mats, coeffs)
+    t_mat = lin_comb(ca.field, ca.algebra.dim, ops, coeffs)
     u_mat = convcat.convolution_inverse_matrix(ca, t_mat, "C")
     return _normalize(ca, t_mat, u_mat)
 
@@ -91,14 +89,14 @@ def find_cleft(ca, seed=0, tries=500, enumerate_cap=EXHAUSTIVE_CAP):
     p^dim(Hom^H(H,A)) <= enumerate_cap; otherwise, and over Q, it samples
     `tries` seeded small-coefficient combinations.
     """
-    hs = convcat.hom_space(ca, (2, 1), "C")
-    mats = [el.matrix for el in hs.elements]
-    if not mats:
+    ops = [el.cols for el in convcat.hom_space(ca, (2, 1), "C").elements]
+    if not ops:
         return NotFound(True, 0, 0, "Hom^H(H,A) = 0")
-    span = OperatorSpan([convolution_operator(ca.algebra, ca.hopf.coalgebra,
-                                              m) for m in mats])
-    return search.first(ca.field, len(mats),
-                        lambda coeffs: _attempt(ca, span, mats, coeffs),
+    n = ca.algebra.dim * ca.hopf.dim
+    span = OperatorSpan(ca.field, [convolution_columns(
+        ca.algebra, ca.hopf.coalgebra, op) for op in ops], n, n)
+    return search.first(ca.field, len(ops),
+                        lambda coeffs: _attempt(ca, span, ops, coeffs),
                         seed, tries, enumerate_cap, degree=span.degree)
 
 
@@ -283,7 +281,7 @@ def extract_crossed_data(datum, ca):
     da, dh = alg.dim, hopf.dim
     hmul = hopf.algebra.mul_table
     hh = _hh_coalgebra(hopf)
-    ts, us = _columns(datum.t.matrix), _columns(datum.u.matrix)
+    ts, us = _columns(datum.t), _columns(datum.u)
     times = partial(_pair, alg.mul_table, da)
 
     def on_hh(value):           # the columns of h (x) k -> value(h, k)
@@ -300,7 +298,7 @@ def extract_crossed_data(datum, ca):
                                    "is not coinvariant")
         return summed_columns(f, b.dim, coords)
 
-    omega = in_b(omega_t(ca, datum.t.matrix, datum.u.matrix),
+    omega = in_b(omega_t(ca, datum.t, datum.u),
                  "omega_t value", b.dim)
     # sigma(h (x) k) = t(h1) t(k1) u(h2 k2)
     t_t = on_hh(lambda h, k: times(ts[h], ts[k]))
@@ -384,7 +382,7 @@ def crossed_canonical_inverse(cp):
         (r * dh + h, c * x) for h in range(dh)
         for (h1, h2, h3), c in comul_terms(hopf.coalgebra, h, 3)
         for r, x in u_of(h1, h2, h3)))
-    if not convcat.membership(ca, t_mat, (2, 1), "C"):
+    if not convcat.membership(ca, _columns(t_mat), (2, 1), "C"):
         result.fail("remark-5.3-t-colinear")
     if not is_convolution_inverse(ca.algebra, hopf.coalgebra, t_mat, u_mat):
         result.fail("remark-5.3-u-inverse")
@@ -473,9 +471,10 @@ def _check_bh_iso(ca, b, psi, leg):
     if not psi.is_invertible():
         leg.fail("psi-not-bijective")
         return
+    cols = _columns(psi)
     leg.fail_at("psi-not-B-linear",
-                linear_witness(f, psi, *_left_b_actions(ca, b)))
-    if colinear_witness(f, psi, comul_on(ca.hopf.coalgebra, b.dim),
+                linear_witness(f, cols, *_left_b_actions(ca, b)))
+    if colinear_witness(f, cols, comul_on(ca.hopf.coalgebra, b.dim),
                         ca.coaction_table) is not None:
         leg.fail("psi-not-colinear")
 
@@ -486,13 +485,13 @@ def _find_bh_iso(ca, b, seed, tries):
     da, db, dh = ca.algebra.dim, b.dim, ca.hopf.dim
     if da != db * dh:
         return NotFound(True, 0, 0, "dim A != dim B * dim H")
-    mats = intertwiners(f, da, da, (*_left_b_actions(ca, b), db),
-                        (comul_on(ca.hopf.coalgebra, db), ca.coaction_table,
-                         dh))
-    if not mats:
+    ops = intertwiners(f, da, da, (*_left_b_actions(ca, b), db),
+                       (comul_on(ca.hopf.coalgebra, db), ca.coaction_table,
+                        dh))
+    if not ops:
         return NotFound(True, 0, 0, "no B-linear colinear map")
-    span = OperatorSpan(mats)
-    return search.first(f, len(mats), span.full_rank_at, seed, tries,
+    span = OperatorSpan(f, ops, da, da)
+    return search.first(f, len(ops), span.full_rank_at, seed, tries,
                         degree=span.degree)
 
 
@@ -528,8 +527,8 @@ def structure_theorem_check(ca, seed=0, tries=500):
             leg1.fail("extraction", str(exc))
         if cp is not None:
             report.crossed = cp
-            psi = _psi_matrix(ca, b, datum.t.matrix)
-            varphi = _varphi_matrix(ca, b, datum.u.matrix)
+            psi = _psi_matrix(ca, b, datum.t)
+            varphi = _varphi_matrix(ca, b, datum.u)
             if psi @ varphi != Matrix.identity(f, ca.algebra.dim):
                 leg1.fail("psi-varphi-not-id")
             if varphi @ psi != Matrix.identity(f, db * dh):
@@ -564,7 +563,7 @@ def structure_theorem_check(ca, seed=0, tries=500):
         t_mat = summed(f, ca.algebra.dim, dh, (
             (r * dh + h, u * x) for h in range(dh)
             for k, u in _nonzero(b.algebra.unit) for r, x in p3[k * dh + h]))
-        if not convcat.membership(ca, t_mat, (2, 1), "C"):
+        if not convcat.membership(ca, _columns(t_mat), (2, 1), "C"):
             leg3.fail("t-not-colinear")
         try:
             convcat.convolution_inverse_matrix(ca, t_mat, "C")
@@ -596,29 +595,33 @@ def is_algebra_map(ca, t_mat):
                                        t_mat) is None)
 
 
-def unit_condition(ca, mats):
-    """t(1) = 1 for t = Sum_k c_k mats[k], as search's `unit`."""
-    return [m.apply(ca.hopf.algebra.unit) for m in mats], ca.algebra.unit
+def unit_condition(ca, ops):
+    """t(1) = 1 for t = Sum_k c_k ops[k], ops given by their _columns, as
+    search's `unit`."""
+    ones = _nonzero(ca.hopf.algebra.unit)
+    return [summed_columns(ca.field, ca.algebra.dim, [[
+        (r, x * u) for h, u in ones for r, x in op[h]]]).data
+            for op in ops], ca.algebra.unit
 
 
-def _algebra_map_at(ca, mats, coeffs):
-    """t = Sum coeffs[k] mats[k] if it is an algebra map, else None."""
-    t_mat = lin_comb(mats, coeffs)
+def _algebra_map_at(ca, ops, coeffs):
+    """t = Sum coeffs[k] ops[k] if it is an algebra map, else None."""
+    t_mat = lin_comb(ca.field, ca.algebra.dim, ops, coeffs)
     return t_mat if is_algebra_map(ca, t_mat) else None
 
 
-def _algebra_map_search(ca, mats, seed=0, tries=500,
+def _algebra_map_search(ca, ops, seed=0, tries=500,
                         enumerate_cap=EXHAUSTIVE_CAP):
-    """Find an algebra map in span(mats); returns (t_mat or None, status)."""
+    """Find an algebra map in span(ops); returns (t_mat or None, status)."""
     f = ca.field
-    if not mats:
+    if not ops:
         return None, "none"
     h_alg, alg = ca.hopf.algebra, ca.algebra
     n = h_alg.dim
-    algebra_map_at = partial(_algebra_map_at, ca, mats)
+    algebra_map_at = partial(_algebra_map_at, ca, ops)
     if f.kind == "Fp":
-        got = search.first(f, len(mats), algebra_map_at, seed, tries,
-                           enumerate_cap, unit=unit_condition(ca, mats))
+        got = search.first(f, len(ops), algebra_map_at, seed, tries,
+                           enumerate_cap, unit=unit_condition(ca, ops))
         if isinstance(got, NotFound):
             return None, "none" if got.exhaustive else "inconclusive"
         return got, "found"
@@ -637,7 +640,7 @@ def _algebra_map_search(ca, mats, seed=0, tries=500,
                 image(h_alg.mul_table[i * n + j]), prod(t[i], t[j])))
 
     try:
-        for t_mat in search.rational_points(alg, mats, equations,
+        for t_mat in search.rational_points(alg, ops, equations,
                                             algebra_map_at):
             return t_mat, "found"
     except search.SearchInconclusive:
@@ -649,9 +652,8 @@ def smash_check(ca, seed=0, tries=500, enumerate_cap=EXHAUSTIVE_CAP):
     """Thm 5.4: search for a colinear algebra map t; on success verify the
     extracted sigma is trivial and A is isomorphic to the smash product B#H."""
     report = SmashReport()
-    hs = convcat.hom_space(ca, (2, 1), "C")
-    mats = [el.matrix for el in hs.elements]
-    t_mat, status = _algebra_map_search(ca, mats, seed=seed, tries=tries,
+    ops = [el.cols for el in convcat.hom_space(ca, (2, 1), "C").elements]
+    t_mat, status = _algebra_map_search(ca, ops, seed=seed, tries=tries,
                                         enumerate_cap=enumerate_cap)
     report.status = status
     if t_mat is None:
@@ -666,9 +668,7 @@ def smash_check(ca, seed=0, tries=500, enumerate_cap=EXHAUSTIVE_CAP):
         report.sigma_trivial = False
         report.detail = "t o S is not the convolution inverse"
         return report
-    datum = CleftingDatum(
-        convcat.HomSpaceElement(t_mat, (2, 1), "C"),
-        convcat.HomSpaceElement(u_mat, (1, 2), "C"), normalized=True)
+    datum = CleftingDatum(t_mat, u_mat, normalized=True)
     cp = extract_crossed_data(datum, ca)
     report.sigma_trivial = cp.sigma == convolution_unit(
         cp.base, _hh_coalgebra(ca.hopf))

@@ -210,8 +210,8 @@ def cmd_cleft(args):
                    {"exhaustive": got.exhaustive, "searched": got.searched})
     else:
         report.add("cleft", "pass")
-        report.details["t"] = got.t.matrix
-        report.details["u"] = got.u.matrix
+        report.details["t"] = got.t
+        report.details["u"] = got.u
     return report
 
 

@@ -16,8 +16,8 @@ from functools import cached_property, partial
 
 from . import cleft, convcat, search
 from .comodule import InternalInvariant
-from .hopf import (ValidationReport, _agree, convolution_inverse,
-                   convolution_operator, convolution_terms, convolution_unit,
+from .hopf import (ValidationReport, _agree, convolution_columns,
+                   convolution_inverse, convolution_terms, convolution_unit,
                    convolve, first_failure, is_cocommutative)
 from .linalg import (Matrix, NotInvertible, OperatorSpan, _columns, _nonzero,
                      _pair, _terms, sparse_kernel, summed, summed_columns)
@@ -29,9 +29,9 @@ class HypothesisViolated(RuntimeError):
 
 
 def _units(field, rows, cols):
-    """The rows x cols matrix units E_i, row-major: E_i.data[i] = 1."""
-    return [Matrix(field, rows, cols, row)
-            for row in Matrix.identity(field, rows * cols).row_list()]
+    """The _columns of the rows x cols matrix units E_i, row-major."""
+    return [[[(r, field.one)] if j == c else [] for j in range(cols)]
+            for r in range(rows) for c in range(cols)]
 
 
 def _sparse_rows(n, terms):
@@ -97,9 +97,10 @@ class HModuleAlgebraAction:
     def conv_span(self):
         """OperatorSpan of L(E_i), E_i the row-major matrix units of
         Hom(H, B): convolution by v is its combination at v.data."""
-        return OperatorSpan([convolution_operator(
+        n = self.base.dim * self.hopf.dim
+        return OperatorSpan(self.field, [convolution_columns(
             self.base, self.hopf.coalgebra, e)
-            for e in _units(self.field, self.base.dim, self.hopf.dim)])
+            for e in _units(self.field, self.base.dim, self.hopf.dim)], n, n)
 
     def validate(self):
         f, om, hmul = self.field, self.columns, self.hopf.algebra.mul_table
@@ -131,7 +132,7 @@ def trivial_action(hopf, base):
 def action_from_cleft(ca, datum):
     """omega_t on B = A^{co H}, per Eq. (omega) of Thm 5.2's proof."""
     b = ca.coinvariants()
-    omega, bad = b.coords(cleft.omega_t(ca, datum.t.matrix, datum.u.matrix))
+    omega, bad = b.coords(cleft.omega_t(ca, datum.t, datum.u))
     if bad is not None:
         raise InternalInvariant("vector not in the subalgebra")
     return HModuleAlgebraAction(ca.hopf, b.algebra,
@@ -200,11 +201,12 @@ def b1_element(act, b_vec):
 
 
 def _invertible_in_span(base, kernel_vecs, seed=0, tries=200):
-    """An invertible element of B inside span(kernel_vecs), or NotFound."""
+    """An invertible element of B in span(kernel_vecs), or NotFound."""
     f = base.field
     if not kernel_vecs:
         return NotFound(True, 0, 0)
-    span = OperatorSpan([base.lmul(v) for v in kernel_vecs])
+    span = OperatorSpan(f, [base.mul_columns(v, True) for v in kernel_vecs],
+                        base.dim, base.dim)
 
     def invertible_at(coeffs):
         op = span.full_rank_at(coeffs)
@@ -227,7 +229,8 @@ def cohomologous(act, v_mat, v1_mat, seed=0):
         v1_inv = convolution_inverse(base, hopf.coalgebra, v1_mat)
     except NotInvertible as exc:
         raise ValueError("v1 is not convolution invertible") from exc
-    w = _columns(convolve(base, hopf.coalgebra, v_mat, v1_inv))
+    w = convolution_terms(base, hopf.coalgebra, _columns(v_mat),
+                          _columns(v1_inv))
     times = partial(_pair, base.mul_table, db)
     # w(h) b - h . b = 0 in row h * db + r, column i the coordinate b_i:
     # both sides linear in b
@@ -288,7 +291,7 @@ def z1_enumerate(act, enumerate_cap=EXHAUSTIVE_CAP):
 
 def omega_membership(ca, t_mat):
     """t in Omega_A: H-colinear algebra map."""
-    return (convcat.membership(ca, t_mat, (2, 1), "C")
+    return (convcat.membership(ca, _columns(t_mat), (2, 1), "C")
             and cleft.is_algebra_map(ca, t_mat))
 
 
@@ -324,25 +327,22 @@ def omega_enumerate(ca, act=None, base_point=None, seed=0,
     candidates span Hom^H(H, A), so only the algebra-map test is made."""
     f = ca.field
     b = ca.coinvariants()
-    hs = convcat.hom_space(ca, (2, 1), "C")
-    mats = [el.matrix for el in hs.elements]
-    d = len(mats)
-    unit = cleft.unit_condition(ca, mats)
+    ops = [el.cols for el in convcat.hom_space(ca, (2, 1), "C").elements]
+    d = len(ops)
+    unit = cleft.unit_condition(ca, ops)
     if search.enumerable(f, d, enumerate_cap, unit):
-        return search.every(f, d, partial(cleft._algebra_map_at, ca, mats),
+        return search.every(f, d, partial(cleft._algebra_map_at, ca, ops),
                             enumerate_cap, unit)
     if base_point is None:
         base_point, status = cleft._algebra_map_search(
-            ca, mats, seed=seed, enumerate_cap=enumerate_cap)
+            ca, ops, seed=seed, enumerate_cap=enumerate_cap)
         if base_point is None:
             if status == "none":
                 return []
             raise SearchInconclusive("no Omega_A base point found")
     if act is None:
-        datum = cleft.CleftingDatum(
-            convcat.HomSpaceElement(base_point, (2, 1), "C"),
-            convcat.HomSpaceElement(base_point @ ca.hopf.antipode, (1, 2), "C"),
-            normalized=True)
+        datum = cleft.CleftingDatum(base_point, base_point @ ca.hopf.antipode,
+                                    normalized=True)
         act = action_from_cleft(ca, datum)
     out = []
     for v in z1_enumerate(act, enumerate_cap=enumerate_cap):
@@ -472,9 +472,7 @@ def prop57_check(ca, t0=None, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
         report.fail("t0-not-in-Omega")
         return report
     u0 = t0 @ hopf.antipode
-    datum = cleft.CleftingDatum(
-        convcat.HomSpaceElement(t0, (2, 1), "C"),
-        convcat.HomSpaceElement(u0, (1, 2), "C"), normalized=True)
+    datum = cleft.CleftingDatum(t0, u0, normalized=True)
     act = action_from_cleft(ca, datum)
     z1 = z1_enumerate(act, enumerate_cap=enumerate_cap)
 

@@ -16,9 +16,9 @@ import itertools
 from .hopf import (DimensionMismatch, StructureConstantAlgebra,
                    ValidationReport, _agree, _table, first_failure,
                    tensor_algebra_map)
-from .linalg import (Factorization, Matrix, _columns, _nonzero, _pair,
-                     _terms, colinearity_operator, eliminate, sparse_kernel,
-                     summed, summed_columns)
+from .linalg import (Factorization, _columns, _nonzero, _pair, _terms,
+                     colinearity_operator, eliminate, sparse_kernel, summed,
+                     summed_columns)
 
 
 class InternalInvariant(RuntimeError):
@@ -68,7 +68,7 @@ def comodule_coinvariant_basis(field, dim, coaction_table, hopf_unit):
     unit = [[(0, h, u) for h, u in enumerate(hopf_unit) if u]]
     kernel = sparse_kernel(field, dim, colinearity_operator(
         field, 1, dim, unit, coaction_table, len(hopf_unit)))
-    return Matrix.from_cols(field, kernel, nrows=dim)
+    return summed_columns(field, dim, kernel)
 
 
 class SubalgebraEmbedding:
@@ -292,9 +292,10 @@ class InducedModule:
         self.quotient = quotient
         self.module = module
 
-    def induced_map(self, g):
-        """g (x)_B A on quotient coordinates, for g: M -> M B-linear."""
-        da, g_cols = self.ca.algebra.dim, _columns(g)
+    def induced_map(self, g_cols):
+        """g (x)_B A on quotient coordinates, for g: M -> M B-linear given
+        by its _columns."""
+        da = self.ca.algebra.dim
         return self.quotient.induced(lambda j: (
             (r * da + j % da, 0, x) for r, x in g_cols[j // da]))
 

@@ -4,15 +4,20 @@ A hom element of class (i, j) is an arrow i -> j.  Each of the eight
 colinearity constraint shapes is a table of terms per basis vector h of H,
 read from comul_table, mul_table and the columns of S or Sbar; membership
 checks it column by column and the hom-spaces are the nullspaces of the
-operators written from it.  Composition of f: i -> j and g: j -> k is
-the convolution g * f (outer factor g), matching the functoriality identity
-alpha_kj(g) o alpha_ji(f) = alpha_ki(g * f) of the main theorem; in C'_A
-the cop-convolution (g ? f)(h) = g(h_(2)) f(h_(1)) is used instead.
+operators written from it.  Every hom-space element is held as its
+_columns, the nonzero (row, x) of each column, rows ascending: a basis is
+read off the kernel's terms, and composing with S or Sbar and convolving
+sum those columns, so no matrix is formed.  Composition of f: i -> j and
+g: j -> k is the convolution g * f (outer factor g), matching the
+functoriality identity alpha_kj(g) o alpha_ji(f) = alpha_ki(g * f) of the
+main theorem; in C'_A the cop-convolution (g ? f)(h) = g(h_(2)) f(h_(1))
+is used instead.
 """
 
 from . import hopf
-from .hopf import CoalgebraData, colinear_witness
-from .linalg import Matrix, _columns, colinearity_operator, sparse_kernel
+from .hopf import CoalgebraData, colinear_witness, convolution_terms
+from .linalg import (_columns, _composed, _terms, _unflat,
+                     colinearity_operator, sparse_kernel)
 
 CLASSES = ((1, 1), (2, 1), (1, 2), (2, 2))
 
@@ -26,15 +31,16 @@ class MembershipViolation(RuntimeError):
 
 
 class HomSpaceElement:
-    """A map H -> A as a dim(A) x dim(H) matrix, tagged with its class."""
+    """A map f: H -> A tagged with its class, held as its _columns: cols[h]
+    lists the nonzero (r, x) of f(e_h) = Sum x e_r, r ascending."""
 
-    def __init__(self, matrix, cls, variant):
-        self.matrix = matrix
+    def __init__(self, cols, cls, variant):
+        self.cols = cols
         self.cls = cls
         self.variant = variant          # "C" or "Cprime"
 
     def __eq__(self, other):
-        return (isinstance(other, HomSpaceElement) and self.matrix == other.matrix
+        return (isinstance(other, HomSpaceElement) and self.cols == other.cols
                 and self.cls == other.cls and self.variant == other.variant)
 
     def __repr__(self):
@@ -76,11 +82,13 @@ def _constraint_terms(ca, cls, variant):
             for h in range(dh)]
 
 
-def membership(ca, f_mat, cls, variant):
-    """Whether f satisfies the constraint of class (cls, variant), checked
-    at each basis vector of H from the columns of f and rho."""
+def membership(ca, f_cols, cls, variant):
+    """Whether f, given by its _columns, satisfies the constraint of class
+    (cls, variant), checked at each basis vector of H from the columns of f
+    and rho."""
     terms = _constraint_terms(ca, cls, variant)
-    return colinear_witness(ca.field, f_mat, terms, ca.coaction_table) is None
+    return colinear_witness(ca.field, f_cols, terms,
+                            ca.coaction_table) is None
 
 
 def constraint_operator(ca, cls, variant):
@@ -93,13 +101,13 @@ def constraint_operator(ca, cls, variant):
 
 
 def hom_space(ca, cls, variant):
-    """Nullspace basis of the colinearity constraint (deterministic order)."""
-    field = ca.field
-    da, dh = ca.algebra.dim, ca.hopf.dim
-    elems = [HomSpaceElement(Matrix(field, da, dh, v), cls, variant)
-             for v in sparse_kernel(field, da * dh,
-                                    constraint_operator(ca, cls, variant))]
-    return HomSpaceBasis(cls, variant, elems)
+    """Nullspace basis of the colinearity constraint (deterministic order),
+    each element's columns read off its kernel vector's terms."""
+    dh = ca.hopf.dim
+    return HomSpaceBasis(cls, variant, [
+        HomSpaceElement(_unflat(dh, v), cls, variant)
+        for v in sparse_kernel(ca.field, ca.algebra.dim * dh,
+                               constraint_operator(ca, cls, variant))])
 
 
 def variant_coalgebra(ca, variant="C"):
@@ -114,8 +122,8 @@ def variant_coalgebra(ca, variant="C"):
 
 def unit_element(ca, cls=(1, 1), variant="C"):
     """eta_A o eps_H, the convolution unit (identity morphism)."""
-    mat = hopf.convolution_unit(ca.algebra, ca.hopf.coalgebra)
-    return HomSpaceElement(mat, cls, variant)
+    return HomSpaceElement(_columns(hopf.convolution_unit(
+        ca.algebra, ca.hopf.coalgebra)), cls, variant)
 
 
 def convolve_matrices(ca, g_mat, f_mat, variant="C"):
@@ -124,42 +132,40 @@ def convolve_matrices(ca, g_mat, f_mat, variant="C"):
                          g_mat, f_mat)
 
 
+def _checked(ca, cols, cls, variant, what):
+    """The element with the raw columns cols if in (cls, variant)."""
+    out = HomSpaceElement([_terms(ca.field, col) for col in cols], cls,
+                          variant)
+    if not membership(ca, out.cols, cls, variant):
+        raise MembershipViolation(f"{what} fails {variant}{cls} membership")
+    return out
+
+
 def convolve(ca, g, f):
     """Composition of arrows f: i -> j then g: j -> k, i.e. g * f."""
     if g.variant != f.variant:
         raise NotComposable("mixed variants")
     if f.cls[1] != g.cls[0]:
         raise NotComposable(f"{g.cls} after {f.cls}")
-    cls = (f.cls[0], g.cls[1])
-    mat = convolve_matrices(ca, g.matrix, f.matrix, g.variant)
-    out = HomSpaceElement(mat, cls, g.variant)
-    if not membership(ca, mat, cls, g.variant):
-        raise MembershipViolation(f"convolution left class {cls}")
-    return out
+    return _checked(ca, convolution_terms(
+        ca.algebra, variant_coalgebra(ca, g.variant), g.cols, f.cols),
+        (f.cls[0], g.cls[1]), g.variant, "convolution")
 
 
 def gamma_functor(ca, f_prime):
     """gamma(f') = f' o S: C'_A(i, j) -> C_A(i, j)."""
     if f_prime.variant != "Cprime":
         raise ValueError("gamma takes C'_A elements")
-    mat = f_prime.matrix @ ca.hopf.antipode
-    out = HomSpaceElement(mat, f_prime.cls, "C")
-    if not membership(ca, mat, f_prime.cls, "C"):
-        raise MembershipViolation(
-            f"gamma image fails C_A{f_prime.cls} membership")
-    return out
+    return _checked(ca, _composed(f_prime.cols, _columns(ca.hopf.antipode)),
+                    f_prime.cls, "C", "gamma image")
 
 
 def gamma_bar(ca, f):
     """gammabar(f) = f o Sbar: C_A(i, j) -> C'_A(i, j)."""
     if f.variant != "C":
         raise ValueError("gammabar takes C_A elements")
-    mat = f.matrix @ ca.hopf.antipode_inv
-    out = HomSpaceElement(mat, f.cls, "Cprime")
-    if not membership(ca, mat, f.cls, "Cprime"):
-        raise MembershipViolation(
-            f"gammabar image fails C'_A{f.cls} membership")
-    return out
+    return _checked(ca, _composed(f.cols, _columns(ca.hopf.antipode_inv)),
+                    f.cls, "Cprime", "gammabar image")
 
 
 def convolution_inverse_matrix(ca, f_mat, variant="C"):

@@ -3,15 +3,16 @@ algebra E = END_A(M (x)_B A) and the identification F = E^{co H} = End_B(M).
 
 At finite dimension every A-linear endomorphism is rational; the coaction
 solver below still verifies rationality instance by instance instead of
-assuming it.  E's products and coaction are summed from the nonzero columns
-of its basis, of rho and of S and from mul_table, and solved against the
-one factorization of the basis.
+assuming it.  E's basis is held as the _columns of its endomorphisms, read
+off the kernel's terms; E's products and coaction are summed from them, the
+columns of rho and of S and mul_table, and solved against the one
+factorization of the basis, whose columns are their vecs.
 """
 
 from .comodule import ComoduleAlgebraData, InternalInvariant, adjunction_unit
 from .hopf import StructureConstantAlgebra, _agree, first_failure
-from .linalg import (Factorization, _columns, _nonzero, basis_vec,
-                     intertwiners, lin_comb, summed_columns)
+from .linalg import (Factorization, _columns, _combination, _composed, _flat,
+                     _nonzero, basis_vec, intertwiners, summed_columns)
 
 
 class NotRational(RuntimeError):
@@ -19,7 +20,8 @@ class NotRational(RuntimeError):
 
 
 def end_A(ca, module):
-    """Basis of A-linear endomorphisms of a relative Hopf module."""
+    """Basis of A-linear endomorphisms of a relative Hopf module, each as
+    its _columns."""
     table = module.action_table
     return intertwiners(ca.field, module.dim, module.dim,
                         (table, table, ca.algebra.dim))
@@ -30,9 +32,9 @@ def rational_coaction(ca, module, basis, coords):
     rho(basis_i) = Sum c basis_k (x) e_h.
 
     rho(f)(e_p) = Sum f(p_[0])_[0] (x) f(p_[0])_[1] S(p_[1]) is summed from
-    the tables of rho, f, S and mul_table; its slice at each e_h is solved
-    against coords, the basis factored.  Raises NotRational if a slice is
-    outside span(basis).
+    the tables of rho, f, S and mul_table, for basis given by the _columns
+    of its maps; its slice at each e_h is solved against coords, the basis
+    factored.  Raises NotRational if a slice is outside span(basis).
     """
     dh, dq, n = ca.hopf.dim, module.dim, len(basis)
     hmul, rho = ca.hopf.algebra.mul_table, module.coaction_table
@@ -40,8 +42,8 @@ def rational_coaction(ca, module, basis, coords):
     hs = [[(t, y * m) for r, y in s[h0] for t, m in hmul[h1 * dh + r]]
           for h1 in range(dh) for h0 in range(dh)]     # e_h1 S(e_h0)
     cols = []                               # raw; row (r0, p), column (i, h)
-    for b in basis:
-        b_cols, out = _columns(b), [[] for _ in range(dh)]
+    for b_cols in basis:
+        out = [[] for _ in range(dh)]
         for p in range(dq):
             for p0, h0, x in rho[p]:
                 for r, z in b_cols[p0]:
@@ -62,17 +64,13 @@ class EndComoduleAlgebra:
     def __init__(self, ca, induced, basis, comodule_algebra, coords):
         self.base = ca                  # the underlying comodule algebra A
         self.induced = induced          # the module M (x)_B A
-        self.basis = basis              # endomorphism matrices
+        self.basis = basis              # the _columns of each endomorphism
         self.ca = comodule_algebra      # E as a ComoduleAlgebraData over H
         self._coords = coords           # Factorization of the basis
 
     @property
     def dim(self):
         return len(self.basis)
-
-    def to_matrix(self, coords):
-        """Endomorphism matrix of an element given in E-coordinates."""
-        return lin_comb(self.basis, coords)
 
     def coords_columns(self, cols):
         """E-coordinates, in the layout of _columns, of the endomorphisms
@@ -82,11 +80,6 @@ class EndComoduleAlgebra:
             raise InternalInvariant("matrix not A-linear")
         return x
 
-    def coords_matrix(self, cols):
-        """coords_columns(cols) as the columns of a matrix."""
-        return summed_columns(self.base.field, self.dim,
-                              self.coords_columns(cols))
-
 
 def build_E(ca, induced):
     """Assemble E with multiplication = composition and the Eq. (14) coaction."""
@@ -95,15 +88,14 @@ def build_E(ca, induced):
     dq = module.dim
     basis = end_A(ca, module)
     n = len(basis)
-    coords = Factorization(field, [_nonzero(b.data) for b in basis])
-    cols = [_columns(b) for b in basis]
+    coords = Factorization(field, [_flat(b) for b in basis])
     # the identity, then vec(b_i b_j) in column i*n + j, raw: mul is E's
     # mul_table as solved
     (unit, *mul), ok = coords.solve_columns(
         [[(v * dq + v, field.one) for v in range(dq)]]
         + [[(u * dq + v, y * z) for v, terms in enumerate(cj)
             for w, z in terms for u, y in ci[w]]
-           for ci in cols for cj in cols])
+           for ci in basis for cj in basis])
     if not all(ok):
         raise InternalInvariant("End_A not closed under composition")
     alg = StructureConstantAlgebra(field, n, mul,
@@ -120,8 +112,7 @@ def verify_eq14(e):
     product.  Returns (True, None), or (False, i) for the first failing f_i."""
     ca, module = e.base, e.induced.module
     dh, hmul = ca.hopf.dim, ca.hopf.algebra.mul_table
-    rho, e_rho = module.coaction_table, e.ca.coaction_table
-    cols = [_columns(b) for b in e.basis]
+    rho, e_rho, cols = module.coaction_table, e.ca.coaction_table, e.basis
     witness = first_failure(lambda i, p: _agree(
         ca.field, (((r0, h), z * y) for r, z in cols[i][p]
                    for r0, h, y in rho[r]),
@@ -137,9 +128,9 @@ class CoinvariantIdentification:
     def __init__(self, e, embedding, restrict, extend, endb_basis):
         self.e = e
         self.embedding = embedding      # SubalgebraEmbedding F -> E
-        self.restrict = restrict        # F-coords -> End_B(M) matrix
-        self.extend = extend            # End_B(M) matrix -> F-coords
-        self.endb_basis = endb_basis
+        self.restrict = restrict        # F-coords -> _columns in End_B(M)
+        self.extend = extend            # _columns in End_B(M) -> F-coords
+        self.endb_basis = endb_basis    # the _columns of each basis map
 
 
 def build_F(ca, m, e):
@@ -151,18 +142,20 @@ def build_F(ca, m, e):
         raise InternalInvariant("eta_M not bijective; extension not Galois")
     endb_basis = intertwiners(field, m.dim, m.dim, (
         m.action_table, m.action_table, m.base.dim))
-    eta_fac = Factorization(field, _columns(eta))
+    eta_cols = _columns(eta)
+    eta_fac = Factorization(field, eta_cols)
 
     def restrict(coords_f):
-        phi = e.to_matrix(emb.inclusion.apply(coords_f))
-        g, ok = eta_fac.solve_columns(_columns(phi @ eta))  # eta g = phi eta
-        if not all(ok):
+        phi = _combination(e.basis, _nonzero(emb.inclusion.apply(coords_f)),
+                           e.induced.module.dim)
+        g, ok = eta_fac.solve_columns(_composed(phi, eta_cols))
+        if not all(ok):                                 # eta g = phi eta
             raise InternalInvariant("phi eta leaves the image of eta")
-        return summed_columns(field, m.dim, g)
+        return g
 
-    def extend(g_mat):
+    def extend(g_cols):
         x, bad = emb.coords(e.coords_columns(
-            [_nonzero(e.induced.induced_map(g_mat).data)]))
+            [_nonzero(e.induced.induced_map(g_cols).data)]))
         if bad is not None:
             raise InternalInvariant("vector not in the subalgebra")
         return summed_columns(field, emb.dim, x).data
@@ -186,9 +179,8 @@ def verify_F_iso(ca, m, ident):
     for i in range(emb.dim):
         for j in range(emb.dim):
             prod = emb.algebra.basis_product(i, j)
-            lhs = ident.restrict(prod)
-            rhs = ident.restrict(basis_vec(field, emb.dim, i)) \
-                @ ident.restrict(basis_vec(field, emb.dim, j))
-            if lhs != rhs:
+            if not _agree(field, _flat(ident.restrict(prod)), _flat(_composed(
+                    ident.restrict(basis_vec(field, emb.dim, i)),
+                    ident.restrict(basis_vec(field, emb.dim, j))))):
                 return False
     return True

@@ -116,20 +116,19 @@ def _colinear_defect(cols, x_co, y_co, x):
     yield from (((y, h), -c * z) for x0, h, c in x_co[x] for y, z in cols[x0])
 
 
-def colinear_witness(field, mat, x_co, y_co):
-    """First column x with y_co(mat e_x) != (mat (x) id)(x_co e_x), or None,
-    for x_co and y_co given by their coaction tables: the check that mat is a
-    comodule map (a module map, for action tables), column by column from
-    the nonzero entries."""
-    cols = _columns(mat)
+def colinear_witness(field, cols, x_co, y_co):
+    """First column x with y_co(X e_x) != (X (x) id)(x_co e_x), or None,
+    for the map X with the _columns cols and x_co and y_co given by their
+    coaction tables: the check that X is a comodule map (a module map, for
+    action tables), column by column from the nonzero entries."""
     return first_failure(lambda x: _agree(
         field, _colinear_defect(cols, x_co, y_co, x), ()), len(cols))
 
 
-def linear_witness(field, mat, x_act, y_act):
-    """(k,) for the least k with mat(e_x . b_k) != mat(e_x) . b_k at some
-    x, or None, for actions given by their action tables."""
-    cols = _columns(mat)
+def linear_witness(field, cols, x_act, y_act):
+    """(k,) for the least k with X(e_x . b_k) != X(e_x) . b_k at some x, or
+    None, for the map X with the _columns cols and actions given by their
+    action tables."""
     return min(((k,) for x in range(len(cols)) for (_, k), _ in _terms(
         field, _colinear_defect(cols, x_act, y_act, x))), default=None)
 
@@ -192,24 +191,25 @@ class StructureConstantAlgebra:
 
     def lmul(self, v):
         """Matrix of left multiplication by the element v."""
-        return summed_columns(self.field, self.dim, self._mul_columns(v, True))
+        return summed_columns(self.field, self.dim,
+                              self.mul_columns(_nonzero(v), True))
 
     def rmul(self, v):
         return summed_columns(self.field, self.dim,
-                              self._mul_columns(v, False))
+                              self.mul_columns(_nonzero(v), False))
 
-    def _mul_columns(self, v, left):
+    def mul_columns(self, vs, left):
         """The raw terms of column j, v e_j (left) or e_j v, from the mul
-        table."""
-        n, table, vs = self.dim, self.mul_table, _nonzero(v)
+        table, for v given by its raw terms vs."""
+        n, table = self.dim, self.mul_table
         return [[(r, c * a) for i, a in vs
                  for r, c in table[i * n + j if left else j * n + i]]
                 for j in range(n)]
 
     def element_inverse(self, v):
         """Two-sided inverse of v, or None."""
-        (w,), (ok,) = Factorization(self.field, self._mul_columns(
-            v, True)).solve_columns([_nonzero(self.unit)])
+        (w,), (ok,) = Factorization(self.field, self.mul_columns(
+            _nonzero(v), True)).solve_columns([_nonzero(self.unit)])
         w = summed_columns(self.field, self.dim, [w]).data
         if not ok or self.product(w, v) != self.unit:
             return None
@@ -400,18 +400,11 @@ def is_convolution_inverse(algebra, coalgebra, f_mat, g_mat):
             and convolve(algebra, coalgebra, g_mat, f_mat) == unit)
 
 
-def convolution_operator(algebra, coalgebra, f_mat):
-    """Matrix on vec(X) of X -> f * X."""
-    n = algebra.dim * coalgebra.dim
-    return summed_columns(algebra.field, n, _convolution_columns(
-        algebra, coalgebra, f_mat))
-
-
-def _convolution_columns(algebra, coalgebra, f_mat):
-    """The raw terms of column a * dC + c2 of convolution_operator: (f * X)
-    (c) = Sum x f(c1) X(c2) over the Delta table of c, each product from
-    the mul table."""
-    da, dc, fs = algebra.dim, coalgebra.dim, _columns(f_mat)
+def convolution_columns(algebra, coalgebra, fs):
+    """The raw terms of column a * dC + c2 of the operator X -> f * X on
+    vec(X), for f given by its _columns fs: (f * X)(c) = Sum x f(c1) X(c2)
+    over the Delta table of c, each product from the mul table."""
+    da, dc = algebra.dim, coalgebra.dim
     cols = [[] for _ in range(da * dc)]
     for c, terms in enumerate(coalgebra.comul_table):
         for c1, c2, x in terms:
@@ -431,8 +424,9 @@ def convolution_inverse(algebra, coalgebra, f_mat):
     OneSidedInverse when only the right inverse exists.
     """
     unit = convolution_unit(algebra, coalgebra)
-    (g,), (ok,) = Factorization(algebra.field, _convolution_columns(
-        algebra, coalgebra, f_mat)).solve_columns([_nonzero(unit.data)])
+    (g,), (ok,) = Factorization(algebra.field, convolution_columns(
+        algebra, coalgebra, _columns(f_mat))).solve_columns(
+            [_nonzero(unit.data)])
     if not ok:
         raise NotInvertible("no right convolution inverse")
     g_mat = summed(algebra.field, algebra.dim, coalgebra.dim, g)

@@ -4,15 +4,17 @@ unitality (Prop 6.2), associativity (Prop 6.3), the lifting theorem (Thm 6.4),
 and the classification Omega_E-bar = Lambda_M-bar = H^1(H, End_B(M)).
 
 phi is a dm x dim(M (x)_B A) matrix in quotient coordinates; t lives in
-E-coordinates as in module maintheorem.
+E-coordinates as in module maintheorem.  Both are search candidates, held as
+matrices, and cross into maintheorem's maps as their _columns.
 """
 
 from . import cleft, cohomology, convcat, maintheorem, search
 from .comodule import associativity_failures
 from .hopf import (ValidationReport, _agree, first_failure,
                    is_cocommutative, linear_witness, multiplicative_witness)
-from .linalg import (Matrix, OperatorSpan, _columns, _terms, intertwiners,
-                     lin_comb, sparse_kernel)
+from .linalg import (Matrix, OperatorSpan, _columns, _combination, _composed,
+                     _flat, _terms, intertwiners, lin_comb, sparse_kernel,
+                     summed, summed_columns)
 from .search import EXHAUSTIVE_CAP, NotFound, SearchInconclusive
 
 
@@ -28,12 +30,12 @@ class ActionCandidate:
     def __init__(self, ctx, phi):
         self.ctx = ctx
         self.phi = phi
-        w = linear_witness(ctx.field, phi, ctx.x2_actions,
+        self.cols = phi_cols = _columns(phi)
+        w = linear_witness(ctx.field, phi_cols, ctx.x2_actions,
                            ctx.m.action_table)
         if w is not None:
             raise NotLinear(f"phi is not B-linear at b_{w[0]}")
-        da, cols, phi_cols = ctx.ca.algebra.dim, ctx.quot.columns, \
-            _columns(phi)
+        da, cols = ctx.ca.algebra.dim, ctx.quot.columns
         self.action_table = [[(*key, x) for key, x in _terms(ctx.field, (
             ((r, a), y * z) for a in range(da) for q, y in cols[m * da + a]
             for r, z in phi_cols[q]))] for m in range(ctx.m.dim)]
@@ -45,7 +47,7 @@ class LiftingPair:
     def __init__(self, ctx, candidate, t_coords):
         self.ctx = ctx
         self.candidate = candidate
-        self.t = t_coords                           # e.dim x dh
+        self.t = t_coords                           # e.dim x dh matrix
         self.u_prime = t_coords @ ctx.ca.hopf.antipode_inv
         self.u = t_coords @ ctx.ca.hopf.antipode
 
@@ -54,7 +56,7 @@ def _check_621(ctx, candidate, u_prime):
     """First (m, a) where (6.2.1) m.a (x)_B 1 = u'(a_[1]) (m (x)_B a_[0])
     fails, or None; m (x)_B a is the projection's column m * dA + a."""
     da, cols, rho = ctx.ca.algebra.dim, ctx.quot.columns, ctx.ca.coaction_table
-    phi, ev = _columns(candidate.phi), maintheorem._ev(ctx, u_prime)
+    phi, ev = candidate.cols, maintheorem._ev(ctx, _columns(u_prime))
     return first_failure(lambda m, a: _agree(
         ctx.field, ((r, y * z * w) for q, y in cols[m * da + a]
                     for s, z in phi[q] for r, w in ctx.eta_cols[s]),
@@ -67,7 +69,7 @@ def _check_622(ctx, candidate, t_coords):
     (x) r_i(h) a fails, or None."""
     da, cols, mul = ctx.ca.algebra.dim, ctx.quot.columns, \
         ctx.ca.algebra.mul_table
-    phi, ev = _columns(candidate.phi), maintheorem._ev(ctx, t_coords)
+    phi, ev = candidate.cols, maintheorem._ev(ctx, _columns(t_coords))
     return first_failure(lambda h, m, a: _agree(
         ctx.field, ((r, y * z) for q, y in cols[m * da + a]
                     for r, z in ev(h, q)),
@@ -80,9 +82,10 @@ def _check_622(ctx, candidate, t_coords):
 def phi_to_t(ctx, phi):
     """Lift phi to t = alpha^_12(phi); verifies colinearity + (6.2.1)/(6.2.2)."""
     candidate = phi if isinstance(phi, ActionCandidate) else ActionCandidate(ctx, phi)
-    t_coords = maintheorem.alpha12_hat(ctx, candidate.phi)
-    if not convcat.membership(ctx.e.ca, t_coords, (2, 1), "C"):
+    t_cols = maintheorem.alpha12_hat(ctx, candidate.cols)
+    if not convcat.membership(ctx.e.ca, t_cols, (2, 1), "C"):
         raise maintheorem.MembershipViolation("t = alpha^_12(phi) not colinear")
+    t_coords = summed_columns(ctx.field, ctx.e.dim, t_cols)
     pair = LiftingPair(ctx, candidate, t_coords)
     w = _check_621(ctx, candidate, pair.u_prime)
     if w is not None:
@@ -95,8 +98,9 @@ def phi_to_t(ctx, phi):
 
 def t_to_phi(ctx, t_coords):
     """Inverse lift: phi = beta~_12(t o Sbar), per (6.2.1)."""
-    phi = maintheorem.beta12_tilde(ctx, t_coords @ ctx.ca.hopf.antipode_inv)
-    return ActionCandidate(ctx, phi)
+    phi = maintheorem.beta12_tilde(ctx, _composed(_columns(t_coords),
+                                                  ctx.sbar_cols))
+    return ActionCandidate(ctx, summed_columns(ctx.field, ctx.m.dim, phi))
 
 
 class EquivalenceVerdict:
@@ -167,13 +171,14 @@ class StabilityReport:
         self.detail = ""
 
 
-def _invertible_in_matrix_span(field, mats, seed=0, tries=200,
+def _invertible_in_matrix_span(field, ops, rows, cols, seed=0, tries=200,
                                enumerate_cap=EXHAUSTIVE_CAP):
-    """An invertible element of span(mats), or NotFound."""
-    d = len(mats)
-    if d == 0 or mats[0].rows != mats[0].cols:
+    """An invertible element of the span of the rows x cols maps with the
+    _columns ops, or NotFound."""
+    d = len(ops)
+    if d == 0 or rows != cols:
         return NotFound(True, 0, d)
-    span = OperatorSpan(mats)
+    span = OperatorSpan(field, ops, rows, cols)
     return search.first(field, d, span.full_rank_at, seed, tries,
                         enumerate_cap, degree=span.degree)
 
@@ -188,6 +193,7 @@ def stability_check(ca, m, seed=0, tries=200, enumerate_cap=EXHAUSTIVE_CAP):
     ctx = maintheorem.TheoremContext(ca, m)
     # side A: invertible element of Hom_B^H(M (x) H, M (x)_B A)
     got = _invertible_in_matrix_span(ctx.field, ctx.dm_hom_space(1, 2),
+                                     ctx.x2_dim, ctx.x1_dim,
                                      seed=seed, tries=tries,
                                      enumerate_cap=enumerate_cap)
     iso = None if isinstance(got, NotFound) else got
@@ -214,15 +220,16 @@ def stability_check(ca, m, seed=0, tries=200, enumerate_cap=EXHAUSTIVE_CAP):
     if side_a and cleft_found:
         # transport witnesses through Lemma 3.5: u in C_E(1,2) gives the
         # intertwiner alpha_21(u) = beta21(u o Sbar), and back via beta21_bar
-        w = maintheorem.alpha(ctx, (1, 2), datum.u.matrix)
-        if not ctx.dm_membership(w, 1, 2):
+        w_cols = maintheorem.alpha(ctx, (1, 2), _columns(datum.u))
+        w = summed_columns(ctx.field, ctx.x2_dim, w_cols)
+        if not ctx.dm_membership(w_cols, 1, 2):
             report.detail = "transported witness left Hom_B^H"
             report.stable = None
         elif not w.is_invertible():
             report.detail = "transported witness is not invertible"
         else:
             report.witness = w
-        back = maintheorem.alpha_inverse(ctx, (1, 2), iso)
+        back = maintheorem.alpha_inverse(ctx, (1, 2), _columns(iso))
         if not convcat.membership(ctx.e.ca, back, (1, 2), "C"):
             report.detail += "; beta21_bar transport left C_E(1,2)"
             report.stable = None
@@ -256,13 +263,13 @@ def lambda_enumerate(ctx, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
     f = ctx.field
     if candidates is not None:
         return [phi for phi in candidates if _is_action(ctx, phi)]
-    space = _b_linear_space(ctx)
+    space, dm = _b_linear_space(ctx), ctx.m.dim
     d = len(space)
-    unit = ([(phi @ ctx.eta).data for phi in space],
-            Matrix.identity(f, ctx.m.dim).data)
+    unit = ([summed(f, dm, dm, _flat(_composed(phi, ctx.eta_cols))).data
+             for phi in space], Matrix.identity(f, dm).data)
     if search.enumerable(f, d, enumerate_cap, unit):
         def action_at(coeffs):
-            phi = lin_comb(space, coeffs)
+            phi = lin_comb(f, dm, space, coeffs)
             return phi if _is_action(ctx, phi) else None
         return search.every(f, d, action_at, enumerate_cap, unit) if d else []
     omega = cohomology.omega_enumerate(ctx.e.ca, seed=seed,
@@ -280,22 +287,21 @@ def lambda_enumerate(ctx, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
 
 def _endb_conjugation_kernel(ctx, t1, t2):
     """Solutions f in End_B(M) of (6.5.1): t1(h)(f (x) A) = (f (x) A)t2(h)."""
-    f = ctx.field
-    dh = ctx.ca.hopf.dim
+    f, dh, dq = ctx.field, ctx.ca.hopf.dim, ctx.quot.dim
     endb = intertwiners(f, ctx.m.dim, ctx.m.dim, (
         ctx.m.action_table, ctx.m.action_table, ctx.b.dim))
     if not endb:
         return [], endb
-    t12 = [(ctx.e.to_matrix(t1.col(h)), ctx.e.to_matrix(t2.col(h)))
-           for h in range(dh)]
+    t12 = [[summed_columns(f, dq, _combination(ctx.e.basis, t[h], dq))
+            for t in (t1, t2)] for h in range(dh)]    # t(h) in End_A
     rows = {}           # row (h, entry) of the operator on span(endb)
     for k, g in enumerate(map(ctx.induced.induced_map, endb)):
         for h, (t1h, t2h) in enumerate(t12):
             for e, x in enumerate((t1h @ g - g @ t2h).data):
                 if x:
                     rows.setdefault((h, e), {})[k] = x
-    return [lin_comb(endb, v) for v in sparse_kernel(
-        f, len(endb), rows.values())], endb
+    return [[_terms(f, col) for col in _combination(endb, v, ctx.m.dim)]
+            for v in sparse_kernel(f, len(endb), rows.values())], endb
 
 
 def phi_equivalence(ctx, phi1, phi2, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
@@ -304,20 +310,20 @@ def phi_equivalence(ctx, phi1, phi2, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
     Decided through (6.5.1) on t1, t2 and cross-checked against the direct
     module-isomorphism condition.
     """
-    f = ctx.field
-    t1 = maintheorem.alpha12_hat(ctx, phi1)
-    t2 = maintheorem.alpha12_hat(ctx, phi2)
+    f, dm = ctx.field, ctx.m.dim
+    t1 = maintheorem.alpha12_hat(ctx, _columns(phi1))
+    t2 = maintheorem.alpha12_hat(ctx, _columns(phi2))
     sols, _ = _endb_conjugation_kernel(ctx, t1, t2)
     via_651 = search.found(
-        _invertible_in_matrix_span(f, sols, seed=seed,
+        _invertible_in_matrix_span(f, sols, dm, dm, seed=seed,
                                    enumerate_cap=enumerate_cap),
         "invertible f in End_B(M) solving (6.5.1)")
     # independent check: f A-linear between the two induced module structures
-    direct_sols = intertwiners(f, ctx.m.dim, ctx.m.dim, (
+    direct_sols = intertwiners(f, dm, dm, (
         ActionCandidate(ctx, phi2).action_table,
         ActionCandidate(ctx, phi1).action_table, ctx.ca.algebra.dim))
     direct = search.found(
-        _invertible_in_matrix_span(f, direct_sols, seed=seed,
+        _invertible_in_matrix_span(f, direct_sols, dm, dm, seed=seed,
                                    enumerate_cap=enumerate_cap),
         "invertible A-linear f between the two actions")
     if via_651 != direct:
@@ -351,7 +357,7 @@ def classify_actions(ca, m, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
             report.fail("round-trip-phi")
         ts.append(pair.t)
     for t in ts:
-        if maintheorem.alpha12_hat(ctx, t_to_phi(ctx, t).phi) != t:
+        if maintheorem.alpha12_hat(ctx, t_to_phi(ctx, t).cols) != _columns(t):
             report.fail("round-trip-t")
     if candidates is not None:
         omega = ts
@@ -375,10 +381,8 @@ def classify_actions(ca, m, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
     if (omega and is_cocommutative(ca.hopf)
             and endb.algebra.is_commutative()):
         t0 = omega[0]
-        datum = cleft.CleftingDatum(
-            convcat.HomSpaceElement(t0, (2, 1), "C"),
-            convcat.HomSpaceElement(t0 @ ca.hopf.antipode, (1, 2), "C"),
-            normalized=True)
+        datum = cleft.CleftingDatum(t0, t0 @ ca.hopf.antipode,
+                                    normalized=True)
         act = cohomology.action_from_cleft(ctx.e.ca, datum)
         try:
             z1 = cohomology.z1_enumerate(act, enumerate_cap=enumerate_cap)

@@ -26,14 +26,22 @@ tensored, added or scaled entry by entry, and cleft, cohomology and galois
 apply no basis vector.
 
 Operators.  A linear constraint on an unknown matrix X is an operator on
-the row-major vec(X), held as its sparse rows ({column: x} dicts) written
+the row-major vec(X), given by its sparse rows ({column: x} dicts) written
 from sparse tables: colinearity_operator is X -> y_co X - (X (x) I_H) x_co
-for the coaction tables x_co and y_co.  On two action tables, with dim B
-in place of dim H, the same operator is X -> (X(-) . b_k - X(- . b_k))_k,
-so intertwiners stacks it once for the actions and once for the
-coactions.  Column c*n + j is the unknown X[c, j].  Their kernels are
-sparse_kernel's, read off eliminate's RREF; no dense operator or Kronecker
-product is formed.
+for the coaction tables x_co and y_co, yielded row by row without the rows
+no term reaches, so the elimination holds only its pivots.  On two action
+tables, with dim B in place of dim H, the same operator is X -> (X(-) .
+b_k - X(- . b_k))_k, so intertwiners chains it once for the actions and
+once for the coactions.  Column c*n + j is the unknown X[c, j].  Their
+kernels are sparse_kernel's, read off eliminate's RREF as the nonzero terms
+(i, x) of each basis vector; intertwiners and convcat's hom spaces hand on
+each basis map as its _columns (_unflat, undone by _flat).  No dense
+operator, kernel vector or Kronecker product is formed.  A Matrix is still
+formed for a search candidate or hit (lin_comb, OperatorSpan.full_rank_at),
+for structure maps, witnesses and reports (S, eta, B's inclusion, a
+clefting datum, io_json), and where lifting's and cleft's witness
+arithmetic sums one from columns.  Matrix.solve and Matrix.kron have no
+package caller: they stay for the tests' oracles and the benchmark.
 
 Factor once.  A matrix A solved against many right-hand sides is factored
 once, from its columns: Factorization eliminates the rows of A with their
@@ -48,6 +56,8 @@ factorization is held by the object that solves against A, never cached
 on Matrix: matrices are built in place through .data, so a cache could go
 stale.
 """
+
+from itertools import chain
 
 from . import _modp_py as _modp
 
@@ -117,9 +127,6 @@ class Matrix:
     def col(self, j):
         return [self.data[i * self.cols + j] for i in range(self.rows)]
 
-    def row_list(self):
-        return [self.row(i) for i in range(self.rows)]
-
     # -- equality / predicates ---------------------------------------------
 
     def __eq__(self, other):
@@ -151,10 +158,6 @@ class Matrix:
         sub = self.field.sub
         return Matrix(self.field, self.rows, self.cols,
                       [sub(a, b) for a, b in zip(self.data, other.data)])
-
-    def __neg__(self):
-        neg = self.field.neg
-        return Matrix(self.field, self.rows, self.cols, [neg(a) for a in self.data])
 
     def scale(self, c):
         mul = self.field.mul
@@ -228,13 +231,6 @@ class Matrix:
             for j, x in piv[c].items():
                 data[r * n + j] = x
         return Matrix(f, self.rows, n, data), pivots
-
-    def rank(self):
-        return len(self.rref()[1])
-
-    def kernel(self):
-        """sparse_kernel of the rows of self."""
-        return sparse_kernel(self.field, self.cols, _rows(self))
 
     def invert(self):
         """The inverse: row c is the combination of rows that reduces to
@@ -330,47 +326,43 @@ def reduced(field, values):
     return [v % p for v in values] if p else values
 
 
-def lin_comb(mats, coeffs):
-    """Sum_k coeffs[k] mats[k], for a non-empty list of equal-shape matrices."""
-    f = mats[0].field
-    out = [f.zero] * len(mats[0].data)
-    for m, c in zip(mats, coeffs):
-        if c != f.zero:
-            out = [o + c * x for o, x in zip(out, m.data)]
-    return Matrix(f, mats[0].rows, mats[0].cols, reduced(f, out))
+def lin_comb(field, rows, ops, coeffs):
+    """Sum_k coeffs[k] ops[k] as a rows x n matrix, for a non-empty list of
+    n-column maps given by their _columns: a search candidate made dense."""
+    return summed_columns(field, rows, _combination(
+        ops, [(k, c) for k, c in enumerate(coeffs) if c], len(ops[0])))
 
 
 class OperatorSpan:
-    """Equal-shape operators kept as their nonzero entries, built once.
+    """rows x cols operators given by their _columns, kept as their raw
+    terms (i, j, x), built once.
 
     degree is the row count n: for square operators det(Sum_k c_k ops[k])
     is a polynomial of degree <= n in each c_k, and full_rank_at(c) is None
     exactly where it vanishes (search.first's `degree`).
     """
 
-    def __init__(self, ops):
-        self.template = ops[0]
-        self.degree = ops[0].rows
-        self.terms = [[(*divmod(i, op.cols), x) for i, x in enumerate(op.data)
-                       if x] for op in ops]
+    def __init__(self, field, ops, rows, cols):
+        self.field, self.degree, self.cols = field, rows, cols
+        self.terms = [[(i, j, x) for j, col in enumerate(op) for i, x in col]
+                      for op in ops]
 
     def full_rank_at(self, coeffs):
         """Sum_k coeffs[k] ops[k] if invertible, else None.  The sum is
         taken raw into sparse rows for the rank test; only a hit is made a
         matrix."""
-        f, like = self.template.field, self.template
-        rows = [{} for _ in range(like.rows)]
+        f, n = self.field, self.cols
+        rows = [{} for _ in range(self.degree)]
         for terms, c in zip(self.terms, coeffs):
             if c:
                 for i, j, x in terms:
                     row = rows[i]
                     row[j] = row.get(j, 0) + c * x
-        if like.rows != like.cols or eliminate(
+        if self.degree != n or eliminate(
                 f, rows, independent=True, back=False) is None:
             return None
-        return summed(f, like.rows, like.cols, (
-            (i * like.cols + j, x) for i, row in enumerate(rows)
-            for j, x in row.items()))
+        return summed(f, n, n, ((i * n + j, x) for i, row in enumerate(rows)
+                                for j, x in row.items()))
 
 
 def basis_vec(field, n, i):
@@ -392,6 +384,38 @@ def _columns(mat):
 def _leg_columns(mat, d2):
     """_columns of mat, rows indexing V (x) W with dim W = d2, as (i, j, x)."""
     return [[(*divmod(r, d2), x) for r, x in col] for col in _columns(mat)]
+
+
+def _flat(cols):
+    """The raw terms (r * n + c, x) of the row-major entries of the
+    n-column matrix with the _columns cols: its vec, as a Factorization
+    column or right-hand side."""
+    n = len(cols)
+    return [(r * n + c, x) for c, col in enumerate(cols) for r, x in col]
+
+
+def _unflat(n, terms):
+    """The _columns of the n-column matrix whose row-major entries are the
+    terms (k, x), k ascending: the inverse of _flat."""
+    cols = [[] for _ in range(n)]
+    for k, x in terms:
+        r, c = divmod(k, n)
+        cols[c].append((r, x))
+    return cols
+
+
+def _combination(ops, coeffs, n):
+    """The raw terms (r, x) of each column of Sum_k c ops[k] over the raw
+    terms (k, c) coeffs, for n-column maps ops given by their _columns."""
+    return [[(r, c * x) for k, c in coeffs for r, x in ops[k][j]]
+            for j in range(n)]
+
+
+def _composed(g_cols, f_cols):
+    """The raw terms (r, x) of each column of g o f, for g and f given by
+    their _columns."""
+    return [[(r, y * x) for m, x in col for r, y in g_cols[m]]
+            for col in f_cols]
 
 
 def _terms(field, terms):
@@ -492,18 +516,15 @@ def eliminate(field, rows, combos=False, independent=False, back=True):
 def sparse_kernel(field, n, rows):
     """Deterministic basis of the right nullspace of the n-column matrix
     whose rows are the {column: x} dicts rows (x raw): one vector per free
-    column, in increasing order, with a 1 there, read off eliminate's
-    RREF."""
-    piv = eliminate(field, rows)[0]
-    basis = []
-    for fc in (j for j in range(n) if j not in piv):
-        v = [field.zero] * n
-        v[fc] = field.one
-        for c, prow in piv.items():
-            if fc in prow:
-                v[c] = field.neg(prow[fc])
-        basis.append(v)
-    return basis
+    column fc, in increasing order, e_fc minus the RREF rows' entries at fc,
+    as its nonzero terms (i, x), i ascending."""
+    piv, at = eliminate(field, rows)[0], {}
+    for c, prow in piv.items():
+        for j, x in prow.items():
+            if j != c:
+                at.setdefault(j, []).append((c, field.neg(x)))
+    return [sorted([*at.get(fc, ()), (fc, field.one)])
+            for fc in range(n) if fc not in piv]
 
 
 def _eliminate(p, row, x, prow):
@@ -517,32 +538,39 @@ def _eliminate(p, row, x, prow):
 
 
 def colinearity_operator(field, dx, dy, x_co, y_co, dh):
-    """The rows, as {column: x} dicts of raw sums, of the operator on vec(X),
-    X a dy x dx matrix, of X -> y_co X - (X (x) I_H) x_co, for the coaction
+    """The rows, {column: x} dicts of raw sums, of the operator on vec(X), X
+    a dy x dx matrix, of X -> y_co X - (X (x) I_H) x_co, for the coaction
     tables x_co (dx lists) and y_co (dy lists) of (x0, h, c) with rho(e_x) =
-    Sum c e_x0 (x) e_h, h < dh.  Row (y * dh + h) * dx + c is the entry
-    ((y, h), c) of the defect; column y * dx + x is the unknown X[y, x]."""
-    rows = [{} for _ in range(dy * dh * dx)]
+    Sum c e_x0 (x) e_h, h < dh.  Row (y * dh + h) * dx + c, the entry
+    ((y, h), c) of the defect, is yielded in that order unless no term
+    reaches it; column y * dx + x is the unknown X[y, x]."""
+    into, out_of = {}, {}
     for y, col in enumerate(y_co):      # y_co[(y0, h), y] X[y, c]
         for y0, h, v in col:
-            for c in range(dx):
-                row, k = rows[(y0 * dh + h) * dx + c], y * dx + c
-                row[k] = row.get(k, 0) + v
+            into.setdefault((y0, h), []).append((y * dx, v))
     for c, col in enumerate(x_co):      # X[y, x] x_co[(x, h), c]
         for x, h, v in col:
-            for y in range(dy):
-                row, k = rows[(y * dh + h) * dx + c], y * dx + x
-                row[k] = row.get(k, 0) - v
-    return rows
+            out_of.setdefault((h, c), []).append((x, -v))
+    for y in range(dy):
+        for h in range(dh):
+            ys = into.get((y, h), ())
+            for c in range(dx):
+                xs = out_of.get((h, c), ())
+                if ys or xs:
+                    row = {}
+                    for k, v in [(k + c, v) for k, v in ys] + [
+                            (y * dx + x, v) for x, v in xs]:
+                        row[k] = row.get(k, 0) + v
+                    yield row
 
 
 def intertwiners(field, dx, dy, actions, coactions=None):
     """Basis of the dy x dx matrices X that are module maps for actions =
     (x_act, y_act, d), two action tables over a d-dimensional algebra, and,
     when coactions = (x_co, y_co, dh) is given, comodule maps: the kernel
-    of the colinearity_operator rows of both, stacked."""
+    of the colinearity_operator rows of both, stacked, each basis map as
+    its _columns."""
     rows = colinearity_operator(field, dx, dy, *actions)
     if coactions is not None:
-        rows += colinearity_operator(field, dx, dy, *coactions)
-    return [Matrix(field, dy, dx, v)
-            for v in sparse_kernel(field, dy * dx, rows)]
+        rows = chain(rows, colinearity_operator(field, dx, dy, *coactions))
+    return [_unflat(dx, v) for v in sparse_kernel(field, dy * dx, rows)]

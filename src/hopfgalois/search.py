@@ -186,10 +186,10 @@ def classes(items, equivalent):
     return out
 
 
-def rational_points(algebra, mats, equations, test, refuse=None):
+def rational_points(algebra, ops, equations, test, refuse=None):
     """Witnesses among the rational solutions of a quadratic system over Q.
 
-    The unknown is t = sum_i c_i mats[i], a linear map into `algebra`.
+    The unknown is t = sum_i c_i ops[i], a map into `algebra` (_columns).
     `equations(t, prod)` yields expressions that vanish exactly on the wanted
     t; t[j] is the symbolic column t(e_j) and prod multiplies two symbolic
     vectors of `algebra`.  The system is solved with sympy and each
@@ -200,10 +200,13 @@ def rational_points(algebra, mats, equations, test, refuse=None):
     SearchInconclusive, since the family was not searched in full.
     """
     import sympy
-    n, rows, cols = len(mats), algebra.dim, mats[0].cols
+    n, rows = len(ops), algebra.dim
     cs = sympy.symbols(f"c0:{n}")
-    t_cols = [[sum(sympy.Rational(m.get(r, j)) * c for c, m in zip(cs, mats))
-               for r in range(rows)] for j in range(cols)]
+    t_cols = [[sympy.Integer(0)] * rows for _ in ops[0]]
+    for c, op in zip(cs, ops):
+        for j, col in enumerate(op):
+            for r, x in col:
+                t_cols[j][r] += sympy.Rational(x) * c
 
     def prod(x, y):
         out = [sympy.Integer(0)] * rows

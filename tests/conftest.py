@@ -5,7 +5,10 @@ from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import (cp_fixture, cyclic_cayley,
                                  dual_group_algebra, graded_m2, group_algebra,
                                  regular_comodule, sweedler_h4, trivial_kxk)
-from hopfgalois.linalg import Matrix, _columns, basis_vec, reduced
+from hopfgalois.hopf import convolution_columns
+from hopfgalois.linalg import (Matrix, _columns, _combination, _rows,
+                               basis_vec, reduced, sparse_kernel,
+                               summed_columns)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -213,6 +216,49 @@ def dense_rows(field, rows, cols):
             data[r * cols + c] = x
     return Matrix(field, len(rows), cols,
                   [field.zero if not v else v for v in reduced(field, data)])
+
+
+def dense(field, rows, cols):
+    """The rows x len(cols) matrix whose column j sums the raw (r, x) of
+    cols[j]: the dense view of a map the package holds as its _columns."""
+    return summed_columns(field, rows, cols)
+
+
+def convolution_operator(algebra, coalgebra, f_mat):
+    """The matrix on vec(X) of X -> f * X, summed from the columns
+    hopf.convolution_columns gives."""
+    return dense(algebra.field, algebra.dim * coalgebra.dim,
+                 convolution_columns(algebra, coalgebra, _columns(f_mat)))
+
+
+def endomorphism(ctx, coords):
+    """The dense endomorphism of M (x)_B A with the E-coordinate terms
+    coords (k, c), summed from E's basis columns."""
+    n = ctx.quot.dim
+    return dense(ctx.field, n, _combination(ctx.e.basis, coords, n))
+
+
+def dense_lin_comb(mats, coeffs):
+    """Sum_k coeffs[k] mats[k] for equal-shape dense matrices (the former
+    linalg.lin_comb)."""
+    f = mats[0].field
+    out = [f.zero] * len(mats[0].data)
+    for m, c in zip(mats, coeffs):
+        if c != f.zero:
+            out = [o + c * x for o, x in zip(out, m.data)]
+    return Matrix(f, mats[0].rows, mats[0].cols, reduced(f, out))
+
+
+def kernel_of(mat):
+    """sparse_kernel of the rows of mat, each vector summed dense from its
+    terms (the former Matrix.kernel)."""
+    f, n = mat.field, mat.cols
+    return [dense(f, n, [v]).data for v in sparse_kernel(f, n, _rows(mat))]
+
+
+def nonzero_rows(mat):
+    """The nonzero rows of mat, in order."""
+    return [row for row in map(mat.row, range(mat.rows)) if any(row)]
 
 
 def dense_can(can):

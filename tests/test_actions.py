@@ -28,11 +28,13 @@ from hopfgalois.fixtures import (cyclic_cayley, graded_m2, group_algebra,
 from hopfgalois.galois import NotGalois
 from hopfgalois.hopf import (ValidationReport, colinear_witness,
                              first_failure, linear_witness)
-from hopfgalois.linalg import Matrix, basis_vec, intertwiners, lin_comb
+from hopfgalois.linalg import (Matrix, _columns, _nonzero, basis_vec,
+                               intertwiners)
 
-from conftest import (action_table, dense_act, dense_actions, dense_rho,
-                      kron_vec, module_b, module_k, project, tensor_entries,
-                      vec_add, vec_scale, vstack)
+from conftest import (action_table, dense, dense_act, dense_actions,
+                      dense_lin_comb, dense_rho, endomorphism, kron_vec,
+                      module_b, module_k, project, tensor_entries, vec_add,
+                      vec_scale, vstack)
 from test_audits import dense_right_action
 from test_linalg import dense_kernel
 from test_operators import action_defect, probe_operator
@@ -60,6 +62,12 @@ def stacked_kernel(f, dx, dy, x_maps, y_maps, coactions=None):
         blocks.append(probe_operator(f, dy, dx,
                                      action_defect([], [], coactions)))
     return [Matrix(f, dy, dx, v) for v in dense_kernel(vstack(blocks))]
+
+
+def dense_maps(field, rows, maps):
+    """The rows x n matrices of the n-column maps given by their
+    _columns."""
+    return [dense(field, rows, cols) for cols in maps]
 
 
 def dense_linear_witness(mat, x_maps, y_maps):
@@ -231,13 +239,13 @@ def test_hom_spaces_equal_the_former_kernels(case):
     f, db = ca.field, m.base.dim
     mats = dense_actions(f, m.action_table, db)
     table = m.action_table
-    assert intertwiners(f, m.dim, m.dim, (table, table, db)) == \
-        stacked_kernel(f, m.dim, m.dim, mats, mats)
+    assert dense_maps(f, m.dim, intertwiners(f, m.dim, m.dim, (
+        table, table, db))) == stacked_kernel(f, m.dim, m.dim, mats, mats)
     module = tensor_over_B(m, ca).module
     if module.dim <= 12:
         acts = dense_actions(f, module.action_table, ca.algebra.dim)
-        assert end_A(ca, module) == stacked_kernel(f, module.dim,
-                                                   module.dim, acts, acts)
+        assert dense_maps(f, module.dim, end_A(ca, module)) == \
+            stacked_kernel(f, module.dim, module.dim, acts, acts)
     ctx = context(ca, m)
     if ctx is None or ctx.x1_dim * ctx.x2_dim > 144:
         return
@@ -245,11 +253,12 @@ def test_hom_spaces_equal_the_former_kernels(case):
     for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
         dx, x_act, x_co = ctx.object_data(i)
         dy, y_act, y_co = ctx.object_data(j)
-        assert ctx.dm_hom_space(i, j) == stacked_kernel(
+        assert dense_maps(f, dy, ctx.dm_hom_space(i, j)) == stacked_kernel(
             f, dx, dy, dense_actions(f, x_act, db),
             dense_actions(f, y_act, db),
             (dense_rho(f, x_co, dh), dense_rho(f, y_co, dh)))
-    assert lifting._b_linear_space(ctx) == stacked_kernel(
+    assert dense_maps(f, m.dim, lifting._b_linear_space(ctx)) == \
+        stacked_kernel(
         f, ctx.x2_dim, m.dim, dense_actions(f, ctx.x2_actions, db), mats)
 
 
@@ -271,12 +280,13 @@ def test_colinearity_on_action_tables_is_b_linearity(case):
         dx, x_act, _ = ctx.object_data(i)
         dy, y_act, _ = ctx.object_data(j)
         xs, ys = dense_actions(f, x_act, db), dense_actions(f, y_act, db)
-        basis = ctx.dm_hom_space(i, j)
+        basis = dense_maps(f, dy, ctx.dm_hom_space(i, j))
         for mat in (basis[:2] + [bumped(b, rng) for b in basis[:2]]
                     + [random_matrix(f, dy, dx, rng)]):
             want = dense_linear_witness(mat, xs, ys)
-            assert linear_witness(f, mat, x_act, y_act) == want
-            assert (colinear_witness(f, mat, x_act, y_act) is None) == \
+            cols = _columns(mat)
+            assert linear_witness(f, cols, x_act, y_act) == want
+            assert (colinear_witness(f, cols, x_act, y_act) is None) == \
                 (want is None)
             checked += 1
     assert checked >= 4
@@ -293,7 +303,7 @@ def test_action_candidates_hold_the_former_act_matrices(case):
     f, da, db, rng = ctx.field, ca.algebra.dim, ctx.b.dim, random.Random(3)
     xs = dense_actions(f, ctx.x2_actions, db)
     ys = dense_actions(f, m.action_table, db)
-    space = lifting._b_linear_space(ctx)
+    space = dense_maps(f, m.dim, lifting._b_linear_space(ctx))
     for phi in space[:3] + [bumped(phi, rng) for phi in space[:2]]:
         want = dense_linear_witness(phi, xs, ys)
         try:
@@ -312,7 +322,8 @@ def test_action_candidates_hold_the_former_act_matrices(case):
 def dense_check_621(ctx, phi, u_prime):
     """The former lifting._check_621, on projected basis vectors."""
     f, dm, da = ctx.field, ctx.m.dim, ctx.ca.algebra.dim
-    u_h = [ctx.e.to_matrix(u_prime.col(h)) for h in range(ctx.ca.hopf.dim)]
+    u_h = [endomorphism(ctx, _nonzero(u_prime.col(h)))
+           for h in range(ctx.ca.hopf.dim)]
 
     def holds(mi, aj):
         em = basis_vec(f, dm, mi)
@@ -329,7 +340,7 @@ def dense_check_621(ctx, phi, u_prime):
 def dense_check_622(ctx, phi, t_coords):
     """The former lifting._check_622, on projected basis vectors."""
     f, dm, da, dh = ctx.field, ctx.m.dim, ctx.ca.algebra.dim, ctx.ca.hopf.dim
-    t_h = [ctx.e.to_matrix(t_coords.col(h)) for h in range(dh)]
+    t_h = [endomorphism(ctx, _nonzero(t_coords.col(h))) for h in range(dh)]
     reps = [list(tensor_entries(f, ctx.tmap.representative.apply(
         basis_vec(f, dh, h)), (da, da))) for h in range(dh)]
 
@@ -363,11 +374,12 @@ def test_lifting_identities_fail_where_the_dense_oracle_fails(make, module):
     f, rng = ctx.field, random.Random(5)
     sbar = ca.hopf.antipode_inv
     outcomes = set()
-    space = lifting._b_linear_space(ctx)
-    mixed = lin_comb(space, [f.from_int(rng.randint(1, 4)) for _ in space])
+    space = dense_maps(f, ctx.m.dim, lifting._b_linear_space(ctx))
+    mixed = dense_lin_comb(space, [f.from_int(rng.randint(1, 4))
+                                   for _ in space])
     for phi in space[:2] + [mixed]:
         cand = lifting.ActionCandidate(ctx, phi)
-        t = maintheorem.alpha12_hat(ctx, phi)
+        t = dense(f, ctx.e.dim, maintheorem.alpha12_hat(ctx, _columns(phi)))
         for t in [t, bumped(t, rng), bumped(t, rng),
                   random_matrix(f, t.rows, t.cols, rng)]:
             want = dense_check_621(ctx, phi, t @ sbar)

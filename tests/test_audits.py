@@ -22,10 +22,11 @@ from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
 from hopfgalois.hopf import (BadCharacteristic, CoalgebraData,
                              HopfAlgebraData, StructureConstantAlgebra,
                              is_cocommutative, validate_hopf)
-from hopfgalois.linalg import Matrix, _columns, _leg_columns, lin_comb
+from hopfgalois.linalg import Matrix, _columns, _leg_columns
 
-from conftest import (action_table, dense_actions, dense_comul, dense_mul,
-                      dense_rho, gather_legs, kron_vec)
+from conftest import (action_table, dense_actions, dense_comul,
+                      dense_lin_comb, dense_mul, dense_rho, gather_legs,
+                      kron_vec)
 
 F2, F5, F7, F11 = (PrimeField(p) for p in (2, 5, 7, 11))
 
@@ -120,14 +121,14 @@ def dense_comodule(ca):
 
 def dense_right_action(alg, actions, dim, unit_name, assoc_name):
     """The former check_right_action on dense action matrices: the unit
-    check as a dense identity, then every failing (i, j) of the lin_comb /
-    @ associativity loop."""
-    out = dense_failures([(unit_name, lin_comb(actions, alg.unit),
+    check as a dense identity, then every failing (i, j) of the
+    dense_lin_comb / @ associativity loop."""
+    out = dense_failures([(unit_name, dense_lin_comb(actions, alg.unit),
                            Matrix.identity(alg.field, dim), (dim,))])
     f, n = alg.field, alg.dim
     for i, j in itertools.product(range(n), repeat=2):
         prod = alg.product(*(Matrix.identity(f, n).col(k) for k in (i, j)))
-        if lin_comb(actions, prod) != actions[j] @ actions[i]:
+        if dense_lin_comb(actions, prod) != actions[j] @ actions[i]:
             out.append((assoc_name, (i, j)))
     return out
 

@@ -28,8 +28,8 @@ from hopfgalois.galois import (canonical_map, translation_map,
 from hopfgalois.hopf import DimensionMismatch, comul_on
 from hopfgalois.linalg import Matrix, _leg_columns, basis_vec
 
-from conftest import (action_table, dense_actions, dense_comul, dense_rho,
-                      kron_vec, module_b, module_k)
+from conftest import (action_table, dense, dense_actions, dense_comul,
+                      dense_rho, kron_vec, module_b, module_k)
 from test_linalg import dense_kernel
 from test_quotient import RUNGS, dense_tensor_over_B, fixture_cases
 from test_tables import shipped_coalgebras, shuffled
@@ -53,13 +53,14 @@ def dense_eq14(e):
     ca, module = e.base, e.induced.module
     f, dh = ca.field, ca.hopf.dim
     rho = dense_rho(f, module.coaction_table, dh)
+    basis = [dense(f, module.dim, b) for b in e.basis]
     for i in range(e.dim):
         rhs = Matrix.zeros(f, module.dim * dh, module.dim)
         for k, j, c in e.ca.coaction_table[i]:
-            term = e.basis[k].kron(ca.hopf.algebra.lmul(
+            term = basis[k].kron(ca.hopf.algebra.lmul(
                 basis_vec(f, dh, j))) @ rho
             rhs = rhs + term.scale(c)
-        if rho @ e.basis[i] != rhs:
+        if rho @ basis[i] != rhs:
             return False, i
     return True, None
 

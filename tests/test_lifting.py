@@ -1,8 +1,9 @@
 import pytest
 
 from hopfgalois import cohomology, lifting, maintheorem
+from hopfgalois.linalg import _columns
 
-from conftest import module_b, module_k
+from conftest import dense, module_b, module_k
 
 
 def _ctx(ca, m):
@@ -28,8 +29,8 @@ def test_round_trips(m2_f3):
     for phi in lifting.lambda_enumerate(ctx):
         pair = lifting.phi_to_t(ctx, phi)
         assert lifting.t_to_phi(ctx, pair.t).phi == phi
-        assert maintheorem.alpha12_hat(
-            ctx, lifting.t_to_phi(ctx, pair.t).phi) == pair.t
+        assert maintheorem.alpha12_hat(ctx, _columns(
+            lifting.t_to_phi(ctx, pair.t).phi)) == _columns(pair.t)
 
 
 def test_stability_m2_f3_regular(m2_f3):
@@ -81,8 +82,8 @@ def _small_candidates(ctx, span=(-1, 0, 1)):
 
     from hopfgalois.lifting import _b_linear_space
     from hopfgalois.linalg import Matrix
-    mats = _b_linear_space(ctx)
     f = ctx.field
+    mats = [dense(f, ctx.m.dim, phi) for phi in _b_linear_space(ctx)]
     coeffs = [f.from_int(i) for i in span]
     out = []
     for combo in itertools.product(coeffs, repeat=len(mats)):

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from hopfgalois import convcat, maintheorem
-from hopfgalois.linalg import (Matrix, NoSolution, _columns, _nonzero,
-                               lin_comb, summed)
+from hopfgalois.linalg import (Matrix, NoSolution, _columns, _nonzero, _terms,
+                               summed)
 
-from conftest import module_b, module_k
+from conftest import dense, dense_lin_comb, module_b, module_k
 from test_linalg import rref_solve
 
 
@@ -32,10 +32,10 @@ def test_alpha_beta_individual(m2_q):
     ctx = maintheorem.TheoremContext(m2_q, module_b(m2_q))
     for cls in convcat.CLASSES:
         for el in convcat.hom_space(ctx.e.ca, cls, "C").elements:
-            img = maintheorem.alpha(ctx, cls, el.matrix)
+            img = maintheorem.alpha(ctx, cls, el.cols)
             assert ctx.dm_membership(img, *cls)
             back = maintheorem.alpha_inverse(ctx, cls, img)
-            assert back == el.matrix
+            assert back == el.cols
 
 
 def test_negative_control_corrupt_gamma(h4_q):
@@ -72,20 +72,31 @@ def test_linear_alpha_matches_direct(name, request):
     spaces = {cls: convcat.hom_space(ctx.e.ca, cls, "C")
               for cls in convcat.CLASSES}
     lin = maintheorem.LinearAlpha(ctx, spaces)
-    for cls, space in spaces.items():
-        lin.keep(cls, [maintheorem.alpha(ctx, cls, el.matrix)
-                       for el in space.elements])
     composed = 0
     for i, j, k in maintheorem.PATTERN_LABELS:
         for f_el in spaces[(i, j)].elements:
             for g_el in spaces[(j, k)].elements:
-                comp = convcat.convolve_matrices(ctx.e.ca, g_el.matrix,
-                                                 f_el.matrix)
-                direct = maintheorem.alpha(ctx, (i, k), comp)
+                comp = convcat.convolve_matrices(
+                    ctx.e.ca, c_matrix(ctx, g_el), c_matrix(ctx, f_el))
+                direct = image_matrix(ctx, (i, k), maintheorem.alpha(
+                    ctx, (i, k), _columns(comp)))
                 assert as_matrix(lin.terms((i, k), [_nonzero(comp.data)])[0],
                                  direct) == direct
                 composed += 1
     assert composed > 0
+
+
+def c_matrix(ctx, el):
+    """The dim E x dim H matrix of a C_E element."""
+    return dense(ctx.field, ctx.e.dim, el.cols)
+
+
+def image_matrix(ctx, cls, cols):
+    """The matrix of the D_M arrow alpha_ji(f), f in C(cls), with the
+    _columns cols, or None."""
+    if cols is None:
+        return None
+    return dense(ctx.field, ctx.object_data(cls[1])[0], cols)
 
 
 def as_matrix(terms, like):
@@ -99,19 +110,6 @@ class _DirectAlpha(maintheorem.LinearAlpha):
     """The direct path: alpha evaluated afresh on every input, membership
     in C(cls) by convcat.membership and coordinates by the dense RREF."""
 
-    def at(self, cls, n):
-        return maintheorem.alpha(self.ctx, cls,
-                                 self.c_spaces[cls].elements[n].matrix)
-
-    def columns(self, cls):
-        out = []
-        for n in range(self.c_spaces[cls].dim):
-            try:
-                out.append(_columns(self.at(cls, n)))
-            except NoSolution:
-                out.append(None)
-        return out
-
     def _mats(self, maps):
         e_ca = self.ctx.e.ca
         return [summed(self.ctx.field, e_ca.algebra.dim, e_ca.hopf.dim, m)
@@ -121,9 +119,9 @@ class _DirectAlpha(maintheorem.LinearAlpha):
         e_ca, els = self.ctx.e.ca, self.c_spaces[cls].elements
         coords, ok = [], []
         for mat in self._mats(maps):
-            ok.append(convcat.membership(e_ca, mat, cls, "C"))
+            ok.append(convcat.membership(e_ca, _columns(mat), cls, "C"))
             coords.append(_nonzero(rref_solve(Matrix.from_cols(
-                self.ctx.field, [el.matrix.data for el in els],
+                self.ctx.field, [c_matrix(self.ctx, el).data for el in els],
                 nrows=len(mat.data)), mat.data)) if ok[-1] else [])
         return coords, ok
 
@@ -131,8 +129,11 @@ class _DirectAlpha(maintheorem.LinearAlpha):
         e_ca, out = self.ctx.e.ca, []
         for mat in self._mats(maps):
             try:
-                out.append(_nonzero(maintheorem.alpha(self.ctx, cls, mat).data)
-                           if convcat.membership(e_ca, mat, cls, "C")
+                cols = _columns(mat)
+                out.append(_nonzero(image_matrix(self.ctx, cls, maintheorem
+                                                 .alpha(self.ctx, cls, cols))
+                                    .data)
+                           if convcat.membership(e_ca, cols, cls, "C")
                            else None)
             except NoSolution:
                 out.append(None)
@@ -161,13 +162,22 @@ def per_pair_patterns(lin, pair_cap=8, sample=64, seed=0):
     ctx, spaces = lin.ctx, lin.c_spaces
     e_ca = ctx.e.ca
 
+    def at(cls, n):
+        img = lin.images[cls][n]
+        if img is None:
+            raise NoSolution()
+        return image_matrix(ctx, cls, img)
+
     def lhs_of(cls, mat):
-        if not lin.images.get(cls):
-            return maintheorem.alpha(ctx, cls, mat)
+        if not lin.images[cls] or None in lin.images[cls]:
+            return image_matrix(ctx, cls, maintheorem.alpha(
+                ctx, cls, _columns(mat)))
         coords = rref_solve(Matrix.from_cols(
-            ctx.field, [el.matrix.data for el in spaces[cls].elements],
+            ctx.field, [c_matrix(ctx, el).data
+                        for el in spaces[cls].elements],
             nrows=len(mat.data)), mat.data)
-        return lin_comb(lin.images[cls], coords)
+        return dense_lin_comb([at(cls, n) for n in range(spaces[cls].dim)],
+                              coords)
 
     failures = []
     rng = random.Random(seed)
@@ -180,10 +190,11 @@ def per_pair_patterns(lin, pair_cap=8, sample=64, seed=0):
                 pairs = rng.sample(pairs, sample)
             for fi, gi in pairs:
                 try:
-                    comp = convcat.convolve_matrices(e_ca, gs[gi].matrix,
-                                                     fs[fi].matrix, "C")
+                    comp = convcat.convolve_matrices(
+                        e_ca, c_matrix(ctx, gs[gi]), c_matrix(ctx, fs[fi]),
+                        "C")
                     lhs = lhs_of((i, k), comp)
-                    equal = lhs == lin.at((j, k), gi) @ lin.at((i, j), fi)
+                    equal = lhs == at((j, k), gi) @ at((i, j), fi)
                 except NoSolution:
                     equal = False
                 if not equal:
@@ -236,13 +247,15 @@ def test_many_marks_non_members(name, request, monkeypatch):
                          [field.from_int(rng.randint(-2, 2))
                           for _ in range(e_ca.algebra.dim * e_ca.hopf.dim)])
                   for _ in range(3)]
-        mats = [el.matrix for el in space.elements] + others
+        mats = [c_matrix(lin.ctx, el) for el in space.elements] + others
         got = lin.terms(cls, [_nonzero(mat.data) for mat in mats])
+        images = [image_matrix(lin.ctx, cls, img) for img in lin.images[cls]]
         assert [as_matrix(terms, img) for terms, img in zip(
-            got[:space.dim], lin.images[cls])] == lin.images[cls]
+            got[:space.dim], images)] == images
         for mat, terms in zip(others, got[space.dim:]):
-            if convcat.membership(e_ca, mat, cls, "C"):
-                direct = maintheorem.alpha(lin.ctx, cls, mat)
+            if convcat.membership(e_ca, _columns(mat), cls, "C"):
+                direct = image_matrix(lin.ctx, cls, maintheorem.alpha(
+                    lin.ctx, cls, _columns(mat)))
                 assert as_matrix(terms, direct) == direct
             else:
                 assert terms is None
@@ -262,16 +275,14 @@ def test_blocked_patterns_corrupt_gamma(name, request, monkeypatch):
 
 
 class _CorruptOneImage(maintheorem.LinearAlpha):
-    """Keeps a wrong alpha for the last C(1, 2) basis element."""
+    """Keeps a wrong alpha for the last C(1, 2) basis element: its entry
+    (0, 0) moved by 1."""
 
-    def keep(self, cls, images):
-        if cls == (1, 2):
-            bad = images[-1]
-            data = list(bad.data)
-            data[0] = self.ctx.field.add(data[0], self.ctx.field.one)
-            images = images[:-1] + [type(bad)(bad.field, bad.rows, bad.cols,
-                                              data)]
-        super().keep(cls, images)
+    def __init__(self, *args):
+        super().__init__(*args)
+        f, images = self.ctx.field, self.images[(1, 2)]
+        bad = images[-1]
+        images[-1] = [_terms(f, [*bad[0], (0, f.one)])] + bad[1:]
 
 
 def test_every_pattern_reports_its_own_first_failure(m2_q, monkeypatch):
@@ -331,15 +342,16 @@ def test_solve_flags_equal_membership(name, module, corrupt, request):
         imgs = []
         for el in space.elements:
             try:
-                imgs.append(maintheorem.alpha(ctx, cls, el.matrix))
+                imgs.append(image_matrix(ctx, cls, maintheorem.alpha(
+                    ctx, cls, el.cols)))
             except NoSolution:
                 pass
-        mats = imgs + perturbed(imgs, rng)
+        mats = [_columns(mat) for mat in imgs + perturbed(imgs, rng)]
         _, ok = ctx.dm_coords(mats, *cls)
         assert ok == [ctx.dm_membership(mat, *cls) for mat in mats]
         seen.update(("D", flag) for flag in ok)
-        maps = [el.matrix for el in space.elements] + [
-            el.matrix @ e_ca.hopf.antipode
+        maps = [c_matrix(ctx, el) for el in space.elements] + [
+            c_matrix(ctx, el) @ e_ca.hopf.antipode
             for el in convcat.hom_space(e_ca, cls, "Cprime").elements]
         raw = [_nonzero(mat.data) for mat in maps + perturbed(maps, rng)]
         got, want = lin.coords(cls, raw), direct.coords(cls, raw)
@@ -348,3 +360,23 @@ def test_solve_flags_equal_membership(name, module, corrupt, request):
                 == [x for x, good in zip(*want) if good])
         seen.update(("C", flag) for flag in got[1])
     assert seen == {("D", True), ("D", False), ("C", True), ("C", False)}
+
+
+def test_alpha_runs_once_per_basis_element_under_corrupt_gamma(h4_f5,
+                                                               monkeypatch):
+    # a class that fails alpha-membership has its basis images evaluated
+    # once, like a kept class: the membership step, the pattern loop and
+    # the round trip all read the same images
+    calls = []
+    alpha = maintheorem.alpha
+
+    def counted(ctx, cls, cols):
+        calls.append(cls)
+        return alpha(ctx, cls, cols)
+
+    monkeypatch.setattr(maintheorem, "alpha", counted)
+    report = maintheorem.verify_theorem31(h4_f5, module_b(h4_f5),
+                                          corrupt_gamma=True)
+    assert ("alpha-membership", (2, 1)) in report.failures
+    assert len(calls) == sum(report.details[f"dim C{cls}"]
+                             for cls in convcat.CLASSES)

@@ -11,25 +11,29 @@ import random
 
 import pytest
 
-from hopfgalois import cleft, convcat, maintheorem
+from hopfgalois import cleft, convcat, endomorphism, linalg, maintheorem
 from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
                                  graded_m2, group_algebra, regular_comodule,
                                  sweedler_h4)
-from hopfgalois.hopf import comul_on, convolution_operator, convolve
+from hopfgalois.hopf import comul_on, convolve
 from hopfgalois.lifting import ActionCandidate, _b_linear_space
-from hopfgalois.linalg import Matrix, basis_vec, colinearity_operator
+from hopfgalois.linalg import (Matrix, basis_vec, colinearity_operator,
+                               sparse_kernel)
 
-from conftest import (action_table, dense_act, dense_actions, dense_comul,
-                      dense_mul, dense_rho, dense_rows, gather_legs, kron_vec,
-                      module_b, module_k, scatter_legs, tensor_entries,
-                      vec_add, vec_scale, vstack)
+from conftest import (action_table, convolution_operator, dense, dense_act,
+                      dense_actions, dense_comul, dense_mul, dense_rho,
+                      dense_rows, gather_legs, kron_vec, module_b, module_k,
+                      nonzero_rows, scatter_legs, tensor_entries, vec_add,
+                      vec_scale, vstack)
+from test_linalg import dense_kernel
 
 F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
 
 FIXTURES = {
     "h4_q": lambda: regular_comodule(sweedler_h4(QQ)),
     "h4_f5": lambda: regular_comodule(sweedler_h4(F5)),
+    "kc2_f3": lambda: regular_comodule(group_algebra(F3, cyclic_cayley(2))),
     "m2_q": lambda: graded_m2(QQ),
     "m2_f3": lambda: graded_m2(F3),
     "dual_kc3_f7": lambda: regular_comodule(
@@ -189,8 +193,8 @@ def test_hom_space_operator(name):
             ca.field, da, dh,
             lambda x: (rho @ x
                        - old_constraint_rhs(ca, x, cls, variant)).data)
-        assert dense_rows(ca.field, convcat.constraint_operator(
-            ca, cls, variant), da * dh) == oracle
+        assert written_rows(ca.field, convcat.constraint_operator(
+            ca, cls, variant), da * dh) == nonzero_rows(oracle)
 
 
 def test_hom_space_operator_on_E():
@@ -203,8 +207,8 @@ def test_hom_space_operator_on_E():
             ca.field, de, dh,
             lambda x: (rho @ x
                        - old_constraint_rhs(e_ca, x, cls, variant)).data)
-        assert dense_rows(ca.field, convcat.constraint_operator(
-            e_ca, cls, variant), de * dh) == oracle
+        assert written_rows(ca.field, convcat.constraint_operator(
+            e_ca, cls, variant), de * dh) == nonzero_rows(oracle)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -275,16 +279,30 @@ def test_sigma_convolution_operator(field):
                                     sigma) == oracle
 
 
+def written_rows(f, rows, n):
+    """The nonzero rows, in order, of the operator with the n-column sparse
+    rows rows, none of them empty.  colinearity_operator leaves out the
+    rows that no term reaches, so these are the nonzero rows of the full
+    operator."""
+    rows = list(rows)
+    assert all(rows)
+    return nonzero_rows(dense_rows(f, rows, n))
+
+
 def action_rows(f, dx, dy, x_act, y_act, d):
-    """The rows of colinearity_operator on two action tables over a
-    d-dimensional algebra, negated and reordered as the blocks k of the
-    former stacked operator of X x_k - y_k X: old row (k dy + y) dx + c is
-    new row (y d + k) dx + c."""
-    new = dense_rows(f, colinearity_operator(f, dx, dy, x_act, y_act, d),
-                     dy * dx)
-    return Matrix.from_rows(f, [
-        [f.neg(v) for v in new.row((y * d + k) * dx + c)]
-        for k in range(d) for y in range(dy) for c in range(dx)])
+    """written_rows of colinearity_operator on two action tables over a
+    d-dimensional algebra."""
+    return written_rows(f, colinearity_operator(f, dx, dy, x_act, y_act, d),
+                        dy * dx)
+
+
+def former_order(f, old, dx, dy, d):
+    """The nonzero rows of the former stacked operator of X x_k - y_k X,
+    negated and reordered as colinearity_operator's rows: old row
+    (k dy + y) dx + c is new row (y d + k) dx + c."""
+    return nonzero_rows(Matrix.from_rows(f, [
+        [f.neg(v) for v in old.row((k * dy + y) * dx + c)]
+        for y in range(dy) for k in range(d) for c in range(dx)]))
 
 
 @pytest.mark.parametrize("name,module",
@@ -300,11 +318,12 @@ def test_dm_hom_space_operator(name, module):
         oracle = probe_operator(
             f, dy, dx, action_defect(dense_actions(f, x_actions, db),
                                      dense_actions(f, y_actions, db)))
-        assert action_rows(f, dx, dy, x_actions, y_actions, db) == oracle
+        assert action_rows(f, dx, dy, x_actions, y_actions, db) == \
+            former_order(f, oracle, dx, dy, db)
         oracle = probe_operator(f, dy, dx, action_defect(
             [], [], (dense_rho(f, x_co, dh), dense_rho(f, y_co, dh))))
-        assert dense_rows(f, colinearity_operator(
-            f, dx, dy, x_co, y_co, dh), dy * dx) == oracle
+        assert written_rows(f, colinearity_operator(
+            f, dx, dy, x_co, y_co, dh), dy * dx) == nonzero_rows(oracle)
 
 
 @pytest.mark.parametrize("name", ["m2_q", "m2_f3", "h4_f5"])
@@ -321,13 +340,14 @@ def test_bh_iso_operator(name):
               for i in range(db)]
     on_bh, on_a = cleft._left_b_actions(ca, b)
     assert (on_bh, on_a) == (action_table(x_acts), action_table(a_acts))
-    assert action_rows(f, da, da, on_bh, on_a, db) == probe_operator(
-        f, da, da, action_defect(x_acts, a_acts))
+    assert action_rows(f, da, da, on_bh, on_a, db) == former_order(
+        f, probe_operator(f, da, da, action_defect(x_acts, a_acts)), da, da,
+        db)
     rho = dense_rho(f, ca.coaction_table, dh)
-    assert dense_rows(f, colinearity_operator(
+    assert written_rows(f, colinearity_operator(
         f, da, da, comul_on(ca.hopf.coalgebra, db), ca.coaction_table, dh),
-        da * da) == probe_operator(f, da, da,
-                                   action_defect([], [], (x_co, rho)))
+        da * da) == nonzero_rows(probe_operator(
+            f, da, da, action_defect([], [], (x_co, rho))))
 
 
 @pytest.mark.parametrize("name", ["m2_q", "m2_f3"])
@@ -340,8 +360,8 @@ def test_lifting_operators(name):
         dense_actions(f, ctx.x2_actions, db),
         dense_actions(f, ctx.m.action_table, db)))
     assert action_rows(f, dq, dm, ctx.x2_actions, ctx.m.action_table,
-                       db) == oracle
-    space = _b_linear_space(ctx)
+                       db) == former_order(f, oracle, dq, dm, db)
+    space = [dense(f, dm, phi) for phi in _b_linear_space(ctx)]
     c1 = ActionCandidate(ctx, space[0])
     c2 = ActionCandidate(ctx, space[-1] + space[0])
     da = ca.algebra.dim
@@ -351,7 +371,7 @@ def test_lifting_operators(name):
                                                   action_table(acts2))
     oracle = probe_operator(f, dm, dm, action_defect(acts2, acts1))
     assert action_rows(f, dm, dm, c2.action_table, c1.action_table,
-                       da) == oracle
+                       da) == former_order(f, oracle, dm, dm, da)
 
 
 @pytest.mark.parametrize("name", ["m2_q", "h4_f5"])
@@ -364,5 +384,36 @@ def test_hom_A_operator(name):
     actions = dense_actions(f, table, da)
     idn = Matrix.identity(f, n)
     old = vstack([idn.kron(a.transpose()) - a.kron(idn) for a in actions])
-    assert action_rows(f, n, n, table, table, da) == old
+    assert action_rows(f, n, n, table, table, da) == \
+        former_order(f, old, n, n, da)
     assert old == probe_operator(f, n, n, action_defect(actions, actions))
+
+
+@pytest.mark.parametrize("name", ["kc2_f3", "h4_f5", "m2_q"])
+def test_hom_space_operators_hold_only_written_rows(name, monkeypatch):
+    """Every operator that hom_space, intertwiners and dm_hom_space build
+    for Theorem 3.1 on the regular M, and build_F's End_B(M), has no empty
+    row, and its kernel is the dense oracle's: the probed X ->
+    y_co X - (X (x) I) x_co, for coaction and action tables alike."""
+    ca = FIXTURES[name]()
+    f, seen = ca.field, []
+    build = linalg.colinearity_operator
+
+    def spy(field, dx, dy, x_co, y_co, dh):
+        rows = list(build(field, dx, dy, x_co, y_co, dh))
+        seen.append(((dx, dy, x_co, y_co, dh), rows))
+        return rows
+
+    monkeypatch.setattr(linalg, "colinearity_operator", spy)
+    monkeypatch.setattr(convcat, "colinearity_operator", spy)
+    m = module_b(ca)
+    assert maintheorem.verify_theorem31(ca, m).passed
+    ctx = maintheorem.TheoremContext(ca, m)
+    endomorphism.build_F(ca, m, ctx.e)
+    assert len(seen) >= 17      # 8 hom spaces, 4 D_M hom spaces x 2, End_A
+    for (dx, dy, x_co, y_co, dh), rows in seen:
+        assert rows and all(rows)
+        oracle = probe_operator(f, dy, dx, action_defect([], [], (
+            dense_rho(f, x_co, dh), dense_rho(f, y_co, dh))))
+        assert [dense(f, dy * dx, [v]).data for v in sparse_kernel(
+            f, dy * dx, rows)] == dense_kernel(oracle)

@@ -30,8 +30,8 @@ from hopfgalois.hopf import (CoalgebraData, HopfAlgebraData,
 from hopfgalois.linalg import (Matrix, _columns, _leg_columns, basis_vec,
                                intertwiners, summed)
 
-from conftest import (action_table, dense_actions, dense_can, dense_comul,
-                      dense_mul, dense_rho, gather_legs, kron_vec,
+from conftest import (action_table, dense, dense_actions, dense_can,
+                      dense_comul, dense_mul, dense_rho, gather_legs, kron_vec,
                       scatter_legs, tensor_entries, vec_add, vec_scale)
 from test_linalg import dense_rref
 
@@ -247,7 +247,8 @@ def check_induction(m, ca, rng):
     ida = Matrix.identity(f, ca.algebra.dim)
     table = m.action_table
     for g in intertwiners(f, m.dim, m.dim, (table, table, m.base.dim)):
-        assert ind.induced_map(g) == proj @ g.kron(ida) @ sect
+        assert ind.induced_map(g) == \
+            proj @ dense(f, m.dim, g).kron(ida) @ sect
     return ind, quot
 
 

@@ -5,7 +5,8 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (act_on, dense_comul, module_b, module_k, tensor_entries,
+from conftest import (act_on, convolution_operator, dense, dense_comul,
+                      dense_lin_comb, module_b, module_k, tensor_entries,
                       vec_add, vec_scale)
 from hopfgalois import (cleft, cohomology, convcat, galois, lifting,
                         maintheorem, search)
@@ -14,10 +15,10 @@ from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra, graded_m2,
                                  group_algebra, regular_comodule, sweedler_h4,
                                  trivial_coaction, trivial_kxk)
 from hopfgalois.hopf import (StructureConstantAlgebra, ValidationReport,
-                             convolution_inverse, convolution_operator,
+                             convolution_columns, convolution_inverse,
                              convolution_unit)
-from hopfgalois.linalg import (Matrix, NotInvertible, OperatorSpan, basis_vec,
-                               lin_comb)
+from hopfgalois.linalg import (Matrix, NotInvertible, OperatorSpan, _columns,
+                               _nonzero, basis_vec)
 
 F3 = PrimeField(3)
 F7 = PrimeField(7)
@@ -109,8 +110,7 @@ def test_one_class_and_one_cap():
 def test_rational_points_free_families():
     # c0 = c1 leaves c1 free; it is sampled at 0, 1, -1, 2 or refused
     k = StructureConstantAlgebra(QQ, 1, [[(0, QQ.one)]], [QQ.one])
-    mats = [Matrix(QQ, 1, 2, [QQ.one, QQ.zero]),
-            Matrix(QQ, 1, 2, [QQ.zero, QQ.one])]
+    mats = [[[(0, QQ.one)], []], [[], [(0, QQ.one)]]]     # their columns
 
     def equations(t, prod):         # t[j]: the symbolic column t(e_j)
         yield t[0][0] - t[1][0]
@@ -131,8 +131,9 @@ def test_sampled_miss_is_inconclusive_kxk(field):
     ca = trivial_kxk(field)
     b = ca.coinvariants().algebra
     e1 = basis_vec(field, 2, 0)
-    got_vec = cohomology._invertible_in_span(b, [e1])
-    got_mat = lifting._invertible_in_matrix_span(field, [b.lmul(e1)])
+    got_vec = cohomology._invertible_in_span(b, [_nonzero(e1)])
+    got_mat = lifting._invertible_in_matrix_span(
+        field, [_columns(b.lmul(e1))], 2, 2)
     act = cohomology.trivial_action(ca.hopf, b)
     z1 = cohomology.z1_enumerate(act)
     assert len(z1) == 4
@@ -274,11 +275,13 @@ def candidates(field, d, seed, count=60):
 def test_rank_test_is_convolution_invertibility_on_hom_h(name, field):
     ca = HOM_CASES[name](field)
     alg, co = ca.algebra, ca.hopf.coalgebra
-    mats = [el.matrix for el in convcat.hom_space(ca, (2, 1), "C").elements]
-    span = OperatorSpan([convolution_operator(alg, co, m) for m in mats])
+    mats = hom_mats(ca)
+    n = alg.dim * co.dim
+    span = OperatorSpan(field, [convolution_columns(alg, co, _columns(m))
+                                for m in mats], n, n)
     seen = set()
     for c in candidates(field, len(mats), seed=len(mats)):
-        t = lin_comb(mats, c)
+        t = dense_lin_comb(mats, c)
         got = span.full_rank_at(c)
         want = conv_invertible(alg, co, t)
         assert (got is not None) == want, c
@@ -286,6 +289,12 @@ def test_rank_test_is_convolution_invertibility_on_hom_h(name, field):
             assert got == convolution_operator(alg, co, t)
         seen.add(want)
     assert seen == ({False} if name == "k4" else {False, True})
+
+
+def hom_mats(ca):
+    """The dense matrices of the basis of Hom^H(H, A)."""
+    return [dense(ca.field, ca.algebra.dim, el.cols)
+            for el in convcat.hom_space(ca, (2, 1), "C").elements]
 
 
 def h4_on_dual_numbers(field):
@@ -385,7 +394,7 @@ def test_z1_enumerate_matches_per_candidate_inverse(name, field):
 
 def old_attempt(ca, mats, coeffs):
     """The former clefting test: an inverse solve per candidate."""
-    t_mat = lin_comb(mats, coeffs)
+    t_mat = dense_lin_comb(mats, coeffs)
     if t_mat.is_zero():
         return None
     try:
@@ -396,7 +405,7 @@ def old_attempt(ca, mats, coeffs):
 
 
 def old_find_cleft(ca, seed=0, tries=500, enumerate_cap=search.EXHAUSTIVE_CAP):
-    mats = [el.matrix for el in convcat.hom_space(ca, (2, 1), "C").elements]
+    mats = hom_mats(ca)
     if not mats:
         return search.NotFound(True, 0, 0, "Hom^H(H,A) = 0")
     return search.first(ca.field, len(mats),
@@ -450,7 +459,7 @@ def old_invertible_in_matrix_span(field, mats, seed=0, tries=200,
         return search.NotFound(True, 0, d)
 
     def invertible_at(coeffs):
-        m = lin_comb(mats, coeffs)
+        m = dense_lin_comb(mats, coeffs)
         return m if old_is_invertible(m) else None
 
     return search.first(field, d, invertible_at, seed, tries, enumerate_cap)
@@ -479,19 +488,22 @@ def test_span_searches_match_per_candidate_code(field):
                           for _ in range(rng.randrange(1, 4))])
         for vecs in spans:
             for seed in (0, 1):
-                got = cohomology._invertible_in_span(base, vecs, seed, 30)
+                got = cohomology._invertible_in_span(
+                    base, [_nonzero(v) for v in vecs], seed, 30)
                 want = old_invertible_in_span(base, vecs, seed, 30)
                 assert same_result(got, want), (vecs, got, want)
             mats = [base.lmul(v) for v in vecs]
             for cap in (search.EXHAUSTIVE_CAP, 5):
                 got = lifting._invertible_in_matrix_span(
-                    field, mats, tries=30, enumerate_cap=cap)
+                    field, [_columns(m) for m in mats], n, n, tries=30,
+                    enumerate_cap=cap)
                 want = old_invertible_in_matrix_span(
                     field, mats, tries=30, enumerate_cap=cap)
                 assert same_result(got, want), (vecs, got, want)
     # rectangular spans are refused as before
     rect = [Matrix(field, 2, 3, [field.one] * 6)]
-    assert same_result(lifting._invertible_in_matrix_span(field, rect),
+    assert same_result(lifting._invertible_in_matrix_span(
+        field, [_columns(m) for m in rect], 2, 3),
                        old_invertible_in_matrix_span(field, rect))
 
 
@@ -569,9 +581,9 @@ def test_unital_slice_empty_and_inconsistent_systems():
     ("kC2", F7), ("kC3", F7), ("H4", F5), ("M2", F5), ("k4", F3)])
 def test_omega_enumerate_is_the_box_enumeration(name, field):
     ca = HOM_CASES[name](field)
-    mats = [el.matrix for el in convcat.hom_space(ca, (2, 1), "C").elements]
+    mats = hom_mats(ca)
     want = [t for c in box(field, len(mats))
-            if cohomology.omega_membership(ca, t := lin_comb(mats, c))]
+            if cohomology.omega_membership(ca, t := dense_lin_comb(mats, c))]
     assert cohomology.omega_enumerate(ca) == want
     assert bool(want) == (name != "k4")
 
@@ -582,9 +594,10 @@ def test_omega_enumerate_is_the_box_enumeration(name, field):
 def test_lambda_enumerate_is_the_box_enumeration(name, field, module):
     ca = HOM_CASES[name](field)
     ctx = maintheorem.TheoremContext(ca, module(ca))
-    space = lifting._b_linear_space(ctx)
+    space = [dense(field, ctx.m.dim, phi)
+             for phi in lifting._b_linear_space(ctx)]
     want = [phi for c in box(field, len(space))
-            if lifting._is_action(ctx, phi := lin_comb(space, c))]
+            if lifting._is_action(ctx, phi := dense_lin_comb(space, c))]
     assert lifting.lambda_enumerate(ctx) == want
 
 
@@ -763,7 +776,7 @@ def rank_walk(field, n, ops, degree):
         seen.append(c)
         m = Matrix(field, n, n, [sum(x * op.data[i] for x, op in zip(c, ops))
                                  for i in range(n * n)])
-        return c if m.rank() == n else None
+        return c if len(m.rref()[1]) == n else None
 
     return search.first(field, len(ops), test, degree=degree), seen
 
@@ -845,9 +858,10 @@ def test_pruned_walk_on_lmul_spans(name, p, vecs, hit):
     got = assert_pruned_walk_is_the_box(field, n, ops)
     assert got == hit if hit else isinstance(got, search.NotFound)
     if ops:
-        assert OperatorSpan(ops).degree == n
+        assert OperatorSpan(field, [_columns(op) for op in ops], n,
+                            n).degree == n
     b = cohomology._invertible_in_span(
-        algebra, [[field.from_int(x) for x in v] for v in vecs])
+        algebra, [_nonzero([field.from_int(x) for x in v]) for v in vecs])
     assert isinstance(b, search.NotFound) == (hit is None)
 
 
@@ -872,7 +886,7 @@ def test_pinned_full_rank_test_counts(monkeypatch):
     ("kC2", F7), ("kC3", F7), ("H4", F5), ("M2", F5), ("k4", F7)])
 def test_algebra_map_search_walks_the_unital_slice(monkeypatch, name, field):
     ca = HOM_CASES[name](field)
-    mats = [el.matrix for el in convcat.hom_space(ca, (2, 1), "C").elements]
+    mats = [el.cols for el in convcat.hom_space(ca, (2, 1), "C").elements]
     want = search.first(field, len(mats),
                         lambda c: cleft._algebra_map_at(ca, mats, c))
     seen = []

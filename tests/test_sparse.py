@@ -1,7 +1,8 @@
 """Differential tests for the sparse structure tables of hopf.
 
-product, lmul, rmul, convolve and convolution_operator are computed from
-mul_table and comul_table.  Each must equal, entry for entry, a dense
+product, lmul, rmul, convolve and the convolution operator (the columns
+hopf.convolution_columns gives) are computed from mul_table and
+comul_table.  Each must equal, entry for entry, a dense
 formula: mul @ kron_vec, the column formula, mul @ ((g (x) f) @ Delta), the
 former Kron-free convolve body, and the former linear_operator over the
 dense lmul.  The dense formulas live on here only, as the oracles, over the
@@ -24,12 +25,12 @@ from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
                                  graded_m2, group_algebra, regular_comodule,
                                  sweedler_h4)
-from hopfgalois.hopf import (CoalgebraData, StructureConstantAlgebra,
-                             convolution_operator, convolve)
+from hopfgalois.hopf import CoalgebraData, StructureConstantAlgebra, convolve
 from hopfgalois.linalg import (Matrix, _columns, _leg_columns, basis_vec,
                                reduced)
 
-from conftest import action_table, dense_comul, dense_mul, kron_vec
+from conftest import (action_table, convolution_operator, dense_comul,
+                      dense_mul, kron_vec)
 
 F2, F3, F7 = PrimeField(2), PrimeField(3), PrimeField(7)
 F_BIG = PrimeField(2 ** 61 - 1)     # beyond the compiled kernels' range

@@ -24,13 +24,14 @@ from hopfgalois.galois import NotGalois, canonical_map, canonical_map_prime
 from hopfgalois.hopf import ValidationReport
 from hopfgalois.maintheorem import (TheoremContext, delta1, delta2,
                                     delta_bar)
-from hopfgalois.linalg import (Factorization, Matrix, NoSolution, _leg_columns,
-                               _nonzero, basis_vec, lin_comb, reduced,
-                               sparse_kernel)
+from hopfgalois.linalg import (Factorization, Matrix, NoSolution, _columns,
+                               _flat, _leg_columns, _nonzero, basis_vec,
+                               reduced, sparse_kernel)
 
-from conftest import (action_table, dense_actions, dense_can, dense_comul,
-                      dense_mul, dense_rho, dense_rows, kron_vec, project,
-                      scatter_legs, tensor_entries)
+from conftest import (action_table, dense, dense_actions, dense_can,
+                      dense_comul, dense_lin_comb, dense_mul, dense_rho,
+                      dense_rows, endomorphism, kernel_of, kron_vec,
+                      nonzero_rows, project, scatter_legs, tensor_entries)
 from test_linalg import dense_kernel, dense_solve
 from test_quotient import (F7, RUNGS, dense_section, fixture_cases,
                            relabelled)
@@ -57,6 +58,7 @@ def dense_rational_coaction(ca, module, basis):
     NotRational."""
     field, dh = ca.field, ca.hopf.dim
     rows = module.dim * dh * module.dim
+    basis = [dense(field, module.dim, b) for b in basis]
     units = [Matrix(field, dh, 1, basis_vec(field, dh, j)) for j in range(dh)]
     op = Matrix.from_cols(field, [b.kron(e).data for b in basis for e in units],
                           nrows=rows)
@@ -67,6 +69,7 @@ def dense_rational_coaction(ca, module, basis):
 
 def dense_e_mul(field, basis, dq):
     """E's structure constants from the products b_i b_j, solved."""
+    basis = [dense(field, dq, b) for b in basis]
     coords = Matrix.from_cols(field, [b.data for b in basis], nrows=dq * dq)
     return dense_solve(coords, Matrix.from_cols(
         field, [(bi @ bj).data for bi in basis for bj in basis],
@@ -147,9 +150,10 @@ def e_coords(ctx, endos):
     """EndComoduleAlgebra.coords_matrix on dense matrices, by the dense
     solve: the E-coordinates of the endomorphisms endos, one column each;
     raises InternalInvariant outside E."""
-    f = ctx.field
+    f, dq = ctx.field, ctx.quot.dim
     try:
-        return dense_solve(Matrix.from_cols(f, [b.data for b in ctx.e.basis]),
+        return dense_solve(Matrix.from_cols(f, [dense(f, dq, b).data
+                                                for b in ctx.e.basis]),
                            Matrix.from_cols(f, [m.data for m in endos]))
     except NoSolution as exc:
         raise InternalInvariant("matrix not A-linear") from exc
@@ -157,7 +161,7 @@ def e_coords(ctx, endos):
 
 def ev(ctx, hom_mat, h_vec):
     """The former TheoremContext.ev: the endomorphism at h of hom_mat."""
-    return ctx.e.to_matrix(hom_mat.apply(h_vec))
+    return endomorphism(ctx, _nonzero(hom_mat.apply(h_vec)))
 
 
 def old_beta11_tilde(ctx, v_prime_mat):
@@ -176,7 +180,7 @@ def old_beta11_hat(ctx, theta_small):
             f, [theta_small.apply(kron_vec(f, basis_vec(f, dm, mi),
                                            basis_vec(f, dh, hj)))
                 for mi in range(dm)], nrows=dm)
-        endos.append(ctx.induced.induced_map(th_h))
+        endos.append(ctx.induced.induced_map(_columns(th_h)))
     return e_coords(ctx, endos)
 
 
@@ -273,7 +277,8 @@ def old_x2_actions(ctx):
     actions of A combined by b_k's coordinates."""
     acts = dense_actions(ctx.field, ctx.induced.module.action_table,
                          ctx.ca.algebra.dim)
-    return [lin_comb(acts, ctx.b.inclusion.col(k)) for k in range(ctx.b.dim)]
+    return [dense_lin_comb(acts, ctx.b.inclusion.col(k))
+            for k in range(ctx.b.dim)]
 
 
 # the maps on Hom(H, E) (dim E x dim H, E-coordinates) and on D_M arrows
@@ -352,7 +357,7 @@ def test_E_equals_the_dense_oracle(case):
     # solution, and agrees where it has one
     for k in sorted({1, e.dim // 2, e.dim - 1} - {0, e.dim}):
         sub = e.basis[:k]
-        coords = Factorization(ca.field, [_nonzero(b.data) for b in sub])
+        coords = Factorization(ca.field, [_flat(b) for b in sub])
         try:
             want = dense_rational_coaction(ca, ind.module, sub)
         except NoSolution:
@@ -373,28 +378,42 @@ def test_some_sub_basis_is_not_rational():
         dense_rational_coaction(ca, ind.module, e.basis[:1])
     with pytest.raises(NotRational):
         rational_coaction(ca, ind.module, e.basis[:1], Factorization(
-            ca.field, [_nonzero(e.basis[0].data)]))
+            ca.field, [_flat(e.basis[0])]))
 
 
 # -- the colinearity constraints of C_A and C'_A -----------------------------
 
 
-def check_constraints(ca, rng):
-    da, dh = ca.algebra.dim, ca.hopf.dim
+def check_constraints(ca, rng, full):
+    """The constraint operators against the dense defects: with full, the
+    whole operator, whose rows are the oracle's nonzero rows in order
+    (colinearity_operator drops the rows no term reaches); else 4 sampled
+    columns, on those rows, and the kernel against the oracle's."""
+    f, da, dh = ca.field, ca.algebra.dim, ca.hopf.dim
     for cls, variant in VARIANTS:
         gd = dense_constraint(ca, cls, variant)
-        op = dense_rows(ca.field, convcat.constraint_operator(
-            ca, cls, variant), da * dh)
-        for j in rng.sample(range(da * dh), min(4, da * dh)):
-            unit = Matrix(ca.field, da, dh, basis_vec(ca.field, da * dh, j))
-            assert op.col(j) == dense_defect(ca, unit, cls, variant, gd).data
+        rows = list(convcat.constraint_operator(ca, cls, variant))
+        assert all(rows)
+        op = dense_rows(f, rows, da * dh)
+        picks = (range(da * dh) if full
+                 else rng.sample(range(da * dh), min(4, da * dh)))
+        defects = [dense_defect(ca, Matrix(f, da, dh, basis_vec(
+            f, da * dh, j)), cls, variant, gd).data for j in picks]
+        want = nonzero_rows(Matrix.from_cols(f, defects))
+        got = Matrix.from_cols(f, [op.col(j) for j in picks],
+                               nrows=op.rows)
+        assert nonzero_rows(got) == want
         space = convcat.hom_space(ca, cls, variant)
-        maps = [el.matrix for el in space.elements]
-        assert all(convcat.membership(ca, mat, cls, variant) for mat in maps)
+        maps = [dense(f, da, el.cols) for el in space.elements]
+        if full:
+            assert maps == [Matrix(f, da, dh, v) for v in kernel_of(
+                Matrix.from_cols(f, defects))]
+        assert all(convcat.membership(ca, el.cols, cls, variant)
+                   for el in space.elements)
         maps = [bumped(mat, rng) for mat in maps[:3]]
-        maps.append(random_matrix(ca.field, da, dh, rng))
+        maps.append(random_matrix(f, da, dh, rng))
         for mat in maps:
-            assert (convcat.membership(ca, mat, cls, variant)
+            assert (convcat.membership(ca, _columns(mat), cls, variant)
                     == dense_defect(ca, mat, cls, variant, gd).is_zero())
 
 
@@ -404,8 +423,8 @@ def test_constraints_equal_the_dense_oracle(case):
     when M is B (+) B in a mixing basis."""
     _, ca, m = case
     rng = random.Random(5)
-    check_constraints(ca, rng)
-    check_constraints(build_E(ca, tensor_over_B(m, ca)).ca, rng)
+    check_constraints(ca, rng, True)
+    check_constraints(build_E(ca, tensor_over_B(m, ca)).ca, rng, False)
 
 
 def test_bumped_maps_fail_in_every_shape():
@@ -414,7 +433,8 @@ def test_bumped_maps_fail_in_every_shape():
     ca = RUNGS["T2"]()
     f, dh = ca.field, ca.hopf.dim
     for cls, variant in VARIANTS:
-        el = convcat.hom_space(ca, cls, variant).elements[0].matrix
+        el = dense(f, ca.algebra.dim,
+                   convcat.hom_space(ca, cls, variant).elements[0].cols)
         bad = None
         for r in range(el.rows):
             for h in range(1, dh):      # only columns h > 0 are bumped
@@ -425,7 +445,7 @@ def test_bumped_maps_fail_in_every_shape():
                                                     variant).is_zero():
                     bad = cand
         assert bad is not None
-        assert not convcat.membership(ca, bad, cls, variant)
+        assert not convcat.membership(ca, _columns(bad), cls, variant)
 
 
 # -- the D_M objects: M (x) H, membership and the delta maps -----------------
@@ -443,11 +463,11 @@ def test_dm_objects_equal_the_dense_oracle(case):
                                            ca.hopf.dim)
     for i, j in convcat.CLASSES:
         dx, dy = ctx.object_data(i)[0], ctx.object_data(j)[0]
-        mats = ctx.dm_hom_space(i, j)
+        mats = [dense(f, dy, b) for b in ctx.dm_hom_space(i, j)]
         mats = mats + [bumped(mat, rng) for mat in mats[:4]]
         mats.append(random_matrix(f, dy, dx, rng))
         for mat in mats:
-            assert (ctx.dm_membership(mat, i, j)
+            assert (ctx.dm_membership(_columns(mat), i, j)
                     == dense_dm_membership(ctx, mat, i, j))
         assert all(ctx.dm_membership(mat, i, j)
                    for mat in ctx.dm_hom_space(i, j))
@@ -455,20 +475,23 @@ def test_dm_objects_equal_the_dense_oracle(case):
     for _ in range(3):
         phi = random_matrix(f, dm, dq, rng)
         theta = random_matrix(f, dm, dm * dh, rng)
-        assert delta1(ctx, phi) == dense_delta(ctx, phi, 2)
-        assert delta2(ctx, theta) == dense_delta(ctx, theta, 1)
+        assert delta1(ctx, _columns(phi)) == _columns(dense_delta(ctx, phi, 2))
+        assert delta2(ctx, _columns(theta)) == \
+            _columns(dense_delta(ctx, theta, 1))
         for mat in (random_matrix(f, dm * dh, dq, rng),
                     random_matrix(f, dm * dh, dm * dh, rng)):
-            assert delta_bar(ctx, mat) == dense_delta_bar(ctx, mat)
+            assert delta_bar(ctx, _columns(mat)) == \
+                _columns(dense_delta_bar(ctx, mat))
 
 
 def outcome(fn, *args):
     """fn(*args), or the class of the NoSolution or InternalInvariant it
-    raised."""
+    raised; a dense result as its _columns."""
     try:
-        return fn(*args)
+        got = fn(*args)
     except (NoSolution, InternalInvariant) as exc:
         return type(exc)
+    return _columns(got) if isinstance(got, Matrix) else got
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
@@ -486,27 +509,27 @@ def test_dm_maps_equal_the_dense_oracle(case):
     assert dense_actions(f, ctx.x2_actions, ctx.b.dim) == old_x2_actions(ctx)
     for name, old, cls in E_MAPS:
         new = getattr(maintheorem, name)
-        basis = [el.matrix @ sbar for el in
+        basis = [dense(f, ctx.e.dim, el.cols) @ sbar for el in
                  convcat.hom_space(ctx.e.ca, cls, "C").elements]
         for k, mat in enumerate(basis + [bumped(mat, rng) for mat in
                                          basis[:1]]
                                 + [random_matrix(f, ctx.e.dim, ca.hopf.dim,
                                                  rng)]):
-            got = outcome(new, ctx, mat)
+            got = outcome(new, ctx, _columns(mat))
             assert got == outcome(old, ctx, mat), (name, k)
-            assert isinstance(got, Matrix) or k >= len(basis)
+            assert isinstance(got, list) or k >= len(basis)
     for name, old, (i, j) in DM_MAPS:
         new = getattr(maintheorem, name)
-        basis = ctx.dm_hom_space(i, j)
         dx, dy = ctx.object_data(i)[0], ctx.object_data(j)[0]
+        basis = [dense(f, dy, b) for b in ctx.dm_hom_space(i, j)]
         for k, mat in enumerate(basis + [bumped(mat, rng) for mat in
                                          basis[:1]]
                                 + [random_matrix(f, dy, dx, rng)]):
             if j == 1:
-                mat = delta_bar(ctx, mat)
-            got = outcome(new, ctx, mat)
+                mat = dense_delta_bar(ctx, mat)
+            got = outcome(new, ctx, _columns(mat))
             assert got == outcome(old, ctx, mat), (name, k)
-            assert isinstance(got, Matrix) or k >= len(basis)
+            assert isinstance(got, list) or k >= len(basis)
 
 
 def test_bh_iso_colinearity_equals_the_dense_check():
@@ -550,7 +573,7 @@ def padded_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(padded_matrices())
 def test_kernel_on_distinct_rows_equals_the_full_rref_kernel(mat):
-    assert mat.kernel() == dense_kernel(mat)
+    assert kernel_of(mat) == dense_kernel(mat)
 
 
 @st.composite
@@ -583,16 +606,19 @@ def test_sparse_kernel_equals_the_full_rref_kernel(system):
     mat = Matrix.from_rows(field, [[field.from_int(row.get(j, 0))
                                     for j in range(n)] for row in rows])
     want = dense_kernel(mat)
-    assert sparse_kernel(field, n, rows) == want
+    got = sparse_kernel(field, n, rows)
+    assert [dense(field, n, [v]).data for v in got] == want
+    assert all(x and [i for i, _ in v] == sorted({i for i, _ in v})
+               for v in got for _, x in v)      # nonzero terms, ascending
     assert rows == before                       # the input is not changed
-    assert mat.kernel() == want
+    assert kernel_of(mat) == want
 
 
 def test_kernel_of_empty_and_zero_matrices():
     for field in (QQ, F7):
         for rows in (0, 3):
             mat = Matrix.zeros(field, rows, 4)
-            assert mat.kernel() == dense_kernel(mat) == [
+            assert kernel_of(mat) == dense_kernel(mat) == [
                 basis_vec(field, 4, j) for j in range(4)]
 
 
