@@ -544,24 +544,23 @@ def colinearity_operator(field, dx, dy, x_co, y_co, dh):
     Sum c e_x0 (x) e_h, h < dh.  Row (y * dh + h) * dx + c, the entry
     ((y, h), c) of the defect, is yielded in that order unless no term
     reaches it; column y * dx + x is the unknown X[y, x]."""
-    into, out_of = {}, {}
+    into, out_of = {}, [{} for _ in range(dh)]
     for y, col in enumerate(y_co):      # y_co[(y0, h), y] X[y, c]
         for y0, h, v in col:
             into.setdefault((y0, h), []).append((y * dx, v))
     for c, col in enumerate(x_co):      # X[y, x] x_co[(x, h), c]
         for x, h, v in col:
-            out_of.setdefault((h, c), []).append((x, -v))
+            out_of[h].setdefault(c, []).append((x, -v))
     for y in range(dy):
         for h in range(dh):
-            ys = into.get((y, h), ())
-            for c in range(dx):
-                xs = out_of.get((h, c), ())
-                if ys or xs:
-                    row = {}
-                    for k, v in [(k + c, v) for k, v in ys] + [
-                            (y * dx + x, v) for x, v in xs]:
-                        row[k] = row.get(k, 0) + v
-                    yield row
+            ys, xs = into.get((y, h), ()), out_of[h]
+            for c in range(dx) if ys else sorted(xs):
+                row = {}
+                for k, v in ys:
+                    row[k + c] = row.get(k + c, 0) + v
+                for x, v in xs.get(c, ()):
+                    row[y * dx + x] = row.get(y * dx + x, 0) + v
+                yield row
 
 
 def intertwiners(field, dx, dy, actions, coactions=None):

@@ -30,9 +30,8 @@ from .endomorphism import build_E
 from .galois import NotGalois, canonical_map, translation_map
 from .hopf import (ValidationReport, _agree, colinear_witness, comul_on,
                    convolution_terms)
-from .linalg import (Factorization, NoSolution, _columns, _combination,
-                     _composed, _flat, _leg_columns, _terms, eliminate,
-                     intertwiners)
+from .linalg import (Factorization, NoSolution, _columns, _composed, _flat,
+                     _leg_columns, _terms, eliminate, intertwiners)
 
 
 class TheoremContext:
@@ -361,7 +360,8 @@ class LinearAlpha:
         NoSolution."""
         coords, ok = self.coords(cls, maps)
         images, n = self.images[cls], self.ctx.object_data(cls[0])[0]
-        return [_flat(_combination(images, col, n))
+        return [[(r * n + j, c * x) for k, c in col
+                 for j, terms in enumerate(images[k]) for r, x in terms]
                 if good and all(images[k] is not None for k, _ in col)
                 else None for col, good in zip(coords, ok)]
 
