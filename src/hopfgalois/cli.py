@@ -189,7 +189,7 @@ def cmd_cat_iso_check(args):
     name, ca = _pick_ca(bundle, args)
     mod_name, m = _pick_module(bundle, args, name, ca)
     report = Report("cat-iso-check", [name, mod_name], args.seed)
-    thm = maintheorem.verify_theorem31(ca, m, seed=args.seed)
+    thm = maintheorem.verify_theorem31(ca, m)
     passing = (["dimension-equality", "alpha-membership", "alpha-bijective",
                 "alpha-gamma-beta", "alpha-round-trip"]
                + sorted(set(maintheorem.PATTERN_LABELS.values())))

@@ -93,8 +93,6 @@ class TranslationMap:
             raise NotGalois("translation map needs an invertible can")
         f = ca.field
         da, dh = ca.algebra.dim, ca.hopf.dim
-        self.ca = ca
-        self.can = can_data
         self.induced = can_data.induced
         quot = can_data.induced.quotient
         # gamma(h) = can^-1(1_A (x) h): the entries a * dh + h of the rows

@@ -10,28 +10,27 @@ Composition-of-arrows is convolution in the order alpha_kj(g) o alpha_ji(f)
 Both objects hold their B-action and coaction as tables (hopf module doc),
 so D_M membership and hom spaces are colinearity checks.  Every map here
 (hom-space elements, D_M arrows, images of delta, beta and alpha) is held
-as its _columns, read off the kernels' terms for the hom-space bases;
-composing with S or Sbar is _composed, and row counts come from the
-context.  The verifier decides membership with the coordinate solves it
-makes anyway: an arrow lies in D_M(i, j), or a map H -> A in C(i, j),
-exactly when its column in the solve against that hom space's kernel
-basis is ok.  The B-actions,
+as its _columns, read off the kernels' terms for the hom-space bases, the
+images as raw terms; composing with S or Sbar is _composed, and row counts
+come from the context.  The verifier decides membership with the
+coordinate solves it makes anyway: an arrow lies in D_M(i, j), or a map
+H -> A in C(i, j), exactly when its column in the solve against that hom
+space's kernel basis is ok.  The B-actions,
 I_M (x) Delta and the maps of Lemmas 3.3-3.8 are summed from M's action
 table, comul_table, the quotient's index maps, mul_table, rho's table and
 the columns of eta, of E's basis and of gamma's representative: no basis
 vector is applied and no matrix or Kronecker product is formed.
 """
 
-import random
+import itertools
 
 from . import convcat
 from .comodule import adjunction_unit, tensor_over_B
 from .endomorphism import build_E
 from .galois import NotGalois, canonical_map, translation_map
-from .hopf import (ValidationReport, _agree, colinear_witness, comul_on,
-                   convolution_terms)
+from .hopf import ValidationReport, colinear_witness, comul_on
 from .linalg import (Factorization, NoSolution, _columns, _composed, _flat,
-                     _leg_columns, _terms, eliminate, intertwiners)
+                     _leg_columns, _terms, eliminate, intertwiners, reduced)
 
 
 class TheoremContext:
@@ -48,14 +47,15 @@ class TheoremContext:
         self.eta, _, eta_bij = adjunction_unit(m, ca, self.induced)
         if not eta_bij:
             raise NotGalois("eta_M is not bijective")
+        dh, dm, da = ca.hopf.dim, m.dim, ca.algebra.dim
         can = canonical_map(ca)
         if not can.galois:
             raise NotGalois("canonical map not invertible")
-        self.tmap = translation_map(ca, can)
+        # h -> (l, r, x); can and can^-1 are not kept
+        self.rep = _leg_columns(translation_map(ca, can).representative, da)
         # When corrupt_gamma is set, gamma_12^{-1} "forgets" Sbar — the
         # deliberate negative control of identity (12b).
         self.corrupt_gamma = corrupt_gamma
-        dh, dm, da = ca.hopf.dim, m.dim, ca.algebra.dim
         # the tables the D_M maps are summed from
         self.eta_cols = _columns(self.eta)
         self._eta = Factorization(self.field, self.eta_cols)
@@ -63,7 +63,6 @@ class TheoremContext:
         self.sbar_cols = _columns(ca.hopf.antipode_inv)
         self.eps = [col[0][1] if col else 0
                     for col in _columns(ca.hopf.coalgebra.counit)]
-        self.rep = _leg_columns(self.tmap.representative, da)  # h -> (l, r, x)
         # object 1: M (x) H, (e_r (x) e_h) . b_k = (e_r . b_k) (x) e_h
         self.x1_dim = dm * dh
         self.x1_actions = [[(r * dh + h, k, x) for r, k, x in terms]
@@ -130,12 +129,11 @@ class TheoremContext:
 
 
 def _tensor_h(ctx, cols, i):
-    """(X (x) I_H) rho_i for the map X with the _columns cols and the
-    coaction rho_i of object i, summed from the columns of X and the table
-    of rho_i."""
-    dh, f = ctx.ca.hopf.dim, ctx.field
-    return [_terms(f, ((r * dh + h, c * z) for q0, h, c in terms
-                       for r, z in cols[q0]))
+    """The raw terms of each column of (X (x) I_H) rho_i for the map X with
+    the _columns cols and the coaction rho_i of object i, read from the
+    columns of X and the table of rho_i."""
+    dh = ctx.ca.hopf.dim
+    return [[(r * dh + h, c * z) for q0, h, c in terms for r, z in cols[q0]]
             for terms in ctx.object_data(i)[2]]
 
 
@@ -150,11 +148,11 @@ def delta2(ctx, theta_small):
 
 
 def delta_bar(ctx, cols):
-    """delta1_bar and delta2_bar: (I_M (x) eps) X, for X with rows M (x) H
-    and the _columns cols, summed from them and the counit."""
+    """delta1_bar and delta2_bar: the raw terms of each column of
+    (I_M (x) eps) X, for X with rows M (x) H and the _columns cols, read
+    from them and the counit."""
     dh, eps = ctx.ca.hopf.dim, ctx.eps
-    return [_terms(ctx.field, ((r // dh, eps[r % dh] * x) for r, x in col))
-            for col in cols]
+    return [[(r // dh, eps[r % dh] * x) for r, x in col] for col in cols]
 
 
 # -- the D_M maps, summed from the tables -----------------------------------
@@ -185,14 +183,6 @@ def _ev(ctx, hom):
                          for r, z in e_cols[i][p])
 
 
-def _on_eta(ctx, hom):
-    """The raw terms of column mi * dH + h: the endomorphism at h of hom
-    applied to eta(m_i), the class of m_i (x) 1."""
-    ev, dh = _ev(ctx, hom), ctx.ca.hopf.dim
-    return [[(r, y * z) for p, y in col for r, z in ev(h, p)]
-            for col in ctx.eta_cols for h in range(dh)]
-
-
 def _translated(ctx, h):
     """The raw terms (q, p, s, x) of Sum_i [m (x) l_i(h)] (x) r_i(h) a at
     the section's e_m (x) e_a = e_free[q], as x e_p (x) e_s with p a
@@ -208,7 +198,7 @@ def _translated(ctx, h):
 
 
 def beta11_tilde(ctx, v_prime):
-    return ctx.eta_inv(_on_eta(ctx, v_prime))
+    return ctx.eta_inv(beta21(ctx, v_prime))
 
 
 def beta11_hat(ctx, theta_small):
@@ -228,7 +218,11 @@ def beta11(ctx, v_prime):
 
 
 def beta21(ctx, t_prime):
-    return [_terms(ctx.field, col) for col in _on_eta(ctx, t_prime)]
+    """The raw terms of column mi * dH + h: the endomorphism at h of t'
+    applied to eta(m_i), the class of m_i (x) 1."""
+    ev, dh = _ev(ctx, t_prime), ctx.ca.hopf.dim
+    return [[(r, y * z) for p, y in col for r, z in ev(h, p)]
+            for col in ctx.eta_cols for h in range(dh)]
 
 
 def beta21_bar(ctx, psi):
@@ -273,8 +267,7 @@ def beta12(ctx, u_prime):
 
 def beta22(ctx, w_prime):
     ev = _ev(ctx, w_prime)
-    return [_terms(ctx.field, ((r, c * z) for qi, h, c in terms
-                               for r, z in ev(h, qi)))
+    return [[(r, c * z) for qi, h, c in terms for r, z in ev(h, qi)]
             for terms in ctx.x2_coaction]
 
 
@@ -314,18 +307,24 @@ def alpha_inverse(ctx, cls, dm_cols):
     followed by o S when i = 1."""
     i, j = cls
     hom = HATS[cls](ctx, delta_bar(ctx, dm_cols) if j == 1 else dm_cols)
-    if i == 2:
-        return hom
-    return [_terms(ctx.field, col) for col in _composed(hom, ctx.s_cols)]
+    return hom if i == 2 else _composed(hom, ctx.s_cols)
+
+
+def _solved(fn):
+    """fn(), or None where it raises NoSolution."""
+    try:
+        return fn()
+    except NoSolution:
+        return None
 
 
 class LinearAlpha:
     """alpha_ji kept on the C_E(i, j) basis and extended by linearity.
 
     alpha is evaluated once on every C(cls) basis element, for every class,
-    and kept as its _columns, or None where it raises NoSolution.  Each
-    C(cls) basis is factored once, so a map's coordinate column both
-    decides its membership in C(cls) and sums its image.
+    and kept as the raw terms of its columns, or None where it raises
+    NoSolution.  Each C(cls) basis is factored once, so a map's coordinate
+    column both decides its membership in C(cls) and sums its image.
     """
 
     def __init__(self, ctx, c_spaces):
@@ -334,15 +333,9 @@ class LinearAlpha:
         self._coords = {cls: Factorization(ctx.field, [
             _flat(el.cols) for el in space.elements])
             for cls, space in c_spaces.items()}
-        self.images = {cls: [self._alpha(cls, el.cols)
+        self.images = {cls: [_solved(lambda: alpha(ctx, cls, el.cols))
                              for el in space.elements]
                        for cls, space in c_spaces.items()}
-
-    def _alpha(self, cls, cols):
-        try:
-            return alpha(self.ctx, cls, cols)
-        except NoSolution:
-            return None
 
     def coords(self, cls, maps):
         """(coords, ok) for the maps H -> A given by their raw terms
@@ -359,21 +352,37 @@ class LinearAlpha:
         outside C(cls), or whose combination uses an image that raised
         NoSolution."""
         coords, ok = self.coords(cls, maps)
-        images, n = self.images[cls], self.ctx.object_data(cls[0])[0]
-        return [[(r * n + j, c * x) for k, c in col
-                 for j, terms in enumerate(images[k]) for r, x in terms]
-                if good and all(images[k] is not None for k, _ in col)
+        vecs = [img and _flat(img) for img in self.images[cls]]
+        return [[(key, c * x) for k, c in col for key, x in vecs[k]]
+                if good and all(vecs[k] is not None for k, _ in col)
                 else None for col, good in zip(coords, ok)]
 
 
 # -- full verification ------------------------------------------------------
 
 
-def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
-                     seed=0):
+def _first_disagreement(field, pairs):
+    """The least n at which the n-th pair (lhs, rhs) of raw terms in pairs
+    disagrees, or None; a side that is None disagrees.  The terms of every
+    lhs - rhs go into one dict keyed by (n, key), which is reduced once."""
+    acc, first = {}, None
+    for n, (lhs, rhs) in enumerate(pairs):
+        if lhs is None or rhs is None:
+            first = n
+            break
+        for key, x in lhs:
+            acc[n, key] = acc.get((n, key), 0) + x
+        for key, x in rhs:
+            acc[n, key] = acc.get((n, key), 0) - x
+    return min((n for (n, _), x in zip(acc, reduced(field, list(
+        acc.values()))) if x), default=first)
+
+
+def verify_theorem31(ca, m, corrupt_gamma=False):
     """Dimension equalities, bijectivity, alpha o gamma = beta, and all
-    eight composition patterns of (3.9.1)/(21a)-(22).  Each pattern
-    reports its own first failing pair.
+    eight composition patterns of (3.9.1)/(21a)-(22) on every pair of basis
+    arrows, so a PASS is a proof: alpha is linear and composition bilinear.
+    Each pattern reports its own first failing pair.
 
     Membership is the ok flag of a coordinate solve: an alpha image lies in
     D_M(i, j) when its column against dm_hom_space(i, j) solves, and a map
@@ -416,55 +425,48 @@ def verify_theorem31(ca, m, corrupt_gamma=False, pair_cap=8, sample=64,
         els = cp_spaces[cls].elements
         lhs = lin.terms(cls, [_flat(_composed(el.cols, ctx.s_cols))
                               for el in els])
-        for el, terms in zip(els, lhs):
-            try:
-                equal = terms is not None and _agree(
-                    f, terms, _flat(beta(ctx, cls, el.cols)))
-            except NoSolution:
-                equal = False
-            if not equal:
-                report.fail("alpha-gamma-beta", cls)
-                break
+        if _first_disagreement(f, zip(lhs, (
+                _solved(lambda: _flat(beta(ctx, cls, el.cols)))
+                for el in els))) is not None:
+            report.fail("alpha-gamma-beta", cls)
 
-    # round trips alpha_inverse o alpha = id on hom bases, compared as terms
+    # round trips alpha_inverse o alpha = id on hom bases
     for cls in convcat.CLASSES:
-        for el, img in zip(c_spaces[cls].elements, lin.images[cls]):
-            try:
-                equal = img is not None and _agree(
-                    f, _flat(alpha_inverse(ctx, cls, img)), _flat(el.cols))
-            except NoSolution:
-                equal = False
-            if not equal:
-                report.fail("alpha-round-trip", cls)
-                break
+        if _first_disagreement(f, (
+                (_flat(el.cols), None if img is None else _solved(
+                    lambda: _flat(alpha_inverse(ctx, cls, img))))
+                for el, img in zip(c_spaces[cls].elements,
+                                   lin.images[cls]))) is not None:
+            report.fail("alpha-round-trip", cls)
 
-    # the eight composition patterns (3.9.1) incl. (21a)-(22): g * f summed
-    # raw from the tables and the basis columns; alpha(g * f) of all pairs
-    # from one solve, compared raw with alpha(g) o alpha(f)
-    alg, co, dh = e_ca.algebra, e_ca.hopf.coalgebra, e_ca.hopf.dim
-    rng = random.Random(seed)
-    for i in (1, 2):
-        for j in (1, 2):
-            for k in (1, 2):
-                label = PATTERN_LABELS[(i, j, k)]
-                fs = c_spaces[(i, j)].elements
-                gs = c_spaces[(j, k)].elements
-                pairs = [(fi, gi) for fi in range(len(fs))
-                         for gi in range(len(gs))]
-                if max(len(fs), len(gs)) > pair_cap and len(pairs) > sample:
-                    pairs = rng.sample(pairs, sample)
-                lhs = lin.terms((i, k), [[
-                    (r * dh + c, x) for c, col in enumerate(convolution_terms(
-                        alg, co, gs[gi].cols, fs[fi].cols))
-                    for r, x in col] for fi, gi in pairs])
-                g_imgs, f_imgs = lin.images[(j, k)], lin.images[(i, j)]
-                for (fi, gi), terms in zip(pairs, lhs):
-                    g_img, f_img = g_imgs[gi], f_imgs[fi]
-                    if (terms is None or g_img is None or f_img is None
-                            or not _agree(f, terms,
-                                          _flat(_composed(g_img, f_img)))):
-                        report.fail(label, (i, j, k, fi, gi))
-                        break
+    # the eight composition patterns (3.9.1) incl. (21a)-(22) on every pair
+    # (f, g), alpha(g * f) of all pairs from one solve; a pair costs only its
+    # terms: g(c1) at f's (c, c1, t, x y) (x c1 (x) c2 in Delta(c), y e_t in
+    # f(c2)) gives g * f, alpha(g) at alpha(f)'s (q, c, x) gives the composite
+    alg, co = e_ca.algebra, e_ca.hopf.coalgebra
+    da, dh, mul = alg.dim, co.dim, alg.mul_table
+    halves = {cls: [[(c, c1, t, x * y) for c, terms in enumerate(
+        co.comul_table) for c1, c2, x in terms for t, y in el.cols[c2]]
+        for el in space.elements] for cls, space in c_spaces.items()}
+    ents = {cls: [img and [(q, c, x) for c, col in enumerate(img)
+                           for q, x in col] for img in imgs]
+            for cls, imgs in lin.images.items()}
+    for i, j, k in itertools.product((1, 2), repeat=3):
+        pairs = [(fi, gi) for fi in range(c_spaces[(i, j)].dim)
+                 for gi in range(c_spaces[(j, k)].dim)]
+        f_halves, gs = halves[(i, j)], c_spaces[(j, k)].elements
+        lhs = lin.terms((i, k), (
+            [(r * dh + c, z * a * y) for c, c1, t, y in f_halves[fi]
+             for s, a in gs[gi].cols[c1] for r, z in mul[s * da + t]]
+            for fi, gi in pairs))
+        f_ents, g_imgs = ents[(i, j)], lin.images[(j, k)]
+        w = ctx.object_data(i)[0]
+        n = _first_disagreement(f, zip(lhs, (
+            None if f_ents[fi] is None or g_imgs[gi] is None
+            else [(r * w + c, y * x) for q, c, x in f_ents[fi]
+                  for r, y in g_imgs[gi][q]] for fi, gi in pairs)))
+        if n is not None:
+            report.fail(PATTERN_LABELS[(i, j, k)], (i, j, k, *pairs[n]))
     return report
 
 

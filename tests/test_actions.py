@@ -25,7 +25,7 @@ from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import (cyclic_cayley, graded_m2, group_algebra,
                                  regular_comodule, sweedler_h4, taft,
                                  trivial_coaction)
-from hopfgalois.galois import NotGalois
+from hopfgalois.galois import NotGalois, translation_map
 from hopfgalois.hopf import (ValidationReport, colinear_witness,
                              first_failure, linear_witness)
 from hopfgalois.linalg import (Matrix, _columns, _nonzero, basis_vec,
@@ -341,8 +341,9 @@ def dense_check_622(ctx, phi, t_coords):
     """The former lifting._check_622, on projected basis vectors."""
     f, dm, da, dh = ctx.field, ctx.m.dim, ctx.ca.algebra.dim, ctx.ca.hopf.dim
     t_h = [endomorphism(ctx, _nonzero(t_coords.col(h))) for h in range(dh)]
-    reps = [list(tensor_entries(f, ctx.tmap.representative.apply(
-        basis_vec(f, dh, h)), (da, da))) for h in range(dh)]
+    rep = translation_map(ctx.ca).representative
+    reps = [list(tensor_entries(f, rep.apply(basis_vec(f, dh, h)), (da, da)))
+            for h in range(dh)]
 
     def holds(hj, mi, aj):
         em = basis_vec(f, dm, mi)

@@ -4,10 +4,12 @@ import random
 import pytest
 
 from hopfgalois import convcat, maintheorem
+from hopfgalois.comodule import BModule
 from hopfgalois.linalg import (Matrix, NoSolution, _columns, _nonzero, _terms,
                                summed)
 
-from conftest import dense, dense_lin_comb, module_b, module_k
+from conftest import (action_table, dense, dense_lin_comb, module_b,
+                      module_k)
 from test_linalg import rref_solve
 
 
@@ -155,10 +157,10 @@ def test_corrupt_gamma_failures_match_direct(name, request, monkeypatch):
 # -- the blocked pattern loop against the per-pair loop -----------------------
 
 
-def per_pair_patterns(lin, pair_cap=8, sample=64, seed=0):
-    """The eight composition patterns checked one pair at a time, with
-    alpha(g * f) from its own coordinate solve: the loop verify_theorem31
-    ran before its right-hand sides were solved in blocks."""
+def per_pair_patterns(lin):
+    """The eight composition patterns checked one pair at a time, on every
+    pair, with alpha(g * f) from its own coordinate solve: the loop
+    verify_theorem31 ran before its right-hand sides were solved in blocks."""
     ctx, spaces = lin.ctx, lin.c_spaces
     e_ca = ctx.e.ca
 
@@ -180,15 +182,10 @@ def per_pair_patterns(lin, pair_cap=8, sample=64, seed=0):
                               coords)
 
     failures = []
-    rng = random.Random(seed)
     for i, j in itertools.product((1, 2), repeat=2):
         for k in (1, 2):
             fs, gs = spaces[(i, j)].elements, spaces[(j, k)].elements
-            pairs = [(fi, gi) for fi in range(len(fs))
-                     for gi in range(len(gs))]
-            if max(len(fs), len(gs)) > pair_cap and len(pairs) > sample:
-                pairs = rng.sample(pairs, sample)
-            for fi, gi in pairs:
+            for fi, gi in itertools.product(range(len(fs)), range(len(gs))):
                 try:
                     comp = convcat.convolve_matrices(
                         e_ca, c_matrix(ctx, gs[gi]), c_matrix(ctx, fs[fi]),
@@ -294,6 +291,33 @@ def test_every_pattern_reports_its_own_first_failure(m2_q, monkeypatch):
     found = dict(pattern_failures(report))
     assert found["21b"] == (1, 2, 2, 3, 0)
     assert "11" in found
+
+
+class _CorruptLastPair(maintheorem.LinearAlpha):
+    """Moves entry 0 of alpha(g * f) by 1 for the last pair (f, g) in the
+    first block of C(1, 1) x C(1, 1) composites, the one of pattern
+    3.9.1-111, and nowhere else."""
+
+    bumped = False
+
+    def terms(self, cls, maps):
+        out = super().terms(cls, maps)
+        if (not self.bumped and cls == (1, 1)
+                and len(out) == self.c_spaces[cls].dim ** 2):
+            self.bumped = True
+            out[-1] = [*out[-1], (0, self.ctx.field.one)]
+        return out
+
+
+def test_every_pair_of_a_pattern_is_checked(h4_f5, monkeypatch):
+    # H4 over F_5 with M = k^2: every hom space has dimension 16, so each
+    # pattern has 256 pairs; the one wrong composite is the last pair
+    f, b = h4_f5.field, h4_f5.coinvariants()
+    v = f.inv(b.algebra.unit[0])
+    m = BModule(b, 2, action_table([Matrix(f, 2, 2, [v, f.zero, f.zero, v])]))
+    report, lin = run_recorded(h4_f5, m, monkeypatch, base=_CorruptLastPair)
+    assert pattern_failures(report) == [("3.9.1-111", (1, 1, 1, 15, 15))]
+    assert lin.bumped
 
 
 @pytest.mark.parametrize("name", ["m2_q", "m2_f3", "h4_q", "h4_f5"])
