@@ -221,7 +221,8 @@ def cmd_crossed_product(args):
                     "crossed (crossed products)")
     report = Report("crossed-product", [name], args.seed)
     try:
-        cp = io_json.build_crossed(bundle, name)
+        cp = cleft.build_crossed_product(
+            *bundle.crossed_products[name][:5])
     except cleft.InvalidCrossedData as exc:
         report.add("crossed-conditions", "fail",
                    {"condition": exc.condition, "witness": _jsonable(exc.witness)})

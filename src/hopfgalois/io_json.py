@@ -32,7 +32,6 @@ validators run eagerly on load; emit(load(x)) round-trips semantically.
 
 import json
 
-from .cleft import build_crossed_product
 from .comodule import BModule, ComoduleAlgebraData
 from .fields import FieldError, field_from_name, field_name
 from .hopf import (CoalgebraData, HopfAlgebraData, StructureConstantAlgebra,
@@ -254,12 +253,6 @@ def load_bundle(path):
         bundle.crossed_products[name] = (base, hopf, omega, sigma, sigma_bar,
                                          href)
     return bundle
-
-
-def build_crossed(bundle, name):
-    """Assemble the named crossed product (validating Prop 5.1 on the way)."""
-    base, hopf, omega, sigma, sigma_bar, _ = bundle.crossed_products[name]
-    return build_crossed_product(base, hopf, omega, sigma, sigma_bar)
 
 
 # -- encoding ----------------------------------------------------------------

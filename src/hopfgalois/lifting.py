@@ -84,15 +84,15 @@ def phi_to_t(ctx, phi):
     candidate = phi if isinstance(phi, ActionCandidate) else ActionCandidate(ctx, phi)
     t_cols = maintheorem.alpha12_hat(ctx, candidate.cols)
     if not convcat.membership(ctx.e.ca, t_cols, (2, 1), "C"):
-        raise maintheorem.MembershipViolation("t = alpha^_12(phi) not colinear")
+        raise convcat.MembershipViolation("t = alpha^_12(phi) not colinear")
     t_coords = summed_columns(ctx.field, ctx.e.dim, t_cols)
     pair = LiftingPair(ctx, candidate, t_coords)
     w = _check_621(ctx, candidate, pair.u_prime)
     if w is not None:
-        raise maintheorem.MembershipViolation(f"(6.2.1) fails at {w}")
+        raise convcat.MembershipViolation(f"(6.2.1) fails at {w}")
     w = _check_622(ctx, candidate, t_coords)
     if w is not None:
-        raise maintheorem.MembershipViolation(f"(6.2.2) fails at {w}")
+        raise convcat.MembershipViolation(f"(6.2.2) fails at {w}")
     return pair
 
 
@@ -278,7 +278,7 @@ def lambda_enumerate(ctx, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
     for t in omega:
         phi = t_to_phi(ctx, t).phi
         if not _is_action(ctx, phi):
-            raise maintheorem.MembershipViolation(
+            raise convcat.MembershipViolation(
                 "t in Omega_E but phi = t_to_phi(t) not an action (Thm 6.4)")
         if phi not in out:
             out.append(phi)
@@ -327,7 +327,7 @@ def phi_equivalence(ctx, phi1, phi2, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
                                    enumerate_cap=enumerate_cap),
         "invertible A-linear f between the two actions")
     if via_651 != direct:
-        raise maintheorem.MembershipViolation(
+        raise convcat.MembershipViolation(
             "(6.5.1) verdict disagrees with direct module isomorphism")
     return via_651
 

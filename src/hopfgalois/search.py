@@ -39,18 +39,33 @@ slice in lexicographic order: the order in which the box k^d meets it, and
 every list and witness is unchanged.  An inconsistent system has no points.
 The algebra-map search walks the slice t(1) = 1 through first(unit=...),
 but there the box p^d still decides exhaustive or sampled, as before.
+
+Rational points.  `rational_points` solves over Q in Fractions (Cox, Little
+and O'Shea, Ideals, Varieties, and Algorithms, ch. 2-3).  Buchberger gives
+the reduced grevlex Groebner basis; if every unknown has a pure power among
+its leading monomials there are finitely many points, and FGLM turns it
+into the reduced lex basis G, c_0 > c_1 > ....  Otherwise G is the lex
+basis from Buchberger, and its free unknowns (the lex-last maximal set of
+unknowns holding no leading monomial of G) are sampled.  The points are
+built from the last unknown to the first: the elements of G in c_i,
+c_{i+1}, ... are specialised at each tail fixed so far, and the rational
+roots of the nonzero ones are intersected.
 """
 
+import heapq
 import itertools
+import math
 import random
 from fractions import Fraction
+from operator import add, sub
 
-from .fields import field_name
+from .fields import _is_prime, field_name
 from .linalg import Matrix
 
 EXHAUSTIVE_CAP = 10 ** 6
 QQ_COEFF_BOUND = 3
 FREE_SAMPLES = (0, 1, -1, 2)
+PRIME_BOUND = 2 ** 10
 
 
 class SearchInconclusive(RuntimeError):
@@ -186,65 +201,296 @@ def classes(items, equivalent):
     return out
 
 
+class _Poly(dict):
+    """A polynomial over Q, {exponent tuple: nonzero Fraction}; `zero` is
+    the exponent tuple of its constant term."""
+
+    __slots__ = ("zero",)
+
+    def __init__(self, zero, terms=()):
+        super().__init__(terms)
+        self.zero = zero
+
+    def _lift(self, x):
+        return x if isinstance(x, _Poly) else _Poly(
+            self.zero, {self.zero: Fraction(x)} if x else ())
+
+    def __add__(self, other, c=1):
+        return _axpy(_Poly(self.zero, self), self._lift(other), c)
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __rsub__(self, other):
+        return _axpy(self._lift(other), self, -1)
+
+    def __mul__(self, other):
+        out = _Poly(self.zero)
+        for m, x in self._lift(other).items():
+            _axpy(out, self, x, m)
+        return out
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _axpy(f, g, c=1, q=None):
+    """f += c q g in place, q a monomial (None for 1); returns f."""
+    for m, x in g.items():
+        if q is not None:
+            m = tuple(map(add, m, q))
+        x = f.get(m, 0) + c * x
+        if x:
+            f[m] = x
+        else:
+            f.pop(m, None)
+    return f
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _grevlex(m):
+    return sum(m), tuple(-e for e in reversed(m))
+
+
+def _reduce(f, basis, order=None):
+    """The normal form of f by basis = {leading monomial: monic g}; `order`
+    is the sort key of the monomial order, None for lex."""
+    f, out = dict(f), {}
+    while f:
+        m = max(f, key=order)
+        lead = next((lm for lm in basis if _divides(lm, m)), None)
+        if lead is None:
+            out[m] = f.pop(m)
+        else:
+            _axpy(f, basis[lead], -f[m], tuple(map(sub, m, lead)))
+    return out
+
+
+def _groebner(polys, order=None):
+    """The reduced Groebner basis {leading monomial: monic g} of polys in the
+    order `order` (see _reduce): Buchberger, skipping a pair whose leading
+    monomials are coprime or whose lcm a third leading monomial divides
+    with both its pairs done (Cox, Little and O'Shea, ch. 2 sec. 10)."""
+    basis, pairs, heap, queue = {}, set(), [], list(polys)
+    while queue or heap:
+        if queue:
+            h = _reduce(queue.pop(), basis, order)
+        else:                               # the pair of least lcm
+            _, a, b = heapq.heappop(heap)
+            pairs.remove((a, b))
+            lcm = tuple(map(max, a, b))
+            if not any(map(min, a, b)) or any(
+                    _divides(k, lcm) and not pairs & {
+                        tuple(sorted((a, k))), tuple(sorted((b, k)))}
+                    for k in basis if k not in (a, b)):
+                continue
+            h = _reduce(_axpy(_axpy({}, basis[a], 1, tuple(map(sub, lcm, a))),
+                              basis[b], -1, tuple(map(sub, lcm, b))), basis,
+                        order)
+        if h:
+            lm = max(h, key=order)
+            if not any(lm):
+                return {lm: {lm: Fraction(1)}}
+            for a, b in (sorted((k, lm)) for k in basis):
+                lcm = tuple(map(max, a, b))
+                pairs.add((a, b))
+                heapq.heappush(heap, ((sum(lcm), lcm), a, b))
+            basis[lm] = _axpy({}, h, 1 / h[lm])
+    lead = [lm for lm in basis
+            if not any(o != lm and _divides(o, lm) for o in basis)]
+    return {lm: _reduce(basis[lm], {o: basis[o] for o in lead if o != lm},
+                        order) for lm in lead}
+
+
+def _fglm(basis, n):
+    """The reduced lex basis of a zero-dimensional ideal from its grevlex
+    basis (Faugere, Gianni, Lazard and Mora): the monomials are taken in
+    ascending lex order, and one whose grevlex normal form is a combination
+    of those of the earlier standard ones leads a basis element.  todo maps
+    a monomial to a polynomial with its normal form."""
+    one = (0,) * n
+    lex, rows, seen, todo = {}, [], set(), {one: {one: Fraction(1)}}
+    while todo:
+        m = min(todo)
+        nf = todo.pop(m)
+        seen.add(m)
+        if any(_divides(lm, m) for lm in lex):
+            continue
+        nf = _reduce(nf, basis, _grevlex)
+        v, comb = dict(nf), {m: Fraction(1)}
+        for pivot, row, rc in rows:         # rows: an echelon form
+            if pivot in v:
+                c = -v[pivot]
+                _axpy(v, row, c), _axpy(comb, rc, c)
+        if not v:
+            lex[m] = comb
+            continue
+        pivot = next(iter(v))
+        c = 1 / v[pivot]
+        rows.append((pivot, _axpy({}, v, c), _axpy({}, comb, c)))
+        for i in range(n):
+            step = one[:i] + (1,) + one[i + 1:]
+            if tuple(map(add, m, step)) not in seen:
+                todo[tuple(map(add, m, step))] = _axpy({}, nf, 1, step)
+    return lex
+
+
+def _divmod(f, g):
+    """Quotient and remainder of coefficient lists, lowest degree first."""
+    f, q = list(f), [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    while len(f) >= len(g):
+        k = len(f) - len(g)
+        q[k] = c = Fraction(f[-1]) / g[-1]
+        for i, y in enumerate(g):
+            f[k + i] -= c * y
+        while f and not f[-1]:
+            f.pop()
+    return q, f
+
+
+def _primitive(f):
+    """The primitive integer multiple of a coefficient list."""
+    den = math.lcm(*(Fraction(x).denominator for x in f))
+    a = [int(x * den) for x in f]
+    g = math.gcd(*a) or 1
+    return [x // g for x in a]
+
+
+def _at(a, x, q=0):
+    """a(x) by Horner's rule, reduced mod q unless q is 0."""
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+        v = v % q if q else v
+    return v
+
+
+def _rational_roots(u):
+    """The rational roots of a nonzero univariate {degree: Fraction}, in
+    ascending order.  Let a be the primitive integer multiple of its
+    square-free part.  A rational root x has a_k x in Z (rational root
+    theorem) and |a_k x| <= sum |a_i|: it is read off the p-adic root above
+    a root of a mod the least prime p with only simple roots, lifted by
+    Newton's method.  No such p below PRIME_BOUND raises SearchInconclusive:
+    a hostile coefficient ends the search in bounded time, not a verdict."""
+    f = _primitive([u.get(d, 0) for d in range(max(u) + 1)])
+    g, h = f, _primitive([d * x for d, x in enumerate(f)][1:])
+    while h:                                        # g = gcd(f, f')
+        g, h = h, _primitive(_divmod(g, h)[1])
+    a = _primitive(_divmod(f, g)[0])
+    if len(a) <= 2:
+        return [Fraction(-a[0], a[1])] if len(a) == 2 else []
+    da, bound = [d * x for d, x in enumerate(a)][1:], 2 * sum(map(abs, a))
+    for p in filter(_is_prime, range(3, PRIME_BOUND)):
+        roots = [r for r in range(p) if _at(a, r, p) == 0]
+        if a[-1] % p == 0 or any(_at(da, r, p) == 0 for r in roots):
+            continue
+        out = []
+        for r in roots:
+            q = p
+            while q <= bound:
+                q *= q
+                r = (r - _at(a, r, q) * pow(_at(da, r, q), -1, q)) % q
+            n = a[-1] * r % q
+            x = Fraction(n - q if 2 * n > q else n, a[-1])
+            out += [x] if _at(a, x) == 0 else []
+        return sorted(out)
+    raise SearchInconclusive("no prime below PRIME_BOUND separates the "
+                             "roots of a univariate polynomial")
+
+
+def _tails(levels, point, i):
+    """The rational points of a zero-dimensional lex basis whose c_{i+1},
+    ... are fixed in point; levels[i] holds the elements whose leading
+    monomial has c_i as its first unknown."""
+    if i < 0:
+        yield tuple(point)
+        return
+    unis = []
+    for g in levels[i]:
+        u = {}
+        for m, x in g.items():
+            _axpy(u, {m[i]: x * math.prod(map(pow, point[i + 1:], m[i + 1:]))})
+        unis += [u] if u else []
+    for r in _rational_roots(min(unis, key=max)):
+        if all(sum(x * r ** d for d, x in u.items()) == 0 for u in unis):
+            point[i] = r
+            yield from _tails(levels, point, i - 1)
+
+
+def _points(polys, n, refuse, nested=False):
+    """Every rational point of polys = 0, or samples of a family (see
+    rational_points)."""
+    basis = _groebner(polys, _grevlex)
+    if any(not any(lm) for lm in basis):
+        return
+    basis = _fglm(basis, n) if all(any(lm[i] == sum(lm) for lm in basis)
+                                   for i in range(n)) else _groebner(polys)
+    free = []               # the lex-last maximal set holding no leading term
+    for i in reversed(range(n)):
+        if not any(all(e == 0 or k == i or k in free for k, e in enumerate(lm))
+                   for lm in basis):
+            free.append(i)
+    if free:
+        if refuse is not None:
+            raise SearchInconclusive(refuse)
+        zero = (0,) * n
+        for values in itertools.product(FREE_SAMPLES, repeat=len(free)):
+            fixed = [_axpy({zero[:u] + (1,) + zero[u + 1:]: Fraction(1)},
+                           {zero: Fraction(s)}, -1)
+                     for u, s in zip(free[::-1], values)]
+            yield from _points([*basis.values(), *fixed], n, refuse, True)
+        if not nested:
+            raise SearchInconclusive("a positive-dimensional family was "
+                                     "sampled without a witness")
+        return
+    levels = [[] for _ in range(n)]
+    for lm, g in basis.items():
+        levels[next(i for i, e in enumerate(lm) if e)].append(g)
+    order = sorted(range(n), key=str)       # c0, c1, c10, ..., c2, ...
+    yield from sorted(_tails(levels, [None] * n, n - 1),
+                      key=lambda c: [c[i] for i in order])
+
+
 def rational_points(algebra, ops, equations, test, refuse=None):
     """Witnesses among the rational solutions of a quadratic system over Q.
 
     The unknown is t = sum_i c_i ops[i], a map into `algebra` (_columns).
     `equations(t, prod)` yields expressions that vanish exactly on the wanted
-    t; t[j] is the symbolic column t(e_j) and prod multiplies two symbolic
-    vectors of `algebra`.  The system is solved with sympy and each
-    rational point c (a tuple of Fractions) is yielded as test(c) when that is
-    not None.  A positive-dimensional family raises SearchInconclusive(refuse),
-    or, when refuse is None, is sampled at every assignment of FREE_SAMPLES to
-    its free unknowns; exhausting the points after such a sample raises
+    t; t[j] is the column t(e_j), a list of polynomials in the c_i, and prod
+    multiplies two such vectors of `algebra`.  Every rational point c (a
+    tuple of Fractions) is found (see the module doc) and yielded as test(c)
+    when that is not None, in lexicographic order with the unknowns taken in
+    the string order of their names c0, c1, c10, ..., c2, ...: the order of
+    the package's former solver, so reports stay the same.  A
+    positive-dimensional family raises SearchInconclusive(refuse), or, when
+    refuse is None, is sampled at every assignment of FREE_SAMPLES to its
+    free unknowns; exhausting the points after such a sample raises
     SearchInconclusive, since the family was not searched in full.
     """
-    import sympy
     n, rows = len(ops), algebra.dim
-    cs = sympy.symbols(f"c0:{n}")
-    t_cols = [[sympy.Integer(0)] * rows for _ in ops[0]]
-    for c, op in zip(cs, ops):
+    zero = (0,) * n
+    lift = _Poly(zero)._lift
+    t_cols = [[_Poly(zero) for _ in range(rows)] for _ in ops[0]]
+    for k, op in enumerate(ops):
+        c = {zero[:k] + (1,) + zero[k + 1:]: Fraction(1)}
         for j, col in enumerate(op):
             for r, x in col:
-                t_cols[j][r] += sympy.Rational(x) * c
+                _axpy(t_cols[j][r], c, x)
 
     def prod(x, y):
-        out = [sympy.Integer(0)] * rows
-        for a in range(rows):
-            if x[a] != 0:
-                for b in range(rows):
-                    for r, coeff in algebra.mul_table[a * rows + b]:
-                        out[r] += sympy.Rational(coeff) * x[a] * y[b]
+        out = [_Poly(zero) for _ in range(rows)]
+        for (a, xa), (b, yb) in itertools.product(enumerate(x), enumerate(y)):
+            if xa and yb:
+                xy = lift(xa) * yb
+                for r, coeff in algebra.mul_table[a * rows + b]:
+                    _axpy(out[r], xy, coeff)
         return out
 
-    eqs = [sympy.expand(e) for e in equations(t_cols, prod)]
-    sols = sympy.solve([e for e in eqs if e != 0], list(cs), dict=True)
-    sampled = False
-    for sol in sols:
-        free = set(c for c in cs if c not in sol)
-        for v in sol.values():
-            free |= v.free_symbols
-        free = sorted(free, key=lambda sym: sym.name)
-        assignments = [sol]
-        if free:
-            if refuse is not None:
-                raise SearchInconclusive(refuse)
-            sampled = True
-            assignments = []
-            for combo in itertools.product(map(sympy.Integer, FREE_SAMPLES),
-                                           repeat=len(free)):
-                subs = dict(zip(free, combo))
-                assignments.append({c: (sol[c].subs(subs) if c in sol
-                                        else subs[c]) for c in cs})
-        for assign in assignments:
-            vals = [sympy.nsimplify(assign.get(c, sympy.Integer(0)))
-                    for c in cs]
-            if not all(v.is_rational for v in vals):
-                continue
-            hit = test(tuple(Fraction(int(num), int(den))
-                             for num, den in map(sympy.fraction, vals)))
-            if hit is not None:
-                yield hit
-    if sampled:
-        raise SearchInconclusive("a positive-dimensional family was sampled "
-                                 "without a witness")
+    eqs = [e for e in map(lift, equations(t_cols, prod)) if e]
+    for c in _points(eqs, n, refuse):
+        hit = test(c)
+        if hit is not None:
+            yield hit

@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from hopfgalois.comodule import BModule, regular_bmodule
@@ -9,6 +12,7 @@ from hopfgalois.hopf import convolution_columns
 from hopfgalois.linalg import (Matrix, _columns, _combination, _rows,
                                basis_vec, reduced, sparse_kernel,
                                summed_columns)
+from hopfgalois.search import FREE_SAMPLES, SearchInconclusive
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -333,3 +337,68 @@ def scatter_legs(mat, dims, perm):
         src[t] = s
     return Matrix(mat.field, mat.rows, mat.cols,
                   [x for s in src for x in mat.row(s)])
+
+
+def sympy_expr(poly, cs):
+    """A polynomial of search.rational_points, {exponents: Fraction} or a
+    plain number, as an expanded sympy expression in the symbols cs."""
+    import sympy
+    terms = poly.items() if isinstance(poly, dict) else [
+        ((0,) * len(cs), poly)]
+    return sympy.expand(sympy.Add(*(
+        sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+        * sympy.Mul(*(c ** e for c, e in zip(cs, m))) for m, x in terms)))
+
+
+def sympy_rational_points(algebra, ops, equations, test, refuse=None):
+    """The former search.rational_points, kept as its oracle: the system is
+    solved with sympy.solve and its solutions are read in sympy's order."""
+    import sympy
+    n, rows = len(ops), algebra.dim
+    cs = sympy.symbols(f"c0:{n}")
+    t_cols = [[sympy.Integer(0)] * rows for _ in ops[0]]
+    for c, op in zip(cs, ops):
+        for j, col in enumerate(op):
+            for r, x in col:
+                t_cols[j][r] += sympy.Rational(x) * c
+
+    def prod(x, y):
+        out = [sympy.Integer(0)] * rows
+        for a in range(rows):
+            if x[a] != 0:
+                for b in range(rows):
+                    for r, coeff in algebra.mul_table[a * rows + b]:
+                        out[r] += sympy.Rational(coeff) * x[a] * y[b]
+        return out
+
+    eqs = [sympy.expand(e) for e in equations(t_cols, prod)]
+    sols = sympy.solve([e for e in eqs if e != 0], list(cs), dict=True)
+    sampled = False
+    for sol in sols:
+        free = set(c for c in cs if c not in sol)
+        for v in sol.values():
+            free |= v.free_symbols
+        free = sorted(free, key=lambda sym: sym.name)
+        assignments = [sol]
+        if free:
+            if refuse is not None:
+                raise SearchInconclusive(refuse)
+            sampled = True
+            assignments = []
+            for combo in itertools.product(map(sympy.Integer, FREE_SAMPLES),
+                                           repeat=len(free)):
+                subs = dict(zip(free, combo))
+                assignments.append({c: (sol[c].subs(subs) if c in sol
+                                        else subs[c]) for c in cs})
+        for assign in assignments:
+            vals = [sympy.nsimplify(assign.get(c, sympy.Integer(0)))
+                    for c in cs]
+            if not all(v.is_rational for v in vals):
+                continue
+            hit = test(tuple(Fraction(int(num), int(den))
+                             for num, den in map(sympy.fraction, vals)))
+            if hit is not None:
+                yield hit
+    if sampled:
+        raise SearchInconclusive("a positive-dimensional family was sampled "
+                                 "without a witness")

@@ -1,6 +1,6 @@
 import pytest
 
-from hopfgalois import cohomology, lifting, maintheorem
+from hopfgalois import cohomology, convcat, lifting, maintheorem
 from hopfgalois.linalg import _columns
 
 from conftest import dense, module_b, module_k
@@ -22,6 +22,15 @@ def test_three_way_equivalence_joint(m2_f3):
         pair = lifting.phi_to_t(ctx, phi)
         verdict = lifting.lifting_theorem_check(pair)
         assert verdict.equivalent and verdict.all_true, verdict.flags
+
+
+def test_failed_621_raises_the_membership_violation(m2_f3, monkeypatch):
+    # every membership check of the lifting raises convcat's violation
+    ctx = _ctx(m2_f3, module_b(m2_f3))
+    phi = lifting.lambda_enumerate(ctx)[0]
+    monkeypatch.setattr(lifting, "_check_621", lambda *args: (0, 0, 0))
+    with pytest.raises(convcat.MembershipViolation, match="6.2.1"):
+        lifting.phi_to_t(ctx, phi)
 
 
 def test_round_trips(m2_f3):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfgalois import io_json
+from hopfgalois import cleft, io_json
 from hopfgalois.comodule import (BModule, ComoduleAlgebraData,
                                  IllDefinedStructure, algebra_as_bmodule,
                                  regular_bmodule, tensor_over_B)
@@ -281,7 +281,9 @@ def fixture_cases():
             mods = [m for m in bundle.modules.values() if m.ca_name == name]
             yield path.stem, name, ca, mods
         for name in sorted(bundle.crossed_products):
-            yield path.stem, name, io_json.build_crossed(bundle, name).algebra, []
+            cp = cleft.build_crossed_product(
+                *bundle.crossed_products[name][:5])
+            yield path.stem, name, cp.algebra, []
 
 
 @pytest.mark.parametrize("case", list(fixture_cases()),

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (act_on, convolution_operator, dense, dense_comul,
-                      dense_lin_comb, module_b, module_k, tensor_entries,
-                      vec_add, vec_scale)
+                      dense_lin_comb, module_b, module_k, sympy_expr,
+                      tensor_entries, vec_add, vec_scale)
 from hopfgalois import (cleft, cohomology, convcat, galois, lifting,
                         maintheorem, search)
 from hopfgalois.fields import QQ, PrimeField
@@ -719,13 +719,11 @@ def old_z1_equations(act):
 def former_t(t_cols):
     """The former t(vec) of rational_points: the symbolic columns t_cols
     applied to a coordinate vector."""
-    import sympy
-
     def t(vec):
-        out = [sympy.Integer(0)] * len(t_cols[0])
+        out = [0] * len(t_cols[0])
         for x, col in zip(vec, t_cols):
             if x != 0:
-                out = [o + sympy.Rational(x) * v for o, v in zip(out, col)]
+                out = [o + x * v for o, v in zip(out, col)]
         return out
 
     return t
@@ -747,11 +745,13 @@ def test_q_equations_are_the_former_ones(monkeypatch, name, action):
     solve = search.rational_points
 
     def spy(algebra, mats, equations, test, refuse=None):
+        cs = sympy.symbols(f"c0:{len(mats)}")
+
         def both(t, prod):
-            new = [sympy.expand(e) for e in equations(t, prod)]
-            lists.append((new, [sympy.expand(e)
-                                for e in old_z1_equations(act)(
-                                    former_t(t), prod)]))
+            new = list(equations(t, prod))
+            lists.append(([sympy_expr(e, cs) for e in new],
+                          [sympy_expr(e, cs) for e in old_z1_equations(act)(
+                              former_t(t), prod)]))
             return new
         return solve(algebra, mats, both, test, refuse)
 
