@@ -14,7 +14,8 @@ columns and the tables (linalg._pair), and the Prop 5.1 audit reports the
 first failing tuple of each condition; every map built here is summed
 from raw terms.  No basis vector is applied and no vector is tensored.
 The assembled B#_sigma H lives on B (x) H with flat index b*dh + h and
-coaction id_B (x) Delta.
+coaction id_B (x) Delta.  The Thm 5.2 round trip and the Thm 5.4 smash check
+each return one ValidationReport.
 """
 
 import itertools
@@ -392,35 +393,6 @@ def crossed_canonical_inverse(cp):
 # -- Theorem 5.2 round trip --------------------------------------------------
 
 
-class StructureTheoremReport:
-    """One ValidationReport per leg; a leg left undecided by a sampled search
-    is recorded in inconclusive (leg -> NotFound) instead, and then the
-    report has not passed."""
-
-    def __init__(self):
-        self.legs = {}
-        self.inconclusive = {}
-        self.datum = None
-        self.crossed = None
-
-    def miss(self, leg, failure, result):
-        """A search miss on leg: an exhaustive one fails it, a sampled one
-        leaves it inconclusive."""
-        if result.exhaustive:
-            self.legs[leg].fail(failure, repr(result))
-        else:
-            self.inconclusive[leg] = result
-
-    @property
-    def passed(self):
-        return not self.inconclusive and all(
-            leg.passed for leg in self.legs.values())
-
-    @property
-    def all_failed(self):
-        return all(not leg.passed for leg in self.legs.values())
-
-
 def _psi_matrix(ca, b, t_mat):
     """psi(b (x) h) = b t(h) as a matrix B (x) H -> A."""
     alg, dh = ca.algebra, ca.hopf.dim
@@ -465,18 +437,19 @@ def _left_b_actions(ca, b):
              for a in range(da)])
 
 
-def _check_bh_iso(ca, b, psi, leg):
-    """psi: B (x) H -> A must be a B-linear H-colinear bijection."""
+def _check_bh_iso(ca, b, psi, report, leg=""):
+    """psi: B (x) H -> A must be a B-linear H-colinear bijection; failures
+    are recorded in report, named after leg."""
     f = ca.field
     if not psi.is_invertible():
-        leg.fail("psi-not-bijective")
+        report.fail(leg + "psi-not-bijective")
         return
     cols = _columns(psi)
-    leg.fail_at("psi-not-B-linear",
-                linear_witness(f, cols, *_left_b_actions(ca, b)))
+    report.fail_at(leg + "psi-not-B-linear",
+                   linear_witness(f, cols, *_left_b_actions(ca, b)))
     if colinear_witness(f, cols, comul_on(ca.hopf.coalgebra, b.dim),
                         ca.coaction_table) is not None:
-        leg.fail("psi-not-colinear")
+        report.fail(leg + "psi-not-colinear")
 
 
 def _find_bh_iso(ca, b, seed, tries):
@@ -507,56 +480,53 @@ def _transport_witness(ca, psi, back, cp):
 
 
 def structure_theorem_check(ca, seed=0, tries=500):
-    """Thm 5.2 (1)=>(2)=>(3)=>(1), each leg reported independently."""
+    """Thm 5.2 (1)=>(2)=>(3)=>(1), each leg checked on its own.
+
+    Every check is named after its leg, as in "1->2 not-cleft".  A search
+    that finds nothing fails its check when exhaustive and leaves it
+    inconclusive when sampled, the repr of its NotFound as the witness; leg
+    (2) waits on leg (1), so it is inconclusive with leg (1)'s witness while
+    leg (1) is.
+    """
     f = ca.field
     b = ca.coinvariants()
     db, dh = b.dim, ca.hopf.dim
-    report = StructureTheoremReport()
-
-    leg1 = ValidationReport()
-    report.legs["1->2"] = leg1
+    report = ValidationReport()
+    cp = None
     datum = find_cleft(ca, seed=seed, tries=tries)
     if isinstance(datum, NotFound):
-        report.miss("1->2", "not-cleft", datum)
+        report.miss("1->2 not-cleft", datum, repr(datum))
     else:
-        report.datum = datum
         try:
             cp = extract_crossed_data(datum, ca)
         except InvariantFailure as exc:
-            cp = None
-            leg1.fail("extraction", str(exc))
+            report.fail("1->2 extraction", str(exc))
         if cp is not None:
-            report.crossed = cp
             psi = _psi_matrix(ca, b, datum.t)
             varphi = _varphi_matrix(ca, b, datum.u)
             if psi @ varphi != Matrix.identity(f, ca.algebra.dim):
-                leg1.fail("psi-varphi-not-id")
+                report.fail("1->2 psi-varphi-not-id")
             if varphi @ psi != Matrix.identity(f, db * dh):
-                leg1.fail("varphi-psi-not-id")
-            _check_bh_iso(ca, b, psi, leg1)
-            leg1.fail_at("transported-mult-vs-5.1.1",
-                         _transport_witness(ca, psi, varphi, cp))
+                report.fail("1->2 varphi-psi-not-id")
+            _check_bh_iso(ca, b, psi, report, "1->2 ")
+            report.fail_at("1->2 transported-mult-vs-5.1.1",
+                           _transport_witness(ca, psi, varphi, cp))
 
-    leg2 = ValidationReport()
-    report.legs["2->3"] = leg2
-    if "1->2" in report.inconclusive:
+    if report.inconclusive:
         # nothing to check until leg (1) is decided
-        report.inconclusive["2->3"] = report.inconclusive["1->2"]
-    elif report.crossed is None:
-        leg2.fail("no-crossed-product", "leg (1) produced no B#H")
+        report.inconclusive.append(("2->3 no-crossed-product",
+                                    report.inconclusive[0][1]))
+    elif cp is None:
+        report.fail("2->3 no-crossed-product", "leg (1) produced no B#H")
     else:
-        res = crossed_canonical_inverse(report.crossed)
-        for what, witness in res.failures:
-            leg2.fail(what, witness)
-        smash_ca = report.crossed.algebra
-        if smash_ca.algebra.dim != db * dh:
-            leg2.fail("shape", "dim B#H != dim B * dim H")
+        report.failures += [("2->3 " + what, witness) for what, witness
+                            in crossed_canonical_inverse(cp).failures]
+        if cp.algebra.algebra.dim != db * dh:
+            report.fail("2->3 shape", "dim B#H != dim B * dim H")
 
-    leg3 = ValidationReport()
-    report.legs["3->1"] = leg3
     psi3 = _find_bh_iso(ca, b, seed, tries)
     if isinstance(psi3, NotFound):
-        report.miss("3->1", "no-BH-isomorphism", psi3)
+        report.miss("3->1 no-BH-isomorphism", psi3, repr(psi3))
     else:
         # t(h) = psi3(1_B (x) h)
         p3 = _columns(psi3)
@@ -564,28 +534,15 @@ def structure_theorem_check(ca, seed=0, tries=500):
             (r * dh + h, u * x) for h in range(dh)
             for k, u in _nonzero(b.algebra.unit) for r, x in p3[k * dh + h]))
         if not convcat.membership(ca, _columns(t_mat), (2, 1), "C"):
-            leg3.fail("t-not-colinear")
+            report.fail("3->1 t-not-colinear")
         try:
             convcat.convolution_inverse_matrix(ca, t_mat, "C")
         except NotInvertible:
-            leg3.fail("t-not-convolution-invertible")
+            report.fail("3->1 t-not-convolution-invertible")
     return report
 
 
 # -- Theorem 5.4: smash products ---------------------------------------------
-
-
-class SmashReport:
-    def __init__(self):
-        self.status = "inconclusive"    # found | none | inconclusive
-        self.t = None
-        self.sigma_trivial = None
-        self.iso_ok = None
-        self.detail = ""
-
-    @property
-    def passed(self):
-        return self.status == "found" and self.sigma_trivial and self.iso_ok
 
 
 def is_algebra_map(ca, t_mat):
@@ -612,19 +569,15 @@ def _algebra_map_at(ca, ops, coeffs):
 
 def _algebra_map_search(ca, ops, seed=0, tries=500,
                         enumerate_cap=EXHAUSTIVE_CAP):
-    """Find an algebra map in span(ops); returns (t_mat or None, status)."""
-    f = ca.field
+    """An algebra map in span(ops), or NotFound."""
     if not ops:
-        return None, "none"
+        return NotFound(True, 0, 0)
     h_alg, alg = ca.hopf.algebra, ca.algebra
     n = h_alg.dim
     algebra_map_at = partial(_algebra_map_at, ca, ops)
-    if f.kind == "Fp":
-        got = search.first(f, len(ops), algebra_map_at, seed, tries,
-                           enumerate_cap, unit=unit_condition(ca, ops))
-        if isinstance(got, NotFound):
-            return None, "none" if got.exhaustive else "inconclusive"
-        return got, "found"
+    if ca.field.kind == "Fp":
+        return search.first(ca.field, len(ops), algebra_map_at, seed, tries,
+                            enumerate_cap, unit=unit_condition(ca, ops))
 
     # over Q: the conditions are quadratic in the coefficients; solve
     # exactly, t[j] being the image of e_j
@@ -642,36 +595,40 @@ def _algebra_map_search(ca, ops, seed=0, tries=500,
     try:
         for t_mat in search.rational_points(alg, ops, equations,
                                             algebra_map_at):
-            return t_mat, "found"
+            return t_mat
     except search.SearchInconclusive:
-        return None, "inconclusive"
-    return None, "none"
+        return NotFound(False, 0, len(ops))
+    return NotFound(True, 0, len(ops))
 
 
 def smash_check(ca, seed=0, tries=500, enumerate_cap=EXHAUSTIVE_CAP):
-    """Thm 5.4: search for a colinear algebra map t; on success verify the
-    extracted sigma is trivial and A is isomorphic to the smash product B#H."""
-    report = SmashReport()
+    """Thm 5.4: search for a colinear algebra map t ("algebra-map"); when
+    one is found, check that the extracted sigma is trivial
+    ("sigma-trivial") and that psi: B # H -> A is an isomorphism of
+    comodule algebras ("smash-iso").  details holds the search's status
+    (found, none or inconclusive), t, and a detail on a miss or failure."""
+    report = ValidationReport()
     ops = [el.cols for el in convcat.hom_space(ca, (2, 1), "C").elements]
-    t_mat, status = _algebra_map_search(ca, ops, seed=seed, tries=tries,
-                                        enumerate_cap=enumerate_cap)
-    report.status = status
-    if t_mat is None:
-        report.detail = ("no colinear algebra map exists"
-                         if status == "none" else "search inconclusive")
+    t_mat = _algebra_map_search(ca, ops, seed=seed, tries=tries,
+                                enumerate_cap=enumerate_cap)
+    if isinstance(t_mat, NotFound):
+        report.miss("algebra-map", t_mat)
+        report.details["status"], report.details["detail"] = (
+            ("none", "no colinear algebra map exists") if t_mat.exhaustive
+            else ("inconclusive", "search inconclusive"))
         return report
-    report.t = t_mat
+    report.details.update(status="found", t=t_mat)
     # t is invertible with inverse t o S (verified, not assumed)
     u_mat = t_mat @ ca.hopf.antipode
     if not is_convolution_inverse(ca.algebra, ca.hopf.coalgebra, t_mat, u_mat):
-        report.status = "found"
-        report.sigma_trivial = False
-        report.detail = "t o S is not the convolution inverse"
+        report.fail("sigma-trivial")
+        report.fail("smash-iso")
+        report.details["detail"] = "t o S is not the convolution inverse"
         return report
     datum = CleftingDatum(t_mat, u_mat, normalized=True)
     cp = extract_crossed_data(datum, ca)
-    report.sigma_trivial = cp.sigma == convolution_unit(
-        cp.base, _hh_coalgebra(ca.hopf))
+    if cp.sigma != convolution_unit(cp.base, _hh_coalgebra(ca.hopf)):
+        report.fail("sigma-trivial")
     b = ca.coinvariants()
     psi = _psi_matrix(ca, b, t_mat)
     leg = ValidationReport()
@@ -679,7 +636,7 @@ def smash_check(ca, seed=0, tries=500, enumerate_cap=EXHAUSTIVE_CAP):
     if leg.passed:
         leg.fail_at("smash-mult",
                     _transport_witness(ca, psi, psi.invert(), cp))
-    report.iso_ok = leg.passed
     if not leg.passed:
-        report.detail = str(leg.failures[0])
+        report.fail("smash-iso")
+        report.details["detail"] = str(leg.failures[0])
     return report

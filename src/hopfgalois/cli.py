@@ -14,6 +14,7 @@ import sys
 from . import cleft, cohomology, galois, io_json, lifting, maintheorem, search
 from .comodule import regular_bmodule
 from .fields import field_name
+from .hopf import ValidationReport
 from .linalg import Matrix
 
 TRANSLATION_IDENTITIES = ["1.2.1", "1.2.2", "1.2.3", "1.2.4", "1.2.5",
@@ -53,6 +54,23 @@ class Report:
     def add(self, name, outcome, witness=None):
         assert outcome in ("pass", "fail", "inconclusive", "degenerate")
         self.checks.append((name, outcome, witness))
+
+    def merge(self, report, names):
+        """Add a hopf.ValidationReport's outcome for each of names, in
+        order, a pass where it records none, and its details.  names[0] is
+        the check the others build on: when it did not pass, they were not
+        checked and are left out."""
+        for i, name in enumerate(names):
+            outcomes = [(outcome, witness) for outcome, recorded in (
+                ("fail", report.failures),
+                ("inconclusive", report.inconclusive),
+                ("degenerate", report.degenerate))
+                for n, witness in recorded if n == name]
+            for outcome, witness in outcomes or [("pass", None)]:
+                self.add(name, outcome, witness)
+            if outcomes and i == 0:
+                break
+        self.details.update(report.details)
 
     def merge_failures(self, failures, passing=()):
         failed = {str(name) for name, _ in failures}
@@ -204,14 +222,13 @@ def cmd_cleft(args):
     report = Report("cleft", [name], args.seed)
     got = cleft.find_cleft(ca, seed=args.seed, tries=args.tries,
                            enumerate_cap=args.enumerate_cap)
+    found = ValidationReport()
     if isinstance(got, cleft.NotFound):
-        outcome = "fail" if got.exhaustive else "inconclusive"
-        report.add("cleft", outcome,
+        found.miss("cleft", got,
                    {"exhaustive": got.exhaustive, "searched": got.searched})
     else:
-        report.add("cleft", "pass")
-        report.details["t"] = got.t
-        report.details["u"] = got.u
+        found.details.update(t=got.t, u=got.u)
+    report.merge(found, ["cleft"])
     return report
 
 
@@ -239,20 +256,9 @@ def cmd_smash_check(args):
     bundle = _load(args)
     name, ca = _pick_ca(bundle, args)
     report = Report("smash-check", [name], args.seed)
-    sm = cleft.smash_check(ca, seed=args.seed, tries=args.tries,
-                           enumerate_cap=args.enumerate_cap)
-    report.details["status"] = sm.status
-    if sm.detail:
-        report.details["detail"] = sm.detail
-    if sm.status == "inconclusive":
-        report.add("algebra-map", "inconclusive")
-    elif sm.status == "none":
-        report.add("algebra-map", "fail")
-    else:
-        report.add("algebra-map", "pass")
-        report.add("sigma-trivial", "pass" if sm.sigma_trivial else "fail")
-        report.add("smash-iso", "pass" if sm.iso_ok else "fail")
-        report.details["t"] = sm.t
+    report.merge(cleft.smash_check(ca, seed=args.seed, tries=args.tries,
+                                   enumerate_cap=args.enumerate_cap),
+                 ["algebra-map", "sigma-trivial", "smash-iso"])
     return report
 
 
@@ -270,7 +276,9 @@ def cmd_cohomology(args):
         datum = cleft.find_cleft(ca, seed=args.seed, tries=args.tries,
                                  enumerate_cap=args.enumerate_cap)
         if isinstance(datum, cleft.NotFound):
-            report.add("cleft", "fail" if datum.exhaustive else "inconclusive")
+            missed = ValidationReport()
+            missed.miss("cleft", datum)
+            report.merge(missed, ["cleft"])
             return report
         act = cohomology.action_from_cleft(ca, datum)
     try:
@@ -295,18 +303,10 @@ def cmd_lift(args):
     name, ca = _pick_ca(bundle, args)
     mod_name, m = _pick_module(bundle, args, name, ca)
     report = Report("lift", [name, mod_name], args.seed)
-    try:
-        st = lifting.stability_check(ca, m, seed=args.seed, tries=args.tries,
-                                     enumerate_cap=args.enumerate_cap)
-    except search.SearchInconclusive as exc:
-        report.add("stable", "inconclusive", str(exc))
-        return report
-    if st.degenerate:
-        report.add("stable", "degenerate")
-        return report
-    report.add("stable", "pass" if st.stable else "fail", st.detail or None)
-    if st.stable and st.witness is not None:
-        report.details["witness"] = st.witness
+    report.merge(lifting.stability_check(ca, m, seed=args.seed,
+                                         tries=args.tries,
+                                         enumerate_cap=args.enumerate_cap),
+                 ["stable"])
     return report
 
 

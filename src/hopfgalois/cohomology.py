@@ -334,10 +334,10 @@ def omega_enumerate(ca, act=None, base_point=None, seed=0,
         return search.every(f, d, partial(cleft._algebra_map_at, ca, ops),
                             enumerate_cap, unit)
     if base_point is None:
-        base_point, status = cleft._algebra_map_search(
+        base_point = cleft._algebra_map_search(
             ca, ops, seed=seed, enumerate_cap=enumerate_cap)
-        if base_point is None:
-            if status == "none":
+        if isinstance(base_point, NotFound):
+            if base_point.exhaustive:
                 return []
             raise SearchInconclusive("no Omega_A base point found")
     if act is None:

@@ -47,16 +47,20 @@ class BadCharacteristic(ValueError):
 
 
 class ValidationReport:
-    """Outcome of an axiom audit: empty failure list means pass.
+    """Outcome of a check: pass, fail, inconclusive or degenerate.
 
-    Each failure is (axiom name, witness); the witness is a tuple of basis
+    Each failure is (check name, witness); the witness is a tuple of basis
     indices locating the first offending instance, or None when the failure
-    is structural (e.g. a dimension clash).  details holds what a check
-    measured besides its verdict (dimensions, counts, sizes).
+    is structural (e.g. a dimension clash).  inconclusive holds the checks
+    that a sampled search left undecided and degenerate those that are
+    vacuous on the input, both as (check name, witness) too.  details holds
+    what a check measured besides its verdict (dimensions, counts, sizes).
     """
 
     def __init__(self):
         self.failures = []
+        self.inconclusive = []
+        self.degenerate = []
         self.details = {}
 
     def fail(self, axiom, witness=None):
@@ -67,12 +71,20 @@ class ValidationReport:
         if witness is not None:
             self.fail(axiom, witness)
 
+    def miss(self, check, found, witness=None):
+        """Record a search for check that found nothing: an exhaustive
+        search.NotFound is a proof and fails check, a sampled one leaves it
+        inconclusive."""
+        (self.failures if found.exhaustive else self.inconclusive).append(
+            (check, witness))
+
     @property
     def passed(self):
-        return not self.failures
+        return not self.failures and not self.inconclusive
 
     def __repr__(self):
-        status = "pass" if self.passed else f"fail({self.failures!r})"
+        status = "pass" if self.passed else (
+            f"fail({self.failures!r}, inconclusive={self.inconclusive!r})")
         return f"ValidationReport({status})"
 
 

@@ -5,11 +5,12 @@ and the classification Omega_E-bar = Lambda_M-bar = H^1(H, End_B(M)).
 
 phi is a dm x dim(M (x)_B A) matrix in quotient coordinates; t lives in
 E-coordinates as in module maintheorem.  Both are search candidates, held as
-matrices, and cross into maintheorem's maps as their _columns.
+matrices, and cross into maintheorem's maps as their _columns.  Each verdict
+(stability, Thm 6.4 on one phi, the classification) is a ValidationReport.
 """
 
 from . import cleft, cohomology, convcat, maintheorem, search
-from .comodule import associativity_failures
+from .comodule import InternalInvariant, associativity_failures
 from .hopf import (ValidationReport, _agree, first_failure,
                    is_cocommutative, linear_witness, multiplicative_witness)
 from .linalg import (Matrix, OperatorSpan, _columns, _combination, _composed,
@@ -103,72 +104,36 @@ def t_to_phi(ctx, t_coords):
     return ActionCandidate(ctx, summed_columns(ctx.field, ctx.m.dim, phi))
 
 
-class EquivalenceVerdict:
-    def __init__(self, flags, names):
-        self.flags = tuple(flags)
-        self.names = tuple(names)
-
-    @property
-    def equivalent(self):
-        return len(set(self.flags)) == 1
-
-    @property
-    def all_true(self):
-        return all(self.flags)
-
-    def __repr__(self):
-        body = ", ".join(f"{n}={v}" for n, v in zip(self.names, self.flags))
-        return f"EquivalenceVerdict({body})"
-
-
 def _unital(ctx, phi):
     """phi o eta = id: the action m.1 = m."""
     return phi @ ctx.eta == Matrix.identity(ctx.field, ctx.m.dim)
 
 
-def check_unitality(pair):
-    """Prop 6.2: t(1)=1, u'(1)=1, m.1=m (the paper's 'm.1=1' is a typo)."""
-    ctx = pair.ctx
-    one_h = ctx.ca.hopf.algebra.unit
-    unit_e = ctx.e.ca.algebra.unit
-    c1 = pair.t.apply(one_h) == unit_e
-    c2 = pair.u_prime.apply(one_h) == unit_e
-    c3 = _unital(ctx, pair.candidate.phi)
-    return EquivalenceVerdict((c1, c2, c3), ("t(1)=1", "u'(1)=1", "m.1=m"))
-
-
-def check_associativity(pair):
-    """Prop 6.3: t multiplicative, u anti-multiplicative, action associative."""
-    h_alg, e_alg = pair.ctx.ca.hopf.algebra, pair.ctx.e.ca.algebra
-    return EquivalenceVerdict(
-        (multiplicative_witness(h_alg, e_alg, pair.t) is None,
-         multiplicative_witness(h_alg, e_alg, pair.u, anti=True) is None,
-         not any(associativity_failures(pair.ctx.ca.algebra,
-                                        pair.candidate.action_table))),
-        ("t multiplicative", "u anti-multiplicative", "action associative"))
-
-
 def lifting_theorem_check(pair):
     """Thm 6.4: t algebra map <=> u anti-algebra map <=> phi gives an A-module
-    extending the B-action (the statement's 'B-module' is a typo)."""
-    unital = check_unitality(pair)
-    assoc = check_associativity(pair)
-    flags = tuple(u and a for u, a in zip(unital.flags, assoc.flags))
-    return EquivalenceVerdict(
-        flags, ("t algebra map", "u anti-algebra map", "A-module structure"))
+    extending the B-action (the statement's 'B-module' is a typo).  Each
+    statement is a unit law (Prop 6.2: t(1)=1, u'(1)=1, m.1=m, where the
+    paper's 'm.1=1' is a typo) and a product law (Prop 6.3: t
+    multiplicative, u anti-multiplicative, the action associative); every
+    law that fails is recorded, a product law at its first failing (i, j)."""
+    ctx = pair.ctx
+    h_alg, e_alg = ctx.ca.hopf.algebra, ctx.e.ca.algebra
+    report = ValidationReport()
+    for name, image in (("t(1)=1", pair.t), ("u'(1)=1", pair.u_prime)):
+        if image.apply(h_alg.unit) != e_alg.unit:
+            report.fail(name)
+    if not _unital(ctx, pair.candidate.phi):
+        report.fail("m.1=m")
+    report.fail_at("t multiplicative",
+                   multiplicative_witness(h_alg, e_alg, pair.t))
+    report.fail_at("u anti-multiplicative",
+                   multiplicative_witness(h_alg, e_alg, pair.u, anti=True))
+    report.fail_at("action associative", next(associativity_failures(
+        ctx.ca.algebra, pair.candidate.action_table), None))
+    return report
 
 
 # -- Proposition 6.1: stability ----------------------------------------------
-
-
-class StabilityReport:
-    def __init__(self):
-        self.degenerate = False
-        self.stable = None
-        self.side_iso = None        # found intertwiner M (x) H -> M (x)_B A
-        self.side_cleft = None      # clefting datum on E or NotFound
-        self.witness = None
-        self.detail = ""
 
 
 def _invertible_in_matrix_span(field, ops, rows, cols, seed=0, tries=200,
@@ -184,55 +149,59 @@ def _invertible_in_matrix_span(field, ops, rows, cols, seed=0, tries=200,
 
 
 def stability_check(ca, m, seed=0, tries=200, enumerate_cap=EXHAUSTIVE_CAP):
-    """Prop 6.1: M is H-stable iff E = END_A(M (x)_B A) is cleft."""
-    report = StabilityReport()
+    """Prop 6.1: M is H-stable iff E = END_A(M (x)_B A) is cleft.
+
+    Both sides are searched, and the check "stable" passes when both hold,
+    is degenerate when M = 0 (every statement of §6 is vacuous there), and
+    fails when neither holds or when they disagree; a sampled miss against
+    a found side leaves it inconclusive.  A stable M has its intertwiner,
+    transported from E's clefting datum through Lemma 3.5, in
+    details["witness"]; alpha is an isomorphism of categories, so a
+    transport that leaves its category raises InternalInvariant.
+    """
+    report = ValidationReport()
     if m.dim == 0:
-        report.degenerate = True
-        report.detail = "M = 0: every statement of §6 is vacuous"
+        report.degenerate.append(("stable", None))
         return report
     ctx = maintheorem.TheoremContext(ca, m)
     # side A: invertible element of Hom_B^H(M (x) H, M (x)_B A)
-    got = _invertible_in_matrix_span(ctx.field, ctx.dm_hom_space(1, 2),
+    iso = _invertible_in_matrix_span(ctx.field, ctx.dm_hom_space(1, 2),
                                      ctx.x2_dim, ctx.x1_dim,
                                      seed=seed, tries=tries,
                                      enumerate_cap=enumerate_cap)
-    iso = None if isinstance(got, NotFound) else got
-    conclusive_a = iso is not None or got.exhaustive
-    report.side_iso = iso
     # side B: find_cleft on E
     datum = cleft.find_cleft(ctx.e.ca, seed=seed, tries=tries,
                              enumerate_cap=enumerate_cap)
-    cleft_found = not isinstance(datum, cleft.NotFound)
-    conclusive_b = cleft_found or datum.exhaustive
-    report.side_cleft = datum
-    side_a = iso is not None
-    if side_a != cleft_found:
-        if not conclusive_a and cleft_found:
-            raise SearchInconclusive("E is cleft but no intertwiner was "
-                                     "found in the sampled span")
-        if not conclusive_b and side_a:
-            raise SearchInconclusive("intertwiner found but the clefting "
-                                     "search on E was not exhaustive")
-        report.stable = False
-        report.detail = "sides disagree conclusively (Prop 6.1 violated)"
-        return report
-    report.stable = side_a
-    if side_a and cleft_found:
-        # transport witnesses through Lemma 3.5: u in C_E(1,2) gives the
-        # intertwiner alpha_21(u) = beta21(u o Sbar), and back via beta21_bar
-        w_cols = maintheorem.alpha(ctx, (1, 2), _columns(datum.u))
-        w = summed_columns(ctx.field, ctx.x2_dim, w_cols)
-        if not ctx.dm_membership(w_cols, 1, 2):
-            report.detail = "transported witness left Hom_B^H"
-            report.stable = None
-        elif not w.is_invertible():
-            report.detail = "transported witness is not invertible"
+    side_a, side_b = (not isinstance(got, NotFound) for got in (iso, datum))
+    if side_a != side_b:
+        missed = datum if side_a else iso
+        if missed.exhaustive:
+            report.fail("stable",
+                        "sides disagree conclusively (Prop 6.1 violated)")
+        elif side_a:
+            report.inconclusive.append(("stable", (
+                "intertwiner found but the clefting search on E was not "
+                "exhaustive")))
         else:
-            report.witness = w
-        back = maintheorem.alpha_inverse(ctx, (1, 2), _columns(iso))
-        if not convcat.membership(ctx.e.ca, back, (1, 2), "C"):
-            report.detail += "; beta21_bar transport left C_E(1,2)"
-            report.stable = None
+            report.inconclusive.append(("stable", (
+                "E is cleft but no intertwiner was found in the sampled "
+                "span")))
+        return report
+    if not side_a:
+        report.fail("stable")
+        return report
+    # transport witnesses through Lemma 3.5: u in C_E(1,2) gives the
+    # intertwiner alpha_21(u) = beta21(u o Sbar), and back via beta21_bar
+    w_cols = maintheorem.alpha(ctx, (1, 2), _columns(datum.u))
+    w = summed_columns(ctx.field, ctx.x2_dim, w_cols)
+    if not ctx.dm_membership(w_cols, 1, 2):
+        raise InternalInvariant("transported witness left Hom_B^H")
+    if not w.is_invertible():
+        raise InternalInvariant("transported witness is not invertible")
+    back = maintheorem.alpha_inverse(ctx, (1, 2), _columns(iso))
+    if not convcat.membership(ctx.e.ca, back, (1, 2), "C"):
+        raise InternalInvariant("beta21_bar transport left C_E(1,2)")
+    report.details["witness"] = w
     return report
 
 
@@ -351,8 +320,8 @@ def classify_actions(ca, m, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
     for phi in lams:
         pair = phi_to_t(ctx, phi)
         verdict = lifting_theorem_check(pair)
-        if not (verdict.equivalent and verdict.all_true):
-            report.fail("lifting-theorem", verdict)
+        if not verdict.passed:
+            report.fail("lifting-theorem", verdict.failures)
         if t_to_phi(ctx, pair.t).phi != phi:
             report.fail("round-trip-phi")
         ts.append(pair.t)

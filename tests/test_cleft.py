@@ -99,7 +99,7 @@ def test_build_crossed_product_sigma_inverse_conditions(monkeypatch):
 
 def test_structure_theorem_m2_f3(m2_f3):
     report = cleft.structure_theorem_check(m2_f3)
-    assert report.passed, {k: v.failures for k, v in report.legs.items()}
+    assert report.passed, report.failures
 
 
 def test_structure_theorem_cp_minus1(cp_minus1):
@@ -108,16 +108,16 @@ def test_structure_theorem_cp_minus1(cp_minus1):
 
 def test_structure_theorem_all_legs_fail_on_non_cleft(kxk_f3):
     report = cleft.structure_theorem_check(kxk_f3)
-    assert report.all_failed
+    assert {name.split()[0] for name, _ in report.failures} \
+        == {"1->2", "2->3", "3->1"}
 
 
 def test_structure_theorem_sampled_miss_is_inconclusive(kxk_q):
     # over Q find_cleft only samples, so its miss proves nothing
     report = cleft.structure_theorem_check(kxk_q)
-    miss = report.inconclusive["1->2"]
-    assert isinstance(miss, cleft.NotFound) and not miss.exhaustive
-    assert repr(miss).startswith("NotFound(sampled, ")
-    assert report.legs["1->2"].passed
+    miss = dict(report.inconclusive)["1->2 not-cleft"]
+    assert miss.startswith("NotFound(sampled, ")
+    assert not any(name.startswith("1->2") for name, _ in report.failures)
     assert not report.passed
 
 
@@ -126,8 +126,9 @@ def test_structure_theorem_inconclusive_leg_blocks_pass(m2_f3, monkeypatch):
     miss = cleft.NotFound(False, 503, 2)
     monkeypatch.setattr(cleft, "find_cleft", lambda *args, **kw: miss)
     report = cleft.structure_theorem_check(m2_f3)
-    assert report.inconclusive == {"1->2": miss, "2->3": miss}
-    assert all(leg.passed for leg in report.legs.values())
+    assert report.inconclusive == [("1->2 not-cleft", repr(miss)),
+                                   ("2->3 no-crossed-product", repr(miss))]
+    assert report.failures == []
     assert not report.passed
 
 
@@ -146,7 +147,8 @@ def test_smash_statuses(cp2, cp4, m2_q, kc2_q):
     assert cleft.smash_check(m2_q).passed
     assert cleft.smash_check(kc2_q).passed
     report = cleft.smash_check(cp2)
-    assert report.status == "none"      # certified: no rational sqrt of 2
+    # certified: no rational sqrt of 2
+    assert report.details["status"] == "none"
 
 
 def test_smash_h4(h4_q):

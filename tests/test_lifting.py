@@ -1,6 +1,8 @@
+import pathlib
+
 import pytest
 
-from hopfgalois import cohomology, convcat, lifting, maintheorem
+from hopfgalois import cli, cohomology, convcat, io_json, lifting, maintheorem
 from hopfgalois.linalg import _columns
 
 from conftest import dense, module_b, module_k
@@ -21,7 +23,7 @@ def test_three_way_equivalence_joint(m2_f3):
     for phi in lifting.lambda_enumerate(ctx):
         pair = lifting.phi_to_t(ctx, phi)
         verdict = lifting.lifting_theorem_check(pair)
-        assert verdict.equivalent and verdict.all_true, verdict.flags
+        assert verdict.passed, verdict.failures
 
 
 def test_failed_621_raises_the_membership_violation(m2_f3, monkeypatch):
@@ -45,14 +47,14 @@ def test_round_trips(m2_f3):
 def test_stability_m2_f3_regular(m2_f3):
     report = lifting.stability_check(m2_f3, module_b(m2_f3))
     assert not report.degenerate
-    assert report.stable
-    assert report.witness is not None
+    assert report.passed
+    assert report.details["witness"] is not None
 
 
 def test_point_module_not_stable(m2_f3):
     # M = k over B = k x k: E = k carries no clefting, M (x)_B A not free
     report = lifting.stability_check(m2_f3, module_k(m2_f3))
-    assert report.stable is False
+    assert report.failures == [("stable", None)]
 
 
 def test_classify_m2_f3(m2_f3):
@@ -112,3 +114,28 @@ def test_classify_q_with_candidates(m2_q):
     d = report.details
     assert d["lambda_count"] == 2 and d["lambda_classes"] == 1
     assert d["h1_count"] is None      # not computable from candidates alone
+
+
+# -- Lemma 3.5 transports are isomorphisms: a failed one is an internal error
+
+
+M2_F3 = str(pathlib.Path(io_json.__file__).parent / "fixtures"
+            / "m2_graded_f3.json")
+
+
+def test_a_singular_transported_witness_exits_4(monkeypatch, capsys):
+    # alpha is an isomorphism of categories, so alpha_21(u) is invertible
+    monkeypatch.setattr(maintheorem, "alpha", lambda ctx, cls, cols: [
+        [] for _ in range(ctx.x1_dim)])
+    assert cli.main(["lift", M2_F3, "--module", "regular"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "not invertible" in err
+
+
+def test_a_transport_that_leaves_c_e_exits_4(monkeypatch, capsys):
+    # alpha^-1 maps Hom_B^H(M (x) H, M (x)_B A) into C_E(1, 2)
+    monkeypatch.setattr(maintheorem, "alpha_inverse", lambda ctx, cls, cols: [
+        [(0, ctx.field.one)] for _ in range(ctx.ca.hopf.dim)])
+    assert cli.main(["lift", M2_F3, "--module", "regular"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "C_E(1,2)" in err

@@ -210,13 +210,14 @@ def test_measuring_witnesses_match_old_loops():
 
 def test_smash_check_honours_tries(h4_f5, kxk_f3):
     # beyond the cap the search is sampled: warm start plus `tries` draws
-    assert cleft.smash_check(h4_f5, tries=0, enumerate_cap=1).status \
-        == "inconclusive"
-    assert cleft.smash_check(h4_f5, tries=500, enumerate_cap=1).status \
-        == "found"
+    def status(*args, **kw):
+        return cleft.smash_check(*args, **kw).details["status"]
+
+    assert status(h4_f5, tries=0, enumerate_cap=1) == "inconclusive"
+    assert status(h4_f5, tries=500, enumerate_cap=1) == "found"
     # a sampled miss is never "none"; the full enumeration proves it
-    assert cleft.smash_check(kxk_f3, enumerate_cap=1).status == "inconclusive"
-    assert cleft.smash_check(kxk_f3).status == "none"
+    assert status(kxk_f3, enumerate_cap=1) == "inconclusive"
+    assert status(kxk_f3) == "none"
 
 
 # -- linear once: the rank test against the per-candidate inverse ------------
@@ -893,11 +894,11 @@ def test_algebra_map_search_walks_the_unital_slice(monkeypatch, name, field):
     at = cleft._algebra_map_at
     monkeypatch.setattr(cleft, "_algebra_map_at",
                         lambda ca, mats, c: seen.append(c) or at(ca, mats, c))
-    t_mat, status = cleft._algebra_map_search(ca, mats)
+    got = cleft._algebra_map_search(ca, mats)
     if isinstance(want, search.NotFound):
-        assert (t_mat, status) == (None, "none")
+        assert isinstance(got, search.NotFound) and got.exhaustive
     else:
-        assert (t_mat, status) == (want, "found")
+        assert got == want
     points = search.unital_slice(field, len(mats),
                                  cleft.unit_condition(ca, mats))[1]
     assert seen == list(points)[:len(seen)]
