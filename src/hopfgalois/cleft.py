@@ -33,7 +33,7 @@ from .hopf import (CoalgebraData, OneSidedInverse, StructureConstantAlgebra,
 from .linalg import (Matrix, NotInvertible, OperatorSpan, _columns, _nonzero,
                      _pair, _terms, intertwiners, lin_comb, reduced, summed,
                      summed_columns)
-from .search import EXHAUSTIVE_CAP, NotFound
+from .search import NotFound
 
 
 class InvariantFailure(RuntimeError):
@@ -83,12 +83,12 @@ def _attempt(ca, span, ops, coeffs):
     return _normalize(ca, t_mat, u_mat)
 
 
-def find_cleft(ca, seed=0, tries=500, enumerate_cap=EXHAUSTIVE_CAP):
+def find_cleft(ca, seed=0):
     """Search for a normalized clefting datum on ca.
 
     Over F_p the search is exhaustive (a proof on failure) whenever
-    p^dim(Hom^H(H,A)) <= enumerate_cap; otherwise, and over Q, it samples
-    `tries` seeded small-coefficient combinations.
+    p^dim(Hom^H(H,A)) <= search.EXHAUSTIVE_CAP; otherwise, and over Q, it
+    samples search.SAMPLES seeded small-coefficient combinations.
     """
     ops = [el.cols for el in convcat.hom_space(ca, (2, 1), "C").elements]
     if not ops:
@@ -98,7 +98,7 @@ def find_cleft(ca, seed=0, tries=500, enumerate_cap=EXHAUSTIVE_CAP):
         ca.algebra, ca.hopf.coalgebra, op) for op in ops], n, n)
     return search.first(ca.field, len(ops),
                         lambda coeffs: _attempt(ca, span, ops, coeffs),
-                        seed, tries, enumerate_cap, degree=span.degree)
+                        seed, degree=span.degree)
 
 
 # -- crossed-product data ----------------------------------------------------
@@ -452,7 +452,7 @@ def _check_bh_iso(ca, b, psi, report, leg=""):
         report.fail(leg + "psi-not-colinear")
 
 
-def _find_bh_iso(ca, b, seed, tries):
+def _find_bh_iso(ca, b, seed):
     """An invertible B-linear colinear map B (x) H -> A, or NotFound."""
     f = ca.field
     da, db, dh = ca.algebra.dim, b.dim, ca.hopf.dim
@@ -461,11 +461,7 @@ def _find_bh_iso(ca, b, seed, tries):
     ops = intertwiners(f, da, da, (*_left_b_actions(ca, b), db),
                        (comul_on(ca.hopf.coalgebra, db), ca.coaction_table,
                         dh))
-    if not ops:
-        return NotFound(True, 0, 0, "no B-linear colinear map")
-    span = OperatorSpan(f, ops, da, da)
-    return search.first(f, len(ops), span.full_rank_at, seed, tries,
-                        degree=span.degree)
+    return search.invertible(f, ops, da, da, seed)
 
 
 def _transport_witness(ca, psi, back, cp):
@@ -479,7 +475,7 @@ def _transport_witness(ca, psi, back, cp):
         == alg.basis_product(x, y), n, n)
 
 
-def structure_theorem_check(ca, seed=0, tries=500):
+def structure_theorem_check(ca, seed=0):
     """Thm 5.2 (1)=>(2)=>(3)=>(1), each leg checked on its own.
 
     Every check is named after its leg, as in "1->2 not-cleft".  A search
@@ -493,7 +489,7 @@ def structure_theorem_check(ca, seed=0, tries=500):
     db, dh = b.dim, ca.hopf.dim
     report = ValidationReport()
     cp = None
-    datum = find_cleft(ca, seed=seed, tries=tries)
+    datum = find_cleft(ca, seed=seed)
     if isinstance(datum, NotFound):
         report.miss("1->2 not-cleft", datum, repr(datum))
     else:
@@ -524,7 +520,7 @@ def structure_theorem_check(ca, seed=0, tries=500):
         if cp.algebra.algebra.dim != db * dh:
             report.fail("2->3 shape", "dim B#H != dim B * dim H")
 
-    psi3 = _find_bh_iso(ca, b, seed, tries)
+    psi3 = _find_bh_iso(ca, b, seed)
     if isinstance(psi3, NotFound):
         report.miss("3->1 no-BH-isomorphism", psi3, repr(psi3))
     else:
@@ -567,8 +563,7 @@ def _algebra_map_at(ca, ops, coeffs):
     return t_mat if is_algebra_map(ca, t_mat) else None
 
 
-def _algebra_map_search(ca, ops, seed=0, tries=500,
-                        enumerate_cap=EXHAUSTIVE_CAP):
+def _algebra_map_search(ca, ops, seed=0):
     """An algebra map in span(ops), or NotFound."""
     if not ops:
         return NotFound(True, 0, 0)
@@ -576,8 +571,8 @@ def _algebra_map_search(ca, ops, seed=0, tries=500,
     n = h_alg.dim
     algebra_map_at = partial(_algebra_map_at, ca, ops)
     if ca.field.kind == "Fp":
-        return search.first(ca.field, len(ops), algebra_map_at, seed, tries,
-                            enumerate_cap, unit=unit_condition(ca, ops))
+        return search.first(ca.field, len(ops), algebra_map_at, seed,
+                            unit=unit_condition(ca, ops))
 
     # over Q: the conditions are quadratic in the coefficients; solve
     # exactly, t[j] being the image of e_j
@@ -601,16 +596,16 @@ def _algebra_map_search(ca, ops, seed=0, tries=500,
     return NotFound(True, 0, len(ops))
 
 
-def smash_check(ca, seed=0, tries=500, enumerate_cap=EXHAUSTIVE_CAP):
-    """Thm 5.4: search for a colinear algebra map t ("algebra-map"); when
-    one is found, check that the extracted sigma is trivial
-    ("sigma-trivial") and that psi: B # H -> A is an isomorphism of
-    comodule algebras ("smash-iso").  details holds the search's status
-    (found, none or inconclusive), t, and a detail on a miss or failure."""
+def smash_check(ca, seed=0):
+    """Thm 5.4: search for a colinear algebra map t ("algebra-map") within
+    search.EXHAUSTIVE_CAP and search.SAMPLES; when one is found, check that
+    the extracted sigma is trivial ("sigma-trivial") and that psi: B # H ->
+    A is an isomorphism of comodule algebras ("smash-iso").  details holds
+    the search's status (found, none or inconclusive), t, and a detail on a
+    miss or failure."""
     report = ValidationReport()
     ops = [el.cols for el in convcat.hom_space(ca, (2, 1), "C").elements]
-    t_mat = _algebra_map_search(ca, ops, seed=seed, tries=tries,
-                                enumerate_cap=enumerate_cap)
+    t_mat = _algebra_map_search(ca, ops, seed=seed)
     if isinstance(t_mat, NotFound):
         report.miss("algebra-map", t_mat)
         report.details["status"], report.details["detail"] = (

@@ -220,8 +220,7 @@ def cmd_cleft(args):
     bundle = _load(args)
     name, ca = _pick_ca(bundle, args)
     report = Report("cleft", [name], args.seed)
-    got = cleft.find_cleft(ca, seed=args.seed, tries=args.tries,
-                           enumerate_cap=args.enumerate_cap)
+    got = cleft.find_cleft(ca, seed=args.seed)
     found = ValidationReport()
     if isinstance(got, cleft.NotFound):
         found.miss("cleft", got,
@@ -256,8 +255,7 @@ def cmd_smash_check(args):
     bundle = _load(args)
     name, ca = _pick_ca(bundle, args)
     report = Report("smash-check", [name], args.seed)
-    report.merge(cleft.smash_check(ca, seed=args.seed, tries=args.tries,
-                                   enumerate_cap=args.enumerate_cap),
+    report.merge(cleft.smash_check(ca, seed=args.seed),
                  ["algebra-map", "sigma-trivial", "smash-iso"])
     return report
 
@@ -273,8 +271,7 @@ def cmd_cohomology(args):
     if args.action == "trivial":
         act = cohomology.trivial_action(ca.hopf, b.algebra)
     else:
-        datum = cleft.find_cleft(ca, seed=args.seed, tries=args.tries,
-                                 enumerate_cap=args.enumerate_cap)
+        datum = cleft.find_cleft(ca, seed=args.seed)
         if isinstance(datum, cleft.NotFound):
             missed = ValidationReport()
             missed.miss("cleft", datum)
@@ -282,7 +279,7 @@ def cmd_cohomology(args):
             return report
         act = cohomology.action_from_cleft(ca, datum)
     try:
-        z1 = cohomology.z1_enumerate(act, enumerate_cap=args.enumerate_cap)
+        z1 = cohomology.z1_enumerate(act)
     except search.SearchInconclusive as exc:
         report.add("z1-enumeration", "inconclusive", str(exc))
         return report
@@ -303,10 +300,7 @@ def cmd_lift(args):
     name, ca = _pick_ca(bundle, args)
     mod_name, m = _pick_module(bundle, args, name, ca)
     report = Report("lift", [name, mod_name], args.seed)
-    report.merge(lifting.stability_check(ca, m, seed=args.seed,
-                                         tries=args.tries,
-                                         enumerate_cap=args.enumerate_cap),
-                 ["stable"])
+    report.merge(lifting.stability_check(ca, m, seed=args.seed), ["stable"])
     return report
 
 
@@ -316,8 +310,7 @@ def cmd_classify(args):
     mod_name, m = _pick_module(bundle, args, name, ca)
     report = Report("classify", [name, mod_name], args.seed)
     try:
-        cls = lifting.classify_actions(ca, m, seed=args.seed,
-                                       enumerate_cap=args.enumerate_cap)
+        cls = lifting.classify_actions(ca, m, seed=args.seed)
     except search.SearchInconclusive as exc:
         report.add("enumeration", "inconclusive", str(exc))
         return report
@@ -338,11 +331,7 @@ def build_parser():
     common.add_argument("--field", choices=None, default=None,
                         help='require this ground field ("Q" or "F_p")')
     common.add_argument("--seed", type=int, default=0, metavar="u64")
-    common.add_argument("--tries", type=int, default=500, metavar="n")
     common.add_argument("--output", choices=["text", "json"], default="text")
-    common.add_argument("--enumerate-cap", type=int,
-                        default=search.EXHAUSTIVE_CAP,
-                        metavar="n", dest="enumerate_cap")
 
     ca_flag = argparse.ArgumentParser(add_help=False)
     ca_flag.add_argument("--ca", default=None,

@@ -21,7 +21,7 @@ from .hopf import (ValidationReport, _agree, convolution_columns,
                    convolve, first_failure, is_cocommutative)
 from .linalg import (Matrix, NotInvertible, OperatorSpan, _columns, _nonzero,
                      _pair, _terms, sparse_kernel, summed, summed_columns)
-from .search import EXHAUSTIVE_CAP, NotFound, SearchInconclusive
+from .search import NotFound, SearchInconclusive
 
 
 class HypothesisViolated(RuntimeError):
@@ -200,23 +200,18 @@ def b1_element(act, b_vec):
                                   _nonzero(b_vec)), _nonzero(b_inv))))
 
 
-def _invertible_in_span(base, kernel_vecs, seed=0, tries=200):
-    """An invertible element of B in span(kernel_vecs), or NotFound."""
-    f = base.field
-    if not kernel_vecs:
-        return NotFound(True, 0, 0)
-    span = OperatorSpan(f, [base.mul_columns(v, True) for v in kernel_vecs],
-                        base.dim, base.dim)
-
-    def invertible_at(coeffs):
-        op = span.full_rank_at(coeffs)
-        b = None if op is None else op.apply(base.unit)
-        if b is not None and base.element_inverse(b) is None:
-            raise InternalInvariant("lmul(b) has full rank but b has no inverse")
-        return b
-
-    return search.first(f, len(kernel_vecs), invertible_at, seed, tries,
-                        degree=span.degree)
+def _invertible_element(base, kernel_vecs, seed):
+    """An invertible element of B in span(kernel_vecs), found as an
+    invertible lmul(b), or NotFound."""
+    op = search.invertible(base.field, [base.mul_columns(v, True)
+                                        for v in kernel_vecs],
+                           base.dim, base.dim, seed)
+    if isinstance(op, NotFound):
+        return op
+    b = op.apply(base.unit)
+    if base.element_inverse(b) is None:
+        raise InternalInvariant("lmul(b) has full rank but b has no inverse")
+    return b
 
 
 def cohomologous(act, v_mat, v1_mat, seed=0):
@@ -239,7 +234,7 @@ def cohomologous(act, v_mat, v1_mat, seed=0):
         for r, x in itertools.chain(
             times(w[h], [(i, f.one)]),
             ((r, -x) for r, x in act.columns[h * db + i])))))
-    b = _invertible_in_span(base, kernel, seed=seed)
+    b = _invertible_element(base, kernel, seed)
     if not search.found(b, "invertible b with v = f_b * v1"):
         return False
     return v_mat == convolve(base, hopf.coalgebra, b1_element(act, b), v1_mat)
@@ -251,7 +246,7 @@ def h1_classes(act, candidates, seed=0):
                           lambda v, r: cohomologous(act, v, r, seed=seed))
 
 
-def z1_enumerate(act, enumerate_cap=EXHAUSTIVE_CAP):
+def z1_enumerate(act):
     """All of Z^1(H, B) from the unit rows v(1) = 1 and act.cocycle_law:
     exhaustive on their unital slice over F_p, an exact solve over Q."""
     f = act.field
@@ -267,7 +262,7 @@ def z1_enumerate(act, enumerate_cap=EXHAUSTIVE_CAP):
         return v if z1_membership(act, v) else None
 
     if f.kind == "Fp":
-        return search.every(f, n, cocycle_at, enumerate_cap, unit)
+        return search.every(f, n, cocycle_at, unit)
 
     def equations(v, prod):         # v[j]: the image of e_j
         x = [v[i % dh][i // dh] for i in range(n)]
@@ -306,7 +301,7 @@ def omega_equivalence(ca, t1_mat, t2_mat, seed=0):
         ((h * da + r, i), x) for h in range(dh) for i, col in enumerate(incl)
         for r, x in itertools.chain(
             times(col, t1[h]), ((r, -x) for r, x in times(t2[h], col))))))
-    return search.found(_invertible_in_span(b.algebra, kernel, seed=seed),
+    return search.found(_invertible_element(b.algebra, kernel, seed),
                         "invertible b with b t1(h) = t2(h) b")
 
 
@@ -320,8 +315,7 @@ def _embed_v(ca, b, v_mat):
     return b.inclusion @ v_mat
 
 
-def omega_enumerate(ca, act=None, base_point=None, seed=0,
-                    enumerate_cap=EXHAUSTIVE_CAP):
+def omega_enumerate(ca, act=None, base_point=None, seed=0):
     """All of Omega_A: exhaustive over F_p within cap; over Q generated as
     {v * t0 | v in Z^1} from a base point (complete by Prop 5.7).  The
     candidates span Hom^H(H, A), so only the algebra-map test is made."""
@@ -330,12 +324,11 @@ def omega_enumerate(ca, act=None, base_point=None, seed=0,
     ops = [el.cols for el in convcat.hom_space(ca, (2, 1), "C").elements]
     d = len(ops)
     unit = cleft.unit_condition(ca, ops)
-    if search.enumerable(f, d, enumerate_cap, unit):
+    if search.enumerable(f, d, unit):
         return search.every(f, d, partial(cleft._algebra_map_at, ca, ops),
-                            enumerate_cap, unit)
+                            unit)
     if base_point is None:
-        base_point = cleft._algebra_map_search(
-            ca, ops, seed=seed, enumerate_cap=enumerate_cap)
+        base_point = cleft._algebra_map_search(ca, ops, seed=seed)
         if isinstance(base_point, NotFound):
             if base_point.exhaustive:
                 return []
@@ -345,7 +338,7 @@ def omega_enumerate(ca, act=None, base_point=None, seed=0,
                                     normalized=True)
         act = action_from_cleft(ca, datum)
     out = []
-    for v in z1_enumerate(act, enumerate_cap=enumerate_cap):
+    for v in z1_enumerate(act):
         t = convcat.convolve_matrices(ca, _embed_v(ca, b, v), base_point, "C")
         if not omega_membership(ca, t):
             raise InternalInvariant("v * t0 left Omega_A (Thm 5.6 item 2)")
@@ -357,7 +350,7 @@ def omega_enumerate(ca, act=None, base_point=None, seed=0,
 # -- Theorem 5.6: the groupoid X_A -------------------------------------------
 
 
-def groupoid_xa_check(ca, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
+def groupoid_xa_check(ca, seed=0):
     """All six closure items of Thm 5.6 plus invertibility of every morphism;
     details holds the sizes of Z^1, Omega_A, X22 and X12, and vacuous is
     true when Omega_A is empty."""
@@ -371,9 +364,8 @@ def groupoid_xa_check(ca, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
         raise HypothesisViolated(f"A is not cleft: {datum!r}")
     act = action_from_cleft(ca, datum)
     report = ValidationReport()
-    z1 = z1_enumerate(act, enumerate_cap=enumerate_cap)
-    omega = omega_enumerate(ca, act=act, seed=seed,
-                            enumerate_cap=enumerate_cap)
+    z1 = z1_enumerate(act)
+    omega = omega_enumerate(ca, act=act, seed=seed)
     x22 = [v @ hopf.antipode_inv for v in z1]     # w with w o S in Z^1
     x12 = [t @ s for t in omega]
     report.details.update(vacuous=not omega, sizes={
@@ -453,7 +445,7 @@ def groupoid_xa_check(ca, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
 # -- Proposition 5.7 ---------------------------------------------------------
 
 
-def prop57_check(ca, t0=None, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
+def prop57_check(ca, t0=None, seed=0):
     """F(v) = v * t0 is a bijection Z^1 -> Omega_A preserving/reflecting ~;
     details holds h1_count and omega_bar_count once both are counted."""
     b = ca.coinvariants()
@@ -462,7 +454,7 @@ def prop57_check(ca, t0=None, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
     hopf = ca.hopf
     report = ValidationReport()
     report.details.update(h1_count=None, omega_bar_count=None)
-    omega = omega_enumerate(ca, seed=seed, enumerate_cap=enumerate_cap)
+    omega = omega_enumerate(ca, seed=seed)
     if t0 is None:
         if not omega:
             report.fail("Omega-empty-no-base-point")
@@ -474,7 +466,7 @@ def prop57_check(ca, t0=None, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
     u0 = t0 @ hopf.antipode
     datum = cleft.CleftingDatum(t0, u0, normalized=True)
     act = action_from_cleft(ca, datum)
-    z1 = z1_enumerate(act, enumerate_cap=enumerate_cap)
+    z1 = z1_enumerate(act)
 
     def F(v):
         return convcat.convolve_matrices(ca, _embed_v(ca, b, v), t0, "C")

@@ -13,10 +13,10 @@ from . import cleft, cohomology, convcat, maintheorem, search
 from .comodule import InternalInvariant, associativity_failures
 from .hopf import (ValidationReport, _agree, first_failure,
                    is_cocommutative, linear_witness, multiplicative_witness)
-from .linalg import (Matrix, OperatorSpan, _columns, _combination, _composed,
+from .linalg import (Matrix, _columns, _combination, _composed,
                      _flat, _terms, intertwiners, lin_comb, sparse_kernel,
                      summed, summed_columns)
-from .search import EXHAUSTIVE_CAP, NotFound, SearchInconclusive
+from .search import NotFound, SearchInconclusive
 
 
 class NotLinear(ValueError):
@@ -136,25 +136,14 @@ def lifting_theorem_check(pair):
 # -- Proposition 6.1: stability ----------------------------------------------
 
 
-def _invertible_in_matrix_span(field, ops, rows, cols, seed=0, tries=200,
-                               enumerate_cap=EXHAUSTIVE_CAP):
-    """An invertible element of the span of the rows x cols maps with the
-    _columns ops, or NotFound."""
-    d = len(ops)
-    if d == 0 or rows != cols:
-        return NotFound(True, 0, d)
-    span = OperatorSpan(field, ops, rows, cols)
-    return search.first(field, d, span.full_rank_at, seed, tries,
-                        enumerate_cap, degree=span.degree)
-
-
-def stability_check(ca, m, seed=0, tries=200, enumerate_cap=EXHAUSTIVE_CAP):
+def stability_check(ca, m, seed=0):
     """Prop 6.1: M is H-stable iff E = END_A(M (x)_B A) is cleft.
 
     Both sides are searched, and the check "stable" passes when both hold,
     is degenerate when M = 0 (every statement of §6 is vacuous there), and
-    fails when neither holds or when they disagree; a sampled miss against
-    a found side leaves it inconclusive.  A stable M has its intertwiner,
+    fails when a side is missed by an exhaustive search, a proof, whether
+    the other side is missed too or found; otherwise a sampled miss leaves
+    it inconclusive.  A stable M has its intertwiner,
     transported from E's clefting datum through Lemma 3.5, in
     details["witness"]; alpha is an isomorphism of categories, so a
     transport that leaves its category raises InternalInvariant.
@@ -165,13 +154,10 @@ def stability_check(ca, m, seed=0, tries=200, enumerate_cap=EXHAUSTIVE_CAP):
         return report
     ctx = maintheorem.TheoremContext(ca, m)
     # side A: invertible element of Hom_B^H(M (x) H, M (x)_B A)
-    iso = _invertible_in_matrix_span(ctx.field, ctx.dm_hom_space(1, 2),
-                                     ctx.x2_dim, ctx.x1_dim,
-                                     seed=seed, tries=tries,
-                                     enumerate_cap=enumerate_cap)
+    iso = search.invertible(ctx.field, ctx.dm_hom_space(1, 2), ctx.x2_dim,
+                            ctx.x1_dim, seed)
     # side B: find_cleft on E
-    datum = cleft.find_cleft(ctx.e.ca, seed=seed, tries=tries,
-                             enumerate_cap=enumerate_cap)
+    datum = cleft.find_cleft(ctx.e.ca, seed=seed)
     side_a, side_b = (not isinstance(got, NotFound) for got in (iso, datum))
     if side_a != side_b:
         missed = datum if side_a else iso
@@ -188,7 +174,11 @@ def stability_check(ca, m, seed=0, tries=200, enumerate_cap=EXHAUSTIVE_CAP):
                 "span")))
         return report
     if not side_a:
-        report.fail("stable")
+        if iso.exhaustive or datum.exhaustive:
+            report.fail("stable")
+        else:
+            report.inconclusive.append(("stable", (
+                "neither side was found by the sampled searches")))
         return report
     # transport witnesses through Lemma 3.5: u in C_E(1,2) gives the
     # intertwiner alpha_21(u) = beta21(u o Sbar), and back via beta21_bar
@@ -224,8 +214,7 @@ def _is_action(ctx, phi):
         associativity_failures(ctx.ca.algebra, cand.action_table))
 
 
-def lambda_enumerate(ctx, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
-                     candidates=None):
+def lambda_enumerate(ctx, seed=0, candidates=None):
     """All of Lambda_M: exhaustive over F_p within cap; over Q transported
     from Omega_E through the bijection alpha^_12 (Thm 6.4), or filtered from
     supplied candidates when Omega_E is not enumerable."""
@@ -236,13 +225,12 @@ def lambda_enumerate(ctx, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
     d = len(space)
     unit = ([summed(f, dm, dm, _flat(_composed(phi, ctx.eta_cols))).data
              for phi in space], Matrix.identity(f, dm).data)
-    if search.enumerable(f, d, enumerate_cap, unit):
+    if search.enumerable(f, d, unit):
         def action_at(coeffs):
             phi = lin_comb(f, dm, space, coeffs)
             return phi if _is_action(ctx, phi) else None
-        return search.every(f, d, action_at, enumerate_cap, unit) if d else []
-    omega = cohomology.omega_enumerate(ctx.e.ca, seed=seed,
-                                       enumerate_cap=enumerate_cap)
+        return search.every(f, d, action_at, unit) if d else []
+    omega = cohomology.omega_enumerate(ctx.e.ca, seed=seed)
     out = []
     for t in omega:
         phi = t_to_phi(ctx, t).phi
@@ -273,7 +261,7 @@ def _endb_conjugation_kernel(ctx, t1, t2):
             for v in sparse_kernel(f, len(endb), rows.values())], endb
 
 
-def phi_equivalence(ctx, phi1, phi2, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
+def phi_equivalence(ctx, phi1, phi2, seed=0):
     """phi1 ~ phi2: invertible f in End_B(M) with f(m.2 a) = f(m).1 a.
 
     Decided through (6.5.1) on t1, t2 and cross-checked against the direct
@@ -283,26 +271,21 @@ def phi_equivalence(ctx, phi1, phi2, seed=0, enumerate_cap=EXHAUSTIVE_CAP):
     t1 = maintheorem.alpha12_hat(ctx, _columns(phi1))
     t2 = maintheorem.alpha12_hat(ctx, _columns(phi2))
     sols, _ = _endb_conjugation_kernel(ctx, t1, t2)
-    via_651 = search.found(
-        _invertible_in_matrix_span(f, sols, dm, dm, seed=seed,
-                                   enumerate_cap=enumerate_cap),
-        "invertible f in End_B(M) solving (6.5.1)")
+    via_651 = search.found(search.invertible(f, sols, dm, dm, seed),
+                           "invertible f in End_B(M) solving (6.5.1)")
     # independent check: f A-linear between the two induced module structures
     direct_sols = intertwiners(f, dm, dm, (
         ActionCandidate(ctx, phi2).action_table,
         ActionCandidate(ctx, phi1).action_table, ctx.ca.algebra.dim))
-    direct = search.found(
-        _invertible_in_matrix_span(f, direct_sols, dm, dm, seed=seed,
-                                   enumerate_cap=enumerate_cap),
-        "invertible A-linear f between the two actions")
+    direct = search.found(search.invertible(f, direct_sols, dm, dm, seed),
+                          "invertible A-linear f between the two actions")
     if via_651 != direct:
         raise convcat.MembershipViolation(
             "(6.5.1) verdict disagrees with direct module isomorphism")
     return via_651
 
 
-def classify_actions(ca, m, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
-                     candidates=None):
+def classify_actions(ca, m, seed=0, candidates=None):
     """Prop 6.5 + final remark: |Lambda_M-bar| = |Omega_E-bar| (= |H^1|).
 
     When `candidates` is supplied (required over Q whenever Omega_E is not
@@ -313,8 +296,7 @@ def classify_actions(ca, m, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
     """
     ctx = maintheorem.TheoremContext(ca, m)
     report = ValidationReport()
-    lams = lambda_enumerate(ctx, seed=seed, enumerate_cap=enumerate_cap,
-                            candidates=candidates)
+    lams = lambda_enumerate(ctx, seed=seed, candidates=candidates)
     # round trips phi <-> t on everything enumerated
     ts = []
     for phi in lams:
@@ -331,14 +313,12 @@ def classify_actions(ca, m, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
     if candidates is not None:
         omega = ts
     else:
-        omega = cohomology.omega_enumerate(ctx.e.ca, seed=seed,
-                                           enumerate_cap=enumerate_cap)
+        omega = cohomology.omega_enumerate(ctx.e.ca, seed=seed)
     if len(lams) != len(omega):
         report.fail("lambda-omega-count", (len(lams), len(omega)))
     # classes on both sides
     lambda_classes = len(search.classes(
-        lams, lambda phi, r: phi_equivalence(ctx, phi, r, seed=seed,
-                                             enumerate_cap=enumerate_cap)))
+        lams, lambda phi, r: phi_equivalence(ctx, phi, r, seed=seed)))
     omega_classes = len(cohomology.omega_classes(ctx.e.ca, omega, seed=seed))
     report.details.update(lambda_count=len(lams), omega_count=len(omega),
                           lambda_classes=lambda_classes,
@@ -354,7 +334,7 @@ def classify_actions(ca, m, seed=0, enumerate_cap=EXHAUSTIVE_CAP,
                                     normalized=True)
         act = cohomology.action_from_cleft(ctx.e.ca, datum)
         try:
-            z1 = cohomology.z1_enumerate(act, enumerate_cap=enumerate_cap)
+            z1 = cohomology.z1_enumerate(act)
         except SearchInconclusive:
             z1 = None       # |H^1| not computable; leave h1_count unset
         if z1 is not None:

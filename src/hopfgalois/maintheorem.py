@@ -36,7 +36,7 @@ from .linalg import (Factorization, NoSolution, _columns, _composed, _flat,
 class TheoremContext:
     """Everything Theorem 3.1 needs for one (A, M) instance."""
 
-    def __init__(self, ca, m, corrupt_gamma=False):
+    def __init__(self, ca, m):
         self.ca = ca
         self.m = m
         self.field = ca.field
@@ -53,9 +53,6 @@ class TheoremContext:
             raise NotGalois("canonical map not invertible")
         # h -> (l, r, x); can and can^-1 are not kept
         self.rep = _leg_columns(translation_map(ca, can).representative, da)
-        # When corrupt_gamma is set, gamma_12^{-1} "forgets" Sbar — the
-        # deliberate negative control of identity (12b).
-        self.corrupt_gamma = corrupt_gamma
         # the tables the D_M maps are summed from
         self.eta_cols = _columns(self.eta)
         self._eta = Factorization(self.field, self.eta_cols)
@@ -289,11 +286,8 @@ HATS = {(1, 1): beta11_hat, (1, 2): beta21_bar, (2, 1): alpha12_hat,
 
 def alpha(ctx, cls, cols):
     """alpha_ji = beta_ji o gamma_ji^{-1} on C_E(i, j), gamma^{-1}(f) =
-    f o Sbar, from and to _columns: an arrow between the D_M objects.
-    Under corrupt_gamma, gamma_12^{-1} forgets Sbar (negative control)."""
-    if not (ctx.corrupt_gamma and cls == (2, 1)):
-        cols = _composed(cols, ctx.sbar_cols)
-    return BETAS[cls](ctx, cols)
+    f o Sbar, from and to _columns: an arrow between the D_M objects."""
+    return BETAS[cls](ctx, _composed(cols, ctx.sbar_cols))
 
 
 def beta(ctx, cls, cols):
@@ -378,7 +372,7 @@ def _first_disagreement(field, pairs):
         acc.values()))) if x), default=first)
 
 
-def verify_theorem31(ca, m, corrupt_gamma=False):
+def verify_theorem31(ca, m):
     """Dimension equalities, bijectivity, alpha o gamma = beta, and all
     eight composition patterns of (3.9.1)/(21a)-(22) on every pair of basis
     arrows, so a PASS is a proof: alpha is linear and composition bilinear.
@@ -388,7 +382,7 @@ def verify_theorem31(ca, m, corrupt_gamma=False):
     D_M(i, j) when its column against dm_hom_space(i, j) solves, and a map
     H -> A (gamma(f') = f' o S, or a composite g * f) lies in C(i, j) when
     its column against the C(i, j) basis solves (LinearAlpha.terms)."""
-    ctx = TheoremContext(ca, m, corrupt_gamma=corrupt_gamma)
+    ctx = TheoremContext(ca, m)
     e_ca, f = ctx.e.ca, ctx.field
     report = ValidationReport()
     c_spaces, cp_spaces, d_spaces = {}, {}, {}

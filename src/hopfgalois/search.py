@@ -1,13 +1,15 @@
 """The one search policy for every span search (Thm 5.2/5.4, Prop 5.7, 6.5).
 
 A candidate is a coefficient tuple c in k^d, and `test(c)` returns a witness
-or None.  Over F_p with p^d <= cap the box is searched in itertools.product
-order, so a miss is a proof.  Otherwise the d basis tuples and the all-ones
-tuple are tried, then `tries` draws from random.Random(seed); such a miss is
-NotFound(exhaustive=False) and may only ever be reported as inconclusive.
-Over Q the quadratic systems are solved exactly by `rational_points`.
-NotFound.searched is the size of the space the search covers and
-NotFound.tried the number of candidates test was called on.
+or None.  Over F_p with p^d <= EXHAUSTIVE_CAP the box is searched in
+itertools.product order, so a miss is a proof.  Otherwise the d basis tuples
+and the all-ones tuple are tried, then SAMPLES draws from
+random.Random(seed); such a miss is NotFound(exhaustive=False) and may only
+ever be reported as inconclusive.  The two constants are the whole budget,
+read when a search runs.  Over Q the quadratic systems are solved exactly
+by `rational_points`.  NotFound.searched is the size of the space the
+search covers and NotFound.tried the number of candidates test was called
+on.
 
 Dead sub-boxes.  An invertibility search passes `degree` = n: test(c) is
 None exactly where P(c) = det(Sum_k c_k L(m_k)) vanishes, and P has degree
@@ -26,8 +28,9 @@ Linear once.  An invertibility search builds the operators L(m_k) of its
 basis once (convolution by m_k, lmul, or m_k) in a linalg.OperatorSpan, so c
 costs one sparse sum and one full-rank test.  The test is a proof:
 L(f * g) = L(f) L(g), so f has a right inverse iff L(f) has full rank, and
-in finite dimension a right inverse is two-sided.  Hits are handled as before (cleft
-still inverts and normalizes one), so every witness is unchanged.
+in finite dimension a right inverse is two-sided.  `invertible` is that
+search; cleft's clefting search walks the same span but inverts and
+normalizes its hit.
 
 Unital slice.  Z^1, Omega_A and Lambda_M are enumerated on the affine slice
 {c : A c = b} of their linear unit condition (v(1) = 1, t(1) = 1, phi eta =
@@ -60,9 +63,10 @@ from fractions import Fraction
 from operator import add, sub
 
 from .fields import _is_prime, field_name
-from .linalg import Matrix
+from .linalg import Matrix, OperatorSpan
 
 EXHAUSTIVE_CAP = 10 ** 6
+SAMPLES = 500
 QQ_COEFF_BOUND = 3
 FREE_SAMPLES = (0, 1, -1, 2)
 PRIME_BOUND = 2 ** 10
@@ -87,19 +91,19 @@ class NotFound:
         return f"NotFound({kind}, searched={self.searched}, dim={self.dim})"
 
 
-def enumerable(field, d, cap=EXHAUSTIVE_CAP, unit=None):
+def enumerable(field, d, unit=None):
     """Whether all of the unital slice of k^d is tried: a miss is a proof."""
     return field.kind == "Fp" and field.p ** (
-        unital_slice(field, d, unit)[0] if unit else d) <= cap
+        unital_slice(field, d, unit)[0] if unit else d) <= EXHAUSTIVE_CAP
 
 
-def _sampled(field, d, seed, tries):
-    """Warm start (basis tuples, then all ones), then `tries` seeded draws."""
+def _sampled(field, d, seed):
+    """Warm start (basis tuples, then all ones), then SAMPLES seeded draws."""
     for j in range(d):
         yield tuple(field.one if i == j else field.zero for i in range(d))
     yield (field.one,) * d
     rng = random.Random(seed)
-    for _ in range(tries):
+    for _ in range(SAMPLES):
         if field.kind == "Fp":
             yield tuple(rng.randrange(field.p) for _ in range(d))
         else:
@@ -108,8 +112,7 @@ def _sampled(field, d, seed, tries):
                 for _ in range(d))
 
 
-def first(field, d, test, seed=0, tries=500, cap=EXHAUSTIVE_CAP,
-          degree=None, unit=None):
+def first(field, d, test, seed=0, degree=None, unit=None):
     """The first witness test(c) that is not None, or NotFound.
 
     When the box k^d is enumerable, `degree` (test(c) is None exactly where
@@ -117,7 +120,7 @@ def first(field, d, test, seed=0, tries=500, cap=EXHAUSTIVE_CAP,
     dead sub-boxes and `unit` (see unital_slice; every hit lies on the
     slice) walks only the unital slice; either way the first hit of the box
     is found and a miss is a proof over all p^d tuples."""
-    if enumerable(field, d, cap):
+    if enumerable(field, d):
         if unit is not None:
             points = unital_slice(field, d, unit)[1]
         else:
@@ -130,12 +133,22 @@ def first(field, d, test, seed=0, tries=500, cap=EXHAUSTIVE_CAP,
             if hit is not None:
                 return hit
         return NotFound(True, field.p ** d, d, "full enumeration", tried)
-    for coeffs in _sampled(field, d, seed, tries):
+    for coeffs in _sampled(field, d, seed):
         hit = test(coeffs)
         if hit is not None:
             return hit
-    return NotFound(False, tries + d + 1, d,
-                    f"not found in {tries} seeded samples")
+    return NotFound(False, SAMPLES + d + 1, d,
+                    f"not found in {SAMPLES} seeded samples")
+
+
+def invertible(field, ops, rows, cols, seed=0):
+    """The first invertible map in the span of the rows x cols maps with
+    the _columns ops, as a Matrix, or NotFound; an empty or non-square span
+    holds none, which is a proof."""
+    if not ops or rows != cols:
+        return NotFound(True, 0, len(ops))
+    span = OperatorSpan(field, ops, rows, cols)
+    return first(field, len(ops), span.full_rank_at, seed, degree=span.degree)
 
 
 def unital_slice(field, d, unit=None):
@@ -167,11 +180,11 @@ def unital_slice(field, d, unit=None):
     return len(free), points()
 
 
-def every(field, d, test, cap=EXHAUSTIVE_CAP, unit=None):
+def every(field, d, test, unit=None):
     """All witnesses on the unital slice of k^d in lexicographic order;
     raises SearchInconclusive when its p^free tuples exceed the cap."""
     free, points = unital_slice(field, d, unit)
-    if not enumerable(field, free, cap):
+    if not enumerable(field, free):
         raise SearchInconclusive(
             f"|{field_name(field)}|^{free} exceeds the enumeration cap")
     return [hit for hit in map(test, points) if hit is not None]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfgalois import maintheorem
 from hopfgalois.comodule import BModule, regular_bmodule
 from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import (cp_fixture, cyclic_cayley,
@@ -111,6 +112,20 @@ def module_k(ca):
 
 def module_b(ca):
     return regular_bmodule(ca)
+
+
+@pytest.fixture
+def corrupt_gamma(monkeypatch):
+    """The negative control of identity (12b): gamma_12^{-1} forgets Sbar,
+    so alpha on C(2, 1) is beta_12 itself."""
+    alpha = maintheorem.alpha
+
+    def corrupt(ctx, cls, cols):
+        if cls == (2, 1):
+            return maintheorem.beta(ctx, cls, cols)
+        return alpha(ctx, cls, cols)
+
+    monkeypatch.setattr(maintheorem, "alpha", corrupt)
 
 
 # -- dense oracles ----------------------------------------------------------

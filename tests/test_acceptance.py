@@ -66,11 +66,10 @@ def test_criterion_2_theorem31(announce):
     announce(2, ok, f"3 cases, {elapsed:.2f}s")
 
 
-def test_criterion_3_negative_controls(announce):
+def test_criterion_3_negative_controls(announce, corrupt_gamma):
     # (a) corrupt gamma (omit S-bar in gamma_12) on a fixture with S != id
     h4 = regular_comodule(sweedler_h4(QQ))
-    report = maintheorem.verify_theorem31(h4, module_b(h4),
-                                          corrupt_gamma=True)
+    report = maintheorem.verify_theorem31(h4, module_b(h4))
     failed = dict(report.failures)
     gamma_ok = "12b" in failed and failed["12b"] is not None
     # (b) corrupt a (5.1.3) cocycle instance: kC4 over B = k with

@@ -1,6 +1,6 @@
 import pytest
 
-from hopfgalois import cleft, convcat
+from hopfgalois import cleft, convcat, search
 from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import cyclic_cayley, group_algebra
 from hopfgalois.hopf import OneSidedInverse
@@ -31,8 +31,9 @@ def test_find_cleft_negative_proof(kxk_f3):
     assert got.exhaustive and got.searched == 9
 
 
-def test_find_cleft_negative_inconclusive_over_q(kxk_q):
-    got = cleft.find_cleft(kxk_q, tries=50)
+def test_find_cleft_negative_inconclusive_over_q(kxk_q, monkeypatch):
+    monkeypatch.setattr(search, "SAMPLES", 50)
+    got = cleft.find_cleft(kxk_q)
     assert isinstance(got, cleft.NotFound)
     assert not got.exhaustive
 

@@ -604,7 +604,7 @@ def test_z1_unit_rows_b1_and_cohomologous_match_the_dense_bodies(
             field, n, rows))[1])
     every = search.every
     monkeypatch.setattr(search, "every", lambda *args: (
-        units.append(args[4]), every(*args))[1])
+        units.append(args[3]), every(*args))[1])
     for _, act in actions:
         db, dh = act.base.dim, act.hopf.dim
         try:
@@ -665,7 +665,7 @@ def test_leg_3_reads_t_off_psi_as_the_dense_map_did(name, monkeypatch):
     ca = fixture_ca(name)
     b = ca.coinvariants()
     f, dh = ca.field, ca.hopf.dim
-    psi3 = cleft._find_bh_iso(ca, b, 0, 500)
+    psi3 = cleft._find_bh_iso(ca, b, 0)
     seen = []
     inverse = convcat.convolution_inverse_matrix
     monkeypatch.setattr(convcat, "convolution_inverse_matrix",

@@ -125,6 +125,15 @@ def test_cli_not_galois_is_an_input_error(command, capsys):
     assert capsys.readouterr().err == "error: canonical map not invertible\n"
 
 
+@pytest.mark.parametrize("flag", ["--tries", "--enumerate-cap"])
+def test_cli_search_budget_is_no_flag(flag, capsys):
+    # the budget is search.EXHAUSTIVE_CAP and search.SAMPLES, not an option
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cleft", str(FIXTURES / "kc2.json"), flag, "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_memory_error_is_an_input_error(monkeypatch, capsys):
     """An input too large to hold ends in exit 2, never in a verdict."""
     def too_large(args):

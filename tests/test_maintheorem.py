@@ -40,11 +40,10 @@ def test_alpha_beta_individual(m2_q):
             assert back == el.cols
 
 
-def test_negative_control_corrupt_gamma(h4_q):
+def test_negative_control_corrupt_gamma(h4_q, corrupt_gamma):
     # omitting S-bar in gamma_12 must break pattern (12b) with a witness;
     # needs a fixture with S-bar != id, hence H4
-    report = maintheorem.verify_theorem31(h4_q, module_b(h4_q),
-                                          corrupt_gamma=True)
+    report = maintheorem.verify_theorem31(h4_q, module_b(h4_q))
     assert not report.passed
     failed = {name for name, _ in report.failures}
     assert "12b" in failed
@@ -52,10 +51,9 @@ def test_negative_control_corrupt_gamma(h4_q):
     assert witness is not None
 
 
-def test_corrupt_gamma_harmless_when_antipode_trivial(kc2_q):
+def test_corrupt_gamma_harmless_when_antipode_trivial(kc2_q, corrupt_gamma):
     # on kC2 the antipode is the identity, so the corruption is a no-op
-    report = maintheorem.verify_theorem31(kc2_q, module_b(kc2_q),
-                                          corrupt_gamma=True)
+    report = maintheorem.verify_theorem31(kc2_q, module_b(kc2_q))
     assert report.passed
 
 
@@ -143,13 +141,12 @@ class _DirectAlpha(maintheorem.LinearAlpha):
 
 
 @pytest.mark.parametrize("name", ["h4_q", "h4_f5"])
-def test_corrupt_gamma_failures_match_direct(name, request, monkeypatch):
+def test_corrupt_gamma_failures_match_direct(name, request, monkeypatch,
+                                            corrupt_gamma):
     ca = request.getfixturevalue(name)
-    linear = maintheorem.verify_theorem31(ca, module_b(ca),
-                                          corrupt_gamma=True)
+    linear = maintheorem.verify_theorem31(ca, module_b(ca))
     monkeypatch.setattr(maintheorem, "LinearAlpha", _DirectAlpha)
-    direct = maintheorem.verify_theorem31(ca, module_b(ca),
-                                          corrupt_gamma=True)
+    direct = maintheorem.verify_theorem31(ca, module_b(ca))
     assert linear.failures == direct.failures
     assert dict(linear.failures)["12b"] is not None
 
@@ -201,7 +198,7 @@ def per_pair_patterns(lin):
     return failures
 
 
-def run_recorded(ca, m, monkeypatch, base=maintheorem.LinearAlpha, **kw):
+def run_recorded(ca, m, monkeypatch, base=maintheorem.LinearAlpha):
     """verify_theorem31 with the LinearAlpha it built, made from base."""
     made = []
 
@@ -211,7 +208,7 @@ def run_recorded(ca, m, monkeypatch, base=maintheorem.LinearAlpha, **kw):
             made.append(self)
 
     monkeypatch.setattr(maintheorem, "LinearAlpha", Recorded)
-    report = maintheorem.verify_theorem31(ca, m, **kw)
+    report = maintheorem.verify_theorem31(ca, m)
     return report, made[0]
 
 
@@ -262,10 +259,10 @@ def test_many_marks_non_members(name, request, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["h4_q", "h4_f5"])
-def test_blocked_patterns_corrupt_gamma(name, request, monkeypatch):
+def test_blocked_patterns_corrupt_gamma(name, request, monkeypatch,
+                                        corrupt_gamma):
     ca = request.getfixturevalue(name)
-    report, lin = run_recorded(ca, module_b(ca), monkeypatch,
-                               corrupt_gamma=True)
+    report, lin = run_recorded(ca, module_b(ca), monkeypatch)
     found = pattern_failures(report)
     assert found == per_pair_patterns(lin)
     assert dict(found)["12b"] is not None
@@ -355,7 +352,9 @@ def test_solve_flags_equal_membership(name, module, corrupt, request):
     # membership in C by LinearAlpha's: each flag must be the colinearity
     # check's verdict, on alpha images, gamma images and perturbations
     ca = request.getfixturevalue(name)
-    ctx = maintheorem.TheoremContext(ca, module(ca), corrupt_gamma=corrupt)
+    if corrupt:
+        request.getfixturevalue("corrupt_gamma")
+    ctx = maintheorem.TheoremContext(ca, module(ca))
     e_ca, rng = ctx.e.ca, random.Random(11)
     spaces = {cls: convcat.hom_space(e_ca, cls, "C")
               for cls in convcat.CLASSES}
@@ -386,8 +385,8 @@ def test_solve_flags_equal_membership(name, module, corrupt, request):
     assert seen == {("D", True), ("D", False), ("C", True), ("C", False)}
 
 
-def test_alpha_runs_once_per_basis_element_under_corrupt_gamma(h4_f5,
-                                                               monkeypatch):
+def test_alpha_runs_once_per_basis_element_under_corrupt_gamma(
+        h4_f5, monkeypatch, corrupt_gamma):
     # a class that fails alpha-membership has its basis images evaluated
     # once, like a kept class: the membership step, the pattern loop and
     # the round trip all read the same images
@@ -399,8 +398,7 @@ def test_alpha_runs_once_per_basis_element_under_corrupt_gamma(h4_f5,
         return alpha(ctx, cls, cols)
 
     monkeypatch.setattr(maintheorem, "alpha", counted)
-    report = maintheorem.verify_theorem31(h4_f5, module_b(h4_f5),
-                                          corrupt_gamma=True)
+    report = maintheorem.verify_theorem31(h4_f5, module_b(h4_f5))
     assert ("alpha-membership", (2, 1)) in report.failures
     assert len(calls) == sum(report.details[f"dim C{cls}"]
                              for cls in convcat.CLASSES)

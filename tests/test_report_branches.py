@@ -1,10 +1,10 @@
 """The CLI reports of the branches that no shipped fixture reaches, pinned
 byte for byte.
 
-Each case patches one step of smash-check, lift or classify (or asks for a
-sampled search by its flags) so that the command takes a failing,
-degenerate or inconclusive branch, and compares the text report, the JSON
-report and the exit code of cli.run with the recorded ones.  The order of
+Each case patches one step of smash-check, lift or classify (or the search
+budget) so that the command takes a failing, degenerate or inconclusive
+branch, and compares the text report, the JSON report and the exit code of
+cli.run with the recorded ones.  The order of
 the checks is part of the output: Report.merge_failures lists the passing
 checks before the failing ones.
 """
@@ -33,18 +33,21 @@ CASES = {
         (cleft, "_transport_witness", lambda *args: (0, 1))]),
     "smash-inverse-fails": (["smash-check", M2], [
         (cleft, "is_convolution_inverse", lambda *args: False)]),
-    "smash-sampled-miss": (
-        ["smash-check", H4, "--enumerate-cap", "1", "--tries", "0"], []),
+    "smash-sampled-miss": (["smash-check", H4], [
+        (search, "EXHAUSTIVE_CAP", 1), (search, "SAMPLES", 0)]),
     "lift-degenerate": (LIFT, [
         (cli, "regular_bmodule", lambda ca: types.SimpleNamespace(dim=0))]),
     "lift-sides-disagree": (LIFT, [
-        (lifting, "_invertible_in_matrix_span", _missed(True, 0, 0))]),
+        (search, "invertible", _missed(True, 0, 0))]),
     "lift-not-stable": (LIFT, [
-        (lifting, "_invertible_in_matrix_span", _missed(True, 0, 0)),
+        (search, "invertible", _missed(True, 0, 0)),
         (cleft, "find_cleft", _missed(True, 81, 4))]),
     "lift-sampled-intertwiner": (LIFT, [
-        (lifting, "_invertible_in_matrix_span", _missed(False, 7, 4))]),
+        (search, "invertible", _missed(False, 7, 4))]),
     "lift-sampled-cleft": (LIFT, [
+        (cleft, "find_cleft", _missed(False, 7, 4))]),
+    "lift-both-sampled": (LIFT, [
+        (search, "invertible", _missed(False, 7, 4)),
         (cleft, "find_cleft", _missed(False, 7, 4))]),
     "classify-lifting-theorem": (["classify", M2, "--module", "regular"], [
         (lifting, "multiplicative_witness", lambda *args, **kw: (0, 1))]),
@@ -207,6 +210,21 @@ result: exit 3
              'outcome': 'inconclusive',
              'witness': 'intertwiner found but the clefting search '
                         'on E was not exhaustive'}],
+ 'command': 'lift',
+ 'details': {},
+ 'fixtures': ['m2_graded', 'regular'],
+ 'seed': 0})
+
+RECORDED['lift-both-sampled'] = (3, """\
+command: lift
+fixtures: m2_graded, regular
+seed: 0
+  [INCONCLUSIVE] stable  witness="neither side was found by the sampled searches"
+result: exit 3
+""", {'checks': [{'check': 'stable',
+             'outcome': 'inconclusive',
+             'witness': 'neither side was found by the sampled '
+                        'searches'}],
  'command': 'lift',
  'details': {},
  'fixtures': ['m2_graded', 'regular'],

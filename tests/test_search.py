@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 from functools import partial
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (act_on, convolution_operator, dense, dense_comul,
                       dense_lin_comb, module_b, module_k, sympy_expr,
                       tensor_entries, vec_add, vec_scale)
-from hopfgalois import (cleft, cohomology, convcat, galois, lifting,
+from hopfgalois import (cleft, cli, cohomology, convcat, galois, lifting,
                         maintheorem, search)
 from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra, graded_m2,
@@ -46,14 +47,20 @@ def old_candidates(field, d, seed, tries, cap):
             yield tuple(field.from_int(rng.randint(-3, 3)) for _ in range(d))
 
 
+def budget(monkeypatch, cap=search.EXHAUSTIVE_CAP, samples=search.SAMPLES):
+    """Set the search module's budget for the rest of the test."""
+    monkeypatch.setattr(search, "EXHAUSTIVE_CAP", cap)
+    monkeypatch.setattr(search, "SAMPLES", samples)
+
+
 @pytest.mark.parametrize("field,cap", [(QQ, search.EXHAUSTIVE_CAP),
                                        (F7, search.EXHAUSTIVE_CAP), (F7, 50)])
-def test_first_tries_the_old_sequence(field, cap):
+def test_first_tries_the_old_sequence(field, cap, monkeypatch):
+    budget(monkeypatch, cap, 30)
     for seed in range(4):
         for d in range(5):
             tried = []
-            got = search.first(field, d, lambda c: tried.append(c), seed=seed,
-                               tries=30, cap=cap)
+            got = search.first(field, d, lambda c: tried.append(c), seed=seed)
             oracle = list(old_candidates(field, d, seed, 30, cap))
             assert tried == oracle, (seed, d)
             assert isinstance(got, search.NotFound)
@@ -64,17 +71,17 @@ def test_first_tries_the_old_sequence(field, cap):
             got = search.first(
                 field, d, lambda c: (tried.append(c) or
                                      (c if len(tried) == stop + 1 else None)),
-                seed=seed, tries=30, cap=cap)
+                seed=seed)
             assert tried == oracle[:stop + 1] and got == oracle[stop]
 
 
-def test_exhaustive_and_sampled_misses():
+def test_exhaustive_and_sampled_misses(monkeypatch):
     for d in range(4):
         got = search.first(F7, d, lambda c: None)
         assert got.exhaustive and got.searched == got.tried == 7 ** d
     for field, cap in ((QQ, search.EXHAUSTIVE_CAP), (F7, 7 ** 3 - 1)):
-        got = search.first(field, 3, lambda c: None, seed=5, tries=40,
-                           cap=cap)
+        budget(monkeypatch, cap, 40)
+        got = search.first(field, 3, lambda c: None, seed=5)
         assert not got.exhaustive and got.searched == 40 + 3 + 1
         assert got.tried == got.searched
         with pytest.raises(search.SearchInconclusive):
@@ -83,12 +90,13 @@ def test_exhaustive_and_sampled_misses():
     assert search.found((1,), "x") is True
 
 
-def test_every_enumerates_or_refuses():
+def test_every_enumerates_or_refuses(monkeypatch):
     hits = search.every(F3, 3, lambda c: c if sum(c) == 1 else None)
     assert hits == [c for c in itertools.product(range(3), repeat=3)
                     if sum(c) == 1]
+    budget(monkeypatch, cap=26)
     with pytest.raises(search.SearchInconclusive) as exc:
-        search.every(F3, 3, lambda c: c, cap=26)
+        search.every(F3, 3, lambda c: c)
     assert str(exc.value) == "|F_3|^3 exceeds the enumeration cap"
     with pytest.raises(search.SearchInconclusive):
         search.every(QQ, 1, lambda c: c)
@@ -98,7 +106,9 @@ def test_one_class_and_one_cap():
     assert cohomology.SearchInconclusive is lifting.SearchInconclusive
     assert cohomology.SearchInconclusive is search.SearchInconclusive
     assert cleft.NotFound is search.NotFound
-    assert cleft.EXHAUSTIVE_CAP is search.EXHAUSTIVE_CAP
+    # the budget is read from search alone, where a test can patch it
+    assert not any(hasattr(mod, name) for mod in (cleft, cohomology, lifting)
+                   for name in ("EXHAUSTIVE_CAP", "SAMPLES"))
     for name in ("CrossedInverseResult", "GroupoidReport", "Prop57Report",
                  "ClassificationReport", "TheoremReport"):
         assert not any(hasattr(mod, name) for mod in
@@ -131,15 +141,15 @@ def test_sampled_miss_is_inconclusive_kxk(field):
     ca = trivial_kxk(field)
     b = ca.coinvariants().algebra
     e1 = basis_vec(field, 2, 0)
-    got_vec = cohomology._invertible_in_span(b, [_nonzero(e1)])
-    got_mat = lifting._invertible_in_matrix_span(
-        field, [_columns(b.lmul(e1))], 2, 2)
+    got_vec = cohomology._invertible_element(b, [_nonzero(e1)], 0)
+    got_mat = search.invertible(field, [_columns(b.lmul(e1))], 2, 2)
     act = cohomology.trivial_action(ca.hopf, b)
     z1 = cohomology.z1_enumerate(act)
     assert len(z1) == 4
     if field is QQ:
         for got in (got_vec, got_mat):
-            assert not got.exhaustive and got.searched == 200 + 1 + 1
+            assert not got.exhaustive
+            assert got.searched == search.SAMPLES + 1 + 1
         with pytest.raises(search.SearchInconclusive):
             cohomology.h1_classes(act, z1)
     else:
@@ -208,15 +218,17 @@ def test_measuring_witnesses_match_old_loops():
     assert len(seen) >= 6
 
 
-def test_smash_check_honours_tries(h4_f5, kxk_f3):
-    # beyond the cap the search is sampled: warm start plus `tries` draws
-    def status(*args, **kw):
-        return cleft.smash_check(*args, **kw).details["status"]
+def test_smash_check_honours_tries(h4_f5, kxk_f3, monkeypatch):
+    # beyond the cap the search is sampled: warm start plus SAMPLES draws
+    def status(ca, **kw):
+        with monkeypatch.context() as patch:
+            budget(patch, **kw)
+            return cleft.smash_check(ca).details["status"]
 
-    assert status(h4_f5, tries=0, enumerate_cap=1) == "inconclusive"
-    assert status(h4_f5, tries=500, enumerate_cap=1) == "found"
+    assert status(h4_f5, samples=0, cap=1) == "inconclusive"
+    assert status(h4_f5, samples=500, cap=1) == "found"
     # a sampled miss is never "none"; the full enumeration proves it
-    assert status(kxk_f3, enumerate_cap=1) == "inconclusive"
+    assert status(kxk_f3, cap=1) == "inconclusive"
     assert status(kxk_f3) == "none"
 
 
@@ -405,13 +417,12 @@ def old_attempt(ca, mats, coeffs):
     return cleft._normalize(ca, t_mat, u_mat)
 
 
-def old_find_cleft(ca, seed=0, tries=500, enumerate_cap=search.EXHAUSTIVE_CAP):
+def old_find_cleft(ca, seed=0):
     mats = hom_mats(ca)
     if not mats:
         return search.NotFound(True, 0, 0, "Hom^H(H,A) = 0")
     return search.first(ca.field, len(mats),
-                        lambda c: old_attempt(ca, mats, c), seed, tries,
-                        enumerate_cap)
+                        lambda c: old_attempt(ca, mats, c), seed)
 
 
 def same_result(got, want):
@@ -430,16 +441,17 @@ def same_result(got, want):
     ("kC2", F7, None), ("kC3", F7, None), ("H4", F5, None), ("M2", F5, None),
     ("k4", F7, None), ("kC3", F7, 20), ("H4", F5, 20), ("k4", F7, 20),
     ("kC2", QQ, None), ("H4", QQ, None), ("M2", QQ, None)])
-def test_find_cleft_matches_per_candidate_inverse(name, field, cap):
+def test_find_cleft_matches_per_candidate_inverse(name, field, cap,
+                                                  monkeypatch):
     ca = HOM_CASES[name](field)
-    cap = search.EXHAUSTIVE_CAP if cap is None else cap
+    budget(monkeypatch, search.EXHAUSTIVE_CAP if cap is None else cap, 40)
     for seed in (0, 1):
-        got = cleft.find_cleft(ca, seed=seed, tries=40, enumerate_cap=cap)
-        want = old_find_cleft(ca, seed=seed, tries=40, enumerate_cap=cap)
+        got = cleft.find_cleft(ca, seed=seed)
+        want = old_find_cleft(ca, seed=seed)
         assert same_result(got, want), (got, want)
 
 
-def old_invertible_in_span(base, kernel_vecs, seed=0, tries=200):
+def old_invertible_in_span(base, kernel_vecs, seed=0):
     f = base.field
     if not kernel_vecs:
         return search.NotFound(True, 0, 0)
@@ -450,11 +462,10 @@ def old_invertible_in_span(base, kernel_vecs, seed=0, tries=200):
             b = vec_add(f, b, vec_scale(f, c, v))
         return b if base.element_inverse(b) is not None else None
 
-    return search.first(f, len(kernel_vecs), invertible_at, seed, tries)
+    return search.first(f, len(kernel_vecs), invertible_at, seed)
 
 
-def old_invertible_in_matrix_span(field, mats, seed=0, tries=200,
-                                  enumerate_cap=search.EXHAUSTIVE_CAP):
+def old_invertible_in_matrix_span(field, mats, seed=0):
     d = len(mats)
     if d == 0 or mats[0].rows != mats[0].cols:
         return search.NotFound(True, 0, d)
@@ -463,7 +474,7 @@ def old_invertible_in_matrix_span(field, mats, seed=0, tries=200,
         m = dense_lin_comb(mats, coeffs)
         return m if old_is_invertible(m) else None
 
-    return search.first(field, d, invertible_at, seed, tries, enumerate_cap)
+    return search.first(field, d, invertible_at, seed)
 
 
 def random_vec(rng, field, n, zero_from=None):
@@ -474,7 +485,7 @@ def random_vec(rng, field, n, zero_from=None):
 
 
 @pytest.mark.parametrize("field", [F3, F7, QQ])
-def test_span_searches_match_per_candidate_code(field):
+def test_span_searches_match_per_candidate_code(field, monkeypatch):
     rng = random.Random(field.p if field.kind == "Fp" else 0)
     algebras = [k4_trivial(field).algebra, graded_m2(field).algebra]
     if field is not F3:
@@ -488,22 +499,21 @@ def test_span_searches_match_per_candidate_code(field):
             spans.append([random_vec(rng, field, n, zero_from)
                           for _ in range(rng.randrange(1, 4))])
         for vecs in spans:
-            for seed in (0, 1):
-                got = cohomology._invertible_in_span(
-                    base, [_nonzero(v) for v in vecs], seed, 30)
-                want = old_invertible_in_span(base, vecs, seed, 30)
-                assert same_result(got, want), (vecs, got, want)
             mats = [base.lmul(v) for v in vecs]
             for cap in (search.EXHAUSTIVE_CAP, 5):
-                got = lifting._invertible_in_matrix_span(
-                    field, [_columns(m) for m in mats], n, n, tries=30,
-                    enumerate_cap=cap)
-                want = old_invertible_in_matrix_span(
-                    field, mats, tries=30, enumerate_cap=cap)
-                assert same_result(got, want), (vecs, got, want)
+                budget(monkeypatch, cap, 30)
+                for seed in (0, 1):
+                    got = cohomology._invertible_element(
+                        base, [_nonzero(v) for v in vecs], seed)
+                    want = old_invertible_in_span(base, vecs, seed)
+                    assert same_result(got, want), (vecs, got, want)
+                    got = search.invertible(
+                        field, [_columns(m) for m in mats], n, n, seed)
+                    want = old_invertible_in_matrix_span(field, mats, seed)
+                    assert same_result(got, want), (vecs, got, want)
     # rectangular spans are refused as before
     rect = [Matrix(field, 2, 3, [field.one] * 6)]
-    assert same_result(lifting._invertible_in_matrix_span(
+    assert same_result(search.invertible(
         field, [_columns(m) for m in rect], 2, 3),
                        old_invertible_in_matrix_span(field, rect))
 
@@ -559,7 +569,7 @@ def test_unital_slice_is_the_box_restricted_in_order(system):
         True, field.p ** d, len(want))
 
 
-def test_unital_slice_empty_and_inconsistent_systems():
+def test_unital_slice_empty_and_inconsistent_systems(monkeypatch):
     for d in range(4):
         for unit in (None, ([[]] * d, [])):
             free, points = search.unital_slice(F5, d, unit)
@@ -568,14 +578,17 @@ def test_unital_slice_empty_and_inconsistent_systems():
     unit = ([[1, 2], [1, 2], [0, 0]], [1, 1])
     free, points = search.unital_slice(F3, 3, unit)
     assert list(points) == []
-    assert search.every(F3, 3, lambda c: c, cap=1, unit=unit) == []
+    budget(monkeypatch, cap=1)
+    assert search.every(F3, 3, lambda c: c, unit=unit) == []
     # the cap counts the p^free tuples of the slice, not the p^d of the box
     unit = ([[1], [0], [0]], [1])
-    assert search.enumerable(F3, 3, 9, unit)
-    assert not search.enumerable(F3, 3, 8, unit)
+    budget(monkeypatch, cap=9)
+    assert search.enumerable(F3, 3, unit)
+    budget(monkeypatch, cap=8)
+    assert not search.enumerable(F3, 3, unit)
     with pytest.raises(search.SearchInconclusive,
                        match=r"\|F_3\|\^2 exceeds"):
-        search.every(F3, 3, lambda c: c, cap=8, unit=unit)
+        search.every(F3, 3, lambda c: c, unit=unit)
 
 
 @pytest.mark.parametrize("name,field", [
@@ -602,16 +615,18 @@ def test_lambda_enumerate_is_the_box_enumeration(name, field, module):
     assert lifting.lambda_enumerate(ctx) == want
 
 
-def test_slice_cap_decides_where_the_box_refused():
+def test_slice_cap_decides_where_the_box_refused(monkeypatch):
     # Z^1(kC_3, F_7) is Hom(C_3, F_7^x) = mu_3: the slice v(1) = 1 has 7^2
     # points, so a cap of 7^2 now enumerates where the 7^3 box was refused
     act = Z1_CASES["kC3 on k"](F7)
-    z1 = cohomology.z1_enumerate(act, enumerate_cap=7 ** 2)
+    budget(monkeypatch, cap=7 ** 2)
+    z1 = cohomology.z1_enumerate(act)
     assert len(z1) == 3 and 7 ** 3 > 7 ** 2
     assert len(cohomology.h1_classes(act, z1)) == 3
+    budget(monkeypatch, cap=7 ** 2 - 1)
     with pytest.raises(search.SearchInconclusive,
                        match=r"\|F_7\|\^2 exceeds the enumeration cap"):
-        cohomology.z1_enumerate(act, enumerate_cap=7 ** 2 - 1)
+        cohomology.z1_enumerate(act)
 
 
 # -- the compiled cocycle law against the per-pair loop ----------------------
@@ -861,8 +876,8 @@ def test_pruned_walk_on_lmul_spans(name, p, vecs, hit):
     if ops:
         assert OperatorSpan(field, [_columns(op) for op in ops], n,
                             n).degree == n
-    b = cohomology._invertible_in_span(
-        algebra, [_nonzero([field.from_int(x) for x in v]) for v in vecs])
+    b = cohomology._invertible_element(
+        algebra, [_nonzero([field.from_int(x) for x in v]) for v in vecs], 0)
     assert isinstance(b, search.NotFound) == (hit is None)
 
 
@@ -904,3 +919,79 @@ def test_algebra_map_search_walks_the_unital_slice(monkeypatch, name, field):
     assert seen == list(points)[:len(seen)]
     if name == "k4":  # one of the 2,401 tuples of the box has t(1) = 1
         assert len(seen) == 1
+
+
+# -- one budget: every sampled search draws search.SAMPLES -------------------
+
+
+def smash_kxk(field):
+    """(k x k) # kC_2 with the trivial action: H^1 = Hom(C_2, (k x k)^x)
+    has four classes, and the (6.5.1) solutions between two of them are a
+    line with no invertible map."""
+    h = group_algebra(field, cyclic_cayley(2))
+    base = dual_group_algebra(field, cyclic_cayley(2)).algebra
+    omega = cohomology.trivial_action(h, base).action
+    sigma = Matrix(field, 2, 4, [field.one] * 8)
+    return cleft.build_crossed_product(base, h, omega, sigma).algebra
+
+
+def _cohomology_h1():
+    _, code = cli.run(["cohomology", "h1", str(
+        pathlib.Path(cli.__file__).parent / "fixtures" / "m2_graded.json")])
+    assert code == 3
+
+
+def _lift():
+    # Prop 6.1 on graded M_2 over Q with M = k: both searches sample
+    ca = graded_m2(QQ)
+    report = lifting.stability_check(ca, module_k(ca))
+    assert report.inconclusive and not report.failures
+
+
+def _classify():
+    ca = smash_kxk(F3)
+    with pytest.raises(search.SearchInconclusive):
+        lifting.classify_actions(ca, module_b(ca))
+
+
+SAMPLED_KINDS = {
+    "find_cleft": lambda: cleft.find_cleft(k4_trivial(F7)),
+    "algebra-map": lambda: cleft.smash_check(trivial_kxk(F3)),
+    "cohomology h1": _cohomology_h1,
+    "lift": _lift,
+    "classify": _classify,
+}
+
+
+@pytest.mark.parametrize("kind", list(SAMPLED_KINDS))
+def test_every_sampled_search_draws_samples(kind, monkeypatch):
+    # each search.first runs with EXHAUSTIVE_CAP = 1, so it samples; the
+    # enumerations of Lambda_M, Omega_E and Z^1 around it stay exhaustive
+    misses, reached = [], []
+    first, invertible = search.first, search.invertible
+
+    def counted(field, d, test, *args, **kw):
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "EXHAUSTIVE_CAP", 1)
+            got = first(field, d, lambda c: calls.append(c) or test(c),
+                        *args, **kw)
+        if isinstance(got, search.NotFound):
+            misses.append((d, len(calls), got))
+        return got
+
+    def spied(*args):
+        reached.append(invertible(*args))
+        return reached[-1]
+
+    monkeypatch.setattr(search, "first", counted)
+    monkeypatch.setattr(search, "invertible", spied)
+    SAMPLED_KINDS[kind]()
+    assert misses
+    for d, calls, got in misses:
+        assert not got.exhaustive
+        assert calls == got.searched == search.SAMPLES + d + 1
+    if kind in ("find_cleft", "algebra-map"):
+        assert not reached
+    else:
+        assert any(got in [miss for *_, miss in misses] for got in reached)
