@@ -8,7 +8,7 @@ sigmabar: H (x) H -> B as db x dh^2 matrices, all with left-leg-major
 flattening.  They are read through their columns, taken once, in the
 mul_table layout (the one io_json emits): _columns(omega)[h * db + i]
 lists h . b_i and _columns(sigma)[h * dh + k] lists sigma(h (x) k).  So
-are t, u, S, the inclusion of B and can^-1.  Each identity is compared
+are t, u, S, the inclusion of B and can.  Each identity is compared
 by _agree per basis tuple, its two sides raw terms summed from those
 columns and the tables (linalg._pair), and the Prop 5.1 audit reports the
 first failing tuple of each condition; every map built here is summed
@@ -23,7 +23,7 @@ from functools import partial
 
 from . import convcat, search
 from .comodule import ComoduleAlgebraData, InternalInvariant
-from .galois import canonical_map, translation_map
+from .galois import canonical_map
 from .hopf import (CoalgebraData, OneSidedInverse, StructureConstantAlgebra,
                    ValidationReport, _agree, colinear_witness, comul_on,
                    comul_terms, convolution_columns, convolution_inverse,
@@ -76,7 +76,7 @@ def _normalize(ca, t_mat, u_mat):
 
 
 def _attempt(ca, span, ops, coeffs):
-    if span.full_rank_at(coeffs) is None:
+    if not span.full_rank_at(coeffs):
         return None
     t_mat = lin_comb(ca.field, ca.algebra.dim, ops, coeffs)
     u_mat = convcat.convolution_inverse_matrix(ca, t_mat, "C")
@@ -321,12 +321,13 @@ def extract_crossed_data(datum, ca):
 def crossed_canonical_inverse(cp):
     """Thm 5.2 (2)=>(3): the closed-form can^{-1} and Remark 5.3's gamma.
 
-    Verifies entry-for-entry that the displayed inverse
+    Verifies entry-for-entry that can sends the displayed inverse
     can^{-1}(b (x) h (x) k) = b sigmabar(h1 S(k2) (x) k3) (x) h2 S(k1) (x) k4
-    equals the computed one, and that Remark 5.3's l_i (x) r_i, t and u
-    reproduce the computed translation map.  Both sides are summed raw from
-    the columns of sigmabar, S, can^{-1} and gamma, an element of
-    A (x)_B A projected term by term.
+    back to b # h (x) k, which for a bijective can says it is can^{-1},
+    and that Remark 5.3's l_i (x) r_i, t and u reproduce the computed
+    translation map.  Both sides are summed raw from the columns of
+    sigmabar, S, can and gamma, an element of A (x)_B A projected term by
+    term.
     """
     f, base, hopf = cp.base.field, cp.base, cp.hopf
     db, dh = base.dim, hopf.dim
@@ -337,7 +338,7 @@ def crossed_canonical_inverse(cp):
     if not can.galois:
         result.fail("can-not-bijective")
         return result
-    quot = can.induced.quotient
+    quot = can.quotient
     hmul, dl = hopf.algebra.mul_table, hopf.coalgebra.comul_table
     s_cols, sgb = _columns(hopf.antipode), _columns(cp.sigma_bar)
     ones = _nonzero(base.unit)
@@ -354,27 +355,25 @@ def crossed_canonical_inverse(cp):
         return quot.classes((l * n + j * dh + k, 0, x * u)
                             for l, x in left for j, u in ones)
 
-    # closed-form inverse, compared column by column against can^-1's rows
+    # closed-form inverse, sent through can's columns to b # h (x) k
     for bi, hi, ki in itertools.product(range(db), range(dh), range(dh)):
-        i = (bi * dh + hi) * dh + ki
         if not _agree(f, (
-                (key, c1 * c2 * x) for h1, h2, c1 in dl[hi]
+                (r, c1 * c2 * x * v) for h1, h2, c1 in dl[hi]
                 for (k1, k2, k3, k4), c2 in dl4[ki]
-                for key, x in over_b((
+                for (q, _), x in over_b((
                     (a * dh + t2, y * z * w) for t, y in h_s(h1, k2)
                     for a, z in _pair(base.mul_table, db, [(bi, f.one)],
                                       sgb[t * dh + k3])
-                    for t2, w in h_s(h2, k1)), k4)),
-                (((q, 0), row[i]) for q, row in enumerate(can.inverse)
-                 if i in row)):
+                    for t2, w in h_s(h2, k1)), k4)
+                for r, v in can.columns[q]),
+                [((bi * dh + hi) * dh + ki, f.one)]):
             result.fail("closed-form-inverse", (bi, hi, ki))
-    gamma = _columns(translation_map(ca, can).gamma)
     # Remark 5.3: Sum l_i(h) (x) r_i(h)
     #   = (sigmabar(S(h2) (x) h3) 1_B # S(h1)) (x)_B (1_B # h4)
     for hi in range(dh):
         if not _agree(f, ((key, c * x) for (h1, h2, h3, h4), c in dl4[hi]
                           for key, x in over_b(u_of(h1, h2, h3), h4)),
-                      (((q, 0), x) for q, x in gamma[hi])):
+                      (((q, 0), x) for q, x in can.gamma[hi])):
             result.fail("remark-5.3-gamma", (hi,))
     # Remark 5.3: t(h) = 1 # h, u(h) = sigmabar(S(h2) (x) h3) # S(h1)
     t_mat = summed(f, n, dh, (((j * dh + h) * dh + h, u) for h in range(dh)

@@ -177,8 +177,9 @@ def cmd_galois(args):
     name, ca = _pick_ca(bundle, args)
     report = Report("galois", [name], args.seed)
     can = galois.canonical_map(ca)
-    can_p = galois.canonical_map_prime(ca, can.induced)
-    report.details["dims"] = f"{len(can.rows)}/{can.induced.quotient.dim}"
+    can_p = galois.canonical_map_prime(ca)
+    report.details["dims"] = \
+        f"{ca.algebra.dim * ca.hopf.dim}/{can.quotient.dim}"
     report.details["galois"] = can.galois
     report.details["coinvariant_dim"] = ca.coinvariants().dim
     report.add("can-bijective", "pass" if can.galois else "fail")
@@ -195,10 +196,15 @@ def cmd_translation_map(args):
         report.add("can-bijective", "fail")
         return report
     report.add("can-bijective", "pass")
-    tmap = galois.translation_map(ca, can)
-    ident = galois.verify_translation_identities(ca, tmap)
+    ident = galois.verify_translation_identities(ca, can)
     report.merge_failures(ident.failures, TRANSLATION_IDENTITIES)
-    report.details["gamma"] = tmap.representative
+    # the (dim A)^2 x dim H matrix of the representatives, as a Matrix prints
+    da, free, f = ca.algebra.dim, can.quotient.free, ca.field
+    report.details["gamma"] = {
+        "rows": da * da, "cols": ca.hopf.dim, "entries": [
+            [i, h, f.format(x)] for i, h, x in sorted(
+                (free[q], h, x) for h, col in enumerate(can.gamma)
+                for q, x in col)]}
     return report
 
 

@@ -184,7 +184,7 @@ def z1_membership(act, v_mat):
             x -= c * v[i] * v[j]
         if x and (f.p is None or x % f.p):
             return False
-    return act.conv_span.full_rank_at(v) is not None
+    return act.conv_span.full_rank_at(v)
 
 
 def b1_element(act, b_vec):

@@ -6,9 +6,10 @@ its action_table (see hopf).  Every identity "in M (x)_B A" is checked in
 quotient coordinates: the QuotientSpace fixes a deterministic
 projection/section pair, and equality of classes is equality of projected
 coordinates, never of representatives.  The pair is held as index maps
-(QuotientSpace), through which tensor_over_B builds the action and
-coaction tables from the action table of M, mul_table and rho's table,
-with no Kronecker product, checking well-definedness relation by relation.
+(QuotientSpace, from quotient_over_B), through which tensor_over_B builds
+the action and coaction tables from the action table of M, mul_table and
+rho's table, with no Kronecker product, checking well-definedness relation
+by relation; galois reads the quotient alone.
 """
 
 import itertools
@@ -300,26 +301,32 @@ class InducedModule:
             (r * da + j % da, 0, x) for r, x in g_cols[j // da]))
 
 
-def tensor_over_B(m, ca):
-    """The induction M (x)_B A with verified induced action and coaction.
-
-    Ambient index i * dA + a stands for e_i (x) e_a.  The relations
-    e_i.b_k (x) e_a - e_i (x) b_k e_a, the action (x) a_j and the coaction
-    id (x) rho are read from the action table of M, mul_table and rho's
-    table; each relation is checked here against each a_j and against rho.
-    The induced action and coaction tables are the classes of the section's
-    e_free[q] . a_j and (id (x) rho)(e_free[q]).
-    """
-    f = ca.field
+def quotient_over_B(m, ca):
+    """The relations e_i.b_k (x) e_a - e_i (x) b_k e_a of M (x)_B A, as
+    sparse rows over the ambient index i * dA + a, and their QuotientSpace."""
     b = ca.coinvariants()
-    da, dm = ca.algebra.dim, m.dim
-    mul, rho = ca.algebra.mul_table, ca.coaction_table
+    da, mul = ca.algebra.dim, ca.algebra.mul_table
     acts, b_cols = _slices(m.action_table, b.dim), _columns(b.inclusion)
     relations = [[(r * da + a, x) for r, x in acts[i][k]]
                  + [(i * da + s, -y * c) for t, y in b_cols[k]
                     for s, c in mul[t * da + a]]
-                 for i in range(dm) for k in range(b.dim) for a in range(da)]
-    quot = QuotientSpace(f, dm * da, relations)
+                 for i in range(m.dim) for k in range(b.dim)
+                 for a in range(da)]
+    return relations, QuotientSpace(ca.field, m.dim * da, relations)
+
+
+def tensor_over_B(m, ca):
+    """The induction M (x)_B A with verified induced action and coaction.
+
+    The action (x) a_j and the coaction id (x) rho are read from mul_table
+    and rho's table; each relation of quotient_over_B is checked here
+    against each a_j and against rho.  The induced action and coaction
+    tables are the classes of the section's e_free[q] . a_j and
+    (id (x) rho)(e_free[q]).
+    """
+    f = ca.field
+    da, mul, rho = ca.algebra.dim, ca.algebra.mul_table, ca.coaction_table
+    relations, quot = quotient_over_B(m, ca)
 
     def times(terms):                    # (Sum x e_i (x) e_a) . a_j, all j
         return [(i - i % da + r, j, x * c) for i, x in terms
@@ -338,19 +345,18 @@ def tensor_over_B(m, ca):
     return InducedModule(ca, m, quot, module)
 
 
-def adjunction_unit(m, ca, induced=None):
+def adjunction_unit(m, ca, induced):
     """eta_M(m) = class of m (x) 1, with a bijectivity verdict onto
-    (M (x)_B A)^{co H}.
+    (M (x)_B A)^{co H}, for the induced module M (x)_B A.
 
     Returns (eta, coords, bijective): eta maps M into quotient coordinates;
     coords expresses eta through the computed coinvariant basis.
     """
-    ind = induced if induced is not None else tensor_over_B(m, ca)
-    f, quot = ca.field, ind.quotient
+    f, quot = ca.field, induced.quotient
     unit, da = _nonzero(ca.algebra.unit), ca.algebra.dim
     eta_cols = [[(q, u * y) for a, u in unit
                  for q, y in quot.columns[i * da + a]] for i in range(m.dim)]
-    coinv = ind.module.coinvariant_basis(ca)
+    coinv = induced.module.coinvariant_basis(ca)
     x, ok = Factorization(f, _columns(coinv)).solve_columns(eta_cols)
     if not all(ok):
         raise InternalInvariant("eta does not land in the coinvariants")

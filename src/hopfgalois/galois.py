@@ -1,19 +1,20 @@
 """Canonical maps can / can', the comparison Phi, the Galois verdict, the
 translation map gamma_A(h) = can^{-1}(1 (x) h) and identities (1.2.1)-(1.2.7).
 
-A (x)_B A is realized through comodule.tensor_over_B with A as a right
-B-module; every identity stated in the quotient is checked on projected
-coordinates, never on representatives.  can, can', gamma and (1.2.1)-(1.2.7)
-read mul_table, the columns of rho and the quotient's index maps, and
-phi_comparison is summed from the tables of H, rho and S, so no map here
-forms a Kronecker product or applies a basis vector.  can and can' are held
-as the sparse rows that linalg.eliminate takes, never as a Matrix; can^-1
-is the combination rows of can's one elimination.
+A (x)_B A is only the QuotientSpace of comodule.quotient_over_B; identities
+in it are checked on projected coordinates.  can and can' are summed into
+sparse columns from mul_table and rho's table and factored once.  Each is
+one-sided A-linear and 1 (x) H generates A (x) H, so it is bijective iff
+dim A (x)_B A = dim A * dim H and every 1 (x) h is in its image: the verdict
+is that test and dim H solves, whose solutions for can are gamma's columns.
+can^-1 is never formed, and gamma's representatives l_i(h) (x) r_i(h) are
+its columns through the section.  No map here forms a Kronecker product or
+applies a basis vector.
 """
 
-from .comodule import algebra_as_bmodule, tensor_over_B
+from .comodule import algebra_as_bmodule, quotient_over_B
 from .hopf import ValidationReport, _agree, first_failure
-from .linalg import Matrix, _columns, _leg_columns, eliminate, summed
+from .linalg import Factorization, _columns, _nonzero, summed
 
 
 class NotGalois(RuntimeError):
@@ -21,46 +22,49 @@ class NotGalois(RuntimeError):
 
 
 class CanonicalMapData:
-    def __init__(self, rows, inverse, galois, induced):
-        self.rows = rows              # {q: x} per (r, h) of A (x) H, x raw
-        self.inverse = inverse        # can^-1's {r * dim H + h: y} per q,
-                                      # None if not galois, and for can'
-        self.galois = galois
-        self.induced = induced        # the A (x)_B A presentation
+    def __init__(self, quotient, columns, gamma):
+        self.quotient = quotient      # A (x)_B A
+        self.columns = columns        # per q the raw (r * dim H + h, x)
+        self.gamma = gamma            # per h the (q, x) sent to 1 (x) h,
+                                      # None unless bijective
+
+    @property
+    def galois(self):
+        return self.gamma is not None
 
 
-def _canonical(ca, induced, prime):
-    """can, or can' when prime, with its Galois verdict: column q is the
-    image of the section's a (x) a' = e_{free[q]}, read from mul_table and
-    the columns of rho; can's RREF is the identity, so the combinations
-    of its rows are the rows of can^-1."""
-    ind = induced if induced is not None else tensor_over_B(
-        algebra_as_bmodule(ca), ca)
-    f, quot = ca.field, ind.quotient
+def _canonical(ca, prime):
+    """can, or can' when prime: column q is the image of the section's
+    a (x) a' = e_{free[q]}, read from mul_table and the columns of rho;
+    when it is bijective, the preimages of the 1 (x) h come from one
+    Factorization of the columns."""
+    quot = quotient_over_B(algebra_as_bmodule(ca), ca)[1]
     da, dh = ca.algebra.dim, ca.hopf.dim
     mul, rho = ca.algebra.mul_table, ca.coaction_table
-    rows = [{} for _ in range(da * dh)]
-    for q, j in enumerate(quot.free):
+    columns = []
+    for j in quot.free:
         a, a2 = divmod(j, da)
-        for a0, h, x in rho[a if prime else a2]:
-            for r, c in mul[a0 * da + a2 if prime else a * da + a0]:
-                row = rows[r * dh + h]
-                row[q] = row.get(q, 0) + x * c
-    done = da * dh == quot.dim and eliminate(
-        f, rows, combos=not prime, independent=True, back=not prime)
-    inverse = None if prime or not done else [
-        done[1][q] for q in range(quot.dim)]
-    return CanonicalMapData(rows, inverse, bool(done), ind)
+        columns.append([(r * dh + h, x * c) for a0, h, x in rho[
+            a if prime else a2] for r, c in mul[
+                a0 * da + a2 if prime else a * da + a0]])
+    gamma = None
+    if da * dh == quot.dim:
+        unit = _nonzero(ca.algebra.unit)
+        x, ok = Factorization(ca.field, columns).solve_columns(
+            [(a * dh + h, u) for a, u in unit] for h in range(dh))
+        gamma = x if all(ok) else None
+    return CanonicalMapData(quot, columns, gamma)
 
 
-def canonical_map(ca, induced=None):
+def canonical_map(ca):
     """can(a (x)_B a') = a a'_[0] (x) a'_[1], in quotient coordinates."""
-    return _canonical(ca, induced, False)
+    return _canonical(ca, False)
 
 
-def canonical_map_prime(ca, induced=None):
-    """can'(a (x)_B a') = a_[0] a' (x) a_[1]."""
-    return _canonical(ca, induced, True)
+def canonical_map_prime(ca):
+    """can'(a (x)_B a') = a_[0] a' (x) a_[1]; its solutions are
+    can'^-1(1 (x) h), not gamma."""
+    return _canonical(ca, True)
 
 
 def phi_comparison(ca):
@@ -85,53 +89,33 @@ def phi_comparison(ca):
             phi_with(ca.hopf.antipode_inv, True))
 
 
-class TranslationMap:
-    """gamma_A as a matrix H -> (A (x)_B A) plus chosen representatives."""
-
-    def __init__(self, ca, can_data):
-        if not can_data.galois:
-            raise NotGalois("translation map needs an invertible can")
-        f = ca.field
-        da, dh = ca.algebra.dim, ca.hopf.dim
-        self.induced = can_data.induced
-        quot = can_data.induced.quotient
-        # gamma(h) = can^-1(1_A (x) h): the entries a * dh + h of the rows
-        # of can^-1 at the support of 1_A
-        unit = ca.algebra.unit
-        self.gamma = summed(f, quot.dim, dh, (
-            (q * dh + i % dh, unit[i // dh] * y)
-            for q, row in enumerate(can_data.inverse) for i, y in row.items()
-            if unit[i // dh]))
-        # representative Sum_i l_i(h) (x) r_i(h) in A (x) A, via the section:
-        # row q of gamma is row free[q]
-        data = [f.zero] * (da * da * dh)
-        for q, j in enumerate(quot.free):
-            data[j * dh:(j + 1) * dh] = self.gamma.row(q)
-        self.representative = Matrix(f, da * da, dh, data)
+def translation_map(ca, can=None):
+    """gamma_A's representatives Sum_i l_i(h) (x) r_i(h) in A (x) A, the
+    columns of gamma through the section: per h the (l, r, x)."""
+    can = can if can is not None else canonical_map(ca)
+    if not can.galois:
+        raise NotGalois("translation map needs an invertible can")
+    da, free = ca.algebra.dim, can.quotient.free
+    return [[(*divmod(free[q], da), x) for q, x in col] for col in can.gamma]
 
 
-def translation_map(ca, can_data=None):
-    can_data = can_data if can_data is not None else canonical_map(ca)
-    return TranslationMap(ca, can_data)
-
-
-def verify_translation_identities(ca, tmap=None):
+def verify_translation_identities(ca, can=None):
     """Exact check of (1.2.1)-(1.2.7), each a first_failure over basis
     tuples: both sides sum raw products of table entries, of the columns
     of gamma and of the representatives l_i(h) (x) r_i(h), a side in
     A (x)_B A projected term by term, and are compared after one reduction."""
-    tmap = tmap if tmap is not None else translation_map(ca)
+    can = can if can is not None else canonical_map(ca)
+    rep = translation_map(ca, can)                  # h -> (l, r, x)
     f = ca.field
     da, dh = ca.algebra.dim, ca.hopf.dim
     mul, unit, hopf = ca.algebra.mul_table, ca.algebra.unit, ca.hopf
     comul, hmul = hopf.coalgebra.comul_table, hopf.algebra.mul_table
     eps = hopf.coalgebra.counit.data
     rho = ca.coaction_table
-    rep = _leg_columns(tmap.representative, da)     # h -> (l, r, x)
-    gam = _columns(tmap.gamma)
+    gam = can.gamma
     s_cols, sbar_cols = _columns(hopf.antipode), _columns(hopf.antipode_inv)
     b_cols = _columns(ca.coinvariants().inclusion)
-    cls = tmap.induced.quotient.classes
+    cls = can.quotient.classes
     report = ValidationReport()
 
     # (1.2.1)  Sum l_i(h) r_i(h)_[0] (x) r_i(h)_[1] = 1 (x) h

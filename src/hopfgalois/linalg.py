@@ -37,7 +37,7 @@ kernels are sparse_kernel's, read off eliminate's RREF as the nonzero terms
 (i, x) of each basis vector; intertwiners and convcat's hom spaces hand on
 each basis map as its _columns (_unflat, undone by _flat).  No dense
 operator, kernel vector or Kronecker product is formed.  A Matrix is still
-formed for a search candidate or hit (lin_comb, OperatorSpan.full_rank_at),
+formed for a search hit (lin_comb; OperatorSpan.full_rank_at forms none),
 for structure maps, witnesses and reports (S, eta, B's inclusion, a
 clefting datum, io_json), and where lifting's and cleft's witness
 arithmetic sums one from columns.  Matrix.solve and Matrix.kron have no
@@ -328,7 +328,7 @@ def reduced(field, values):
 
 def lin_comb(field, rows, ops, coeffs):
     """Sum_k coeffs[k] ops[k] as a rows x n matrix, for a non-empty list of
-    n-column maps given by their _columns: a search candidate made dense."""
+    n-column maps given by their _columns: a search hit made dense."""
     return summed_columns(field, rows, _combination(
         ops, [(k, c) for k, c in enumerate(coeffs) if c], len(ops[0])))
 
@@ -338,8 +338,8 @@ class OperatorSpan:
     terms (i, j, x), built once.
 
     degree is the row count n: for square operators det(Sum_k c_k ops[k])
-    is a polynomial of degree <= n in each c_k, and full_rank_at(c) is None
-    exactly where it vanishes (search.first's `degree`).
+    is a polynomial of degree <= n in each c_k, and full_rank_at(c) is
+    False exactly where it vanishes (search.first's `degree`).
     """
 
     def __init__(self, field, ops, rows, cols):
@@ -348,21 +348,16 @@ class OperatorSpan:
                       for op in ops]
 
     def full_rank_at(self, coeffs):
-        """Sum_k coeffs[k] ops[k] if invertible, else None.  The sum is
-        taken raw into sparse rows for the rank test; only a hit is made a
-        matrix."""
-        f, n = self.field, self.cols
+        """Whether Sum_k coeffs[k] ops[k] is invertible, by eliminating the
+        sum taken raw into sparse rows; no matrix is formed."""
         rows = [{} for _ in range(self.degree)]
         for terms, c in zip(self.terms, coeffs):
             if c:
                 for i, j, x in terms:
                     row = rows[i]
                     row[j] = row.get(j, 0) + c * x
-        if self.degree != n or eliminate(
-                f, rows, independent=True, back=False) is None:
-            return None
-        return summed(f, n, n, ((i * n + j, x) for i, row in enumerate(rows)
-                                for j, x in row.items()))
+        return self.degree == self.cols and eliminate(
+            self.field, rows, independent=True, back=False) is not None
 
 
 def basis_vec(field, n, i):

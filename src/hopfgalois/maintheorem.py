@@ -18,7 +18,7 @@ H -> A in C(i, j), exactly when its column in the solve against that hom
 space's kernel basis is ok.  The B-actions,
 I_M (x) Delta and the maps of Lemmas 3.3-3.8 are summed from M's action
 table, comul_table, the quotient's index maps, mul_table, rho's table and
-the columns of eta, of E's basis and of gamma's representative: no basis
+the columns of eta, of E's basis and of gamma's representatives: no basis
 vector is applied and no matrix or Kronecker product is formed.
 """
 
@@ -30,7 +30,7 @@ from .endomorphism import build_E
 from .galois import NotGalois, canonical_map, translation_map
 from .hopf import ValidationReport, colinear_witness, comul_on
 from .linalg import (Factorization, NoSolution, _columns, _composed, _flat,
-                     _leg_columns, _terms, eliminate, intertwiners, reduced)
+                     _terms, eliminate, intertwiners, reduced)
 
 
 class TheoremContext:
@@ -47,12 +47,12 @@ class TheoremContext:
         self.eta, _, eta_bij = adjunction_unit(m, ca, self.induced)
         if not eta_bij:
             raise NotGalois("eta_M is not bijective")
-        dh, dm, da = ca.hopf.dim, m.dim, ca.algebra.dim
+        dh, dm = ca.hopf.dim, m.dim
         can = canonical_map(ca)
         if not can.galois:
             raise NotGalois("canonical map not invertible")
-        # h -> (l, r, x); can and can^-1 are not kept
-        self.rep = _leg_columns(translation_map(ca, can).representative, da)
+        # h -> (l, r, x), gamma's representatives; can is not kept
+        self.rep = translation_map(ca, can)
         # the tables the D_M maps are summed from
         self.eta_cols = _columns(self.eta)
         self._eta = Factorization(self.field, self.eta_cols)

@@ -28,9 +28,10 @@ Linear once.  An invertibility search builds the operators L(m_k) of its
 basis once (convolution by m_k, lmul, or m_k) in a linalg.OperatorSpan, so c
 costs one sparse sum and one full-rank test.  The test is a proof:
 L(f * g) = L(f) L(g), so f has a right inverse iff L(f) has full rank, and
-in finite dimension a right inverse is two-sided.  `invertible` is that
-search; cleft's clefting search walks the same span but inverts and
-normalizes its hit.
+in finite dimension a right inverse is two-sided.  The test forms no
+matrix.  `invertible` is that search, and sums only its hit (lin_comb);
+cleft's clefting search walks the same span but inverts and normalizes
+its hit.
 
 Unital slice.  Z^1, Omega_A and Lambda_M are enumerated on the affine slice
 {c : A c = b} of their linear unit condition (v(1) = 1, t(1) = 1, phi eta =
@@ -63,7 +64,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from .fields import _is_prime, field_name
-from .linalg import Matrix, OperatorSpan
+from .linalg import Matrix, OperatorSpan, lin_comb
 
 EXHAUSTIVE_CAP = 10 ** 6
 SAMPLES = 500
@@ -148,7 +149,9 @@ def invertible(field, ops, rows, cols, seed=0):
     if not ops or rows != cols:
         return NotFound(True, 0, len(ops))
     span = OperatorSpan(field, ops, rows, cols)
-    return first(field, len(ops), span.full_rank_at, seed, degree=span.degree)
+    return first(field, len(ops), lambda coeffs: lin_comb(
+        field, rows, ops, coeffs) if span.full_rank_at(coeffs) else None,
+        seed, degree=span.degree)
 
 
 def unital_slice(field, d, unit=None):

@@ -11,8 +11,8 @@ from hopfgalois.fixtures import (cp_fixture, cyclic_cayley,
                                  regular_comodule, sweedler_h4, trivial_kxk)
 from hopfgalois.hopf import convolution_columns
 from hopfgalois.linalg import (Matrix, _columns, _combination, _rows,
-                               basis_vec, reduced, sparse_kernel,
-                               summed_columns)
+                               basis_vec, eliminate, reduced, sparse_kernel,
+                               summed, summed_columns)
 from hopfgalois.search import FREE_SAMPLES, SearchInconclusive
 
 F3 = PrimeField(3)
@@ -280,13 +280,37 @@ def nonzero_rows(mat):
     return [row for row in map(mat.row, range(mat.rows)) if any(row)]
 
 
-def dense_can(can):
-    """(can, can^-1) of a galois.CanonicalMapData as dense matrices through
-    dense_rows; can^-1 is None where none is held."""
-    quot, rows = can.induced.quotient, len(can.rows)
-    f, cols = quot.field, quot.dim
-    return dense_rows(f, can.rows, cols), (
-        None if can.inverse is None else dense_rows(f, can.inverse, rows))
+def can_rows(ca, can):
+    """(can's rows, can^-1's rows or None unless can is bijective), as
+    {column: x} dicts, of a galois.CanonicalMapData.  can^-1 is the
+    elimination the package made before it solved only at 1 (x) H: can's
+    rows reduced to the identity, their combination rows being can^-1."""
+    f, n, m = ca.field, can.quotient.dim, ca.algebra.dim * ca.hopf.dim
+    rows = [{} for _ in range(m)]
+    for q, col in enumerate(can.columns):
+        for r, x in col:
+            rows[r][q] = rows[r].get(q, 0) + x
+    done = m == n and eliminate(f, rows, combos=True, independent=True)
+    return rows, [done[1][q] for q in range(n)] if done else None
+
+
+def dense_can(ca, can):
+    """(can, can^-1) of can_rows as dense matrices."""
+    f, n, m = ca.field, can.quotient.dim, ca.algebra.dim * ca.hopf.dim
+    rows, inv = can_rows(ca, can)
+    return dense_rows(f, rows, n), (
+        None if inv is None else dense_rows(f, inv, m))
+
+
+def dense_gamma(ca, can):
+    """The preimages of the 1 (x) h as a dim(A (x)_B A) x dim H matrix,
+    read off can_rows' can^-1 at the support of 1_A as the package read
+    gamma before, or None unless can is bijective."""
+    f, dh, unit = ca.field, ca.hopf.dim, ca.algebra.unit
+    inv = can_rows(ca, can)[1]
+    return None if inv is None else summed(f, len(inv), dh, (
+        (q * dh + i % dh, unit[i // dh] * y) for q, row in enumerate(inv)
+        for i, y in row.items() if unit[i // dh]))
 
 
 def vstack(mats):

@@ -33,8 +33,8 @@ from hopfgalois.linalg import (Matrix, _columns, _nonzero, basis_vec,
 
 from conftest import (action_table, dense, dense_act, dense_actions,
                       dense_lin_comb, dense_rho, endomorphism, kron_vec,
-                      module_b, module_k, project, tensor_entries, vec_add,
-                      vec_scale, vstack)
+                      module_b, module_k, project, vec_add, vec_scale,
+                      vstack)
 from test_audits import dense_right_action
 from test_linalg import dense_kernel
 from test_operators import action_defect, probe_operator
@@ -341,9 +341,8 @@ def dense_check_622(ctx, phi, t_coords):
     """The former lifting._check_622, on projected basis vectors."""
     f, dm, da, dh = ctx.field, ctx.m.dim, ctx.ca.algebra.dim, ctx.ca.hopf.dim
     t_h = [endomorphism(ctx, _nonzero(t_coords.col(h))) for h in range(dh)]
-    rep = translation_map(ctx.ca).representative
-    reps = [list(tensor_entries(f, rep.apply(basis_vec(f, dh, h)), (da, da)))
-            for h in range(dh)]
+    reps = [[((l, r), x) for l, r, x in col]
+            for col in translation_map(ctx.ca)]
 
     def holds(hj, mi, aj):
         em = basis_vec(f, dm, mi)

@@ -23,8 +23,7 @@ from hopfgalois.endomorphism import (EndComoduleAlgebra, build_E,
 from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import (graded_m2, regular_comodule, sweedler_h4,
                                  taft)
-from hopfgalois.galois import (canonical_map, translation_map,
-                               verify_translation_identities)
+from hopfgalois.galois import verify_translation_identities
 from hopfgalois.hopf import DimensionMismatch, comul_on
 from hopfgalois.linalg import Matrix, _leg_columns, basis_vec
 
@@ -193,9 +192,8 @@ def test_the_induced_module_is_built_with_the_quotient():
     """A (x)_B A for the regular T_3 over F_7: its action and coaction
     tables are those of the former dense construction."""
     ca = RUNGS["T3"]()
-    can = canonical_map(ca)
-    assert verify_translation_identities(ca, translation_map(ca, can)).passed
-    ind, f = can.induced, ca.field
+    assert verify_translation_identities(ca).passed
+    ind, f = tensor_over_B(algebra_as_bmodule(ca), ca), ca.field
     _, actions, coaction = dense_tensor_over_B(algebra_as_bmodule(ca), ca)
     assert dense_actions(f, ind.module.action_table, ca.algebra.dim) == actions
     assert ind.module.action_table == action_table(actions)

@@ -56,7 +56,7 @@ def test_relative_hopf_module_structure(m2_q):
 
 def test_adjunction_unit_bijective_on_galois(m2_q):
     m = module_b(m2_q)
-    eta, _, bij = adjunction_unit(m, m2_q)
+    eta, _, bij = adjunction_unit(m, m2_q, tensor_over_B(m, m2_q))
     assert bij
     # M (x)_B A has dim 4 for M = B over graded M2
     assert eta.rows == 4 and eta.cols == 2

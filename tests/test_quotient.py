@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfgalois import cleft, io_json
+from hopfgalois import cleft, galois, io_json
 from hopfgalois.comodule import (BModule, ComoduleAlgebraData,
                                  IllDefinedStructure, algebra_as_bmodule,
                                  regular_bmodule, tensor_over_B)
@@ -31,8 +31,9 @@ from hopfgalois.linalg import (Matrix, _columns, _leg_columns, basis_vec,
                                intertwiners, summed)
 
 from conftest import (action_table, dense, dense_actions, dense_can,
-                      dense_comul, dense_mul, dense_rho, gather_legs, kron_vec,
-                      scatter_legs, tensor_entries, vec_add, vec_scale)
+                      dense_comul, dense_gamma, dense_mul, dense_rho,
+                      gather_legs, kron_vec, scatter_legs, tensor_entries,
+                      vec_add, vec_scale)
 from test_linalg import dense_rref
 
 F5, F7 = PrimeField(5), PrimeField(7)
@@ -135,15 +136,15 @@ def first_col(lhs, rhs):
                 None)
 
 
-def dense_identities(ca, tmap, quot):
+def dense_identities(ca, gamma, rep, quot):
     """The former matrix forms of (1.2.1)-(1.2.7): [(name, first failing
-    basis tuple)] for those that fail, quot a DenseQuotient of A (x)_B A."""
+    basis tuple)] for those that fail, for gamma and its representatives
+    rep as dense matrices, quot a DenseQuotient of A (x)_B A."""
     f = ca.field
     da, dh = ca.algebra.dim, ca.hopf.dim
     alg, hopf = ca.algebra, ca.hopf
     pi, rho = quot.projection, rho_of(ca)
     ida, idh = Matrix.identity(f, da), Matrix.identity(f, dh)
-    rep, gamma = tmap.representative, tmap.gamma
     out = []
 
     def record(name, witness):
@@ -252,26 +253,37 @@ def check_induction(m, ca, rng):
     return ind, quot
 
 
+def dense_translation(ca, can):
+    """gamma and its representatives, from their columns, as dense
+    (dim A (x)_B A) x dim H and (dim A)^2 x dim H matrices."""
+    f, da = ca.field, ca.algebra.dim
+    return dense(f, can.quotient.dim, can.gamma), dense(f, da * da, [
+        [(l * da + r, x) for l, r, x in col]
+        for col in translation_map(ca, can)])
+
+
 def check_galois(ca, rng):
-    """A (x)_B A, can, can', gamma's representatives and the identities."""
-    ind, quot = check_induction(algebra_as_bmodule(ca), ca, rng)
-    can, can_p = canonical_map(ca, ind), canonical_map_prime(ca, ind)
+    """A (x)_B A, can, can', their solutions at 1 (x) H, gamma's
+    representatives and the identities."""
+    _, quot = check_induction(algebra_as_bmodule(ca), ca, rng)
+    can, can_p = canonical_map(ca), canonical_map_prime(ca)
     for got, ambient in ((can, dense_can_ambient), (can_p,
                                                     dense_can_prime_ambient)):
-        mat = dense_can(got)[0]
+        mat = dense_can(ca, got)[0]
         assert mat == ambient(ca) @ quot.section
         assert got.galois == (len(dense_rref(mat)[1]) == mat.rows == mat.cols)
-    assert can_p.inverse is None
+        if got.galois:
+            assert dense(ca.field, quot.dim, got.gamma) == dense_gamma(ca, got)
     if not can.galois:
         return None
-    mat, inv = dense_can(can)
+    mat, inv = dense_can(ca, can)
     assert mat @ inv == inv @ mat == Matrix.identity(ca.field, mat.rows)
-    tmap = translation_map(ca, can)
-    assert tmap.representative == quot.section @ tmap.gamma
-    report = verify_translation_identities(ca, tmap)
+    gamma, rep = dense_translation(ca, can)
+    assert rep == quot.section @ gamma
+    report = verify_translation_identities(ca, can)
     assert report.passed, report.failures
-    assert dense_identities(ca, tmap, quot) == []
-    return tmap, quot
+    assert dense_identities(ca, gamma, rep, quot) == []
+    return can, quot
 
 
 def fixture_cases():
@@ -374,9 +386,9 @@ def test_relabelled_rungs_equal_the_dense_oracle(name, seed):
 # -- corrupted translation maps: the witnesses --------------------------------
 
 
-def corruptions(tmap, quot, rng):
+def corruptions(gamma, rep, quot, rng):
     """(label, gamma, representative) pairs, each a small corruption."""
-    f, gamma, rep = tmap.gamma.field, tmap.gamma, tmap.representative
+    f = gamma.field
 
     def bump(mat, r, c, x):
         data = list(mat.data)
@@ -393,19 +405,32 @@ def corruptions(tmap, quot, rng):
 
 
 @pytest.mark.parametrize("name", ["T2", "kC3", "(kC4)^*", "M2"])
-def test_identity_witnesses_equal_the_dense_oracle(name):
+def test_identity_witnesses_equal_the_dense_oracle(name, monkeypatch):
+    """gamma is set on the canonical map and the representatives are
+    patched in, so that each can be corrupted alone."""
     ca = relabelled(RUNGS[name](), 3)
     rng = random.Random(4)
-    tmap, quot = check_galois(ca, rng)
-    gamma, rep = tmap.gamma, tmap.representative
+    can, quot = check_galois(ca, rng)
     failing = 0
-    for label, g, r in corruptions(tmap, quot, rng):
-        tmap.gamma, tmap.representative = g, r
-        got = verify_translation_identities(ca, tmap).failures
-        assert got == dense_identities(ca, tmap, quot), label
+    for label, g, r in corruptions(*dense_translation(ca, can), quot, rng):
+        can.gamma = _columns(g)
+        monkeypatch.setattr(galois, "translation_map", lambda ca, can, r=r:
+                            _leg_columns(r, ca.algebra.dim))
+        got = verify_translation_identities(ca, can).failures
+        assert got == dense_identities(ca, g, r, quot), label
         failing += bool(got)
-    tmap.gamma, tmap.representative = gamma, rep
     assert failing >= 10
+
+
+@pytest.mark.parametrize("n,p", [(2, 7), (3, 7), (4, 5), (5, 11)])
+def test_gamma_is_the_eliminated_can_inverse_on_the_taft_rungs(n, p):
+    """The solutions of can and can' at 1 (x) H against dense_gamma's
+    full elimination, on the regular T_2 to T_5."""
+    ca = regular_comodule(taft(PrimeField(p), n))
+    for can in (canonical_map(ca), canonical_map_prime(ca)):
+        assert can.galois
+        assert dense(ca.field, can.quotient.dim, can.gamma) \
+            == dense_gamma(ca, can)
 
 
 # -- ill-defined inductions ----------------------------------------------------

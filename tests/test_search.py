@@ -14,12 +14,12 @@ from hopfgalois import (cleft, cli, cohomology, convcat, galois, lifting,
 from hopfgalois.fields import QQ, PrimeField
 from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra, graded_m2,
                                  group_algebra, regular_comodule, sweedler_h4,
-                                 trivial_coaction, trivial_kxk)
+                                 taft, trivial_coaction, trivial_kxk)
 from hopfgalois.hopf import (StructureConstantAlgebra, ValidationReport,
                              convolution_columns, convolution_inverse,
                              convolution_unit)
 from hopfgalois.linalg import (Matrix, NotInvertible, OperatorSpan, _columns,
-                               _nonzero, basis_vec)
+                               _nonzero, basis_vec, lin_comb)
 
 F3 = PrimeField(3)
 F7 = PrimeField(7)
@@ -290,16 +290,16 @@ def test_rank_test_is_convolution_invertibility_on_hom_h(name, field):
     alg, co = ca.algebra, ca.hopf.coalgebra
     mats = hom_mats(ca)
     n = alg.dim * co.dim
-    span = OperatorSpan(field, [convolution_columns(alg, co, _columns(m))
-                                for m in mats], n, n)
+    ops = [convolution_columns(alg, co, _columns(m)) for m in mats]
+    span = OperatorSpan(field, ops, n, n)
     seen = set()
     for c in candidates(field, len(mats), seed=len(mats)):
         t = dense_lin_comb(mats, c)
-        got = span.full_rank_at(c)
         want = conv_invertible(alg, co, t)
-        assert (got is not None) == want, c
-        if got is not None:
-            assert got == convolution_operator(alg, co, t)
+        assert span.full_rank_at(c) == want, c
+        if want:
+            assert lin_comb(field, n, ops, c) \
+                == convolution_operator(alg, co, t)
         seen.add(want)
     assert seen == ({False} if name == "k4" else {False, True})
 
@@ -356,7 +356,7 @@ def test_rank_test_is_convolution_invertibility_on_z1_family(name, field):
     seen = set()
     for c in candidates(field, db * dh, seed=db):
         want = conv_invertible(base, co, Matrix(field, db, dh, list(c)))
-        assert (act.conv_span.full_rank_at(c) is not None) == want, c
+        assert act.conv_span.full_rank_at(c) == want, c
         seen.add(want)
     assert seen == {False, True}
 
@@ -879,6 +879,20 @@ def test_pruned_walk_on_lmul_spans(name, p, vecs, hit):
     b = cohomology._invertible_element(
         algebra, [_nonzero([field.from_int(x) for x in v]) for v in vecs], 0)
     assert isinstance(b, search.NotFound) == (hit is None)
+
+
+def test_clefting_search_forms_no_operator_matrix(monkeypatch):
+    """On the regular T_4 over F_5 the rank test of a candidate, hit or
+    not, forms no (dim A * dim H)^2 Matrix: only the clefting map t itself
+    and its inverse, each dim A x dim H, are dense."""
+    ca = regular_comodule(taft(F5, 4))
+    n = ca.algebra.dim * ca.hopf.dim
+    sizes, init = [], Matrix.__init__
+    monkeypatch.setattr(Matrix, "__init__", lambda self, f, rows, cols, data:
+                        sizes.append(rows * cols)
+                        or init(self, f, rows, cols, data))
+    assert isinstance(cleft.find_cleft(ca), cleft.CleftingDatum)
+    assert sizes and max(sizes) < n * n
 
 
 def test_pinned_full_rank_test_counts(monkeypatch):

@@ -628,14 +628,17 @@ def test_kernel_of_empty_and_zero_matrices():
                 basis_vec(field, 4, j) for j in range(4)]
 
 
-# -- can' is not inverted ------------------------------------------------------
+# -- neither can nor can' is inverted -----------------------------------------
 
 
-def test_only_can_is_inverted():
+def test_can_and_can_prime_are_solved_only_at_one_tensor_h():
+    """Each holds its columns and its dim H solutions at 1 (x) h, and no
+    inverse; dense_can's elimination is the oracle's can^-1."""
     ca = RUNGS["T3"]()
-    can = canonical_map(ca)
-    can_p = canonical_map_prime(ca, can.induced)
+    can, can_p = canonical_map(ca), canonical_map_prime(ca)
     assert can.galois and can_p.galois
-    mat, inv = dense_can(can)
-    assert mat @ inv == inv @ mat == Matrix.identity(F7, len(can.rows))
-    assert can_p.inverse is None
+    for got in (can, can_p):
+        assert sorted(vars(got)) == ["columns", "gamma", "quotient"]
+        assert len(got.gamma) == ca.hopf.dim
+    mat, inv = dense_can(ca, can)
+    assert mat @ inv == inv @ mat == Matrix.identity(F7, mat.rows)
