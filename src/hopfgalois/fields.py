@@ -1,9 +1,11 @@
 """Exact ground fields: the rationals and prime fields F_p.
 
-Scalars are plain Python objects (`fractions.Fraction` over Q, ints in
-``range(p)`` over F_p); a field object supplies the arithmetic.  The text
-format is ``"n"`` / ``"n/d"`` over Q and ``"n mod p"`` over F_p, and is used
-verbatim in the JSON fixture files.
+Scalars are plain Python objects, and a field object supplies the
+arithmetic.  Over Q a scalar is an int when it is integral and a
+`fractions.Fraction` otherwise, never a float; over F_p it is an int in
+``range(p)``.  The package's only true divisions are here, in `inv` and
+`div`.  The text format is ``"n"`` / ``"n/d"`` over Q and ``"n mod p"`` over
+F_p, and is used verbatim in the JSON fixture files.
 """
 
 from fractions import Fraction
@@ -44,14 +46,22 @@ def _is_prime(n):
     return True
 
 
+def _integral(x):
+    """A rational x as an int when its denominator is 1."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalField:
-    """The field Q, with Fraction scalars."""
+    """The field Q.  A scalar is an int when integral, else a Fraction, and
+    never a float: int * int stays an int and int * Fraction is an exact
+    Fraction, so raw + - * need no field; a quotient is made only by `inv`
+    and `div`, which return an int when the denominator is 1."""
 
     kind = "Q"
     p = None
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b
@@ -68,17 +78,17 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return _integral(1 / Fraction(a))
 
     def div(self, a, b):
-        return Fraction(a) / b
+        return _integral(Fraction(a) / b)
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def parse(self, text):
         try:
-            return Fraction(text.strip())
+            return _integral(Fraction(text.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"bad rational scalar {text!r}") from exc
 

@@ -63,7 +63,7 @@ import random
 from fractions import Fraction
 from operator import add, sub
 
-from .fields import _is_prime, field_name
+from .fields import QQ, _is_prime, field_name
 from .linalg import Matrix, OperatorSpan, lin_comb
 
 EXHAUSTIVE_CAP = 10 ** 6
@@ -313,7 +313,7 @@ def _groebner(polys, order=None):
                 lcm = tuple(map(max, a, b))
                 pairs.add((a, b))
                 heapq.heappush(heap, ((sum(lcm), lcm), a, b))
-            basis[lm] = _axpy({}, h, 1 / h[lm])
+            basis[lm] = _axpy({}, h, QQ.inv(h[lm]))
     lead = [lm for lm in basis
             if not any(o != lm and _divides(o, lm) for o in basis)]
     return {lm: _reduce(basis[lm], {o: basis[o] for o in lead if o != lm},
@@ -344,7 +344,7 @@ def _fglm(basis, n):
             lex[m] = comb
             continue
         pivot = next(iter(v))
-        c = 1 / v[pivot]
+        c = QQ.inv(v[pivot])
         rows.append((pivot, _axpy({}, v, c), _axpy({}, comb, c)))
         for i in range(n):
             step = one[:i] + (1,) + one[i + 1:]
@@ -358,7 +358,7 @@ def _divmod(f, g):
     f, q = list(f), [Fraction(0)] * max(len(f) - len(g) + 1, 0)
     while len(f) >= len(g):
         k = len(f) - len(g)
-        q[k] = c = Fraction(f[-1]) / g[-1]
+        q[k] = c = QQ.div(f[-1], g[-1])
         for i, y in enumerate(g):
             f[k + i] -= c * y
         while f and not f[-1]:

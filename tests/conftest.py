@@ -1,11 +1,15 @@
+import contextlib
+import importlib.util
 import itertools
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from hopfgalois import maintheorem
+from hopfgalois import io_json, maintheorem
 from hopfgalois.comodule import BModule, regular_bmodule
-from hopfgalois.fields import QQ, PrimeField
+from hopfgalois.fields import QQ, FieldError, PrimeField, RationalField
 from hopfgalois.fixtures import (cp_fixture, cyclic_cayley,
                                  dual_group_algebra, graded_m2, group_algebra,
                                  regular_comodule, sweedler_h4, trivial_kxk)
@@ -112,6 +116,37 @@ def module_k(ca):
 
 def module_b(ca):
     return regular_bmodule(ca)
+
+
+@contextlib.contextmanager
+def _all_fractions():
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return 1 / Fraction(a)
+
+    def parse(self, text):
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FieldError(f"bad rational scalar {text!r}") from exc
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in {
+                "zero": Fraction(0), "one": Fraction(1), "inv": inv,
+                "div": lambda self, a, b: Fraction(a) / b,
+                "from_int": lambda self, n: Fraction(n),
+                "parse": parse}.items():
+            mp.setattr(RationalField, name, value)
+        yield
+
+
+@pytest.fixture
+def fraction_field():
+    """A context manager under which RationalField holds every scalar, 0 and
+    1 included, as a Fraction: the slow exact field that the int-when-
+    integral one must agree with."""
+    return _all_fractions
 
 
 @pytest.fixture
@@ -441,3 +476,48 @@ def sympy_rational_points(algebra, ops, equations, test, refuse=None):
     if sampled:
         raise SearchInconclusive("a positive-dimensional family was sampled "
                                  "without a witness")
+
+
+# -- the digest forms and the Q ladder ---------------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def digest_forms():
+    """The 11 command forms of scripts/report_digests.py."""
+    spec = importlib.util.spec_from_file_location(
+        "report_digests", ROOT / "scripts" / "report_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.FORMS
+
+
+def s3_cayley():
+    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (2, 1, 0), (0, 2, 1)]
+    index = {p: k for k, p in enumerate(perms)}
+    return [[index[tuple(p[q[x]] for x in range(3))] for q in perms]
+            for p in perms]
+
+
+LADDER = {
+    **{f"kC{n}": lambda n=n: group_algebra(QQ, cyclic_cayley(n))
+       for n in range(2, 9)},
+    "kC4_dual": lambda: dual_group_algebra(QQ, cyclic_cayley(4)),
+    "kC6_dual": lambda: dual_group_algebra(QQ, cyclic_cayley(6)),
+    "kS3_dual": lambda: dual_group_algebra(QQ, s3_cayley()),
+    "H4": lambda: sweedler_h4(QQ),
+}
+
+
+def write_regular(tmp_path, name):
+    """The regular comodule algebra of the ladder rung `name`, written as a
+    bundle in tmp_path; returns its path."""
+    h = LADDER[name]()
+    b = io_json.WorkspaceBundle(QQ)
+    ca = regular_comodule(h)
+    ca.hopf_name = name
+    b.hopf_algebras[name] = h
+    b.comodule_algebras["regular"] = ca
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(io_json.emit_bundle(b)))
+    return str(path)

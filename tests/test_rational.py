@@ -1,9 +1,7 @@
 """search.rational_points, the exact Groebner-basis solve over Q, against its
 former sympy body (conftest.sympy_rational_points) as the oracle."""
 
-import importlib.util
 import itertools
-import json
 import math
 import os
 import subprocess
@@ -15,11 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import sympy_rational_points
-from hopfgalois import cli, io_json, search
+from conftest import (LADDER, digest_forms, sympy_rational_points,
+                      write_regular)
+from hopfgalois import cli, search
 from hopfgalois.fields import QQ, _is_prime
-from hopfgalois.fixtures import (cyclic_cayley, dual_group_algebra,
-                                 group_algebra, regular_comodule, sweedler_h4)
 from hopfgalois.hopf import StructureConstantAlgebra
 from hopfgalois.linalg import Matrix
 
@@ -62,14 +59,6 @@ def assert_same_as_oracle(systems):
         assert got == want, (k, len(ops), refuse)
 
 
-def digest_forms():
-    spec = importlib.util.spec_from_file_location(
-        "report_digests", ROOT / "scripts" / "report_digests.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.FORMS
-
-
 def test_fixture_systems_equal_the_oracle():
     systems = reached_systems(
         [*form, str(path), "--seed", "0"]
@@ -78,36 +67,9 @@ def test_fixture_systems_equal_the_oracle():
     assert_same_as_oracle(systems)
 
 
-def s3_cayley():
-    perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (2, 1, 0), (0, 2, 1)]
-    index = {p: k for k, p in enumerate(perms)}
-    return [[index[tuple(p[q[x]] for x in range(3))] for q in perms]
-            for p in perms]
-
-
-LADDER = {
-    **{f"kC{n}": lambda n=n: group_algebra(QQ, cyclic_cayley(n))
-       for n in range(2, 9)},
-    "kC4_dual": lambda: dual_group_algebra(QQ, cyclic_cayley(4)),
-    "kC6_dual": lambda: dual_group_algebra(QQ, cyclic_cayley(6)),
-    "kS3_dual": lambda: dual_group_algebra(QQ, s3_cayley()),
-    "H4": lambda: sweedler_h4(QQ),
-}
 # the oracle takes seconds to minutes on the larger rungs, so Tier-1 runs
 # these and HOPFGALOIS_FULL_LADDER=1 runs them all
 LADDER_TIER1 = ("kC2", "kC3", "kC4", "kC4_dual", "H4")
-
-
-def write_regular(tmp_path, name):
-    h = LADDER[name]()
-    b = io_json.WorkspaceBundle(QQ)
-    ca = regular_comodule(h)
-    ca.hopf_name = name
-    b.hopf_algebras[name] = h
-    b.comodule_algebras["regular"] = ca
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(io_json.emit_bundle(b)))
-    return str(path)
 
 
 @pytest.mark.parametrize("name", list(

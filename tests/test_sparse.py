@@ -30,7 +30,7 @@ from hopfgalois.linalg import (Matrix, _columns, _leg_columns, basis_vec,
                                reduced)
 
 from conftest import (action_table, convolution_operator, dense_comul,
-                      dense_mul, kron_vec)
+                      dense_mul, kron_vec, s3_cayley)
 
 F2, F3, F7 = PrimeField(2), PrimeField(3), PrimeField(7)
 F_BIG = PrimeField(2 ** 61 - 1)     # beyond the compiled kernels' range
@@ -181,15 +181,6 @@ def test_tables_match_dense_formulas_on_drawn_tensors(case):
 
 
 # -- the shipped algebras and coalgebras -------------------------------------
-
-_S3 = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (2, 1, 0), (0, 2, 1)]
-
-
-def s3_cayley():
-    index = {p: k for k, p in enumerate(_S3)}
-    return [[index[tuple(p[q[x]] for x in range(3))] for q in _S3]
-            for p in _S3]
-
 
 def hopf_algebras(field):
     return [group_algebra(field, cyclic_cayley(3)), sweedler_h4(field),
